@@ -52,10 +52,8 @@ from .recognizer import (
     resample_features,
 )
 from .synthesizer import (
-    DecoderConfig,
     ModelParameters,
     build_decoder,
-    condition_speaker,
     forward_free_running,
     forward_teacher,
 )
@@ -72,13 +70,13 @@ from .types import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AudioConfig", "Checkpoint", "Config", "DatasetManifest", "DecoderConfig",
+    "AudioConfig", "Checkpoint", "Config", "DatasetManifest",
     "EvalConfig", "FeatureSequence", "MelSpectrogram", "MetricsRow",
     "ModelConfig", "ModelParameters", "SpeakerEmbedding", "TrainRun",
     "TrainingConfig", "UpstreamSpec", "UtteranceRecord", "VoiceConversionError",
     "Waveform",
     "asv_accept_rate", "average_embedding", "build_decoder",
-    "calibrate_asv_threshold", "compute_loss", "condition_speaker", "convert",
+    "calibrate_asv_threshold", "compute_loss", "convert",
     "correlation_matrix", "cosine_similarity", "default_config", "dtw_align",
     "eer_threshold", "extract_mel", "external_upstream", "forward_free_running",
     "forward_teacher", "load_checkpoint", "load_config", "load_manifest",

@@ -64,10 +64,8 @@ def _note(message: str) -> None:
 def _load_config(args) -> Config:
     config = load_config(args.config) if args.config else default_config()
     if getattr(args, "seed", None) is not None:
-        config = Config(
-            audio=config.audio, model=config.model,
-            training=dataclasses.replace(config.training, seed=args.seed),
-            evaluation=config.evaluation,
+        config = dataclasses.replace(
+            config, training=dataclasses.replace(config.training, seed=args.seed)
         )
     return config
 
@@ -310,7 +308,7 @@ def cmd_evaluate(args) -> int:
             threshold = config.evaluation.asv_threshold
         if threshold is None:
             return _fail("no ASV threshold configured; pass --threshold "
-                         "or set [eval] asv_threshold")
+                         "or set [evaluation] asv_threshold")
         asv = asv_accept_rate([(e, target) for _, e in trials], threshold)
 
     per_utt = {utt: {} for utt in scored}

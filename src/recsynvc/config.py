@@ -56,8 +56,11 @@ class ModelConfig:
             raise ConfigTypeError(
                 f"unknown decoder type {self.type!r}; expected one of {DECODER_TYPES}"
             )
+        if not self.prenet_dims:
+            raise ConfigTypeError("prenet_dims must list at least one width")
         if min(self.hidden_dim, self.lstmp_proj_dim, self.postnet_channels,
-               self.embedding_dim, *self.prenet_dims, self.postnet_layers) < 1:
+               self.embedding_dim, *self.prenet_dims, self.postnet_layers,
+               self.postnet_kernel) < 1:
             raise ConfigTypeError("model dimensions must be positive")
         if self.postnet_kernel % 2 == 0:
             raise ConfigTypeError("postnet_kernel must be odd")
@@ -83,7 +86,7 @@ class TrainingConfig:
 @dataclass(frozen=True)
 class EvalConfig:
     mcd_order: int = 24
-    asv_threshold: float | None = None   # None means: calibrate at the EER
+    asv_threshold: float | None = None   # None: no default; ASV needs --threshold
     dropout_seed: int = 0                # conversion-time AR dropout stream
 
 

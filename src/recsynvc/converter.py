@@ -12,6 +12,9 @@ vocoders.  External tools are one process per call:
   writes RIFF/PCM.
 * speaker encoder: ``cmd <in.wav> <out.s3vc>`` -- writes a 1 x E feature
   file; results are cached per utt_id with atomic write-then-rename.
+
+Every adapter process, the evaluator's ASR included, is spawned by
+``run_adapter``.
 """
 
 from __future__ import annotations
@@ -31,14 +34,12 @@ from .errors import (
     AdapterError,
     DimensionMismatchError,
     EmptyInputError,
-    ExtraEmbeddingError,
-    MissingEmbeddingError,
     NonFiniteInputError,
     ZeroMeanVectorError,
 )
 from .featureio import read_features, write_features, feature_path
 from .recognizer import UpstreamSpec, recognize, resample_features
-from .synthesizer import DecoderConfig, ModelParameters, forward_free_running
+from .synthesizer import ModelParameters, decoder_from_meta, forward_free_running
 from .trainer import denormalize, normalize
 from .types import (
     LOG_MEL_FLOOR,
@@ -56,7 +57,7 @@ def load_model(checkpoint) -> tuple[ModelParameters, dict, AudioConfig, dict]:
     if not isinstance(checkpoint, Checkpoint):
         checkpoint = load_checkpoint(checkpoint)
     meta = checkpoint.meta
-    config = DecoderConfig.from_dict(meta["decoder"])
+    config, input_dim = decoder_from_meta(meta["decoder"])
     stats = {}
     tensors = {}
     for name, tensor in checkpoint.tensors.items():
@@ -64,7 +65,7 @@ def load_model(checkpoint) -> tuple[ModelParameters, dict, AudioConfig, dict]:
             stats[name[len(_STATS_PREFIX):]] = tensor
         else:
             tensors[name] = tensor.copy()
-    params = ModelParameters(config=config, tensors=tensors,
+    params = ModelParameters(config=config, input_dim=input_dim, tensors=tensors,
                              seed=int(meta.get("seed", 0)))
     audio = AudioConfig(**meta["audio"])
     return params, stats, audio, meta
@@ -79,17 +80,10 @@ def convert(source, checkpoint, spec: UpstreamSpec,
     exactly when the checkpointed model is speaker-conditioned.
     """
     params, stats, audio, _ = load_model(checkpoint)
-    config = params.config
-    if spec.feature_dim != config.input_dim:
+    if spec.feature_dim != params.input_dim:
         raise DimensionMismatchError(
             f"upstream produces {spec.feature_dim}-dim features but the "
-            f"checkpoint was trained on {config.input_dim}-dim input"
-        )
-    if config.speaker_conditioned and s is None:
-        raise MissingEmbeddingError("this checkpoint needs a target embedding")
-    if not config.speaker_conditioned and s is not None:
-        raise ExtraEmbeddingError(
-            "target embedding supplied to a single-target checkpoint"
+            f"checkpoint was trained on {params.input_dim}-dim input"
         )
     content = recognize(source, spec, audio)
     content = resample_features(content, audio.frame_shift_ms)
@@ -150,10 +144,33 @@ def vocode_native(mel, audio: AudioConfig) -> Waveform:
     return Waveform(wave, audio.sample_rate)
 
 
-def _command_list(command) -> list[str]:
+def run_adapter(command, args) -> tuple[str, str]:
+    """Run one external adapter process and return its ``(stdout, stderr)``.
+
+    ``command`` is a shell-style string or a sequence of arguments; ``args``
+    (paths, usually) are appended to it.  Both streams are decoded as UTF-8.
+    Raises ``AdapterError`` when the command is empty or cannot be started,
+    exits with a nonzero status, or prints stdout that is not UTF-8.
+    """
     if isinstance(command, (str, Path)):
-        return shlex.split(str(command))
-    return [str(c) for c in command]
+        argv = shlex.split(str(command))
+    else:
+        argv = [str(c) for c in command]
+    if not argv:
+        raise AdapterError("empty adapter command")
+    name = f"adapter {shlex.join(argv)!r}"
+    try:
+        # looked up on the module at each call, so a wrapper installed there sees it
+        proc = subprocess.run(argv + [str(a) for a in args], capture_output=True)
+    except OSError as exc:
+        raise AdapterError(f"cannot start {name}: {exc}") from exc
+    stderr = proc.stderr.decode("utf-8", errors="replace")
+    if proc.returncode != 0:
+        raise AdapterError(f"{name} exited with status {proc.returncode}", stderr)
+    try:
+        return proc.stdout.decode("utf-8"), stderr
+    except UnicodeDecodeError as exc:
+        raise AdapterError(f"{name} printed non-UTF-8 output: {exc}", stderr) from exc
 
 
 def vocode_external(mel, command, audio: AudioConfig) -> Waveform:
@@ -170,20 +187,13 @@ def vocode_external(mel, command, audio: AudioConfig) -> Waveform:
         mel_path = Path(tmp) / "input.s3vc"
         wav_path = Path(tmp) / "output.wav"
         write_features(mel_path, seq)
-        proc = subprocess.run(
-            _command_list(command) + [str(mel_path), str(wav_path)],
-            capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            raise AdapterError(
-                f"vocoder exited with status {proc.returncode}", proc.stderr
-            )
+        _, stderr = run_adapter(command, [mel_path, wav_path])
         if not wav_path.exists():
-            raise AdapterError("vocoder wrote no output file", proc.stderr)
+            raise AdapterError("vocoder wrote no output file", stderr)
         try:
             return load_waveform(wav_path, target_rate=audio.sample_rate)
         except Exception as exc:
-            raise AdapterError(f"vocoder output unreadable: {exc}", proc.stderr)
+            raise AdapterError(f"vocoder output unreadable: {exc}", stderr)
 
 
 def vocode(mel, audio: AudioConfig, vocoder: str = "native") -> Waveform:
@@ -218,26 +228,22 @@ def speaker_encoder_adapter(wave_or_path, command, cache_dir=None,
         else:
             wav_path = Path(wave_or_path)
         out_path = tmp / "embedding.s3vc"
-        proc = subprocess.run(
-            _command_list(command) + [str(wav_path), str(out_path)],
-            capture_output=True, text=True,
-        )
-        if proc.returncode != 0:
-            raise AdapterError(
-                f"speaker encoder exited with status {proc.returncode}", proc.stderr
-            )
+        _, stderr = run_adapter(command, [wav_path, out_path])
         if not out_path.exists():
-            raise AdapterError("speaker encoder wrote no output file", proc.stderr)
-        embedding = read_embedding(out_path, expected_dim)
+            raise AdapterError("speaker encoder wrote no output file", stderr)
+        seq = read_features(out_path)
+        embedding = _embedding_from(seq, out_path, expected_dim)
         if cache_dir is not None and utt_id is not None:
             Path(cache_dir).mkdir(parents=True, exist_ok=True)
-            seq = read_features(out_path)
             write_features(feature_path(cache_dir, utt_id), seq)
         return embedding
 
 
 def read_embedding(path, expected_dim=None) -> SpeakerEmbedding:
-    seq = read_features(path)
+    return _embedding_from(read_features(path), path, expected_dim)
+
+
+def _embedding_from(seq: FeatureSequence, path, expected_dim) -> SpeakerEmbedding:
     if len(seq) != 1:
         raise DimensionMismatchError(
             f"{path}: expected a single embedding row, got {len(seq)} frames"

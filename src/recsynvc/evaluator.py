@@ -10,8 +10,6 @@ favor of (1,1) then (1,0) so paths are unique and reproducible.
 from __future__ import annotations
 
 import re
-import shlex
-import subprocess
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,8 +18,8 @@ import scipy.fft
 
 from .audioio import load_waveform
 from .config import AudioConfig, default_config
+from .converter import run_adapter
 from .errors import (
-    AdapterError,
     DegenerateVarianceError,
     DimensionMismatchError,
     EmptyInputError,
@@ -191,13 +189,8 @@ def transcribe_adapter(wave_or_path, command) -> list[str]:
             save_waveform(wav_path, wave_or_path)
         else:
             wav_path = Path(wave_or_path)
-        cmd = shlex.split(str(command)) if isinstance(command, (str, Path)) else [str(c) for c in command]
-        proc = subprocess.run(cmd + [str(wav_path)], capture_output=True, text=True)
-        if proc.returncode != 0:
-            raise AdapterError(
-                f"transcriber exited with status {proc.returncode}", proc.stderr
-            )
-        return normalize_text(proc.stdout)
+        stdout, _ = run_adapter(command, [wav_path])
+        return normalize_text(stdout)
 
 
 def cosine_similarity(a, b) -> float:

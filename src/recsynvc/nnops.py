@@ -109,13 +109,9 @@ def lstm_step_backward(params, prefix, dh, dc, cache, grads):
 
 def lstmp_step(params, prefix, x, r_prev, c_prev):
     """LSTM with output projection: recurrence runs on the projected state r."""
-    h, c, cache = lstm_step_inner(params, prefix, x, r_prev, c_prev)
+    h, c, cache = lstm_step(params, prefix, x, r_prev, c_prev)
     r = h @ params[prefix + ".wp"].T
     return r, c, (cache, h)
-
-
-# the projected step reuses the plain-step math with r in place of h_prev
-lstm_step_inner = lstm_step
 
 
 def lstmp_step_backward(params, prefix, dr, dc, cache, grads):

@@ -27,6 +27,7 @@ from .featureio import feature_path, read_features
 from .types import (
     LOG_MEL_FLOOR,
     MEL_FLOOR,
+    N_MELS,
     FeatureSequence,
     MelSpectrogram,
     UtteranceRecord,
@@ -51,9 +52,10 @@ class UpstreamSpec:
             raise VoiceConversionError("feature_dim must be positive")
         if not self.frame_shift_ms > 0:
             raise VoiceConversionError("frame_shift_ms must be positive")
-        if self.native and self.name != MEL_UPSTREAM:
+        if self.native and (self.name, self.feature_dim) != (MEL_UPSTREAM, N_MELS):
             raise VoiceConversionError(
-                f"only the {MEL_UPSTREAM!r} upstream is native, got {self.name!r}"
+                f"only the {N_MELS}-dim {MEL_UPSTREAM!r} upstream is native, "
+                f"got {self.name!r} with dim {self.feature_dim}"
             )
         if not self.native and self.feature_dir is None:
             raise VoiceConversionError(

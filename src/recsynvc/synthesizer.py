@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import DECODER_TYPES, ModelConfig
+from .config import ModelConfig
 from .errors import (
     DimensionMismatchError,
     ExtraEmbeddingError,
@@ -49,75 +49,37 @@ from .nnops import (
 from .types import N_MELS, FeatureSequence, MelSpectrogram, SpeakerEmbedding
 
 
-@dataclass(frozen=True)
-class DecoderConfig:
-    """Complete architectural description of one decoder."""
+def decoder_meta(config: ModelConfig, input_dim: int) -> dict:
+    """The checkpoint's ``"decoder"`` entry: the model config plus ``input_dim``."""
+    meta = {"input_dim": int(input_dim), **asdict(config)}
+    meta["prenet_dims"] = list(config.prenet_dims)
+    return meta
 
-    type: str
-    input_dim: int
-    hidden_dim: int = 256
-    lstmp_proj_dim: int = 256
-    prenet_dims: tuple[int, ...] = (256, 256)
-    postnet_layers: int = 5
-    postnet_channels: int = 256
-    postnet_kernel: int = 5
-    ar_dropout: float = 0.5
-    speaker_conditioned: bool = False
-    embedding_dim: int = 256
 
-    def __post_init__(self):
-        if self.type not in DECODER_TYPES:
-            raise InvalidConfigError(
-                f"unknown decoder type {self.type!r}; expected one of {DECODER_TYPES}"
-            )
-        for name in ("input_dim", "hidden_dim", "lstmp_proj_dim",
-                     "postnet_layers", "postnet_channels", "postnet_kernel"):
-            if getattr(self, name) < 1:
-                raise InvalidConfigError(f"{name} must be >= 1")
-        prenet = tuple(int(d) for d in self.prenet_dims)
-        if not prenet or any(d < 1 for d in prenet):
-            raise InvalidConfigError("prenet_dims must be non-empty positive widths")
-        if self.postnet_kernel % 2 != 1:
-            raise InvalidConfigError("postnet_kernel must be odd")
-        if not 0.0 <= self.ar_dropout < 1.0:
-            raise InvalidConfigError(
-                f"ar_dropout must lie in [0, 1), got {self.ar_dropout}"
-            )
-        if self.speaker_conditioned:
-            if self.type != "taco2_ar":
-                raise InvalidConfigError(
-                    "speaker conditioning is only supported by the taco2_ar decoder"
-                )
-            if self.embedding_dim < 1:
-                raise InvalidConfigError("embedding_dim must be >= 1 when conditioned")
-        object.__setattr__(self, "prenet_dims", prenet)
-
-    @classmethod
-    def from_model_config(cls, model: ModelConfig, input_dim: int) -> "DecoderConfig":
-        return cls(input_dim=int(input_dim), **asdict(model))
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["prenet_dims"] = list(self.prenet_dims)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecoderConfig":
-        d = dict(d)
-        d["prenet_dims"] = tuple(d.get("prenet_dims", (256, 256)))
-        return cls(**d)
+def decoder_from_meta(meta: dict) -> tuple[ModelConfig, int]:
+    """Inverse of ``decoder_meta``."""
+    kwargs = dict(meta)
+    input_dim = int(kwargs.pop("input_dim"))
+    kwargs["prenet_dims"] = tuple(kwargs["prenet_dims"])
+    return ModelConfig(**kwargs), input_dim
 
 
 @dataclass(frozen=True)
 class ModelParameters:
-    """Named weight tensors plus the seed they were initialized from."""
+    """Named weight tensors, the architecture they belong to, and their seed.
 
-    config: DecoderConfig
+    ``input_dim`` is the content feature width, fixed by the upstream.
+    """
+
+    config: ModelConfig
+    input_dim: int
     tensors: dict[str, np.ndarray]
     seed: int
     parameter_count: int = field(init=False)
 
     def __post_init__(self):
+        if self.input_dim < 1:
+            raise InvalidConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         for name, tensor in self.tensors.items():
             if not np.all(np.isfinite(tensor)):
                 raise InvalidConfigError(f"tensor {name!r} contains non-finite values")
@@ -126,21 +88,14 @@ class ModelParameters:
         )
 
 
-def _decoder_input_dim(config: DecoderConfig) -> int:
-    width = config.prenet_dims[-1] + config.input_dim
-    if config.speaker_conditioned:
-        width += config.embedding_dim
-    return width
-
-
-def build_decoder(config: DecoderConfig, seed: int) -> ModelParameters:
+def build_decoder(config: ModelConfig, input_dim: int, seed: int) -> ModelParameters:
     """Deterministically initialize all weights for ``config``."""
     rng = np.random.default_rng(seed)
     p: dict[str, np.ndarray] = {}
     hidden = config.hidden_dim
     if config.type in ("simple", "simple_ar"):
         proj = config.lstmp_proj_dim
-        p["ffn.w"] = glorot(rng, (hidden, config.input_dim), config.input_dim, hidden)
+        p["ffn.w"] = glorot(rng, (hidden, input_dim), input_dim, hidden)
         p["ffn.b"] = np.zeros(hidden)
         l1_in = hidden + (N_MELS if config.type == "simple_ar" else 0)
         init_lstm(rng, p, "lstmp1", l1_in, hidden, proj, proj_dim=proj)
@@ -154,7 +109,9 @@ def build_decoder(config: DecoderConfig, seed: int) -> ModelParameters:
                 rng, (widths[i + 1], widths[i]), widths[i], widths[i + 1]
             )
             p[f"prenet{i + 1}.b"] = np.zeros(widths[i + 1])
-        dec_in = _decoder_input_dim(config)
+        dec_in = config.prenet_dims[-1] + input_dim
+        if config.speaker_conditioned:
+            dec_in += config.embedding_dim
         init_lstm(rng, p, "lstm1", dec_in, hidden, hidden)
         init_lstm(rng, p, "lstm2", hidden, hidden, hidden)
         p["out.w"] = glorot(rng, (N_MELS, hidden), hidden, N_MELS)
@@ -164,28 +121,17 @@ def build_decoder(config: DecoderConfig, seed: int) -> ModelParameters:
             k = config.postnet_kernel
             p[f"postnet{i}.w"] = glorot(rng, (cout, cin, k), cin * k, cout * k)
             p[f"postnet{i}.b"] = np.zeros(cout)
-    return ModelParameters(config=config, tensors=p, seed=int(seed))
+    return ModelParameters(config=config, input_dim=int(input_dim), tensors=p,
+                           seed=int(seed))
 
 
-def _postnet_channels(config: DecoderConfig) -> list[int]:
+def _postnet_channels(config: ModelConfig) -> list[int]:
     inner = [config.postnet_channels] * max(config.postnet_layers - 1, 0)
     return [N_MELS] + inner[: config.postnet_layers - 1] + [N_MELS]
 
 
 def zero_grads(params: ModelParameters) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(t) for name, t in params.tensors.items()}
-
-
-def condition_speaker(frame, embedding: SpeakerEmbedding, expected_dim=None):
-    """Concatenate the speaker embedding onto the trailing slots of a frame."""
-    vec = embedding.vector
-    if expected_dim is not None and vec.size != expected_dim:
-        raise DimensionMismatchError(
-            f"embedding dim {vec.size} != expected {expected_dim}"
-        )
-    frame = np.asarray(frame, dtype=np.float64)
-    tiled = np.broadcast_to(vec, frame.shape[:-1] + (vec.size,))
-    return np.concatenate([frame, tiled], axis=-1)
 
 
 # --- internal batched forwards/backwards --------------------------------------
@@ -396,7 +342,7 @@ def _taco2_backward_batch(params, cache, d_main, d_before, grads):
     dc1 = np.zeros((batch, hidden))
     dh2_next = np.zeros((batch, hidden))
     dc2 = np.zeros((batch, hidden))
-    ddec_in = np.empty((batch, t_len, _decoder_input_dim(config)))
+    ddec_in = np.empty((batch, t_len, p["lstm1.wx"].shape[1]))
     for t in range(t_len - 1, -1, -1):
         dh2 = dh2_seq[:, t] + dh2_next
         dh1_in, dh2_next, dc2 = lstm_step_backward(p, "lstm2", dh2, dc2, caches2[t], grads)
@@ -465,16 +411,16 @@ def free_forward_batch(params: ModelParameters, content, spk, dropout_seed):
 
 # --- public single-utterance API ------------------------------------------------
 
-def _content_frames(content, config):
+def _content_frames(content, input_dim):
     if isinstance(content, FeatureSequence):
         frames = np.asarray(content.frames, dtype=np.float64)
     else:
         frames = np.asarray(content, dtype=np.float64)
     if frames.ndim != 2:
         raise DimensionMismatchError(f"content must be T x D, got shape {frames.shape}")
-    if frames.shape[1] != config.input_dim:
+    if frames.shape[1] != input_dim:
         raise DimensionMismatchError(
-            f"content dim {frames.shape[1]} != decoder input_dim {config.input_dim}"
+            f"content dim {frames.shape[1]} != decoder input_dim {input_dim}"
         )
     return frames
 
@@ -519,7 +465,7 @@ def forward_teacher(params: ModelParameters, content, target, embedding=None,
                     dropout_seed: int = 0) -> np.ndarray:
     """Teacher-forced prediction for one utterance; returns (T, 80)."""
     config = params.config
-    frames = _content_frames(content, config)
+    frames = _content_frames(content, params.input_dim)
     tgt = _target_frames(target)
     if frames.shape[0] != tgt.shape[0]:
         raise LengthMismatchError(
@@ -537,6 +483,6 @@ def forward_free_running(params: ModelParameters, content, embedding=None,
                          dropout_seed: int = 0) -> np.ndarray:
     """Generate (T, 80) mel frames from content alone; length equals len(content)."""
     config = params.config
-    frames = _content_frames(content, config)
+    frames = _content_frames(content, params.input_dim)
     spk = _check_embedding(config, embedding)
     return free_forward_batch(params, frames[None], spk, dropout_seed)[0]

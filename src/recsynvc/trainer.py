@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -43,10 +43,10 @@ from .recognizer import (
 )
 from .audioio import load_waveform
 from .synthesizer import (
-    DecoderConfig,
     ModelParameters,
     backward_teacher_batch,
     build_decoder,
+    decoder_meta,
     shift_frames_right,
     teacher_forward_batch,
 )
@@ -192,10 +192,11 @@ def _prepare_examples(manifest, spec, config, encoder=None):
     audio = config.audio
     raw = []
     for record in manifest:
-        content = recognize(record, spec, audio)
-        content = resample_features(content, audio.frame_shift_ms)
         wave = load_waveform(record.wav_path, target_rate=audio.sample_rate)
         mel = extract_mel(wave, audio)
+        # the native upstream's content is the target mel itself
+        content = mel.as_features() if spec.native else recognize(record, spec, audio)
+        content = resample_features(content, audio.frame_shift_ms)
         t_len = min(len(content), mel.frames.shape[0])
         emb = None
         if encoder is not None:
@@ -250,7 +251,7 @@ def _pad_batch(examples: list[_Example]):
 def _checkpoint_for(params, stats, config, spec, mode, step, target_speaker):
     meta = {
         "format": "recsynvc-checkpoint",
-        "decoder": params.config.to_dict(),
+        "decoder": decoder_meta(params.config, params.input_dim),
         "upstream": {
             "name": spec.name,
             "feature_dim": spec.feature_dim,
@@ -279,10 +280,7 @@ def _run_training(manifest, spec, config: Config, out_dir, mode,
     _check_features_present(manifest, spec)
     examples, stats = _prepare_examples(manifest, spec, config, encoder=encoder)
 
-    decoder_config = DecoderConfig.from_model_config(
-        config.model, input_dim=spec.feature_dim
-    )
-    params = build_decoder(decoder_config, seed=training.seed)
+    params = build_decoder(config.model, spec.feature_dim, seed=training.seed)
     optimizer = AdamOptimizer(params.tensors, learning_rate=training.learning_rate)
 
     rng = np.random.default_rng(training.seed)
@@ -369,11 +367,7 @@ def train_a2a(manifest: DatasetManifest, spec: UpstreamSpec, config: Config,
     else:
         encoder_fn = encoder
 
-    model = config.model
-    if not model.speaker_conditioned:
-        from dataclasses import replace
-        config = Config(audio=config.audio,
-                        model=replace(model, speaker_conditioned=True),
-                        training=config.training, evaluation=config.evaluation)
+    if not config.model.speaker_conditioned:
+        config = replace(config, model=replace(config.model, speaker_conditioned=True))
     return _run_training(manifest, spec, config, out_dir, mode="a2a",
                          encoder=encoder_fn, target_speaker=None, log_file=log_file)

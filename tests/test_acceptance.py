@@ -17,11 +17,12 @@ import pytest
 from recsynvc.audioio import load_waveform
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from recsynvc.cli import main
+from recsynvc.config import ModelConfig
 from recsynvc.converter import average_embedding, convert, vocode
 from recsynvc.evaluator import MCD_CONSTANT, dtw_align, mcd, path_cost, wer
 from recsynvc.featureio import read_features, write_features
 from recsynvc.recognizer import extract_mel, mel_upstream
-from recsynvc.synthesizer import DecoderConfig, build_decoder
+from recsynvc.synthesizer import build_decoder, decoder_from_meta
 from recsynvc.trainer import loss_and_grads, train_a2a, train_a2o
 from recsynvc.types import FeatureSequence, SpeakerEmbedding
 
@@ -181,8 +182,8 @@ def _mel_to_cepstra(mel, order=24):
 
 def _untrained_twin(trained: Checkpoint) -> Checkpoint:
     """Same architecture and stats, freshly initialized weights."""
-    cfg = DecoderConfig.from_dict(trained.meta["decoder"])
-    fresh = build_decoder(cfg, seed=12345)
+    cfg, input_dim = decoder_from_meta(trained.meta["decoder"])
+    fresh = build_decoder(cfg, input_dim, seed=12345)
     tensors = dict(fresh.tensors)
     for key, value in trained.tensors.items():
         if key.startswith("stats."):
@@ -283,13 +284,13 @@ def test_criterion_6_gradient_check(capsys):
     worst = 0.0
     for decoder_type in DECODERS:
         conditioned = decoder_type == "taco2_ar"
-        cfg = DecoderConfig(
-            type=decoder_type, input_dim=6, hidden_dim=8, lstmp_proj_dim=8,
+        cfg = ModelConfig(
+            type=decoder_type, hidden_dim=8, lstmp_proj_dim=8,
             prenet_dims=(8, 8), postnet_layers=3, postnet_channels=8,
             postnet_kernel=5, ar_dropout=0.5,
             speaker_conditioned=conditioned, embedding_dim=4,
         )
-        params = build_decoder(cfg, seed=61)
+        params = build_decoder(cfg, 6, seed=61)
         # move off the exact ReLU kinks that zero initialization creates
         for arr in params.tensors.values():
             arr += 0.01 * rng.standard_normal(arr.shape)

@@ -223,6 +223,16 @@ def test_evaluate_asv_against_other_speaker(eval_setup, tmp_path,
     assert summary["asv"] == 0.0
 
 
+def test_evaluate_asv_without_threshold_names_config_section(
+        eval_setup, tmp_path, stub_speaker_encoder, capsys):
+    manifest_path, conv_dir = eval_setup
+    rc = main(["evaluate", str(conv_dir), str(manifest_path),
+               "--out-dir", str(tmp_path / "scores"),
+               "--speaker-encoder", " ".join(stub_speaker_encoder)])
+    assert rc == 1
+    assert "[evaluation] asv_threshold" in capsys.readouterr().err
+
+
 def test_evaluate_without_converted_wavs(eval_setup, tmp_path):
     manifest_path, _ = eval_setup
     empty = tmp_path / "empty"

@@ -92,6 +92,10 @@ def test_model_validation():
         ModelConfig(ar_dropout=1.0)
     with pytest.raises(ConfigTypeError):
         ModelConfig(type="simple", speaker_conditioned=True)
+    with pytest.raises(ConfigTypeError):
+        ModelConfig(postnet_kernel=-1)
+    with pytest.raises(ConfigTypeError):
+        ModelConfig(prenet_dims=())
 
 
 def test_sections_are_frozen():

@@ -170,6 +170,15 @@ class TestVocodeExternal:
             vocode_external(mel, failing_adapter, audio)
         assert "stub exploded" in err.value.stderr
 
+    @pytest.mark.parametrize("command", ["", "/nonexistent/vocoder"])
+    def test_unstartable_command_raises_adapter_error(self, audio, toy_corpus,
+                                                      command):
+        from recsynvc.recognizer import extract_mel
+
+        mel = extract_mel(_source_wave(toy_corpus), audio)
+        with pytest.raises(AdapterError):
+            vocode(mel, audio, vocoder=f"external:{command}")
+
 
 class TestSpeakerEncoderAdapter:
     def test_returns_unit_embedding(self, toy_corpus, stub_speaker_encoder):

@@ -208,6 +208,12 @@ def test_transcribe_adapter_failure(failing_adapter):
     assert "stub exploded" in err.value.stderr
 
 
+def test_transcribe_adapter_rejects_non_utf8_output():
+    printer = ["sh", "-c", r"printf '\377\376'; printf '\377' >&2"]
+    with pytest.raises(AdapterError, match="non-UTF-8"):
+        transcribe_adapter(_noise_wave(n=2400), printer)
+
+
 # --- speaker verification ----------------------------------------------------------
 
 def _unit(theta):

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from recsynvc.config import AudioConfig
-from recsynvc.errors import DimensionMismatchError, MissingFeatureError
+from recsynvc.errors import (
+    DimensionMismatchError,
+    MissingFeatureError,
+    VoiceConversionError,
+)
 from recsynvc.featureio import feature_path, write_features
 from recsynvc.recognizer import (
+    UpstreamSpec,
     extract_mel,
     external_upstream,
     mel_from_features,
@@ -58,6 +63,11 @@ class TestUpstreams:
         assert spec.name == "mel"
         assert spec.feature_dim == 80
         assert spec.frame_shift_ms == pytest.approx(10.0)
+
+    def test_native_upstream_must_be_80_dim(self):
+        # training takes native content straight from the target mel
+        with pytest.raises(VoiceConversionError):
+            UpstreamSpec(name="mel", feature_dim=40, frame_shift_ms=10.0, native=True)
 
     def test_mel_recognize_accepts_wave_and_record(self, audio, tmp_path):
         from recsynvc.audioio import save_waveform

@@ -1,9 +1,13 @@
 """Decoder construction, forward passes, and inference contracts."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from recsynvc.config import ModelConfig
+from recsynvc.checkpoint import Checkpoint, save_checkpoint
+from recsynvc.config import AudioConfig, ModelConfig
+from recsynvc.converter import load_model
 from recsynvc.errors import (
     DimensionMismatchError,
     ExtraEmbeddingError,
@@ -11,8 +15,8 @@ from recsynvc.errors import (
     MissingEmbeddingError,
 )
 from recsynvc.synthesizer import (
-    DecoderConfig,
     build_decoder,
+    decoder_meta,
     forward_free_running,
     forward_teacher,
     shift_frames_right,
@@ -20,12 +24,24 @@ from recsynvc.synthesizer import (
 from recsynvc.types import SpeakerEmbedding
 
 
+INPUT_DIM = 12
+
+
 def _config(type_, **kw):
-    base = dict(input_dim=12, hidden_dim=16, lstmp_proj_dim=16,
+    base = dict(hidden_dim=16, lstmp_proj_dim=16,
                 prenet_dims=(8, 8), postnet_layers=2, postnet_channels=8,
                 postnet_kernel=3, ar_dropout=0.5)
     base.update(kw)
-    return DecoderConfig(type=type_, **base)
+    return ModelConfig(type=type_, **base)
+
+
+def _through_checkpoint(params, tmp_path):
+    """Write ``params`` as a checkpoint file and load it back as parameters."""
+    meta = {"decoder": decoder_meta(params.config, params.input_dim),
+            "audio": asdict(AudioConfig())}
+    path = tmp_path / "model.s3ck"
+    save_checkpoint(path, Checkpoint(meta=meta, tensors=params.tensors))
+    return load_model(path)[0]
 
 
 def _data(rng, t=11, input_dim=12):
@@ -34,19 +50,21 @@ def _data(rng, t=11, input_dim=12):
     return content, target
 
 
-class TestDecoderConfig:
-    def test_dict_round_trip(self):
+class TestDecoderMeta:
+    def test_dict_round_trip(self, tmp_path):
         config = _config("taco2_ar", speaker_conditioned=True, embedding_dim=4)
-        again = DecoderConfig.from_dict(config.to_dict())
-        assert again == config
-        assert isinstance(again.prenet_dims, tuple)
+        again = _through_checkpoint(build_decoder(config, INPUT_DIM, seed=0), tmp_path)
+        assert again.config == config
+        assert again.input_dim == INPUT_DIM
+        assert isinstance(again.config.prenet_dims, tuple)
 
-    def test_from_model_config(self):
+    def test_from_model_config(self, tmp_path):
         model = ModelConfig(type="simple", hidden_dim=32, lstmp_proj_dim=24)
-        config = DecoderConfig.from_model_config(model, input_dim=7)
-        assert config.input_dim == 7
-        assert config.hidden_dim == 32
-        assert config.lstmp_proj_dim == 24
+        params = _through_checkpoint(build_decoder(model, 7, seed=0), tmp_path)
+        assert params.input_dim == 7
+        assert params.config == model
+        assert params.config.hidden_dim == 32
+        assert params.config.lstmp_proj_dim == 24
 
     def test_validation(self):
         with pytest.raises(Exception):
@@ -60,27 +78,27 @@ class TestDecoderConfig:
 class TestBuildDecoder:
     @pytest.mark.parametrize("type_", ["simple", "simple_ar", "taco2_ar"])
     def test_build_produces_finite_tensors(self, type_):
-        params = build_decoder(_config(type_), seed=0)
+        params = build_decoder(_config(type_), INPUT_DIM, seed=0)
         assert params.parameter_count > 0
         for name, tensor in params.tensors.items():
             assert np.all(np.isfinite(tensor)), name
 
     def test_seed_changes_weights(self):
-        a = build_decoder(_config("simple"), seed=0)
-        b = build_decoder(_config("simple"), seed=1)
+        a = build_decoder(_config("simple"), INPUT_DIM, seed=0)
+        b = build_decoder(_config("simple"), INPUT_DIM, seed=1)
         assert any(not np.array_equal(a.tensors[k], b.tensors[k])
                    for k in a.tensors)
 
     def test_same_seed_reproduces(self):
-        a = build_decoder(_config("taco2_ar"), seed=3)
-        b = build_decoder(_config("taco2_ar"), seed=3)
+        a = build_decoder(_config("taco2_ar"), INPUT_DIM, seed=3)
+        b = build_decoder(_config("taco2_ar"), INPUT_DIM, seed=3)
         assert a.tensors.keys() == b.tensors.keys()
         for k in a.tensors:
             assert np.array_equal(a.tensors[k], b.tensors[k])
 
     def test_ar_feedback_widens_first_recurrent_input(self):
-        plain = build_decoder(_config("simple"), seed=0)
-        ar = build_decoder(_config("simple_ar"), seed=0)
+        plain = build_decoder(_config("simple"), INPUT_DIM, seed=0)
+        ar = build_decoder(_config("simple_ar"), INPUT_DIM, seed=0)
         # the AR variant feeds the previous output frame into the first LSTMP
         assert (ar.tensors["lstmp1.wx"].shape[1]
                 == plain.tensors["lstmp1.wx"].shape[1] + 80)
@@ -96,7 +114,7 @@ class TestForward:
     @pytest.mark.parametrize("type_", ["simple", "simple_ar", "taco2_ar"])
     def test_teacher_output_shape(self, type_):
         rng = np.random.default_rng(0)
-        params = build_decoder(_config(type_), seed=0)
+        params = build_decoder(_config(type_), INPUT_DIM, seed=0)
         content, target = _data(rng)
         out = forward_teacher(params, content, target)
         assert out.shape == (11, 80)
@@ -105,7 +123,7 @@ class TestForward:
     @pytest.mark.parametrize("type_", ["simple", "simple_ar", "taco2_ar"])
     def test_free_running_shape(self, type_):
         rng = np.random.default_rng(0)
-        params = build_decoder(_config(type_), seed=0)
+        params = build_decoder(_config(type_), INPUT_DIM, seed=0)
         content, _ = _data(rng)
         out = forward_free_running(params, content)
         assert out.shape == (11, 80)
@@ -114,7 +132,7 @@ class TestForward:
     def test_simple_free_running_ignores_feedback(self):
         # without an AR path, free-running equals the teacher-forced pass
         rng = np.random.default_rng(1)
-        params = build_decoder(_config("simple"), seed=0)
+        params = build_decoder(_config("simple"), INPUT_DIM, seed=0)
         content, target = _data(rng)
         teacher = forward_teacher(params, content, target)
         free = forward_free_running(params, content)
@@ -122,7 +140,7 @@ class TestForward:
 
     def test_ar_dropout_seed_controls_inference(self):
         rng = np.random.default_rng(2)
-        params = build_decoder(_config("taco2_ar"), seed=0)
+        params = build_decoder(_config("taco2_ar"), INPUT_DIM, seed=0)
         content, _ = _data(rng)
         a = forward_free_running(params, content, dropout_seed=5)
         b = forward_free_running(params, content, dropout_seed=5)
@@ -132,14 +150,14 @@ class TestForward:
 
     def test_length_mismatch(self):
         rng = np.random.default_rng(3)
-        params = build_decoder(_config("simple_ar"), seed=0)
+        params = build_decoder(_config("simple_ar"), INPUT_DIM, seed=0)
         content, target = _data(rng)
         with pytest.raises(LengthMismatchError):
             forward_teacher(params, content, target[:-1])
 
     def test_content_dim_mismatch(self):
         rng = np.random.default_rng(4)
-        params = build_decoder(_config("simple"), seed=0)
+        params = build_decoder(_config("simple"), INPUT_DIM, seed=0)
         content, target = _data(rng, input_dim=13)
         with pytest.raises(DimensionMismatchError):
             forward_teacher(params, content, target)
@@ -147,7 +165,7 @@ class TestForward:
     def test_embedding_requirements(self):
         rng = np.random.default_rng(5)
         conditioned = build_decoder(
-            _config("taco2_ar", speaker_conditioned=True, embedding_dim=4),
+            _config("taco2_ar", speaker_conditioned=True, embedding_dim=4), INPUT_DIM,
             seed=0)
         content, target = _data(rng)
         emb = SpeakerEmbedding.from_raw(rng.standard_normal(4))
@@ -156,14 +174,14 @@ class TestForward:
         out = forward_teacher(conditioned, content, target, embedding=emb)
         assert out.shape == (11, 80)
 
-        plain = build_decoder(_config("taco2_ar"), seed=0)
+        plain = build_decoder(_config("taco2_ar"), INPUT_DIM, seed=0)
         with pytest.raises(ExtraEmbeddingError):
             forward_teacher(plain, content, target, embedding=emb)
 
     def test_embedding_dim_checked(self):
         rng = np.random.default_rng(6)
         conditioned = build_decoder(
-            _config("taco2_ar", speaker_conditioned=True, embedding_dim=4),
+            _config("taco2_ar", speaker_conditioned=True, embedding_dim=4), INPUT_DIM,
             seed=0)
         content, target = _data(rng)
         wrong = SpeakerEmbedding.from_raw(rng.standard_normal(5))
@@ -173,7 +191,7 @@ class TestForward:
     def test_embedding_changes_output(self):
         rng = np.random.default_rng(7)
         conditioned = build_decoder(
-            _config("taco2_ar", speaker_conditioned=True, embedding_dim=4),
+            _config("taco2_ar", speaker_conditioned=True, embedding_dim=4), INPUT_DIM,
             seed=0)
         content, _ = _data(rng)
         e1 = SpeakerEmbedding.from_raw(rng.standard_normal(4))

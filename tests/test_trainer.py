@@ -6,6 +6,7 @@ import pytest
 from conftest import sphere_embedding, toy_config
 
 from recsynvc.checkpoint import load_checkpoint
+from recsynvc.config import ModelConfig
 from recsynvc.errors import (
     EmptyInputError,
     EmptyManifestError,
@@ -15,7 +16,7 @@ from recsynvc.errors import (
     SingleSpeakerError,
 )
 from recsynvc.recognizer import external_upstream, mel_upstream
-from recsynvc.synthesizer import build_decoder, DecoderConfig
+from recsynvc.synthesizer import build_decoder
 from recsynvc.trainer import (
     AdamOptimizer,
     compute_loss,
@@ -74,13 +75,13 @@ class TestLossGradients:
     ])
     def test_gradients_match_fd_on_sampled_params(self, type_, conditioned):
         rng = np.random.default_rng(0)
-        config = DecoderConfig(
-            type=type_, input_dim=6, hidden_dim=8, lstmp_proj_dim=8,
+        config = ModelConfig(
+            type=type_, hidden_dim=8, lstmp_proj_dim=8,
             prenet_dims=(8, 8), postnet_layers=2, postnet_channels=8,
             postnet_kernel=3, ar_dropout=0.5,
             speaker_conditioned=conditioned,
             embedding_dim=4 if conditioned else 256)
-        params = build_decoder(config, seed=0)
+        params = build_decoder(config, 6, seed=0)
         # jitter away from the zero-bias init: teacher forcing zero-pads the
         # first frame, and exact zeros park prenet units on the relu kink
         # where central differences disagree with any one-sided subgradient
