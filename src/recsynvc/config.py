@@ -132,9 +132,7 @@ def _parse_value(raw, f, key):
                 return ()
             return tuple(int(part) for part in raw.split(","))
         if tp == "float | None":
-            if raw.lower() in ("none", "auto", "eer"):
-                return None
-            return float(raw)
+            return None if raw.lower() == "none" else float(raw)
     except ConfigTypeError:
         raise
     except (TypeError, ValueError) as exc:

@@ -34,6 +34,7 @@ from .errors import (
     AdapterError,
     DimensionMismatchError,
     EmptyInputError,
+    InvalidConfigError,
     NonFiniteInputError,
     ZeroMeanVectorError,
 )
@@ -57,6 +58,9 @@ def load_model(checkpoint) -> tuple[ModelParameters, dict, AudioConfig, dict]:
     if not isinstance(checkpoint, Checkpoint):
         checkpoint = load_checkpoint(checkpoint)
     meta = checkpoint.meta
+    for key in ("decoder", "audio"):
+        if not isinstance(meta.get(key), dict):
+            raise InvalidConfigError(f"checkpoint meta has no {key!r} object")
     config, input_dim = decoder_from_meta(meta["decoder"])
     stats = {}
     tensors = {}
@@ -67,7 +71,10 @@ def load_model(checkpoint) -> tuple[ModelParameters, dict, AudioConfig, dict]:
             tensors[name] = tensor.copy()
     params = ModelParameters(config=config, input_dim=input_dim, tensors=tensors,
                              seed=int(meta.get("seed", 0)))
-    audio = AudioConfig(**meta["audio"])
+    try:
+        audio = AudioConfig(**meta["audio"])
+    except TypeError as exc:
+        raise InvalidConfigError(f"checkpoint audio meta: {exc}") from None
     return params, stats, audio, meta
 
 

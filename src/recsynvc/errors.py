@@ -20,10 +20,11 @@ class ManifestParseError(ManifestError):
 
 
 class DuplicateUtteranceError(ManifestError):
-    def __init__(self, utt_id, line_number):
-        super().__init__(f"line {line_number}: duplicate utt_id {utt_id!r}")
+    """Two records share an utt_id; ``first`` and ``second`` count from 1."""
+
+    def __init__(self, utt_id, first, second):
+        super().__init__(f"duplicate utt_id {utt_id!r} in records {first} and {second}")
         self.utt_id = utt_id
-        self.line_number = line_number
 
 
 class MissingFieldError(ManifestError):

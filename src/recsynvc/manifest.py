@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import DuplicateUtteranceError, ManifestParseError, MissingFieldError
+from .errors import ManifestParseError, MissingFieldError
 from .types import DatasetManifest, UtteranceRecord
 
 _REQUIRED = ("utt_id", "speaker_id", "wav_path", "language")
@@ -26,7 +26,6 @@ def load_manifest(path, role=None) -> DatasetManifest:
     path = Path(path)
     base = path.parent
     records = []
-    seen = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             line = line.strip()
@@ -41,16 +40,12 @@ def load_manifest(path, role=None) -> DatasetManifest:
             for key in _REQUIRED:
                 if key not in obj or obj[key] is None:
                     raise MissingFieldError(key, line_number)
-            utt_id = str(obj["utt_id"])
-            if utt_id in seen:
-                raise DuplicateUtteranceError(utt_id, line_number)
-            seen[utt_id] = line_number
             wav_path = Path(obj["wav_path"])
             if not wav_path.is_absolute():
                 wav_path = base / wav_path
             records.append(
                 UtteranceRecord(
-                    utt_id=utt_id,
+                    utt_id=str(obj["utt_id"]),
                     speaker_id=str(obj["speaker_id"]),
                     wav_path=wav_path,
                     transcript=obj.get("transcript"),

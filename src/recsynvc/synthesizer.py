@@ -21,7 +21,7 @@ previous output (pre-postnet for ``taco2_ar``).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -56,10 +56,31 @@ def decoder_meta(config: ModelConfig, input_dim: int) -> dict:
     return meta
 
 
+def _has_type(value, type_name: str) -> bool:
+    """Whether a JSON value fits a ``ModelConfig`` field annotation."""
+    if type_name == "tuple[int, ...]":
+        return isinstance(value, list) and all(_has_type(v, "int") for v in value)
+    expected = {"bool": bool, "int": int, "float": (int, float), "str": str}[type_name]
+    return isinstance(value, expected) and (type_name == "bool") == isinstance(value, bool)
+
+
 def decoder_from_meta(meta: dict) -> tuple[ModelConfig, int]:
-    """Inverse of ``decoder_meta``."""
+    """Inverse of ``decoder_meta``.
+
+    A missing or unknown key, or a value of the wrong type, raises
+    ``InvalidConfigError`` naming the entry.
+    """
+    types = {"input_dim": "int", **{f.name: f.type for f in fields(ModelConfig)}}
+    unknown, missing = meta.keys() - types.keys(), types.keys() - meta.keys()
+    if unknown or missing:
+        raise InvalidConfigError(f"checkpoint decoder meta: unknown keys {sorted(unknown)}, "
+                                 f"missing keys {sorted(missing)}")
+    for key, value in meta.items():
+        if not _has_type(value, types[key]):
+            raise InvalidConfigError(f"checkpoint decoder meta {key!r}: {value!r} is not "
+                                     f"{types[key]}")
     kwargs = dict(meta)
-    input_dim = int(kwargs.pop("input_dim"))
+    input_dim = kwargs.pop("input_dim")
     kwargs["prenet_dims"] = tuple(kwargs["prenet_dims"])
     return ModelConfig(**kwargs), input_dim
 
@@ -136,13 +157,20 @@ def zero_grads(params: ModelParameters) -> dict[str, np.ndarray]:
 
 # --- internal batched forwards/backwards --------------------------------------
 #
-# All internals take content (B, T, Din), optional prev (B, T, 80) and
-# spk (B, E), run in float64, and return batch-first outputs.  ``cache``
-# objects are consumed by the matching ``backward_teacher_batch``.
+# Every decoder is input -> two stacked recurrent layers -> linear(80), plus a
+# postnet for ``taco2_ar``.  The stack input joins a feedback-free context
+# (``_context``: ffn(content), or content and speaker embedding) with the
+# fed-back previous frame (``_decoder_input``: masked frame, or prenet).  The
+# stack itself runs through ``_recurrent_step``: ``_recurrent_forward`` and
+# ``_recurrent_backward`` over a whole teacher-forced sequence, and the loop in
+# ``free_forward_batch`` one step at a time.  All internals take content
+# (B, T, Din), optional prev (B, T, 80) and spk (B, E), run in float64 and
+# return batch-first outputs.  ``cache`` objects are consumed by
+# ``backward_teacher_batch``.
 
 
 def _prenet_forward(p, config, prev, rng):
-    """Batched prenet over a whole (B, T, 80) tensor of previous frames."""
+    """Batched prenet over previous frames, (B, T, 80) or one step (B, 80)."""
     masks, pre_acts, outs = [], [], []
     x = prev
     for i in range(len(config.prenet_dims)):
@@ -174,12 +202,8 @@ def _postnet_forward(p, config, y_before):
     caches = []
     for i in range(1, n_layers + 1):
         y, xp = conv1d_same(x, p[f"postnet{i}.w"], p[f"postnet{i}.b"])
-        if i < n_layers:
-            a = np.tanh(y)
-        else:
-            a = y
-        caches.append((xp, a if i < n_layers else None))
-        x = a
+        x = np.tanh(y) if i < n_layers else y
+        caches.append((xp, x if i < n_layers else None))
     return y_before + x, caches
 
 
@@ -193,193 +217,87 @@ def _postnet_backward(p, config, d_residual, caches, grads):
     return dx
 
 
-def _simple_forward_batch(params, content, prev, dropout_seed):
-    """Shared teacher-mode forward for ``simple`` and ``simple_ar``."""
-    p = params.tensors
-    config = params.config
-    batch, t_len, _ = content.shape
-    proj = config.lstmp_proj_dim
+def _layers(config):
+    """Parameter prefixes of the recurrent stack, bottom first."""
+    return ("lstm1", "lstm2") if config.type == "taco2_ar" else ("lstmp1", "lstmp2")
 
-    ffn_pre = linear(content, p["ffn.w"], p["ffn.b"])
-    ffn_out = np.maximum(ffn_pre, 0.0)
 
-    if config.type == "simple_ar":
-        rng = np.random.default_rng(dropout_seed)
-        mask = dropout_mask(rng, prev.shape, config.ar_dropout)
-        x_seq = np.concatenate([ffn_out, prev * mask], axis=2)
-    else:
-        mask = None
-        x_seq = ffn_out
+def _zero_state(p, layers, batch):
+    """One zero (recurrent output, cell) pair per layer."""
+    return [(np.zeros((batch, p[f"{name}.wh"].shape[1])),
+             np.zeros((batch, p[f"{name}.wh"].shape[0] // 4))) for name in layers]
 
-    r1 = np.zeros((batch, proj))
-    c1 = np.zeros((batch, config.hidden_dim))
-    r2 = np.zeros((batch, proj))
-    c2 = np.zeros((batch, config.hidden_dim))
-    caches1, caches2 = [], []
-    r2_seq = np.empty((batch, t_len, proj))
+
+def _recurrent_step(p, layers, x, state):
+    """One time step up the stack; returns (top output, new state, caches)."""
+    new_state, caches = [], []
+    for name, (h, c) in zip(layers, state):
+        step = lstmp_step if name.startswith("lstmp") else lstm_step
+        x, c, cache = step(p, name, x, h, c)
+        new_state.append((x, c))
+        caches.append(cache)
+    return x, new_state, caches
+
+
+def _recurrent_forward(p, layers, x_seq):
+    """Run the stack over a (B, T, D) input from zero state."""
+    batch, t_len, _ = x_seq.shape
+    state = _zero_state(p, layers, batch)
+    out = np.empty((batch, t_len, state[-1][0].shape[1]))
+    caches = []
     for t in range(t_len):
-        r1, c1, cache1 = lstmp_step(p, "lstmp1", x_seq[:, t], r1, c1)
-        r2, c2, cache2 = lstmp_step(p, "lstmp2", r1, r2, c2)
-        caches1.append(cache1)
-        caches2.append(cache2)
-        r2_seq[:, t] = r2
-    y = linear(r2_seq, p["out.w"], p["out.b"])
-    cache = ("simple", content, ffn_pre, mask, prev, x_seq, caches1, caches2, r2_seq)
-    return y, None, cache
+        y, state, step_caches = _recurrent_step(p, layers, x_seq[:, t], state)
+        out[:, t] = y
+        caches.append(step_caches)
+    return out, caches
 
 
-def _simple_backward_batch(params, cache, d_main, grads):
-    _, content, ffn_pre, mask, prev, x_seq, caches1, caches2, r2_seq = cache
-    p = params.tensors
-    config = params.config
-    batch, t_len, _ = content.shape
-    hidden = config.hidden_dim
-    proj = config.lstmp_proj_dim
-
-    dr2_seq = linear_backward(d_main, r2_seq, p["out.w"], grads, "out")
-    dr1_next = np.zeros((batch, proj))
-    dc1 = np.zeros((batch, hidden))
-    dr2_next = np.zeros((batch, proj))
-    dc2 = np.zeros((batch, hidden))
-    dx_seq = np.empty_like(x_seq)
+def _recurrent_backward(p, layers, d_out, caches, grads):
+    """Backward of ``_recurrent_forward``; returns the input gradient (B, T, D)."""
+    batch, t_len, _ = d_out.shape
+    d_next = _zero_state(p, layers, batch)  # (d output, d cell) from step t + 1
+    dx_seq = np.empty((batch, t_len, p[f"{layers[0]}.wx"].shape[1]))
     for t in range(t_len - 1, -1, -1):
-        dr2 = dr2_seq[:, t] + dr2_next
-        dr1_in, dr2_next, dc2 = lstmp_step_backward(p, "lstmp2", dr2, dc2, caches2[t], grads)
-        dr1 = dr1_in + dr1_next
-        dx, dr1_next, dc1 = lstmp_step_backward(p, "lstmp1", dr1, dc1, caches1[t], grads)
-        dx_seq[:, t] = dx
-    dffn_out = dx_seq[:, :, :hidden] if config.type == "simple_ar" else dx_seq
-    dffn_pre = dffn_out * (ffn_pre > 0.0)
-    linear_backward(dffn_pre, content, p["ffn.w"], grads, "ffn")
+        d = d_out[:, t]
+        for i in reversed(range(len(layers))):
+            step_backward = (lstmp_step_backward if layers[i].startswith("lstmp")
+                             else lstm_step_backward)
+            dh_next, dc = d_next[i]
+            d, dh_prev, dc_prev = step_backward(p, layers[i], d + dh_next, dc,
+                                                caches[t][i], grads)
+            d_next[i] = (dh_prev, dc_prev)
+        dx_seq[:, t] = d
+    return dx_seq
 
 
-def _simple_free_batch(params, content, dropout_seed):
+def _context(params, content, spk):
+    """Feedback-free part of the stack input, and the ffn pre-activation if any."""
     p = params.tensors
-    config = params.config
-    batch, t_len, _ = content.shape
-    proj = config.lstmp_proj_dim
-    hidden = config.hidden_dim
+    if params.config.type != "taco2_ar":
+        ffn_pre = linear(content, p["ffn.w"], p["ffn.b"])
+        return np.maximum(ffn_pre, 0.0), ffn_pre
+    if not params.config.speaker_conditioned:
+        return content, None
+    spk_tiled = np.broadcast_to(spk[:, None, :], content.shape[:2] + spk.shape[1:])
+    return np.concatenate([content, spk_tiled], axis=2), None
 
-    ffn_out = np.maximum(linear(content, p["ffn.w"], p["ffn.b"]), 0.0)
+
+def _decoder_input(params, context, prev, rng):
+    """Stack input and the prenet cache its backward needs (None without prenet).
+
+    ``context`` and ``prev`` are a whole sequence, (B, T, .), or one step,
+    (B, .).  ``simple`` takes the context alone; ``simple_ar`` appends the
+    dropout-masked previous frame; ``taco2_ar`` puts the prenet of the
+    previous frame in front.
+    """
+    config = params.config
     if config.type == "simple":
-        # no feedback path: free-running coincides with the teacher forward
-        r1 = np.zeros((batch, proj))
-        c1 = np.zeros((batch, hidden))
-        r2 = np.zeros((batch, proj))
-        c2 = np.zeros((batch, hidden))
-        r2_seq = np.empty((batch, t_len, proj))
-        for t in range(t_len):
-            r1, c1, _ = lstmp_step(p, "lstmp1", ffn_out[:, t], r1, c1)
-            r2, c2, _ = lstmp_step(p, "lstmp2", r1, r2, c2)
-            r2_seq[:, t] = r2
-        return linear(r2_seq, p["out.w"], p["out.b"])
-
-    rng = np.random.default_rng(dropout_seed)
-    r1 = np.zeros((batch, proj))
-    c1 = np.zeros((batch, hidden))
-    r2 = np.zeros((batch, proj))
-    c2 = np.zeros((batch, hidden))
-    prev = np.zeros((batch, N_MELS))
-    out = np.empty((batch, t_len, N_MELS))
-    for t in range(t_len):
-        m = dropout_mask(rng, prev.shape, config.ar_dropout)
-        x = np.concatenate([ffn_out[:, t], prev * m], axis=1)
-        r1, c1, _ = lstmp_step(p, "lstmp1", x, r1, c1)
-        r2, c2, _ = lstmp_step(p, "lstmp2", r1, r2, c2)
-        prev = linear(r2, p["out.w"], p["out.b"])
-        out[:, t] = prev
-    return out
-
-
-def _taco2_forward_batch(params, content, prev, spk, dropout_seed):
-    p = params.tensors
-    config = params.config
-    batch, t_len, _ = content.shape
-    hidden = config.hidden_dim
-
-    rng = np.random.default_rng(dropout_seed)
-    pre_out, pre_cache = _prenet_forward(p, config, prev, rng)
-    if config.speaker_conditioned:
-        spk_tiled = np.broadcast_to(spk[:, None, :], (batch, t_len, spk.shape[1]))
-        dec_in = np.concatenate([pre_out, content, spk_tiled], axis=2)
-    else:
-        dec_in = np.concatenate([pre_out, content], axis=2)
-
-    h1 = np.zeros((batch, hidden))
-    c1 = np.zeros((batch, hidden))
-    h2 = np.zeros((batch, hidden))
-    c2 = np.zeros((batch, hidden))
-    caches1, caches2 = [], []
-    h2_seq = np.empty((batch, t_len, hidden))
-    for t in range(t_len):
-        h1, c1, cache1 = lstm_step(p, "lstm1", dec_in[:, t], h1, c1)
-        h2, c2, cache2 = lstm_step(p, "lstm2", h1, h2, c2)
-        caches1.append(cache1)
-        caches2.append(cache2)
-        h2_seq[:, t] = h2
-    y_before = linear(h2_seq, p["out.w"], p["out.b"])
-    y_after, post_caches = _postnet_forward(p, config, y_before)
-    cache = ("taco2", pre_cache, caches1, caches2, h2_seq, post_caches)
-    return y_after, y_before, cache
-
-
-def _taco2_backward_batch(params, cache, d_main, d_before, grads):
-    _, pre_cache, caches1, caches2, h2_seq, post_caches = cache
-    p = params.tensors
-    config = params.config
-    batch = h2_seq.shape[0]
-    t_len = h2_seq.shape[1]
-    hidden = config.hidden_dim
-    pre_dim = config.prenet_dims[-1]
-
-    # main branch: identity + postnet residual; aux branch hits y_before directly
-    dy_before = d_main + _postnet_backward(p, config, d_main, post_caches, grads)
-    if d_before is not None:
-        dy_before = dy_before + d_before
-    dh2_seq = linear_backward(dy_before, h2_seq, p["out.w"], grads, "out")
-
-    dh1_next = np.zeros((batch, hidden))
-    dc1 = np.zeros((batch, hidden))
-    dh2_next = np.zeros((batch, hidden))
-    dc2 = np.zeros((batch, hidden))
-    ddec_in = np.empty((batch, t_len, p["lstm1.wx"].shape[1]))
-    for t in range(t_len - 1, -1, -1):
-        dh2 = dh2_seq[:, t] + dh2_next
-        dh1_in, dh2_next, dc2 = lstm_step_backward(p, "lstm2", dh2, dc2, caches2[t], grads)
-        dh1 = dh1_in + dh1_next
-        dx, dh1_next, dc1 = lstm_step_backward(p, "lstm1", dh1, dc1, caches1[t], grads)
-        ddec_in[:, t] = dx
-    _prenet_backward(p, config, ddec_in[:, :, :pre_dim], pre_cache, grads)
-
-
-def _taco2_free_batch(params, content, spk, dropout_seed):
-    p = params.tensors
-    config = params.config
-    batch, t_len, _ = content.shape
-    hidden = config.hidden_dim
-
-    rng = np.random.default_rng(dropout_seed)
-    h1 = np.zeros((batch, hidden))
-    c1 = np.zeros((batch, hidden))
-    h2 = np.zeros((batch, hidden))
-    c2 = np.zeros((batch, hidden))
-    prev = np.zeros((batch, N_MELS))
-    y_before = np.empty((batch, t_len, N_MELS))
-    for t in range(t_len):
-        x = prev
-        for i in range(len(config.prenet_dims)):
-            a = np.maximum(linear(x, p[f"prenet{i + 1}.w"], p[f"prenet{i + 1}.b"]), 0.0)
-            x = a * dropout_mask(rng, a.shape, config.ar_dropout)
-        parts = [x, content[:, t]]
-        if config.speaker_conditioned:
-            parts.append(spk)
-        dec_in = np.concatenate(parts, axis=1)
-        h1, c1, _ = lstm_step(p, "lstm1", dec_in, h1, c1)
-        h2, c2, _ = lstm_step(p, "lstm2", h1, h2, c2)
-        prev = linear(h2, p["out.w"], p["out.b"])
-        y_before[:, t] = prev
-    y_after, _ = _postnet_forward(p, config, y_before)
-    return y_after
+        return context, None
+    if config.type == "simple_ar":
+        masked = prev * dropout_mask(rng, prev.shape, config.ar_dropout)
+        return np.concatenate([context, masked], axis=-1), None
+    pre_out, pre_cache = _prenet_forward(params.tensors, config, prev, rng)
+    return np.concatenate([pre_out, context], axis=-1), pre_cache
 
 
 def teacher_forward_batch(params: ModelParameters, content, prev, spk, dropout_seed):
@@ -388,34 +306,71 @@ def teacher_forward_batch(params: ModelParameters, content, prev, spk, dropout_s
     Returns ``(main, before, cache)`` where ``before`` is the pre-postnet
     prediction (None for models without a postnet).
     """
-    if params.config.type == "taco2_ar":
-        return _taco2_forward_batch(params, content, prev, spk, dropout_seed)
-    return _simple_forward_batch(params, content, prev, dropout_seed)
+    p, config = params.tensors, params.config
+    rng = np.random.default_rng(dropout_seed)
+    context, ffn_pre = _context(params, content, spk)
+    x_seq, input_cache = _decoder_input(params, context, prev, rng)
+    h_seq, step_caches = _recurrent_forward(p, _layers(config), x_seq)
+    y_before = linear(h_seq, p["out.w"], p["out.b"])
+    if config.type == "taco2_ar":
+        main, post_caches = _postnet_forward(p, config, y_before)
+        before = y_before
+    else:
+        main, before, post_caches = y_before, None, None
+    return main, before, (content, ffn_pre, input_cache, step_caches, h_seq, post_caches)
 
 
 def backward_teacher_batch(params: ModelParameters, cache, d_main, d_before=None):
     """Parameter gradients for a teacher-forced forward."""
+    content, ffn_pre, input_cache, step_caches, h_seq, post_caches = cache
+    p, config = params.tensors, params.config
     grads = zero_grads(params)
-    if cache[0] == "taco2":
-        _taco2_backward_batch(params, cache, d_main, d_before, grads)
+    dy_before = d_main
+    if config.type == "taco2_ar":
+        # main branch: identity + postnet residual; aux branch hits y_before directly
+        dy_before = d_main + _postnet_backward(p, config, d_main, post_caches, grads)
+        if d_before is not None:
+            dy_before = dy_before + d_before
+    dh_seq = linear_backward(dy_before, h_seq, p["out.w"], grads, "out")
+    dx_seq = _recurrent_backward(p, _layers(config), dh_seq, step_caches, grads)
+    if config.type == "taco2_ar":
+        pre_dim = config.prenet_dims[-1]
+        _prenet_backward(p, config, dx_seq[:, :, :pre_dim], input_cache, grads)
     else:
-        _simple_backward_batch(params, cache, d_main, grads)
+        dffn_pre = dx_seq[:, :, :config.hidden_dim] * (ffn_pre > 0.0)
+        linear_backward(dffn_pre, content, p["ffn.w"], grads, "ffn")
     return grads
 
 
 def free_forward_batch(params: ModelParameters, content, spk, dropout_seed):
-    if params.config.type == "taco2_ar":
-        return _taco2_free_batch(params, content, spk, dropout_seed)
-    return _simple_free_batch(params, content, dropout_seed)
+    """Batched free-running forward: each step feeds back the previous output."""
+    p, config = params.tensors, params.config
+    if config.type == "simple":
+        # no feedback path: free-running coincides with the teacher forward
+        return teacher_forward_batch(params, content, None, spk, dropout_seed)[0]
+    layers = _layers(config)
+    batch, t_len, _ = content.shape
+    rng = np.random.default_rng(dropout_seed)
+    context, _ = _context(params, content, spk)
+    state = _zero_state(p, layers, batch)
+    prev = np.zeros((batch, N_MELS))
+    y_before = np.empty((batch, t_len, N_MELS))
+    for t in range(t_len):
+        x, _ = _decoder_input(params, context[:, t], prev, rng)
+        h, state, _ = _recurrent_step(p, layers, x, state)
+        prev = linear(h, p["out.w"], p["out.b"])
+        y_before[:, t] = prev
+    if config.type != "taco2_ar":
+        return y_before
+    return _postnet_forward(p, config, y_before)[0]
 
 
 # --- public single-utterance API ------------------------------------------------
 
 def _content_frames(content, input_dim):
     if isinstance(content, FeatureSequence):
-        frames = np.asarray(content.frames, dtype=np.float64)
-    else:
-        frames = np.asarray(content, dtype=np.float64)
+        content = content.frames
+    frames = np.asarray(content, dtype=np.float64)
     if frames.ndim != 2:
         raise DimensionMismatchError(f"content must be T x D, got shape {frames.shape}")
     if frames.shape[1] != input_dim:
@@ -438,10 +393,10 @@ def _target_frames(target):
 def _check_embedding(config, embedding):
     if config.speaker_conditioned:
         if embedding is None:
-            raise MissingEmbeddingError(
-                "speaker-conditioned decoder needs an embedding"
-            )
-        vec = embedding.vector if isinstance(embedding, SpeakerEmbedding) else np.asarray(embedding, dtype=np.float64)
+            raise MissingEmbeddingError("speaker-conditioned decoder needs an embedding")
+        if isinstance(embedding, SpeakerEmbedding):
+            embedding = embedding.vector
+        vec = np.asarray(embedding, dtype=np.float64)
         if vec.size != config.embedding_dim:
             raise DimensionMismatchError(
                 f"embedding dim {vec.size} != configured {config.embedding_dim}"
@@ -464,25 +419,20 @@ def shift_frames_right(target_frames: np.ndarray) -> np.ndarray:
 def forward_teacher(params: ModelParameters, content, target, embedding=None,
                     dropout_seed: int = 0) -> np.ndarray:
     """Teacher-forced prediction for one utterance; returns (T, 80)."""
-    config = params.config
     frames = _content_frames(content, params.input_dim)
     tgt = _target_frames(target)
     if frames.shape[0] != tgt.shape[0]:
         raise LengthMismatchError(
             f"content has {frames.shape[0]} frames but target has {tgt.shape[0]}"
         )
-    spk = _check_embedding(config, embedding)
+    spk = _check_embedding(params.config, embedding)
     prev = shift_frames_right(tgt)[None]
-    main, _, _ = teacher_forward_batch(
-        params, frames[None], prev, spk, dropout_seed
-    )
-    return main[0]
+    return teacher_forward_batch(params, frames[None], prev, spk, dropout_seed)[0][0]
 
 
 def forward_free_running(params: ModelParameters, content, embedding=None,
                          dropout_seed: int = 0) -> np.ndarray:
     """Generate (T, 80) mel frames from content alone; length equals len(content)."""
-    config = params.config
     frames = _content_frames(content, params.input_dim)
-    spk = _check_embedding(config, embedding)
+    spk = _check_embedding(params.config, embedding)
     return free_forward_batch(params, frames[None], spk, dropout_seed)[0]

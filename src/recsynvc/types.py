@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    DuplicateUtteranceError,
     EmptyManifestError,
     NonFiniteInputError,
     SingleSpeakerError,
@@ -204,11 +205,11 @@ class DatasetManifest:
             raise VoiceConversionError(
                 f"unknown manifest role {self.role!r}; expected one of {MANIFEST_ROLES}"
             )
-        seen = set()
-        for rec in records:
+        seen = {}
+        for position, rec in enumerate(records, start=1):
             if rec.utt_id in seen:
-                raise VoiceConversionError(f"duplicate utt_id {rec.utt_id!r} in manifest")
-            seen.add(rec.utt_id)
+                raise DuplicateUtteranceError(rec.utt_id, seen[rec.utt_id], position)
+            seen[rec.utt_id] = position
         speakers = tuple(sorted({rec.speaker_id for rec in records}))
         if self.role == ROLE_TARGET_SPEAKER:
             if not records:

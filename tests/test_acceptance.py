@@ -26,7 +26,7 @@ from recsynvc.synthesizer import build_decoder, decoder_from_meta
 from recsynvc.trainer import loss_and_grads, train_a2a, train_a2o
 from recsynvc.types import FeatureSequence, SpeakerEmbedding
 
-from conftest import sphere_embedding, toy_config
+from helpers import sphere_embedding, toy_config
 
 DECODERS = ("simple", "simple_ar", "taco2_ar")
 

@@ -13,7 +13,7 @@ from recsynvc.manifest import load_manifest, write_manifest
 from recsynvc.synthetic import make_toy_corpus, make_utterance
 from recsynvc.types import DatasetManifest, FeatureSequence, UtteranceRecord
 
-from conftest import sphere_embedding
+from helpers import sphere_embedding
 
 CLI_CONFIG = """\
 [model]

@@ -51,10 +51,15 @@ def test_load_overrides(tmp_path):
     assert config.audio.sample_rate == 24000
 
 
-def test_threshold_auto_means_calibrate(tmp_path):
+def test_threshold_none_parses_and_calibration_words_are_rejected(tmp_path):
     path = tmp_path / "run.ini"
-    path.write_text("[evaluation]\nasv_threshold = auto\n")
+    path.write_text("[evaluation]\nasv_threshold = none\n")
     assert load_config(path).evaluation.asv_threshold is None
+    for word in ("auto", "eer"):
+        # nothing calibrates a threshold from the config, so these are errors
+        path.write_text(f"[evaluation]\nasv_threshold = {word}\n")
+        with pytest.raises(ConfigTypeError, match="asv_threshold"):
+            load_config(path)
 
 
 def test_unknown_key_suggests(tmp_path):

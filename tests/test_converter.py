@@ -1,14 +1,15 @@
 """Conversion pipeline, embedding pooling, vocoders, and external adapters."""
 
+import copy
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import sphere_embedding
+from helpers import sphere_embedding
 
 from recsynvc.audioio import load_waveform, save_waveform
-from recsynvc.checkpoint import load_checkpoint
+from recsynvc.checkpoint import Checkpoint, load_checkpoint
 from recsynvc.converter import (
     average_embedding,
     convert,
@@ -24,6 +25,7 @@ from recsynvc.errors import (
     DimensionMismatchError,
     EmptyInputError,
     ExtraEmbeddingError,
+    InvalidConfigError,
     VoiceConversionError,
     ZeroMeanVectorError,
 )
@@ -83,6 +85,23 @@ class TestConvert:
         spec = external_upstream("ssl_stub", 7, 20.0, "/tmp")
         with pytest.raises(DimensionMismatchError):
             convert(wave, ckpt, spec)
+
+
+@pytest.mark.parametrize("corrupt, entry", [
+    (lambda meta: meta["decoder"].update(bogus=1), "bogus"),
+    (lambda meta: meta["decoder"].pop("input_dim"), "input_dim"),
+    (lambda meta: meta.pop("decoder"), "decoder"),
+    (lambda meta: meta.pop("audio"), "audio"),
+    (lambda meta: meta["decoder"].update(hidden_dim="x"), "hidden_dim"),
+    (lambda meta: meta["decoder"].update(prenet_dims=None), "prenet_dims"),
+], ids=["unknown_key", "no_input_dim", "no_decoder", "no_audio", "str_hidden_dim",
+        "null_prenet_dims"])
+def test_load_model_rejects_malformed_meta(quick_checkpoint, corrupt, entry):
+    ckpt = load_checkpoint(quick_checkpoint["path"])
+    meta = copy.deepcopy(ckpt.meta)
+    corrupt(meta)
+    with pytest.raises(InvalidConfigError, match=entry):
+        load_model(Checkpoint(meta=meta, tensors=ckpt.tensors))
 
 
 class TestAverageEmbedding:

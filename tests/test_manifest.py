@@ -2,7 +2,7 @@
 
 import pytest
 
-from recsynvc.errors import ManifestError
+from recsynvc.errors import DuplicateUtteranceError, ManifestError
 from recsynvc.manifest import load_manifest, write_manifest
 from recsynvc.types import DatasetManifest, UtteranceRecord
 
@@ -72,4 +72,12 @@ def test_missing_required_field(tmp_path):
     path = tmp_path / "data.tsv"
     path.write_text('{"utt_id": "u1", "wav_path": "u1.wav", "language": "en"}\n')
     with pytest.raises(ManifestError, match="speaker_id"):
+        load_manifest(path)
+
+
+def test_duplicate_utt_id_names_both_records(tmp_path):
+    path = tmp_path / "data.tsv"
+    write_manifest(path, _manifest())
+    path.write_text(path.read_text() + path.read_text().splitlines()[0] + "\n")
+    with pytest.raises(DuplicateUtteranceError, match=r"'u1' in records 1 and 3"):
         load_manifest(path)

@@ -19,7 +19,9 @@ from recsynvc.synthesizer import (
     decoder_meta,
     forward_free_running,
     forward_teacher,
+    free_forward_batch,
     shift_frames_right,
+    teacher_forward_batch,
 )
 from recsynvc.types import SpeakerEmbedding
 
@@ -137,6 +139,26 @@ class TestForward:
         teacher = forward_teacher(params, content, target)
         free = forward_free_running(params, content)
         np.testing.assert_allclose(free, teacher, atol=1e-12)
+
+    @pytest.mark.parametrize("type_, conditioned", [
+        ("simple", False), ("simple_ar", False), ("taco2_ar", False), ("taco2_ar", True),
+    ], ids=["simple", "simple_ar", "taco2_ar", "taco2_ar_speaker"])
+    def test_teacher_forcing_own_output_reproduces_free_running(self, type_, conditioned):
+        # each teacher pass fixes one more fed-back frame, so after T passes
+        # the teacher input is exactly what free-running feeds back
+        rng = np.random.default_rng(8)
+        extra = dict(speaker_conditioned=True, embedding_dim=4) if conditioned else {}
+        params = build_decoder(_config(type_, ar_dropout=0.0, **extra), INPUT_DIM, seed=0)
+        batch, t_len = 2, 7
+        content = rng.standard_normal((batch, t_len, INPUT_DIM))
+        spk = rng.standard_normal((batch, 4)) if conditioned else None
+        fed_back = np.zeros((batch, t_len, 80))
+        for _ in range(t_len):
+            main, before, _ = teacher_forward_batch(
+                params, content, shift_frames_right(fed_back), spk, 0)
+            fed_back = main if before is None else before
+        free = free_forward_batch(params, content, spk, 0)
+        np.testing.assert_allclose(main, free, rtol=0, atol=1e-12)
 
     def test_ar_dropout_seed_controls_inference(self):
         rng = np.random.default_rng(2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import sphere_embedding, toy_config
+from helpers import sphere_embedding, toy_config
 
 from recsynvc.checkpoint import load_checkpoint
 from recsynvc.config import ModelConfig
