@@ -13,8 +13,6 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-import numpy as np
-
 from .evaluator import (
     CorrelationResult,
     MetricsRow,

@@ -4,7 +4,7 @@ Layout (little-endian throughout):
 
     magic   4 bytes  b"S3CK"
     version u32      currently 1
-    meta    u32 byte length, then UTF-8 JSON (keys sorted)
+    meta    u32 byte length, then UTF-8 JSON object (keys sorted)
     count   u32      number of tensors
     tensors repeated, sorted by name:
         name   u32 byte length, then UTF-8 name
@@ -19,20 +19,16 @@ and an atomic rename.
 from __future__ import annotations
 
 import json
-import os
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagicError, TruncatedFileError, VersionMismatchError
+from .container import Reader, pack, pack_text, write_atomic
+from .errors import FeatureFileError
 
 MAGIC = b"S3CK"
 VERSION = 1
 CHECKPOINT_SUFFIX = ".s3ck"
-
-_U32 = struct.Struct("<I")
 
 
 @dataclass
@@ -44,61 +40,30 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    path = Path(path)
-    meta_blob = json.dumps(ckpt.meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts = [MAGIC, _U32.pack(VERSION), _U32.pack(len(meta_blob)), meta_blob,
-             _U32.pack(len(ckpt.tensors))]
+    parts = [pack_text(json.dumps(ckpt.meta, sort_keys=True, separators=(",", ":"))),
+             pack("I", len(ckpt.tensors))]
     for name in sorted(ckpt.tensors):
-        tensor = np.ascontiguousarray(ckpt.tensors[name], dtype=np.float64)
-        blob = name.encode("utf-8")
-        parts.append(_U32.pack(len(blob)))
-        parts.append(blob)
-        parts.append(_U32.pack(tensor.ndim))
-        for dim in tensor.shape:
-            parts.append(_U32.pack(dim))
-        parts.append(tensor.astype("<f8").tobytes())
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(b"".join(parts))
-    os.replace(tmp, path)
-
-
-class _Reader:
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise TruncatedFileError(f"{self.path}: truncated checkpoint")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
+        tensor = np.ascontiguousarray(ckpt.tensors[name], dtype="<f8")
+        dims = (tensor.ndim, *tensor.shape)
+        parts += [pack_text(name), pack(f"{len(dims)}I", *dims), tensor.tobytes()]
+    write_atomic(path, MAGIC, VERSION, parts)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    r = _Reader(blob, path)
-    magic = r.take(4)
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    version = r.u32()
-    if version != VERSION:
-        raise VersionMismatchError(
-            f"{path}: checkpoint version {version}, this reader supports {VERSION}"
-        )
-    meta = json.loads(r.take(r.u32()).decode("utf-8"))
+    """Read a checkpoint; a corrupt one raises a ``FeatureFileError`` subclass.
+
+    Each tensor is an aligned float64 copy of the file's bytes, made
+    read-only so that models built from it can share it without copying.
+    """
+    r = Reader(path, MAGIC, VERSION)
+    meta = r.json()
+    if not isinstance(meta, dict):
+        raise FeatureFileError(f"{path}: checkpoint meta is not a JSON object")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(r.u32()):
-        name = r.take(r.u32()).decode("utf-8")
-        shape = tuple(r.u32() for _ in range(r.u32()))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(shape)
-        tensors[name] = data.astype(np.float64)
+        name = r.text()
+        tensor = r.array("<f8", r.unpack(f"{r.u32()}I")).astype(np.float64)
+        tensor.flags.writeable = False
+        tensors[name] = tensor
+    r.finish()
     return Checkpoint(meta=meta, tensors=tensors)

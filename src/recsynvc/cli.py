@@ -23,14 +23,13 @@ from .benchmark import (
     comparison_report,
     load_benchmark_rows,
     published_correlations,
-    subset_deviation,
-    upper_triangle,
 )
 from .checkpoint import load_checkpoint
-from .config import Config, default_config, load_config
+from .config import Config, ModelConfig, default_config, load_config
 from .converter import (
     average_embedding,
     convert,
+    model_meta,
     read_embedding,
     speaker_encoder_adapter,
     vocode,
@@ -173,11 +172,10 @@ def cmd_train(args) -> int:
 
 # --- convert ---------------------------------------------------------------------
 
-def _target_embedding(args, model_meta):
-    conditioned = bool(model_meta["decoder"].get("speaker_conditioned"))
-    if not conditioned:
+def _target_embedding(args, model: ModelConfig):
+    if not model.speaker_conditioned:
         return None
-    expected = int(model_meta["decoder"].get("embedding_dim", 0)) or None
+    expected = model.embedding_dim
     if args.target_embeddings is not None:
         emb_dir = Path(args.target_embeddings)
         files = sorted(emb_dir.glob("*.s3vc"))
@@ -196,10 +194,13 @@ def _target_embedding(args, model_meta):
 
 def cmd_convert(args) -> int:
     config = _load_config(args)
+    if args.jobs < 1:
+        return _fail(f"--jobs must be at least 1, got {args.jobs}")
     checkpoint = load_checkpoint(args.checkpoint)
+    model, _, _, _ = model_meta(checkpoint)
     spec = _upstream_spec(args, config.audio)
     manifest = load_manifest(args.source_manifest)
-    embedding = _target_embedding(args, checkpoint.meta)
+    embedding = _target_embedding(args, model)
     dropout_seed = args.seed if args.seed is not None else config.evaluation.dropout_seed
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -214,20 +215,13 @@ def cmd_convert(args) -> int:
 
     failures = []
     records = list(manifest)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = {pool.submit(one, r): r for r in records}
-            for future, record in futures.items():
-                try:
-                    future.result()
-                except Exception as exc:
-                    failures.append((record.utt_id, exc))
-    else:
-        for record in records:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        futures = [(r.utt_id, pool.submit(one, r)) for r in records]
+        for utt_id, future in futures:
             try:
-                one(record)
+                future.result()
             except Exception as exc:
-                failures.append((record.utt_id, exc))
+                failures.append((utt_id, exc))
     _note(f"converted {len(records) - len(failures)} / {len(records)} "
           f"utterance(s) into {out_dir}")
     if failures:

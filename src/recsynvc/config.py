@@ -14,7 +14,7 @@ import configparser
 import difflib
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigTypeError, UnknownKeyError
+from .errors import ConfigTypeError, InvalidConfigError, UnknownKeyError
 
 DECODER_TYPES = ("simple", "simple_ar", "taco2_ar")
 
@@ -30,6 +30,16 @@ class AudioConfig:
     fmin: float = 0.0
     fmax: float = 12000.0
     griffin_lim_iters: int = 32
+
+    def __post_init__(self):
+        if min(self.sample_rate, self.win_length, self.hop_length, self.n_mels) < 1:
+            raise ConfigTypeError(
+                "sample_rate, win_length, hop_length and n_mels must be positive"
+            )
+        if not 0.0 <= self.fmin < self.fmax:
+            raise ConfigTypeError("audio frequencies must satisfy 0 <= fmin < fmax")
+        if self.griffin_lim_iters < 0:
+            raise ConfigTypeError("griffin_lim_iters must be non-negative")
 
     @property
     def frame_shift_ms(self) -> float:
@@ -138,6 +148,40 @@ def _parse_value(raw, f, key):
     except (TypeError, ValueError) as exc:
         raise ConfigTypeError(f"key {key!r}: {exc}") from None
     raise ConfigTypeError(f"key {key!r}: unhandled field type {tp!r}")
+
+
+def _has_type(value, type_name: str) -> bool:
+    """Whether a JSON value fits a config field annotation."""
+    if type_name == "tuple[int, ...]":
+        return isinstance(value, list) and all(_has_type(v, "int") for v in value)
+    expected = {"bool": bool, "int": int, "float": (int, float), "str": str}[type_name]
+    return isinstance(value, expected) and (type_name == "bool") == isinstance(value, bool)
+
+
+def config_from_json(cls, obj, entry: str, **extra: str):
+    """Build the config dataclass ``cls`` from a JSON object, such as checkpoint meta.
+
+    ``obj`` must hold exactly the fields of ``cls`` plus the keys of ``extra``,
+    which maps further keys to field types; the caller reads those itself.  A
+    value must have its field's JSON type (a list for a tuple).  Anything else,
+    or a value ``cls`` rejects, raises ``InvalidConfigError`` naming ``entry``.
+    """
+    if not isinstance(obj, dict):
+        raise InvalidConfigError(f"{entry}: expected a JSON object, got {obj!r}")
+    types = {**{f.name: f.type for f in fields(cls)}, **extra}
+    unknown, missing = obj.keys() - types.keys(), types.keys() - obj.keys()
+    if unknown or missing:
+        raise InvalidConfigError(f"{entry}: unknown keys {sorted(unknown)}, "
+                                 f"missing keys {sorted(missing)}")
+    for key, value in obj.items():
+        if not _has_type(value, types[key]):
+            raise InvalidConfigError(f"{entry} {key!r}: {value!r} is not {types[key]}")
+    kwargs = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in obj.items() if k not in extra}
+    try:
+        return cls(**kwargs)
+    except ConfigTypeError as exc:
+        raise InvalidConfigError(f"{entry}: {exc}") from None
 
 
 def _suggest(name, candidates):

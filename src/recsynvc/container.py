@@ -1,0 +1,115 @@
+"""Bounds-checked reading and atomic writing shared by the binary formats.
+
+Feature files (``featureio``) and checkpoints (``checkpoint``) are both
+little-endian containers that open with a four-byte magic and a u32 version.
+``Reader`` walks a whole file's bytes: each size read from the file is
+compared with the bytes left before anything is allocated, text is decoded as
+UTF-8 and JSON, and bytes left after the last field are rejected.  Every such
+failure raises a ``FeatureFileError`` subclass naming the file.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import struct
+from pathlib import Path
+
+import numpy as np
+
+from .errors import (
+    BadMagicError,
+    FeatureFileError,
+    TruncatedFileError,
+    VersionMismatchError,
+)
+
+
+def pack(fmt: str, *values) -> bytes:
+    """``values`` packed little-endian by the ``struct`` format ``fmt``."""
+    return struct.pack("<" + fmt, *values)
+
+
+def pack_text(text: str) -> bytes:
+    """A u32 byte length, then the UTF-8 bytes; ``Reader.text`` reads it back."""
+    blob = text.encode("utf-8")
+    return pack("I", len(blob)) + blob
+
+
+def write_atomic(path, magic: bytes, version: int, parts) -> None:
+    """Write magic, version and the byte strings ``parts`` to ``path``.
+
+    The bytes go to a temp file beside ``path``, which is then renamed over
+    it, so readers never see a partly written file.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(magic + pack("I", version))
+        fh.writelines(parts)
+    os.replace(tmp, path)
+
+
+class Reader:
+    """Cursor over the bytes of one container file, past its magic and version."""
+
+    def __init__(self, path, magic: bytes, version: int):
+        self.path = path
+        self.data = memoryview(Path(path).read_bytes())
+        self.pos = 0
+        found = bytes(self.take(len(magic)))
+        if found != magic:
+            raise BadMagicError(f"{path}: bad magic {found!r}, expected {magic!r}")
+        found = self.u32()
+        if found != version:
+            raise VersionMismatchError(
+                f"{path}: unsupported version {found}, expected {version}"
+            )
+
+    def take(self, n: int) -> memoryview:
+        left = len(self.data) - self.pos
+        if n > left:
+            raise TruncatedFileError(
+                f"{self.path}: truncated: {n} bytes needed at offset {self.pos}, "
+                f"{left} left"
+            )
+        self.pos += n
+        return self.data[self.pos - n:self.pos]
+
+    def unpack(self, fmt: str) -> tuple:
+        """Fields read little-endian by the ``struct`` format ``fmt``."""
+        fmt = "<" + fmt
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def u32(self) -> int:
+        return self.unpack("I")[0]
+
+    def text(self) -> str:
+        raw = self.take(self.u32())
+        try:
+            return str(raw, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise FeatureFileError(f"{self.path}: text is not UTF-8: {exc}") from None
+
+    def json(self):
+        """A ``text`` field holding one JSON value."""
+        try:
+            return json.loads(self.text())
+        except ValueError as exc:  # JSONDecodeError, or a number too long to parse
+            raise FeatureFileError(f"{self.path}: invalid JSON: {exc}") from None
+
+    def array(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A row-major array viewed in place: read-only, and possibly unaligned."""
+        dtype = np.dtype(dtype)
+        flat = np.frombuffer(self.take(math.prod(shape) * dtype.itemsize), dtype=dtype)
+        try:
+            return flat.reshape(shape)
+        except ValueError as exc:  # an empty shape whose other dims overflow
+            raise FeatureFileError(f"{self.path}: bad shape {shape}: {exc}") from None
+
+    def finish(self) -> None:
+        if self.pos != len(self.data):
+            raise FeatureFileError(
+                f"{self.path}: {len(self.data) - self.pos} trailing bytes after the last field"
+            )

@@ -28,7 +28,7 @@ import numpy as np
 
 from .audioio import load_waveform, save_waveform
 from .checkpoint import Checkpoint, load_checkpoint
-from .config import AudioConfig
+from .config import AudioConfig, ModelConfig, config_from_json
 from .dsp import griffin_lim, mel_filterbank
 from .errors import (
     AdapterError,
@@ -44,6 +44,7 @@ from .synthesizer import ModelParameters, decoder_from_meta, forward_free_runnin
 from .trainer import denormalize, normalize
 from .types import (
     LOG_MEL_FLOOR,
+    N_MELS,
     FeatureSequence,
     MelSpectrogram,
     SpeakerEmbedding,
@@ -53,29 +54,47 @@ from .types import (
 _STATS_PREFIX = "stats."
 
 
+def model_meta(checkpoint: Checkpoint) -> tuple[ModelConfig, int, AudioConfig, int]:
+    """Parse a model checkpoint's meta: decoder config, input width, audio, seed.
+
+    Also checks that the four ``stats.*`` tensors exist with widths
+    ``input_dim``, ``input_dim``, 80 and 80.  A missing entry, or one of the
+    wrong type or width, raises ``InvalidConfigError`` naming it.
+    """
+    meta = checkpoint.meta
+    config, input_dim = decoder_from_meta(meta.get("decoder"))
+    audio = config_from_json(AudioConfig, meta.get("audio"), "checkpoint audio meta")
+    seed = meta.get("seed")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise InvalidConfigError(f"checkpoint meta 'seed': {seed!r} is not an integer")
+    for name, width in (("input_mean", input_dim), ("input_std", input_dim),
+                        ("target_mean", N_MELS), ("target_std", N_MELS)):
+        shape = getattr(checkpoint.tensors.get(_STATS_PREFIX + name), "shape", None)
+        if shape != (width,):
+            raise InvalidConfigError(f"checkpoint tensor '{_STATS_PREFIX}{name}' has "
+                                     f"shape {shape}, expected ({width},)")
+    return config, input_dim, audio, seed
+
+
 def load_model(checkpoint) -> tuple[ModelParameters, dict, AudioConfig, dict]:
-    """Split a checkpoint into decoder parameters, stats, audio config, meta."""
+    """Split a checkpoint into decoder parameters, stats, audio config, meta.
+
+    The only reader of a model checkpoint; ``model_meta`` checks its meta.
+    The returned tensors are the checkpoint's own arrays, not copies.
+    """
     if not isinstance(checkpoint, Checkpoint):
         checkpoint = load_checkpoint(checkpoint)
-    meta = checkpoint.meta
-    for key in ("decoder", "audio"):
-        if not isinstance(meta.get(key), dict):
-            raise InvalidConfigError(f"checkpoint meta has no {key!r} object")
-    config, input_dim = decoder_from_meta(meta["decoder"])
+    config, input_dim, audio, seed = model_meta(checkpoint)
     stats = {}
     tensors = {}
     for name, tensor in checkpoint.tensors.items():
         if name.startswith(_STATS_PREFIX):
             stats[name[len(_STATS_PREFIX):]] = tensor
         else:
-            tensors[name] = tensor.copy()
+            tensors[name] = tensor
     params = ModelParameters(config=config, input_dim=input_dim, tensors=tensors,
-                             seed=int(meta.get("seed", 0)))
-    try:
-        audio = AudioConfig(**meta["audio"])
-    except TypeError as exc:
-        raise InvalidConfigError(f"checkpoint audio meta: {exc}") from None
-    return params, stats, audio, meta
+                             seed=seed)
+    return params, stats, audio, checkpoint.meta
 
 
 def convert(source, checkpoint, spec: UpstreamSpec,

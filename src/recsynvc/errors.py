@@ -77,7 +77,7 @@ class ConfigTypeError(ConfigError):
 # --- model / pipeline contracts ---------------------------------------------
 
 class InvalidConfigError(VoiceConversionError):
-    """A decoder configuration violates its invariants."""
+    """A decoder configuration or a model checkpoint's meta violates its invariants."""
 
 
 class ShapeMismatchError(VoiceConversionError):

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 import scipy.fft
 
-from .audioio import load_waveform
 from .config import AudioConfig, default_config
 from .converter import run_adapter
 from .errors import (

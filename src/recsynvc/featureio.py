@@ -12,23 +12,15 @@ and an f32-representable frame shift, making write -> read the identity.
 
 from __future__ import annotations
 
-import os
-import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    FeatureFileError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from .container import Reader, pack, write_atomic
 from .types import FeatureSequence
 
 MAGIC = b"S3VC"
 VERSION = 1
-_HEADER = struct.Struct("<4sIIIf")
 
 #: Filename extension used for feature files in a feature directory.
 FEATURE_SUFFIX = ".s3vc"
@@ -36,44 +28,19 @@ FEATURE_SUFFIX = ".s3vc"
 
 def write_features(path, seq: FeatureSequence) -> None:
     """Serialize ``seq`` to ``path`` atomically (write temp, then rename)."""
-    path = Path(path)
     frames = np.ascontiguousarray(seq.frames, dtype="<f4")
-    n_frames, dim = frames.shape
-    header = _HEADER.pack(MAGIC, VERSION, n_frames, dim, np.float32(seq.frame_shift_ms))
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(header)
-        fh.write(frames.tobytes())
-    os.replace(tmp, path)
+    header = pack("IIf", *frames.shape, seq.frame_shift_ms)
+    write_atomic(path, MAGIC, VERSION, [header, frames.tobytes()])
 
 
 def read_features(path, source_name="") -> FeatureSequence:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) < _HEADER.size:
-            raise TruncatedFileError(f"{path}: truncated header")
-        magic, version, n_frames, dim, frame_shift_ms = _HEADER.unpack(raw)
-        if magic != MAGIC:
-            raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        if version != VERSION:
-            raise VersionMismatchError(
-                f"{path}: unsupported version {version}, expected {VERSION}"
-            )
-        payload = fh.read(4 * n_frames * dim)
-        if len(payload) < 4 * n_frames * dim:
-            raise TruncatedFileError(
-                f"{path}: payload holds {len(payload)} bytes, "
-                f"expected {4 * n_frames * dim}"
-            )
-        if fh.read(1):
-            raise FeatureFileError(f"{path}: trailing bytes after payload")
-    frames = np.frombuffer(payload, dtype="<f4").reshape(n_frames, dim)
-    return FeatureSequence(
-        frames=frames,
-        frame_shift_ms=float(frame_shift_ms),
-        source_name=source_name,
-    )
+    """Read a feature file; a corrupt one raises a ``FeatureFileError`` subclass."""
+    r = Reader(path, MAGIC, VERSION)
+    n_frames, dim, frame_shift_ms = r.unpack("IIf")
+    frames = r.array("<f4", (n_frames, dim))
+    r.finish()
+    return FeatureSequence(frames=frames, frame_shift_ms=frame_shift_ms,
+                           source_name=source_name)
 
 
 def feature_path(feature_dir, utt_id) -> Path:

@@ -21,11 +21,11 @@ previous output (pre-postnet for ``taco2_ar``).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import ModelConfig, config_from_json
 from .errors import (
     DimensionMismatchError,
     ExtraEmbeddingError,
@@ -56,33 +56,15 @@ def decoder_meta(config: ModelConfig, input_dim: int) -> dict:
     return meta
 
 
-def _has_type(value, type_name: str) -> bool:
-    """Whether a JSON value fits a ``ModelConfig`` field annotation."""
-    if type_name == "tuple[int, ...]":
-        return isinstance(value, list) and all(_has_type(v, "int") for v in value)
-    expected = {"bool": bool, "int": int, "float": (int, float), "str": str}[type_name]
-    return isinstance(value, expected) and (type_name == "bool") == isinstance(value, bool)
-
-
-def decoder_from_meta(meta: dict) -> tuple[ModelConfig, int]:
+def decoder_from_meta(meta) -> tuple[ModelConfig, int]:
     """Inverse of ``decoder_meta``.
 
     A missing or unknown key, or a value of the wrong type, raises
     ``InvalidConfigError`` naming the entry.
     """
-    types = {"input_dim": "int", **{f.name: f.type for f in fields(ModelConfig)}}
-    unknown, missing = meta.keys() - types.keys(), types.keys() - meta.keys()
-    if unknown or missing:
-        raise InvalidConfigError(f"checkpoint decoder meta: unknown keys {sorted(unknown)}, "
-                                 f"missing keys {sorted(missing)}")
-    for key, value in meta.items():
-        if not _has_type(value, types[key]):
-            raise InvalidConfigError(f"checkpoint decoder meta {key!r}: {value!r} is not "
-                                     f"{types[key]}")
-    kwargs = dict(meta)
-    input_dim = kwargs.pop("input_dim")
-    kwargs["prenet_dims"] = tuple(kwargs["prenet_dims"])
-    return ModelConfig(**kwargs), input_dim
+    config = config_from_json(ModelConfig, meta, "checkpoint decoder meta",
+                              input_dim="int")
+    return config, meta["input_dim"]
 
 
 @dataclass(frozen=True)

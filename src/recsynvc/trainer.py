@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
 

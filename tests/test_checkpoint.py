@@ -13,6 +13,7 @@ from recsynvc.checkpoint import (
 )
 from recsynvc.errors import (
     BadMagicError,
+    FeatureFileError,
     TruncatedFileError,
     VersionMismatchError,
 )
@@ -109,3 +110,26 @@ def test_truncation(tmp_path):
     path.write_bytes(data[: len(data) - 5])
     with pytest.raises(TruncatedFileError):
         load_checkpoint(path)
+
+
+def test_trailing_garbage_rejected(tmp_path):
+    path = tmp_path / "c.s3ck"
+    save_checkpoint(path, _random_checkpoint(np.random.default_rng(7)))
+    path.write_bytes(path.read_bytes() + b"xx")
+    with pytest.raises(FeatureFileError, match="trailing"):
+        load_checkpoint(path)
+
+
+def test_meta_must_be_a_json_object(tmp_path):
+    path = tmp_path / "c.s3ck"
+    save_checkpoint(path, Checkpoint(meta=[1, 2], tensors={}))
+    with pytest.raises(FeatureFileError, match="JSON object"):
+        load_checkpoint(path)
+
+
+def test_loaded_tensors_are_aligned_and_read_only(tmp_path):
+    path = tmp_path / "c.s3ck"
+    # the payload starts at byte 38, so a view of the file's bytes is unaligned
+    save_checkpoint(path, Checkpoint(meta={}, tensors={"t.weight": np.arange(3.0)}))
+    tensor = load_checkpoint(path).tensors["t.weight"]
+    assert tensor.flags.aligned and not tensor.flags.writeable

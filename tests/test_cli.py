@@ -1,5 +1,6 @@
 """End-to-end runs of every CLI subcommand through main(argv)."""
 
+import copy
 import json
 import shutil
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from recsynvc.audioio import save_waveform
+from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from recsynvc.cli import main
 from recsynvc.featureio import read_features, write_features
 from recsynvc.manifest import load_manifest, write_manifest
@@ -129,6 +131,34 @@ def test_convert_jobs_match_serial(cli_checkpoint, cli_corpus, tmp_path):
                  "--out-dir", str(threaded), "--jobs", "3"]) == 0
     for path in sorted(serial.iterdir()):
         assert path.read_bytes() == (threaded / path.name).read_bytes()
+
+
+def test_convert_rejects_jobs_below_one(cli_checkpoint, cli_corpus, tmp_path, capsys):
+    rc = main(["convert", str(cli_checkpoint), str(cli_corpus),
+               "--out-dir", str(tmp_path), "--jobs", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: --jobs must be at least 1, got 0"]
+
+
+@pytest.mark.parametrize("corrupt, entry", [
+    (lambda meta, tensors: meta.pop("decoder"), "decoder"),
+    (lambda meta, tensors: meta.update(decoder=[]), "decoder"),
+    (lambda meta, tensors: meta["audio"].update(hop_length=None), "hop_length"),
+    (lambda meta, tensors: meta.update(seed="x"), "seed"),
+    (lambda meta, tensors: tensors.pop("stats.target_std"), "stats.target_std"),
+], ids=["no_decoder", "list_decoder", "null_hop_length", "str_seed", "no_target_std"])
+def test_convert_malformed_checkpoint_is_one_error_line(cli_checkpoint, cli_corpus,
+                                                        tmp_path, capsys, corrupt, entry):
+    ckpt = load_checkpoint(cli_checkpoint)
+    meta, tensors = copy.deepcopy(ckpt.meta), dict(ckpt.tensors)
+    corrupt(meta, tensors)
+    path = tmp_path / "bad.s3ck"
+    save_checkpoint(path, Checkpoint(meta=meta, tensors=tensors))
+    capsys.readouterr()
+    rc = main(["convert", str(path), str(cli_corpus), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and entry in lines[0]
 
 
 def test_convert_unknown_vocoder(cli_checkpoint, cli_corpus, tmp_path):

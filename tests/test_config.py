@@ -103,6 +103,23 @@ def test_model_validation():
         ModelConfig(prenet_dims=())
 
 
+@pytest.mark.parametrize("line", [
+    "sample_rate = 0", "win_length = 0", "hop_length = 0", "n_mels = 0",
+    "fmin = -1", "fmin = 12000", "fmax = 0", "griffin_lim_iters = -1",
+])
+def test_audio_validation(tmp_path, line):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[audio]\n{line}\n")
+    with pytest.raises(ConfigTypeError):
+        load_config(path)
+
+
+def test_audio_accepts_zero_griffin_lim_iterations(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[audio]\ngriffin_lim_iters = 0\nfmin = 0\n")
+    assert load_config(path).audio.griffin_lim_iters == 0
+
+
 def test_sections_are_frozen():
     config = Config(audio=AudioConfig(), model=ModelConfig(),
                     training=TrainingConfig())

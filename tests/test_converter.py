@@ -94,14 +94,31 @@ class TestConvert:
     (lambda meta: meta.pop("audio"), "audio"),
     (lambda meta: meta["decoder"].update(hidden_dim="x"), "hidden_dim"),
     (lambda meta: meta["decoder"].update(prenet_dims=None), "prenet_dims"),
+    (lambda meta: meta.update(decoder=[]), "decoder"),
+    (lambda meta: meta["audio"].update(hop_length=None), "hop_length"),
+    (lambda meta: meta["audio"].update(hop_length=0), "hop_length"),
+    (lambda meta: meta.update(seed="x"), "seed"),
+    (lambda tensors: tensors.pop("stats.target_std"), "stats.target_std"),
+    (lambda tensors: tensors.update({"stats.input_mean": np.zeros(3)}), "stats.input_mean"),
 ], ids=["unknown_key", "no_input_dim", "no_decoder", "no_audio", "str_hidden_dim",
-        "null_prenet_dims"])
+        "null_prenet_dims", "list_decoder", "null_hop_length", "zero_hop_length",
+        "str_seed", "no_target_std", "narrow_input_mean"])
 def test_load_model_rejects_malformed_meta(quick_checkpoint, corrupt, entry):
     ckpt = load_checkpoint(quick_checkpoint["path"])
-    meta = copy.deepcopy(ckpt.meta)
-    corrupt(meta)
+    meta, tensors = copy.deepcopy(ckpt.meta), dict(ckpt.tensors)
+    corrupt(tensors if entry.startswith("stats.") else meta)
     with pytest.raises(InvalidConfigError, match=entry):
-        load_model(Checkpoint(meta=meta, tensors=ckpt.tensors))
+        load_model(Checkpoint(meta=meta, tensors=tensors))
+
+
+def test_load_model_shares_read_only_tensors(quick_checkpoint):
+    ckpt = load_checkpoint(quick_checkpoint["path"])
+    params, stats, _, _ = load_model(ckpt)
+    for name, tensor in [*params.tensors.items(),
+                         *((f"stats.{k}", v) for k, v in stats.items())]:
+        assert tensor is ckpt.tensors[name]
+        with pytest.raises(ValueError, match="read-only"):
+            tensor[(0,) * tensor.ndim] = 1.0
 
 
 class TestAverageEmbedding:

@@ -40,9 +40,12 @@ def _config(type_, **kw):
 def _through_checkpoint(params, tmp_path):
     """Write ``params`` as a checkpoint file and load it back as parameters."""
     meta = {"decoder": decoder_meta(params.config, params.input_dim),
-            "audio": asdict(AudioConfig())}
+            "audio": asdict(AudioConfig()), "seed": params.seed}
+    widths = {"input": params.input_dim, "target": 80}
+    stats = {f"stats.{side}_{kind}": np.ones(width)
+             for side, width in widths.items() for kind in ("mean", "std")}
     path = tmp_path / "model.s3ck"
-    save_checkpoint(path, Checkpoint(meta=meta, tensors=params.tensors))
+    save_checkpoint(path, Checkpoint(meta=meta, tensors={**params.tensors, **stats}))
     return load_model(path)[0]
 
 
