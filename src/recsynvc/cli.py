@@ -29,7 +29,7 @@ from .config import Config, ModelConfig, default_config, load_config
 from .converter import (
     average_embedding,
     convert,
-    model_meta,
+    load_model,
     read_embedding,
     speaker_encoder_adapter,
     vocode,
@@ -197,7 +197,8 @@ def cmd_convert(args) -> int:
     if args.jobs < 1:
         return _fail(f"--jobs must be at least 1, got {args.jobs}")
     checkpoint = load_checkpoint(args.checkpoint)
-    model, _, _, _ = model_meta(checkpoint)
+    # a bad checkpoint is one error here, not one failure per utterance
+    model = load_model(checkpoint)[0].config
     spec = _upstream_spec(args, config.audio)
     manifest = load_manifest(args.source_manifest)
     embedding = _target_embedding(args, model)

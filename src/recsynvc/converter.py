@@ -79,7 +79,8 @@ def model_meta(checkpoint: Checkpoint) -> tuple[ModelConfig, int, AudioConfig, i
 def load_model(checkpoint) -> tuple[ModelParameters, dict, AudioConfig, dict]:
     """Split a checkpoint into decoder parameters, stats, audio config, meta.
 
-    The only reader of a model checkpoint; ``model_meta`` checks its meta.
+    The only reader of a model checkpoint; ``model_meta`` checks its meta and
+    ``ModelParameters`` the names and shapes of its decoder tensors.
     The returned tensors are the checkpoint's own arrays, not copies.
     """
     if not isinstance(checkpoint, Checkpoint):

@@ -3,6 +3,10 @@
 Everything runs in float64 on batch-first arrays.  Each forward returns the
 activations the matching backward needs; backwards return input gradients and
 accumulate parameter gradients into a dict keyed like the parameter store.
+The LSTM step backwards are the exception: they carry the gradient one step
+back through the recurrence and leave the gate gradients in a buffer, from
+which ``lstm_weight_backward`` forms the input and weight gradients of a whole
+sequence at once.
 
 Conventions: a linear layer stores ``w`` with shape (out, in) and computes
 ``x @ w.T + b``.  LSTM gate blocks are ordered i, f, g, o along the 4H axis.
@@ -51,60 +55,69 @@ def linear_backward(dy, x, w, grads, prefix):
 
 # --- LSTM / LSTMP steps -------------------------------------------------------
 
-def init_lstm(rng, params, prefix, input_dim, hidden_dim, recur_dim, proj_dim=None):
-    """Allocate one LSTM (or LSTMP when proj_dim is given) into ``params``."""
-    h4 = 4 * hidden_dim
-    params[prefix + ".wx"] = glorot(rng, (h4, input_dim), input_dim, h4)
-    params[prefix + ".wh"] = glorot(rng, (h4, recur_dim), recur_dim, h4)
-    b = np.zeros(h4)
-    b[hidden_dim:2 * hidden_dim] = 1.0  # forget-gate bias
-    params[prefix + ".b"] = b
-    if proj_dim is not None:
-        params[prefix + ".wp"] = glorot(rng, (proj_dim, hidden_dim), hidden_dim, proj_dim)
+def _gate_blocks(z, hidden):
+    """Views of the i, f, g and o blocks of a (B, 4H) gate array."""
+    return [z[:, k * hidden:(k + 1) * hidden] for k in range(4)]
+
+
+def lstm_cell(z, c_prev):
+    """Gates and cell update of one LSTM step from its pre-activations (B, 4H).
+
+    Overwrites ``z`` with the gate activations and returns (h, c, tanh(c)).
+    """
+    hidden = c_prev.shape[-1]
+    z[:, :2 * hidden] = sigmoid(z[:, :2 * hidden])
+    np.tanh(z[:, 2 * hidden:3 * hidden], out=z[:, 2 * hidden:3 * hidden])
+    z[:, 3 * hidden:] = sigmoid(z[:, 3 * hidden:])
+    i, f, g, o = _gate_blocks(z, hidden)
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    return o * tc, c, tc
 
 
 def lstm_step(params, prefix, x, h_prev, c_prev):
     """One plain LSTM step.  Returns (h, c, cache)."""
-    hidden = c_prev.shape[-1]
     z = x @ params[prefix + ".wx"].T + h_prev @ params[prefix + ".wh"].T + params[prefix + ".b"]
-    i = sigmoid(z[:, :hidden])
-    f = sigmoid(z[:, hidden:2 * hidden])
-    g = np.tanh(z[:, 2 * hidden:3 * hidden])
-    o = sigmoid(z[:, 3 * hidden:])
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    return h, c, (x, h_prev, c_prev, i, f, g, o, tc)
+    h, c, tc = lstm_cell(z, c_prev)
+    return h, c, (x, h_prev, c_prev, z, tc)
 
 
-def lstm_step_backward(params, prefix, dh, dc, cache, grads):
-    """Backward of one LSTM step.
+def lstm_step_backward(params, prefix, dh, dc, cache, dz):
+    """Backward of one LSTM step through its gates and recurrent weights.
 
     ``dh`` is the total gradient flowing into h_t, ``dc`` the accumulator
-    arriving from step t+1.  Returns (dx, dh_prev, dc_prev).
+    arriving from step t+1.  Writes the gradient of the gate pre-activations
+    into ``dz`` (B, 4H), which may be the cache's own gate block, and returns
+    (dh_prev, dc_prev).  The input and weight gradients are linear in dz:
+    ``lstm_weight_backward`` forms them.
     """
-    x, h_prev, c_prev, i, f, g, o, tc = cache
-    do = dh * tc
+    _, _, c_prev, gates, tc = cache
+    i, f, g, o = _gate_blocks(gates, tc.shape[-1])
     dc_total = dc + dh * o * (1.0 - tc * tc)
-    df = dc_total * c_prev
-    di = dc_total * g
-    dg = dc_total * i
     dc_prev = dc_total * f
-    dz = np.concatenate(
+    np.concatenate(
         [
-            di * i * (1.0 - i),
-            df * f * (1.0 - f),
-            dg * (1.0 - g * g),
-            do * o * (1.0 - o),
+            dc_total * g * i * (1.0 - i),
+            dc_total * c_prev * f * (1.0 - f),
+            dc_total * i * (1.0 - g * g),
+            dh * tc * o * (1.0 - o),
         ],
         axis=1,
+        out=dz,
     )
+    return dz @ params[prefix + ".wh"], dc_prev
+
+
+def lstm_weight_backward(params, prefix, dz, x, h_prev, grads):
+    """Input gradient of an LSTM; accumulates its ``wx``, ``wh`` and ``b`` gradients.
+
+    ``dz``, ``x`` and ``h_prev`` hold the gate gradients, inputs and recurrent
+    inputs as rows: one step's batch, or every step of a sequence stacked.
+    """
     grads[prefix + ".wx"] += dz.T @ x
     grads[prefix + ".wh"] += dz.T @ h_prev
     grads[prefix + ".b"] += dz.sum(axis=0)
-    dx = dz @ params[prefix + ".wx"]
-    dh_prev = dz @ params[prefix + ".wh"]
-    return dx, dh_prev, dc_prev
+    return dz @ params[prefix + ".wx"]
 
 
 def lstmp_step(params, prefix, x, r_prev, c_prev):
@@ -114,12 +127,15 @@ def lstmp_step(params, prefix, x, r_prev, c_prev):
     return r, c, (cache, h)
 
 
-def lstmp_step_backward(params, prefix, dr, dc, cache, grads):
-    """Backward of one LSTMP step; returns (dx, dr_prev, dc_prev)."""
-    inner_cache, h = cache
-    grads[prefix + ".wp"] += dr.T @ h
+def lstmp_step_backward(params, prefix, dr, dc, cache, dz):
+    """Backward of one LSTMP step; returns (dr_prev, dc_prev).
+
+    As ``lstm_step_backward``; the ``wp`` gradient, dr.T @ h, is also left to
+    the caller.
+    """
+    inner_cache, _ = cache
     dh = dr @ params[prefix + ".wp"]
-    return lstm_step_backward(params, prefix, dh, dc, inner_cache, grads)
+    return lstm_step_backward(params, prefix, dh, dc, inner_cache, dz)
 
 
 # --- 1-D convolution over time --------------------------------------------------
@@ -140,17 +156,28 @@ def conv1d_same(x, w, b):
 
 
 def conv1d_same_backward(dy, xp, w, grads, prefix):
-    kernel = w.shape[2]
+    """Input gradient of ``conv1d_same``; accumulates its ``w`` and ``b`` gradients.
+
+    Flattened over (B, T + 2 pad), row r + j of the padded input meets row r
+    of dy in tap j.  Padding dy with 2 pad zero frames per utterance makes
+    the rows that would pair across utterances contribute nothing, so each
+    tap is two GEMMs over contiguous row ranges.
+    """
+    cout, cin, kernel = w.shape
+    batch, t_len, _ = dy.shape
     pad = kernel // 2
-    t_len = dy.shape[1]
-    dxp = np.zeros_like(xp)
+    rows = xp.shape[0] * xp.shape[1]
+    dyp = np.zeros((batch, t_len + 2 * pad, cout))
+    dyp[:, :t_len] = dy
+    dyp = dyp.reshape(rows, cout)
+    xf = xp.reshape(rows, cin)
+    dxp = np.zeros((rows, cin))
     dw = grads[prefix + ".w"]
     for j in range(kernel):
-        xs = xp[:, j:j + t_len, :]
-        dw[:, :, j] += np.einsum("bto,bti->oi", dy, xs)
-        dxp[:, j:j + t_len, :] += dy @ w[:, :, j]
+        dw[:, :, j] += dyp[:rows - j].T @ xf[j:]
+        dxp[j:] += dyp[:rows - j] @ np.ascontiguousarray(w[:, :, j])
     grads[prefix + ".b"] += dy.sum(axis=(0, 1))
-    return dxp[:, pad:pad + t_len, :]
+    return dxp.reshape(xp.shape)[:, pad:pad + t_len, :]
 
 
 def clip_grad_norm(grads: dict, max_norm: float) -> float:

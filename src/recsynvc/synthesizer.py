@@ -21,6 +21,7 @@ previous output (pre-postnet for ``taco2_ar``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -38,11 +39,12 @@ from .nnops import (
     conv1d_same_backward,
     dropout_mask,
     glorot,
-    init_lstm,
     linear,
     linear_backward,
+    lstm_cell,
     lstm_step,
     lstm_step_backward,
+    lstm_weight_backward,
     lstmp_step,
     lstmp_step_backward,
 )
@@ -71,7 +73,8 @@ def decoder_from_meta(meta) -> tuple[ModelConfig, int]:
 class ModelParameters:
     """Named weight tensors, the architecture they belong to, and their seed.
 
-    ``input_dim`` is the content feature width, fixed by the upstream.
+    ``input_dim`` is the content feature width, fixed by the upstream.  The
+    tensor names and shapes must be those ``parameter_shapes`` lists.
     """
 
     config: ModelConfig
@@ -83,7 +86,19 @@ class ModelParameters:
     def __post_init__(self):
         if self.input_dim < 1:
             raise InvalidConfigError(f"input_dim must be >= 1, got {self.input_dim}")
+        expected = parameter_shapes(self.config, self.input_dim)
+        if self.tensors.keys() != expected.keys():
+            missing = sorted(expected.keys() - self.tensors.keys())
+            extra = sorted(self.tensors.keys() - expected.keys())
+            raise InvalidConfigError(
+                f"decoder tensors do not fit the {self.config.type} config: "
+                f"missing {missing}, unexpected {extra}"
+            )
         for name, tensor in self.tensors.items():
+            if tensor.shape != expected[name]:
+                raise InvalidConfigError(
+                    f"tensor {name!r} has shape {tensor.shape}, expected {expected[name]}"
+                )
             if not np.all(np.isfinite(tensor)):
                 raise InvalidConfigError(f"tensor {name!r} contains non-finite values")
         object.__setattr__(
@@ -91,39 +106,70 @@ class ModelParameters:
         )
 
 
-def build_decoder(config: ModelConfig, input_dim: int, seed: int) -> ModelParameters:
-    """Deterministically initialize all weights for ``config``."""
-    rng = np.random.default_rng(seed)
-    p: dict[str, np.ndarray] = {}
+def parameter_shapes(config: ModelConfig, input_dim: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every decoder tensor, in the order ``build_decoder`` draws them.
+
+    A recurrent layer ``name`` has ``name.wx`` (4H, input), ``name.wh`` (4H,
+    recurrent input), ``name.b`` (4H,) and, for LSTMP, ``name.wp`` (proj, H).
+    """
     hidden = config.hidden_dim
+    shapes: dict[str, tuple[int, ...]] = {}
+
+    def recurrent(name, d_in, d_rec, proj=None):
+        shapes[f"{name}.wx"] = (4 * hidden, d_in)
+        shapes[f"{name}.wh"] = (4 * hidden, d_rec)
+        shapes[f"{name}.b"] = (4 * hidden,)
+        if proj is not None:
+            shapes[f"{name}.wp"] = (proj, hidden)
+
     if config.type in ("simple", "simple_ar"):
         proj = config.lstmp_proj_dim
-        p["ffn.w"] = glorot(rng, (hidden, input_dim), input_dim, hidden)
-        p["ffn.b"] = np.zeros(hidden)
-        l1_in = hidden + (N_MELS if config.type == "simple_ar" else 0)
-        init_lstm(rng, p, "lstmp1", l1_in, hidden, proj, proj_dim=proj)
-        init_lstm(rng, p, "lstmp2", proj, hidden, proj, proj_dim=proj)
-        p["out.w"] = glorot(rng, (N_MELS, proj), proj, N_MELS)
-        p["out.b"] = np.zeros(N_MELS)
+        shapes["ffn.w"] = (hidden, input_dim)
+        shapes["ffn.b"] = (hidden,)
+        recurrent("lstmp1", hidden + (N_MELS if config.type == "simple_ar" else 0),
+                  proj, proj)
+        recurrent("lstmp2", proj, proj, proj)
+        top = proj
     else:  # taco2_ar
         widths = (N_MELS,) + config.prenet_dims
         for i in range(len(config.prenet_dims)):
-            p[f"prenet{i + 1}.w"] = glorot(
-                rng, (widths[i + 1], widths[i]), widths[i], widths[i + 1]
-            )
-            p[f"prenet{i + 1}.b"] = np.zeros(widths[i + 1])
+            shapes[f"prenet{i + 1}.w"] = (widths[i + 1], widths[i])
+            shapes[f"prenet{i + 1}.b"] = (widths[i + 1],)
         dec_in = config.prenet_dims[-1] + input_dim
         if config.speaker_conditioned:
             dec_in += config.embedding_dim
-        init_lstm(rng, p, "lstm1", dec_in, hidden, hidden)
-        init_lstm(rng, p, "lstm2", hidden, hidden, hidden)
-        p["out.w"] = glorot(rng, (N_MELS, hidden), hidden, N_MELS)
-        p["out.b"] = np.zeros(N_MELS)
+        recurrent("lstm1", dec_in, hidden)
+        recurrent("lstm2", hidden, hidden)
+        top = hidden
+    shapes["out.w"] = (N_MELS, top)
+    shapes["out.b"] = (N_MELS,)
+    if config.type == "taco2_ar":
         chans = _postnet_channels(config)
         for i, (cin, cout) in enumerate(zip(chans[:-1], chans[1:]), start=1):
-            k = config.postnet_kernel
-            p[f"postnet{i}.w"] = glorot(rng, (cout, cin, k), cin * k, cout * k)
-            p[f"postnet{i}.b"] = np.zeros(cout)
+            shapes[f"postnet{i}.w"] = (cout, cin, config.postnet_kernel)
+            shapes[f"postnet{i}.b"] = (cout,)
+    return shapes
+
+
+def build_decoder(config: ModelConfig, input_dim: int, seed: int) -> ModelParameters:
+    """Deterministically initialize all weights for ``config``.
+
+    Weights are Glorot-uniform with fans ``prod(shape[1:])`` and
+    ``shape[0] * prod(shape[2:])``, drawn in ``parameter_shapes`` order;
+    biases are zero except the recurrent forget gates, which start at 1.
+    """
+    rng = np.random.default_rng(seed)
+    hidden = config.hidden_dim
+    p: dict[str, np.ndarray] = {}
+    for name, shape in parameter_shapes(config, input_dim).items():
+        prefix, kind = name.rsplit(".", 1)
+        if kind == "b":
+            p[name] = np.zeros(shape)
+            if prefix in _layers(config):
+                p[name][hidden:2 * hidden] = 1.0
+        else:
+            p[name] = glorot(rng, shape, math.prod(shape[1:]),
+                             shape[0] * math.prod(shape[2:]))
     return ModelParameters(config=config, input_dim=int(input_dim), tensors=p,
                            seed=int(seed))
 
@@ -142,13 +188,15 @@ def zero_grads(params: ModelParameters) -> dict[str, np.ndarray]:
 # Every decoder is input -> two stacked recurrent layers -> linear(80), plus a
 # postnet for ``taco2_ar``.  The stack input joins a feedback-free context
 # (``_context``: ffn(content), or content and speaker embedding) with the
-# fed-back previous frame (``_decoder_input``: masked frame, or prenet).  The
-# stack itself runs through ``_recurrent_step``: ``_recurrent_forward`` and
-# ``_recurrent_backward`` over a whole teacher-forced sequence, and the loop in
-# ``free_forward_batch`` one step at a time.  All internals take content
+# fed-back previous frame (``_decoder_input``: masked frame, or prenet).
+# Teacher-forced, ``_recurrent_forward`` and ``_recurrent_backward`` run the
+# stack one layer at a time over the whole sequence, in time-major (T, B, .)
+# arrays, so input projections and weight gradients are one GEMM per layer.
+# Free-running, ``free_forward_batch`` steps the whole stack frame by frame
+# through ``_recurrent_step``.  All internals take content
 # (B, T, Din), optional prev (B, T, 80) and spk (B, E), run in float64 and
 # return batch-first outputs.  ``cache`` objects are consumed by
-# ``backward_teacher_batch``.
+# ``backward_teacher_batch``, which overwrites them, so each is used once.
 
 
 def _prenet_forward(p, config, prev, rng):
@@ -211,45 +259,87 @@ def _zero_state(p, layers, batch):
 
 
 def _recurrent_step(p, layers, x, state):
-    """One time step up the stack; returns (top output, new state, caches)."""
-    new_state, caches = [], []
+    """One time step up the stack; returns (top output, new state)."""
+    new_state = []
     for name, (h, c) in zip(layers, state):
         step = lstmp_step if name.startswith("lstmp") else lstm_step
-        x, c, cache = step(p, name, x, h, c)
+        x, c, _ = step(p, name, x, h, c)
         new_state.append((x, c))
-        caches.append(cache)
-    return x, new_state, caches
+    return x, new_state
+
+
+def _layer_forward(p, name, x):
+    """One recurrent layer over a whole (T, B, D) input from zero state.
+
+    The input projection is one GEMM over all T * B rows before the time
+    loop; each step adds the recurrent term and applies the gates in place.
+    Returns the (T, B, R) output and the cache ``_layer_backward`` reads.
+    """
+    t_len, batch, d_in = x.shape
+    # a contiguous copy: the per-step (B, R) products run faster than on the view
+    wh_t = np.ascontiguousarray(p[f"{name}.wh"].T)
+    hidden = wh_t.shape[1] // 4
+    projected = name.startswith("lstmp")
+    gates = x.reshape(-1, d_in) @ p[f"{name}.wx"].T + p[f"{name}.b"]
+    gates = gates.reshape(t_len, batch, 4 * hidden)
+    # out[t] and cell[t] hold the state entering step t: zero at t = 0
+    out = np.zeros((t_len + 1, batch, wh_t.shape[0]))
+    cell = np.zeros((t_len + 1, batch, hidden))
+    tanh_cell = np.empty((t_len, batch, hidden))
+    h = np.empty((t_len, batch, hidden)) if projected else out[1:]
+    for t in range(t_len):
+        z = gates[t]
+        z += out[t] @ wh_t
+        h[t], cell[t + 1], tanh_cell[t] = lstm_cell(z, cell[t])
+        if projected:
+            out[t + 1] = h[t] @ p[f"{name}.wp"].T
+    return out[1:], (x, gates, cell, tanh_cell, h, out)
+
+
+def _layer_backward(p, name, d_out, cache, grads):
+    """Backward of ``_layer_forward``; returns the (T, B, D) input gradient.
+
+    The time loop adds the recurrent gradient into ``d_out`` and writes each
+    step's gate gradients over its gate activations; the weight gradients and
+    the input gradient are then one GEMM each over the T * B rows.
+    """
+    x, gates, cell, tanh_cell, h, out = cache
+    t_len, batch, d_in = x.shape
+    projected = name.startswith("lstmp")
+    step_backward = lstmp_step_backward if projected else lstm_step_backward
+    d_rec = np.zeros((batch, out.shape[2]))
+    d_cell = np.zeros((batch, cell.shape[2]))
+    for t in range(t_len - 1, -1, -1):
+        d = d_out[t]
+        d += d_rec
+        step_cache = (x[t], out[t], cell[t], gates[t], tanh_cell[t])
+        if projected:
+            step_cache = (step_cache, h[t])
+        d_rec, d_cell = step_backward(p, name, d, d_cell, step_cache, gates[t])
+    rows = t_len * batch
+    if projected:
+        grads[f"{name}.wp"] += d_out.reshape(rows, -1).T @ h.reshape(rows, -1)
+    dx = lstm_weight_backward(p, name, gates.reshape(rows, -1), x.reshape(rows, d_in),
+                              out[:-1].reshape(rows, -1), grads)
+    return dx.reshape(t_len, batch, d_in)
 
 
 def _recurrent_forward(p, layers, x_seq):
-    """Run the stack over a (B, T, D) input from zero state."""
-    batch, t_len, _ = x_seq.shape
-    state = _zero_state(p, layers, batch)
-    out = np.empty((batch, t_len, state[-1][0].shape[1]))
+    """Run the stack over a (B, T, D) input from zero state, layer by layer."""
+    x = np.ascontiguousarray(x_seq.transpose(1, 0, 2))
     caches = []
-    for t in range(t_len):
-        y, state, step_caches = _recurrent_step(p, layers, x_seq[:, t], state)
-        out[:, t] = y
-        caches.append(step_caches)
-    return out, caches
+    for name in layers:
+        x, cache = _layer_forward(p, name, x)
+        caches.append(cache)
+    return np.ascontiguousarray(x.transpose(1, 0, 2)), caches
 
 
 def _recurrent_backward(p, layers, d_out, caches, grads):
     """Backward of ``_recurrent_forward``; returns the input gradient (B, T, D)."""
-    batch, t_len, _ = d_out.shape
-    d_next = _zero_state(p, layers, batch)  # (d output, d cell) from step t + 1
-    dx_seq = np.empty((batch, t_len, p[f"{layers[0]}.wx"].shape[1]))
-    for t in range(t_len - 1, -1, -1):
-        d = d_out[:, t]
-        for i in reversed(range(len(layers))):
-            step_backward = (lstmp_step_backward if layers[i].startswith("lstmp")
-                             else lstm_step_backward)
-            dh_next, dc = d_next[i]
-            d, dh_prev, dc_prev = step_backward(p, layers[i], d + dh_next, dc,
-                                                caches[t][i], grads)
-            d_next[i] = (dh_prev, dc_prev)
-        dx_seq[:, t] = d
-    return dx_seq
+    d = d_out.transpose(1, 0, 2).copy()
+    for name, cache in zip(reversed(layers), reversed(caches)):
+        d = _layer_backward(p, name, d, cache, grads)
+    return d.transpose(1, 0, 2)
 
 
 def _context(params, content, spk):
@@ -292,19 +382,19 @@ def teacher_forward_batch(params: ModelParameters, content, prev, spk, dropout_s
     rng = np.random.default_rng(dropout_seed)
     context, ffn_pre = _context(params, content, spk)
     x_seq, input_cache = _decoder_input(params, context, prev, rng)
-    h_seq, step_caches = _recurrent_forward(p, _layers(config), x_seq)
+    h_seq, stack_caches = _recurrent_forward(p, _layers(config), x_seq)
     y_before = linear(h_seq, p["out.w"], p["out.b"])
     if config.type == "taco2_ar":
         main, post_caches = _postnet_forward(p, config, y_before)
         before = y_before
     else:
         main, before, post_caches = y_before, None, None
-    return main, before, (content, ffn_pre, input_cache, step_caches, h_seq, post_caches)
+    return main, before, (content, ffn_pre, input_cache, stack_caches, h_seq, post_caches)
 
 
 def backward_teacher_batch(params: ModelParameters, cache, d_main, d_before=None):
-    """Parameter gradients for a teacher-forced forward."""
-    content, ffn_pre, input_cache, step_caches, h_seq, post_caches = cache
+    """Parameter gradients for a teacher-forced forward; uses up ``cache``."""
+    content, ffn_pre, input_cache, stack_caches, h_seq, post_caches = cache
     p, config = params.tensors, params.config
     grads = zero_grads(params)
     dy_before = d_main
@@ -314,7 +404,7 @@ def backward_teacher_batch(params: ModelParameters, cache, d_main, d_before=None
         if d_before is not None:
             dy_before = dy_before + d_before
     dh_seq = linear_backward(dy_before, h_seq, p["out.w"], grads, "out")
-    dx_seq = _recurrent_backward(p, _layers(config), dh_seq, step_caches, grads)
+    dx_seq = _recurrent_backward(p, _layers(config), dh_seq, stack_caches, grads)
     if config.type == "taco2_ar":
         pre_dim = config.prenet_dims[-1]
         _prenet_backward(p, config, dx_seq[:, :, :pre_dim], input_cache, grads)
@@ -339,7 +429,7 @@ def free_forward_batch(params: ModelParameters, content, spk, dropout_seed):
     y_before = np.empty((batch, t_len, N_MELS))
     for t in range(t_len):
         x, _ = _decoder_input(params, context[:, t], prev, rng)
-        h, state, _ = _recurrent_step(p, layers, x, state)
+        h, state = _recurrent_step(p, layers, x, state)
         prev = linear(h, p["out.w"], p["out.b"])
         y_before[:, t] = prev
     if config.type != "taco2_ar":

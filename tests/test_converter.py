@@ -2,6 +2,7 @@
 
 import copy
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from helpers import sphere_embedding
 
 from recsynvc.audioio import load_waveform, save_waveform
-from recsynvc.checkpoint import Checkpoint, load_checkpoint
+from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from recsynvc.config import AudioConfig, ModelConfig
 from recsynvc.converter import (
     average_embedding,
     convert,
@@ -31,7 +33,7 @@ from recsynvc.errors import (
 )
 from recsynvc.featureio import write_features
 from recsynvc.recognizer import mel_upstream, recognize, resample_features
-from recsynvc.synthesizer import forward_free_running
+from recsynvc.synthesizer import build_decoder, decoder_meta, forward_free_running
 from recsynvc.trainer import denormalize, normalize
 from recsynvc.types import FeatureSequence, MelSpectrogram, Waveform, LOG_MEL_FLOOR
 
@@ -109,6 +111,49 @@ def test_load_model_rejects_malformed_meta(quick_checkpoint, corrupt, entry):
     corrupt(tensors if entry.startswith("stats.") else meta)
     with pytest.raises(InvalidConfigError, match=entry):
         load_model(Checkpoint(meta=meta, tensors=tensors))
+
+
+def _tiny_checkpoint_headers(path):
+    """Write a tiny ``simple`` model checkpoint; return its tensor header bytes."""
+    params = build_decoder(ModelConfig(type="simple", hidden_dim=2, lstmp_proj_dim=2),
+                           3, seed=0)
+    stats = {f"stats.{side}_{kind}": np.ones(width)
+             for side, width in (("input", 3), ("target", 80))
+             for kind in ("mean", "std")}
+    meta = {"decoder": decoder_meta(params.config, 3), "audio": asdict(AudioConfig()),
+            "seed": 0}
+    tensors = {**params.tensors, **stats}
+    save_checkpoint(path, Checkpoint(meta=meta, tensors=tensors))
+    # layout: magic, version, meta length and text, count, then per tensor
+    # (name length, name, ndim, dims) followed by the float64 payload
+    offset = 12 + int.from_bytes(path.read_bytes()[8:12], "little") + 4
+    headers = []
+    for name in sorted(tensors):
+        size = 4 + len(name.encode()) + 4 + 4 * tensors[name].ndim
+        headers.extend(range(offset, offset + size))
+        offset += size + 8 * tensors[name].size
+    assert offset == path.stat().st_size
+    return headers
+
+
+def test_every_tensor_header_bit_flip_is_typed(tmp_path):
+    path = tmp_path / "tiny.s3ck"
+    headers = _tiny_checkpoint_headers(path)
+    blob = path.read_bytes()
+    content = np.zeros((4, 3))
+    escaped = []
+    for i in headers:
+        for bit in range(8):
+            flipped = bytearray(blob)
+            flipped[i] ^= 1 << bit
+            path.write_bytes(bytes(flipped))
+            try:
+                forward_free_running(load_model(path)[0], content)
+            except VoiceConversionError:
+                pass
+            except Exception as exc:
+                escaped.append(f"byte {i} bit {bit}: {type(exc).__name__}: {exc}")
+    assert escaped == []
 
 
 def test_load_model_shares_read_only_tensors(quick_checkpoint):

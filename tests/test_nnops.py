@@ -108,14 +108,45 @@ def test_conv1d_backward_matches_fd():
     np.testing.assert_allclose(dx, _fd_grad(loss, x), atol=1e-6)
 
 
+def _per_tap_conv(x, w, b, dy):
+    """Reference: one product per kernel tap, with an einsum weight gradient."""
+    kernel, t_len = w.shape[2], x.shape[1]
+    pad = kernel // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
+    y = b + sum(xp[:, j:j + t_len, :] @ w[:, :, j].T for j in range(kernel))
+    dw = np.stack([np.einsum("bto,bti->oi", dy, xp[:, j:j + t_len, :])
+                   for j in range(kernel)], axis=2)
+    dxp = np.zeros_like(xp)
+    for j in range(kernel):
+        dxp[:, j:j + t_len, :] += dy @ w[:, :, j]
+    return y, dxp[:, pad:pad + t_len, :], dw, dy.sum(axis=(0, 1))
+
+
+@pytest.mark.parametrize("batch, t_len, kernel", [
+    (2, 6, 1), (2, 1, 3), (3, 2, 5), (1, 7, 3), (1, 1, 1),
+], ids=["kernel_1", "one_frame", "shorter_than_kernel", "batch_1", "all_one"])
+def test_conv1d_matches_per_tap_reference(batch, t_len, kernel):
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((batch, t_len, 3))
+    w = rng.standard_normal((4, 3, kernel))
+    b = rng.standard_normal(4)
+    dy = rng.standard_normal((batch, t_len, 4))
+    y_ref, dx_ref, dw_ref, db_ref = _per_tap_conv(x, w, b, dy)
+    y, xp = nnops.conv1d_same(x, w, b)
+    start = {"c.w": rng.standard_normal(w.shape), "c.b": rng.standard_normal(4)}
+    grads = {k: v.copy() for k, v in start.items()}  # backward accumulates
+    dx = nnops.conv1d_same_backward(dy, xp, w, grads, "c")
+    np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads["c.w"] - start["c.w"], dw_ref, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(grads["c.b"] - start["c.b"], db_ref, rtol=0, atol=1e-12)
+
+
 def test_lstmp_step_backward_matches_fd():
     rng = np.random.default_rng(6)
-    params = {}
-    nnops.init_lstm(rng, params, "l", input_dim=3, hidden_dim=4,
-                    recur_dim=2, proj_dim=2)
-    # jitter away from exact zeros so gate kinks cannot bite
-    for k in params:
-        params[k] = params[k] + 0.01 * rng.standard_normal(params[k].shape)
+    # input 3, hidden 4, projection 2; away from zero so gate kinks cannot bite
+    shapes = {"l.wx": (16, 3), "l.wh": (16, 2), "l.b": (16,), "l.wp": (2, 4)}
+    params = {k: 0.5 * rng.standard_normal(s) for k, s in shapes.items()}
     x = rng.standard_normal((2, 3))
     r0 = rng.standard_normal((2, 2)) * 0.1
     c0 = rng.standard_normal((2, 4)) * 0.1
@@ -126,7 +157,11 @@ def test_lstmp_step_backward_matches_fd():
 
     r, c, cache = nnops.lstmp_step(params, "l", x, r0, c0)
     grads = {k: np.zeros_like(v) for k, v in params.items()}
-    dx, dr0, dc0 = nnops.lstmp_step_backward(params, "l", r, c, cache, grads)
+    dz = np.empty((2, 16))
+    dr0, dc0 = nnops.lstmp_step_backward(params, "l", r, c, cache, dz)
+    # the step backward leaves the wp, wx, wh, b and input gradients to the caller
+    grads["l.wp"] += r.T @ cache[1]
+    dx = nnops.lstm_weight_backward(params, "l", dz, x, r0, grads)
     np.testing.assert_allclose(dx, _fd_grad(loss, x), atol=1e-6)
     np.testing.assert_allclose(dr0, _fd_grad(loss, r0), atol=1e-6)
     np.testing.assert_allclose(dc0, _fd_grad(loss, c0), atol=1e-6)

@@ -23,6 +23,7 @@ from recsynvc.synthesizer import (
     shift_frames_right,
     teacher_forward_batch,
 )
+from recsynvc.trainer import loss_and_grads
 from recsynvc.types import SpeakerEmbedding
 
 
@@ -226,3 +227,49 @@ class TestForward:
         b = forward_free_running(conditioned, content, embedding=e2,
                                  dropout_seed=0)
         assert np.mean(np.abs(a - b)) > 1e-6
+
+
+class TestGradients:
+    @pytest.mark.parametrize("type_, conditioned, kernel", [
+        ("simple", False, 3), ("simple_ar", False, 3),
+        ("taco2_ar", False, 1), ("taco2_ar", False, 3),
+        ("taco2_ar", True, 1), ("taco2_ar", True, 3),
+    ], ids=["simple", "simple_ar", "taco2_ar_k1", "taco2_ar_k3",
+            "taco2_ar_speaker_k1", "taco2_ar_speaker_k3"])
+    def test_directional_derivative_of_every_tensor(self, type_, conditioned, kernel):
+        # one random unit direction per tensor: the central difference of the
+        # loss along it must match <grad, v>, so no tensor goes unchecked
+        rng = np.random.default_rng(9)
+        extra = dict(speaker_conditioned=True, embedding_dim=4) if conditioned else {}
+        params = build_decoder(_config(type_, hidden_dim=8, lstmp_proj_dim=6,
+                                       postnet_layers=3, postnet_kernel=kernel, **extra),
+                               INPUT_DIM, seed=0)
+        # off the zero-bias init, so no ReLU unit sits on its kink, and large
+        # enough that no tensor's derivative drowns in rounding
+        for tensor in params.tensors.values():
+            tensor += 0.1 * rng.standard_normal(tensor.shape)
+        batch, t_len = 3, 6
+        content = rng.standard_normal((batch, t_len, INPUT_DIM))
+        target = rng.standard_normal((batch, t_len, 80))
+        mask = np.ones((batch, t_len))
+        mask[1, 4:] = 0.0
+        mask[2, 2:] = 0.0
+        spk = rng.standard_normal((batch, 4)) if conditioned else None
+
+        def loss():
+            return loss_and_grads(params, content, target, mask, spk, dropout_seed=1)[0]
+
+        _, grads = loss_and_grads(params, content, target, mask, spk, dropout_seed=1)
+        eps = 1e-4
+        for name, tensor in params.tensors.items():
+            v = rng.standard_normal(tensor.shape)
+            v /= np.linalg.norm(v)
+            saved = tensor.copy()
+            tensor += eps * v
+            up = loss()
+            tensor[...] = saved - eps * v
+            down = loss()
+            tensor[...] = saved
+            fd = (up - down) / (2.0 * eps)
+            analytic = float(np.sum(grads[name] * v))
+            assert analytic == pytest.approx(fd, rel=1e-6, abs=0.0), name
