@@ -15,7 +15,7 @@ import numpy as np
 from recsynvc.audioio import save_waveform
 from recsynvc.checkpoint import load_checkpoint
 from recsynvc.config import Config, AudioConfig, ModelConfig, TrainingConfig
-from recsynvc.converter import convert, vocode
+from recsynvc.converter import convert, load_model, vocode
 from recsynvc.manifest import load_manifest
 from recsynvc.recognizer import mel_upstream
 from recsynvc.synthetic import make_toy_corpus
@@ -39,24 +39,25 @@ config = Config(
 
 # the content upstream here is the package's own log-mel extractor; any
 # externally computed feature directory can stand in via external_upstream
-spec = mel_upstream(config.audio)
-
-run = train_a2o(manifest, spec, config, work / "run")
+run = train_a2o(manifest, mel_upstream(config.audio), config, work / "run")
 print(f"loss: step 1 {run.loss_history[0]:.4f} -> "
       f"step {run.step} {run.loss_history[-1]:.4f} "
       f"({run.loss_history[-1] / run.loss_history[0]:.1%} of start)")
 print(f"checkpoint: {run.checkpoint_path}")
 
-# conversion: recognize content, decode in the target voice, undo the
-# normalization stored with the checkpoint
+# conversion needs only the checkpoint: it names the upstream to recognize
+# content with, and holds the decoder, its normalization and the audio
+# settings (a model trained on an external upstream also takes the feature
+# directory: convert(record, checkpoint, feature_dir))
 checkpoint = load_checkpoint(run.checkpoint_path)
 source = manifest.records[0]
-mel = convert(source, checkpoint, spec)
+mel = convert(source, checkpoint)
 print(f"converted {source.utt_id}: {mel.frames.shape[0]} frames x "
       f"{mel.frames.shape[1]} mels")
 
-# Griffin-Lim phase reconstruction turns the mel frames back into samples
-wave = vocode(mel, config.audio)
+# Griffin-Lim phase reconstruction, with the checkpoint's audio settings,
+# turns the mel frames back into samples
+wave = vocode(mel, load_model(checkpoint).audio)
 out_wav = work / f"{source.utt_id}_converted.wav"
 save_waveform(out_wav, wave)
 print(f"vocoded: {wave.samples.size} samples "

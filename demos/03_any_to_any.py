@@ -64,10 +64,9 @@ for record in manifest.records:
     by_speaker.setdefault(record.speaker_id, []).append(stub_encoder(record))
 
 source = manifest.records[0]
-spec = mel_upstream(config.audio)
-toward_2 = convert(source, checkpoint, spec,
+toward_2 = convert(source, checkpoint,
                    s=average_embedding(by_speaker["SPK2"]), dropout_seed=7)
-toward_4 = convert(source, checkpoint, spec,
+toward_4 = convert(source, checkpoint,
                    s=average_embedding(by_speaker["SPK4"]), dropout_seed=7)
 
 gap = float(np.mean(np.abs(toward_2.frames - toward_4.frames)))

@@ -6,6 +6,7 @@ resamples to the requested working rate with a polyphase filter.
 
 from __future__ import annotations
 
+import io
 import math
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import numpy as np
 from scipy.io import wavfile
 from scipy.signal import resample_poly
 
-from .errors import VoiceConversionError
+from .errors import VoiceConversionError, WavFileError
 from .types import ALLOWED_SAMPLE_RATES, Waveform
 
 _PCM_SCALES = {
@@ -46,8 +47,16 @@ def resample_waveform(wave: Waveform, target_rate: int) -> Waveform:
 
 
 def load_waveform(path, target_rate: int | None = None) -> Waveform:
-    """Read a wav file as mono float samples, optionally resampled."""
-    rate, data = wavfile.read(Path(path))
+    """Read a wav file as mono float samples, optionally resampled.
+
+    A file that cannot be decoded raises ``WavFileError``.
+    """
+    blob = Path(path).read_bytes()
+    try:
+        # from memory, so a chunk that claims more bytes than the file allocates no more
+        rate, data = wavfile.read(io.BytesIO(blob))
+    except Exception as exc:  # scipy: ValueError, struct.error, ZeroDivisionError, ...
+        raise WavFileError(f"{path}: cannot decode wav: {exc}") from None
     if rate not in ALLOWED_SAMPLE_RATES:
         raise VoiceConversionError(
             f"{path}: sample rate {rate} not in {ALLOWED_SAMPLE_RATES}"

@@ -197,20 +197,20 @@ def cmd_convert(args) -> int:
     if args.jobs < 1:
         return _fail(f"--jobs must be at least 1, got {args.jobs}")
     checkpoint = load_checkpoint(args.checkpoint)
-    # a bad checkpoint is one error here, not one failure per utterance
-    model = load_model(checkpoint)[0].config
-    spec = _upstream_spec(args, config.audio)
+    # a bad checkpoint or a missing --feature-dir is one error, not one per utterance
+    model = load_model(checkpoint)
+    model.upstream_spec(args.feature_dir)
     manifest = load_manifest(args.source_manifest)
-    embedding = _target_embedding(args, model)
+    embedding = _target_embedding(args, model.params.config)
     dropout_seed = args.seed if args.seed is not None else config.evaluation.dropout_seed
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def one(record):
-        mel = convert(record, checkpoint, spec, s=embedding,
+        mel = convert(record, checkpoint, args.feature_dir, s=embedding,
                       dropout_seed=dropout_seed)
         write_features(out_dir / f"{record.utt_id}.mel.s3vc", mel.as_features())
-        wave = vocode(mel, config.audio, vocoder=args.vocoder)
+        wave = vocode(mel, model.audio, vocoder=args.vocoder)
         save_waveform(out_dir / f"{record.utt_id}.wav", wave)
         return record.utt_id
 
@@ -405,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_upstream_flags(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("convert", help="convert a source manifest")
+    p = sub.add_parser("convert", help="convert a source manifest with the "
+                                       "checkpoint's upstream and audio settings")
     p.add_argument("checkpoint", type=Path)
     p.add_argument("source_manifest", type=Path)
     p.add_argument("--out-dir", type=Path, required=True)
@@ -419,7 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory of target-speaker embeddings to average")
     p.add_argument("--target-embedding", type=Path, default=None,
                    help="single target embedding file")
-    _add_upstream_flags(p)
+    p.add_argument("--feature-dir", type=Path, default=None,
+                   help="directory of precomputed .s3vc files, for a model "
+                        "trained on an external upstream")
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("evaluate", help="score converted audio")

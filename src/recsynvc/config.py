@@ -14,7 +14,7 @@ import configparser
 import difflib
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigTypeError, InvalidConfigError, UnknownKeyError
+from .errors import ConfigError, ConfigTypeError, InvalidConfigError, UnknownKeyError
 
 DECODER_TYPES = ("simple", "simple_ar", "taco2_ar")
 
@@ -198,13 +198,17 @@ def default_config() -> Config:
 def load_config(path) -> Config:
     """Load a configuration file, falling back to defaults for absent keys.
 
-    Raises ``FileNotFoundError`` for a missing file, ``UnknownKeyError`` for
-    keys (or sections) that do not exist, and ``ConfigTypeError`` when a value
-    cannot be parsed as the declared type.
+    Raises ``FileNotFoundError`` for a missing file, ``ConfigError`` naming
+    the file when it is not UTF-8 INI text, ``UnknownKeyError`` for keys (or
+    sections) that do not exist, and ``ConfigTypeError`` when a value cannot
+    be parsed as the declared type.
     """
     parser = configparser.ConfigParser(interpolation=None)
-    with open(path, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (configparser.Error, UnicodeDecodeError) as exc:  # one line, not configparser's several
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
 
     kwargs = {}
     for section in parser.sections():

@@ -1,8 +1,9 @@
-"""End-to-end conversion: recognize -> decode -> denormalize -> vocode.
+"""Trained models and end-to-end conversion: recognize -> decode -> denormalize -> vocode.
 
-Conversion is self-contained given a checkpoint: the decoder weights, the
-normalization statistics, and the audio settings all travel inside it.  The
-source speaker's identity enters only through the waveform itself.
+Conversion is self-contained given a checkpoint: the ``TrainedModel`` in it
+holds the decoder weights, the normalization statistics, the audio settings
+and the upstream's name.  The source speaker's identity enters only through
+the waveform itself.
 
 Vocoding has a native fallback (iterative phase reconstruction from the mel
 via the pseudo-inverse filterbank) and an external adapter path for neural
@@ -22,13 +23,14 @@ from __future__ import annotations
 import shlex
 import subprocess
 import tempfile
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .audioio import load_waveform, save_waveform
 from .checkpoint import Checkpoint, load_checkpoint
-from .config import AudioConfig, ModelConfig, config_from_json
+from .config import AudioConfig, config_from_json
 from .dsp import griffin_lim, mel_filterbank
 from .errors import (
     AdapterError,
@@ -39,9 +41,13 @@ from .errors import (
     ZeroMeanVectorError,
 )
 from .featureio import read_features, write_features, feature_path
-from .recognizer import UpstreamSpec, recognize, resample_features
-from .synthesizer import ModelParameters, decoder_from_meta, forward_free_running
-from .trainer import denormalize, normalize
+from .recognizer import MEL_UPSTREAM, UpstreamSpec, recognize, resample_features
+from .synthesizer import (
+    ModelParameters,
+    decoder_from_meta,
+    decoder_meta,
+    forward_free_running,
+)
 from .types import (
     LOG_MEL_FLOOR,
     N_MELS,
@@ -51,74 +57,113 @@ from .types import (
     Waveform,
 )
 
+STD_FLOOR = 1e-8
 _STATS_PREFIX = "stats."
 
 
-def model_meta(checkpoint: Checkpoint) -> tuple[ModelConfig, int, AudioConfig, int]:
-    """Parse a model checkpoint's meta: decoder config, input width, audio, seed.
+def normalize(frames, mean, std):
+    return (np.asarray(frames, dtype=np.float64) - mean) / np.maximum(std, STD_FLOOR)
 
-    Also checks that the four ``stats.*`` tensors exist with widths
-    ``input_dim``, ``input_dim``, 80 and 80.  A missing entry, or one of the
-    wrong type or width, raises ``InvalidConfigError`` naming it.
+
+def denormalize(frames, mean, std):
+    return np.asarray(frames, dtype=np.float64) * np.maximum(std, STD_FLOOR) + mean
+
+
+@dataclass(frozen=True)
+class TrainedModel:
+    """A decoder, its ``stats.*`` vectors, audio settings, and upstream name and frame shift.
+
+    The upstream's width is ``params.input_dim``.
     """
-    meta = checkpoint.meta
+
+    params: ModelParameters
+    stats: dict[str, np.ndarray]
+    audio: AudioConfig
+    upstream: str
+    upstream_shift_ms: float
+
+    def upstream_spec(self, feature_dir=None) -> UpstreamSpec:
+        """The upstream this model reads; an external one needs ``feature_dir``."""
+        return UpstreamSpec(self.upstream, self.params.input_dim, self.upstream_shift_ms,
+                            native=self.upstream == MEL_UPSTREAM, feature_dir=feature_dir)
+
+
+def model_checkpoint(model: TrainedModel, mode: str, step: int,
+                     target_speaker: str | None) -> Checkpoint:
+    """Inverse of ``load_model``; ``mode``, ``step`` and ``target_speaker`` record the run."""
+    params = model.params
+    meta = {
+        "format": "recsynvc-checkpoint",
+        "decoder": decoder_meta(params.config, params.input_dim),
+        "upstream": {"name": model.upstream, "feature_dim": params.input_dim,
+                     "frame_shift_ms": model.upstream_shift_ms},
+        "audio": asdict(model.audio),
+        "mode": mode,
+        "step": step,
+        "seed": params.seed,
+        "target_speaker": target_speaker,
+    }
+    stats = {_STATS_PREFIX + name: tensor for name, tensor in model.stats.items()}
+    return Checkpoint(meta=meta, tensors={**params.tensors, **stats})
+
+
+def load_model(checkpoint) -> TrainedModel:
+    """Read the model from a checkpoint or its path; inverse of ``model_checkpoint``.
+
+    A missing meta entry or ``stats.*`` tensor, or one of the wrong type or
+    width, raises ``InvalidConfigError`` naming it; ``ModelParameters`` checks
+    the decoder tensors.  The returned tensors are the checkpoint's own arrays.
+    """
+    if not isinstance(checkpoint, Checkpoint):
+        checkpoint = load_checkpoint(checkpoint)
+    meta, tensors = checkpoint.meta, dict(checkpoint.tensors)
     config, input_dim = decoder_from_meta(meta.get("decoder"))
     audio = config_from_json(AudioConfig, meta.get("audio"), "checkpoint audio meta")
     seed = meta.get("seed")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise InvalidConfigError(f"checkpoint meta 'seed': {seed!r} is not an integer")
+    upstream = meta.get("upstream")
+    if not (isinstance(upstream, dict)
+            and upstream.keys() == {"name", "feature_dim", "frame_shift_ms"}
+            and isinstance(upstream["name"], str) and upstream["feature_dim"] == input_dim
+            and type(upstream["frame_shift_ms"]) in (int, float)
+            and upstream["frame_shift_ms"] > 0):
+        raise InvalidConfigError(
+            f"checkpoint meta 'upstream': {upstream!r} is not an object with a "
+            f"string name, feature_dim {input_dim} and a positive frame_shift_ms")
+    stats = {}
     for name, width in (("input_mean", input_dim), ("input_std", input_dim),
                         ("target_mean", N_MELS), ("target_std", N_MELS)):
-        shape = getattr(checkpoint.tensors.get(_STATS_PREFIX + name), "shape", None)
+        stats[name] = tensors.pop(_STATS_PREFIX + name, None)
+        shape = getattr(stats[name], "shape", None)
         if shape != (width,):
             raise InvalidConfigError(f"checkpoint tensor '{_STATS_PREFIX}{name}' has "
                                      f"shape {shape}, expected ({width},)")
-    return config, input_dim, audio, seed
-
-
-def load_model(checkpoint) -> tuple[ModelParameters, dict, AudioConfig, dict]:
-    """Split a checkpoint into decoder parameters, stats, audio config, meta.
-
-    The only reader of a model checkpoint; ``model_meta`` checks its meta and
-    ``ModelParameters`` the names and shapes of its decoder tensors.
-    The returned tensors are the checkpoint's own arrays, not copies.
-    """
-    if not isinstance(checkpoint, Checkpoint):
-        checkpoint = load_checkpoint(checkpoint)
-    config, input_dim, audio, seed = model_meta(checkpoint)
-    stats = {}
-    tensors = {}
-    for name, tensor in checkpoint.tensors.items():
-        if name.startswith(_STATS_PREFIX):
-            stats[name[len(_STATS_PREFIX):]] = tensor
-        else:
-            tensors[name] = tensor
     params = ModelParameters(config=config, input_dim=input_dim, tensors=tensors,
                              seed=seed)
-    return params, stats, audio, checkpoint.meta
+    return TrainedModel(params=params, stats=stats, audio=audio,
+                        upstream=upstream["name"],
+                        upstream_shift_ms=float(upstream["frame_shift_ms"]))
 
 
-def convert(source, checkpoint, spec: UpstreamSpec,
+def convert(source, checkpoint, feature_dir=None,
             s: SpeakerEmbedding | None = None,
             dropout_seed: int = 0) -> MelSpectrogram:
     """Convert one source utterance into the target voice's mel spectrogram.
 
-    ``source`` is a Waveform or an UtteranceRecord; ``s`` must be given
-    exactly when the checkpointed model is speaker-conditioned.
+    ``source`` is a Waveform or an UtteranceRecord; a model trained on an
+    external upstream reads the record's features from ``feature_dir``.
+    ``s`` must be given exactly when the model is speaker-conditioned.
     """
-    params, stats, audio, _ = load_model(checkpoint)
-    if spec.feature_dim != params.input_dim:
-        raise DimensionMismatchError(
-            f"upstream produces {spec.feature_dim}-dim features but the "
-            f"checkpoint was trained on {params.input_dim}-dim input"
-        )
-    content = recognize(source, spec, audio)
+    model = load_model(checkpoint)
+    audio, stats = model.audio, model.stats
+    content = recognize(source, model.upstream_spec(feature_dir), audio)
     content = resample_features(content, audio.frame_shift_ms)
     frames = normalize(content.frames, stats["input_mean"], stats["input_std"])
-    out = forward_free_running(params, frames, embedding=s,
+    out = forward_free_running(model.params, frames, embedding=s,
                                dropout_seed=dropout_seed)
     mel = denormalize(out, stats["target_mean"], stats["target_std"])
-    return MelSpectrogram(np.maximum(mel, LOG_MEL_FLOOR))
+    return MelSpectrogram(np.maximum(mel, LOG_MEL_FLOOR), audio.frame_shift_ms)
 
 
 def average_embedding(embeddings) -> SpeakerEmbedding:

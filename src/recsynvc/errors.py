@@ -42,7 +42,7 @@ class SingleSpeakerError(ManifestError):
     """A multi-speaker operation received a single-speaker manifest."""
 
 
-# --- binary containers (feature files, checkpoints) ------------------------
+# --- binary files (feature files, checkpoints, wavs) -------------------------
 
 class FeatureFileError(VoiceConversionError):
     pass
@@ -58,6 +58,10 @@ class VersionMismatchError(FeatureFileError):
 
 class TruncatedFileError(FeatureFileError):
     pass
+
+
+class WavFileError(VoiceConversionError):
+    """A wav file cannot be decoded."""
 
 
 # --- configuration ----------------------------------------------------------

@@ -240,16 +240,9 @@ def eer_threshold(genuine_scores, impostor_scores) -> float:
     if genuine.size == 0 or impostor.size == 0:
         raise EmptyInputError("need both genuine and impostor scores")
     candidates = np.unique(np.concatenate([genuine, impostor]))
-    best_t = float(candidates[0])
-    best_gap = np.inf
-    for t in candidates:
-        frr = float(np.mean(genuine < t))
-        far = float(np.mean(impostor >= t))
-        gap = abs(far - frr)
-        if gap < best_gap:
-            best_gap = gap
-            best_t = float(t)
-    return best_t
+    frr = np.searchsorted(genuine, candidates, "left") / genuine.size
+    far = (impostor.size - np.searchsorted(impostor, candidates, "left")) / impostor.size
+    return float(candidates[np.argmin(np.abs(far - frr))])
 
 
 # --- correlation analysis ----------------------------------------------------------

@@ -26,9 +26,13 @@ def load_manifest(path, role=None) -> DatasetManifest:
     path = Path(path)
     base = path.parent
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for line_number, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ManifestParseError(f"{path} is not UTF-8 ({exc.reason})",
+                                         line_number) from None
             if not line:
                 continue
             try:

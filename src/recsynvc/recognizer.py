@@ -59,7 +59,7 @@ class UpstreamSpec:
             )
         if not self.native and self.feature_dir is None:
             raise VoiceConversionError(
-                f"external upstream {self.name!r} needs a feature_dir"
+                f"external upstream {self.name!r} needs a feature directory (--feature-dir)"
             )
         if self.feature_dir is not None:
             object.__setattr__(self, "feature_dir", Path(self.feature_dir))

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .checkpoint import Checkpoint, save_checkpoint
+from .checkpoint import save_checkpoint
 from .config import Config
+from .converter import TrainedModel, model_checkpoint, normalize
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -46,7 +47,6 @@ from .synthesizer import (
     ModelParameters,
     backward_teacher_batch,
     build_decoder,
-    decoder_meta,
     shift_frames_right,
     teacher_forward_batch,
 )
@@ -57,16 +57,12 @@ from .types import (
     SpeakerEmbedding,
 )
 
-STD_FLOOR = 1e-8
-
 
 @dataclass
 class TrainRun:
     """Outcome of one training run."""
 
-    config: Config
-    mode: str
-    upstream: UpstreamSpec
+    model: TrainedModel
     step: int
     loss_history: list[float]
     checkpoint_path: Path
@@ -152,28 +148,12 @@ class AdamOptimizer:
             tensors[name] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-def normalize(frames, mean, std):
-    return (np.asarray(frames, dtype=np.float64) - mean) / np.maximum(std, STD_FLOOR)
-
-
-def denormalize(frames, mean, std):
-    return np.asarray(frames, dtype=np.float64) * np.maximum(std, STD_FLOOR) + mean
-
-
 @dataclass
 class _Example:
     utt_id: str
     content: np.ndarray  # (T, Din) float64, normalized
     target: np.ndarray   # (T, 80) float64, normalized
     embedding: np.ndarray | None = None  # (E,) float64
-
-
-@dataclass
-class _Stats:
-    input_mean: np.ndarray
-    input_std: np.ndarray
-    target_mean: np.ndarray
-    target_std: np.ndarray
 
 
 def _check_features_present(manifest: DatasetManifest, spec: UpstreamSpec):
@@ -214,16 +194,12 @@ def _prepare_examples(manifest, spec, config, encoder=None):
 
     all_content = np.concatenate([c for _, c, _, _ in raw], axis=0)
     all_target = np.concatenate([t for _, _, t, _ in raw], axis=0)
-    stats = _Stats(
-        input_mean=all_content.mean(axis=0),
-        input_std=all_content.std(axis=0),
-        target_mean=all_target.mean(axis=0),
-        target_std=all_target.std(axis=0),
-    )
+    stats = {"input_mean": all_content.mean(axis=0), "input_std": all_content.std(axis=0),
+             "target_mean": all_target.mean(axis=0), "target_std": all_target.std(axis=0)}
     examples = [
         _Example(utt_id=u,
-                 content=normalize(c, stats.input_mean, stats.input_std),
-                 target=normalize(t, stats.target_mean, stats.target_std),
+                 content=normalize(c, stats["input_mean"], stats["input_std"]),
+                 target=normalize(t, stats["target_mean"], stats["target_std"]),
                  embedding=e)
         for u, c, t, e in raw
     ]
@@ -248,29 +224,6 @@ def _pad_batch(examples: list[_Example]):
     return content, target, mask, spk
 
 
-def _checkpoint_for(params, stats, config, spec, mode, step, target_speaker):
-    meta = {
-        "format": "recsynvc-checkpoint",
-        "decoder": decoder_meta(params.config, params.input_dim),
-        "upstream": {
-            "name": spec.name,
-            "feature_dim": spec.feature_dim,
-            "frame_shift_ms": spec.frame_shift_ms,
-        },
-        "audio": asdict(config.audio),
-        "mode": mode,
-        "step": step,
-        "seed": params.seed,
-        "target_speaker": target_speaker,
-    }
-    tensors = dict(params.tensors)
-    tensors["stats.input_mean"] = stats.input_mean
-    tensors["stats.input_std"] = stats.input_std
-    tensors["stats.target_mean"] = stats.target_mean
-    tensors["stats.target_std"] = stats.target_std
-    return Checkpoint(meta=meta, tensors=tensors)
-
-
 def _run_training(manifest, spec, config: Config, out_dir, mode,
                   encoder=None, target_speaker=None, log_file=None) -> TrainRun:
     out_dir = Path(out_dir)
@@ -281,6 +234,9 @@ def _run_training(manifest, spec, config: Config, out_dir, mode,
     examples, stats = _prepare_examples(manifest, spec, config, encoder=encoder)
 
     params = build_decoder(config.model, spec.feature_dim, seed=training.seed)
+    # the optimizer updates params.tensors in place, so each write sees the current weights
+    model = TrainedModel(params=params, stats=stats, audio=config.audio,
+                         upstream=spec.name, upstream_shift_ms=spec.frame_shift_ms)
     optimizer = AdamOptimizer(params.tensors, learning_rate=training.learning_rate)
 
     rng = np.random.default_rng(training.seed)
@@ -310,19 +266,17 @@ def _run_training(manifest, spec, config: Config, out_dir, mode,
                 if log_fh is not None:
                     print(line, file=log_fh, flush=True)
             if step % training.checkpoint_interval == 0:
-                ckpt = _checkpoint_for(params, stats, config, spec, mode, step,
-                                       target_speaker)
-                save_checkpoint(out_dir / f"checkpoint_{step:06d}.s3ck", ckpt)
+                save_checkpoint(out_dir / f"checkpoint_{step:06d}.s3ck",
+                                model_checkpoint(model, mode, step, target_speaker))
     finally:
         if log_fh is not None:
             log_fh.close()
 
-    final = _checkpoint_for(params, stats, config, spec, mode, training.steps,
-                            target_speaker)
     final_path = out_dir / "final.s3ck"
-    save_checkpoint(final_path, final)
-    return TrainRun(config=config, mode=mode, upstream=spec, step=training.steps,
-                    loss_history=loss_history, checkpoint_path=final_path)
+    save_checkpoint(final_path, model_checkpoint(model, mode, training.steps,
+                                                 target_speaker))
+    return TrainRun(model=model, step=training.steps, loss_history=loss_history,
+                    checkpoint_path=final_path)
 
 
 def train_a2o(manifest: DatasetManifest, spec: UpstreamSpec, config: Config,

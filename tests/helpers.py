@@ -12,6 +12,16 @@ from recsynvc.config import AudioConfig, Config, ModelConfig, TrainingConfig
 from recsynvc.types import SpeakerEmbedding
 
 
+def corrupt_variants(blob: bytes):
+    """Every truncation, then every single-bit flip, of ``blob``."""
+    for n in range(len(blob)):
+        yield f"truncated to {n} bytes", blob[:n]
+    for i in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[i // 8] ^= 1 << (i % 8)
+        yield f"bit {i} flipped", bytes(flipped)
+
+
 def sphere_embedding(key: str, dim: int = 16) -> SpeakerEmbedding:
     """Deterministic hash-to-sphere stub: any string to a unit vector."""
     digest = hashlib.sha256(key.encode("utf-8")).digest()

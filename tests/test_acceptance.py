@@ -208,8 +208,8 @@ def test_criterion_4_toy_a2o(toy_corpus, audio, tmp_path, capsys):
         ratio = run.loss_history[-1] / run.loss_history[0]
 
         trained = load_checkpoint(run.checkpoint_path)
-        converted = convert(held_in, trained, spec, dropout_seed=0)
-        baseline = convert(held_in, _untrained_twin(trained), spec,
+        converted = convert(held_in, trained, dropout_seed=0)
+        baseline = convert(held_in, _untrained_twin(trained),
                            dropout_seed=0)
         mcd_trained = mcd(ref_cepstra, _mel_to_cepstra(converted))
         mcd_untrained = mcd(ref_cepstra, _mel_to_cepstra(baseline))
@@ -250,8 +250,8 @@ def test_criterion_5_toy_a2a(toy_corpus_multi, audio, tmp_path, capsys):
         by_speaker.setdefault(record.speaker_id, []).append(encoder(record))
     target_a = average_embedding(by_speaker["SPK2"])
     target_b = average_embedding(by_speaker["SPK4"])
-    out_a = convert(source, trained, spec, s=target_a, dropout_seed=7)
-    out_b = convert(source, trained, spec, s=target_b, dropout_seed=7)
+    out_a = convert(source, trained, s=target_a, dropout_seed=7)
+    out_b = convert(source, trained, s=target_b, dropout_seed=7)
     l1_gap = float(np.mean(np.abs(out_a.frames - out_b.frames)))
 
     rng = np.random.default_rng(50)
@@ -343,7 +343,7 @@ def test_criterion_7_determinism(toy_corpus, audio, tmp_path, capsys):
     for run_dir in (tmp_path / "run1", tmp_path / "run2"):
         run = train_a2o(manifest, spec, config, run_dir)
         trained = load_checkpoint(run.checkpoint_path)
-        converted = convert(manifest.records[0], trained, spec, dropout_seed=3)
+        converted = convert(manifest.records[0], trained, dropout_seed=3)
         mel_path = run_dir / "converted.s3vc"
         write_features(mel_path, converted.as_features())
         wave = vocode(converted, audio)

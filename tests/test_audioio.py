@@ -1,9 +1,13 @@
 """WAV I/O: PCM16 round-trips and resampling on load."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from helpers import corrupt_variants
 from recsynvc.audioio import load_waveform, resample_waveform, save_waveform
+from recsynvc.errors import VoiceConversionError
 from recsynvc.types import Waveform
 
 
@@ -56,3 +60,26 @@ def test_resample_preserves_tone(tmp_path):
 def test_missing_file():
     with pytest.raises(Exception):
         load_waveform("/nonexistent/a.wav")
+
+
+@pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+def test_every_truncation_and_bit_flip_is_typed(tmp_path):
+    path = tmp_path / "a.wav"
+    save_waveform(path, _sine(440.0, 0.002, 24000))  # 48 samples
+    escaped = []
+    tracemalloc.start()
+    try:
+        for label, blob in corrupt_variants(path.read_bytes()):
+            path.write_bytes(blob)
+            try:
+                load_waveform(path, target_rate=24000)
+            except VoiceConversionError:
+                pass
+            except Exception as exc:
+                escaped.append(f"{label}: {type(exc).__name__}: {exc}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert escaped == []
+    # a header may claim gigabytes; nothing may be allocated for them
+    assert peak < 1 << 20

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from recsynvc.audioio import save_waveform
+from recsynvc.audioio import load_waveform, save_waveform
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from recsynvc.cli import main
 from recsynvc.featureio import read_features, write_features
@@ -103,6 +103,37 @@ def test_train_writes_checkpoint_and_log(cli_corpus, cli_config, tmp_path):
     assert float(lines[-1].split("\t")[1]) < float(lines[0].split("\t")[1])
 
 
+def test_train_corrupt_wav_is_one_error_line(cli_config, tmp_path, capsys):
+    manifest = make_toy_corpus(tmp_path / "corpus", n_utterances=4, duration=0.4, seed=5)
+    wav = load_manifest(manifest).records[0].wav_path
+    blob = wav.read_bytes()
+    # RIFF header, then the data chunk ahead of the 24-byte fmt chunk
+    wav.write_bytes(blob[:12] + blob[36:] + blob[12:36])
+    capsys.readouterr()
+    rc = main(["train", str(manifest), "--out-dir", str(tmp_path / "run"),
+               "--config", str(cli_config)])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and wav.name in lines[0]
+
+
+@pytest.mark.parametrize("name, blob", [
+    ("manifest.jsonl", b'{"utt_id": "u\xff"}\n'),
+    ("tiny.ini", b"steps = 15\n"),
+    ("tiny.ini", b"[training]\nsteps = 15 \xff\n"),
+], ids=["non_utf8_manifest", "ini_without_section", "non_utf8_ini"])
+def test_bad_text_input_is_one_error_line(cli_corpus, cli_config, tmp_path, capsys,
+                                          name, blob):
+    paths = {"manifest.jsonl": cli_corpus, "tiny.ini": cli_config}
+    paths[name] = tmp_path / name
+    paths[name].write_bytes(blob)
+    rc = main(["train", str(paths["manifest.jsonl"]), "--out-dir", str(tmp_path / "run"),
+               "--config", str(paths["tiny.ini"])])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
+
+
 def test_train_a2a_needs_embedding_source(tmp_path, cli_config):
     manifest = make_toy_corpus(tmp_path / "multi", n_utterances=4,
                                n_speakers=2, duration=0.4, seed=6)
@@ -121,6 +152,52 @@ def test_convert_outputs(cli_checkpoint, cli_corpus, tmp_path):
         assert (out_dir / f"{record.utt_id}.wav").exists()
     mel = read_features(out_dir / f"{record.utt_id}.mel.s3vc")
     assert mel.frames.shape[1] == 80
+
+
+def test_convert_uses_checkpoint_audio(cli_corpus, tmp_path):
+    config = tmp_path / "hop120.ini"
+    config.write_text(CLI_CONFIG + "\n[audio]\nhop_length = 120\n")
+    assert main(["train", str(cli_corpus), "--out-dir", str(tmp_path / "run"),
+                 "--config", str(config)]) == 0
+    out_dir = tmp_path / "conv"
+    assert main(["convert", str(tmp_path / "run" / "final.s3ck"), str(cli_corpus),
+                 "--out-dir", str(out_dir)]) == 0
+    for record in load_manifest(cli_corpus).records:
+        mel = read_features(out_dir / f"{record.utt_id}.mel.s3vc")
+        wave = load_waveform(out_dir / f"{record.utt_id}.wav")
+        assert mel.frame_shift_ms == 5.0
+        assert len(wave) == len(mel) * 120
+
+
+def test_convert_external_upstream_needs_only_feature_dir(cli_corpus, cli_config,
+                                                          tmp_path, capsys):
+    feature_dir = tmp_path / "ssl"
+    feature_dir.mkdir()
+    rng = np.random.default_rng(0)
+    for record in load_manifest(cli_corpus).records:
+        write_features(feature_dir / f"{record.utt_id}.s3vc", FeatureSequence(
+            frames=rng.standard_normal((20, 7)).astype(np.float32), frame_shift_ms=20.0))
+    assert main(["train", str(cli_corpus), "--out-dir", str(tmp_path / "run"),
+                 "--config", str(cli_config), "--upstream", "ssl_stub",
+                 "--feature-dir", str(feature_dir), "--feature-dim", "7",
+                 "--frame-shift", "20"]) == 0
+    convert_argv = ["convert", str(tmp_path / "run" / "final.s3ck"), str(cli_corpus),
+                    "--out-dir", str(tmp_path / "conv")]
+    assert main(convert_argv + ["--feature-dir", str(feature_dir)]) == 0
+    mel = read_features(tmp_path / "conv" / f"{record.utt_id}.mel.s3vc")
+    assert mel.frames.shape == (40, 80)  # 20 frames of 20 ms at 10 ms
+    capsys.readouterr()
+    assert main(convert_argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "--feature-dir" in lines[0]
+
+
+def test_convert_help_has_no_upstream_flags(capsys):
+    with pytest.raises(SystemExit):
+        main(["convert", "--help"])
+    out = capsys.readouterr().out
+    assert "--feature-dir" in out
+    assert not any(flag in out for flag in ("--upstream", "--feature-dim", "--frame-shift"))
 
 
 def test_convert_jobs_match_serial(cli_checkpoint, cli_corpus, tmp_path):
@@ -145,11 +222,12 @@ def test_convert_rejects_jobs_below_one(cli_checkpoint, cli_corpus, tmp_path, ca
     (lambda meta, tensors: meta.update(decoder=[]), "decoder"),
     (lambda meta, tensors: meta["audio"].update(hop_length=None), "hop_length"),
     (lambda meta, tensors: meta.update(seed="x"), "seed"),
+    (lambda meta, tensors: meta["upstream"].update(frame_shift_ms=-10.0), "upstream"),
     (lambda meta, tensors: tensors.pop("stats.target_std"), "stats.target_std"),
     (lambda meta, tensors: tensors.update({"out.weight": tensors.pop("out.w")}), "out.w"),
     (lambda meta, tensors: tensors.update({"out.b": np.zeros(81)}), "out.b"),
-], ids=["no_decoder", "list_decoder", "null_hop_length", "str_seed", "no_target_std",
-        "renamed_tensor", "reshaped_tensor"])
+], ids=["no_decoder", "list_decoder", "null_hop_length", "str_seed",
+        "negative_frame_shift", "no_target_std", "renamed_tensor", "reshaped_tensor"])
 def test_convert_malformed_checkpoint_is_one_error_line(cli_checkpoint, cli_corpus,
                                                         tmp_path, capsys, corrupt, entry):
     ckpt = load_checkpoint(cli_checkpoint)

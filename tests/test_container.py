@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import corrupt_variants
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from recsynvc.errors import VoiceConversionError
 from recsynvc.featureio import read_features, write_features
@@ -20,16 +21,6 @@ def _write_small_checkpoint(path):
     save_checkpoint(path, Checkpoint(meta=meta, tensors=tensors))
 
 
-def _variants(blob):
-    """Every truncation, then every single-bit flip, of ``blob``."""
-    for n in range(len(blob)):
-        yield f"truncated to {n} bytes", blob[:n]
-    for i in range(8 * len(blob)):
-        flipped = bytearray(blob)
-        flipped[i // 8] ^= 1 << (i % 8)
-        yield f"bit {i} flipped", bytes(flipped)
-
-
 @pytest.mark.parametrize("write, load", [(_write_small_features, read_features),
                                          (_write_small_checkpoint, load_checkpoint)],
                          ids=["s3vc", "s3ck"])
@@ -37,7 +28,7 @@ def test_every_truncation_and_bit_flip_is_typed(tmp_path, write, load):
     path = tmp_path / "file"
     write(path)
     escaped = []
-    for label, blob in _variants(path.read_bytes()):
+    for label, blob in corrupt_variants(path.read_bytes()):
         path.write_bytes(blob)
         try:
             load(path)

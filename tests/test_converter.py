@@ -15,7 +15,10 @@ from recsynvc.config import AudioConfig, ModelConfig
 from recsynvc.converter import (
     average_embedding,
     convert,
+    denormalize,
     load_model,
+    model_checkpoint,
+    normalize,
     read_embedding,
     speaker_encoder_adapter,
     vocode,
@@ -31,10 +34,9 @@ from recsynvc.errors import (
     VoiceConversionError,
     ZeroMeanVectorError,
 )
-from recsynvc.featureio import write_features
+from recsynvc.featureio import feature_path, write_features
 from recsynvc.recognizer import mel_upstream, recognize, resample_features
 from recsynvc.synthesizer import build_decoder, decoder_meta, forward_free_running
-from recsynvc.trainer import denormalize, normalize
 from recsynvc.types import FeatureSequence, MelSpectrogram, Waveform, LOG_MEL_FLOOR
 
 
@@ -44,10 +46,9 @@ def _source_wave(toy_corpus):
 
 
 class TestConvert:
-    def test_output_shape_and_floor(self, toy_corpus, quick_checkpoint, audio):
+    def test_output_shape_and_floor(self, toy_corpus, quick_checkpoint):
         wave = _source_wave(toy_corpus)
-        mel = convert(wave, load_checkpoint(quick_checkpoint["path"]),
-                      mel_upstream(audio))
+        mel = convert(wave, load_checkpoint(quick_checkpoint["path"]))
         assert mel.frames.shape[1] == 80
         assert np.min(mel.frames) >= LOG_MEL_FLOOR
 
@@ -58,9 +59,10 @@ class TestConvert:
         wave = _source_wave(toy_corpus)
         ckpt = load_checkpoint(quick_checkpoint["path"])
         spec = mel_upstream(audio)
-        mel = convert(wave, ckpt, spec, dropout_seed=3)
+        mel = convert(wave, ckpt, dropout_seed=3)
 
-        params, stats, audio_cfg, _ = load_model(ckpt)
+        model = load_model(ckpt)
+        params, stats, audio_cfg = model.params, model.stats, model.audio
         content = resample_features(recognize(wave, spec, audio_cfg),
                                     audio_cfg.frame_shift_ms)
         x = normalize(content.frames.astype(np.float64),
@@ -70,23 +72,24 @@ class TestConvert:
         expected = np.maximum(y, LOG_MEL_FLOOR)
         assert np.array_equal(mel.frames, expected)
 
-    def test_embedding_argument_contract(self, toy_corpus, quick_checkpoint,
-                                         audio):
+    def test_embedding_argument_contract(self, toy_corpus, quick_checkpoint):
         wave = _source_wave(toy_corpus)
         ckpt = load_checkpoint(quick_checkpoint["path"])
         emb = sphere_embedding("nope", dim=16)
         with pytest.raises(ExtraEmbeddingError):
-            convert(wave, ckpt, mel_upstream(audio), s=emb)
+            convert(wave, ckpt, s=emb)
 
     def test_upstream_dim_must_match_checkpoint(self, toy_corpus,
-                                                quick_checkpoint, audio):
-        from recsynvc.recognizer import external_upstream
-
-        wave = _source_wave(toy_corpus)
+                                                quick_checkpoint, tmp_path):
+        # an external upstream's 7-dim files, read by a model trained on 80 dims
         ckpt = load_checkpoint(quick_checkpoint["path"])
-        spec = external_upstream("ssl_stub", 7, 20.0, "/tmp")
+        meta = copy.deepcopy(ckpt.meta)
+        meta["upstream"]["name"] = "ssl_stub"
+        record = toy_corpus["manifest"].records[0]
+        write_features(feature_path(tmp_path, record.utt_id),
+                       FeatureSequence(np.zeros((5, 7), np.float32), 10.0))
         with pytest.raises(DimensionMismatchError):
-            convert(wave, ckpt, spec)
+            convert(record, Checkpoint(meta=meta, tensors=ckpt.tensors), tmp_path)
 
 
 @pytest.mark.parametrize("corrupt, entry", [
@@ -100,11 +103,16 @@ class TestConvert:
     (lambda meta: meta["audio"].update(hop_length=None), "hop_length"),
     (lambda meta: meta["audio"].update(hop_length=0), "hop_length"),
     (lambda meta: meta.update(seed="x"), "seed"),
+    (lambda meta: meta.pop("upstream"), "upstream"),
+    (lambda meta: meta["upstream"].update(feature_dim=81), "upstream"),
+    (lambda meta: meta["upstream"].update(frame_shift_ms=0.0), "upstream"),
+    (lambda meta: meta["upstream"].update(name=3), "upstream"),
     (lambda tensors: tensors.pop("stats.target_std"), "stats.target_std"),
     (lambda tensors: tensors.update({"stats.input_mean": np.zeros(3)}), "stats.input_mean"),
 ], ids=["unknown_key", "no_input_dim", "no_decoder", "no_audio", "str_hidden_dim",
         "null_prenet_dims", "list_decoder", "null_hop_length", "zero_hop_length",
-        "str_seed", "no_target_std", "narrow_input_mean"])
+        "str_seed", "no_upstream", "wide_upstream", "zero_frame_shift", "int_upstream_name",
+        "no_target_std", "narrow_input_mean"])
 def test_load_model_rejects_malformed_meta(quick_checkpoint, corrupt, entry):
     ckpt = load_checkpoint(quick_checkpoint["path"])
     meta, tensors = copy.deepcopy(ckpt.meta), dict(ckpt.tensors)
@@ -121,7 +129,7 @@ def _tiny_checkpoint_headers(path):
              for side, width in (("input", 3), ("target", 80))
              for kind in ("mean", "std")}
     meta = {"decoder": decoder_meta(params.config, 3), "audio": asdict(AudioConfig()),
-            "seed": 0}
+            "seed": 0, "upstream": {"name": "ssl", "feature_dim": 3, "frame_shift_ms": 20.0}}
     tensors = {**params.tensors, **stats}
     save_checkpoint(path, Checkpoint(meta=meta, tensors=tensors))
     # layout: magic, version, meta length and text, count, then per tensor
@@ -148,7 +156,7 @@ def test_every_tensor_header_bit_flip_is_typed(tmp_path):
             flipped[i] ^= 1 << bit
             path.write_bytes(bytes(flipped))
             try:
-                forward_free_running(load_model(path)[0], content)
+                forward_free_running(load_model(path).params, content)
             except VoiceConversionError:
                 pass
             except Exception as exc:
@@ -156,9 +164,20 @@ def test_every_tensor_header_bit_flip_is_typed(tmp_path):
     assert escaped == []
 
 
+def test_model_checkpoint_inverts_load_model(quick_checkpoint):
+    ckpt = load_checkpoint(quick_checkpoint["path"])
+    meta = ckpt.meta
+    again = model_checkpoint(load_model(ckpt), meta["mode"], meta["step"],
+                             meta["target_speaker"])
+    assert again.meta == meta
+    assert again.tensors.keys() == ckpt.tensors.keys()
+    assert all(again.tensors[name] is tensor for name, tensor in ckpt.tensors.items())
+
+
 def test_load_model_shares_read_only_tensors(quick_checkpoint):
     ckpt = load_checkpoint(quick_checkpoint["path"])
-    params, stats, _, _ = load_model(ckpt)
+    model = load_model(ckpt)
+    params, stats = model.params, model.stats
     for name, tensor in [*params.tensors.items(),
                          *((f"stats.{k}", v) for k, v in stats.items())]:
         assert tensor is ckpt.tensors[name]

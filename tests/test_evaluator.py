@@ -251,6 +251,33 @@ def test_eer_threshold_overlapping():
     assert eer_threshold([0.4, 0.6, 0.8], [0.2, 0.5, 0.7]) == 0.6
 
 
+def _eer_threshold_by_loop(genuine_scores, impostor_scores):
+    """The candidate loop ``eer_threshold`` replaced: O(n) work per candidate."""
+    genuine = np.asarray(sorted(genuine_scores), dtype=np.float64)
+    impostor = np.asarray(sorted(impostor_scores), dtype=np.float64)
+    candidates = np.unique(np.concatenate([genuine, impostor]))
+    best_t = float(candidates[0])
+    best_gap = np.inf
+    for t in candidates:
+        frr = float(np.mean(genuine < t))
+        far = float(np.mean(impostor >= t))
+        gap = abs(far - frr)
+        if gap < best_gap:
+            best_gap = gap
+            best_t = float(t)
+    return best_t
+
+
+def test_eer_threshold_matches_candidate_loop():
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        genuine = rng.normal(0.6, 0.2, rng.integers(1, 60))
+        impostor = rng.normal(0.3, 0.2, rng.integers(1, 200))
+        if trial % 2:  # coarse scores: ties within and across the two sets
+            genuine, impostor = np.round(genuine, 1), np.round(impostor, 1)
+        assert eer_threshold(genuine, impostor) == _eer_threshold_by_loop(genuine, impostor)
+
+
 def test_eer_threshold_empty():
     with pytest.raises(EmptyInputError):
         eer_threshold([], [0.5])

@@ -41,13 +41,15 @@ def _config(type_, **kw):
 def _through_checkpoint(params, tmp_path):
     """Write ``params`` as a checkpoint file and load it back as parameters."""
     meta = {"decoder": decoder_meta(params.config, params.input_dim),
-            "audio": asdict(AudioConfig()), "seed": params.seed}
+            "audio": asdict(AudioConfig()), "seed": params.seed,
+            "upstream": {"name": "ssl", "feature_dim": params.input_dim,
+                         "frame_shift_ms": 20.0}}
     widths = {"input": params.input_dim, "target": 80}
     stats = {f"stats.{side}_{kind}": np.ones(width)
              for side, width in widths.items() for kind in ("mean", "std")}
     path = tmp_path / "model.s3ck"
     save_checkpoint(path, Checkpoint(meta=meta, tensors={**params.tensors, **stats}))
-    return load_model(path)[0]
+    return load_model(path).params
 
 
 def _data(rng, t=11, input_dim=12):

@@ -7,6 +7,7 @@ from helpers import sphere_embedding, toy_config
 
 from recsynvc.checkpoint import load_checkpoint
 from recsynvc.config import ModelConfig
+from recsynvc.converter import denormalize, normalize
 from recsynvc.errors import (
     EmptyInputError,
     EmptyManifestError,
@@ -20,9 +21,7 @@ from recsynvc.synthesizer import build_decoder
 from recsynvc.trainer import (
     AdamOptimizer,
     compute_loss,
-    denormalize,
     loss_and_grads,
-    normalize,
     train_a2a,
     train_a2o,
 )
