@@ -24,6 +24,7 @@ import shlex
 import subprocess
 import tempfile
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -203,10 +204,10 @@ def vocode_native(mel, audio: AudioConfig) -> Waveform:
     if not np.all(np.isfinite(frames)):
         raise NonFiniteInputError("mel contains non-finite values")
     energies = np.exp(frames)
-    fb = mel_filterbank(audio.sample_rate, audio.win_length, audio.n_mels,
-                        audio.fmin, audio.fmax)
     # energies ~ |S| @ fb.T; invert with the pseudo-inverse, clip negatives
-    magnitudes = np.maximum(energies @ np.linalg.pinv(fb).T, 0.0)
+    fb_pinv = _mel_pseudo_inverse(audio.sample_rate, audio.win_length, audio.n_mels,
+                                  audio.fmin, audio.fmax)
+    magnitudes = np.maximum(energies @ fb_pinv.T, 0.0)
     wave = griffin_lim(magnitudes, audio.win_length, audio.hop_length,
                        n_iters=audio.griffin_lim_iters)
     wave = wave[: frames.shape[0] * audio.hop_length]
@@ -214,6 +215,14 @@ def vocode_native(mel, audio: AudioConfig) -> Waveform:
     if peak > 1.0:
         wave = wave / peak
     return Waveform(wave, audio.sample_rate)
+
+
+@lru_cache(maxsize=16)
+def _mel_pseudo_inverse(sample_rate, win_length, n_mels, fmin, fmax) -> np.ndarray:
+    """Read-only pseudo-inverse of the mel filterbank, built once per audio setting."""
+    fb_pinv = np.linalg.pinv(mel_filterbank(sample_rate, win_length, n_mels, fmin, fmax))
+    fb_pinv.flags.writeable = False
+    return fb_pinv
 
 
 def run_adapter(command, args) -> tuple[str, str]:

@@ -7,6 +7,8 @@ periodic Hann window, no center padding, magnitude spectra.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -24,10 +26,10 @@ def frame_count(num_samples: int, win_length: int, hop_length: int) -> int:
 
 
 def frame_signal(samples: np.ndarray, win_length: int, hop_length: int) -> np.ndarray:
-    """Slice a signal into overlapping frames, shape (T, win_length)."""
-    n_frames = frame_count(samples.size, win_length, hop_length)
-    idx = np.arange(win_length)[None, :] + hop_length * np.arange(n_frames)[:, None]
-    return samples[idx]
+    """Read-only strided view of a signal's overlapping frames, shape (T, win_length)."""
+    if samples.size < win_length:
+        return np.empty((0, win_length))
+    return np.lib.stride_tricks.sliding_window_view(samples, win_length)[::hop_length]
 
 
 def stft(samples: np.ndarray, win_length: int, hop_length: int) -> np.ndarray:
@@ -42,19 +44,32 @@ def istft(spectra: np.ndarray, win_length: int, hop_length: int) -> np.ndarray:
     Returns (T - 1) * hop + win samples; the caller trims to taste.
     """
     spectra = np.asarray(spectra)
-    n_frames = spectra.shape[0]
     window = hann_window(win_length)
-    frames = np.fft.irfft(spectra, n=win_length, axis=1) * window[None, :]
-    out_len = (n_frames - 1) * hop_length + win_length
-    out = np.zeros(out_len)
-    wsum = np.zeros(out_len)
+    return _overlap_add(spectra, window, hop_length,
+                        *_window_sums(spectra.shape[0], window, hop_length))
+
+
+def _window_sums(n_frames, window, hop_length):
+    """Overlap-added squared window of an n-frame ISTFT, and where it is nonzero.
+
+    It depends only on the frame count, so Griffin-Lim builds it once per call.
+    """
+    win_length = window.size
+    wsum = np.zeros((n_frames - 1) * hop_length + win_length)
     wsq = window * window
     for t in range(n_frames):
-        start = t * hop_length
-        out[start:start + win_length] += frames[t]
-        wsum[start:start + win_length] += wsq
-    nonzero = wsum > 1e-11
-    out[nonzero] /= wsum[nonzero]
+        wsum[t * hop_length:t * hop_length + win_length] += wsq
+    return wsum, wsum > 1e-11
+
+
+def _overlap_add(spectra, window, hop_length, wsum, nonzero):
+    """Window and overlap-add the frames of ``spectra``, normalised by ``wsum``."""
+    win_length = window.size
+    frames = np.fft.irfft(spectra, n=win_length, axis=1) * window[None, :]
+    out = np.zeros(wsum.size)
+    for t in range(frames.shape[0]):
+        out[t * hop_length:t * hop_length + win_length] += frames[t]
+    np.divide(out, wsum, out=out, where=nonzero)
     return out
 
 
@@ -66,8 +81,12 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@lru_cache(maxsize=16)
 def mel_filterbank(sample_rate, win_length, n_mels, fmin, fmax) -> np.ndarray:
-    """Triangular mel filterbank, shape (n_mels, win_length // 2 + 1)."""
+    """Triangular mel filterbank, shape (n_mels, win_length // 2 + 1).
+
+    Built once per audio setting; the cached array is read-only.
+    """
     edges = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
     freqs = np.fft.rfftfreq(win_length, d=1.0 / sample_rate)
     fb = np.zeros((n_mels, freqs.size))
@@ -76,13 +95,8 @@ def mel_filterbank(sample_rate, win_length, n_mels, fmin, fmax) -> np.ndarray:
         rising = (freqs - lo) / max(center - lo, 1e-12)
         falling = (hi - freqs) / max(hi - center, 1e-12)
         fb[m] = np.clip(np.minimum(rising, falling), 0.0, None)
+    fb.flags.writeable = False
     return fb
-
-
-def mel_center_frequencies(sample_rate, win_length, n_mels, fmin, fmax) -> np.ndarray:
-    """Center frequency (Hz) of each triangular filter."""
-    edges = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
-    return edges[1:-1]
 
 
 def griffin_lim(magnitudes: np.ndarray, win_length: int, hop_length: int,
@@ -92,9 +106,16 @@ def griffin_lim(magnitudes: np.ndarray, win_length: int, hop_length: int,
     Starts from zero phase, so the result is deterministic.
     """
     magnitudes = np.asarray(magnitudes, dtype=np.float64)
-    signal = istft(magnitudes.astype(np.complex128), win_length, hop_length)
+    window = hann_window(win_length)
+    sums = _window_sums(magnitudes.shape[0], window, hop_length)
+    signal = _overlap_add(magnitudes.astype(np.complex128), window, hop_length, *sums)
+    phased = np.empty(magnitudes.shape, dtype=np.complex128)
     for _ in range(n_iters):
         spectra = stft(signal, win_length, hop_length)
-        phases = spectra / np.maximum(np.abs(spectra), 1e-12)
-        signal = istft(magnitudes * phases, win_length, hop_length)
+        # magnitudes * spectra / |spectra|, in the bits of numpy's complex / real
+        # division, which scales both parts by the reciprocal of the divisor
+        inv_abs = 1.0 / np.maximum(np.abs(spectra), 1e-12)
+        np.multiply(spectra.real * inv_abs, magnitudes, out=phased.real)
+        np.multiply(spectra.imag * inv_abs, magnitudes, out=phased.imag)
+        signal = _overlap_add(phased, window, hop_length, *sums)
     return signal

@@ -87,28 +87,32 @@ def dtw_align(a, b) -> list[tuple[int, int]]:
     dist = np.empty((ta, tb))
     # predecessor codes: 0 = (1,1) diagonal, 1 = (1,0) advance a, 2 = (0,1) advance b
     move = np.zeros((ta, tb), dtype=np.uint8)
-    dist[0, 0] = cost[0, 0]
-    for j in range(1, tb):
-        dist[0, j] = dist[0, j - 1] + cost[0, j]
-        move[0, j] = 2
-    for i in range(1, ta):
-        dist[i, 0] = dist[i - 1, 0] + cost[i, 0]
-        move[i, 0] = 1
-        row = dist[i]
-        above = dist[i - 1]
-        crow = cost[i]
-        mrow = move[i]
-        for j in range(1, tb):
-            best = above[j - 1]
-            code = 0
-            if above[j] < best:
-                best = above[j]
-                code = 1
-            if row[j - 1] < best:
-                best = row[j - 1]
-                code = 2
-            row[j] = best + crow[j]
-            mrow[j] = code
+    dist[0] = np.cumsum(cost[0])
+    dist[:, 0] = np.cumsum(cost[:, 0])
+    move[0, 1:] = 2
+    move[1:, 0] = 1
+    # Sweep the interior by anti-diagonals d = i + j: every cell of one depends
+    # only on the two before it.  In the flat arrays the cells (i, d - i) of a
+    # diagonal sit at d + i * (tb - 1), one strided slice per diagonal.
+    flat_dist, flat_cost, flat_move = dist.ravel(), cost.ravel(), move.ravel()
+    step = tb - 1
+
+    def cells(d, lo, hi):
+        return slice(d + lo * step, d + hi * step + 1, step)
+
+    for d in range(2, ta + tb - 1) if ta > 1 and tb > 1 else ():
+        lo, hi = max(1, d - step), min(ta - 1, d - 1)
+        # ties keep the diagonal, then up: the first strictly smaller candidate wins
+        best = flat_dist[cells(d - 2, lo - 1, hi - 1)]
+        above = flat_dist[cells(d - 1, lo - 1, hi - 1)]
+        left = flat_dist[cells(d - 1, lo, hi)]
+        take_above = above < best
+        best = np.where(take_above, above, best)
+        take_left = left < best
+        best = np.where(take_left, left, best)
+        here = cells(d, lo, hi)
+        flat_dist[here] = best + flat_cost[here]
+        flat_move[here] = np.where(take_left, 2, take_above)
 
     path = [(ta - 1, tb - 1)]
     i, j = ta - 1, tb - 1

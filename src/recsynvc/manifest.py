@@ -1,8 +1,8 @@
 """Dataset manifests: one JSON object per line.
 
-Required keys per line: ``utt_id``, ``speaker_id``, ``wav_path``, ``language``;
-``transcript`` may be null or absent.  Relative wav paths resolve against the
-manifest's own directory.
+Required keys per line: ``utt_id``, ``speaker_id``, ``wav_path`` (a string),
+``language``; ``transcript`` is a string, null or absent.  Relative wav paths
+resolve against the manifest's own directory.
 """
 
 from __future__ import annotations
@@ -44,6 +44,12 @@ def load_manifest(path, role=None) -> DatasetManifest:
             for key in _REQUIRED:
                 if key not in obj or obj[key] is None:
                     raise MissingFieldError(key, line_number)
+            if not isinstance(obj["wav_path"], str):
+                raise ManifestParseError("field 'wav_path' must be a string", line_number)
+            transcript = obj.get("transcript")
+            if transcript is not None and not isinstance(transcript, str):
+                raise ManifestParseError("field 'transcript' must be a string or null",
+                                         line_number)
             wav_path = Path(obj["wav_path"])
             if not wav_path.is_absolute():
                 wav_path = base / wav_path
@@ -52,7 +58,7 @@ def load_manifest(path, role=None) -> DatasetManifest:
                     utt_id=str(obj["utt_id"]),
                     speaker_id=str(obj["speaker_id"]),
                     wav_path=wav_path,
-                    transcript=obj.get("transcript"),
+                    transcript=transcript,
                     language=str(obj["language"]),
                 )
             )

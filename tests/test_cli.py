@@ -85,6 +85,19 @@ def test_extract_features_rejects_external_upstream(cli_corpus, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("field, value", [("wav_path", 5), ("transcript", 5)])
+def test_extract_features_bad_field_type_is_one_error_line(tmp_path, capsys, field, value):
+    record = {"utt_id": "u", "speaker_id": "s", "wav_path": "u.wav", "language": "en"}
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({**record, field: value}) + "\n")
+    capsys.readouterr()
+    rc = main(["extract-features", str(manifest), "--out-dir", str(tmp_path / "feats")])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "line 1" in lines[0] and field in lines[0]
+
+
 # --- train / convert -----------------------------------------------------------
 
 def test_train_writes_checkpoint_and_log(cli_corpus, cli_config, tmp_path):

@@ -13,6 +13,7 @@ from recsynvc.audioio import load_waveform, save_waveform
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from recsynvc.config import AudioConfig, ModelConfig
 from recsynvc.converter import (
+    _mel_pseudo_inverse,
     average_embedding,
     convert,
     denormalize,
@@ -237,9 +238,18 @@ class TestVocodeNative:
 
     def test_deterministic(self, audio, toy_corpus):
         mel = self._mel(audio, toy_corpus)
-        a = vocode_native(mel, audio)
-        b = vocode_native(mel, audio)
+        _mel_pseudo_inverse.cache_clear()
+        a = vocode_native(mel, audio)  # builds the pseudo-inverse
+        b = vocode_native(mel, audio)  # reuses it
         assert np.array_equal(a.samples, b.samples)
+
+    def test_pseudo_inverse_is_cached_read_only(self, audio):
+        key = (audio.sample_rate, audio.win_length, audio.n_mels, audio.fmin, audio.fmax)
+        fb_pinv = _mel_pseudo_inverse(*key)
+        assert _mel_pseudo_inverse(*key) is fb_pinv
+        assert fb_pinv.shape == (audio.win_length // 2 + 1, audio.n_mels)
+        with pytest.raises(ValueError):
+            fb_pinv[0, 0] = 1.0
 
 
 class TestVocodeExternal:

@@ -4,6 +4,52 @@ import numpy as np
 import pytest
 
 from recsynvc import dsp
+from recsynvc.config import AudioConfig
+from recsynvc.dsp import hz_to_mel, mel_to_hz
+
+
+def mel_center_frequencies(sample_rate, win_length, n_mels, fmin, fmax) -> np.ndarray:
+    """Center frequency (Hz) of each triangular filter."""
+    edges = mel_to_hz(np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2))
+    return edges[1:-1]
+
+
+# The kernels as first written, kept as references: the library's faster forms
+# must return exactly these bits.
+
+def _reference_stft(samples, win_length, hop_length):
+    samples = np.asarray(samples, dtype=np.float64)
+    n_frames = dsp.frame_count(samples.size, win_length, hop_length)
+    idx = np.arange(win_length)[None, :] + hop_length * np.arange(n_frames)[:, None]
+    return np.fft.rfft(samples[idx] * dsp.hann_window(win_length)[None, :], axis=1)
+
+
+def _reference_istft(spectra, win_length, hop_length):
+    spectra = np.asarray(spectra)
+    n_frames = spectra.shape[0]
+    window = dsp.hann_window(win_length)
+    frames = np.fft.irfft(spectra, n=win_length, axis=1) * window[None, :]
+    out_len = (n_frames - 1) * hop_length + win_length
+    out = np.zeros(out_len)
+    wsum = np.zeros(out_len)
+    wsq = window * window
+    for t in range(n_frames):
+        start = t * hop_length
+        out[start:start + win_length] += frames[t]
+        wsum[start:start + win_length] += wsq
+    nonzero = wsum > 1e-11
+    out[nonzero] /= wsum[nonzero]
+    return out
+
+
+def _reference_griffin_lim(magnitudes, win_length, hop_length, n_iters):
+    magnitudes = np.asarray(magnitudes, dtype=np.float64)
+    signal = _reference_istft(magnitudes.astype(np.complex128), win_length, hop_length)
+    for _ in range(n_iters):
+        spectra = _reference_stft(signal, win_length, hop_length)
+        phases = spectra / np.maximum(np.abs(spectra), 1e-12)
+        signal = _reference_istft(magnitudes * phases, win_length, hop_length)
+    return signal
 
 
 def test_hann_window_is_periodic():
@@ -35,6 +81,14 @@ def test_stft_shape_and_peak_bin():
     assert np.all(np.argmax(mags, axis=1) == 40)
 
 
+@pytest.mark.parametrize("n", [0, 1023, 1024, 1025, 72000])
+def test_stft_matches_fancy_index_reference(n):
+    x = np.random.default_rng(n).uniform(-0.5, 0.5, n)
+    spectra = dsp.stft(x, 1024, 240)
+    assert spectra.shape == (dsp.frame_count(n, 1024, 240), 513)
+    assert np.array_equal(spectra, _reference_stft(x, 1024, 240))
+
+
 def test_istft_reconstructs_interior():
     rng = np.random.default_rng(0)
     x = rng.uniform(-0.5, 0.5, 24000)
@@ -50,10 +104,20 @@ def test_mel_filterbank_properties():
     assert fb.shape == (80, 513)
     assert np.all(fb >= 0.0)
     assert np.all(fb.sum(axis=1) > 0.0)  # every filter has support
-    centers = dsp.mel_center_frequencies(24000, 1024, 80, 0.0, 12000.0)
+    centers = mel_center_frequencies(24000, 1024, 80, 0.0, 12000.0)
     assert len(centers) == 80
     assert np.all(np.diff(centers) > 0)  # strictly increasing
     assert centers[0] > 0.0 and centers[-1] < 12000.0
+
+
+def test_mel_filterbank_is_cached_read_only_per_setting():
+    low, high = AudioConfig(fmax=8000.0), AudioConfig(fmax=12000.0)
+    banks = [dsp.mel_filterbank(a.sample_rate, a.win_length, a.n_mels, a.fmin, a.fmax)
+             for a in (low, high, low)]
+    assert banks[2] is banks[0]
+    assert not np.array_equal(banks[0], banks[1])
+    with pytest.raises(ValueError):
+        banks[0][0, 0] = 1.0
 
 
 def test_mel_scale_round_trip():
@@ -85,3 +149,17 @@ def test_griffin_lim_deterministic():
     a = dsp.griffin_lim(mags, 1024, 240, n_iters=8)
     b = dsp.griffin_lim(mags, 1024, 240, n_iters=8)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 46, 296])
+def test_griffin_lim_matches_per_iteration_istft_reference(n_frames):
+    rng = np.random.default_rng(n_frames)
+    mags = np.abs(rng.standard_normal((n_frames, 513)))
+    mags[:, rng.random(513) < 0.2] = 0.0  # zero-magnitude bins
+    if n_frames > 1:
+        mags[n_frames // 2, :] = 0.0  # and one silent frame
+    for n_iters in (0, 1, 32):
+        got = dsp.griffin_lim(mags, 1024, 240, n_iters=n_iters)
+        assert np.array_equal(got, _reference_griffin_lim(mags, 1024, 240, n_iters)), n_iters
+    spectra = rng.standard_normal((n_frames, 513)) + 1j * rng.standard_normal((n_frames, 513))
+    assert np.array_equal(dsp.istft(spectra, 1024, 240), _reference_istft(spectra, 1024, 240))

@@ -136,6 +136,57 @@ def test_dtw_align_beats_corner_path():
     assert best <= path_cost(a, b, corner) + 1e-12
 
 
+def _reference_dtw_align(a, b):
+    """The row-by-row double loop first written, kept as the bit-identity reference."""
+    fa, fb = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    ta, tb = fa.shape[0], fb.shape[0]
+    cost = ((fa * fa).sum(axis=1)[:, None] + (fb * fb).sum(axis=1)[None, :]
+            - 2.0 * (fa @ fb.T))
+    np.maximum(cost, 0.0, out=cost)
+    dist = np.empty((ta, tb))
+    move = np.zeros((ta, tb), dtype=np.uint8)
+    dist[0, 0] = cost[0, 0]
+    for j in range(1, tb):
+        dist[0, j] = dist[0, j - 1] + cost[0, j]
+        move[0, j] = 2
+    for i in range(1, ta):
+        dist[i, 0] = dist[i - 1, 0] + cost[i, 0]
+        move[i, 0] = 1
+        for j in range(1, tb):
+            best = dist[i - 1, j - 1]
+            code = 0
+            if dist[i - 1, j] < best:
+                best = dist[i - 1, j]
+                code = 1
+            if dist[i, j - 1] < best:
+                best = dist[i, j - 1]
+                code = 2
+            dist[i, j] = best + cost[i, j]
+            move[i, j] = code
+    path = [(ta - 1, tb - 1)]
+    i, j = ta - 1, tb - 1
+    while (i, j) != (0, 0):
+        code = move[i, j]
+        if code == 0:
+            i, j = i - 1, j - 1
+        elif code == 1:
+            i -= 1
+        else:
+            j -= 1
+        path.append((i, j))
+    return path[::-1]
+
+
+@pytest.mark.parametrize("rounded", [False, True], ids=["raw", "rounded"])
+@pytest.mark.parametrize("ta, tb", [(1, 1), (1, 7), (7, 1), (46, 48), (300, 296)])
+def test_dtw_align_matches_double_loop_reference(ta, tb, rounded):
+    rng = np.random.default_rng(ta * 1000 + tb)
+    a, b = rng.standard_normal((ta, 3)), rng.standard_normal((tb, 3))
+    if rounded:  # integer frames make equal costs, so the tie order decides
+        a, b = np.round(a), np.round(b)
+    assert dtw_align(a, b) == _reference_dtw_align(a, b)
+
+
 def test_dtw_align_errors():
     with pytest.raises(EmptyInputError):
         dtw_align(np.empty((0, 3)), np.zeros((2, 3)))

@@ -1,8 +1,10 @@
 """Manifest file parsing and writing."""
 
+import json
+
 import pytest
 
-from recsynvc.errors import DuplicateUtteranceError, ManifestError
+from recsynvc.errors import DuplicateUtteranceError, ManifestError, ManifestParseError
 from recsynvc.manifest import load_manifest, write_manifest
 from recsynvc.types import DatasetManifest, UtteranceRecord
 
@@ -72,6 +74,17 @@ def test_missing_required_field(tmp_path):
     path = tmp_path / "data.tsv"
     path.write_text('{"utt_id": "u1", "wav_path": "u1.wav", "language": "en"}\n')
     with pytest.raises(ManifestError, match="speaker_id"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("wav_path", 5), ("wav_path", ["u1.wav"]), ("transcript", 5), ("transcript", {}),
+])
+def test_field_of_wrong_type_names_field_and_line(tmp_path, field, value):
+    good = {"utt_id": "u1", "speaker_id": "A", "wav_path": "u1.wav", "language": "en"}
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+    with pytest.raises(ManifestParseError, match=rf"line 2: field '{field}'"):
         load_manifest(path)
 
 

@@ -29,6 +29,25 @@ def test_sigmoid_range_and_symmetry():
     np.testing.assert_allclose(s + nnops.sigmoid(-x), 1.0, atol=1e-12)
 
 
+def _reference_sigmoid(x):
+    """The masked form first written, kept as the bit-identity reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_masked_reference():
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0,
+                      800.0, -800.0, np.nan])
+    assert np.array_equal(nnops.sigmoid(edges), _reference_sigmoid(edges), equal_nan=True)
+    # gate blocks are column slices of a (B, 4H) array
+    z = np.random.default_rng(0).standard_normal((8, 64)) * 20.0
+    assert np.array_equal(nnops.sigmoid(z[:, :32]), _reference_sigmoid(z[:, :32]))
+
+
 def test_glorot_scale():
     rng = np.random.default_rng(0)
     w = nnops.glorot(rng, (200, 300), 300, 200)
