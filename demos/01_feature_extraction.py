@@ -14,9 +14,10 @@ import numpy as np
 from recsynvc.config import AudioConfig
 from recsynvc.featureio import feature_path, read_features, write_features
 from recsynvc.manifest import load_manifest
-from recsynvc.recognizer import LOG_MEL_FLOOR, extract_mel
+from recsynvc.recognizer import LOG_MEL_FLOOR, external_upstream, extract_mel
 from recsynvc.audioio import load_waveform
 from recsynvc.synthetic import make_toy_corpus
+from recsynvc.types import N_MELS
 
 work = Path(tempfile.mkdtemp(prefix="demo_features_"))
 print(f"working directory: {work}")
@@ -30,7 +31,7 @@ print(f"corpus: {len(manifest.records)} utterances, "
 audio = AudioConfig()
 print(f"analysis: {audio.sample_rate} Hz, win {audio.win_length}, "
       f"hop {audio.hop_length} ({audio.frame_shift_ms:.0f} ms frames), "
-      f"{audio.n_mels} mel bands {audio.fmin:.0f}-{audio.fmax:.0f} Hz")
+      f"{N_MELS} mel bands {audio.fmin:.0f}-{audio.fmax:.0f} Hz")
 
 feat_dir = work / "features"
 feat_dir.mkdir()
@@ -41,7 +42,7 @@ for record in manifest:
     # one frame per hop once a full window fits; values live on a log scale
     # clamped at LOG_MEL_FLOOR so silence is a finite constant
     expected = 1 + (wave.samples.size - audio.win_length) // audio.hop_length
-    assert mel.frames.shape == (expected, audio.n_mels)
+    assert mel.frames.shape == (expected, N_MELS)
     print(f"  {record.utt_id}: {wave.samples.size} samples -> "
           f"{mel.frames.shape[0]} frames, "
           f"range [{mel.frames.min():.1f}, {mel.frames.max():.1f}] "
@@ -57,5 +58,13 @@ print(f"round trip: shape {seq.frames.shape}, shift {seq.frame_shift_ms} ms, "
       f"max reload error "
       f"{np.max(np.abs(seq.frames - mel.frames.astype(np.float32))):.1e}")
 
+# a directory of feature files is all an external upstream needs: its width
+# and frame shift are read from the files themselves
+spec = external_upstream("mel_files", feat_dir)
+print(f"as an external upstream: {spec.feature_dim} dims, "
+      f"{spec.frame_shift_ms:.0f} ms frames")
+
 # the same extraction is available as:
 #   recsynvc extract-features corpus/manifest.jsonl --out-dir features
+# and training on any directory of .s3vc files as:
+#   recsynvc train corpus/manifest.jsonl --upstream NAME --feature-dir features --out-dir run

@@ -38,7 +38,9 @@ config = Config(
 )
 
 # the content upstream here is the package's own log-mel extractor; any
-# externally computed feature directory can stand in via external_upstream
+# externally computed feature directory can stand in via
+# external_upstream(name, feature_dir), which reads the width and frame shift
+# from the feature files
 run = train_a2o(manifest, mel_upstream(config.audio), config, work / "run")
 print(f"loss: step 1 {run.loss_history[0]:.4f} -> "
       f"step {run.step} {run.loss_history[-1]:.4f} "

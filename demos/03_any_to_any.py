@@ -35,7 +35,8 @@ print(f"corpus: {len(manifest.records)} utterances across "
 
 def stub_encoder(record) -> SpeakerEmbedding:
     # deterministic hash-to-sphere stand-in for a real verification encoder;
-    # swap in speaker_encoder_adapter(...) to call an external model
+    # swap in speaker_encoder_adapter(record.wav_path, command) to call an
+    # external model
     digest = hashlib.sha256(record.speaker_id.encode()).digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
     return SpeakerEmbedding.from_raw(rng.standard_normal(16))

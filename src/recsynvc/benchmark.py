@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from pathlib import Path
 
+from .errors import CorrelationFileError
 from .evaluator import (
     CorrelationResult,
     MetricsRow,
@@ -40,14 +42,30 @@ def load_benchmark_rows() -> list[MetricsRow]:
         return read_metrics_table(path)
 
 
-def published_correlations() -> dict[tuple[str, str], float]:
-    """The ten published upper-triangle coefficients, keyed by label pair."""
-    raw = json.loads(_data_file("published_correlations.json").read_text("utf-8"))
-    out = {}
-    for key, value in raw["coefficients"].items():
-        a, b = key.split(":")
-        out[(a, b)] = float(value)
-    return out
+def published_correlations(path=None) -> dict[tuple[str, str], float]:
+    """The ten published upper-triangle coefficients, keyed by label pair.
+
+    Reads the bundled set, or the JSON file ``path``: an object whose
+    ``"coefficients"`` object maps ``"A:B"``, for each pair ``(A, B)`` of
+    ``PAIR_ORDER``, to a number.  A file of any other form raises
+    ``CorrelationFileError`` naming it.
+    """
+    source = _data_file("published_correlations.json") if path is None else Path(path)
+    try:
+        raw = json.loads(source.read_text("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CorrelationFileError(f"{source}: not UTF-8 JSON ({exc})") from None
+    coefficients = raw.get("coefficients") if isinstance(raw, dict) else None
+    if not isinstance(coefficients, dict):
+        raise CorrelationFileError(f"{source}: no 'coefficients' object")
+    pairs = {f"{a}:{b}": (a, b) for a, b in PAIR_ORDER}
+    if coefficients.keys() != pairs.keys():
+        raise CorrelationFileError(f"{source}: 'coefficients' keys {', '.join(coefficients)} "
+                                   f"are not {', '.join(pairs)}")
+    for key, value in coefficients.items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise CorrelationFileError(f"{source}: {key!r} value {value!r} is not a number")
+    return {pairs[key]: float(value) for key, value in coefficients.items()}
 
 
 def upper_triangle(result: CorrelationResult) -> dict[tuple[str, str], float]:

@@ -47,7 +47,7 @@ from .evaluator import (
 )
 from .featureio import feature_path, write_features
 from .manifest import load_manifest
-from .recognizer import extract_mel, external_upstream, mel_upstream
+from .recognizer import MEL_UPSTREAM, extract_mel, external_upstream, mel_upstream
 from .trainer import train_a2a, train_a2o
 
 
@@ -69,36 +69,10 @@ def _load_config(args) -> Config:
     return config
 
 
-def _upstream_spec(args, audio):
-    if args.upstream == "mel":
-        return mel_upstream(audio)
-    if args.feature_dir is None or args.feature_dim is None or args.frame_shift is None:
-        raise VoiceConversionError(
-            "external upstreams need --feature-dir, --feature-dim and --frame-shift"
-        )
-    return external_upstream(args.upstream, args.feature_dim, args.frame_shift,
-                             args.feature_dir)
-
-
-def _add_upstream_flags(sub):
-    sub.add_argument("--upstream", default="mel",
-                     help="content upstream: 'mel' or an external feature name")
-    sub.add_argument("--feature-dir", type=Path, default=None,
-                     help="directory of precomputed .s3vc files (external upstreams)")
-    sub.add_argument("--feature-dim", type=int, default=None)
-    sub.add_argument("--frame-shift", type=float, default=None,
-                     help="external upstream frame shift in ms")
-
-
 # --- extract-features ---------------------------------------------------------
 
 def cmd_extract_features(args) -> int:
     config = _load_config(args)
-    if args.upstream != "mel":
-        return _fail(
-            "feature extraction supports the native mel upstream only; "
-            "external upstream features are produced by their own tools"
-        )
     manifest = load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -157,7 +131,10 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     role = "target_speaker" if args.mode == "a2o" else "multi_speaker"
     manifest = load_manifest(args.manifest, role=role)
-    spec = _upstream_spec(args, config.audio)
+    if args.upstream == MEL_UPSTREAM and args.feature_dir is None:
+        spec = mel_upstream(config.audio)
+    else:
+        spec = external_upstream(args.upstream, args.feature_dir)
     if args.mode == "a2o":
         run = train_a2o(manifest, spec, config, args.out_dir,
                         log_file=args.log_file)
@@ -242,44 +219,39 @@ def cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     audio = config.audio
 
-    mcd_scores: list[tuple[str, float]] = []
-    wer_scores: list[tuple[str, float]] = []
-    trials = []
+    rows: dict[str, dict[str, float]] = {}  # per scored utterance: its mcd and wer
+    conv_embeddings = []
     target_embeddings = []
-    scored = []
 
     for record in manifest:
         conv_wav_path = converted_dir / f"{record.utt_id}.wav"
         if not conv_wav_path.exists():
             _note(f"warning: no converted wav for {record.utt_id}, skipping")
             continue
-        scored.append(record.utt_id)
+        row = rows[record.utt_id] = {}
         conv_wave = load_waveform(conv_wav_path, target_rate=audio.sample_rate)
 
         ref_wave = None
         if record.wav_path.exists():
             ref_wave = load_waveform(record.wav_path, target_rate=audio.sample_rate)
-            mcd_scores.append((record.utt_id, mcd(
+            row["mcd"] = mcd(
                 mel_cepstra(ref_wave, config.evaluation.mcd_order, audio),
                 mel_cepstra(conv_wave, config.evaluation.mcd_order, audio),
-            )))
+            )
         else:
             _note(f"warning: no reference wav for {record.utt_id}; "
                   "intrusive metrics skipped")
 
         if args.asr is not None and record.transcript:
             hyp = transcribe_adapter(conv_wav_path, args.asr)
-            wer_scores.append((record.utt_id, wer(
-                normalize_text(record.transcript), hyp
-            )))
+            row["wer"] = wer(normalize_text(record.transcript), hyp)
 
         if args.speaker_encoder is not None:
-            conv_emb = speaker_encoder_adapter(
+            conv_embeddings.append(speaker_encoder_adapter(
                 conv_wav_path, args.speaker_encoder,
                 cache_dir=args.embeddings_cache,
                 utt_id=f"{record.utt_id}.converted",
-            )
-            trials.append((record.utt_id, conv_emb))
+            ))
             if ref_wave is not None:
                 target_embeddings.append(speaker_encoder_adapter(
                     record.wav_path, args.speaker_encoder,
@@ -287,11 +259,11 @@ def cmd_evaluate(args) -> int:
                     utt_id=f"{record.utt_id}.reference",
                 ))
 
-    if not scored:
+    if not rows:
         return _fail("no converted utterances found to evaluate")
 
     asv = None
-    if trials:
+    if conv_embeddings:
         if args.target_embedding is not None:
             target = read_embedding(args.target_embedding)
         elif target_embeddings:
@@ -304,23 +276,21 @@ def cmd_evaluate(args) -> int:
         if threshold is None:
             return _fail("no ASV threshold configured; pass --threshold "
                          "or set [evaluation] asv_threshold")
-        asv = asv_accept_rate([(e, target) for _, e in trials], threshold)
+        asv = asv_accept_rate([(e, target) for e in conv_embeddings], threshold)
 
-    per_utt = {utt: {} for utt in scored}
-    for utt, value in mcd_scores:
-        per_utt[utt]["mcd"] = value
-    for utt, value in wer_scores:
-        per_utt[utt]["wer"] = value
+    def mean(metric):
+        values = [row[metric] for row in rows.values() if metric in row]
+        return round(float(np.mean(values)), 4) if values else None
+
     with open(out_dir / "report.tsv", "w", encoding="utf-8") as fh:
         fh.write("utt_id\tmcd\twer\n")
-        for utt in scored:
-            row = per_utt[utt]
+        for utt, row in rows.items():
             fh.write(f"{utt}\t{row.get('mcd', float('nan')):.4f}"
                      f"\t{row.get('wer', float('nan')):.2f}\n")
     summary = {
-        "n_utterances": len(scored),
-        "mcd": round(float(np.mean([v for _, v in mcd_scores])), 4) if mcd_scores else None,
-        "wer": round(float(np.mean([v for _, v in wer_scores])), 4) if wer_scores else None,
+        "n_utterances": len(rows),
+        "mcd": mean("mcd"),
+        "wer": mean("wer"),
         "asv": round(asv, 4) if asv is not None else None,
     }
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
@@ -335,14 +305,10 @@ def cmd_evaluate(args) -> int:
 def cmd_correlate(args) -> int:
     if args.table is not None:
         rows = read_metrics_table(args.table)
-        published = None
-        if args.published is not None:
-            raw = json.loads(Path(args.published).read_text("utf-8"))
-            published = {tuple(k.split(":")): float(v)
-                         for k, v in raw["coefficients"].items()}
+        published = None if args.published is None else published_correlations(args.published)
     else:
         rows = load_benchmark_rows()
-        published = published_correlations()
+        published = published_correlations(args.published)
 
     if published is not None:
         name, subset, result, deviation = best_matching_subset(rows, published)
@@ -381,13 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract-features",
-                       help="compute content features for a manifest")
+                       help="compute the native mel features of a manifest")
     p.add_argument("manifest", type=Path)
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--config", type=Path, default=None)
     p.add_argument("--force", action="store_true",
                    help="rewrite feature files that already exist")
-    _add_upstream_flags(p)
     p.set_defaults(func=cmd_extract_features)
 
     p = sub.add_parser("train", help="train a decoder")
@@ -402,7 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speaker-encoder", default=None,
                    help="a2a: external encoder command")
     p.add_argument("--embeddings-cache", type=Path, default=None)
-    _add_upstream_flags(p)
+    p.add_argument("--upstream", default=MEL_UPSTREAM,
+                   help="content upstream: 'mel' or an external feature name")
+    p.add_argument("--feature-dir", type=Path, default=None,
+                   help="directory of precomputed .s3vc files of an external "
+                        "upstream, which give its width and frame shift")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("convert", help="convert a source manifest with the "

@@ -26,16 +26,13 @@ class AudioConfig:
     sample_rate: int = 24000        # working rate; everything is resampled here
     win_length: int = 1024          # analysis window / FFT size in samples
     hop_length: int = 240           # 10 ms at 24 kHz
-    n_mels: int = 80
     fmin: float = 0.0
     fmax: float = 12000.0
     griffin_lim_iters: int = 32
 
     def __post_init__(self):
-        if min(self.sample_rate, self.win_length, self.hop_length, self.n_mels) < 1:
-            raise ConfigTypeError(
-                "sample_rate, win_length, hop_length and n_mels must be positive"
-            )
+        if min(self.sample_rate, self.win_length, self.hop_length) < 1:
+            raise ConfigTypeError("sample_rate, win_length and hop_length must be positive")
         if not 0.0 <= self.fmin < self.fmax:
             raise ConfigTypeError("audio frequencies must satisfy 0 <= fmin < fmax")
         if self.griffin_lim_iters < 0:

@@ -42,7 +42,7 @@ from .errors import (
     ZeroMeanVectorError,
 )
 from .featureio import read_features, write_features, feature_path
-from .recognizer import MEL_UPSTREAM, UpstreamSpec, recognize, resample_features
+from .recognizer import UpstreamSpec, recognize, resample_features
 from .synthesizer import (
     ModelParameters,
     decoder_from_meta,
@@ -84,9 +84,9 @@ class TrainedModel:
     upstream_shift_ms: float
 
     def upstream_spec(self, feature_dir=None) -> UpstreamSpec:
-        """The upstream this model reads; an external one needs ``feature_dir``."""
+        """The upstream this model reads; ``feature_dir`` is given exactly for an external one."""
         return UpstreamSpec(self.upstream, self.params.input_dim, self.upstream_shift_ms,
-                            native=self.upstream == MEL_UPSTREAM, feature_dir=feature_dir)
+                            feature_dir)
 
 
 def model_checkpoint(model: TrainedModel, mode: str, step: int,
@@ -98,7 +98,7 @@ def model_checkpoint(model: TrainedModel, mode: str, step: int,
         "decoder": decoder_meta(params.config, params.input_dim),
         "upstream": {"name": model.upstream, "feature_dim": params.input_dim,
                      "frame_shift_ms": model.upstream_shift_ms},
-        "audio": asdict(model.audio),
+        "audio": {**asdict(model.audio), "n_mels": N_MELS},
         "mode": mode,
         "step": step,
         "seed": params.seed,
@@ -119,7 +119,11 @@ def load_model(checkpoint) -> TrainedModel:
         checkpoint = load_checkpoint(checkpoint)
     meta, tensors = checkpoint.meta, dict(checkpoint.tensors)
     config, input_dim = decoder_from_meta(meta.get("decoder"))
-    audio = config_from_json(AudioConfig, meta.get("audio"), "checkpoint audio meta")
+    audio = config_from_json(AudioConfig, meta.get("audio"), "checkpoint audio meta",
+                             n_mels="int")
+    if meta["audio"]["n_mels"] != N_MELS:
+        raise InvalidConfigError(f"checkpoint audio meta 'n_mels': "
+                                 f"{meta['audio']['n_mels']!r} is not {N_MELS}")
     seed = meta.get("seed")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise InvalidConfigError(f"checkpoint meta 'seed': {seed!r} is not an integer")
@@ -152,8 +156,9 @@ def convert(source, checkpoint, feature_dir=None,
             dropout_seed: int = 0) -> MelSpectrogram:
     """Convert one source utterance into the target voice's mel spectrogram.
 
-    ``source`` is a Waveform or an UtteranceRecord; a model trained on an
-    external upstream reads the record's features from ``feature_dir``.
+    ``source`` is a Waveform or an UtteranceRecord.  A model trained on an
+    external upstream reads the record's features from ``feature_dir``, which
+    is given exactly then; their width and frame shift must be the checkpoint's.
     ``s`` must be given exactly when the model is speaker-conditioned.
     """
     model = load_model(checkpoint)
@@ -205,8 +210,8 @@ def vocode_native(mel, audio: AudioConfig) -> Waveform:
         raise NonFiniteInputError("mel contains non-finite values")
     energies = np.exp(frames)
     # energies ~ |S| @ fb.T; invert with the pseudo-inverse, clip negatives
-    fb_pinv = _mel_pseudo_inverse(audio.sample_rate, audio.win_length, audio.n_mels,
-                                  audio.fmin, audio.fmax)
+    fb_pinv = _mel_pseudo_inverse(audio.sample_rate, audio.win_length, audio.fmin,
+                                  audio.fmax)
     magnitudes = np.maximum(energies @ fb_pinv.T, 0.0)
     wave = griffin_lim(magnitudes, audio.win_length, audio.hop_length,
                        n_iters=audio.griffin_lim_iters)
@@ -218,9 +223,9 @@ def vocode_native(mel, audio: AudioConfig) -> Waveform:
 
 
 @lru_cache(maxsize=16)
-def _mel_pseudo_inverse(sample_rate, win_length, n_mels, fmin, fmax) -> np.ndarray:
+def _mel_pseudo_inverse(sample_rate, win_length, fmin, fmax) -> np.ndarray:
     """Read-only pseudo-inverse of the mel filterbank, built once per audio setting."""
-    fb_pinv = np.linalg.pinv(mel_filterbank(sample_rate, win_length, n_mels, fmin, fmax))
+    fb_pinv = np.linalg.pinv(mel_filterbank(sample_rate, win_length, N_MELS, fmin, fmax))
     fb_pinv.flags.writeable = False
     return fb_pinv
 

@@ -154,3 +154,7 @@ class TooShortInputError(VoiceConversionError):
 
 class NonFiniteInputError(VoiceConversionError):
     pass
+
+
+class CorrelationFileError(VoiceConversionError):
+    """A published-correlations file is not JSON of the expected form."""

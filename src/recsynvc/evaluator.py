@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.fft
@@ -180,20 +179,10 @@ def wer(ref_tokens, hyp_tokens) -> float:
     return 100.0 * prev[m] / n
 
 
-def transcribe_adapter(wave_or_path, command) -> list[str]:
-    """Run an external ASR process; returns normalized tokens from stdout."""
-    import tempfile
-
-    from .audioio import save_waveform
-
-    with tempfile.TemporaryDirectory(prefix="asr_") as tmp:
-        if isinstance(wave_or_path, Waveform):
-            wav_path = Path(tmp) / "input.wav"
-            save_waveform(wav_path, wave_or_path)
-        else:
-            wav_path = Path(wave_or_path)
-        stdout, _ = run_adapter(command, [wav_path])
-        return normalize_text(stdout)
+def transcribe_adapter(wav_path, command) -> list[str]:
+    """Run an external ASR process on a wav file; returns normalized tokens from stdout."""
+    stdout, _ = run_adapter(command, [wav_path])
+    return normalize_text(stdout)
 
 
 def cosine_similarity(a, b) -> float:

@@ -3,8 +3,9 @@ the frame-rate representation consumed by the synthesizer.
 
 The only native extractor is the 80-bin log-mel spectrogram.  Every other
 upstream (self-supervised models, posteriorgrams, ...) is produced by an
-external toolchain and ingested from per-utterance feature files; this module
-never runs such models in-process.
+external toolchain and ingested from per-utterance feature files, whose
+headers give the upstream's width and frame shift; this module never runs such
+models in-process.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ from . import dsp
 from .config import AudioConfig
 from .errors import (
     DimensionMismatchError,
+    EmptyInputError,
+    InvalidConfigError,
     MissingFeatureError,
     NonFiniteInputError,
     TooShortInputError,
     VoiceConversionError,
 )
-from .featureio import feature_path, read_features
+from .featureio import FEATURE_SUFFIX, feature_path, read_features
 from .types import (
     LOG_MEL_FLOOR,
     MEL_FLOOR,
@@ -39,51 +42,70 @@ MEL_UPSTREAM = "mel"
 
 @dataclass(frozen=True)
 class UpstreamSpec:
-    """Identity and frame geometry of one content representation."""
+    """Identity and frame geometry of one content representation.
+
+    The name ``mel`` is the native upstream: 80-dim and computed from the
+    wavs, so it takes no feature directory.  Every other name is external and
+    read from ``feature_dir``.  A spec breaking these rules, or with a
+    non-positive width or frame shift, raises ``InvalidConfigError``.
+    """
 
     name: str
     feature_dim: int
     frame_shift_ms: float
-    native: bool = False
     feature_dir: Path | None = None
 
     def __post_init__(self):
+        _check_source(self.name, self.feature_dir)
         if self.feature_dim < 1:
-            raise VoiceConversionError("feature_dim must be positive")
+            raise InvalidConfigError("feature_dim must be positive")
         if not self.frame_shift_ms > 0:
-            raise VoiceConversionError("frame_shift_ms must be positive")
-        if self.native and (self.name, self.feature_dim) != (MEL_UPSTREAM, N_MELS):
-            raise VoiceConversionError(
-                f"only the {N_MELS}-dim {MEL_UPSTREAM!r} upstream is native, "
-                f"got {self.name!r} with dim {self.feature_dim}"
-            )
-        if not self.native and self.feature_dir is None:
-            raise VoiceConversionError(
-                f"external upstream {self.name!r} needs a feature directory (--feature-dir)"
+            raise InvalidConfigError("frame_shift_ms must be positive")
+        if self.native and self.feature_dim != N_MELS:
+            raise InvalidConfigError(
+                f"the native {MEL_UPSTREAM!r} upstream is {N_MELS}-dim, got {self.feature_dim}"
             )
         if self.feature_dir is not None:
             object.__setattr__(self, "feature_dir", Path(self.feature_dir))
 
+    @property
+    def native(self) -> bool:
+        return self.name == MEL_UPSTREAM
+
+
+def _check_source(name, feature_dir) -> None:
+    if name == MEL_UPSTREAM and feature_dir is not None:
+        raise InvalidConfigError(
+            f"the native {MEL_UPSTREAM!r} upstream is computed from the wavs and "
+            f"takes no feature directory, got {feature_dir}"
+        )
+    if name != MEL_UPSTREAM and feature_dir is None:
+        raise InvalidConfigError(
+            f"external upstream {name!r} needs a feature directory (--feature-dir)"
+        )
+
 
 def mel_upstream(audio: AudioConfig | None = None) -> UpstreamSpec:
-    """The native mel upstream matching an audio configuration."""
+    """The native mel upstream at an audio configuration's frame shift."""
     audio = audio or AudioConfig()
-    return UpstreamSpec(
-        name=MEL_UPSTREAM,
-        feature_dim=audio.n_mels,
-        frame_shift_ms=audio.frame_shift_ms,
-        native=True,
-    )
+    return UpstreamSpec(MEL_UPSTREAM, N_MELS, audio.frame_shift_ms)
 
 
-def external_upstream(name, feature_dim, frame_shift_ms, feature_dir) -> UpstreamSpec:
-    return UpstreamSpec(
-        name=name,
-        feature_dim=int(feature_dim),
-        frame_shift_ms=float(frame_shift_ms),
-        native=False,
-        feature_dir=feature_dir,
-    )
+def external_upstream(name, feature_dir) -> UpstreamSpec:
+    """An external upstream read from ``feature_dir``.
+
+    Its width and frame shift are those of the directory's first ``.s3vc``
+    file, sorted by name; ``recognize`` checks every other file against them.
+    A directory without one raises ``EmptyInputError`` naming it.
+    """
+    _check_source(name, feature_dir)
+    first = min(Path(feature_dir).glob(f"*{FEATURE_SUFFIX}"), default=None)
+    if first is None:
+        raise EmptyInputError(
+            f"no {FEATURE_SUFFIX} files in feature directory {feature_dir}"
+        )
+    seq = read_features(first)
+    return UpstreamSpec(name, seq.dim, seq.frame_shift_ms, feature_dir)
 
 
 def extract_mel(wave: Waveform, audio: AudioConfig | None = None) -> MelSpectrogram:
@@ -108,7 +130,7 @@ def extract_mel(wave: Waveform, audio: AudioConfig | None = None) -> MelSpectrog
         raise NonFiniteInputError("waveform contains non-finite samples")
     spectra = np.abs(dsp.stft(wave.samples, audio.win_length, audio.hop_length))
     fb = dsp.mel_filterbank(
-        audio.sample_rate, audio.win_length, audio.n_mels, audio.fmin, audio.fmax
+        audio.sample_rate, audio.win_length, N_MELS, audio.fmin, audio.fmax
     )
     energies = spectra @ fb.T
     frames = np.log(np.maximum(energies, MEL_FLOOR))

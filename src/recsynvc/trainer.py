@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -296,13 +296,12 @@ def train_a2o(manifest: DatasetManifest, spec: UpstreamSpec, config: Config,
 
 
 def train_a2a(manifest: DatasetManifest, spec: UpstreamSpec, config: Config,
-              out_dir, encoder: Callable | Mapping, log_file=None) -> TrainRun:
+              out_dir, encoder: Callable, log_file=None) -> TrainRun:
     """Train a speaker-conditioned decoder on a multi-speaker corpus.
 
     Each utterance is conditioned on the embedding of its own waveform, so the
     model learns to copy the voice described by the embedding.  ``encoder``
-    is either a callable record -> SpeakerEmbedding or a mapping keyed by
-    utt_id.
+    maps a record to its SpeakerEmbedding.
     """
     if len(manifest) == 0:
         raise EmptyManifestError("cannot train on an empty manifest")
@@ -310,18 +309,7 @@ def train_a2a(manifest: DatasetManifest, spec: UpstreamSpec, config: Config,
         raise SingleSpeakerError(
             "any-to-any training needs a multi-speaker manifest (>= 2 speakers)"
         )
-    if isinstance(encoder, Mapping):
-        table = encoder
-
-        def encoder_fn(record):
-            try:
-                return table[record.utt_id]
-            except KeyError:
-                raise MissingFeatureError([record.utt_id], "no embedding provided")
-    else:
-        encoder_fn = encoder
-
     if not config.model.speaker_conditioned:
         config = replace(config, model=replace(config.model, speaker_conditioned=True))
     return _run_training(manifest, spec, config, out_dir, mode="a2a",
-                         encoder=encoder_fn, target_speaker=None, log_file=log_file)
+                         encoder=encoder, target_speaker=None, log_file=log_file)

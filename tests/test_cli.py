@@ -1,6 +1,9 @@
 """End-to-end runs of every CLI subcommand through main(argv)."""
 
+import argparse
+import ast
 import copy
+import inspect
 import json
 import shutil
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 
 from recsynvc.audioio import load_waveform, save_waveform
+from recsynvc import cli
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from recsynvc.cli import main
 from recsynvc.featureio import read_features, write_features
@@ -80,9 +84,11 @@ def test_extract_features(cli_corpus, tmp_path):
 
 
 def test_extract_features_rejects_external_upstream(cli_corpus, tmp_path):
-    rc = main(["extract-features", str(cli_corpus), "--out-dir", str(tmp_path),
-               "--upstream", "hubert"])
-    assert rc == 1
+    # it computes the native mel only, so it has no upstream flags
+    for flags in (["--upstream", "hubert"], ["--feature-dir", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["extract-features", str(cli_corpus), "--out-dir", str(tmp_path), *flags])
+        assert exit_info.value.code == 2
 
 
 @pytest.mark.parametrize("field, value", [("wav_path", 5), ("transcript", 5)])
@@ -192,8 +198,7 @@ def test_convert_external_upstream_needs_only_feature_dir(cli_corpus, cli_config
             frames=rng.standard_normal((20, 7)).astype(np.float32), frame_shift_ms=20.0))
     assert main(["train", str(cli_corpus), "--out-dir", str(tmp_path / "run"),
                  "--config", str(cli_config), "--upstream", "ssl_stub",
-                 "--feature-dir", str(feature_dir), "--feature-dim", "7",
-                 "--frame-shift", "20"]) == 0
+                 "--feature-dir", str(feature_dir)]) == 0
     convert_argv = ["convert", str(tmp_path / "run" / "final.s3ck"), str(cli_corpus),
                     "--out-dir", str(tmp_path / "conv")]
     assert main(convert_argv + ["--feature-dir", str(feature_dir)]) == 0
@@ -203,6 +208,19 @@ def test_convert_external_upstream_needs_only_feature_dir(cli_corpus, cli_config
     assert main(convert_argv) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "--feature-dir" in lines[0]
+
+
+def test_mel_upstream_with_a_feature_dir_is_one_error_line(cli_checkpoint, cli_corpus,
+                                                          cli_config, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["train", str(cli_corpus), "--out-dir", str(tmp_path / "run"),
+                 "--config", str(cli_config), "--feature-dir", str(tmp_path)]) == 1
+    assert main(["convert", str(cli_checkpoint), str(cli_corpus), "--out-dir",
+                 str(tmp_path / "conv"), "--feature-dir", str(tmp_path)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("error: ") and "'mel'" in line
+                                   for line in lines)
+    assert not (tmp_path / "run").exists() and not (tmp_path / "conv").exists()
 
 
 def test_convert_help_has_no_upstream_flags(capsys):
@@ -406,3 +424,74 @@ def test_correlate_custom_table(tmp_path):
     matrix = np.array(payload["matrix"])
     np.testing.assert_allclose(matrix, matrix.T)
     np.testing.assert_allclose(np.diag(matrix), 1.0)
+
+
+PUBLISHED = {"MCD:WER": 0.678, "MCD:ASV": -0.934, "MCD:NAT": -0.968, "MCD:SIM": -0.961,
+             "WER:ASV": -0.640, "WER:NAT": -0.808, "WER:SIM": -0.587, "ASV:NAT": 0.910,
+             "ASV:SIM": 0.911, "NAT:SIM": 0.932}
+
+
+def test_correlate_published_without_table_is_honored(tmp_path):
+    published = tmp_path / "published.json"
+    published.write_text(json.dumps({"coefficients": {k: 0.5 for k in PUBLISHED}}))
+    out = tmp_path / "corr.json"
+    assert main(["correlate", "--published", str(published), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["n_rows"] == 16
+    assert [entry["published"] for entry in payload["comparison"]] == [0.5] * 10
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    "\"coefficients\"",
+    json.dumps({"source": "x"}),
+    json.dumps({"coefficients": [0.5]}),
+    json.dumps({"coefficients": {**PUBLISHED, "MCD-WER": 0.5}}),
+    json.dumps({"coefficients": {"MCD:WER": 0.678}}),
+    json.dumps({"coefficients": {**PUBLISHED, "MCD:WER": "high"}}),
+    json.dumps({"coefficients": {**PUBLISHED, "MCD:WER": True}}),
+], ids=["not_json", "not_object", "no_coefficients", "list_coefficients", "bad_key",
+        "missing_pairs", "str_value", "bool_value"])
+def test_correlate_bad_published_is_one_error_line(tmp_path, capsys, text):
+    published = tmp_path / "published.json"
+    published.write_text(text)
+    capsys.readouterr()
+    assert main(["correlate", "--published", str(published),
+                 "--out", str(tmp_path / "corr.json")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(published) in lines[0]
+    assert not (tmp_path / "corr.json").exists()
+
+
+# --- parser ---------------------------------------------------------------------
+
+def test_every_subcommand_reads_each_of_its_options():
+    """Each option reaches its command: read in its ``cmd_*`` function, or in a
+    module helper that function passes ``args`` to (``getattr(args, name)`` counts)."""
+    functions = {node.name: node for node in ast.parse(inspect.getsource(cli)).body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def reads(name, seen=frozenset()):
+        found = set()
+        for node in ast.walk(functions[name]):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "args"):
+                found.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                passes_args = any(isinstance(a, ast.Name) and a.id == "args"
+                                  for a in node.args)
+                if (node.func.id == "getattr" and passes_args
+                        and isinstance(node.args[1], ast.Constant)):
+                    found.add(node.args[1].value)
+                elif passes_args and node.func.id in functions.keys() - seen:
+                    found |= reads(node.func.id, seen | {name})
+        return found
+
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    unread = {}
+    for command, sub in commands.items():
+        options = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        unread[command] = sorted(options - reads(sub.get_default("func").__name__))
+    assert unread == {command: [] for command in commands}

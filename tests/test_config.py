@@ -10,13 +10,12 @@ from recsynvc.config import (
     default_config,
     load_config,
 )
-from recsynvc.errors import ConfigError, ConfigTypeError
+from recsynvc.errors import ConfigError, ConfigTypeError, UnknownKeyError
 
 
 def test_defaults():
     config = default_config()
     assert config.audio.sample_rate == 24000
-    assert config.audio.n_mels == 80
     assert config.audio.hop_length == 240
     assert config.audio.frame_shift_ms == pytest.approx(10.0)
     assert config.model.type == "taco2_ar"
@@ -69,6 +68,14 @@ def test_unknown_key_suggests(tmp_path):
         load_config(path)
 
 
+def test_mel_width_is_not_a_key(tmp_path):
+    # the mel is 80-dim throughout; the width is no setting
+    path = tmp_path / "run.ini"
+    path.write_text("[audio]\nn_mels = 80\n")
+    with pytest.raises(UnknownKeyError, match="unknown key audio.n_mels; valid keys: fmax"):
+        load_config(path)
+
+
 def test_unknown_section(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[optimizer]\nlr = 0.1\n")
@@ -104,7 +111,7 @@ def test_model_validation():
 
 
 @pytest.mark.parametrize("line", [
-    "sample_rate = 0", "win_length = 0", "hop_length = 0", "n_mels = 0",
+    "sample_rate = 0", "win_length = 0", "hop_length = 0",
     "fmin = -1", "fmin = 12000", "fmax = 0", "griffin_lim_iters = -1",
 ])
 def test_audio_validation(tmp_path, line):

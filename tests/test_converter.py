@@ -103,6 +103,8 @@ class TestConvert:
     (lambda meta: meta.update(decoder=[]), "decoder"),
     (lambda meta: meta["audio"].update(hop_length=None), "hop_length"),
     (lambda meta: meta["audio"].update(hop_length=0), "hop_length"),
+    (lambda meta: meta["audio"].pop("n_mels"), "audio"),
+    (lambda meta: meta["audio"].update(n_mels=40), "audio.*n_mels"),
     (lambda meta: meta.update(seed="x"), "seed"),
     (lambda meta: meta.pop("upstream"), "upstream"),
     (lambda meta: meta["upstream"].update(feature_dim=81), "upstream"),
@@ -112,6 +114,7 @@ class TestConvert:
     (lambda tensors: tensors.update({"stats.input_mean": np.zeros(3)}), "stats.input_mean"),
 ], ids=["unknown_key", "no_input_dim", "no_decoder", "no_audio", "str_hidden_dim",
         "null_prenet_dims", "list_decoder", "null_hop_length", "zero_hop_length",
+        "no_n_mels", "narrow_n_mels",
         "str_seed", "no_upstream", "wide_upstream", "zero_frame_shift", "int_upstream_name",
         "no_target_std", "narrow_input_mean"])
 def test_load_model_rejects_malformed_meta(quick_checkpoint, corrupt, entry):
@@ -129,7 +132,8 @@ def _tiny_checkpoint_headers(path):
     stats = {f"stats.{side}_{kind}": np.ones(width)
              for side, width in (("input", 3), ("target", 80))
              for kind in ("mean", "std")}
-    meta = {"decoder": decoder_meta(params.config, 3), "audio": asdict(AudioConfig()),
+    meta = {"decoder": decoder_meta(params.config, 3),
+            "audio": {**asdict(AudioConfig()), "n_mels": 80},
             "seed": 0, "upstream": {"name": "ssl", "feature_dim": 3, "frame_shift_ms": 20.0}}
     tensors = {**params.tensors, **stats}
     save_checkpoint(path, Checkpoint(meta=meta, tensors=tensors))
@@ -244,10 +248,10 @@ class TestVocodeNative:
         assert np.array_equal(a.samples, b.samples)
 
     def test_pseudo_inverse_is_cached_read_only(self, audio):
-        key = (audio.sample_rate, audio.win_length, audio.n_mels, audio.fmin, audio.fmax)
+        key = (audio.sample_rate, audio.win_length, audio.fmin, audio.fmax)
         fb_pinv = _mel_pseudo_inverse(*key)
         assert _mel_pseudo_inverse(*key) is fb_pinv
-        assert fb_pinv.shape == (audio.win_length // 2 + 1, audio.n_mels)
+        assert fb_pinv.shape == (audio.win_length // 2 + 1, 80)
         with pytest.raises(ValueError):
             fb_pinv[0, 0] = 1.0
 

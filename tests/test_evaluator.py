@@ -13,6 +13,7 @@ from recsynvc.errors import (
     MissingFieldError,
     VoiceConversionError,
 )
+from recsynvc.audioio import save_waveform
 from recsynvc.evaluator import (
     MCD_CONSTANT,
     METRIC_LABELS,
@@ -242,27 +243,25 @@ def test_wer_empty_reference():
         wer([], ["A"])
 
 
+def _noise_wav(tmp_path):
+    save_waveform(tmp_path / "u.wav", _noise_wave(n=2400))
+    return tmp_path / "u.wav"
+
+
 def test_transcribe_adapter_stub(stub_asr, tmp_path):
-    wave = _noise_wave(n=2400)
-    assert transcribe_adapter(wave, stub_asr) == ["PA", "KO"]
-
-    from recsynvc.audioio import save_waveform
-
-    wav_path = tmp_path / "u.wav"
-    save_waveform(wav_path, wave)
-    assert transcribe_adapter(wav_path, stub_asr) == ["PA", "KO"]
+    assert transcribe_adapter(_noise_wav(tmp_path), stub_asr) == ["PA", "KO"]
 
 
-def test_transcribe_adapter_failure(failing_adapter):
+def test_transcribe_adapter_failure(failing_adapter, tmp_path):
     with pytest.raises(AdapterError) as err:
-        transcribe_adapter(_noise_wave(n=2400), failing_adapter)
+        transcribe_adapter(_noise_wav(tmp_path), failing_adapter)
     assert "stub exploded" in err.value.stderr
 
 
-def test_transcribe_adapter_rejects_non_utf8_output():
+def test_transcribe_adapter_rejects_non_utf8_output(tmp_path):
     printer = ["sh", "-c", r"printf '\377\376'; printf '\377' >&2"]
     with pytest.raises(AdapterError, match="non-UTF-8"):
-        transcribe_adapter(_noise_wave(n=2400), printer)
+        transcribe_adapter(_noise_wav(tmp_path), printer)
 
 
 # --- speaker verification ----------------------------------------------------------

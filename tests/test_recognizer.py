@@ -6,8 +6,9 @@ import pytest
 from recsynvc.config import AudioConfig
 from recsynvc.errors import (
     DimensionMismatchError,
+    EmptyInputError,
+    InvalidConfigError,
     MissingFeatureError,
-    VoiceConversionError,
 )
 from recsynvc.featureio import feature_path, write_features
 from recsynvc.recognizer import (
@@ -66,8 +67,20 @@ class TestUpstreams:
 
     def test_native_upstream_must_be_80_dim(self):
         # training takes native content straight from the target mel
-        with pytest.raises(VoiceConversionError):
-            UpstreamSpec(name="mel", feature_dim=40, frame_shift_ms=10.0, native=True)
+        with pytest.raises(InvalidConfigError):
+            UpstreamSpec(name="mel", feature_dim=40, frame_shift_ms=10.0)
+
+    def test_native_upstream_is_the_name_mel(self, tmp_path):
+        assert mel_upstream().native
+        assert not UpstreamSpec("ssl_stub", 80, 10.0, tmp_path).native
+        # mel is computed from the wavs: no feature directory, external or not
+        with pytest.raises(InvalidConfigError, match="no feature directory"):
+            UpstreamSpec("mel", 80, 10.0, tmp_path)
+        _write(tmp_path, "u1", np.zeros((4, 80)), 10.0)
+        with pytest.raises(InvalidConfigError, match="no feature directory"):
+            external_upstream("mel", tmp_path)
+        with pytest.raises(InvalidConfigError, match="--feature-dir"):
+            UpstreamSpec("ssl_stub", 7, 20.0)
 
     def test_mel_recognize_accepts_wave_and_record(self, audio, tmp_path):
         from recsynvc.audioio import save_waveform
@@ -90,27 +103,50 @@ class TestUpstreams:
 
     def test_external_upstream_reads_feature_dir(self, audio, tmp_path):
         frames = np.random.default_rng(0).standard_normal((12, 7)).astype(np.float32)
-        write_features(feature_path(tmp_path, "u1"),
-                       FeatureSequence(frames=frames, frame_shift_ms=20.0))
-        spec = external_upstream("ssl_stub", 7, 20.0, tmp_path)
+        _write(tmp_path, "u1", frames, 20.0)
+        spec = external_upstream("ssl_stub", tmp_path)
         record = UtteranceRecord(utt_id="u1", speaker_id="A", wav_path="u1.wav")
         seq = recognize(record, spec, audio)
         assert np.array_equal(seq.frames, frames)
 
+    def test_external_geometry_comes_from_the_first_file(self, tmp_path):
+        _write(tmp_path, "b", np.zeros((3, 5)), 10.0)
+        _write(tmp_path, "a", np.zeros((4, 7)), 20.0)
+        (tmp_path / "index.tsv").write_text("not a feature file\n")
+        spec = external_upstream("ssl_stub", tmp_path)
+        assert (spec.name, spec.feature_dim, spec.frame_shift_ms) == ("ssl_stub", 7, 20.0)
+        assert spec.feature_dir == tmp_path
+
+    @pytest.mark.parametrize("make", [lambda d: d.mkdir(), lambda d: None],
+                             ids=["empty", "absent"])
+    def test_external_upstream_needs_a_feature_file(self, tmp_path, make):
+        feature_dir = tmp_path / "feats"
+        make(feature_dir)
+        with pytest.raises(EmptyInputError, match=str(feature_dir)):
+            external_upstream("ssl_stub", feature_dir)
+
     def test_external_upstream_missing_file(self, audio, tmp_path):
-        spec = external_upstream("ssl_stub", 7, 20.0, tmp_path)
+        _write(tmp_path, "u1", np.zeros((4, 7)), 20.0)
+        spec = external_upstream("ssl_stub", tmp_path)
         record = UtteranceRecord(utt_id="u9", speaker_id="A", wav_path="u9.wav")
         with pytest.raises(MissingFeatureError):
             recognize(record, spec, audio)
 
     def test_external_upstream_dim_mismatch(self, audio, tmp_path):
-        frames = np.zeros((4, 5), dtype=np.float32)
-        write_features(feature_path(tmp_path, "u1"),
-                       FeatureSequence(frames=frames, frame_shift_ms=20.0))
-        spec = external_upstream("ssl_stub", 7, 20.0, tmp_path)
-        record = UtteranceRecord(utt_id="u1", speaker_id="A", wav_path="u1.wav")
-        with pytest.raises(DimensionMismatchError):
-            recognize(record, spec, audio)
+        # the spec comes from u1; a later file of another width or shift is rejected
+        _write(tmp_path, "u1", np.zeros((4, 7)), 20.0)
+        _write(tmp_path, "u2", np.zeros((4, 5)), 20.0)
+        _write(tmp_path, "u3", np.zeros((4, 7)), 10.0)
+        spec = external_upstream("ssl_stub", tmp_path)
+        for utt_id in ("u2", "u3"):
+            record = UtteranceRecord(utt_id=utt_id, speaker_id="A", wav_path="x.wav")
+            with pytest.raises(DimensionMismatchError, match=utt_id):
+                recognize(record, spec, audio)
+
+
+def _write(feature_dir, utt_id, frames, frame_shift_ms):
+    write_features(feature_path(feature_dir, utt_id),
+                   FeatureSequence(frames=frames, frame_shift_ms=frame_shift_ms))
 
 
 class TestResampleFeatures:

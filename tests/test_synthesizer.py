@@ -41,7 +41,7 @@ def _config(type_, **kw):
 def _through_checkpoint(params, tmp_path):
     """Write ``params`` as a checkpoint file and load it back as parameters."""
     meta = {"decoder": decoder_meta(params.config, params.input_dim),
-            "audio": asdict(AudioConfig()), "seed": params.seed,
+            "audio": {**asdict(AudioConfig()), "n_mels": 80}, "seed": params.seed,
             "upstream": {"name": "ssl", "feature_dim": params.input_dim,
                          "frame_shift_ms": 20.0}}
     widths = {"input": params.input_dim, "target": 80}

@@ -16,6 +16,7 @@ from recsynvc.errors import (
     ShapeMismatchError,
     SingleSpeakerError,
 )
+from recsynvc.featureio import feature_path, write_features
 from recsynvc.recognizer import external_upstream, mel_upstream
 from recsynvc.synthesizer import build_decoder
 from recsynvc.trainer import (
@@ -25,7 +26,7 @@ from recsynvc.trainer import (
     train_a2a,
     train_a2o,
 )
-from recsynvc.types import DatasetManifest
+from recsynvc.types import DatasetManifest, FeatureSequence
 
 
 class TestComputeLoss:
@@ -192,11 +193,14 @@ class TestTrainA2O:
 
     def test_missing_external_features_fail_fast(self, toy_corpus, tmp_path):
         config = toy_config("simple", steps=1)
-        spec = external_upstream("ssl_stub", 7, 20.0, tmp_path / "nofeat")
-        (tmp_path / "nofeat").mkdir()
+        first, *rest = [r.utt_id for r in toy_corpus["manifest"].records]
+        (tmp_path / "feats").mkdir()
+        write_features(feature_path(tmp_path / "feats", first), FeatureSequence(
+            frames=np.zeros((20, 7), dtype=np.float32), frame_shift_ms=20.0))
+        spec = external_upstream("ssl_stub", tmp_path / "feats")
         with pytest.raises(MissingFeatureError) as err:
             train_a2o(toy_corpus["manifest"], spec, config, tmp_path / "run")
-        assert len(err.value.utt_ids) == 20
+        assert err.value.utt_ids == rest and len(rest) == 19
 
 
 class TestTrainA2A:
@@ -211,25 +215,6 @@ class TestTrainA2A:
         ckpt = load_checkpoint(run.checkpoint_path)
         assert ckpt.meta["mode"] == "a2a"
         assert ckpt.meta["decoder"]["speaker_conditioned"] is True
-
-    def test_trains_with_mapping_encoder(self, toy_corpus_multi, tmp_path):
-        config = toy_config("taco2_ar", hidden_dim=32, lstmp_proj_dim=32,
-                            prenet_dims=(16, 16), postnet_layers=2,
-                            postnet_channels=16, embedding_dim=16,
-                            steps=4, checkpoint_interval=4)
-        table = {rec.utt_id: sphere_embedding(rec.utt_id)
-                 for rec in toy_corpus_multi["manifest"].records}
-        run = train_a2a(toy_corpus_multi["manifest"],
-                        mel_upstream(config.audio), config, tmp_path / "run",
-                        encoder=table)
-        assert run.step == 4
-
-    def test_mapping_missing_utterance(self, toy_corpus_multi, tmp_path):
-        config = toy_config("taco2_ar", embedding_dim=16, steps=1)
-        with pytest.raises(MissingFeatureError):
-            train_a2a(toy_corpus_multi["manifest"],
-                      mel_upstream(config.audio), config, tmp_path / "run",
-                      encoder={})
 
     def test_rejects_single_speaker(self, toy_corpus, tmp_path):
         config = toy_config("taco2_ar", embedding_dim=16, steps=1)
