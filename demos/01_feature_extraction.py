@@ -14,10 +14,10 @@ import numpy as np
 from recsynvc.config import AudioConfig
 from recsynvc.featureio import feature_path, read_features, write_features
 from recsynvc.manifest import load_manifest
-from recsynvc.recognizer import LOG_MEL_FLOOR, external_upstream, extract_mel
+from recsynvc.recognizer import external_upstream, extract_mel
 from recsynvc.audioio import load_waveform
 from recsynvc.synthetic import make_toy_corpus
-from recsynvc.types import N_MELS
+from recsynvc.types import LOG_MEL_FLOOR, N_MELS
 
 work = Path(tempfile.mkdtemp(prefix="demo_features_"))
 print(f"working directory: {work}")

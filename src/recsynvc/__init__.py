@@ -51,12 +51,7 @@ from .recognizer import (
     recognize,
     resample_features,
 )
-from .synthesizer import (
-    ModelParameters,
-    build_decoder,
-    forward_free_running,
-    forward_teacher,
-)
+from .synthesizer import ModelParameters, build_decoder, forward_free_running
 from .trainer import TrainRun, compute_loss, train_a2a, train_a2o
 from .types import (
     DatasetManifest,
@@ -79,7 +74,7 @@ __all__ = [
     "calibrate_asv_threshold", "compute_loss", "convert",
     "correlation_matrix", "cosine_similarity", "default_config", "dtw_align",
     "eer_threshold", "extract_mel", "external_upstream", "forward_free_running",
-    "forward_teacher", "load_checkpoint", "load_config", "load_manifest",
+    "load_checkpoint", "load_config", "load_manifest",
     "load_waveform", "mcd", "mel_cepstra", "mel_upstream", "normalize_text",
     "pearson", "read_embedding", "read_features", "recognize",
     "resample_features", "resample_waveform", "save_checkpoint",

@@ -10,24 +10,21 @@ picks the one that fits all ten published coefficients best.
 
 from __future__ import annotations
 
+import itertools
 import json
 from importlib import resources
 from pathlib import Path
 
 from .errors import CorrelationFileError
 from .evaluator import (
+    METRIC_LABELS,
     CorrelationResult,
     MetricsRow,
     correlation_matrix,
     read_metrics_table,
 )
 
-PAIR_ORDER = (
-    ("MCD", "WER"), ("MCD", "ASV"), ("MCD", "NAT"), ("MCD", "SIM"),
-    ("WER", "ASV"), ("WER", "NAT"), ("WER", "SIM"),
-    ("ASV", "NAT"), ("ASV", "SIM"),
-    ("NAT", "SIM"),
-)
+PAIR_ORDER = tuple(itertools.combinations(METRIC_LABELS, 2))
 
 _BASELINE_SYSTEMS = ("mel", "PPG (TIMIT)")
 
@@ -122,12 +119,11 @@ def comparison_report(result: CorrelationResult, published) -> list[dict]:
     computed = upper_triangle(result)
     report = []
     for pair in PAIR_ORDER:
-        ours = computed[pair]
-        ref = published.get(pair)
+        ours, ref = computed[pair], published[pair]
         report.append({
             "pair": f"{pair[0]}-{pair[1]}",
             "computed": round(ours, 4),
             "published": ref,
-            "deviation": None if ref is None else round(abs(ours - ref), 4),
+            "deviation": round(abs(ours - ref), 4),
         })
     return report

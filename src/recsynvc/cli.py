@@ -60,6 +60,17 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _given(args, *names) -> list[str]:
+    """The options among ``names`` that were passed, spelled as on the command line."""
+    return ["--" + name.replace("_", "-") for name in names if getattr(args, name) is not None]
+
+
+def _reject(flags, why: str) -> None:
+    """Fail on any of ``flags``, naming them and ``why``, so no option is silently ignored."""
+    if flags:
+        raise VoiceConversionError(f"{', '.join(flags)}: {why}")
+
+
 def _load_config(args) -> Config:
     config = load_config(args.config) if args.config else default_config()
     if getattr(args, "seed", None) is not None:
@@ -78,10 +89,8 @@ def cmd_extract_features(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     failures = []
     written = 0
-    index = []
     for record in manifest:
         path = feature_path(out_dir, record.utt_id)
-        index.append((record.utt_id, path))
         if path.exists() and not args.force:
             continue
         try:
@@ -92,10 +101,6 @@ def cmd_extract_features(args) -> int:
             written += 1
         except Exception as exc:
             failures.append((record.utt_id, exc))
-    with open(out_dir / "index.tsv", "w", encoding="utf-8") as fh:
-        for utt_id, path in sorted(index):
-            if path.exists():
-                fh.write(f"{utt_id}\t{path}\n")
     _note(f"extracted {written} feature file(s) into {out_dir}")
     if failures:
         for utt_id, exc in failures:
@@ -128,6 +133,13 @@ def _a2a_encoder(args, config):
 
 
 def cmd_train(args) -> int:
+    if args.mode == "a2o":
+        _reject(_given(args, "embeddings_dir", "speaker_encoder", "embeddings_cache"),
+                "read only by --mode a2a")
+    if len(sources := _given(args, "embeddings_dir", "speaker_encoder")) == 2:
+        _reject(sources, "pass one, not both")
+    if args.speaker_encoder is None:
+        _reject(_given(args, "embeddings_cache"), "read only with --speaker-encoder")
     config = _load_config(args)
     role = "target_speaker" if args.mode == "a2o" else "multi_speaker"
     manifest = load_manifest(args.manifest, role=role)
@@ -151,6 +163,8 @@ def cmd_train(args) -> int:
 
 def _target_embedding(args, model: ModelConfig):
     if not model.speaker_conditioned:
+        _reject(_given(args, "target_embeddings", "target_embedding"),
+                "this checkpoint is not speaker-conditioned")
         return None
     expected = model.embedding_dim
     if args.target_embeddings is not None:
@@ -170,6 +184,8 @@ def _target_embedding(args, model: ModelConfig):
 
 
 def cmd_convert(args) -> int:
+    if len(targets := _given(args, "target_embeddings", "target_embedding")) == 2:
+        _reject(targets, "pass one, not both")
     config = _load_config(args)
     if args.jobs < 1:
         return _fail(f"--jobs must be at least 1, got {args.jobs}")
@@ -212,6 +228,9 @@ def cmd_convert(args) -> int:
 # --- evaluate ---------------------------------------------------------------------
 
 def cmd_evaluate(args) -> int:
+    if args.speaker_encoder is None:
+        _reject(_given(args, "target_embedding", "threshold", "embeddings_cache"),
+                "read only with --speaker-encoder")
     config = _load_config(args)
     manifest = load_manifest(args.reference_manifest)
     converted_dir = Path(args.converted_dir)

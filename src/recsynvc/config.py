@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import configparser
 import difflib
+import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, ConfigTypeError, InvalidConfigError, UnknownKeyError
+from .types import N_MELS
 
 DECODER_TYPES = ("simple", "simple_ar", "taco2_ar")
 
@@ -89,12 +91,29 @@ class TrainingConfig:
     log_interval: int = 10
     seed: int = 0
 
+    def __post_init__(self):
+        for key in ("steps", "batch_size", "checkpoint_interval", "log_interval"):
+            if getattr(self, key) < 1:
+                raise ConfigTypeError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigTypeError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not 0.0 <= self.grad_clip < math.inf:  # 0 turns clipping off
+            raise ConfigTypeError(
+                f"grad_clip must be finite and non-negative, got {self.grad_clip}")
+
 
 @dataclass(frozen=True)
 class EvalConfig:
     mcd_order: int = 24
     asv_threshold: float | None = None   # None: no default; ASV needs --threshold
     dropout_seed: int = 0                # conversion-time AR dropout stream
+
+    def __post_init__(self):
+        if not 1 <= self.mcd_order < N_MELS:  # cepstra c_1..c_order of an 80-bin mel
+            raise ConfigTypeError(f"mcd_order must lie in 1..{N_MELS - 1}, got {self.mcd_order}")
+        if self.asv_threshold is not None and not math.isfinite(self.asv_threshold):
+            raise ConfigTypeError(f"asv_threshold must be finite, got {self.asv_threshold}")
 
 
 @dataclass(frozen=True)

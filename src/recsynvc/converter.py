@@ -38,7 +38,6 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     InvalidConfigError,
-    NonFiniteInputError,
     ZeroMeanVectorError,
 )
 from .featureio import read_features, write_features, feature_path
@@ -199,23 +198,20 @@ def average_embedding(embeddings) -> SpeakerEmbedding:
 
 # --- vocoding -------------------------------------------------------------------
 
-def vocode_native(mel, audio: AudioConfig) -> Waveform:
+def vocode_native(mel: MelSpectrogram, audio: AudioConfig) -> Waveform:
     """Iterative phase reconstruction from the mel, no external model.
 
     Output length is trimmed to T x hop samples; amplitude is scaled down
     when the peak exceeds 1 (never boosted, so silence stays silent).
     """
-    frames = mel.frames if isinstance(mel, MelSpectrogram) else np.asarray(mel, dtype=np.float64)
-    if not np.all(np.isfinite(frames)):
-        raise NonFiniteInputError("mel contains non-finite values")
-    energies = np.exp(frames)
+    energies = np.exp(mel.frames)
     # energies ~ |S| @ fb.T; invert with the pseudo-inverse, clip negatives
     fb_pinv = _mel_pseudo_inverse(audio.sample_rate, audio.win_length, audio.fmin,
                                   audio.fmax)
     magnitudes = np.maximum(energies @ fb_pinv.T, 0.0)
     wave = griffin_lim(magnitudes, audio.win_length, audio.hop_length,
                        n_iters=audio.griffin_lim_iters)
-    wave = wave[: frames.shape[0] * audio.hop_length]
+    wave = wave[: len(mel) * audio.hop_length]
     peak = float(np.max(np.abs(wave))) if wave.size else 0.0
     if peak > 1.0:
         wave = wave / peak
@@ -259,15 +255,14 @@ def run_adapter(command, args) -> tuple[str, str]:
         raise AdapterError(f"{name} printed non-UTF-8 output: {exc}", stderr) from exc
 
 
-def vocode_external(mel, command, audio: AudioConfig) -> Waveform:
+def vocode_external(mel: MelSpectrogram, command, audio: AudioConfig) -> Waveform:
     """Run an external vocoder process on one mel spectrogram.
 
     The adapter receives the mel as a binary feature file and must write a
     RIFF/PCM wav to the given output path.  Its output is resampled to the
     working rate when it uses a different one.
     """
-    frames = mel.frames if isinstance(mel, MelSpectrogram) else np.asarray(mel, dtype=np.float64)
-    seq = FeatureSequence(frames.astype(np.float32), audio.frame_shift_ms,
+    seq = FeatureSequence(mel.frames.astype(np.float32), audio.frame_shift_ms,
                           source_name="mel")
     with tempfile.TemporaryDirectory(prefix="vocoder_") as tmp:
         mel_path = Path(tmp) / "input.s3vc"
@@ -282,7 +277,7 @@ def vocode_external(mel, command, audio: AudioConfig) -> Waveform:
             raise AdapterError(f"vocoder output unreadable: {exc}", stderr)
 
 
-def vocode(mel, audio: AudioConfig, vocoder: str = "native") -> Waveform:
+def vocode(mel: MelSpectrogram, audio: AudioConfig, vocoder: str = "native") -> Waveform:
     """Dispatch on a vocoder selector: "native" or "external:<command>"."""
     if vocoder == "native":
         return vocode_native(mel, audio)

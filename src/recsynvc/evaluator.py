@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .config import AudioConfig, default_config
+from .config import AudioConfig
 from .converter import run_adapter
 from .errors import (
     DegenerateVarianceError,
@@ -27,7 +27,7 @@ from .errors import (
     VoiceConversionError,
 )
 from .recognizer import extract_mel
-from .types import FeatureSequence, Waveform
+from .types import FeatureSequence, SpeakerEmbedding, Waveform
 
 # (10 / ln 10) * sqrt(2): converts the mean cepstral L2 distance to decibels
 MCD_CONSTANT = (10.0 / np.log(10.0)) * np.sqrt(2.0)
@@ -37,15 +37,12 @@ METRIC_LABELS = ("MCD", "WER", "ASV", "NAT", "SIM")
 
 # --- cepstra ----------------------------------------------------------------------
 
-def mel_cepstra(wave: Waveform, order: int = 24,
-                audio: AudioConfig | None = None) -> FeatureSequence:
+def mel_cepstra(wave: Waveform, order: int, audio: AudioConfig) -> FeatureSequence:
     """Per-frame cepstra c_1..c_order of the log-mel spectrogram.
 
     The DC term c_0 is dropped, so a constant spectrum (silence at the log
     floor) yields all-zero rows.
     """
-    if audio is None:
-        audio = default_config().audio
     mel = extract_mel(wave, audio)
     cepstra = scipy.fft.dct(mel.frames, type=2, norm="ortho", axis=1)
     return FeatureSequence(
@@ -128,15 +125,6 @@ def dtw_align(a, b) -> list[tuple[int, int]]:
     return path
 
 
-def path_cost(a, b, path) -> float:
-    fa, fb = _frames_of(a), _frames_of(b)
-    total = 0.0
-    for i, j in path:
-        diff = fa[i] - fb[j]
-        total += float(diff @ diff)
-    return total
-
-
 # --- metrics ---------------------------------------------------------------------
 
 def mcd(ref_cepstra, conv_cepstra) -> float:
@@ -185,12 +173,9 @@ def transcribe_adapter(wav_path, command) -> list[str]:
     return normalize_text(stdout)
 
 
-def cosine_similarity(a, b) -> float:
-    va = a.vector if hasattr(a, "vector") else np.asarray(a, dtype=np.float64)
-    vb = b.vector if hasattr(b, "vector") else np.asarray(b, dtype=np.float64)
+def cosine_similarity(a: SpeakerEmbedding, b: SpeakerEmbedding) -> float:
+    va, vb = a.vector, b.vector
     denom = float(np.linalg.norm(va) * np.linalg.norm(vb))
-    if denom == 0.0:
-        raise EmptyInputError("zero-norm embedding in trial pair")
     return float(np.dot(va, vb) / denom)
 
 
@@ -370,14 +355,3 @@ def read_metrics_table(path) -> list[MetricsRow]:
                 naturalness=_num("naturalness"), similarity=_num("similarity"),
             ))
     return rows
-
-
-def write_metrics_table(path, rows) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(_TABLE_COLUMNS) + "\n")
-        for r in rows:
-            cells = [r.system]
-            for key in _TABLE_COLUMNS[1:]:
-                value = getattr(r, key)
-                cells.append("-" if value is None else f"{value:.6g}")
-            fh.write("\t".join(cells) + "\n")

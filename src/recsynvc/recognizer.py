@@ -22,13 +22,11 @@ from .errors import (
     EmptyInputError,
     InvalidConfigError,
     MissingFeatureError,
-    NonFiniteInputError,
     TooShortInputError,
     VoiceConversionError,
 )
 from .featureio import FEATURE_SUFFIX, feature_path, read_features
 from .types import (
-    LOG_MEL_FLOOR,
     MEL_FLOOR,
     N_MELS,
     FeatureSequence,
@@ -85,9 +83,8 @@ def _check_source(name, feature_dir) -> None:
         )
 
 
-def mel_upstream(audio: AudioConfig | None = None) -> UpstreamSpec:
+def mel_upstream(audio: AudioConfig) -> UpstreamSpec:
     """The native mel upstream at an audio configuration's frame shift."""
-    audio = audio or AudioConfig()
     return UpstreamSpec(MEL_UPSTREAM, N_MELS, audio.frame_shift_ms)
 
 
@@ -108,14 +105,13 @@ def external_upstream(name, feature_dir) -> UpstreamSpec:
     return UpstreamSpec(name, seq.dim, seq.frame_shift_ms, feature_dir)
 
 
-def extract_mel(wave: Waveform, audio: AudioConfig | None = None) -> MelSpectrogram:
+def extract_mel(wave: Waveform, audio: AudioConfig) -> MelSpectrogram:
     """80-bin log-mel spectrogram of a working-rate waveform.
 
     Frames follow the left-aligned analysis (T = floor((N - win)/hop) + 1);
     mel energies come from the magnitude STFT through a triangular filterbank
     and are clamped at the floor before the natural log.
     """
-    audio = audio or AudioConfig()
     if wave.sample_rate != audio.sample_rate:
         raise VoiceConversionError(
             f"waveform rate {wave.sample_rate} != working rate {audio.sample_rate}; "
@@ -126,8 +122,6 @@ def extract_mel(wave: Waveform, audio: AudioConfig | None = None) -> MelSpectrog
             f"need at least {audio.win_length} samples for one analysis window, "
             f"got {len(wave)}"
         )
-    if not np.all(np.isfinite(wave.samples)):
-        raise NonFiniteInputError("waveform contains non-finite samples")
     spectra = np.abs(dsp.stft(wave.samples, audio.win_length, audio.hop_length))
     fb = dsp.mel_filterbank(
         audio.sample_rate, audio.win_length, N_MELS, audio.fmin, audio.fmax
@@ -137,7 +131,7 @@ def extract_mel(wave: Waveform, audio: AudioConfig | None = None) -> MelSpectrog
     return MelSpectrogram(frames=frames, frame_shift_ms=audio.frame_shift_ms)
 
 
-def recognize(source, spec: UpstreamSpec, audio: AudioConfig | None = None) -> FeatureSequence:
+def recognize(source, spec: UpstreamSpec, audio: AudioConfig) -> FeatureSequence:
     """Produce the content representation of one utterance.
 
     Native upstream: ``source`` is a ``Waveform`` (or a record whose wav is
@@ -147,8 +141,9 @@ def recognize(source, spec: UpstreamSpec, audio: AudioConfig | None = None) -> F
     """
     if spec.native:
         if isinstance(source, UtteranceRecord):
-            from .audioio import load_waveform  # lazy: avoids scipy at import
-            audio = audio or AudioConfig()
+            # imported here, so each call looks it up on ``audioio`` and a
+            # wrapper installed there sees it
+            from .audioio import load_waveform
             wave = load_waveform(source.wav_path, target_rate=audio.sample_rate)
         elif isinstance(source, Waveform):
             wave = source
@@ -206,9 +201,3 @@ def resample_features(seq: FeatureSequence, target_shift_ms: float) -> FeatureSe
     exact = frac == 0.0  # keep exactly-aligned rows bit-identical
     out[exact] = frames[lo[exact]]
     return FeatureSequence(out, target_shift_ms, source_name=seq.source_name)
-
-
-def mel_from_features(seq: FeatureSequence) -> MelSpectrogram:
-    """Reinterpret an 80-dim feature sequence as a mel spectrogram."""
-    frames = np.maximum(np.asarray(seq.frames, dtype=np.float64), LOG_MEL_FLOOR)
-    return MelSpectrogram(frames=frames, frame_shift_ms=seq.frame_shift_ms)

@@ -31,7 +31,6 @@ from .errors import (
     DimensionMismatchError,
     ExtraEmbeddingError,
     InvalidConfigError,
-    LengthMismatchError,
     MissingEmbeddingError,
 )
 from .nnops import (
@@ -48,7 +47,7 @@ from .nnops import (
     lstmp_step,
     lstmp_step_backward,
 )
-from .types import N_MELS, FeatureSequence, MelSpectrogram, SpeakerEmbedding
+from .types import N_MELS, FeatureSequence, SpeakerEmbedding
 
 
 def decoder_meta(config: ModelConfig, input_dim: int) -> dict:
@@ -452,28 +451,15 @@ def _content_frames(content, input_dim):
     return frames
 
 
-def _target_frames(target):
-    frames = target.frames if isinstance(target, MelSpectrogram) else target
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != N_MELS:
-        raise DimensionMismatchError(
-            f"target must be T x {N_MELS}, got shape {frames.shape}"
-        )
-    return frames
-
-
-def _check_embedding(config, embedding):
+def _check_embedding(config, embedding: SpeakerEmbedding | None):
     if config.speaker_conditioned:
         if embedding is None:
             raise MissingEmbeddingError("speaker-conditioned decoder needs an embedding")
-        if isinstance(embedding, SpeakerEmbedding):
-            embedding = embedding.vector
-        vec = np.asarray(embedding, dtype=np.float64)
-        if vec.size != config.embedding_dim:
+        if embedding.dim != config.embedding_dim:
             raise DimensionMismatchError(
-                f"embedding dim {vec.size} != configured {config.embedding_dim}"
+                f"embedding dim {embedding.dim} != configured {config.embedding_dim}"
             )
-        return vec.reshape(1, -1)
+        return embedding.vector.reshape(1, -1)
     if embedding is not None:
         raise ExtraEmbeddingError(
             "embedding supplied to a decoder that is not speaker-conditioned"
@@ -488,21 +474,8 @@ def shift_frames_right(target_frames: np.ndarray) -> np.ndarray:
     return prev
 
 
-def forward_teacher(params: ModelParameters, content, target, embedding=None,
-                    dropout_seed: int = 0) -> np.ndarray:
-    """Teacher-forced prediction for one utterance; returns (T, 80)."""
-    frames = _content_frames(content, params.input_dim)
-    tgt = _target_frames(target)
-    if frames.shape[0] != tgt.shape[0]:
-        raise LengthMismatchError(
-            f"content has {frames.shape[0]} frames but target has {tgt.shape[0]}"
-        )
-    spk = _check_embedding(params.config, embedding)
-    prev = shift_frames_right(tgt)[None]
-    return teacher_forward_batch(params, frames[None], prev, spk, dropout_seed)[0][0]
-
-
-def forward_free_running(params: ModelParameters, content, embedding=None,
+def forward_free_running(params: ModelParameters, content,
+                         embedding: SpeakerEmbedding | None = None,
                          dropout_seed: int = 0) -> np.ndarray:
     """Generate (T, 80) mel frames from content alone; length equals len(content)."""
     frames = _content_frames(content, params.input_dim)

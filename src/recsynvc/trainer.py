@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import sys
 import time
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -55,6 +55,7 @@ from .types import (
     ROLE_MULTI_SPEAKER,
     DatasetManifest,
     SpeakerEmbedding,
+    UtteranceRecord,
 )
 
 
@@ -180,14 +181,12 @@ def _prepare_examples(manifest, spec, config, encoder=None):
         t_len = min(len(content), mel.frames.shape[0])
         emb = None
         if encoder is not None:
-            emb_obj = encoder(record)
-            vec = emb_obj.vector if isinstance(emb_obj, SpeakerEmbedding) else np.asarray(emb_obj, dtype=np.float64)
-            if vec.size != config.model.embedding_dim:
+            emb = encoder(record).vector
+            if emb.size != config.model.embedding_dim:
                 raise DimensionMismatchError(
-                    f"{record.utt_id}: embedding dim {vec.size} != configured "
+                    f"{record.utt_id}: embedding dim {emb.size} != configured "
                     f"{config.model.embedding_dim}"
                 )
-            emb = vec.astype(np.float64).ravel()
         raw.append((record.utt_id,
                     np.asarray(content.frames[:t_len], dtype=np.float64),
                     mel.frames[:t_len].copy(), emb))
@@ -296,7 +295,8 @@ def train_a2o(manifest: DatasetManifest, spec: UpstreamSpec, config: Config,
 
 
 def train_a2a(manifest: DatasetManifest, spec: UpstreamSpec, config: Config,
-              out_dir, encoder: Callable, log_file=None) -> TrainRun:
+              out_dir, encoder: Callable[[UtteranceRecord], SpeakerEmbedding],
+              log_file=None) -> TrainRun:
     """Train a speaker-conditioned decoder on a multi-speaker corpus.
 
     Each utterance is conditioned on the embedding of its own waveform, so the

@@ -113,7 +113,7 @@ class MelSpectrogram:
     """Log-mel frames (T x 80), floored at ``LOG_MEL_FLOOR``."""
 
     frames: np.ndarray
-    frame_shift_ms: float = 10.0
+    frame_shift_ms: float
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float64)

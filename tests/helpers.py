@@ -9,6 +9,7 @@ import hashlib
 import numpy as np
 
 from recsynvc.config import AudioConfig, Config, ModelConfig, TrainingConfig
+from recsynvc.evaluator import _TABLE_COLUMNS, _frames_of
 from recsynvc.types import SpeakerEmbedding
 
 
@@ -28,6 +29,28 @@ def sphere_embedding(key: str, dim: int = 16) -> SpeakerEmbedding:
     rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
     vec = rng.standard_normal(dim)
     return SpeakerEmbedding(vector=vec / np.linalg.norm(vec))
+
+
+def path_cost(a, b, path) -> float:
+    """Summed squared Euclidean cost of an alignment path: the DTW oracle."""
+    fa, fb = _frames_of(a), _frames_of(b)
+    total = 0.0
+    for i, j in path:
+        diff = fa[i] - fb[j]
+        total += float(diff @ diff)
+    return total
+
+
+def write_metrics_table(path, rows) -> None:
+    """Inverse of ``evaluator.read_metrics_table``; ``-`` marks a missing score."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(_TABLE_COLUMNS) + "\n")
+        for r in rows:
+            cells = [r.system]
+            for key in _TABLE_COLUMNS[1:]:
+                value = getattr(r, key)
+                cells.append("-" if value is None else f"{value:.6g}")
+            fh.write("\t".join(cells) + "\n")
 
 
 # Toy training setup shared by trainer, converter, CLI, and acceptance tests.

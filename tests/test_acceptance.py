@@ -19,14 +19,14 @@ from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from recsynvc.cli import main
 from recsynvc.config import ModelConfig
 from recsynvc.converter import average_embedding, convert, vocode
-from recsynvc.evaluator import MCD_CONSTANT, dtw_align, mcd, path_cost, wer
+from recsynvc.evaluator import MCD_CONSTANT, dtw_align, mcd, wer
 from recsynvc.featureio import read_features, write_features
 from recsynvc.recognizer import extract_mel, mel_upstream
 from recsynvc.synthesizer import build_decoder, decoder_from_meta
 from recsynvc.trainer import loss_and_grads, train_a2a, train_a2o
 from recsynvc.types import FeatureSequence, SpeakerEmbedding
 
-from helpers import sphere_embedding, toy_config
+from helpers import path_cost, sphere_embedding, toy_config
 
 DECODERS = ("simple", "simple_ar", "taco2_ar")
 

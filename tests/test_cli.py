@@ -14,12 +14,13 @@ from recsynvc.audioio import load_waveform, save_waveform
 from recsynvc import cli
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from recsynvc.cli import main
+from recsynvc.evaluator import MetricsRow
 from recsynvc.featureio import read_features, write_features
 from recsynvc.manifest import load_manifest, write_manifest
 from recsynvc.synthetic import make_toy_corpus, make_utterance
 from recsynvc.types import DatasetManifest, FeatureSequence, UtteranceRecord
 
-from helpers import sphere_embedding
+from helpers import sphere_embedding, write_metrics_table
 
 CLI_CONFIG = """\
 [model]
@@ -70,9 +71,7 @@ def test_extract_features(cli_corpus, tmp_path):
     assert len(files) == 4
     seq = read_features(files[0])
     assert seq.frames.shape[1] == 80
-    index = (out_dir / "index.tsv").read_text().splitlines()
-    assert len(index) == 4
-    assert all("\t" in line for line in index)
+    assert sorted(out_dir.iterdir()) == files
 
     # a second run skips existing outputs, --force rewrites them
     before = [p.stat().st_mtime_ns for p in files]
@@ -151,6 +150,58 @@ def test_bad_text_input_is_one_error_line(cli_corpus, cli_config, tmp_path, caps
     assert rc == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0]
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("train", "training", "steps", 0), ("evaluate", "evaluation", "mcd_order", 200),
+], ids=["train_steps", "evaluate_mcd_order"])
+def test_out_of_range_config_is_one_error_line(cli_corpus, tmp_path, capsys, command,
+                                               section, key, value):
+    config = tmp_path / "bad.ini"
+    config.write_text(f"[{section}]\n{key} = {value}\n")
+    positional = [cli_corpus] if command == "train" else [tmp_path, cli_corpus]
+    capsys.readouterr()
+    rc = main([command, *map(str, positional), "--out-dir", str(tmp_path / "out"),
+               "--config", str(config)])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+A2A_ONLY = "read only by --mode a2a"
+NEEDS_ENCODER = "read only with --speaker-encoder"
+
+
+@pytest.mark.parametrize("command, flags, reason", [
+    ("train", ["--embeddings-dir", "D"], A2A_ONLY),
+    ("train", ["--speaker-encoder", "enc"], A2A_ONLY),
+    ("train", ["--embeddings-cache", "C"], A2A_ONLY),
+    ("train", ["--mode", "a2a", "--embeddings-dir", "D", "--speaker-encoder", "enc"],
+     "not both"),
+    ("train", ["--mode", "a2a", "--embeddings-dir", "D", "--embeddings-cache", "C"],
+     NEEDS_ENCODER),
+    ("convert", ["--target-embeddings", "D"], "not speaker-conditioned"),
+    ("convert", ["--target-embedding", "/nonexistent"], "not speaker-conditioned"),
+    ("convert", ["--target-embeddings", "D", "--target-embedding", "F"], "not both"),
+    ("evaluate", ["--target-embedding", "F"], NEEDS_ENCODER),
+    ("evaluate", ["--threshold", "0.5"], NEEDS_ENCODER),
+    ("evaluate", ["--embeddings-cache", "C"], NEEDS_ENCODER),
+], ids=["a2o_embeddings_dir", "a2o_speaker_encoder", "a2o_embeddings_cache",
+        "a2a_both_sources", "cache_without_encoder", "unconditioned_target_dir",
+        "unconditioned_target_file", "both_targets", "evaluate_target",
+        "evaluate_threshold", "evaluate_cache"])
+def test_unread_option_is_one_error_line(cli_checkpoint, cli_corpus, cli_config, tmp_path,
+                                         capsys, command, flags, reason):
+    positional = {"train": [cli_corpus], "convert": [cli_checkpoint, cli_corpus],
+                  "evaluate": [tmp_path, cli_corpus]}[command]
+    capsys.readouterr()
+    rc = main([command, *map(str, positional), "--out-dir", str(tmp_path / "out"),
+               "--config", str(cli_config), *flags])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and reason in lines[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_a2a_needs_embedding_source(tmp_path, cli_config):
@@ -402,8 +453,6 @@ def test_correlate_bundled(tmp_path):
 
 
 def test_correlate_custom_table(tmp_path):
-    from recsynvc.evaluator import MetricsRow, write_metrics_table
-
     rng = np.random.default_rng(2)
     rows = []
     for k in range(5):

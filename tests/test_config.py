@@ -127,6 +127,33 @@ def test_audio_accepts_zero_griffin_lim_iterations(tmp_path):
     assert load_config(path).audio.griffin_lim_iters == 0
 
 
+@pytest.mark.parametrize("section, line", [
+    ("training", "steps = 0"), ("training", "steps = -3"), ("training", "batch_size = 0"),
+    ("training", "log_interval = 0"), ("training", "checkpoint_interval = 0"),
+    ("training", "learning_rate = 0"), ("training", "learning_rate = nan"),
+    ("training", "learning_rate = inf"), ("training", "grad_clip = -1"),
+    ("training", "grad_clip = nan"), ("evaluation", "mcd_order = 0"),
+    ("evaluation", "mcd_order = -3"), ("evaluation", "mcd_order = 80"),
+    ("evaluation", "mcd_order = 200"), ("evaluation", "asv_threshold = nan"),
+    ("evaluation", "asv_threshold = -inf"),
+])
+def test_training_and_evaluation_validation(tmp_path, section, line):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[{section}]\n{line}\n")
+    with pytest.raises(ConfigTypeError, match=line.split()[0]):
+        load_config(path)
+
+
+def test_range_ends_are_accepted(tmp_path):
+    # grad_clip = 0 turns clipping off; c_1..c_79 are the cepstra of an 80-bin mel
+    path = tmp_path / "run.ini"
+    path.write_text("[training]\nsteps = 1\ngrad_clip = 0\n[evaluation]\nmcd_order = 79\n")
+    config = load_config(path)
+    assert (config.training.steps, config.training.grad_clip) == (1, 0.0)
+    path.write_text("[evaluation]\nmcd_order = 1\n")
+    assert load_config(path).evaluation.mcd_order == 1
+
+
 def test_sections_are_frozen():
     config = Config(audio=AudioConfig(), model=ModelConfig(),
                     training=TrainingConfig())

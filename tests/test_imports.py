@@ -1,14 +1,19 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, keeps annotations that
+resolve, and defines no public function or class that only tests use."""
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import pytest
 
 import recsynvc
 
-MODULES = sorted(p for p in Path(recsynvc.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(recsynvc.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -33,3 +38,57 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text("utf-8")) == []
+
+
+def _defined(module):
+    """``(qualified name, object)`` of each function, class and method ``module`` defines."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            yield name, obj
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_annotations_resolve(path):
+    module = importlib.import_module(f"recsynvc.{path.stem}")
+    unresolved = []
+    for name, obj in _defined(module):
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append(f"{name}: {exc}")
+    assert unresolved == []
+
+
+def _referenced_names(paths) -> set[str]:
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)  # a binding the benchmark's tracer wraps by name
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """The pipeline, the demos or the benchmark use each public function and class."""
+    callers = MODULES + sorted((ROOT / "demos").glob("*.py"))
+    callers += sorted((ROOT / "perfbench").rglob("*.py"))
+    referenced = _referenced_names(callers)
+    unused = [f"{path.stem}.{node.name}" for path in MODULES
+              for node in ast.parse(path.read_text("utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in referenced]
+    assert unused == []

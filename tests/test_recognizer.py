@@ -15,7 +15,6 @@ from recsynvc.recognizer import (
     UpstreamSpec,
     extract_mel,
     external_upstream,
-    mel_from_features,
     mel_upstream,
     recognize,
     resample_features,
@@ -70,8 +69,8 @@ class TestUpstreams:
         with pytest.raises(InvalidConfigError):
             UpstreamSpec(name="mel", feature_dim=40, frame_shift_ms=10.0)
 
-    def test_native_upstream_is_the_name_mel(self, tmp_path):
-        assert mel_upstream().native
+    def test_native_upstream_is_the_name_mel(self, tmp_path, audio):
+        assert mel_upstream(audio).native
         assert not UpstreamSpec("ssl_stub", 80, 10.0, tmp_path).native
         # mel is computed from the wavs: no feature directory, external or not
         with pytest.raises(InvalidConfigError, match="no feature directory"):
@@ -172,10 +171,3 @@ class TestResampleFeatures:
                               frame_shift_ms=12.5)
         out = resample_features(seq, 10.0)
         np.testing.assert_allclose(out.frames, 3.25, atol=1e-6)
-
-
-def test_mel_from_features_round_trip(audio):
-    mel = extract_mel(_tone(), audio)
-    back = mel_from_features(mel.as_features())
-    np.testing.assert_allclose(back.frames, mel.frames, atol=1e-6)
-    assert back.frame_shift_ms == mel.frame_shift_ms

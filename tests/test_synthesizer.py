@@ -11,14 +11,12 @@ from recsynvc.converter import load_model
 from recsynvc.errors import (
     DimensionMismatchError,
     ExtraEmbeddingError,
-    LengthMismatchError,
     MissingEmbeddingError,
 )
 from recsynvc.synthesizer import (
     build_decoder,
     decoder_meta,
     forward_free_running,
-    forward_teacher,
     free_forward_batch,
     shift_frames_right,
     teacher_forward_batch,
@@ -124,8 +122,9 @@ class TestForward:
         rng = np.random.default_rng(0)
         params = build_decoder(_config(type_), INPUT_DIM, seed=0)
         content, target = _data(rng)
-        out = forward_teacher(params, content, target)
-        assert out.shape == (11, 80)
+        out = teacher_forward_batch(params, content[None],
+                                    shift_frames_right(target)[None], None, 0)[0]
+        assert out.shape == (1, 11, 80)
         assert np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("type_", ["simple", "simple_ar", "taco2_ar"])
@@ -142,7 +141,8 @@ class TestForward:
         rng = np.random.default_rng(1)
         params = build_decoder(_config("simple"), INPUT_DIM, seed=0)
         content, target = _data(rng)
-        teacher = forward_teacher(params, content, target)
+        teacher = teacher_forward_batch(params, content[None],
+                                        shift_frames_right(target)[None], None, 0)[0][0]
         free = forward_free_running(params, content)
         np.testing.assert_allclose(free, teacher, atol=1e-12)
 
@@ -176,45 +176,38 @@ class TestForward:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)  # dropout stays live at inference
 
-    def test_length_mismatch(self):
-        rng = np.random.default_rng(3)
-        params = build_decoder(_config("simple_ar"), INPUT_DIM, seed=0)
-        content, target = _data(rng)
-        with pytest.raises(LengthMismatchError):
-            forward_teacher(params, content, target[:-1])
-
     def test_content_dim_mismatch(self):
         rng = np.random.default_rng(4)
         params = build_decoder(_config("simple"), INPUT_DIM, seed=0)
-        content, target = _data(rng, input_dim=13)
+        content, _ = _data(rng, input_dim=13)
         with pytest.raises(DimensionMismatchError):
-            forward_teacher(params, content, target)
+            forward_free_running(params, content)
 
     def test_embedding_requirements(self):
         rng = np.random.default_rng(5)
         conditioned = build_decoder(
             _config("taco2_ar", speaker_conditioned=True, embedding_dim=4), INPUT_DIM,
             seed=0)
-        content, target = _data(rng)
+        content, _ = _data(rng)
         emb = SpeakerEmbedding.from_raw(rng.standard_normal(4))
         with pytest.raises(MissingEmbeddingError):
-            forward_teacher(conditioned, content, target)
-        out = forward_teacher(conditioned, content, target, embedding=emb)
+            forward_free_running(conditioned, content)
+        out = forward_free_running(conditioned, content, embedding=emb)
         assert out.shape == (11, 80)
 
         plain = build_decoder(_config("taco2_ar"), INPUT_DIM, seed=0)
         with pytest.raises(ExtraEmbeddingError):
-            forward_teacher(plain, content, target, embedding=emb)
+            forward_free_running(plain, content, embedding=emb)
 
     def test_embedding_dim_checked(self):
         rng = np.random.default_rng(6)
         conditioned = build_decoder(
             _config("taco2_ar", speaker_conditioned=True, embedding_dim=4), INPUT_DIM,
             seed=0)
-        content, target = _data(rng)
+        content, _ = _data(rng)
         wrong = SpeakerEmbedding.from_raw(rng.standard_normal(5))
         with pytest.raises(DimensionMismatchError):
-            forward_teacher(conditioned, content, target, embedding=wrong)
+            forward_free_running(conditioned, content, embedding=wrong)
 
     def test_embedding_changes_output(self):
         rng = np.random.default_rng(7)

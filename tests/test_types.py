@@ -80,16 +80,17 @@ class TestFeatureSequence:
 class TestMelSpectrogram:
     def test_shape_and_floor_enforced(self):
         frames = np.full((5, N_MELS), LOG_MEL_FLOOR)
-        mel = MelSpectrogram(frames=frames)
+        mel = MelSpectrogram(frames=frames, frame_shift_ms=10.0)
         assert len(mel) == 5
         with pytest.raises(VoiceConversionError):
-            MelSpectrogram(frames=np.zeros((5, N_MELS - 1)))
+            MelSpectrogram(frames=np.zeros((5, N_MELS - 1)), frame_shift_ms=10.0)
         with pytest.raises(VoiceConversionError):
-            MelSpectrogram(frames=np.full((5, N_MELS), LOG_MEL_FLOOR - 1.0))
+            MelSpectrogram(frames=np.full((5, N_MELS), LOG_MEL_FLOOR - 1.0),
+                           frame_shift_ms=10.0)
 
     def test_as_features_round_trip(self):
         frames = np.full((4, N_MELS), LOG_MEL_FLOOR + 1.0)
-        mel = MelSpectrogram(frames=frames)
+        mel = MelSpectrogram(frames=frames, frame_shift_ms=10.0)
         seq = mel.as_features()
         assert seq.dim == N_MELS
         assert seq.frame_shift_ms == mel.frame_shift_ms
