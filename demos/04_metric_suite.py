@@ -9,7 +9,7 @@ threshold calibration underneath them.
 
 import numpy as np
 
-from recsynvc.config import default_config
+from recsynvc.config import Config
 from recsynvc.evaluator import (
     MCD_CONSTANT,
     asv_accept_rate,
@@ -29,7 +29,7 @@ from recsynvc.types import SpeakerEmbedding
 # cepstra are the orthonormal DCT of the log-mel frames with the DC term
 # dropped, so overall gain does not affect the score
 # the order (24) and the analysis settings come from the default config
-config = default_config()
+config = Config()
 wave, _ = make_utterance([4, 0], 0, duration=0.6)
 ceps = mel_cepstra(wave, config.evaluation.mcd_order, config.audio)
 print(f"cepstra: {ceps.frames.shape[0]} frames x {ceps.frames.shape[1]} "

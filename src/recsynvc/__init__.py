@@ -13,7 +13,6 @@ from .config import (
     EvalConfig,
     ModelConfig,
     TrainingConfig,
-    default_config,
     load_config,
 )
 from .converter import (
@@ -72,7 +71,7 @@ __all__ = [
     "Waveform",
     "asv_accept_rate", "average_embedding", "build_decoder",
     "calibrate_asv_threshold", "compute_loss", "convert",
-    "correlation_matrix", "cosine_similarity", "default_config", "dtw_align",
+    "correlation_matrix", "cosine_similarity", "dtw_align",
     "eer_threshold", "extract_mel", "external_upstream", "forward_free_running",
     "load_checkpoint", "load_config", "load_manifest",
     "load_waveform", "mcd", "mel_cepstra", "mel_upstream", "normalize_text",

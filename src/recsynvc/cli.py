@@ -9,7 +9,6 @@ occurred.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -25,8 +24,9 @@ from .benchmark import (
     published_correlations,
 )
 from .checkpoint import load_checkpoint
-from .config import Config, ModelConfig, default_config, load_config
+from .config import Config, ModelConfig, load_config
 from .converter import (
+    _vocoder_command,
     average_embedding,
     convert,
     load_model,
@@ -72,12 +72,7 @@ def _reject(flags, why: str) -> None:
 
 
 def _load_config(args) -> Config:
-    config = load_config(args.config) if args.config else default_config()
-    if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(
-            config, training=dataclasses.replace(config.training, seed=args.seed)
-        )
-    return config
+    return load_config(args.config) if args.config else Config()
 
 
 # --- extract-features ---------------------------------------------------------
@@ -189,19 +184,19 @@ def cmd_convert(args) -> int:
     config = _load_config(args)
     if args.jobs < 1:
         return _fail(f"--jobs must be at least 1, got {args.jobs}")
+    # a bad vocoder, checkpoint or --feature-dir is one error, not one per utterance
+    _vocoder_command(args.vocoder)
     checkpoint = load_checkpoint(args.checkpoint)
-    # a bad checkpoint or a missing --feature-dir is one error, not one per utterance
     model = load_model(checkpoint)
     model.upstream_spec(args.feature_dir)
     manifest = load_manifest(args.source_manifest)
     embedding = _target_embedding(args, model.params.config)
-    dropout_seed = args.seed if args.seed is not None else config.evaluation.dropout_seed
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def one(record):
         mel = convert(record, checkpoint, args.feature_dir, s=embedding,
-                      dropout_seed=dropout_seed)
+                      dropout_seed=config.evaluation.dropout_seed)
         write_features(out_dir / f"{record.utt_id}.mel.s3vc", mel.as_features())
         wave = vocode(mel, model.audio, vocoder=args.vocoder)
         save_waveform(out_dir / f"{record.utt_id}.wav", wave)
@@ -231,6 +226,8 @@ def cmd_evaluate(args) -> int:
     if args.speaker_encoder is None:
         _reject(_given(args, "target_embedding", "threshold", "embeddings_cache"),
                 "read only with --speaker-encoder")
+    elif args.threshold is None:
+        return _fail("ASV with --speaker-encoder needs --threshold")
     config = _load_config(args)
     manifest = load_manifest(args.reference_manifest)
     converted_dir = Path(args.converted_dir)
@@ -289,13 +286,7 @@ def cmd_evaluate(args) -> int:
             target = average_embedding(target_embeddings)
         else:
             return _fail("ASV needs reference wavs or --target-embedding")
-        threshold = args.threshold
-        if threshold is None:
-            threshold = config.evaluation.asv_threshold
-        if threshold is None:
-            return _fail("no ASV threshold configured; pass --threshold "
-                         "or set [evaluation] asv_threshold")
-        asv = asv_accept_rate([(e, target) for e in conv_embeddings], threshold)
+        asv = asv_accept_rate([(e, target) for e in conv_embeddings], args.threshold)
 
     def mean(metric):
         values = [row[metric] for row in rows.values() if metric in row]
@@ -379,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("a2o", "a2a"), default="a2o")
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--config", type=Path, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--log-file", type=Path, default=None)
     p.add_argument("--embeddings-dir", type=Path, default=None,
                    help="a2a: directory of per-utterance embedding .s3vc files")
@@ -398,9 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint", type=Path)
     p.add_argument("source_manifest", type=Path)
     p.add_argument("--out-dir", type=Path, required=True)
-    p.add_argument("--config", type=Path, default=None)
-    p.add_argument("--seed", type=int, default=None,
-                   help="dropout seed for the autoregressive path")
+    p.add_argument("--config", type=Path, default=None,
+                   help="INI file; convert reads only [evaluation] dropout_seed")
     p.add_argument("--vocoder", default="native",
                    help="'native' or 'external:<command>'")
     p.add_argument("--jobs", type=int, default=1)

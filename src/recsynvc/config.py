@@ -106,14 +106,11 @@ class TrainingConfig:
 @dataclass(frozen=True)
 class EvalConfig:
     mcd_order: int = 24
-    asv_threshold: float | None = None   # None: no default; ASV needs --threshold
     dropout_seed: int = 0                # conversion-time AR dropout stream
 
     def __post_init__(self):
         if not 1 <= self.mcd_order < N_MELS:  # cepstra c_1..c_order of an 80-bin mel
             raise ConfigTypeError(f"mcd_order must lie in 1..{N_MELS - 1}, got {self.mcd_order}")
-        if self.asv_threshold is not None and not math.isfinite(self.asv_threshold):
-            raise ConfigTypeError(f"asv_threshold must be finite, got {self.asv_threshold}")
 
 
 @dataclass(frozen=True)
@@ -157,8 +154,6 @@ def _parse_value(raw, f, key):
             if not raw:
                 return ()
             return tuple(int(part) for part in raw.split(","))
-        if tp == "float | None":
-            return None if raw.lower() == "none" else float(raw)
     except ConfigTypeError:
         raise
     except (TypeError, ValueError) as exc:
@@ -205,10 +200,6 @@ def _suggest(name, candidates):
     if match:
         return f"; did you mean {match[0]!r}?"
     return f"; valid keys: {', '.join(sorted(candidates))}"
-
-
-def default_config() -> Config:
-    return Config()
 
 
 def load_config(path) -> Config:

@@ -54,6 +54,7 @@ from .types import (
     FeatureSequence,
     MelSpectrogram,
     SpeakerEmbedding,
+    UtteranceRecord,
     Waveform,
 )
 
@@ -150,19 +151,19 @@ def load_model(checkpoint) -> TrainedModel:
                         upstream_shift_ms=float(upstream["frame_shift_ms"]))
 
 
-def convert(source, checkpoint, feature_dir=None,
+def convert(record: UtteranceRecord, checkpoint, feature_dir=None,
             s: SpeakerEmbedding | None = None,
             dropout_seed: int = 0) -> MelSpectrogram:
     """Convert one source utterance into the target voice's mel spectrogram.
 
-    ``source`` is a Waveform or an UtteranceRecord.  A model trained on an
-    external upstream reads the record's features from ``feature_dir``, which
-    is given exactly then; their width and frame shift must be the checkpoint's.
-    ``s`` must be given exactly when the model is speaker-conditioned.
+    A model trained on an external upstream reads the record's features from
+    ``feature_dir``, which is given exactly then; their width and frame shift
+    must be the checkpoint's.  ``s`` must be given exactly when the model is
+    speaker-conditioned.
     """
     model = load_model(checkpoint)
     audio, stats = model.audio, model.stats
-    content = recognize(source, model.upstream_spec(feature_dir), audio)
+    content = recognize(record, model.upstream_spec(feature_dir), audio)
     content = resample_features(content, audio.frame_shift_ms)
     frames = normalize(content.frames, stats["input_mean"], stats["input_std"])
     out = forward_free_running(model.params, frames, embedding=s,
@@ -226,20 +227,26 @@ def _mel_pseudo_inverse(sample_rate, win_length, fmin, fmax) -> np.ndarray:
     return fb_pinv
 
 
-def run_adapter(command, args) -> tuple[str, str]:
-    """Run one external adapter process and return its ``(stdout, stderr)``.
-
-    ``command`` is a shell-style string or a sequence of arguments; ``args``
-    (paths, usually) are appended to it.  Both streams are decoded as UTF-8.
-    Raises ``AdapterError`` when the command is empty or cannot be started,
-    exits with a nonzero status, or prints stdout that is not UTF-8.
-    """
-    if isinstance(command, (str, Path)):
-        argv = shlex.split(str(command))
-    else:
-        argv = [str(c) for c in command]
+def _argv(command: str) -> list[str]:
+    """Split a shell-style adapter command; an empty or unparsable one raises ``AdapterError``."""
+    try:
+        argv = shlex.split(command)
+    except ValueError as exc:
+        raise AdapterError(f"cannot parse adapter command {command!r}: {exc}") from None
     if not argv:
         raise AdapterError("empty adapter command")
+    return argv
+
+
+def run_adapter(command: str, args) -> tuple[str, str]:
+    """Run one external adapter process and return its ``(stdout, stderr)``.
+
+    ``command`` is a shell-style string; ``args`` (paths, usually) are
+    appended to it.  Both streams are decoded as UTF-8.  Raises
+    ``AdapterError`` when the command is empty, unparsable or cannot be
+    started, exits with a nonzero status, or prints stdout that is not UTF-8.
+    """
+    argv = _argv(command)
     name = f"adapter {shlex.join(argv)!r}"
     try:
         # looked up on the module at each call, so a wrapper installed there sees it
@@ -262,8 +269,7 @@ def vocode_external(mel: MelSpectrogram, command, audio: AudioConfig) -> Wavefor
     RIFF/PCM wav to the given output path.  Its output is resampled to the
     working rate when it uses a different one.
     """
-    seq = FeatureSequence(mel.frames.astype(np.float32), audio.frame_shift_ms,
-                          source_name="mel")
+    seq = FeatureSequence(mel.frames.astype(np.float32), audio.frame_shift_ms)
     with tempfile.TemporaryDirectory(prefix="vocoder_") as tmp:
         mel_path = Path(tmp) / "input.s3vc"
         wav_path = Path(tmp) / "output.wav"
@@ -277,13 +283,26 @@ def vocode_external(mel: MelSpectrogram, command, audio: AudioConfig) -> Wavefor
             raise AdapterError(f"vocoder output unreadable: {exc}", stderr)
 
 
+def _vocoder_command(vocoder: str) -> str | None:
+    """The command of an ``"external:<command>"`` selector, None for ``"native"``.
+
+    Any other selector, or an empty or unparsable command, raises ``AdapterError``.
+    """
+    if vocoder == "native":
+        return None
+    if vocoder.startswith("external:"):
+        command = vocoder[len("external:"):]
+        _argv(command)
+        return command
+    raise AdapterError(f"unknown vocoder selector {vocoder!r}")
+
+
 def vocode(mel: MelSpectrogram, audio: AudioConfig, vocoder: str = "native") -> Waveform:
     """Dispatch on a vocoder selector: "native" or "external:<command>"."""
-    if vocoder == "native":
+    command = _vocoder_command(vocoder)
+    if command is None:
         return vocode_native(mel, audio)
-    if vocoder.startswith("external:"):
-        return vocode_external(mel, vocoder[len("external:"):], audio)
-    raise AdapterError(f"unknown vocoder selector {vocoder!r}")
+    return vocode_external(mel, command, audio)
 
 
 # --- speaker encoder --------------------------------------------------------------

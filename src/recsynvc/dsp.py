@@ -100,7 +100,7 @@ def mel_filterbank(sample_rate, win_length, n_mels, fmin, fmax) -> np.ndarray:
 
 
 def griffin_lim(magnitudes: np.ndarray, win_length: int, hop_length: int,
-                n_iters: int = 32) -> np.ndarray:
+                n_iters: int) -> np.ndarray:
     """Iterative phase reconstruction from a magnitude STFT (T, F).
 
     Starts from zero phase, so the result is deterministic.

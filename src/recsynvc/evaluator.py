@@ -45,11 +45,7 @@ def mel_cepstra(wave: Waveform, order: int, audio: AudioConfig) -> FeatureSequen
     """
     mel = extract_mel(wave, audio)
     cepstra = scipy.fft.dct(mel.frames, type=2, norm="ortho", axis=1)
-    return FeatureSequence(
-        cepstra[:, 1:order + 1].astype(np.float32),
-        audio.frame_shift_ms,
-        source_name="cepstra",
-    )
+    return FeatureSequence(cepstra[:, 1:order + 1].astype(np.float32), audio.frame_shift_ms)
 
 
 def _frames_of(x) -> np.ndarray:
@@ -174,7 +170,10 @@ def transcribe_adapter(wav_path, command) -> list[str]:
 
 
 def cosine_similarity(a: SpeakerEmbedding, b: SpeakerEmbedding) -> float:
+    """Cosine of two embeddings; ``DimensionMismatchError`` when their widths differ."""
     va, vb = a.vector, b.vector
+    if va.size != vb.size:
+        raise DimensionMismatchError(f"embedding dims disagree: {va.size} vs {vb.size}")
     denom = float(np.linalg.norm(va) * np.linalg.norm(vb))
     return float(np.dot(va, vb) / denom)
 

@@ -33,14 +33,13 @@ def write_features(path, seq: FeatureSequence) -> None:
     write_atomic(path, MAGIC, VERSION, [header, frames.tobytes()])
 
 
-def read_features(path, source_name="") -> FeatureSequence:
+def read_features(path) -> FeatureSequence:
     """Read a feature file; a corrupt one raises a ``FeatureFileError`` subclass."""
     r = Reader(path, MAGIC, VERSION)
     n_frames, dim, frame_shift_ms = r.unpack("IIf")
     frames = r.array("<f4", (n_frames, dim))
     r.finish()
-    return FeatureSequence(frames=frames, frame_shift_ms=frame_shift_ms,
-                           source_name=source_name)
+    return FeatureSequence(frames=frames, frame_shift_ms=frame_shift_ms)
 
 
 def feature_path(feature_dir, utt_id) -> Path:

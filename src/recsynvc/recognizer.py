@@ -131,46 +131,32 @@ def extract_mel(wave: Waveform, audio: AudioConfig) -> MelSpectrogram:
     return MelSpectrogram(frames=frames, frame_shift_ms=audio.frame_shift_ms)
 
 
-def recognize(source, spec: UpstreamSpec, audio: AudioConfig) -> FeatureSequence:
+def recognize(record: UtteranceRecord, spec: UpstreamSpec,
+              audio: AudioConfig) -> FeatureSequence:
     """Produce the content representation of one utterance.
 
-    Native upstream: ``source`` is a ``Waveform`` (or a record whose wav is
-    loaded on demand) and the mel extractor runs in-process.  External
-    upstream: ``source`` is an ``UtteranceRecord`` whose features are read
-    from ``spec.feature_dir``; values pass through untouched.
+    Native upstream: the record's wav is loaded and the mel extractor runs
+    in-process.  External upstream: the record's features are read from
+    ``spec.feature_dir``; values pass through untouched.
     """
     if spec.native:
-        if isinstance(source, UtteranceRecord):
-            # imported here, so each call looks it up on ``audioio`` and a
-            # wrapper installed there sees it
-            from .audioio import load_waveform
-            wave = load_waveform(source.wav_path, target_rate=audio.sample_rate)
-        elif isinstance(source, Waveform):
-            wave = source
-        else:
-            raise VoiceConversionError(
-                f"native upstream expects a waveform or record, got {type(source).__name__}"
-            )
-        mel = extract_mel(wave, audio)
-        seq = FeatureSequence(mel.frames, mel.frame_shift_ms, source_name=spec.name)
-    else:
-        if not isinstance(source, UtteranceRecord):
-            raise VoiceConversionError(
-                f"external upstream {spec.name!r} expects an utterance record"
-            )
-        path = feature_path(spec.feature_dir, source.utt_id)
-        if not path.exists():
-            raise MissingFeatureError(source.utt_id, detail=str(path))
-        seq = read_features(path, source_name=spec.name)
-        if abs(seq.frame_shift_ms - spec.frame_shift_ms) > 1e-6:
-            raise DimensionMismatchError(
-                f"{source.utt_id}: feature file frame shift {seq.frame_shift_ms} ms "
-                f"!= upstream contract {spec.frame_shift_ms} ms"
-            )
-    if seq.dim != spec.feature_dim:
-        utt = source.utt_id if isinstance(source, UtteranceRecord) else "<waveform>"
+        # imported here, so each call looks it up on ``audioio`` and a
+        # wrapper installed there sees it
+        from .audioio import load_waveform
+        wave = load_waveform(record.wav_path, target_rate=audio.sample_rate)
+        return extract_mel(wave, audio).as_features()
+    path = feature_path(spec.feature_dir, record.utt_id)
+    if not path.exists():
+        raise MissingFeatureError(record.utt_id, detail=str(path))
+    seq = read_features(path)
+    if abs(seq.frame_shift_ms - spec.frame_shift_ms) > 1e-6:
         raise DimensionMismatchError(
-            f"{utt}: feature dim {seq.dim} != upstream contract {spec.feature_dim}"
+            f"{record.utt_id}: feature file frame shift {seq.frame_shift_ms} ms "
+            f"!= upstream contract {spec.frame_shift_ms} ms"
+        )
+    if seq.dim != spec.feature_dim:
+        raise DimensionMismatchError(
+            f"{record.utt_id}: feature dim {seq.dim} != upstream contract {spec.feature_dim}"
         )
     return seq
 
@@ -200,4 +186,4 @@ def resample_features(seq: FeatureSequence, target_shift_ms: float) -> FeatureSe
     out = frames[lo] * (1.0 - frac)[:, None] + frames[hi] * frac[:, None]
     exact = frac == 0.0  # keep exactly-aligned rows bit-identical
     out[exact] = frames[lo[exact]]
-    return FeatureSequence(out, target_shift_ms, source_name=seq.source_name)
+    return FeatureSequence(out, target_shift_ms)

@@ -22,7 +22,7 @@ previous output (pre-postnet for ``taco2_ar``).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .nnops import (
     lstmp_step,
     lstmp_step_backward,
 )
-from .types import N_MELS, FeatureSequence, SpeakerEmbedding
+from .types import N_MELS, SpeakerEmbedding
 
 
 def decoder_meta(config: ModelConfig, input_dim: int) -> dict:
@@ -80,7 +80,6 @@ class ModelParameters:
     input_dim: int
     tensors: dict[str, np.ndarray]
     seed: int
-    parameter_count: int = field(init=False)
 
     def __post_init__(self):
         if self.input_dim < 1:
@@ -100,9 +99,6 @@ class ModelParameters:
                 )
             if not np.all(np.isfinite(tensor)):
                 raise InvalidConfigError(f"tensor {name!r} contains non-finite values")
-        object.__setattr__(
-            self, "parameter_count", int(sum(t.size for t in self.tensors.values()))
-        )
 
 
 def parameter_shapes(config: ModelConfig, input_dim: int) -> dict[str, tuple[int, ...]]:
@@ -176,10 +172,6 @@ def build_decoder(config: ModelConfig, input_dim: int, seed: int) -> ModelParame
 def _postnet_channels(config: ModelConfig) -> list[int]:
     inner = [config.postnet_channels] * max(config.postnet_layers - 1, 0)
     return [N_MELS] + inner[: config.postnet_layers - 1] + [N_MELS]
-
-
-def zero_grads(params: ModelParameters) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(t) for name, t in params.tensors.items()}
 
 
 # --- internal batched forwards/backwards --------------------------------------
@@ -395,7 +387,7 @@ def backward_teacher_batch(params: ModelParameters, cache, d_main, d_before=None
     """Parameter gradients for a teacher-forced forward; uses up ``cache``."""
     content, ffn_pre, input_cache, stack_caches, h_seq, post_caches = cache
     p, config = params.tensors, params.config
-    grads = zero_grads(params)
+    grads = {name: np.zeros_like(t) for name, t in p.items()}
     dy_before = d_main
     if config.type == "taco2_ar":
         # main branch: identity + postnet residual; aux branch hits y_before directly
@@ -439,8 +431,6 @@ def free_forward_batch(params: ModelParameters, content, spk, dropout_seed):
 # --- public single-utterance API ------------------------------------------------
 
 def _content_frames(content, input_dim):
-    if isinstance(content, FeatureSequence):
-        content = content.frames
     frames = np.asarray(content, dtype=np.float64)
     if frames.ndim != 2:
         raise DimensionMismatchError(f"content must be T x D, got shape {frames.shape}")
@@ -475,8 +465,8 @@ def shift_frames_right(target_frames: np.ndarray) -> np.ndarray:
 
 
 def forward_free_running(params: ModelParameters, content,
-                         embedding: SpeakerEmbedding | None = None,
-                         dropout_seed: int = 0) -> np.ndarray:
+                         embedding: SpeakerEmbedding | None,
+                         dropout_seed: int) -> np.ndarray:
     """Generate (T, 80) mel frames from content alone; length equals len(content)."""
     frames = _content_frames(content, params.input_dim)
     spk = _check_embedding(params.config, embedding)

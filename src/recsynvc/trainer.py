@@ -63,13 +63,12 @@ from .types import (
 class TrainRun:
     """Outcome of one training run."""
 
-    model: TrainedModel
     step: int
     loss_history: list[float]
     checkpoint_path: Path
 
 
-def compute_loss(pred, target, mask=None) -> float:
+def compute_loss(pred, target, mask) -> float:
     """Masked mean absolute error over valid frames.
 
     ``mask`` holds 1.0 for real frames and 0.0 for batch padding; it covers
@@ -81,14 +80,11 @@ def compute_loss(pred, target, mask=None) -> float:
         raise ShapeMismatchError(
             f"pred shape {pred.shape} != target shape {target.shape}"
         )
-    if mask is None:
-        mask = np.ones(pred.shape[:-1])
-    else:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != pred.shape[:-1]:
-            raise ShapeMismatchError(
-                f"mask shape {mask.shape} does not cover frames {pred.shape[:-1]}"
-            )
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.shape != pred.shape[:-1]:
+        raise ShapeMismatchError(
+            f"mask shape {mask.shape} does not cover frames {pred.shape[:-1]}"
+        )
     n_valid = mask.sum()
     if n_valid == 0:
         raise EmptyInputError("mask excludes every frame")
@@ -122,31 +118,30 @@ def loss_and_grads(params: ModelParameters, content, target, mask, spk,
     return loss, grads
 
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
+
 class AdamOptimizer:
     """Adaptive-moment gradient descent with bias correction."""
 
-    def __init__(self, tensors: Mapping[str, np.ndarray], learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, tensors: Mapping[str, np.ndarray], learning_rate: float):
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
         self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
 
     def step(self, tensors: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]):
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - _BETA1 ** self.t
+        c2 = 1.0 - _BETA2 ** self.t
         for name, g in grads.items():
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            tensors[name] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            tensors[name] -= self.lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
 
 
 @dataclass
@@ -274,7 +269,7 @@ def _run_training(manifest, spec, config: Config, out_dir, mode,
     final_path = out_dir / "final.s3ck"
     save_checkpoint(final_path, model_checkpoint(model, mode, training.steps,
                                                  target_speaker))
-    return TrainRun(model=model, step=training.steps, loss_history=loss_history,
+    return TrainRun(step=training.steps, loss_history=loss_history,
                     checkpoint_path=final_path)
 
 

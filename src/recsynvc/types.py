@@ -67,10 +67,6 @@ class Waveform:
             )
         object.__setattr__(self, "samples", _readonly(np.clip(samples, -1.0, 1.0)))
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
     def __len__(self):
         return self.samples.size
 
@@ -85,7 +81,6 @@ class FeatureSequence:
 
     frames: np.ndarray
     frame_shift_ms: float
-    source_name: str = ""
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=np.float32)
@@ -137,8 +132,8 @@ class MelSpectrogram:
     def __len__(self):
         return self.frames.shape[0]
 
-    def as_features(self, source_name="mel") -> FeatureSequence:
-        return FeatureSequence(self.frames, self.frame_shift_ms, source_name)
+    def as_features(self) -> FeatureSequence:
+        return FeatureSequence(self.frames, self.frame_shift_ms)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Shared fixtures: toy corpora, a small trained checkpoint, adapter stubs."""
 
+import shlex
 import sys
 import textwrap
 
@@ -52,7 +53,7 @@ def quick_checkpoint(tmp_path_factory, toy_corpus):
 def _write_script(path, body):
     path.write_text("#!/usr/bin/env python3\n" + textwrap.dedent(body))
     path.chmod(0o755)
-    return [sys.executable, str(path)]
+    return shlex.join([sys.executable, str(path)])
 
 
 @pytest.fixture(scope="session")

@@ -3,15 +3,18 @@
 import argparse
 import ast
 import copy
+import dataclasses
 import inspect
 import json
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from recsynvc.audioio import load_waveform, save_waveform
-from recsynvc import cli
+from recsynvc import cli, config
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from recsynvc.cli import main
 from recsynvc.evaluator import MetricsRow
@@ -324,10 +327,17 @@ def test_convert_malformed_checkpoint_is_one_error_line(cli_checkpoint, cli_corp
     assert len(lines) == 1 and lines[0].startswith("error: ") and entry in lines[0]
 
 
-def test_convert_unknown_vocoder(cli_checkpoint, cli_corpus, tmp_path):
-    rc = main(["convert", str(cli_checkpoint), str(cli_corpus),
-               "--out-dir", str(tmp_path), "--vocoder", "wavenet"])
-    assert rc == 1
+def test_convert_unknown_vocoder(cli_checkpoint, cli_corpus, tmp_path, capsys):
+    # a bad selector is one error before any utterance is decoded or written
+    for vocoder in ("wavenet", "external:", "external:'unclosed"):
+        out_dir = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["convert", str(cli_checkpoint), str(cli_corpus),
+                   "--out-dir", str(out_dir), "--vocoder", vocoder])
+        assert rc == 1, vocoder
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (vocoder, lines)
+        assert not out_dir.exists(), vocoder
 
 
 def test_convert_missing_checkpoint(cli_corpus, tmp_path):
@@ -386,8 +396,8 @@ def test_evaluate_with_asr_and_asv(eval_setup, tmp_path, stub_asr,
     out_dir = tmp_path / "scores"
     rc = main(["evaluate", str(conv_dir), str(manifest_path),
                "--out-dir", str(out_dir),
-               "--asr"] + [" ".join(stub_asr)] + [
-               "--speaker-encoder", " ".join(stub_speaker_encoder),
+               "--asr", stub_asr,
+               "--speaker-encoder", stub_speaker_encoder,
                "--threshold", "0.9"])
     assert rc == 0
     summary = json.loads((out_dir / "summary.json").read_text())
@@ -408,7 +418,7 @@ def test_evaluate_asv_against_other_speaker(eval_setup, tmp_path,
     out_dir = tmp_path / "scores"
     rc = main(["evaluate", str(conv_dir), str(manifest_path),
                "--out-dir", str(out_dir),
-               "--speaker-encoder", " ".join(stub_speaker_encoder),
+               "--speaker-encoder", stub_speaker_encoder,
                "--target-embedding", str(other),
                "--threshold", "0.999"])
     assert rc == 0
@@ -416,14 +426,36 @@ def test_evaluate_asv_against_other_speaker(eval_setup, tmp_path,
     assert summary["asv"] == 0.0
 
 
-def test_evaluate_asv_without_threshold_names_config_section(
+def test_evaluate_asv_without_threshold_names_the_flag(
         eval_setup, tmp_path, stub_speaker_encoder, capsys):
     manifest_path, conv_dir = eval_setup
+    capsys.readouterr()
     rc = main(["evaluate", str(conv_dir), str(manifest_path),
                "--out-dir", str(tmp_path / "scores"),
-               "--speaker-encoder", " ".join(stub_speaker_encoder)])
+               "--speaker-encoder", stub_speaker_encoder])
     assert rc == 1
-    assert "[evaluation] asv_threshold" in capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "--threshold" in lines[0]
+    assert not (tmp_path / "scores").exists()
+
+
+def test_evaluate_target_embedding_of_another_width_is_one_error(
+        eval_setup, tmp_path, stub_speaker_encoder, capsys):
+    manifest_path, conv_dir = eval_setup
+    narrow = tmp_path / "narrow.s3vc"  # the stub encoder's embeddings are 16-dim
+    write_features(narrow, FeatureSequence(
+        frames=sphere_embedding("target", dim=8).vector[None, :].astype(np.float32),
+        frame_shift_ms=10.0,
+    ))
+    capsys.readouterr()
+    rc = main(["evaluate", str(conv_dir), str(manifest_path),
+               "--out-dir", str(tmp_path / "scores"),
+               "--speaker-encoder", stub_speaker_encoder,
+               "--target-embedding", str(narrow), "--threshold", "0.5"])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "16 vs 8" in lines[0]
 
 
 def test_evaluate_without_converted_wavs(eval_setup, tmp_path):
@@ -544,3 +576,20 @@ def test_every_subcommand_reads_each_of_its_options():
         options = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
         unread[command] = sorted(options - reads(sub.get_default("func").__name__))
     assert unread == {command: [] for command in commands}
+
+
+def test_readme_names_only_real_options_and_keys():
+    """Every ``--flag`` in the README is an option of some subcommand, and every
+    `` `[section] key` `` it names is a config field."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {flag for sub in commands.values() for a in sub._actions
+             for flag in a.option_strings}
+    keys = {(section, f.name) for section, cls in config._SECTIONS.items()
+            for f in dataclasses.fields(cls)}
+    named_flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme))
+    named_keys = set(re.findall(r"`\[(\w+)\]\s+(\w+)`", readme))
+    assert named_flags and named_keys
+    assert sorted(named_flags - flags) == []
+    assert sorted(named_keys - keys) == []

@@ -7,14 +7,13 @@ from recsynvc.config import (
     Config,
     ModelConfig,
     TrainingConfig,
-    default_config,
     load_config,
 )
 from recsynvc.errors import ConfigError, ConfigTypeError, UnknownKeyError
 
 
 def test_defaults():
-    config = default_config()
+    config = Config()
     assert config.audio.sample_rate == 24000
     assert config.audio.hop_length == 240
     assert config.audio.frame_shift_ms == pytest.approx(10.0)
@@ -23,7 +22,7 @@ def test_defaults():
     assert config.training.batch_size == 8
     assert config.training.grad_clip == pytest.approx(1.0)
     assert config.evaluation.mcd_order == 24
-    assert config.evaluation.asv_threshold is None
+    assert config.evaluation.dropout_seed == 0
 
 
 def test_load_overrides(tmp_path):
@@ -37,7 +36,7 @@ def test_load_overrides(tmp_path):
         "learning_rate = 0.003\n"
         "steps = 50\n"
         "[evaluation]\n"
-        "asv_threshold = 0.5\n"
+        "dropout_seed = 7\n"
     )
     config = load_config(path)
     assert config.model.type == "simple"
@@ -45,20 +44,17 @@ def test_load_overrides(tmp_path):
     assert config.model.prenet_dims == (32, 32)
     assert config.training.learning_rate == pytest.approx(0.003)
     assert config.training.steps == 50
-    assert config.evaluation.asv_threshold == pytest.approx(0.5)
+    assert config.evaluation.dropout_seed == 7
     # untouched sections keep defaults
     assert config.audio.sample_rate == 24000
 
 
-def test_threshold_none_parses_and_calibration_words_are_rejected(tmp_path):
+def test_asv_threshold_is_not_a_key(tmp_path):
+    # the ASV threshold is `evaluate --threshold` alone
     path = tmp_path / "run.ini"
-    path.write_text("[evaluation]\nasv_threshold = none\n")
-    assert load_config(path).evaluation.asv_threshold is None
-    for word in ("auto", "eer"):
-        # nothing calibrates a threshold from the config, so these are errors
-        path.write_text(f"[evaluation]\nasv_threshold = {word}\n")
-        with pytest.raises(ConfigTypeError, match="asv_threshold"):
-            load_config(path)
+    path.write_text("[evaluation]\nasv_threshold = 0.5\n")
+    with pytest.raises(UnknownKeyError, match="unknown key evaluation.asv_threshold"):
+        load_config(path)
 
 
 def test_unknown_key_suggests(tmp_path):
@@ -134,8 +130,7 @@ def test_audio_accepts_zero_griffin_lim_iterations(tmp_path):
     ("training", "learning_rate = inf"), ("training", "grad_clip = -1"),
     ("training", "grad_clip = nan"), ("evaluation", "mcd_order = 0"),
     ("evaluation", "mcd_order = -3"), ("evaluation", "mcd_order = 80"),
-    ("evaluation", "mcd_order = 200"), ("evaluation", "asv_threshold = nan"),
-    ("evaluation", "asv_threshold = -inf"),
+    ("evaluation", "mcd_order = 200"),
 ])
 def test_training_and_evaluation_validation(tmp_path, section, line):
     path = tmp_path / "run.ini"

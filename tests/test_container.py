@@ -1,13 +1,15 @@
-"""Corrupt binary files end as typed errors, whatever byte is damaged."""
+"""Corrupt input files end as typed errors, whatever byte is damaged."""
 
 import numpy as np
 import pytest
 
 from helpers import corrupt_variants
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from recsynvc.config import load_config
 from recsynvc.errors import VoiceConversionError
 from recsynvc.featureio import read_features, write_features
-from recsynvc.types import FeatureSequence
+from recsynvc.manifest import load_manifest, write_manifest
+from recsynvc.types import DatasetManifest, FeatureSequence, UtteranceRecord
 
 
 def _write_small_features(path):
@@ -21,9 +23,22 @@ def _write_small_checkpoint(path):
     save_checkpoint(path, Checkpoint(meta=meta, tensors=tensors))
 
 
+def _write_small_manifest(path):
+    records = tuple(UtteranceRecord(utt_id=f"u{i}", speaker_id="A", wav_path=f"w/u{i}.wav",
+                                    transcript="PA KO") for i in (1, 2))
+    write_manifest(path, DatasetManifest(records=records, role="target_speaker"))
+
+
+def _write_small_ini(path):
+    path.write_text("[audio]\nhop_length = 240\n[model]\nprenet_dims = 64,64\n"
+                    "[training]\nlearning_rate = 0.003\n[evaluation]\ndropout_seed = 7\n")
+
+
 @pytest.mark.parametrize("write, load", [(_write_small_features, read_features),
-                                         (_write_small_checkpoint, load_checkpoint)],
-                         ids=["s3vc", "s3ck"])
+                                         (_write_small_checkpoint, load_checkpoint),
+                                         (_write_small_manifest, load_manifest),
+                                         (_write_small_ini, load_config)],
+                         ids=["s3vc", "s3ck", "manifest", "ini"])
 def test_every_truncation_and_bit_flip_is_typed(tmp_path, write, load):
     path = tmp_path / "file"
     write(path)

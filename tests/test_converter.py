@@ -1,6 +1,7 @@
 """Conversion pipeline, embedding pooling, vocoders, and external adapters."""
 
 import copy
+import shlex
 import sys
 from dataclasses import asdict
 
@@ -48,8 +49,8 @@ def _source_wave(toy_corpus):
 
 class TestConvert:
     def test_output_shape_and_floor(self, toy_corpus, quick_checkpoint):
-        wave = _source_wave(toy_corpus)
-        mel = convert(wave, load_checkpoint(quick_checkpoint["path"]))
+        record = toy_corpus["manifest"].records[0]
+        mel = convert(record, load_checkpoint(quick_checkpoint["path"]))
         assert mel.frames.shape[1] == 80
         assert np.min(mel.frames) >= LOG_MEL_FLOOR
 
@@ -57,28 +58,28 @@ class TestConvert:
                                              quick_checkpoint, audio):
         # the one-call pipeline is exactly recognize -> resample -> normalize
         # -> decode -> denormalize, with no hidden extras
-        wave = _source_wave(toy_corpus)
+        record = toy_corpus["manifest"].records[0]
         ckpt = load_checkpoint(quick_checkpoint["path"])
         spec = mel_upstream(audio)
-        mel = convert(wave, ckpt, dropout_seed=3)
+        mel = convert(record, ckpt, dropout_seed=3)
 
         model = load_model(ckpt)
         params, stats, audio_cfg = model.params, model.stats, model.audio
-        content = resample_features(recognize(wave, spec, audio_cfg),
+        content = resample_features(recognize(record, spec, audio_cfg),
                                     audio_cfg.frame_shift_ms)
         x = normalize(content.frames.astype(np.float64),
                       stats["input_mean"], stats["input_std"])
-        y = forward_free_running(params, x, dropout_seed=3)
+        y = forward_free_running(params, x, None, dropout_seed=3)
         y = denormalize(y, stats["target_mean"], stats["target_std"])
         expected = np.maximum(y, LOG_MEL_FLOOR)
         assert np.array_equal(mel.frames, expected)
 
     def test_embedding_argument_contract(self, toy_corpus, quick_checkpoint):
-        wave = _source_wave(toy_corpus)
+        record = toy_corpus["manifest"].records[0]
         ckpt = load_checkpoint(quick_checkpoint["path"])
         emb = sphere_embedding("nope", dim=16)
         with pytest.raises(ExtraEmbeddingError):
-            convert(wave, ckpt, s=emb)
+            convert(record, ckpt, s=emb)
 
     def test_upstream_dim_must_match_checkpoint(self, toy_corpus,
                                                 quick_checkpoint, tmp_path):
@@ -161,7 +162,7 @@ def test_every_tensor_header_bit_flip_is_typed(tmp_path):
             flipped[i] ^= 1 << bit
             path.write_bytes(bytes(flipped))
             try:
-                forward_free_running(load_model(path).params, content)
+                forward_free_running(load_model(path).params, content, None, dropout_seed=0)
             except VoiceConversionError:
                 pass
             except Exception as exc:
@@ -269,8 +270,7 @@ class TestVocodeExternal:
         from recsynvc.recognizer import extract_mel
 
         mel = extract_mel(_source_wave(toy_corpus), audio)
-        command = " ".join([sys.executable, str(stub_vocoder[1])])
-        wave = vocode(mel, audio, vocoder=f"external:{command}")
+        wave = vocode(mel, audio, vocoder=f"external:{stub_vocoder}")
         assert len(wave) == len(mel) * audio.hop_length
         with pytest.raises(VoiceConversionError):
             vocode(mel, audio, vocoder="wavenet")
@@ -316,7 +316,7 @@ class TestSpeakerEncoderAdapter:
             "write_features(sys.argv[2], FeatureSequence(frames=vec[None, :], "
             "frame_shift_ms=10.0))\n"
         )
-        command = [sys.executable, str(script)]
+        command = shlex.join([sys.executable, str(script)])
         cache = tmp_path / "cache"
         record = toy_corpus["manifest"].records[0]
         a = speaker_encoder_adapter(record.wav_path, command,

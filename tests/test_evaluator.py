@@ -1,5 +1,7 @@
 """Metric suite: cepstra, DTW, MCD, WER, ASV, and correlation analysis."""
 
+import shlex
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,7 @@ from recsynvc.evaluator import (
 )
 from recsynvc.types import SpeakerEmbedding, Waveform
 
-from helpers import path_cost, write_metrics_table
+from helpers import path_cost, sphere_embedding, write_metrics_table
 
 
 def _noise_wave(seed=424242, n=7200, amp=0.3):
@@ -260,7 +262,7 @@ def test_transcribe_adapter_failure(failing_adapter, tmp_path):
 
 
 def test_transcribe_adapter_rejects_non_utf8_output(tmp_path):
-    printer = ["sh", "-c", r"printf '\377\376'; printf '\377' >&2"]
+    printer = shlex.join(["sh", "-c", r"printf '\377\376'; printf '\377' >&2"])
     with pytest.raises(AdapterError, match="non-UTF-8"):
         transcribe_adapter(_noise_wav(tmp_path), printer)
 
@@ -347,6 +349,13 @@ def test_calibrate_asv_threshold():
     impostor = [cosine_similarity(a, b)
                 for a in table["spk_a"] for b in table["spk_b"]]
     assert max(impostor) < threshold <= min(genuine)
+
+
+def test_calibrate_asv_threshold_rejects_mixed_widths():
+    table = {"a": [sphere_embedding("a1", dim=8), sphere_embedding("a2", dim=8)],
+             "b": [sphere_embedding("b1", dim=16)]}
+    with pytest.raises(DimensionMismatchError, match="8 vs 16"):
+        calibrate_asv_threshold(table)
 
 
 def test_calibrate_asv_threshold_needs_two_speakers():

@@ -81,17 +81,17 @@ class TestUpstreams:
         with pytest.raises(InvalidConfigError, match="--feature-dir"):
             UpstreamSpec("ssl_stub", 7, 20.0)
 
-    def test_mel_recognize_accepts_wave_and_record(self, audio, tmp_path):
+    def test_mel_recognize_reads_the_record_wav(self, audio, tmp_path):
         from recsynvc.audioio import save_waveform
 
         wave = _tone()
         wav = tmp_path / "u1.wav"
         save_waveform(wav, wave)
         record = UtteranceRecord(utt_id="u1", speaker_id="A", wav_path=wav)
-        spec = mel_upstream(audio)
-        from_wave = recognize(wave, spec, audio)
-        from_record = recognize(record, spec, audio)
-        assert from_wave.dim == 80
+        from_record = recognize(record, mel_upstream(audio), audio)
+        from_wave = extract_mel(wave, audio)
+        assert from_record.dim == 80
+        assert from_record.frame_shift_ms == from_wave.frame_shift_ms
         assert from_record.frames.shape == from_wave.frames.shape
         # compare only where signal sits above the PCM16 dither floor;
         # near-silent channels differ wildly on a log scale by design

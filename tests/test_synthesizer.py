@@ -85,7 +85,6 @@ class TestBuildDecoder:
     @pytest.mark.parametrize("type_", ["simple", "simple_ar", "taco2_ar"])
     def test_build_produces_finite_tensors(self, type_):
         params = build_decoder(_config(type_), INPUT_DIM, seed=0)
-        assert params.parameter_count > 0
         for name, tensor in params.tensors.items():
             assert np.all(np.isfinite(tensor)), name
 
@@ -132,7 +131,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         params = build_decoder(_config(type_), INPUT_DIM, seed=0)
         content, _ = _data(rng)
-        out = forward_free_running(params, content)
+        out = forward_free_running(params, content, None, dropout_seed=0)
         assert out.shape == (11, 80)
         assert np.all(np.isfinite(out))
 
@@ -143,7 +142,7 @@ class TestForward:
         content, target = _data(rng)
         teacher = teacher_forward_batch(params, content[None],
                                         shift_frames_right(target)[None], None, 0)[0][0]
-        free = forward_free_running(params, content)
+        free = forward_free_running(params, content, None, dropout_seed=0)
         np.testing.assert_allclose(free, teacher, atol=1e-12)
 
     @pytest.mark.parametrize("type_, conditioned", [
@@ -170,9 +169,9 @@ class TestForward:
         rng = np.random.default_rng(2)
         params = build_decoder(_config("taco2_ar"), INPUT_DIM, seed=0)
         content, _ = _data(rng)
-        a = forward_free_running(params, content, dropout_seed=5)
-        b = forward_free_running(params, content, dropout_seed=5)
-        c = forward_free_running(params, content, dropout_seed=6)
+        a = forward_free_running(params, content, None, dropout_seed=5)
+        b = forward_free_running(params, content, None, dropout_seed=5)
+        c = forward_free_running(params, content, None, dropout_seed=6)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)  # dropout stays live at inference
 
@@ -181,7 +180,7 @@ class TestForward:
         params = build_decoder(_config("simple"), INPUT_DIM, seed=0)
         content, _ = _data(rng, input_dim=13)
         with pytest.raises(DimensionMismatchError):
-            forward_free_running(params, content)
+            forward_free_running(params, content, None, dropout_seed=0)
 
     def test_embedding_requirements(self):
         rng = np.random.default_rng(5)
@@ -191,13 +190,13 @@ class TestForward:
         content, _ = _data(rng)
         emb = SpeakerEmbedding.from_raw(rng.standard_normal(4))
         with pytest.raises(MissingEmbeddingError):
-            forward_free_running(conditioned, content)
-        out = forward_free_running(conditioned, content, embedding=emb)
+            forward_free_running(conditioned, content, None, dropout_seed=0)
+        out = forward_free_running(conditioned, content, emb, dropout_seed=0)
         assert out.shape == (11, 80)
 
         plain = build_decoder(_config("taco2_ar"), INPUT_DIM, seed=0)
         with pytest.raises(ExtraEmbeddingError):
-            forward_free_running(plain, content, embedding=emb)
+            forward_free_running(plain, content, emb, dropout_seed=0)
 
     def test_embedding_dim_checked(self):
         rng = np.random.default_rng(6)
@@ -207,7 +206,7 @@ class TestForward:
         content, _ = _data(rng)
         wrong = SpeakerEmbedding.from_raw(rng.standard_normal(5))
         with pytest.raises(DimensionMismatchError):
-            forward_free_running(conditioned, content, embedding=wrong)
+            forward_free_running(conditioned, content, wrong, dropout_seed=0)
 
     def test_embedding_changes_output(self):
         rng = np.random.default_rng(7)

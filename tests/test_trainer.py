@@ -33,7 +33,7 @@ class TestComputeLoss:
     def test_plain_mean_absolute_error(self):
         pred = np.zeros((2, 3, 4))
         target = np.full((2, 3, 4), 2.0)
-        assert compute_loss(pred, target) == pytest.approx(2.0)
+        assert compute_loss(pred, target, np.ones((2, 3))) == pytest.approx(2.0)
 
     def test_mask_excludes_padding(self):
         pred = np.zeros((1, 3, 2))
@@ -43,7 +43,7 @@ class TestComputeLoss:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            compute_loss(np.zeros((1, 2, 3)), np.zeros((1, 2, 4)))
+            compute_loss(np.zeros((1, 2, 3)), np.zeros((1, 2, 4)), np.ones((1, 2)))
         with pytest.raises(ShapeMismatchError):
             compute_loss(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)),
                          np.zeros((1, 3)))

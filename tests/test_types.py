@@ -25,7 +25,6 @@ class TestWaveform:
     def test_basic_properties(self):
         wave = Waveform(samples=np.zeros(2400), sample_rate=24000)
         assert len(wave) == 2400
-        assert wave.duration == pytest.approx(0.1)
         assert wave.samples.dtype == np.float64
 
     def test_samples_are_readonly(self):
