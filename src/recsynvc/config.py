@@ -129,44 +129,29 @@ _SECTIONS = {
 }
 
 
-def _parse_bool(raw, key):
-    low = raw.strip().lower()
+def _parse_bool(raw):
+    low = raw.lower()
     if low in ("true", "yes", "1", "on"):
         return True
     if low in ("false", "no", "0", "off"):
         return False
-    raise ConfigTypeError(f"key {key!r}: expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
-def _parse_value(raw, f, key):
-    raw = raw.strip()
-    tp = f.type
-    try:
-        if tp == "int":
-            return int(raw)
-        if tp == "float":
-            return float(raw)
-        if tp == "bool":
-            return _parse_bool(raw, key)
-        if tp == "str":
-            return raw
-        if tp.startswith("tuple"):
-            if not raw:
-                return ()
-            return tuple(int(part) for part in raw.split(","))
-    except ConfigTypeError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigTypeError(f"key {key!r}: {exc}") from None
-    raise ConfigTypeError(f"key {key!r}: unhandled field type {tp!r}")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _has_type(value, type_name: str) -> bool:
-    """Whether a JSON value fits a config field annotation."""
-    if type_name == "tuple[int, ...]":
-        return isinstance(value, list) and all(_has_type(v, "int") for v in value)
-    expected = {"bool": bool, "int": int, "float": (int, float), "str": str}[type_name]
-    return isinstance(value, expected) and (type_name == "bool") == isinstance(value, bool)
+#: Per field annotation: the parser of a stripped INI value, and the test of
+#: whether a JSON value fits (a tuple is a JSON list).
+_FIELD_TYPES = {
+    "int": (int, _is_int),
+    "float": (float, lambda v: isinstance(v, float) or _is_int(v)),
+    "bool": (_parse_bool, lambda v: isinstance(v, bool)),
+    "str": (str, lambda v: isinstance(v, str)),
+    "tuple[int, ...]": (lambda raw: tuple(int(part) for part in raw.split(",")) if raw else (),
+                        lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
 
 
 def config_from_json(cls, obj, entry: str, **extra: str):
@@ -185,7 +170,7 @@ def config_from_json(cls, obj, entry: str, **extra: str):
         raise InvalidConfigError(f"{entry}: unknown keys {sorted(unknown)}, "
                                  f"missing keys {sorted(missing)}")
     for key, value in obj.items():
-        if not _has_type(value, types[key]):
+        if not _FIELD_TYPES[types[key]][1](value):
             raise InvalidConfigError(f"{entry} {key!r}: {value!r} is not {types[key]}")
     kwargs = {k: tuple(v) if isinstance(v, list) else v
               for k, v in obj.items() if k not in extra}
@@ -231,6 +216,10 @@ def load_config(path) -> Config:
                 raise UnknownKeyError(
                     f"unknown key {section}.{key}" + _suggest(key, list(known))
                 )
-            overrides[key] = _parse_value(raw, known[key], f"{section}.{key}")
+            parse = _FIELD_TYPES[known[key].type][0]
+            try:
+                overrides[key] = parse(raw.strip())
+            except (TypeError, ValueError) as exc:
+                raise ConfigTypeError(f"key '{section}.{key}': {exc}") from None
         kwargs[section] = cls(**overrides)
     return Config(**kwargs)

@@ -15,7 +15,7 @@ vocoders.  External tools are one process per call:
   file; results are cached per utt_id with atomic write-then-rename.
 
 Every adapter process, the evaluator's ASR included, is spawned by
-``run_adapter``.
+``run_adapter`` and killed when it runs past ``ADAPTER_TIMEOUT_S``.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     InvalidConfigError,
+    VoiceConversionError,
     ZeroMeanVectorError,
 )
 from .featureio import read_features, write_features, feature_path
@@ -60,6 +61,12 @@ from .types import (
 
 STD_FLOOR = 1e-8
 _STATS_PREFIX = "stats."
+
+#: Seconds one adapter process may run.  An adapter handles one utterance, and
+#: a neural model loading and running on CPU for it takes well under a minute;
+#: ten minutes leaves room for a slow machine while a hung adapter still ends
+#: the run with an error instead of blocking it for good.
+ADAPTER_TIMEOUT_S = 600.0
 
 
 def normalize(frames, mean, std):
@@ -244,15 +251,20 @@ def run_adapter(command: str, args) -> tuple[str, str]:
     ``command`` is a shell-style string; ``args`` (paths, usually) are
     appended to it.  Both streams are decoded as UTF-8.  Raises
     ``AdapterError`` when the command is empty, unparsable or cannot be
-    started, exits with a nonzero status, or prints stdout that is not UTF-8.
+    started, runs longer than ``ADAPTER_TIMEOUT_S`` (the process is killed),
+    exits with a nonzero status, or prints stdout that is not UTF-8.
     """
     argv = _argv(command)
     name = f"adapter {shlex.join(argv)!r}"
     try:
         # looked up on the module at each call, so a wrapper installed there sees it
-        proc = subprocess.run(argv + [str(a) for a in args], capture_output=True)
+        proc = subprocess.run(argv + [str(a) for a in args], capture_output=True,
+                              timeout=ADAPTER_TIMEOUT_S)
     except OSError as exc:
         raise AdapterError(f"cannot start {name}: {exc}") from exc
+    except subprocess.TimeoutExpired as exc:
+        raise AdapterError(f"{name} was killed after the {ADAPTER_TIMEOUT_S:g} s limit",
+                           (exc.stderr or b"").decode("utf-8", errors="replace")) from None
     stderr = proc.stderr.decode("utf-8", errors="replace")
     if proc.returncode != 0:
         raise AdapterError(f"{name} exited with status {proc.returncode}", stderr)
@@ -275,12 +287,23 @@ def vocode_external(mel: MelSpectrogram, command, audio: AudioConfig) -> Wavefor
         wav_path = Path(tmp) / "output.wav"
         write_features(mel_path, seq)
         _, stderr = run_adapter(command, [mel_path, wav_path])
-        if not wav_path.exists():
-            raise AdapterError("vocoder wrote no output file", stderr)
-        try:
-            return load_waveform(wav_path, target_rate=audio.sample_rate)
-        except Exception as exc:
-            raise AdapterError(f"vocoder output unreadable: {exc}", stderr)
+        return _adapter_output(
+            "vocoder", wav_path, stderr,
+            lambda path: load_waveform(path, target_rate=audio.sample_rate))
+
+
+def _adapter_output(adapter: str, path: Path, stderr: str, read):
+    """``read(path)`` of the file an adapter was asked to write.
+
+    A missing or unreadable file raises ``AdapterError`` naming ``adapter``
+    and carrying the adapter's stderr.
+    """
+    if not path.exists():
+        raise AdapterError(f"{adapter} wrote no output file", stderr)
+    try:
+        return read(path)
+    except (VoiceConversionError, OSError) as exc:
+        raise AdapterError(f"{adapter} output unreadable: {exc}", stderr) from None
 
 
 def _vocoder_command(vocoder: str) -> str | None:
@@ -329,10 +352,9 @@ def speaker_encoder_adapter(wave_or_path, command, cache_dir=None,
             wav_path = Path(wave_or_path)
         out_path = tmp / "embedding.s3vc"
         _, stderr = run_adapter(command, [wav_path, out_path])
-        if not out_path.exists():
-            raise AdapterError("speaker encoder wrote no output file", stderr)
-        seq = read_features(out_path)
-        embedding = _embedding_from(seq, out_path, expected_dim)
+        seq = _adapter_output("speaker encoder", out_path, stderr, read_features)
+        embedding = _embedding_from(seq, f"speaker encoder output for {wav_path}",
+                                    expected_dim)
         if cache_dir is not None and utt_id is not None:
             Path(cache_dir).mkdir(parents=True, exist_ok=True)
             write_features(feature_path(cache_dir, utt_id), seq)
@@ -343,14 +365,15 @@ def read_embedding(path, expected_dim=None) -> SpeakerEmbedding:
     return _embedding_from(read_features(path), path, expected_dim)
 
 
-def _embedding_from(seq: FeatureSequence, path, expected_dim) -> SpeakerEmbedding:
+def _embedding_from(seq: FeatureSequence, source, expected_dim) -> SpeakerEmbedding:
+    """The one-row embedding in ``seq``; errors name ``source``, a path or a description."""
     if len(seq) != 1:
         raise DimensionMismatchError(
-            f"{path}: expected a single embedding row, got {len(seq)} frames"
+            f"{source}: expected a single embedding row, got {len(seq)} frames"
         )
     vec = np.asarray(seq.frames[0], dtype=np.float64)
     if expected_dim is not None and vec.size != expected_dim:
         raise DimensionMismatchError(
-            f"{path}: embedding dim {vec.size} != expected {expected_dim}"
+            f"{source}: embedding dim {vec.size} != expected {expected_dim}"
         )
     return SpeakerEmbedding.from_raw(vec)

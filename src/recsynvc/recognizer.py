@@ -37,6 +37,11 @@ from .types import (
 
 MEL_UPSTREAM = "mel"
 
+#: Largest upstream frame shift accepted.  A frame a second long no longer
+#: describes frame-rate content, and the ceiling bounds the frame count that
+#: ``resample_features`` computes from a shift read out of a file header.
+MAX_FRAME_SHIFT_MS = 1000.0
+
 
 @dataclass(frozen=True)
 class UpstreamSpec:
@@ -45,7 +50,8 @@ class UpstreamSpec:
     The name ``mel`` is the native upstream: 80-dim and computed from the
     wavs, so it takes no feature directory.  Every other name is external and
     read from ``feature_dir``.  A spec breaking these rules, or with a
-    non-positive width or frame shift, raises ``InvalidConfigError``.
+    non-positive width, or a frame shift outside (0, ``MAX_FRAME_SHIFT_MS``],
+    raises ``InvalidConfigError``.
     """
 
     name: str
@@ -57,8 +63,9 @@ class UpstreamSpec:
         _check_source(self.name, self.feature_dir)
         if self.feature_dim < 1:
             raise InvalidConfigError("feature_dim must be positive")
-        if not self.frame_shift_ms > 0:
-            raise InvalidConfigError("frame_shift_ms must be positive")
+        if not 0.0 < self.frame_shift_ms <= MAX_FRAME_SHIFT_MS:
+            raise InvalidConfigError(f"upstream frame_shift_ms must lie in "
+                                     f"(0, {MAX_FRAME_SHIFT_MS:g}], got {self.frame_shift_ms}")
         if self.native and self.feature_dim != N_MELS:
             raise InvalidConfigError(
                 f"the native {MEL_UPSTREAM!r} upstream is {N_MELS}-dim, got {self.feature_dim}"

@@ -45,6 +45,28 @@ def _readonly(a):
     return a
 
 
+def _set_frames(seq, dtype, what: str) -> None:
+    """Cast ``seq``'s frames and frame shift to ``dtype`` and check them.
+
+    The frames must form a finite T x D matrix with T, D >= 1, and the shift,
+    tested after the cast, must be positive and finite.  Both are stored back,
+    the frames read-only.
+    """
+    frames = np.asarray(seq.frames, dtype=dtype)
+    with np.errstate(over="ignore"):  # a shift past float32's range becomes inf, rejected below
+        shift = float(dtype(seq.frame_shift_ms))
+    if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] < 1:
+        raise VoiceConversionError(
+            f"{what} frames must be a T x D matrix with T, D >= 1, got shape {frames.shape}"
+        )
+    if not np.all(np.isfinite(frames)):
+        raise NonFiniteInputError(f"{what} frames contain non-finite values")
+    if not 0.0 < shift < np.inf:
+        raise VoiceConversionError(f"frame_shift_ms must be positive and finite, got {shift}")
+    object.__setattr__(seq, "frames", _readonly(frames))
+    object.__setattr__(seq, "frame_shift_ms", shift)
+
+
 @dataclass(frozen=True)
 class Waveform:
     """Mono audio samples in [-1, 1] at a known sample rate."""
@@ -83,17 +105,7 @@ class FeatureSequence:
     frame_shift_ms: float
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float32)
-        if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] < 1:
-            raise VoiceConversionError(
-                f"feature frames must be a T x D matrix with T, D >= 1, got shape {frames.shape}"
-            )
-        if not np.all(np.isfinite(frames)):
-            raise NonFiniteInputError("feature frames contain non-finite values")
-        if not self.frame_shift_ms > 0:
-            raise VoiceConversionError("frame_shift_ms must be positive")
-        object.__setattr__(self, "frames", _readonly(frames))
-        object.__setattr__(self, "frame_shift_ms", float(np.float32(self.frame_shift_ms)))
+        _set_frames(self, np.float32, "feature")
 
     @property
     def dim(self) -> int:
@@ -111,23 +123,15 @@ class MelSpectrogram:
     frame_shift_ms: float
 
     def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
-        if frames.ndim != 2 or frames.shape[1] != N_MELS:
+        _set_frames(self, np.float64, "mel")
+        if self.frames.shape[1] != N_MELS:
             raise VoiceConversionError(
-                f"mel frames must be T x {N_MELS}, got shape {frames.shape}"
+                f"mel frames must be T x {N_MELS}, got shape {self.frames.shape}"
             )
-        if frames.shape[0] < 1:
-            raise VoiceConversionError("mel spectrogram must contain at least one frame")
-        if not np.all(np.isfinite(frames)):
-            raise NonFiniteInputError("mel frames contain non-finite values")
-        if np.min(frames) < LOG_MEL_FLOOR - 1e-9:
+        if np.min(self.frames) < LOG_MEL_FLOOR - 1e-9:
             raise VoiceConversionError(
                 f"mel entries fall below the log floor {LOG_MEL_FLOOR:.4f}"
             )
-        if not self.frame_shift_ms > 0:
-            raise VoiceConversionError("frame_shift_ms must be positive")
-        object.__setattr__(self, "frames", _readonly(frames))
-        object.__setattr__(self, "frame_shift_ms", float(self.frame_shift_ms))
 
     def __len__(self):
         return self.frames.shape[0]

@@ -8,6 +8,7 @@ import inspect
 import json
 import re
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,35 @@ def test_mel_upstream_with_a_feature_dir_is_one_error_line(cli_checkpoint, cli_c
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2 and all(line.startswith("error: ") and "'mel'" in line
                                    for line in lines)
+    assert not (tmp_path / "run").exists() and not (tmp_path / "conv").exists()
+
+
+@pytest.mark.parametrize("shift", [np.inf, 1e30], ids=["inf", "1e30"])
+def test_bad_upstream_frame_shift_is_one_error_line(cli_checkpoint, cli_corpus, cli_config,
+                                                   tmp_path, capsys, shift):
+    # train reads the shift from a .s3vc header, convert from the checkpoint's upstream entry
+    feature_dir = tmp_path / "ssl"
+    feature_dir.mkdir()
+    for record in load_manifest(cli_corpus).records:
+        path = feature_dir / f"{record.utt_id}.s3vc"
+        write_features(path, FeatureSequence(frames=np.zeros((20, 7)), frame_shift_ms=20.0))
+        blob = bytearray(path.read_bytes())
+        blob[16:20] = struct.pack("<f", shift)  # after magic, version, frame count, width
+        path.write_bytes(bytes(blob))
+    ckpt = load_checkpoint(cli_checkpoint)
+    meta = copy.deepcopy(ckpt.meta)
+    meta["upstream"]["frame_shift_ms"] = shift
+    bad_ckpt = tmp_path / "bad.s3ck"
+    save_checkpoint(bad_ckpt, Checkpoint(meta=meta, tensors=dict(ckpt.tensors)))
+    capsys.readouterr()
+    assert main(["train", str(cli_corpus), "--out-dir", str(tmp_path / "run"),
+                 "--config", str(cli_config), "--upstream", "ssl_stub",
+                 "--feature-dir", str(feature_dir)]) == 1
+    assert main(["convert", str(bad_ckpt), str(cli_corpus),
+                 "--out-dir", str(tmp_path / "conv")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("error: ") and "frame_shift_ms" in line
+                                   for line in lines), lines
     assert not (tmp_path / "run").exists() and not (tmp_path / "conv").exists()
 
 

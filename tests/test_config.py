@@ -1,8 +1,13 @@
 """Configuration parsing: defaults, overrides, and error reporting."""
 
+import dataclasses
+import json
+
 import pytest
 
 from recsynvc.config import (
+    _FIELD_TYPES,
+    _SECTIONS,
     AudioConfig,
     Config,
     ModelConfig,
@@ -84,6 +89,18 @@ def test_bad_value_type(tmp_path):
     path.write_text("[training]\nsteps = lots\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_every_field_type_parses_ini_text_and_checks_json():
+    """Each field's default survives its annotation's INI parser and passes its JSON check."""
+    for cls in _SECTIONS.values():
+        for f in dataclasses.fields(cls):
+            parse, fits = _FIELD_TYPES[f.type]
+            default = getattr(cls(), f.name)
+            text = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+            assert parse(text) == default, f.name
+            assert fits(json.loads(json.dumps(default))), f.name
+            assert not fits(None), f.name
 
 
 def test_missing_file():

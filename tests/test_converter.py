@@ -3,6 +3,7 @@
 import copy
 import shlex
 import sys
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -12,6 +13,7 @@ from helpers import sphere_embedding
 
 from recsynvc.audioio import load_waveform, save_waveform
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from recsynvc import converter
 from recsynvc.config import AudioConfig, ModelConfig
 from recsynvc.converter import (
     _mel_pseudo_inverse,
@@ -22,6 +24,7 @@ from recsynvc.converter import (
     model_checkpoint,
     normalize,
     read_embedding,
+    run_adapter,
     speaker_encoder_adapter,
     vocode,
     vocode_external,
@@ -341,6 +344,43 @@ class TestSpeakerEncoderAdapter:
         record = toy_corpus["manifest"].records[0]
         with pytest.raises(AdapterError):
             speaker_encoder_adapter(record.wav_path, failing_adapter)
+
+
+def _sh_adapter(tmp_path, body):
+    script = tmp_path / "adapter.sh"
+    script.write_text(body)
+    return shlex.join(["sh", str(script)])
+
+
+class TestAdapterOutput:
+    """A vocoder and a speaker encoder that write no file, or one that cannot be read."""
+
+    @pytest.fixture(params=["vocoder", "speaker encoder"])
+    def call(self, request, audio):
+        mel = MelSpectrogram(np.zeros((3, 80)), audio.frame_shift_ms)
+        if request.param == "vocoder":
+            return request.param, lambda command: vocode_external(mel, command, audio)
+        return request.param, lambda command: speaker_encoder_adapter("in.wav", command)
+
+    @pytest.mark.parametrize("write, problem", [
+        ("", "wrote no output file"),
+        ('printf garbage > "$2"\n', "output unreadable"),
+    ], ids=["no_file", "garbage"])
+    def test_raises_adapter_error_with_stderr(self, tmp_path, call, write, problem):
+        adapter, run = call
+        command = _sh_adapter(tmp_path, "echo 'model not found' >&2\n" + write)
+        with pytest.raises(AdapterError, match=f"{adapter} {problem}") as err:
+            run(command)
+        assert "model not found" in err.value.stderr
+
+
+def test_hung_adapter_is_killed_at_the_limit(tmp_path, monkeypatch):
+    monkeypatch.setattr(converter, "ADAPTER_TIMEOUT_S", 0.5)
+    command = _sh_adapter(tmp_path, "exec sleep 30\n")
+    start = time.perf_counter()
+    with pytest.raises(AdapterError, match=r"adapter.+adapter\.sh.+0\.5 s limit"):
+        run_adapter(command, ["in.wav"])
+    assert time.perf_counter() - start < 10.0
 
 
 class TestReadEmbedding:

@@ -1,9 +1,13 @@
 """Every module of the package uses each name it imports, keeps annotations that
-resolve, and defines no public function or class that only tests use."""
+resolve, and defines no public function or class that only tests use; the
+package root imports nothing."""
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -92,3 +96,19 @@ def test_every_public_name_has_a_caller_outside_the_tests():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in referenced]
     assert unused == []
+
+
+def test_package_root_imports_nothing():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text("utf-8"))
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_feature_files_load_without_scipy():
+    """Adapters that only read or write ``.s3vc`` files start without loading scipy."""
+    code = ("import sys, recsynvc.featureio, recsynvc.types; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -12,6 +12,7 @@ from recsynvc.errors import (
 )
 from recsynvc.featureio import feature_path, write_features
 from recsynvc.recognizer import (
+    MAX_FRAME_SHIFT_MS,
     UpstreamSpec,
     extract_mel,
     external_upstream,
@@ -80,6 +81,12 @@ class TestUpstreams:
             external_upstream("mel", tmp_path)
         with pytest.raises(InvalidConfigError, match="--feature-dir"):
             UpstreamSpec("ssl_stub", 7, 20.0)
+
+    @pytest.mark.parametrize("shift", [0.0, 1000.5, 1e30, np.inf, np.nan])
+    def test_frame_shift_outside_the_range_is_rejected(self, tmp_path, shift):
+        with pytest.raises(InvalidConfigError, match="frame_shift_ms"):
+            UpstreamSpec("ssl_stub", 7, shift, tmp_path)
+        assert UpstreamSpec("ssl_stub", 7, MAX_FRAME_SHIFT_MS, tmp_path).frame_shift_ms == 1000.0
 
     def test_mel_recognize_reads_the_record_wav(self, audio, tmp_path):
         from recsynvc.audioio import save_waveform

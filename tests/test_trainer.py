@@ -9,6 +9,7 @@ from recsynvc.checkpoint import load_checkpoint
 from recsynvc.config import ModelConfig
 from recsynvc.converter import denormalize, normalize
 from recsynvc.errors import (
+    DimensionMismatchError,
     EmptyInputError,
     EmptyManifestError,
     ManifestError,
@@ -215,6 +216,14 @@ class TestTrainA2A:
         ckpt = load_checkpoint(run.checkpoint_path)
         assert ckpt.meta["mode"] == "a2a"
         assert ckpt.meta["decoder"]["speaker_conditioned"] is True
+
+    def test_rejects_an_embedding_of_the_wrong_width(self, toy_corpus_multi, tmp_path):
+        config = toy_config("taco2_ar", embedding_dim=16, steps=1)
+        first = toy_corpus_multi["manifest"].records[0].utt_id
+        with pytest.raises(DimensionMismatchError, match=f"{first}: embedding dim 8 "):
+            train_a2a(toy_corpus_multi["manifest"], mel_upstream(config.audio),
+                      config, tmp_path / "run",
+                      encoder=lambda rec: sphere_embedding(rec.utt_id, dim=8))
 
     def test_rejects_single_speaker(self, toy_corpus, tmp_path):
         config = toy_config("taco2_ar", embedding_dim=16, steps=1)

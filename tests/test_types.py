@@ -75,6 +75,12 @@ class TestFeatureSequence:
         with pytest.raises(VoiceConversionError):
             FeatureSequence(frames=np.zeros((1, 1)), frame_shift_ms=0.0)
 
+    @pytest.mark.parametrize("shift", [np.inf, 1e39, np.nan, 1e-46])
+    def test_rejects_a_shift_that_is_not_finite_and_positive_as_float32(self, shift):
+        # 1e39 overflows float32 and 1e-46 underflows it: the check runs after the cast
+        with pytest.raises(VoiceConversionError, match="frame_shift_ms"):
+            FeatureSequence(frames=np.zeros((1, 1)), frame_shift_ms=shift)
+
 
 class TestMelSpectrogram:
     def test_shape_and_floor_enforced(self):
@@ -86,6 +92,19 @@ class TestMelSpectrogram:
         with pytest.raises(VoiceConversionError):
             MelSpectrogram(frames=np.full((5, N_MELS), LOG_MEL_FLOOR - 1.0),
                            frame_shift_ms=10.0)
+
+    def test_rejects_empty_nonfinite_and_infinite_shift(self):
+        with pytest.raises(VoiceConversionError):
+            MelSpectrogram(frames=np.zeros((0, N_MELS)), frame_shift_ms=10.0)
+        with pytest.raises(NonFiniteInputError):
+            MelSpectrogram(frames=np.full((2, N_MELS), np.nan), frame_shift_ms=10.0)
+        with pytest.raises(VoiceConversionError, match="frame_shift_ms"):
+            MelSpectrogram(frames=np.zeros((2, N_MELS)), frame_shift_ms=np.inf)
+
+    def test_frames_are_readonly(self):
+        mel = MelSpectrogram(frames=np.zeros((2, N_MELS)), frame_shift_ms=10.0)
+        with pytest.raises(ValueError):
+            mel.frames[0, 0] = 1.0
 
     def test_as_features_round_trip(self):
         frames = np.full((4, N_MELS), LOG_MEL_FLOOR + 1.0)
