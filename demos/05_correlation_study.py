@@ -9,6 +9,7 @@ scored on MCD, WER, ASV accept rate, naturalness, and similarity.
 """
 
 from recsynvc.benchmark import (
+    METRIC_LABELS,
     best_matching_subset,
     comparison_report,
     load_benchmark_rows,
@@ -25,20 +26,20 @@ print("  ...")
 
 # the published analysis did not state which baseline rows entered the
 # correlation, so every plausible subset is tried and the best fit reported
-name, subset, result, deviation = best_matching_subset()
+name, subset, matrix, deviation = best_matching_subset()
 print(f"\nbest-fitting row subset: {name!r} ({len(subset)} rows), "
       f"max |computed - published| = {deviation:.4f}")
 
 print(f"\n{'pair':<10} {'computed':>9} {'published':>10} {'gap':>7}")
-for entry in comparison_report(result, published_correlations()):
+for entry in comparison_report(matrix, published_correlations()):
     print(f"{entry['pair']:<10} {entry['computed']:>+9.3f} "
           f"{entry['published']:>+10.3f} {entry['deviation']:>7.4f}")
 
 # strongest relationships: distortion against perceived naturalness and
 # speaker accept rate against perceived similarity
-index = {label: i for i, label in enumerate(result.labels)}
-print(f"\ncorr(MCD, NAT) = {result.matrix[index['MCD'], index['NAT']]:+.3f}")
-print(f"corr(ASV, SIM) = {result.matrix[index['ASV'], index['SIM']]:+.3f}")
+index = {label: i for i, label in enumerate(METRIC_LABELS)}
+print(f"\ncorr(MCD, NAT) = {matrix[index['MCD'], index['NAT']]:+.3f}")
+print(f"corr(ASV, SIM) = {matrix[index['ASV'], index['SIM']]:+.3f}")
 
 # same study from the command line:
 #   recsynvc correlate --out correlations.json

@@ -1,4 +1,5 @@
-"""Bundled published benchmark data and the correlation reproduction study.
+"""The metric-correlation study: metrics tables, their Pearson matrix, and the
+bundled published benchmark data.
 
 The package ships a transcription of the published VCC2020 intra-lingual
 A2O results (Taco2-AR decoder, one row per upstream) plus the published
@@ -6,27 +7,120 @@ pairwise correlation coefficients.  Because the published description of the
 correlation analysis leaves open whether the mel and PPG baselines were
 included, ``best_matching_subset`` evaluates every plausible row subset and
 picks the one that fits all ten published coefficients best.
+
+The study needs only numpy: importing this module loads no other part of the
+pipeline.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .errors import CorrelationFileError
-from .evaluator import (
-    METRIC_LABELS,
-    CorrelationResult,
-    MetricsRow,
-    correlation_matrix,
-    read_metrics_table,
+import numpy as np
+
+from .errors import (
+    CorrelationFileError,
+    DegenerateVarianceError,
+    InsufficientRowsError,
+    MissingFieldError,
+    VoiceConversionError,
 )
+
+METRIC_LABELS = ("MCD", "WER", "ASV", "NAT", "SIM")
 
 PAIR_ORDER = tuple(itertools.combinations(METRIC_LABELS, 2))
 
 _BASELINE_SYSTEMS = ("mel", "PPG (TIMIT)")
+
+
+@dataclass(frozen=True)
+class MetricsRow:
+    """One system's scores; subjective columns are optional."""
+
+    system: str
+    mcd: float
+    wer: float
+    asv: float
+    naturalness: float | None = None
+    similarity: float | None = None
+
+    def __post_init__(self):
+        for key in ("mcd", "wer", "asv"):
+            if getattr(self, key) is None:
+                raise VoiceConversionError(f"metrics row {self.system!r} lacks {key}")
+        # false for nan; the strict upper bound rejects inf
+        if not (0.0 <= self.mcd < math.inf and 0.0 <= self.wer < math.inf):
+            raise VoiceConversionError(
+                f"mcd and wer must be finite and non-negative, got {self.mcd} and {self.wer}"
+            )
+        if not 0.0 <= self.asv <= 100.0:
+            raise VoiceConversionError(f"asv must be a percentage, got {self.asv}")
+        if self.naturalness is not None and not 1.0 <= self.naturalness <= 5.0:
+            raise VoiceConversionError(
+                f"naturalness must be a 1..5 score, got {self.naturalness}"
+            )
+        if self.similarity is not None and not 0.0 <= self.similarity <= 100.0:
+            raise VoiceConversionError(
+                f"similarity must be a percentage, got {self.similarity}"
+            )
+
+
+# --- metrics table I/O -----------------------------------------------------------
+
+_TABLE_COLUMNS = ("system", "mcd", "wer", "asv", "naturalness", "similarity")
+
+
+def read_metrics_table(path) -> list[MetricsRow]:
+    """Read a tab-separated metrics table; blank and # lines are skipped.
+
+    The first other line names the columns, each one of ``_TABLE_COLUMNS``;
+    an empty cell, ``-``, ``na`` or ``NA`` leaves a score out, and a row may
+    stop short of the last columns.  Text that is not UTF-8, an unknown or
+    repeated column, a row with more cells than columns or without a system,
+    a cell that is not a number and a score out of range raise
+    ``CorrelationFileError`` naming the file and the line.
+    """
+    try:
+        text = Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorrelationFileError(f"{path}: not UTF-8 text ({exc})") from None
+    rows = []
+    header: list[str] | None = None
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        where = f"{path}: line {line_no}"
+        parts = line.split("\t")
+        if header is None:
+            header = [p.strip().lower() for p in parts]
+            for name in header:
+                if name not in _TABLE_COLUMNS or header.count(name) > 1:
+                    raise CorrelationFileError(f"{where}: unknown or repeated column {name!r}")
+            continue
+        if len(parts) > len(header):
+            raise CorrelationFileError(f"{where}: {len(parts)} cells for {len(header)} columns")
+        values = dict(zip(header, (p.strip() for p in parts)))
+        if "system" not in values:
+            raise CorrelationFileError(f"{where}: no 'system' cell")
+        scores = {}
+        for key in _TABLE_COLUMNS[1:]:
+            raw = values.get(key, "")
+            try:
+                scores[key] = None if raw in ("", "-", "na", "NA") else float(raw)
+            except ValueError:
+                raise CorrelationFileError(
+                    f"{where}: column {key!r} value {raw!r} is not a number"
+                ) from None
+        try:
+            rows.append(MetricsRow(values["system"], **scores))
+        except VoiceConversionError as exc:
+            raise CorrelationFileError(f"{where}: {exc}") from None
+    return rows
 
 
 def _data_file(name: str):
@@ -44,8 +138,8 @@ def published_correlations(path=None) -> dict[tuple[str, str], float]:
 
     Reads the bundled set, or the JSON file ``path``: an object whose
     ``"coefficients"`` object maps ``"A:B"``, for each pair ``(A, B)`` of
-    ``PAIR_ORDER``, to a number.  A file of any other form raises
-    ``CorrelationFileError`` naming it.
+    ``PAIR_ORDER``, to a finite number in [-1, 1].  A file of any other form
+    raises ``CorrelationFileError`` naming it.
     """
     source = _data_file("published_correlations.json") if path is None else Path(path)
     try:
@@ -60,70 +154,78 @@ def published_correlations(path=None) -> dict[tuple[str, str], float]:
         raise CorrelationFileError(f"{source}: 'coefficients' keys {', '.join(coefficients)} "
                                    f"are not {', '.join(pairs)}")
     for key, value in coefficients.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise CorrelationFileError(f"{source}: {key!r} value {value!r} is not a number")
+        # json reads NaN and Infinity as floats; the range test is false for both
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not -1.0 <= value <= 1.0):
+            raise CorrelationFileError(
+                f"{source}: {key!r} value {value!r} is not a number in [-1, 1]"
+            )
     return {pairs[key]: float(value) for key, value in coefficients.items()}
 
 
-def upper_triangle(result: CorrelationResult) -> dict[tuple[str, str], float]:
-    index = {label: i for i, label in enumerate(result.labels)}
-    return {
-        (a, b): float(result.matrix[index[a], index[b]]) for a, b in PAIR_ORDER
-    }
+# --- correlation analysis ----------------------------------------------------------
 
-
-def candidate_subsets(rows) -> dict[str, list[MetricsRow]]:
-    """Plausible interpretations of "results over different upstreams"."""
+def correlation_matrix(rows) -> np.ndarray:
+    """The 5x5 Pearson correlation matrix of the score columns, in ``METRIC_LABELS`` order."""
     rows = list(rows)
-    by_system = {r.system: r for r in rows}
-    mel = by_system.get("mel")
-    ppg = by_system.get("PPG (TIMIT)")
-    s3r = [r for r in rows if r.system not in _BASELINE_SYSTEMS]
-    subsets = {"all": rows}
-    if ppg is not None:
-        subsets["s3r+ppg"] = [r for r in rows if r is not mel]
-    if mel is not None:
-        subsets["s3r+mel"] = [r for r in rows if r is not ppg]
-    subsets["s3r_only"] = s3r
-    return subsets
+    if len(rows) < 3:
+        raise InsufficientRowsError(
+            f"need at least 3 rows for a correlation matrix, got {len(rows)}"
+        )
+    for idx, row in enumerate(rows, start=1):
+        if row.naturalness is None:
+            raise MissingFieldError("naturalness", idx)
+        if row.similarity is None:
+            raise MissingFieldError("similarity", idx)
+    columns = np.array([[r.mcd, r.wer, r.asv, r.naturalness, r.similarity]
+                        for r in rows]).T
+    for label, column in zip(METRIC_LABELS, columns):
+        if float(column.std()) == 0.0:
+            raise DegenerateVarianceError(f"column {label} has zero variance")
+    return np.corrcoef(columns)
 
 
-def subset_deviation(rows, published) -> tuple[CorrelationResult, float]:
-    """Max absolute gap between computed and published coefficients."""
-    result = correlation_matrix(rows)
-    computed = upper_triangle(result)
-    gap = max(abs(computed[pair] - published[pair]) for pair in published)
-    return result, gap
+def _pairs(matrix, published):
+    """``(pair, computed, published, |gap|)`` for each pair of ``PAIR_ORDER``."""
+    cells = itertools.combinations(range(len(METRIC_LABELS)), 2)
+    for (i, j), pair in zip(cells, PAIR_ORDER):
+        ours = float(matrix[i, j])
+        yield pair, ours, published[pair], abs(ours - published[pair])
 
 
 def best_matching_subset(rows=None, published=None):
     """Pick the row subset whose correlations best match the published set.
 
-    Returns ``(name, rows, result, max_deviation)``; candidates are searched
-    in a fixed order so ties resolve deterministically.
+    The candidates are every row, every row but the mel baseline, every row
+    but the PPG baseline, and the self-supervised rows alone; a baseline
+    missing from ``rows`` drops the candidate that keeps it.  They are searched
+    in that order so ties resolve deterministically.  Returns
+    ``(name, rows, matrix, max_deviation)``.
     """
     if rows is None:
         rows = load_benchmark_rows()
     if published is None:
         published = published_correlations()
+    rows = list(rows)
+    systems = {r.system for r in rows}
+    mel, ppg = _BASELINE_SYSTEMS
+    candidates = {"all": rows}
+    if ppg in systems:
+        candidates["s3r+ppg"] = [r for r in rows if r.system != mel]
+    if mel in systems:
+        candidates["s3r+mel"] = [r for r in rows if r.system != ppg]
+    candidates["s3r_only"] = [r for r in rows if r.system not in _BASELINE_SYSTEMS]
     best = None
-    for name, subset in candidate_subsets(rows).items():
-        result, gap = subset_deviation(subset, published)
+    for name, subset in candidates.items():
+        matrix = correlation_matrix(subset)
+        gap = max(g for *_, g in _pairs(matrix, published))
         if best is None or gap < best[3]:
-            best = (name, subset, result, gap)
+            best = (name, subset, matrix, gap)
     return best
 
 
-def comparison_report(result: CorrelationResult, published) -> list[dict]:
+def comparison_report(matrix, published) -> list[dict]:
     """Per-pair rows: computed vs published coefficient and the deviation."""
-    computed = upper_triangle(result)
-    report = []
-    for pair in PAIR_ORDER:
-        ours, ref = computed[pair], published[pair]
-        report.append({
-            "pair": f"{pair[0]}-{pair[1]}",
-            "computed": round(ours, 4),
-            "published": ref,
-            "deviation": round(abs(ours - ref), 4),
-        })
-    return report
+    return [{"pair": f"{a}-{b}", "computed": round(ours, 4), "published": ref,
+             "deviation": round(gap, 4)}
+            for (a, b), ours, ref, gap in _pairs(matrix, published)]

@@ -18,10 +18,13 @@ import numpy as np
 
 from .audioio import load_waveform, save_waveform
 from .benchmark import (
+    METRIC_LABELS,
     best_matching_subset,
     comparison_report,
+    correlation_matrix,
     load_benchmark_rows,
     published_correlations,
+    read_metrics_table,
 )
 from .checkpoint import load_checkpoint
 from .config import Config, ModelConfig, load_config
@@ -37,11 +40,9 @@ from .converter import (
 from .errors import MissingEmbeddingError, VoiceConversionError
 from .evaluator import (
     asv_accept_rate,
-    correlation_matrix,
     mcd,
     mel_cepstra,
     normalize_text,
-    read_metrics_table,
     transcribe_adapter,
     wer,
 )
@@ -321,8 +322,8 @@ def cmd_correlate(args) -> int:
         published = published_correlations(args.published)
 
     if published is not None:
-        name, subset, result, deviation = best_matching_subset(rows, published)
-        comparison = comparison_report(result, published)
+        name, subset, matrix, deviation = best_matching_subset(rows, published)
+        comparison = comparison_report(matrix, published)
         _note(f"best row subset: {name} ({len(subset)} rows), "
               f"max |deviation| = {deviation:.4f}")
         for row in comparison:
@@ -330,14 +331,17 @@ def cmd_correlate(args) -> int:
                   f"published {row['published']:+.3f}   "
                   f"gap {row['deviation']:.4f}")
     else:
-        result = correlation_matrix(rows)
+        matrix = correlation_matrix(rows)
         name, deviation, comparison = "all", None, None
-        _note(f"computed a {len(result.labels)}x{len(result.labels)} "
+        _note(f"computed a {len(METRIC_LABELS)}x{len(METRIC_LABELS)} "
               f"correlation matrix over {len(rows)} rows")
 
-    payload = result.to_dict()
-    payload["subset"] = name
-    payload["n_rows"] = len(rows)
+    payload = {
+        "labels": list(METRIC_LABELS),
+        "matrix": [[round(v, 6) for v in row] for row in matrix.tolist()],
+        "subset": name,
+        "n_rows": len(rows),
+    }
     if comparison is not None:
         payload["comparison"] = comparison
         payload["max_deviation"] = round(deviation, 6)

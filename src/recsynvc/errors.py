@@ -88,10 +88,6 @@ class ShapeMismatchError(VoiceConversionError):
     pass
 
 
-class LengthMismatchError(VoiceConversionError):
-    pass
-
-
 class DimensionMismatchError(VoiceConversionError):
     pass
 
@@ -157,4 +153,4 @@ class NonFiniteInputError(VoiceConversionError):
 
 
 class CorrelationFileError(VoiceConversionError):
-    """A published-correlations file is not JSON of the expected form."""
+    """A metrics table or a published-correlations file is malformed."""

@@ -1,5 +1,5 @@
-"""Objective metric suite: DTW-aligned mel cepstral distortion, word error
-rate, speaker-verification accept rate, and pairwise Pearson correlations.
+"""Per-utterance objective scoring: DTW-aligned mel cepstral distortion, word
+error rate, and speaker-verification accept rate with its EER threshold.
 
 Cepstra come from an orthonormal cosine transform of the 80-bin log-mel
 frame; the power term c_0 is computed but excluded from distances.  DTW uses
@@ -10,29 +10,18 @@ favor of (1,1) then (1,0) so paths are unique and reproducible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
 from .config import AudioConfig
 from .converter import run_adapter
-from .errors import (
-    DegenerateVarianceError,
-    DimensionMismatchError,
-    EmptyInputError,
-    InsufficientRowsError,
-    LengthMismatchError,
-    MissingFieldError,
-    VoiceConversionError,
-)
+from .errors import DimensionMismatchError, EmptyInputError
 from .recognizer import extract_mel
 from .types import FeatureSequence, SpeakerEmbedding, Waveform
 
 # (10 / ln 10) * sqrt(2): converts the mean cepstral L2 distance to decibels
 MCD_CONSTANT = (10.0 / np.log(10.0)) * np.sqrt(2.0)
-
-METRIC_LABELS = ("MCD", "WER", "ASV", "NAT", "SIM")
 
 
 # --- cepstra ----------------------------------------------------------------------
@@ -175,36 +164,45 @@ def cosine_similarity(a: SpeakerEmbedding, b: SpeakerEmbedding) -> float:
     return float(np.dot(va, vb) / denom)
 
 
+def _unit_rows(embeddings) -> np.ndarray:
+    """Embeddings stacked as unit-length rows; ``DimensionMismatchError`` on mixed widths."""
+    vectors = [e.vector for e in embeddings]
+    widths = list(dict.fromkeys(v.size for v in vectors))
+    if len(widths) > 1:
+        raise DimensionMismatchError(f"embedding dims disagree: {widths[0]} vs {widths[1]}")
+    rows = np.array(vectors, dtype=np.float64)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
 def asv_accept_rate(trials, threshold: float) -> float:
     """Percent of (converted, target) pairs with cosine similarity >= threshold."""
     trials = list(trials)
     if not trials:
         raise EmptyInputError("no verification trials")
-    accepted = sum(1 for conv, tgt in trials
-                   if cosine_similarity(conv, tgt) >= threshold)
-    return 100.0 * accepted / len(trials)
+    unit = _unit_rows(e for pair in trials for e in pair)
+    scores = (unit[0::2] * unit[1::2]).sum(axis=1)
+    return float(100.0 * np.count_nonzero(scores >= threshold) / len(trials))
 
 
 def calibrate_asv_threshold(embeddings_by_speaker) -> float:
     """EER threshold from a multi-speaker embedding table.
 
     Genuine scores are all within-speaker cosine pairs, impostor scores all
-    cross-speaker pairs.
+    cross-speaker pairs, read off one Gram matrix of the unit-length rows.
     """
     speakers = sorted(embeddings_by_speaker)
     if len(speakers) < 2:
         raise EmptyInputError("threshold calibration needs >= 2 speakers")
-    genuine, impostor = [], []
-    for si, spk_a in enumerate(speakers):
-        group_a = list(embeddings_by_speaker[spk_a])
-        for i in range(len(group_a)):
-            for j in range(i + 1, len(group_a)):
-                genuine.append(cosine_similarity(group_a[i], group_a[j]))
-        for spk_b in speakers[si + 1:]:
-            for ea in group_a:
-                for eb in embeddings_by_speaker[spk_b]:
-                    impostor.append(cosine_similarity(ea, eb))
-    return eer_threshold(genuine, impostor)
+    groups = [list(embeddings_by_speaker[spk]) for spk in speakers]
+    embeddings = [e for group in groups for e in group]
+    if not embeddings:
+        raise EmptyInputError("threshold calibration needs embeddings")
+    unit = _unit_rows(embeddings)
+    speaker = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+    i, j = np.triu_indices(len(embeddings), k=1)
+    scores = (unit @ unit.T)[i, j]
+    same = speaker[i] == speaker[j]
+    return eer_threshold(scores[same], scores[~same])
 
 
 def eer_threshold(genuine_scores, impostor_scores) -> float:
@@ -217,137 +215,3 @@ def eer_threshold(genuine_scores, impostor_scores) -> float:
     frr = np.searchsorted(genuine, candidates, "left") / genuine.size
     far = (impostor.size - np.searchsorted(impostor, candidates, "left")) / impostor.size
     return float(candidates[np.argmin(np.abs(far - frr))])
-
-
-# --- correlation analysis ----------------------------------------------------------
-
-def pearson(xs, ys) -> float:
-    """Sample linear correlation coefficient."""
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    if x.shape != y.shape:
-        raise LengthMismatchError(f"lengths disagree: {x.shape} vs {y.shape}")
-    if x.size < 2:
-        raise InsufficientRowsError("need at least 2 points for a correlation")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = float(np.sqrt((xc * xc).sum() * (yc * yc).sum()))
-    if denom == 0.0:
-        raise DegenerateVarianceError("an input has zero variance")
-    return float(np.clip((xc * yc).sum() / denom, -1.0, 1.0))
-
-
-@dataclass(frozen=True)
-class MetricsRow:
-    """One system's scores; subjective columns are optional."""
-
-    system: str
-    mcd: float
-    wer: float
-    asv: float
-    naturalness: float | None = None
-    similarity: float | None = None
-
-    def __post_init__(self):
-        for key in ("mcd", "wer", "asv"):
-            if getattr(self, key) is None:
-                raise VoiceConversionError(f"metrics row {self.system!r} lacks {key}")
-        if self.mcd < 0 or self.wer < 0:
-            raise VoiceConversionError("mcd and wer must be non-negative")
-        if not 0.0 <= self.asv <= 100.0:
-            raise VoiceConversionError(f"asv must be a percentage, got {self.asv}")
-        if self.naturalness is not None and not 1.0 <= self.naturalness <= 5.0:
-            raise VoiceConversionError(
-                f"naturalness must be a 1..5 score, got {self.naturalness}"
-            )
-        if self.similarity is not None and not 0.0 <= self.similarity <= 100.0:
-            raise VoiceConversionError(
-                f"similarity must be a percentage, got {self.similarity}"
-            )
-
-
-@dataclass(frozen=True)
-class CorrelationResult:
-    labels: tuple[str, ...]
-    matrix: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "matrix": [[round(v, 6) for v in row] for row in self.matrix.tolist()],
-        }
-
-
-def correlation_matrix(rows) -> CorrelationResult:
-    """Pairwise Pearson correlations over the five metric columns."""
-    rows = list(rows)
-    if len(rows) < 3:
-        raise InsufficientRowsError(
-            f"need at least 3 rows for a correlation matrix, got {len(rows)}"
-        )
-    for idx, row in enumerate(rows, start=1):
-        if row.naturalness is None:
-            raise MissingFieldError("naturalness", idx)
-        if row.similarity is None:
-            raise MissingFieldError("similarity", idx)
-    columns = {
-        "MCD": np.array([r.mcd for r in rows]),
-        "WER": np.array([r.wer for r in rows]),
-        "ASV": np.array([r.asv for r in rows]),
-        "NAT": np.array([r.naturalness for r in rows]),
-        "SIM": np.array([r.similarity for r in rows]),
-    }
-    for label, col in columns.items():
-        if float(col.std()) == 0.0:
-            raise DegenerateVarianceError(f"column {label} has zero variance")
-    n = len(METRIC_LABELS)
-    matrix = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = pearson(columns[METRIC_LABELS[i]], columns[METRIC_LABELS[j]])
-            matrix[i, j] = matrix[j, i] = r
-    return CorrelationResult(labels=METRIC_LABELS, matrix=matrix)
-
-
-# --- metrics table I/O -----------------------------------------------------------
-
-_TABLE_COLUMNS = ("system", "mcd", "wer", "asv", "naturalness", "similarity")
-
-
-def read_metrics_table(path) -> list[MetricsRow]:
-    """Read a tab-separated metrics table; blank and # lines are skipped."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header: list[str] | None = None
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if header is None:
-                header = [p.strip().lower() for p in parts]
-                unknown = set(header) - set(_TABLE_COLUMNS)
-                if unknown:
-                    raise MissingFieldError(
-                        f"unknown column(s) {sorted(unknown)}", line_no
-                    )
-                continue
-            values = dict(zip(header, (p.strip() for p in parts)))
-            if "system" not in values:
-                raise MissingFieldError("system", line_no)
-
-            def _num(key, line_no=line_no, values=values):
-                raw = values.get(key, "")
-                if raw in ("", "-", "na", "NA"):
-                    return None
-                try:
-                    return float(raw)
-                except ValueError:
-                    raise MissingFieldError(key, line_no)
-
-            rows.append(MetricsRow(
-                system=values["system"],
-                mcd=_num("mcd"), wer=_num("wer"), asv=_num("asv"),
-                naturalness=_num("naturalness"), similarity=_num("similarity"),
-            ))
-    return rows

@@ -9,7 +9,8 @@ import hashlib
 import numpy as np
 
 from recsynvc.config import AudioConfig, Config, ModelConfig, TrainingConfig
-from recsynvc.evaluator import _TABLE_COLUMNS, _frames_of
+from recsynvc.benchmark import _TABLE_COLUMNS
+from recsynvc.evaluator import _frames_of
 from recsynvc.types import SpeakerEmbedding
 
 
@@ -41,8 +42,18 @@ def path_cost(a, b, path) -> float:
     return total
 
 
+def pearson(xs, ys) -> float:
+    """Sample linear correlation coefficient, summed by hand: the oracle for
+    ``benchmark.correlation_matrix``."""
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    xc = x - x.mean()
+    yc = y - y.mean()
+    return float((xc * yc).sum() / np.sqrt((xc * xc).sum() * (yc * yc).sum()))
+
+
 def write_metrics_table(path, rows) -> None:
-    """Inverse of ``evaluator.read_metrics_table``; ``-`` marks a missing score."""
+    """Inverse of ``benchmark.read_metrics_table``; ``-`` marks a missing score."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(_TABLE_COLUMNS) + "\n")
         for r in rows:

@@ -1,18 +1,20 @@
 """Bundled benchmark table and the correlation reproduction study."""
 
-import numpy as np
-
 from recsynvc.benchmark import (
+    METRIC_LABELS,
     PAIR_ORDER,
     best_matching_subset,
-    candidate_subsets,
     comparison_report,
+    correlation_matrix,
     load_benchmark_rows,
     published_correlations,
-    subset_deviation,
-    upper_triangle,
 )
-from recsynvc.evaluator import correlation_matrix
+
+
+def _triangle(matrix) -> dict[tuple[str, str], float]:
+    """A matrix's coefficients keyed as ``published_correlations`` keys them."""
+    index = {label: i for i, label in enumerate(METRIC_LABELS)}
+    return {(a, b): float(matrix[index[a], index[b]]) for a, b in PAIR_ORDER}
 
 
 def test_bundled_rows():
@@ -36,38 +38,43 @@ def test_published_coefficients():
 
 
 def test_upper_triangle_matches_matrix():
-    result = correlation_matrix(load_benchmark_rows())
-    triangle = upper_triangle(result)
-    assert set(triangle) == set(PAIR_ORDER)
-    index = {label: i for i, label in enumerate(result.labels)}
-    for (a, b), value in triangle.items():
-        assert value == float(result.matrix[index[a], index[b]])
+    """The report reads each pair from the matrix's upper triangle, in ``PAIR_ORDER``."""
+    matrix = correlation_matrix(load_benchmark_rows())
+    own = _triangle(matrix)
+    report = comparison_report(matrix, own)
+    assert [entry["pair"] for entry in report] == [f"{a}-{b}" for a, b in PAIR_ORDER]
+    for entry, pair in zip(report, PAIR_ORDER):
+        assert (entry["computed"], entry["published"]) == (round(own[pair], 4), own[pair])
+        assert entry["deviation"] == 0.0
 
 
 def test_candidate_subsets():
+    """Given one candidate's own coefficients, the search picks exactly that candidate."""
     rows = load_benchmark_rows()
-    subsets = candidate_subsets(rows)
-    assert set(subsets) == {"all", "s3r+ppg", "s3r+mel", "s3r_only"}
-    assert len(subsets["all"]) == 16
-    assert len(subsets["s3r+ppg"]) == 15
-    assert len(subsets["s3r+mel"]) == 15
-    assert len(subsets["s3r_only"]) == 14
-    s3r_systems = {r.system for r in subsets["s3r_only"]}
-    assert "mel" not in s3r_systems and "PPG (TIMIT)" not in s3r_systems
+    dropped = {"all": set(), "s3r+ppg": {"mel"}, "s3r+mel": {"PPG (TIMIT)"},
+               "s3r_only": {"mel", "PPG (TIMIT)"}}
+    sizes = {"all": 16, "s3r+ppg": 15, "s3r+mel": 15, "s3r_only": 14}
+    for name, systems in dropped.items():
+        subset = [r for r in rows if r.system not in systems]
+        own = _triangle(correlation_matrix(subset))
+        found, found_rows, matrix, gap = best_matching_subset(rows, own)
+        assert (found, len(found_rows), gap) == (name, sizes[name], 0.0)
+        assert found_rows == subset
 
 
 def test_best_matching_subset_close():
-    name, rows, result, gap = best_matching_subset()
+    name, rows, matrix, gap = best_matching_subset()
     assert name in {"all", "s3r+ppg", "s3r+mel", "s3r_only"}
     assert gap <= 0.02
-    # the winner's deviation is recomputable
-    _, gap_again = subset_deviation(rows, published_correlations())
-    assert gap_again == gap
+    # the winner's deviation is recomputable from its rows
+    published = published_correlations()
+    own = _triangle(correlation_matrix(rows))
+    assert max(abs(own[pair] - published[pair]) for pair in PAIR_ORDER) == gap
 
 
 def test_comparison_report_structure():
-    name, rows, result, gap = best_matching_subset()
-    report = comparison_report(result, published_correlations())
+    name, rows, matrix, gap = best_matching_subset()
+    report = comparison_report(matrix, published_correlations())
     assert [entry["pair"] for entry in report] == [f"{a}-{b}" for a, b in PAIR_ORDER]
     for entry in report:
         assert entry["published"] is not None

@@ -18,7 +18,7 @@ from recsynvc.audioio import load_waveform, save_waveform
 from recsynvc import cli, config
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from recsynvc.cli import main
-from recsynvc.evaluator import MetricsRow
+from recsynvc.benchmark import MetricsRow
 from recsynvc.featureio import read_features, write_features
 from recsynvc.manifest import load_manifest, write_manifest
 from recsynvc.synthetic import make_toy_corpus, make_utterance
@@ -561,8 +561,12 @@ def test_correlate_published_without_table_is_honored(tmp_path):
     json.dumps({"coefficients": {"MCD:WER": 0.678}}),
     json.dumps({"coefficients": {**PUBLISHED, "MCD:WER": "high"}}),
     json.dumps({"coefficients": {**PUBLISHED, "MCD:WER": True}}),
+    json.dumps({"coefficients": {**PUBLISHED, "MCD:WER": float("nan")}}),
+    json.dumps({"coefficients": {**PUBLISHED, "MCD:WER": float("-inf")}}),
+    json.dumps({"coefficients": {**PUBLISHED, "MCD:WER": 1.5}}),
 ], ids=["not_json", "not_object", "no_coefficients", "list_coefficients", "bad_key",
-        "missing_pairs", "str_value", "bool_value"])
+        "missing_pairs", "str_value", "bool_value", "nan_value", "infinite_value",
+        "out_of_range"])
 def test_correlate_bad_published_is_one_error_line(tmp_path, capsys, text):
     published = tmp_path / "published.json"
     published.write_text(text)
@@ -571,6 +575,30 @@ def test_correlate_bad_published_is_one_error_line(tmp_path, capsys, text):
                  "--out", str(tmp_path / "corr.json")]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(published) in lines[0]
+    assert not (tmp_path / "corr.json").exists()
+
+
+_TABLE_HEAD = b"system\tmcd\twer\tasv\tnaturalness\tsimilarity\n"
+
+
+@pytest.mark.parametrize("blob", [
+    _TABLE_HEAD + b"sys\xff0\t7.0\t20.0\t60.0\t3.0\t50.0\n",
+    _TABLE_HEAD + b"sys0\tnan\t20.0\t60.0\t3.0\t50.0\n",
+    _TABLE_HEAD + b"sys0\t7.0\tinf\t60.0\t3.0\t50.0\n",
+    _TABLE_HEAD + b"sys0\t7.0\t20.0\t60.0\tNaN\t50.0\n",
+    b"system\tmcd\twer\tasv\tnat\n",
+    _TABLE_HEAD + b"sys0\tseven\t20.0\t60.0\t3.0\t50.0\n",
+    b"system\tmcd\tmcd\twer\tasv\n",
+    _TABLE_HEAD + b"sys0\t7.0\t20.0\t60.0\t3.0\t50.0\t9.0\n",
+], ids=["not_utf8", "nan_mcd", "inf_wer", "nan_naturalness", "unknown_column",
+        "not_a_number", "repeated_column", "extra_cell"])
+def test_correlate_bad_table_is_one_error_line(tmp_path, capsys, blob):
+    table = tmp_path / "table.tsv"
+    table.write_bytes(blob)
+    capsys.readouterr()
+    assert main(["correlate", "--table", str(table), "--out", str(tmp_path / "corr.json")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(table) in lines[0]
     assert not (tmp_path / "corr.json").exists()
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import corrupt_variants
+from helpers import corrupt_variants, write_metrics_table
+from recsynvc.benchmark import MetricsRow, read_metrics_table
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from recsynvc.config import load_config
 from recsynvc.errors import VoiceConversionError
@@ -34,11 +35,18 @@ def _write_small_ini(path):
                     "[training]\nlearning_rate = 0.003\n[evaluation]\ndropout_seed = 7\n")
 
 
+def _write_small_table(path):
+    write_metrics_table(path, [MetricsRow(f"s{k}", mcd=6.0 + k, wer=20.0 - k, asv=50.0 + k,
+                                          naturalness=3.0 + k / 4, similarity=60.0 - k)
+                               for k in range(3)])
+
+
 @pytest.mark.parametrize("write, load", [(_write_small_features, read_features),
                                          (_write_small_checkpoint, load_checkpoint),
                                          (_write_small_manifest, load_manifest),
-                                         (_write_small_ini, load_config)],
-                         ids=["s3vc", "s3ck", "manifest", "ini"])
+                                         (_write_small_ini, load_config),
+                                         (_write_small_table, read_metrics_table)],
+                         ids=["s3vc", "s3ck", "manifest", "ini", "tsv"])
 def test_every_truncation_and_bit_flip_is_typed(tmp_path, write, load):
     path = tmp_path / "file"
     write(path)

@@ -1,4 +1,5 @@
-"""Metric suite: cepstra, DTW, MCD, WER, ASV, and correlation analysis."""
+"""Metric suite: cepstra, DTW, MCD, WER and ASV, plus the correlation study's
+metrics rows, tables and matrix."""
 
 import shlex
 
@@ -7,36 +8,37 @@ import pytest
 
 from recsynvc.errors import (
     AdapterError,
+    CorrelationFileError,
     DegenerateVarianceError,
     DimensionMismatchError,
     EmptyInputError,
     InsufficientRowsError,
-    LengthMismatchError,
     MissingFieldError,
     VoiceConversionError,
 )
 from recsynvc.audioio import save_waveform
-from recsynvc.evaluator import (
-    MCD_CONSTANT,
+from recsynvc.benchmark import (
     METRIC_LABELS,
     MetricsRow,
+    correlation_matrix,
+    read_metrics_table,
+)
+from recsynvc.evaluator import (
+    MCD_CONSTANT,
     asv_accept_rate,
     calibrate_asv_threshold,
-    correlation_matrix,
     cosine_similarity,
     dtw_align,
     eer_threshold,
     mcd,
     mel_cepstra,
     normalize_text,
-    pearson,
-    read_metrics_table,
     transcribe_adapter,
     wer,
 )
 from recsynvc.types import SpeakerEmbedding, Waveform
 
-from helpers import path_cost, sphere_embedding, write_metrics_table
+from helpers import path_cost, pearson, sphere_embedding, write_metrics_table
 
 
 def _noise_wave(seed=424242, n=7200, amp=0.3):
@@ -292,6 +294,17 @@ def test_asv_accept_rate():
         asv_accept_rate([], 0.5)
 
 
+def test_asv_accept_rate_matches_per_pair_cosines():
+    trials = [(sphere_embedding(f"conv{k}"), sphere_embedding(f"tgt{k % 3}")) for k in range(40)]
+    scores = np.array([cosine_similarity(conv, tgt) for conv, tgt in trials])
+    for threshold in np.linspace(-0.5, 0.5, 21):
+        assert np.min(np.abs(scores - threshold)) > 1e-12
+        expected = 100.0 * int(np.count_nonzero(scores >= threshold)) / len(trials)
+        assert asv_accept_rate(trials, threshold) == expected
+    with pytest.raises(DimensionMismatchError, match="16 vs 8"):
+        asv_accept_rate([(trials[0][0], sphere_embedding("narrow", dim=8))], 0.5)
+
+
 def test_eer_threshold_separable():
     assert eer_threshold([0.7, 0.8, 0.9], [0.1, 0.2, 0.3]) == 0.7
 
@@ -342,13 +355,15 @@ def test_calibrate_asv_threshold():
     ca, cb = rng.standard_normal(8), rng.standard_normal(8)
     table = {"spk_a": _cluster(ca), "spk_b": _cluster(cb)}
     threshold = calibrate_asv_threshold(table)
-    # within-speaker pairs sit near 1; the threshold must separate the clusters
+    # per-pair cosines are the oracle; the Gram matrix sums in another order
     genuine = [cosine_similarity(a, b)
                for group in table.values()
                for i, a in enumerate(group) for b in group[i + 1:]]
     impostor = [cosine_similarity(a, b)
                 for a in table["spk_a"] for b in table["spk_b"]]
-    assert max(impostor) < threshold <= min(genuine)
+    assert abs(threshold - eer_threshold(genuine, impostor)) < 1e-12
+    # within-speaker pairs sit near 1; the threshold must separate the clusters
+    assert max(impostor) < threshold <= min(genuine) + 1e-12
 
 
 def test_calibrate_asv_threshold_rejects_mixed_widths():
@@ -366,20 +381,23 @@ def test_calibrate_asv_threshold_needs_two_speakers():
 
 # --- correlation -------------------------------------------------------------------
 
+def _table(**columns):
+    n = len(columns["mcd"])
+    return [MetricsRow(f"sys{k}", **{key: values[k] for key, values in columns.items()})
+            for k in range(n)]
+
+
 def test_pearson_exact():
     x = [1.0, 2.0, 3.0, 4.0]
-    assert abs(pearson(x, [2 * v + 1 for v in x]) - 1.0) < 1e-12
-    assert abs(pearson(x, [-3 * v for v in x]) + 1.0) < 1e-12
-    assert abs(pearson([1, 2, 3], [1, 2, 4]) - 9.0 / np.sqrt(84.0)) < 1e-12
-
-
-def test_pearson_errors():
-    with pytest.raises(LengthMismatchError):
-        pearson([1, 2], [1, 2, 3])
-    with pytest.raises(InsufficientRowsError):
-        pearson([1], [2])
-    with pytest.raises(DegenerateVarianceError):
-        pearson([1, 1, 1], [1, 2, 3])
+    matrix = correlation_matrix(_table(
+        mcd=x, wer=[2 * v + 1 for v in x], asv=[50 - 3 * v for v in x],
+        naturalness=[1.0, 2.0, 4.0, 5.0], similarity=[10.0, 30.0, 20.0, 40.0]))
+    assert abs(matrix[0, 1] - 1.0) < 1e-12
+    assert abs(matrix[0, 2] + 1.0) < 1e-12
+    matrix = correlation_matrix(_table(
+        mcd=[1.0, 2.0, 3.0], wer=[1.0, 2.0, 4.0], asv=[60.0, 50.0, 40.0],
+        naturalness=[2.0, 3.0, 4.0], similarity=[30.0, 20.0, 50.0]))
+    assert abs(matrix[0, 1] - 9.0 / np.sqrt(84.0)) < 1e-12
 
 
 def test_metrics_row_validation():
@@ -396,6 +414,14 @@ def test_metrics_row_validation():
         MetricsRow("sys", mcd=7.0, wer=20.0, asv=60.0, similarity=150.0)
     with pytest.raises(VoiceConversionError):
         MetricsRow("sys", mcd=None, wer=20.0, asv=60.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(VoiceConversionError, match="finite"):
+            MetricsRow("sys", mcd=bad, wer=20.0, asv=60.0)
+        with pytest.raises(VoiceConversionError, match="finite"):
+            MetricsRow("sys", mcd=7.0, wer=bad, asv=60.0)
+        for key in ("asv", "naturalness", "similarity"):
+            with pytest.raises(VoiceConversionError):
+                MetricsRow("sys", **{"mcd": 7.0, "wer": 20.0, "asv": 60.0, key: bad})
 
 
 def _demo_rows():
@@ -415,25 +441,20 @@ def _demo_rows():
 
 
 def test_correlation_matrix_structure():
-    result = correlation_matrix(_demo_rows())
-    assert result.labels == METRIC_LABELS
-    matrix = result.matrix
-    assert matrix.shape == (5, 5)
+    rows = _demo_rows()
+    matrix = correlation_matrix(rows)
+    assert matrix.shape == (len(METRIC_LABELS),) * 2
     np.testing.assert_allclose(np.diag(matrix), 1.0)
     np.testing.assert_allclose(matrix, matrix.T)
     assert np.all(np.abs(matrix) <= 1.0)
-    # spot-check one entry against a direct computation
-    rows = _demo_rows()
-    direct = pearson([r.mcd for r in rows], [r.naturalness for r in rows])
-    assert abs(matrix[0, 3] - direct) < 1e-12
+    # every entry against the hand-summed coefficient
+    columns = [[r.mcd, r.wer, r.asv, r.naturalness, r.similarity] for r in rows]
+    columns = np.array(columns).T
+    for i in range(len(METRIC_LABELS)):
+        for j in range(len(METRIC_LABELS)):
+            assert abs(matrix[i, j] - pearson(columns[i], columns[j])) < 1e-12
     # quality-driven rows: distortion anticorrelates with naturalness
     assert matrix[0, 3] < -0.8
-
-
-def test_correlation_matrix_to_dict():
-    d = correlation_matrix(_demo_rows()).to_dict()
-    assert d["labels"] == list(METRIC_LABELS)
-    assert len(d["matrix"]) == 5 and len(d["matrix"][0]) == 5
 
 
 def test_correlation_matrix_errors():
@@ -446,7 +467,7 @@ def test_correlation_matrix_errors():
     flat = [MetricsRow(f"f{k}", mcd=7.0, wer=20.0 + k, asv=60.0 - k,
                        naturalness=3.0, similarity=50.0 + k)
             for k in range(3)]
-    with pytest.raises(DegenerateVarianceError):
+    with pytest.raises(DegenerateVarianceError, match="column MCD"):
         correlation_matrix(flat)
 
 
@@ -484,12 +505,13 @@ def test_metrics_table_comments_and_blanks(tmp_path):
 def test_metrics_table_unknown_column(tmp_path):
     path = tmp_path / "metrics.tsv"
     path.write_text("system\tmcd\twer\tasv\tbogus\n")
-    with pytest.raises(MissingFieldError):
+    with pytest.raises(CorrelationFileError, match="line 1: unknown or repeated column 'bogus'"):
         read_metrics_table(path)
 
 
 def test_metrics_table_bad_number(tmp_path):
     path = tmp_path / "metrics.tsv"
     path.write_text("system\tmcd\twer\tasv\nsys0\tseven\t20.0\t60.0\n")
-    with pytest.raises(MissingFieldError):
+    with pytest.raises(CorrelationFileError,
+                       match="line 2: column 'mcd' value 'seven' is not a number"):
         read_metrics_table(path)

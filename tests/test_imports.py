@@ -104,11 +104,18 @@ def test_package_root_imports_nothing():
 
 
 def test_feature_files_load_without_scipy():
-    """Adapters that only read or write ``.s3vc`` files start without loading scipy."""
-    code = ("import sys, recsynvc.featureio, recsynvc.types; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    """Adapters that only read or write ``.s3vc`` files, and the correlation study,
+    start without loading scipy or any pipeline module."""
+    loads = {"recsynvc.featureio, recsynvc.types":
+             ["recsynvc", "recsynvc.container", "recsynvc.errors", "recsynvc.featureio",
+              "recsynvc.types"],
+             "recsynvc.benchmark": ["recsynvc", "recsynvc.benchmark", "recsynvc.errors"]}
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    for modules, expected in loads.items():
+        code = (f"import sys, {modules}; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'recsynvc'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout.splitlines() == ["[]", repr(expected)], modules
