@@ -19,14 +19,14 @@ from recsynvc.converter import convert, load_model, vocode
 from recsynvc.manifest import load_manifest
 from recsynvc.recognizer import mel_upstream
 from recsynvc.synthetic import make_toy_corpus
-from recsynvc.trainer import train_a2o
+from recsynvc.trainer import train
 
 work = Path(tempfile.mkdtemp(prefix="demo_a2o_"))
 print(f"working directory: {work}")
 
 manifest_path = make_toy_corpus(work / "corpus", n_utterances=8,
                                 duration=0.4, seed=0)
-manifest = load_manifest(manifest_path, role="target_speaker")
+manifest = load_manifest(manifest_path)
 
 # a deliberately small recurrent decoder so the demo finishes in seconds;
 # "simple" is the non-autoregressive feed-forward + LSTMP stack
@@ -40,10 +40,11 @@ config = Config(
 # the content upstream here is the package's own log-mel extractor; any
 # externally computed feature directory can stand in via
 # external_upstream(name, feature_dir), which reads the width and frame shift
-# from the feature files
-run = train_a2o(manifest, mel_upstream(config.audio), config, work / "run")
+# from the feature files; with no speaker encoder, train() is any-to-one and
+# the corpus must hold exactly one speaker
+run = train(manifest, mel_upstream(config.audio), config, work / "run")
 print(f"loss: step 1 {run.loss_history[0]:.4f} -> "
-      f"step {run.step} {run.loss_history[-1]:.4f} "
+      f"step {config.training.steps} {run.loss_history[-1]:.4f} "
       f"({run.loss_history[-1] / run.loss_history[0]:.1%} of start)")
 print(f"checkpoint: {run.checkpoint_path}")
 

@@ -20,7 +20,7 @@ from recsynvc.converter import average_embedding, convert
 from recsynvc.manifest import load_manifest
 from recsynvc.recognizer import mel_upstream
 from recsynvc.synthetic import make_toy_corpus
-from recsynvc.trainer import train_a2a
+from recsynvc.trainer import train
 from recsynvc.types import SpeakerEmbedding
 
 work = Path(tempfile.mkdtemp(prefix="demo_a2a_"))
@@ -28,7 +28,7 @@ print(f"working directory: {work}")
 
 manifest_path = make_toy_corpus(work / "corpus", n_utterances=12,
                                 n_speakers=4, duration=0.4, seed=1)
-manifest = load_manifest(manifest_path, role="multi_speaker")
+manifest = load_manifest(manifest_path)
 print(f"corpus: {len(manifest.records)} utterances across "
       f"{len(manifest.speakers)} speakers")
 
@@ -52,9 +52,10 @@ config = Config(
                             checkpoint_interval=100, log_interval=25, seed=0),
 )
 
-# during training each utterance is paired with its own speaker's embedding
-run = train_a2a(manifest, mel_upstream(config.audio), config, work / "run",
-                stub_encoder)
+# passing an encoder makes train() any-to-any: each utterance is paired with
+# its own speaker's embedding, and the corpus must hold two or more speakers
+run = train(manifest, mel_upstream(config.audio), config, work / "run",
+            stub_encoder)
 print(f"loss: {run.loss_history[0]:.4f} -> {run.loss_history[-1]:.4f}")
 
 # target embeddings: average the (here identical) per-utterance embeddings

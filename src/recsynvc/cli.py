@@ -49,7 +49,7 @@ from .evaluator import (
 from .featureio import feature_path, write_features
 from .manifest import load_manifest
 from .recognizer import MEL_UPSTREAM, extract_mel, external_upstream, mel_upstream
-from .trainer import train_a2a, train_a2o
+from .trainer import train
 
 
 def _fail(message: str) -> int:
@@ -107,20 +107,18 @@ def cmd_extract_features(args) -> int:
 
 # --- train ---------------------------------------------------------------------
 
-def _a2a_encoder(args, config):
+def _a2a_encoder(args):
     if args.embeddings_dir is not None:
         table_dir = Path(args.embeddings_dir)
 
         def encoder(record):
-            return read_embedding(feature_path(table_dir, record.utt_id),
-                                  expected_dim=config.model.embedding_dim)
+            return read_embedding(feature_path(table_dir, record.utt_id))
         return encoder
     if args.speaker_encoder is not None:
         def encoder(record):
             return speaker_encoder_adapter(
                 record.wav_path, args.speaker_encoder,
                 cache_dir=args.embeddings_cache, utt_id=record.utt_id,
-                expected_dim=config.model.embedding_dim,
             )
         return encoder
     raise MissingEmbeddingError(
@@ -129,7 +127,8 @@ def _a2a_encoder(args, config):
 
 
 def cmd_train(args) -> int:
-    if args.mode == "a2o":
+    a2a = args.mode == "a2a"
+    if not a2a:
         _reject(_given(args, "embeddings_dir", "speaker_encoder", "embeddings_cache"),
                 "read only by --mode a2a")
     if len(sources := _given(args, "embeddings_dir", "speaker_encoder")) == 2:
@@ -137,21 +136,15 @@ def cmd_train(args) -> int:
     if args.speaker_encoder is None:
         _reject(_given(args, "embeddings_cache"), "read only with --speaker-encoder")
     config = _load_config(args)
-    role = "target_speaker" if args.mode == "a2o" else "multi_speaker"
-    manifest = load_manifest(args.manifest, role=role)
+    manifest = load_manifest(args.manifest)
     if args.upstream == MEL_UPSTREAM and args.feature_dir is None:
         spec = mel_upstream(config.audio)
     else:
         spec = external_upstream(args.upstream, args.feature_dir)
-    if args.mode == "a2o":
-        run = train_a2o(manifest, spec, config, args.out_dir,
-                        log_file=args.log_file)
-    else:
-        encoder = _a2a_encoder(args, config)
-        run = train_a2a(manifest, spec, config, args.out_dir, encoder,
-                        log_file=args.log_file)
+    run = train(manifest, spec, config, args.out_dir,
+                _a2a_encoder(args) if a2a else None, log_file=args.log_file)
     _note(f"final checkpoint: {run.checkpoint_path} "
-          f"(step {run.step}, loss {run.loss_history[-1]:.6f})")
+          f"(step {config.training.steps}, loss {run.loss_history[-1]:.6f})")
     return 0
 
 

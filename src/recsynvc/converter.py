@@ -331,8 +331,7 @@ def vocode(mel: MelSpectrogram, audio: AudioConfig, vocoder: str = "native") -> 
 # --- speaker encoder --------------------------------------------------------------
 
 def speaker_encoder_adapter(wave_or_path, command, cache_dir=None,
-                            utt_id: str | None = None,
-                            expected_dim: int | None = None) -> SpeakerEmbedding:
+                            utt_id: str | None = None) -> SpeakerEmbedding:
     """Extract a speaker embedding via an external encoder process.
 
     With ``cache_dir`` and ``utt_id`` set, a previously extracted embedding is
@@ -341,7 +340,7 @@ def speaker_encoder_adapter(wave_or_path, command, cache_dir=None,
     if cache_dir is not None and utt_id is not None:
         cached = feature_path(cache_dir, utt_id)
         if cached.exists():
-            return read_embedding(cached, expected_dim)
+            return read_embedding(cached)
 
     with tempfile.TemporaryDirectory(prefix="spkenc_") as tmp:
         tmp = Path(tmp)
@@ -353,8 +352,7 @@ def speaker_encoder_adapter(wave_or_path, command, cache_dir=None,
         out_path = tmp / "embedding.s3vc"
         _, stderr = run_adapter(command, [wav_path, out_path])
         seq = _adapter_output("speaker encoder", out_path, stderr, read_features)
-        embedding = _embedding_from(seq, f"speaker encoder output for {wav_path}",
-                                    expected_dim)
+        embedding = _embedding_from(seq, f"speaker encoder output for {wav_path}")
         if cache_dir is not None and utt_id is not None:
             Path(cache_dir).mkdir(parents=True, exist_ok=True)
             write_features(feature_path(cache_dir, utt_id), seq)
@@ -365,7 +363,7 @@ def read_embedding(path, expected_dim=None) -> SpeakerEmbedding:
     return _embedding_from(read_features(path), path, expected_dim)
 
 
-def _embedding_from(seq: FeatureSequence, source, expected_dim) -> SpeakerEmbedding:
+def _embedding_from(seq: FeatureSequence, source, expected_dim=None) -> SpeakerEmbedding:
     """The one-row embedding in ``seq``; errors name ``source``, a path or a description."""
     if len(seq) != 1:
         raise DimensionMismatchError(

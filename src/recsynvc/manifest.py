@@ -1,8 +1,11 @@
 """Dataset manifests: one JSON object per line.
 
-Required keys per line: ``utt_id``, ``speaker_id``, ``wav_path`` (a string),
-``language``; ``transcript`` is a string, null or absent.  Relative wav paths
-resolve against the manifest's own directory.
+Required keys per line, each a string: ``utt_id``, ``speaker_id``,
+``wav_path``, ``language``; ``transcript`` is a string, null or absent.
+Output files are named after ``utt_id``, so it must be one file-name
+component.  Relative wav paths resolve against the manifest's own directory.
+A loaded manifest is only a list of records: the command that reads it
+decides how many speakers it needs.
 """
 
 from __future__ import annotations
@@ -10,19 +13,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import ManifestParseError, MissingFieldError
+from .errors import ManifestParseError, MissingFieldError, VoiceConversionError
 from .types import DatasetManifest, UtteranceRecord
 
 _REQUIRED = ("utt_id", "speaker_id", "wav_path", "language")
 
 
-def load_manifest(path, role=None) -> DatasetManifest:
-    """Read and validate a JSON-lines manifest.
-
-    ``role`` is one of ``target_speaker`` / ``multi_speaker`` / ``source_eval``.
-    When omitted it is inferred from the number of distinct speakers
-    (one -> target_speaker, several -> multi_speaker).
-    """
+def load_manifest(path) -> DatasetManifest:
+    """Read and validate a JSON-lines manifest."""
     path = Path(path)
     base = path.parent
     records = []
@@ -44,8 +42,8 @@ def load_manifest(path, role=None) -> DatasetManifest:
             for key in _REQUIRED:
                 if key not in obj or obj[key] is None:
                     raise MissingFieldError(key, line_number)
-            if not isinstance(obj["wav_path"], str):
-                raise ManifestParseError("field 'wav_path' must be a string", line_number)
+                if not isinstance(obj[key], str):
+                    raise ManifestParseError(f"field {key!r} must be a string", line_number)
             transcript = obj.get("transcript")
             if transcript is not None and not isinstance(transcript, str):
                 raise ManifestParseError("field 'transcript' must be a string or null",
@@ -53,20 +51,15 @@ def load_manifest(path, role=None) -> DatasetManifest:
             wav_path = Path(obj["wav_path"])
             if not wav_path.is_absolute():
                 wav_path = base / wav_path
-            records.append(
-                UtteranceRecord(
-                    utt_id=str(obj["utt_id"]),
-                    speaker_id=str(obj["speaker_id"]),
-                    wav_path=wav_path,
-                    transcript=transcript,
-                    language=str(obj["language"]),
+            try:
+                record = UtteranceRecord(
+                    utt_id=obj["utt_id"], speaker_id=obj["speaker_id"], wav_path=wav_path,
+                    transcript=transcript, language=obj["language"],
                 )
-            )
-    if role is None:
-        speakers = {rec.speaker_id for rec in records}
-        role = "target_speaker" if len(speakers) == 1 and records else "multi_speaker" \
-            if len(speakers) >= 2 else "source_eval"
-    return DatasetManifest(records=tuple(records), role=role)
+            except VoiceConversionError as exc:
+                raise ManifestParseError(str(exc), line_number) from None
+            records.append(record)
+    return DatasetManifest(records=tuple(records))
 
 
 def write_manifest(path, manifest: DatasetManifest) -> None:

@@ -102,8 +102,6 @@ def make_toy_corpus(out_dir, n_utterances: int = 20, n_speakers: int = 1,
             utt_id=utt_id, speaker_id=speaker_id,
             wav_path=Path("wav") / f"{utt_id}.wav", transcript=transcript,
         ))
-    role = "target_speaker" if n_speakers == 1 else "multi_speaker"
-    manifest = DatasetManifest(tuple(records), role=role)
     manifest_path = out_dir / "manifest.jsonl"
-    write_manifest(manifest_path, manifest)
+    write_manifest(manifest_path, DatasetManifest(tuple(records)))
     return manifest_path

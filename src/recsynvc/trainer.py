@@ -1,4 +1,8 @@
-"""Decoder training: A2O (single target speaker) and A2A (multi-speaker).
+"""Decoder training: one ``train`` for A2O (single target speaker) and A2A.
+
+Any-to-any (A2A) training is any-to-one (A2O) training plus a speaker
+embedding per utterance: ``train`` runs A2A exactly when it is given an
+embedding encoder, and checks each setting on the manifest's distinct speakers.
 
 The training loop is teacher-forced throughout; the only concession to
 exposure bias is the dropout kept on the autoregressive path.  Loss is a
@@ -52,7 +56,6 @@ from .synthesizer import (
 )
 from .types import (
     N_MELS,
-    ROLE_MULTI_SPEAKER,
     DatasetManifest,
     SpeakerEmbedding,
     UtteranceRecord,
@@ -63,7 +66,6 @@ from .types import (
 class TrainRun:
     """Outcome of one training run."""
 
-    step: int
     loss_history: list[float]
     checkpoint_path: Path
 
@@ -146,7 +148,6 @@ class AdamOptimizer:
 
 @dataclass
 class _Example:
-    utt_id: str
     content: np.ndarray  # (T, Din) float64, normalized
     target: np.ndarray   # (T, 80) float64, normalized
     embedding: np.ndarray | None = None  # (E,) float64
@@ -182,20 +183,18 @@ def _prepare_examples(manifest, spec, config, encoder=None):
                     f"{record.utt_id}: embedding dim {emb.size} != configured "
                     f"{config.model.embedding_dim}"
                 )
-        raw.append((record.utt_id,
-                    np.asarray(content.frames[:t_len], dtype=np.float64),
+        raw.append((np.asarray(content.frames[:t_len], dtype=np.float64),
                     mel.frames[:t_len].copy(), emb))
 
-    all_content = np.concatenate([c for _, c, _, _ in raw], axis=0)
-    all_target = np.concatenate([t for _, _, t, _ in raw], axis=0)
+    all_content = np.concatenate([c for c, _, _ in raw], axis=0)
+    all_target = np.concatenate([t for _, t, _ in raw], axis=0)
     stats = {"input_mean": all_content.mean(axis=0), "input_std": all_content.std(axis=0),
              "target_mean": all_target.mean(axis=0), "target_std": all_target.std(axis=0)}
     examples = [
-        _Example(utt_id=u,
-                 content=normalize(c, stats["input_mean"], stats["input_std"]),
+        _Example(content=normalize(c, stats["input_mean"], stats["input_std"]),
                  target=normalize(t, stats["target_mean"], stats["target_std"]),
                  embedding=e)
-        for u, c, t, e in raw
+        for c, t, e in raw
     ]
     return examples, stats
 
@@ -218,8 +217,37 @@ def _pad_batch(examples: list[_Example]):
     return content, target, mask, spk
 
 
-def _run_training(manifest, spec, config: Config, out_dir, mode,
-                  encoder=None, target_speaker=None, log_file=None) -> TrainRun:
+def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir,
+          encoder: Callable[[UtteranceRecord], SpeakerEmbedding] | None = None,
+          log_file=None) -> TrainRun:
+    """Train a decoder on ``manifest``; ``encoder`` decides the setting.
+
+    Without an encoder this is A2O: the manifest holds exactly one speaker, the
+    target, and the config must not be speaker-conditioned.  With an encoder,
+    which maps a record to its SpeakerEmbedding, this is A2A: the manifest
+    holds at least two speakers, the config is made speaker-conditioned, and
+    each utterance is conditioned on the embedding of its own waveform, so the
+    model learns to copy the voice described by the embedding.
+    """
+    if len(manifest) == 0:
+        raise EmptyManifestError("cannot train on an empty manifest")
+    n_speakers = len(manifest.speakers)
+    if encoder is None:
+        if n_speakers != 1:
+            raise ManifestError(
+                f"single-target training needs exactly one speaker, manifest has {n_speakers}"
+            )
+        if config.model.speaker_conditioned:
+            raise ManifestError("single-target training cannot use speaker conditioning")
+        mode, target_speaker = "a2o", manifest.speakers[0]
+    else:
+        if n_speakers < 2:
+            raise SingleSpeakerError(
+                f"any-to-any training needs >= 2 speakers, manifest has {n_speakers}"
+            )
+        config = replace(config, model=replace(config.model, speaker_conditioned=True))
+        mode, target_speaker = "a2a", None
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     training = config.training
@@ -269,42 +297,4 @@ def _run_training(manifest, spec, config: Config, out_dir, mode,
     final_path = out_dir / "final.s3ck"
     save_checkpoint(final_path, model_checkpoint(model, mode, training.steps,
                                                  target_speaker))
-    return TrainRun(step=training.steps, loss_history=loss_history,
-                    checkpoint_path=final_path)
-
-
-def train_a2o(manifest: DatasetManifest, spec: UpstreamSpec, config: Config,
-              out_dir, log_file=None) -> TrainRun:
-    """Train a single-target decoder to reconstruct the target speaker's mels."""
-    if len(manifest) == 0:
-        raise EmptyManifestError("cannot train on an empty manifest")
-    if len(manifest.speakers) != 1:
-        raise ManifestError(
-            f"single-target training needs exactly one speaker, "
-            f"manifest has {len(manifest.speakers)}"
-        )
-    if config.model.speaker_conditioned:
-        raise ManifestError("single-target training cannot use speaker conditioning")
-    return _run_training(manifest, spec, config, out_dir, mode="a2o",
-                         target_speaker=manifest.speakers[0], log_file=log_file)
-
-
-def train_a2a(manifest: DatasetManifest, spec: UpstreamSpec, config: Config,
-              out_dir, encoder: Callable[[UtteranceRecord], SpeakerEmbedding],
-              log_file=None) -> TrainRun:
-    """Train a speaker-conditioned decoder on a multi-speaker corpus.
-
-    Each utterance is conditioned on the embedding of its own waveform, so the
-    model learns to copy the voice described by the embedding.  ``encoder``
-    maps a record to its SpeakerEmbedding.
-    """
-    if len(manifest) == 0:
-        raise EmptyManifestError("cannot train on an empty manifest")
-    if manifest.role != ROLE_MULTI_SPEAKER or len(manifest.speakers) < 2:
-        raise SingleSpeakerError(
-            "any-to-any training needs a multi-speaker manifest (>= 2 speakers)"
-        )
-    if not config.model.speaker_conditioned:
-        config = replace(config, model=replace(config.model, speaker_conditioned=True))
-    return _run_training(manifest, spec, config, out_dir, mode="a2a",
-                         encoder=encoder, target_speaker=None, log_file=log_file)
+    return TrainRun(loss_history=loss_history, checkpoint_path=final_path)

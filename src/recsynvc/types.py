@@ -185,6 +185,12 @@ class UtteranceRecord:
     def __post_init__(self):
         if not self.utt_id:
             raise VoiceConversionError("utt_id must be non-empty")
+        # output files are named after the id, so it may not name another directory
+        if "/" in self.utt_id or "\0" in self.utt_id or self.utt_id in (".", ".."):
+            raise VoiceConversionError(
+                f"utt_id {self.utt_id!r} must be one file-name component: "
+                "no '/' or NUL, and not '.' or '..'"
+            )
         if not self.speaker_id:
             raise VoiceConversionError("speaker_id must be non-empty")
         object.__setattr__(self, "wav_path", Path(self.wav_path))

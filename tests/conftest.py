@@ -11,7 +11,7 @@ from recsynvc.config import AudioConfig
 from recsynvc.manifest import load_manifest
 from recsynvc.recognizer import mel_upstream
 from recsynvc.synthetic import make_toy_corpus
-from recsynvc.trainer import train_a2o
+from recsynvc.trainer import train
 
 
 @pytest.fixture(scope="session")
@@ -25,7 +25,7 @@ def toy_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("toy_a2o")
     manifest_path = make_toy_corpus(root, n_utterances=20, n_speakers=1,
                                     duration=0.4, seed=0)
-    manifest = load_manifest(manifest_path, role="target_speaker")
+    manifest = load_manifest(manifest_path)
     return {"dir": root, "manifest_path": manifest_path, "manifest": manifest}
 
 
@@ -35,7 +35,7 @@ def toy_corpus_multi(tmp_path_factory):
     root = tmp_path_factory.mktemp("toy_a2a")
     manifest_path = make_toy_corpus(root, n_utterances=16, n_speakers=4,
                                     duration=0.4, seed=1)
-    manifest = load_manifest(manifest_path, role="multi_speaker")
+    manifest = load_manifest(manifest_path)
     return {"dir": root, "manifest_path": manifest_path, "manifest": manifest}
 
 
@@ -45,8 +45,8 @@ def quick_checkpoint(tmp_path_factory, toy_corpus):
     out_dir = tmp_path_factory.mktemp("quick_ckpt")
     config = toy_config("simple", hidden_dim=32, lstmp_proj_dim=32,
                         steps=60, checkpoint_interval=60)
-    run = train_a2o(toy_corpus["manifest"], mel_upstream(config.audio),
-                    config, out_dir)
+    run = train(toy_corpus["manifest"], mel_upstream(config.audio),
+                config, out_dir)
     return {"run": run, "path": run.checkpoint_path, "config": config}
 
 

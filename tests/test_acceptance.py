@@ -23,7 +23,7 @@ from recsynvc.evaluator import MCD_CONSTANT, dtw_align, mcd, wer
 from recsynvc.featureio import read_features, write_features
 from recsynvc.recognizer import extract_mel, mel_upstream
 from recsynvc.synthesizer import build_decoder, decoder_from_meta
-from recsynvc.trainer import loss_and_grads, train_a2a, train_a2o
+from recsynvc.trainer import loss_and_grads, train
 from recsynvc.types import FeatureSequence, SpeakerEmbedding
 
 from helpers import path_cost, sphere_embedding, toy_config
@@ -203,7 +203,7 @@ def test_criterion_4_toy_a2o(toy_corpus, audio, tmp_path, capsys):
     for decoder_type in DECODERS:
         config = toy_config(decoder_type)
         t0 = time.perf_counter()
-        run = train_a2o(manifest, spec, config, tmp_path / decoder_type)
+        run = train(manifest, spec, config, tmp_path / decoder_type)
         train_time = time.perf_counter() - t0
         ratio = run.loss_history[-1] / run.loss_history[0]
 
@@ -240,7 +240,7 @@ def test_criterion_5_toy_a2a(toy_corpus_multi, audio, tmp_path, capsys):
     config = toy_config("taco2_ar", speaker_conditioned=True, embedding_dim=16,
                         hidden_dim=64, lstmp_proj_dim=64, prenet_dims=(32, 32),
                         postnet_layers=3, postnet_channels=32, steps=120)
-    run = train_a2a(manifest, spec, config, tmp_path / "a2a", encoder)
+    run = train(manifest, spec, config, tmp_path / "a2a", encoder)
     trained = load_checkpoint(run.checkpoint_path)
     assert trained.meta["mode"] == "a2a"
 
@@ -341,7 +341,7 @@ def test_criterion_7_determinism(toy_corpus, audio, tmp_path, capsys):
 
     artifacts = []
     for run_dir in (tmp_path / "run1", tmp_path / "run2"):
-        run = train_a2o(manifest, spec, config, run_dir)
+        run = train(manifest, spec, config, run_dir)
         trained = load_checkpoint(run.checkpoint_path)
         converted = convert(manifest.records[0], trained, dropout_seed=3)
         mel_path = run_dir / "converted.s3vc"

@@ -4,6 +4,7 @@ import argparse
 import ast
 import copy
 import dataclasses
+import importlib
 import inspect
 import json
 import re
@@ -94,7 +95,10 @@ def test_extract_features_rejects_external_upstream(cli_corpus, tmp_path):
         assert exit_info.value.code == 2
 
 
-@pytest.mark.parametrize("field, value", [("wav_path", 5), ("transcript", 5)])
+@pytest.mark.parametrize("field, value", [
+    ("wav_path", 5), ("transcript", 5),
+    ("utt_id", {"x": 1}), ("speaker_id", ["a", "b"]), ("language", 7),
+])
 def test_extract_features_bad_field_type_is_one_error_line(tmp_path, capsys, field, value):
     record = {"utt_id": "u", "speaker_id": "s", "wav_path": "u.wav", "language": "en"}
     manifest = tmp_path / "manifest.jsonl"
@@ -105,6 +109,25 @@ def test_extract_features_bad_field_type_is_one_error_line(tmp_path, capsys, fie
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "line 1" in lines[0] and field in lines[0]
+
+
+@pytest.mark.parametrize("utt_id", ["../escaped", "ABSOLUTE", "a/b", "a\0b", ".", ".."],
+                         ids=["parent", "absolute", "subdir", "nul", "dot", "dotdot"])
+def test_extract_features_id_that_is_not_a_file_name_is_one_error_line(
+        cli_corpus, tmp_path, capsys, utt_id):
+    # output files are named after the id, so a path in it must not reach the file system
+    utt_id = utt_id.replace("ABSOLUTE", str(tmp_path / "abs"))
+    record = {"utt_id": utt_id, "speaker_id": "s", "language": "en",
+              "wav_path": str(load_manifest(cli_corpus).records[0].wav_path)}
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps(record) + "\n")
+    capsys.readouterr()
+    rc = main(["extract-features", str(manifest), "--out-dir", str(tmp_path / "work" / "out")])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "line 1" in lines[0] and "utt_id" in lines[0]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["manifest.jsonl"]
 
 
 # --- train / convert -----------------------------------------------------------
@@ -214,6 +237,55 @@ def test_train_a2a_needs_embedding_source(tmp_path, cli_config):
     rc = main(["train", str(manifest), "--mode", "a2a",
                "--out-dir", str(tmp_path / "run"), "--config", str(cli_config)])
     assert rc == 1
+
+
+A2A_CONFIG = """\
+[model]
+type = taco2_ar
+hidden_dim = 16
+lstmp_proj_dim = 16
+prenet_dims = 8,8
+postnet_layers = 1
+postnet_channels = 8
+embedding_dim = 16
+
+[training]
+steps = 1
+"""
+
+
+@pytest.mark.parametrize("n_speakers, mode, reason", [
+    (0, "a2o", "empty manifest"),
+    (2, "a2o", "exactly one speaker, manifest has 2"),
+    (1, "a2a", "needs >= 2 speakers, manifest has 1"),
+    (2, "a2a", "SPK1_000: embedding dim 8 != configured 16"),
+], ids=["empty", "a2o_two_speakers", "a2a_one_speaker", "a2a_embedding_width"])
+def test_train_on_a_corpus_of_the_wrong_kind_is_one_error_line(tmp_path, capsys,
+                                                               n_speakers, mode, reason):
+    manifest = tmp_path / "manifest.jsonl"
+    if n_speakers:
+        manifest = make_toy_corpus(tmp_path / "corpus", n_utterances=4,
+                                   n_speakers=n_speakers, duration=0.4, seed=6)
+    else:
+        manifest.write_text("")
+    config = tmp_path / "a2a.ini"
+    config.write_text(A2A_CONFIG)
+    emb_dir = tmp_path / "emb"
+    flags = []
+    if mode == "a2a":
+        flags = ["--embeddings-dir", str(emb_dir)]
+        emb_dir.mkdir()
+        for record in load_manifest(manifest):
+            write_features(emb_dir / f"{record.utt_id}.s3vc", FeatureSequence(
+                frames=sphere_embedding(record.utt_id, dim=8).vector[None, :],
+                frame_shift_ms=10.0))
+    capsys.readouterr()
+    rc = main(["train", str(manifest), "--mode", mode, "--out-dir", str(tmp_path / "run"),
+               "--config", str(config), *flags])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and reason in lines[0]
+    assert not list((tmp_path / "run").glob("*.s3ck"))
 
 
 def test_convert_outputs(cli_checkpoint, cli_corpus, tmp_path):
@@ -637,8 +709,9 @@ def test_every_subcommand_reads_each_of_its_options():
 
 
 def test_readme_names_only_real_options_and_keys():
-    """Every ``--flag`` in the README is an option of some subcommand, and every
-    `` `[section] key` `` it names is a config field."""
+    """Every ``--flag`` in the README is an option of some subcommand, every
+    `` `[section] key` `` it names is a config field, and every name its Python
+    blocks import from ``recsynvc.X`` is defined in module ``X``."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
     commands = next(a for a in cli.build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
@@ -651,3 +724,11 @@ def test_readme_names_only_real_options_and_keys():
     assert named_flags and named_keys
     assert sorted(named_flags - flags) == []
     assert sorted(named_keys - keys) == []
+
+    code = "\n".join(re.findall(r"```python\n(.*?)```", readme, re.S))
+    imports = re.findall(r"^from recsynvc\.(\w+) import (.+)$", code, re.M)
+    assert imports
+    missing = [f"{module}.{name}" for module, names in imports
+               for name in map(str.strip, names.split(","))
+               if not hasattr(importlib.import_module(f"recsynvc.{module}"), name)]
+    assert missing == []

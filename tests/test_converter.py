@@ -334,12 +334,6 @@ class TestSpeakerEncoderAdapter:
         emb = speaker_encoder_adapter(wave, stub_speaker_encoder)
         assert emb.dim == 16
 
-    def test_expected_dim_enforced(self, toy_corpus, stub_speaker_encoder):
-        record = toy_corpus["manifest"].records[0]
-        with pytest.raises(DimensionMismatchError):
-            speaker_encoder_adapter(record.wav_path, stub_speaker_encoder,
-                                    expected_dim=32)
-
     def test_failing_encoder(self, toy_corpus, failing_adapter):
         record = toy_corpus["manifest"].records[0]
         with pytest.raises(AdapterError):

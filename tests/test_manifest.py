@@ -16,7 +16,7 @@ def _manifest():
         UtteranceRecord(utt_id="u2", speaker_id="B", wav_path="/w/u2.wav",
                         transcript=None),
     )
-    return DatasetManifest(records=records, role="multi_speaker")
+    return DatasetManifest(records=records)
 
 
 def test_round_trip(tmp_path):
@@ -24,19 +24,11 @@ def test_round_trip(tmp_path):
     original = _manifest()
     write_manifest(path, original)
     loaded = load_manifest(path)
-    assert loaded.role == original.role
     assert len(loaded) == 2
     assert loaded.records[0].utt_id == "u1"
     assert loaded.records[0].transcript == "PA KO"
     assert loaded.records[1].transcript is None
     assert str(loaded.records[1].wav_path) == "/w/u2.wav"
-
-
-def test_role_override(tmp_path):
-    path = tmp_path / "data.tsv"
-    write_manifest(path, _manifest())
-    loaded = load_manifest(path, role="source_eval")
-    assert loaded.role == "source_eval"
 
 
 def test_malformed_line_reports_line_number(tmp_path):

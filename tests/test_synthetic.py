@@ -40,14 +40,12 @@ def test_corpus_seed_changes_content(tmp_path):
 def test_corpus_layout_and_roles(tmp_path):
     path = make_toy_corpus(tmp_path / "solo", n_utterances=6, duration=0.4)
     manifest = load_manifest(path)
-    assert manifest.role == "target_speaker"
     assert len(manifest.records) == 6
     assert manifest.speakers == ("SPK1",)
 
     path = make_toy_corpus(tmp_path / "multi", n_utterances=8, n_speakers=4,
                            duration=0.4, seed=1)
     manifest = load_manifest(path)
-    assert manifest.role == "multi_speaker"
     assert manifest.speakers == ("SPK1", "SPK2", "SPK3", "SPK4")
     # round-robin deal: two utterances per speaker
     per_speaker = {spk: 0 for spk in manifest.speakers}

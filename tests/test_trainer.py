@@ -1,5 +1,7 @@
 """Training loop: loss math, optimization, checkpoints, and error paths."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,7 @@ from recsynvc.trainer import (
     AdamOptimizer,
     compute_loss,
     loss_and_grads,
-    train_a2a,
-    train_a2o,
+    train,
 )
 from recsynvc.types import DatasetManifest, FeatureSequence
 
@@ -142,9 +143,9 @@ class TestTrainA2O:
         config = toy_config("simple", hidden_dim=32, lstmp_proj_dim=32,
                             steps=30, checkpoint_interval=10)
         log_file = tmp_path / "train.tsv"
-        run = train_a2o(toy_corpus["manifest"], mel_upstream(config.audio),
-                        config, tmp_path / "run", log_file=log_file)
-        assert run.step == 30
+        run = train(toy_corpus["manifest"], mel_upstream(config.audio),
+                    config, tmp_path / "run", log_file=log_file)
+        assert load_checkpoint(run.checkpoint_path).meta["step"] == 30
         assert len(run.loss_history) == 30
         assert run.loss_history[-1] < run.loss_history[0]
         out = tmp_path / "run"
@@ -163,8 +164,8 @@ class TestTrainA2O:
     def test_checkpoint_carries_stats_and_meta(self, toy_corpus, tmp_path):
         config = toy_config("simple", hidden_dim=32, lstmp_proj_dim=32,
                             steps=5, checkpoint_interval=5)
-        run = train_a2o(toy_corpus["manifest"], mel_upstream(config.audio),
-                        config, tmp_path / "run")
+        run = train(toy_corpus["manifest"], mel_upstream(config.audio),
+                    config, tmp_path / "run")
         ckpt = load_checkpoint(run.checkpoint_path)
         assert ckpt.meta["mode"] == "a2o"
         assert ckpt.meta["step"] == 5
@@ -179,18 +180,18 @@ class TestTrainA2O:
     def test_rejects_empty_and_multi_speaker(self, toy_corpus_multi, tmp_path):
         config = toy_config("simple", steps=1)
         spec = mel_upstream(config.audio)
-        empty = DatasetManifest(records=(), role="source_eval")
+        empty = DatasetManifest(records=())
         with pytest.raises(EmptyManifestError):
-            train_a2o(empty, spec, config, tmp_path / "r1")
+            train(empty, spec, config, tmp_path / "r1")
         with pytest.raises(ManifestError):
-            train_a2o(toy_corpus_multi["manifest"], spec, config,
-                      tmp_path / "r2")
+            train(toy_corpus_multi["manifest"], spec, config,
+                  tmp_path / "r2")
 
     def test_rejects_conditioned_config(self, toy_corpus, tmp_path):
         config = toy_config("taco2_ar", speaker_conditioned=True, steps=1)
         with pytest.raises(ManifestError):
-            train_a2o(toy_corpus["manifest"], mel_upstream(config.audio),
-                      config, tmp_path / "run")
+            train(toy_corpus["manifest"], mel_upstream(config.audio),
+                  config, tmp_path / "run")
 
     def test_missing_external_features_fail_fast(self, toy_corpus, tmp_path):
         config = toy_config("simple", steps=1)
@@ -200,8 +201,27 @@ class TestTrainA2O:
             frames=np.zeros((20, 7), dtype=np.float32), frame_shift_ms=20.0))
         spec = external_upstream("ssl_stub", tmp_path / "feats")
         with pytest.raises(MissingFeatureError) as err:
-            train_a2o(toy_corpus["manifest"], spec, config, tmp_path / "run")
+            train(toy_corpus["manifest"], spec, config, tmp_path / "run")
         assert err.value.utt_ids == rest and len(rest) == 19
+
+
+@pytest.mark.parametrize("speakers", [("A",), ("A", "B")], ids=["a2o", "a2a"])
+def test_the_encoder_decides_the_setting_on_a_manifest_without_a_role(
+        toy_corpus, tmp_path, speakers):
+    # two speakers with an encoder train A2A although the manifest declares no role
+    records = toy_corpus["manifest"].records[:4]
+    manifest = DatasetManifest(tuple(
+        replace(r, speaker_id=speakers[i % len(speakers)]) for i, r in enumerate(records)))
+    a2a = len(speakers) > 1
+    config = toy_config("taco2_ar", hidden_dim=16, lstmp_proj_dim=16, prenet_dims=(8, 8),
+                        postnet_layers=1, postnet_channels=8, embedding_dim=16,
+                        steps=2, checkpoint_interval=2)
+    encoder = (lambda rec: sphere_embedding(rec.utt_id)) if a2a else None
+    run = train(manifest, mel_upstream(config.audio), config, tmp_path / "run", encoder)
+    meta = load_checkpoint(run.checkpoint_path).meta
+    assert meta["mode"] == ("a2a" if a2a else "a2o")
+    assert meta["decoder"]["speaker_conditioned"] is a2a
+    assert meta["target_speaker"] == (None if a2a else "A")
 
 
 class TestTrainA2A:
@@ -210,9 +230,9 @@ class TestTrainA2A:
                             prenet_dims=(16, 16), postnet_layers=2,
                             postnet_channels=16, embedding_dim=16,
                             steps=10, checkpoint_interval=10)
-        run = train_a2a(toy_corpus_multi["manifest"],
-                        mel_upstream(config.audio), config, tmp_path / "run",
-                        encoder=lambda rec: sphere_embedding(rec.utt_id))
+        run = train(toy_corpus_multi["manifest"],
+                    mel_upstream(config.audio), config, tmp_path / "run",
+                    encoder=lambda rec: sphere_embedding(rec.utt_id))
         ckpt = load_checkpoint(run.checkpoint_path)
         assert ckpt.meta["mode"] == "a2a"
         assert ckpt.meta["decoder"]["speaker_conditioned"] is True
@@ -221,23 +241,23 @@ class TestTrainA2A:
         config = toy_config("taco2_ar", embedding_dim=16, steps=1)
         first = toy_corpus_multi["manifest"].records[0].utt_id
         with pytest.raises(DimensionMismatchError, match=f"{first}: embedding dim 8 "):
-            train_a2a(toy_corpus_multi["manifest"], mel_upstream(config.audio),
-                      config, tmp_path / "run",
-                      encoder=lambda rec: sphere_embedding(rec.utt_id, dim=8))
+            train(toy_corpus_multi["manifest"], mel_upstream(config.audio),
+                  config, tmp_path / "run",
+                  encoder=lambda rec: sphere_embedding(rec.utt_id, dim=8))
 
     def test_rejects_single_speaker(self, toy_corpus, tmp_path):
         config = toy_config("taco2_ar", embedding_dim=16, steps=1)
         with pytest.raises(SingleSpeakerError):
-            train_a2a(toy_corpus["manifest"], mel_upstream(config.audio),
-                      config, tmp_path / "run",
-                      encoder=lambda rec: sphere_embedding(rec.utt_id))
+            train(toy_corpus["manifest"], mel_upstream(config.audio),
+                  config, tmp_path / "run",
+                  encoder=lambda rec: sphere_embedding(rec.utt_id))
 
 
 def test_determinism_same_seed_same_bytes(toy_corpus, tmp_path):
     config = toy_config("simple_ar", hidden_dim=24, lstmp_proj_dim=24,
                         steps=8, checkpoint_interval=8)
     spec = mel_upstream(config.audio)
-    a = train_a2o(toy_corpus["manifest"], spec, config, tmp_path / "a")
-    b = train_a2o(toy_corpus["manifest"], spec, config, tmp_path / "b")
+    a = train(toy_corpus["manifest"], spec, config, tmp_path / "a")
+    b = train(toy_corpus["manifest"], spec, config, tmp_path / "b")
     assert a.checkpoint_path.read_bytes() == b.checkpoint_path.read_bytes()
     assert a.loss_history == b.loss_history
