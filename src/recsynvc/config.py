@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, ConfigTypeError, InvalidConfigError, UnknownKeyError
-from .types import N_MELS
+from .types import ALLOWED_SAMPLE_RATES, N_MELS
 
 DECODER_TYPES = ("simple", "simple_ar", "taco2_ar")
 
@@ -33,10 +33,14 @@ class AudioConfig:
     griffin_lim_iters: int = 32
 
     def __post_init__(self):
-        if min(self.sample_rate, self.win_length, self.hop_length) < 1:
-            raise ConfigTypeError("sample_rate, win_length and hop_length must be positive")
-        if not 0.0 <= self.fmin < self.fmax:
-            raise ConfigTypeError("audio frequencies must satisfy 0 <= fmin < fmax")
+        if self.sample_rate not in ALLOWED_SAMPLE_RATES:
+            raise ConfigTypeError(f"sample_rate must be one of {ALLOWED_SAMPLE_RATES}, "
+                                  f"got {self.sample_rate}")
+        if min(self.win_length, self.hop_length) < 1:
+            raise ConfigTypeError("win_length and hop_length must be positive")
+        if not 0.0 <= self.fmin < self.fmax < math.inf:
+            raise ConfigTypeError("fmin and fmax must be finite with 0 <= fmin < fmax, "
+                                  f"got {self.fmin} and {self.fmax}")
         if self.griffin_lim_iters < 0:
             raise ConfigTypeError("griffin_lim_iters must be non-negative")
 

@@ -334,12 +334,17 @@ def speaker_encoder_adapter(wave_or_path, command, cache_dir=None,
                             utt_id: str | None = None) -> SpeakerEmbedding:
     """Extract a speaker embedding via an external encoder process.
 
-    With ``cache_dir`` and ``utt_id`` set, a previously extracted embedding is
-    reused without spawning anything; fresh results are cached atomically.
+    With ``cache_dir`` and ``utt_id`` set, the embedding cached for ``utt_id``
+    is reused without spawning anything when it is not older than the wav at
+    ``wave_or_path`` (for an in-memory ``Waveform``, whenever it exists);
+    otherwise the wav is encoded again. A changed ``command`` is not detected.
+    Fresh results are cached atomically.
     """
     if cache_dir is not None and utt_id is not None:
         cached = feature_path(cache_dir, utt_id)
-        if cached.exists():
+        if cached.exists() and (
+                isinstance(wave_or_path, Waveform)
+                or cached.stat().st_mtime_ns >= Path(wave_or_path).stat().st_mtime_ns):
             return read_embedding(cached)
 
     with tempfile.TemporaryDirectory(prefix="spkenc_") as tmp:

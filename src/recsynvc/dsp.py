@@ -2,7 +2,9 @@
 
 One fixed analysis chain is shared by the mel extractor, the cepstrum
 computation, and the native vocoder so that analysis and resynthesis agree:
-periodic Hann window, no center padding, magnitude spectra.
+periodic Hann window, no center padding, magnitude spectra. Griffin-Lim
+inverts each iterate with the one ``istft``, whose window-sum normaliser is
+cached per frame count.
 """
 
 from __future__ import annotations
@@ -12,10 +14,12 @@ from functools import lru_cache
 import numpy as np
 
 
+@lru_cache(maxsize=4)
 def hann_window(win_length: int) -> np.ndarray:
-    """Periodic Hann window."""
-    n = np.arange(win_length)
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / win_length)
+    """Periodic Hann window, cached read-only per length."""
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win_length) / win_length)
+    window.flags.writeable = False
+    return window
 
 
 def frame_count(num_samples: int, win_length: int, hop_length: int) -> int:
@@ -44,33 +48,29 @@ def istft(spectra: np.ndarray, win_length: int, hop_length: int) -> np.ndarray:
     Returns (T - 1) * hop + win samples; the caller trims to taste.
     """
     spectra = np.asarray(spectra)
-    window = hann_window(win_length)
-    return _overlap_add(spectra, window, hop_length,
-                        *_window_sums(spectra.shape[0], window, hop_length))
-
-
-def _window_sums(n_frames, window, hop_length):
-    """Overlap-added squared window of an n-frame ISTFT, and where it is nonzero.
-
-    It depends only on the frame count, so Griffin-Lim builds it once per call.
-    """
-    win_length = window.size
-    wsum = np.zeros((n_frames - 1) * hop_length + win_length)
-    wsq = window * window
-    for t in range(n_frames):
-        wsum[t * hop_length:t * hop_length + win_length] += wsq
-    return wsum, wsum > 1e-11
-
-
-def _overlap_add(spectra, window, hop_length, wsum, nonzero):
-    """Window and overlap-add the frames of ``spectra``, normalised by ``wsum``."""
-    win_length = window.size
-    frames = np.fft.irfft(spectra, n=win_length, axis=1) * window[None, :]
+    wsum, nonzero = _window_sums(spectra.shape[0], win_length, hop_length)
+    frames = np.fft.irfft(spectra, n=win_length, axis=1) * hann_window(win_length)[None, :]
     out = np.zeros(wsum.size)
     for t in range(frames.shape[0]):
         out[t * hop_length:t * hop_length + win_length] += frames[t]
     np.divide(out, wsum, out=out, where=nonzero)
     return out
+
+
+@lru_cache(maxsize=8)
+def _window_sums(n_frames, win_length, hop_length):
+    """Overlap-added squared window of an n-frame ISTFT, and where it is nonzero.
+
+    It depends only on the frame count, so the inversions of one Griffin-Lim
+    call build it once; the cached arrays are read-only.
+    """
+    wsum = np.zeros((n_frames - 1) * hop_length + win_length)
+    wsq = hann_window(win_length) ** 2
+    for t in range(n_frames):
+        wsum[t * hop_length:t * hop_length + win_length] += wsq
+    nonzero = wsum > 1e-11
+    wsum.flags.writeable = nonzero.flags.writeable = False
+    return wsum, nonzero
 
 
 def hz_to_mel(freq):
@@ -103,12 +103,11 @@ def griffin_lim(magnitudes: np.ndarray, win_length: int, hop_length: int,
                 n_iters: int) -> np.ndarray:
     """Iterative phase reconstruction from a magnitude STFT (T, F).
 
-    Starts from zero phase, so the result is deterministic.
+    Starts from zero phase, so the result is deterministic; each iterate is
+    projected onto ``magnitudes`` and inverted by ``istft``.
     """
     magnitudes = np.asarray(magnitudes, dtype=np.float64)
-    window = hann_window(win_length)
-    sums = _window_sums(magnitudes.shape[0], window, hop_length)
-    signal = _overlap_add(magnitudes.astype(np.complex128), window, hop_length, *sums)
+    signal = istft(magnitudes.astype(np.complex128), win_length, hop_length)
     phased = np.empty(magnitudes.shape, dtype=np.complex128)
     for _ in range(n_iters):
         spectra = stft(signal, win_length, hop_length)
@@ -117,5 +116,5 @@ def griffin_lim(magnitudes: np.ndarray, win_length: int, hop_length: int,
         inv_abs = 1.0 / np.maximum(np.abs(spectra), 1e-12)
         np.multiply(spectra.real * inv_abs, magnitudes, out=phased.real)
         np.multiply(spectra.imag * inv_abs, magnitudes, out=phased.imag)
-        signal = _overlap_add(phased, window, hop_length, *sums)
+        signal = istft(phased, win_length, hop_length)
     return signal

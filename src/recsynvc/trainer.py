@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import save_checkpoint
+from .checkpoint import CHECKPOINT_SUFFIX, save_checkpoint
 from .config import Config
 from .converter import TrainedModel, model_checkpoint, normalize
 from .errors import (
@@ -288,13 +288,13 @@ def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir
                 if log_fh is not None:
                     print(line, file=log_fh, flush=True)
             if step % training.checkpoint_interval == 0:
-                save_checkpoint(out_dir / f"checkpoint_{step:06d}.s3ck",
+                save_checkpoint(out_dir / f"checkpoint_{step:06d}{CHECKPOINT_SUFFIX}",
                                 model_checkpoint(model, mode, step, target_speaker))
     finally:
         if log_fh is not None:
             log_fh.close()
 
-    final_path = out_dir / "final.s3ck"
+    final_path = out_dir / f"final{CHECKPOINT_SUFFIX}"
     save_checkpoint(final_path, model_checkpoint(model, mode, training.steps,
                                                  target_speaker))
     return TrainRun(loss_history=loss_history, checkpoint_path=final_path)

@@ -709,9 +709,10 @@ def test_every_subcommand_reads_each_of_its_options():
 
 
 def test_readme_names_only_real_options_and_keys():
-    """Every ``--flag`` in the README is an option of some subcommand, every
-    `` `[section] key` `` it names is a config field, and every name its Python
-    blocks import from ``recsynvc.X`` is defined in module ``X``."""
+    """Every ``--flag`` in the README is an option of some subcommand and every
+    option of every subcommand is named there, every `` `[section] key` `` it
+    names is a config field, and every name its Python blocks import from
+    ``recsynvc.X`` is defined in module ``X``."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
     commands = next(a for a in cli.build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
@@ -723,6 +724,7 @@ def test_readme_names_only_real_options_and_keys():
     named_keys = set(re.findall(r"`\[(\w+)\]\s+(\w+)`", readme))
     assert named_flags and named_keys
     assert sorted(named_flags - flags) == []
+    assert sorted(flags - named_flags - {"-h", "--help"}) == []
     assert sorted(named_keys - keys) == []
 
     code = "\n".join(re.findall(r"```python\n(.*?)```", readme, re.S))

@@ -126,11 +126,12 @@ def test_model_validation():
 @pytest.mark.parametrize("line", [
     "sample_rate = 0", "win_length = 0", "hop_length = 0",
     "fmin = -1", "fmin = 12000", "fmax = 0", "griffin_lim_iters = -1",
+    "sample_rate = 12345", "fmax = inf",
 ])
 def test_audio_validation(tmp_path, line):
     path = tmp_path / "run.ini"
     path.write_text(f"[audio]\n{line}\n")
-    with pytest.raises(ConfigTypeError):
+    with pytest.raises(ConfigTypeError, match=line.split()[0]):
         load_config(path)
 
 

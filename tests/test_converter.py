@@ -1,7 +1,9 @@
 """Conversion pipeline, embedding pooling, vocoders, and external adapters."""
 
 import copy
+import os
 import shlex
+import shutil
 import sys
 import time
 from dataclasses import asdict
@@ -109,6 +111,7 @@ class TestConvert:
     (lambda meta: meta["audio"].update(hop_length=0), "hop_length"),
     (lambda meta: meta["audio"].pop("n_mels"), "audio"),
     (lambda meta: meta["audio"].update(n_mels=40), "audio.*n_mels"),
+    (lambda meta: meta["audio"].update(sample_rate=12345), "audio.*sample_rate"),
     (lambda meta: meta.update(seed="x"), "seed"),
     (lambda meta: meta.pop("upstream"), "upstream"),
     (lambda meta: meta["upstream"].update(feature_dim=81), "upstream"),
@@ -118,7 +121,7 @@ class TestConvert:
     (lambda tensors: tensors.update({"stats.input_mean": np.zeros(3)}), "stats.input_mean"),
 ], ids=["unknown_key", "no_input_dim", "no_decoder", "no_audio", "str_hidden_dim",
         "null_prenet_dims", "list_decoder", "null_hop_length", "zero_hop_length",
-        "no_n_mels", "narrow_n_mels",
+        "no_n_mels", "narrow_n_mels", "bad_sample_rate",
         "str_seed", "no_upstream", "wide_upstream", "zero_frame_shift", "int_upstream_name",
         "no_target_std", "narrow_input_mean"])
 def test_load_model_rejects_malformed_meta(quick_checkpoint, corrupt, entry):
@@ -322,12 +325,17 @@ class TestSpeakerEncoderAdapter:
         command = shlex.join([sys.executable, str(script)])
         cache = tmp_path / "cache"
         record = toy_corpus["manifest"].records[0]
-        a = speaker_encoder_adapter(record.wav_path, command,
-                                    cache_dir=cache, utt_id=record.utt_id)
-        b = speaker_encoder_adapter(record.wav_path, command,
-                                    cache_dir=cache, utt_id=record.utt_id)
+        wav = tmp_path / "copy.wav"
+        shutil.copyfile(record.wav_path, wav)
+        a = speaker_encoder_adapter(wav, command, cache_dir=cache, utt_id=record.utt_id)
+        b = speaker_encoder_adapter(wav, command, cache_dir=cache, utt_id=record.utt_id)
         assert counter.read_text() == "x"  # exactly one spawn
         assert np.array_equal(a.vector, b.vector)
+        # a wav rewritten after its entry was cached is encoded again
+        entry_ns = feature_path(cache, record.utt_id).stat().st_mtime_ns
+        os.utime(wav, ns=(entry_ns + 10**9, entry_ns + 10**9))
+        speaker_encoder_adapter(wav, command, cache_dir=cache, utt_id=record.utt_id)
+        assert counter.read_text() == "xx"
 
     def test_accepts_in_memory_waveform(self, stub_speaker_encoder):
         wave = Waveform(samples=np.full(2400, 0.1), sample_rate=24000)

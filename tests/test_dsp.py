@@ -163,3 +163,27 @@ def test_griffin_lim_matches_per_iteration_istft_reference(n_frames):
         assert np.array_equal(got, _reference_griffin_lim(mags, 1024, 240, n_iters)), n_iters
     spectra = rng.standard_normal((n_frames, 513)) + 1j * rng.standard_normal((n_frames, 513))
     assert np.array_equal(dsp.istft(spectra, 1024, 240), _reference_istft(spectra, 1024, 240))
+
+
+def test_griffin_lim_inverts_through_the_one_istft(monkeypatch):
+    calls = []
+    istft = dsp.istft
+
+    def counting_istft(*args):
+        calls.append(args)
+        return istft(*args)
+
+    monkeypatch.setattr(dsp, "istft", counting_istft)
+    mags = np.abs(np.random.default_rng(3).standard_normal((12, 513)))
+    dsp.griffin_lim(mags, 1024, 240, n_iters=5)
+    assert len(calls) == 5 + 1
+
+
+def test_window_and_window_sums_are_cached_read_only():
+    first, again, other = (dsp._window_sums(n, 1024, 240) for n in (46, 46, 47))
+    assert again[0] is first[0] and again[1] is first[1]
+    assert other[0].size == first[0].size + 240
+    assert dsp.hann_window(1024) is dsp.hann_window(1024)
+    for array in (*first, dsp.hann_window(1024)):
+        with pytest.raises(ValueError):
+            array[0] = 1
