@@ -337,7 +337,9 @@ def speaker_encoder_adapter(wave_or_path, command, cache_dir=None,
     With ``cache_dir`` and ``utt_id`` set, the embedding cached for ``utt_id``
     is reused without spawning anything when it is not older than the wav at
     ``wave_or_path`` (for an in-memory ``Waveform``, whenever it exists);
-    otherwise the wav is encoded again. A changed ``command`` is not detected.
+    otherwise the wav is encoded again. Only a newer wav mtime is seen: a
+    replacement that keeps an older mtime (``cp -p``, a restore), a rewrite
+    within the entry's timestamp tick and a changed ``command`` are not.
     Fresh results are cached atomically.
     """
     if cache_dir is not None and utt_id is not None:

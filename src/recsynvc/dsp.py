@@ -2,9 +2,8 @@
 
 One fixed analysis chain is shared by the mel extractor, the cepstrum
 computation, and the native vocoder so that analysis and resynthesis agree:
-periodic Hann window, no center padding, magnitude spectra. Griffin-Lim
-inverts each iterate with the one ``istft``, whose window-sum normaliser is
-cached per frame count.
+periodic Hann window, no center padding, magnitude spectra, and one ``istft``
+for every inversion, Griffin-Lim's included.
 """
 
 from __future__ import annotations
@@ -14,12 +13,10 @@ from functools import lru_cache
 import numpy as np
 
 
-@lru_cache(maxsize=4)
 def hann_window(win_length: int) -> np.ndarray:
-    """Periodic Hann window, cached read-only per length."""
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win_length) / win_length)
-    window.flags.writeable = False
-    return window
+    """Periodic Hann window."""
+    n = np.arange(win_length)
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / win_length)
 
 
 def frame_count(num_samples: int, win_length: int, hop_length: int) -> int:
@@ -42,14 +39,16 @@ def stft(samples: np.ndarray, win_length: int, hop_length: int) -> np.ndarray:
     return np.fft.rfft(frames * hann_window(win_length)[None, :], axis=1)
 
 
-def istft(spectra: np.ndarray, win_length: int, hop_length: int) -> np.ndarray:
+def istft(spectra: np.ndarray, win_length: int, hop_length: int, sums=None) -> np.ndarray:
     """Least-squares inverse STFT by windowed overlap-add.
 
-    Returns (T - 1) * hop + win samples; the caller trims to taste.
+    Returns (T - 1) * hop + win samples; the caller trims to taste. ``sums``
+    is ``_window_sums`` for the T frames, if the caller already has it.
     """
     spectra = np.asarray(spectra)
-    wsum, nonzero = _window_sums(spectra.shape[0], win_length, hop_length)
-    frames = np.fft.irfft(spectra, n=win_length, axis=1) * hann_window(win_length)[None, :]
+    window = hann_window(win_length)
+    wsum, nonzero = sums or _window_sums(spectra.shape[0], window, hop_length)
+    frames = np.fft.irfft(spectra, n=win_length, axis=1) * window[None, :]
     out = np.zeros(wsum.size)
     for t in range(frames.shape[0]):
         out[t * hop_length:t * hop_length + win_length] += frames[t]
@@ -57,20 +56,17 @@ def istft(spectra: np.ndarray, win_length: int, hop_length: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=8)
-def _window_sums(n_frames, win_length, hop_length):
+def _window_sums(n_frames, window, hop_length):
     """Overlap-added squared window of an n-frame ISTFT, and where it is nonzero.
 
-    It depends only on the frame count, so the inversions of one Griffin-Lim
-    call build it once; the cached arrays are read-only.
+    It depends only on the frame count, so Griffin-Lim builds it once per call.
     """
+    win_length = window.size
     wsum = np.zeros((n_frames - 1) * hop_length + win_length)
-    wsq = hann_window(win_length) ** 2
+    wsq = window * window
     for t in range(n_frames):
         wsum[t * hop_length:t * hop_length + win_length] += wsq
-    nonzero = wsum > 1e-11
-    wsum.flags.writeable = nonzero.flags.writeable = False
-    return wsum, nonzero
+    return wsum, wsum > 1e-11
 
 
 def hz_to_mel(freq):
@@ -103,11 +99,11 @@ def griffin_lim(magnitudes: np.ndarray, win_length: int, hop_length: int,
                 n_iters: int) -> np.ndarray:
     """Iterative phase reconstruction from a magnitude STFT (T, F).
 
-    Starts from zero phase, so the result is deterministic; each iterate is
-    projected onto ``magnitudes`` and inverted by ``istft``.
+    Starts from zero phase, so the result is deterministic.
     """
     magnitudes = np.asarray(magnitudes, dtype=np.float64)
-    signal = istft(magnitudes.astype(np.complex128), win_length, hop_length)
+    sums = _window_sums(magnitudes.shape[0], hann_window(win_length), hop_length)
+    signal = istft(magnitudes.astype(np.complex128), win_length, hop_length, sums)
     phased = np.empty(magnitudes.shape, dtype=np.complex128)
     for _ in range(n_iters):
         spectra = stft(signal, win_length, hop_length)
@@ -116,5 +112,5 @@ def griffin_lim(magnitudes: np.ndarray, win_length: int, hop_length: int,
         inv_abs = 1.0 / np.maximum(np.abs(spectra), 1e-12)
         np.multiply(spectra.real * inv_abs, magnitudes, out=phased.real)
         np.multiply(spectra.imag * inv_abs, magnitudes, out=phased.imag)
-        signal = istft(phased, win_length, hop_length)
+        signal = istft(phased, win_length, hop_length, sums)
     return signal
