@@ -27,7 +27,6 @@ from .errors import (
     CorrelationFileError,
     DegenerateVarianceError,
     InsufficientRowsError,
-    MissingFieldError,
     VoiceConversionError,
 )
 
@@ -166,17 +165,20 @@ def published_correlations(path=None) -> dict[tuple[str, str], float]:
 # --- correlation analysis ----------------------------------------------------------
 
 def correlation_matrix(rows) -> np.ndarray:
-    """The 5x5 Pearson correlation matrix of the score columns, in ``METRIC_LABELS`` order."""
+    """The 5x5 Pearson correlation matrix of the score columns, in ``METRIC_LABELS`` order.
+
+    A row without a naturalness or similarity score raises
+    ``CorrelationFileError`` naming its system.
+    """
     rows = list(rows)
     if len(rows) < 3:
         raise InsufficientRowsError(
             f"need at least 3 rows for a correlation matrix, got {len(rows)}"
         )
-    for idx, row in enumerate(rows, start=1):
-        if row.naturalness is None:
-            raise MissingFieldError("naturalness", idx)
-        if row.similarity is None:
-            raise MissingFieldError("similarity", idx)
+    for row in rows:
+        for key in ("naturalness", "similarity"):
+            if getattr(row, key) is None:
+                raise CorrelationFileError(f"metrics row {row.system!r} lacks a {key} score")
     columns = np.array([[r.mcd, r.wer, r.asv, r.naturalness, r.similarity]
                         for r in rows]).T
     for label, column in zip(METRIC_LABELS, columns):

@@ -37,7 +37,7 @@ from .converter import (
     speaker_encoder_adapter,
     vocode,
 )
-from .errors import MissingEmbeddingError, VoiceConversionError
+from .errors import CorrelationFileError, MissingEmbeddingError, VoiceConversionError
 from .evaluator import (
     asv_accept_rate,
     mcd,
@@ -314,8 +314,14 @@ def cmd_correlate(args) -> int:
         rows = load_benchmark_rows()
         published = published_correlations(args.published)
 
+    try:
+        if published is not None:
+            name, subset, matrix, deviation = best_matching_subset(rows, published)
+        else:
+            matrix = correlation_matrix(rows)
+    except CorrelationFileError as exc:  # a row lacks a score; only a --table row can
+        raise CorrelationFileError(f"{args.table}: {exc}") from None
     if published is not None:
-        name, subset, matrix, deviation = best_matching_subset(rows, published)
         comparison = comparison_report(matrix, published)
         _note(f"best row subset: {name} ({len(subset)} rows), "
               f"max |deviation| = {deviation:.4f}")
@@ -324,7 +330,6 @@ def cmd_correlate(args) -> int:
                   f"published {row['published']:+.3f}   "
                   f"gap {row['deviation']:.4f}")
     else:
-        matrix = correlation_matrix(rows)
         name, deviation, comparison = "all", None, None
         _note(f"computed a {len(METRIC_LABELS)}x{len(METRIC_LABELS)} "
               f"correlation matrix over {len(rows)} rows")

@@ -3,7 +3,7 @@
 Config files are INI-style text with four sections: ``[audio]``, ``[model]``,
 ``[training]`` and ``[evaluation]``.  Every key has a documented default (the
 dataclass defaults below); unknown keys are rejected with a nearest-key
-suggestion, and values that fail to parse raise a type error.  Loaded
+suggestion, and values that fail to parse raise ``ConfigError``.  Loaded
 configurations are frozen dataclasses, so the same file always loads to an
 equal object.
 """
@@ -15,7 +15,7 @@ import difflib
 import math
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError, ConfigTypeError, InvalidConfigError, UnknownKeyError
+from .errors import ConfigError, InvalidConfigError
 from .types import ALLOWED_SAMPLE_RATES, N_MELS
 
 DECODER_TYPES = ("simple", "simple_ar", "taco2_ar")
@@ -34,15 +34,18 @@ class AudioConfig:
 
     def __post_init__(self):
         if self.sample_rate not in ALLOWED_SAMPLE_RATES:
-            raise ConfigTypeError(f"sample_rate must be one of {ALLOWED_SAMPLE_RATES}, "
-                                  f"got {self.sample_rate}")
+            raise ConfigError(f"sample_rate must be one of {ALLOWED_SAMPLE_RATES}, "
+                              f"got {self.sample_rate}")
         if min(self.win_length, self.hop_length) < 1:
-            raise ConfigTypeError("win_length and hop_length must be positive")
+            raise ConfigError("win_length and hop_length must be positive")
         if not 0.0 <= self.fmin < self.fmax < math.inf:
-            raise ConfigTypeError("fmin and fmax must be finite with 0 <= fmin < fmax, "
-                                  f"got {self.fmin} and {self.fmax}")
+            raise ConfigError("fmin and fmax must be finite with 0 <= fmin < fmax, "
+                              f"got {self.fmin} and {self.fmax}")
+        if self.fmax > self.sample_rate / 2:  # mel filters above Nyquist would be empty
+            raise ConfigError(f"fmax must not exceed sample_rate / 2, got fmax {self.fmax} "
+                              f"at sample_rate {self.sample_rate}")
         if self.griffin_lim_iters < 0:
-            raise ConfigTypeError("griffin_lim_iters must be non-negative")
+            raise ConfigError("griffin_lim_iters must be non-negative")
 
     @property
     def frame_shift_ms(self) -> float:
@@ -66,21 +69,21 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.type not in DECODER_TYPES:
-            raise ConfigTypeError(
+            raise ConfigError(
                 f"unknown decoder type {self.type!r}; expected one of {DECODER_TYPES}"
             )
         if not self.prenet_dims:
-            raise ConfigTypeError("prenet_dims must list at least one width")
+            raise ConfigError("prenet_dims must list at least one width")
         if min(self.hidden_dim, self.lstmp_proj_dim, self.postnet_channels,
                self.embedding_dim, *self.prenet_dims, self.postnet_layers,
                self.postnet_kernel) < 1:
-            raise ConfigTypeError("model dimensions must be positive")
+            raise ConfigError("model dimensions must be positive")
         if self.postnet_kernel % 2 == 0:
-            raise ConfigTypeError("postnet_kernel must be odd")
+            raise ConfigError("postnet_kernel must be odd")
         if not 0.0 <= self.ar_dropout < 1.0:
-            raise ConfigTypeError("ar_dropout must lie in [0, 1)")
+            raise ConfigError("ar_dropout must lie in [0, 1)")
         if self.speaker_conditioned and self.type != "taco2_ar":
-            raise ConfigTypeError(
+            raise ConfigError(
                 "speaker conditioning is only available for the taco2_ar decoder"
             )
 
@@ -98,12 +101,12 @@ class TrainingConfig:
     def __post_init__(self):
         for key in ("steps", "batch_size", "checkpoint_interval", "log_interval"):
             if getattr(self, key) < 1:
-                raise ConfigTypeError(f"{key} must be at least 1, got {getattr(self, key)}")
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
         if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigTypeError(
+            raise ConfigError(
                 f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not 0.0 <= self.grad_clip < math.inf:  # 0 turns clipping off
-            raise ConfigTypeError(
+            raise ConfigError(
                 f"grad_clip must be finite and non-negative, got {self.grad_clip}")
 
 
@@ -114,7 +117,7 @@ class EvalConfig:
 
     def __post_init__(self):
         if not 1 <= self.mcd_order < N_MELS:  # cepstra c_1..c_order of an 80-bin mel
-            raise ConfigTypeError(f"mcd_order must lie in 1..{N_MELS - 1}, got {self.mcd_order}")
+            raise ConfigError(f"mcd_order must lie in 1..{N_MELS - 1}, got {self.mcd_order}")
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,7 @@ def config_from_json(cls, obj, entry: str, **extra: str):
               for k, v in obj.items() if k not in extra}
     try:
         return cls(**kwargs)
-    except ConfigTypeError as exc:
+    except ConfigError as exc:
         raise InvalidConfigError(f"{entry}: {exc}") from None
 
 
@@ -194,10 +197,10 @@ def _suggest(name, candidates):
 def load_config(path) -> Config:
     """Load a configuration file, falling back to defaults for absent keys.
 
-    Raises ``FileNotFoundError`` for a missing file, ``ConfigError`` naming
-    the file when it is not UTF-8 INI text, ``UnknownKeyError`` for keys (or
-    sections) that do not exist, and ``ConfigTypeError`` when a value cannot
-    be parsed as the declared type.
+    Raises ``FileNotFoundError`` for a missing file, and ``ConfigError`` when
+    the file is not UTF-8 INI text (naming the file), names a key or section
+    that does not exist, or holds a value that does not parse as its declared
+    type or lies out of range.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -209,7 +212,7 @@ def load_config(path) -> Config:
     kwargs = {}
     for section in parser.sections():
         if section not in _SECTIONS:
-            raise UnknownKeyError(
+            raise ConfigError(
                 f"unknown section [{section}]" + _suggest(section, list(_SECTIONS))
             )
         cls = _SECTIONS[section]
@@ -217,13 +220,13 @@ def load_config(path) -> Config:
         overrides = {}
         for key, raw in parser.items(section):
             if key not in known:
-                raise UnknownKeyError(
+                raise ConfigError(
                     f"unknown key {section}.{key}" + _suggest(key, list(known))
                 )
             parse = _FIELD_TYPES[known[key].type][0]
             try:
                 overrides[key] = parse(raw.strip())
             except (TypeError, ValueError) as exc:
-                raise ConfigTypeError(f"key '{section}.{key}': {exc}") from None
+                raise ConfigError(f"key '{section}.{key}': {exc}") from None
         kwargs[section] = cls(**overrides)
     return Config(**kwargs)

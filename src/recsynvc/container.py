@@ -5,7 +5,7 @@ little-endian containers that open with a four-byte magic and a u32 version.
 ``Reader`` walks a whole file's bytes: each size read from the file is
 compared with the bytes left before anything is allocated, text is decoded as
 UTF-8 and JSON, and bytes left after the last field are rejected.  Every such
-failure raises a ``FeatureFileError`` subclass naming the file.
+failure raises a ``FeatureFileError`` naming the file.
 """
 
 from __future__ import annotations
@@ -18,12 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    FeatureFileError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from .errors import FeatureFileError
 
 
 def pack(fmt: str, *values) -> bytes:
@@ -60,17 +55,17 @@ class Reader:
         self.pos = 0
         found = bytes(self.take(len(magic)))
         if found != magic:
-            raise BadMagicError(f"{path}: bad magic {found!r}, expected {magic!r}")
+            raise FeatureFileError(f"{path}: bad magic {found!r}, expected {magic!r}")
         found = self.u32()
         if found != version:
-            raise VersionMismatchError(
+            raise FeatureFileError(
                 f"{path}: unsupported version {found}, expected {version}"
             )
 
     def take(self, n: int) -> memoryview:
         left = len(self.data) - self.pos
         if n > left:
-            raise TruncatedFileError(
+            raise FeatureFileError(
                 f"{self.path}: truncated: {n} bytes needed at offset {self.pos}, "
                 f"{left} left"
             )

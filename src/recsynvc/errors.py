@@ -1,91 +1,44 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each input boundary has one type: ``ManifestError`` for manifests,
+``FeatureFileError`` for the binary containers, ``WavFileError`` for wavs,
+``ConfigError`` for INI files and config values, ``AdapterError`` for
+external processes, and ``CorrelationFileError`` for metrics tables and
+coefficient files.  The message tells one cause from another, since no
+caller tells causes apart by type: a new cause at a boundary gets a new
+message, not a new class.  The other types state pipeline contracts.  Every
+type derives from ``VoiceConversionError``, which the command line reports
+as one line.
+"""
 
 
 class VoiceConversionError(Exception):
     """Base class for every error raised by this package."""
 
 
-# --- manifests -------------------------------------------------------------
+# --- input boundaries ----------------------------------------------------------
 
 class ManifestError(VoiceConversionError):
-    pass
+    """A manifest file or a loaded manifest does not fit what reads it."""
 
-
-class ManifestParseError(ManifestError):
-    """A manifest line is not valid JSON or not a JSON object."""
-
-    def __init__(self, message, line_number):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
-
-
-class DuplicateUtteranceError(ManifestError):
-    """Two records share an utt_id; ``first`` and ``second`` count from 1."""
-
-    def __init__(self, utt_id, first, second):
-        super().__init__(f"duplicate utt_id {utt_id!r} in records {first} and {second}")
-        self.utt_id = utt_id
-
-
-class MissingFieldError(ManifestError):
-    def __init__(self, field, line_number):
-        super().__init__(f"line {line_number}: missing required field {field!r}")
-        self.field = field
-        self.line_number = line_number
-
-
-class EmptyManifestError(ManifestError):
-    pass
-
-
-class SingleSpeakerError(ManifestError):
-    """A multi-speaker operation received a single-speaker manifest."""
-
-
-# --- binary files (feature files, checkpoints, wavs) -------------------------
 
 class FeatureFileError(VoiceConversionError):
-    pass
-
-
-class BadMagicError(FeatureFileError):
-    pass
-
-
-class VersionMismatchError(FeatureFileError):
-    pass
-
-
-class TruncatedFileError(FeatureFileError):
-    pass
+    """A feature file or checkpoint has a bad magic or version, ends inside a
+    field, has trailing bytes, or holds text that is not UTF-8 JSON."""
 
 
 class WavFileError(VoiceConversionError):
     """A wav file cannot be decoded."""
 
 
-# --- configuration ----------------------------------------------------------
-
 class ConfigError(VoiceConversionError):
-    pass
-
-
-class UnknownKeyError(ConfigError):
-    pass
-
-
-class ConfigTypeError(ConfigError):
-    pass
+    """A config file or config value is unreadable, unknown or out of range."""
 
 
 # --- model / pipeline contracts ---------------------------------------------
 
 class InvalidConfigError(VoiceConversionError):
     """A decoder configuration or a model checkpoint's meta violates its invariants."""
-
-
-class ShapeMismatchError(VoiceConversionError):
-    pass
 
 
 class DimensionMismatchError(VoiceConversionError):

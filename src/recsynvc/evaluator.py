@@ -16,12 +16,17 @@ import scipy.fft
 
 from .config import AudioConfig
 from .converter import run_adapter
-from .errors import DimensionMismatchError, EmptyInputError
+from .errors import DimensionMismatchError, EmptyInputError, VoiceConversionError
 from .recognizer import extract_mel
 from .types import FeatureSequence, SpeakerEmbedding, Waveform
 
 # (10 / ln 10) * sqrt(2): converts the mean cepstral L2 distance to decibels
 MCD_CONSTANT = (10.0 / np.log(10.0)) * np.sqrt(2.0)
+
+#: Largest Ta x Tb grid ``dtw_align`` accepts: it holds 17 bytes per cell
+#: (float64 cost and distance, uint8 move), so 25 M cells, a 50 s x 50 s pair
+#: at 10 ms frames, take about 425 MB.
+MAX_DTW_CELLS = 25_000_000
 
 
 # --- cepstra ----------------------------------------------------------------------
@@ -48,6 +53,8 @@ def dtw_align(a, b) -> list[tuple[int, int]]:
     """Minimum-cost monotone alignment path from (0, 0) to (Ta-1, Tb-1).
 
     Cost is squared Euclidean per pair; allowed steps advance a, b, or both.
+    A pair of more than ``MAX_DTW_CELLS`` frame pairs raises
+    ``VoiceConversionError`` before the grid is allocated.
     """
     fa, fb = _frames_of(a), _frames_of(b)
     if fa.size == 0 or fb.size == 0:
@@ -57,6 +64,9 @@ def dtw_align(a, b) -> list[tuple[int, int]]:
             f"sequence dims disagree: {fa.shape[1]} vs {fb.shape[1]}"
         )
     ta, tb = fa.shape[0], fb.shape[0]
+    if ta * tb > MAX_DTW_CELLS:
+        raise VoiceConversionError(f"cannot align {ta} x {tb} frames: DTW is capped at "
+                                   f"{MAX_DTW_CELLS} cells")
     # pairwise squared Euclidean costs
     cost = (
         (fa * fa).sum(axis=1)[:, None]

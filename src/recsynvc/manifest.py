@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import ManifestParseError, MissingFieldError, VoiceConversionError
+from .errors import ManifestError, VoiceConversionError
 from .types import DatasetManifest, UtteranceRecord
 
 _REQUIRED = ("utt_id", "speaker_id", "wav_path", "language")
@@ -26,28 +26,27 @@ def load_manifest(path) -> DatasetManifest:
     records = []
     with open(path, "rb") as fh:
         for line_number, raw in enumerate(fh, start=1):
+            where = f"line {line_number}"
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:
-                raise ManifestParseError(f"{path} is not UTF-8 ({exc.reason})",
-                                         line_number) from None
+                raise ManifestError(f"{where}: {path} is not UTF-8 ({exc.reason})") from None
             if not line:
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ManifestParseError(str(exc), line_number) from None
+                raise ManifestError(f"{where}: {exc}") from None
             if not isinstance(obj, dict):
-                raise ManifestParseError("expected a JSON object", line_number)
+                raise ManifestError(f"{where}: expected a JSON object")
             for key in _REQUIRED:
                 if key not in obj or obj[key] is None:
-                    raise MissingFieldError(key, line_number)
+                    raise ManifestError(f"{where}: missing required field {key!r}")
                 if not isinstance(obj[key], str):
-                    raise ManifestParseError(f"field {key!r} must be a string", line_number)
+                    raise ManifestError(f"{where}: field {key!r} must be a string")
             transcript = obj.get("transcript")
             if transcript is not None and not isinstance(transcript, str):
-                raise ManifestParseError("field 'transcript' must be a string or null",
-                                         line_number)
+                raise ManifestError(f"{where}: field 'transcript' must be a string or null")
             wav_path = Path(obj["wav_path"])
             if not wav_path.is_absolute():
                 wav_path = base / wav_path
@@ -57,7 +56,7 @@ def load_manifest(path) -> DatasetManifest:
                     transcript=transcript, language=obj["language"],
                 )
             except VoiceConversionError as exc:
-                raise ManifestParseError(str(exc), line_number) from None
+                raise ManifestError(f"{where}: {exc}") from None
             records.append(record)
     return DatasetManifest(records=tuple(records))
 

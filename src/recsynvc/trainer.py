@@ -31,12 +31,9 @@ from .converter import TrainedModel, model_checkpoint, normalize
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
-    EmptyManifestError,
     ManifestError,
     MissingFeatureError,
     NonFiniteInputError,
-    ShapeMismatchError,
-    SingleSpeakerError,
 )
 from .nnops import clip_grad_norm
 from .recognizer import (
@@ -79,12 +76,12 @@ def compute_loss(pred, target, mask) -> float:
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
-        raise ShapeMismatchError(
+        raise DimensionMismatchError(
             f"pred shape {pred.shape} != target shape {target.shape}"
         )
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != pred.shape[:-1]:
-        raise ShapeMismatchError(
+        raise DimensionMismatchError(
             f"mask shape {mask.shape} does not cover frames {pred.shape[:-1]}"
         )
     n_valid = mask.sum()
@@ -230,7 +227,7 @@ def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir
     model learns to copy the voice described by the embedding.
     """
     if len(manifest) == 0:
-        raise EmptyManifestError("cannot train on an empty manifest")
+        raise ManifestError("cannot train on an empty manifest")
     n_speakers = len(manifest.speakers)
     if encoder is None:
         if n_speakers != 1:
@@ -242,7 +239,7 @@ def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir
         mode, target_speaker = "a2o", manifest.speakers[0]
     else:
         if n_speakers < 2:
-            raise SingleSpeakerError(
+            raise ManifestError(
                 f"any-to-any training needs >= 2 speakers, manifest has {n_speakers}"
             )
         config = replace(config, model=replace(config.model, speaker_conditioned=True))

@@ -12,13 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DuplicateUtteranceError,
-    EmptyManifestError,
-    NonFiniteInputError,
-    SingleSpeakerError,
-    VoiceConversionError,
-)
+from .errors import ManifestError, NonFiniteInputError, VoiceConversionError
 
 #: Sample rates accepted for ingested audio.  Everything is resampled to the
 #: configured working rate right after loading.
@@ -213,20 +207,21 @@ class DatasetManifest:
         seen = {}
         for position, rec in enumerate(records, start=1):
             if rec.utt_id in seen:
-                raise DuplicateUtteranceError(rec.utt_id, seen[rec.utt_id], position)
+                raise ManifestError(f"duplicate utt_id {rec.utt_id!r} in records "
+                                    f"{seen[rec.utt_id]} and {position}")
             seen[rec.utt_id] = position
         speakers = tuple(sorted({rec.speaker_id for rec in records}))
         if self.role == ROLE_TARGET_SPEAKER:
             if not records:
-                raise EmptyManifestError("target_speaker manifest has no records")
+                raise ManifestError("target_speaker manifest has no records")
             if len(speakers) != 1:
-                raise VoiceConversionError(
+                raise ManifestError(
                     f"target_speaker manifest must contain exactly one speaker, "
                     f"found {len(speakers)}"
                 )
         elif self.role == ROLE_MULTI_SPEAKER:
             if len(speakers) < 2:
-                raise SingleSpeakerError(
+                raise ManifestError(
                     f"multi_speaker manifest needs >= 2 speakers, found {len(speakers)}"
                 )
         object.__setattr__(self, "records", records)

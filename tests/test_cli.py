@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from recsynvc.audioio import load_waveform, save_waveform
-from recsynvc import cli, config
+from recsynvc import cli, config, evaluator
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from recsynvc.cli import main
 from recsynvc.benchmark import MetricsRow
@@ -560,6 +560,19 @@ def test_evaluate_target_embedding_of_another_width_is_one_error(
     assert "16 vs 8" in lines[0]
 
 
+def test_evaluate_pair_above_the_dtw_cap_is_one_error_line(eval_setup, tmp_path, capsys,
+                                                           monkeypatch):
+    manifest_path, conv_dir = eval_setup
+    monkeypatch.setattr(evaluator, "MAX_DTW_CELLS", 100)
+    capsys.readouterr()
+    rc = main(["evaluate", str(conv_dir), str(manifest_path),
+               "--out-dir", str(tmp_path / "scores")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(lines) == 1
+    assert re.fullmatch(r"error: cannot align (\d+) x \1 frames: DTW is capped at 100 cells",
+                        lines[0])
+
+
 def test_evaluate_without_converted_wavs(eval_setup, tmp_path):
     manifest_path, _ = eval_setup
     empty = tmp_path / "empty"
@@ -662,8 +675,10 @@ _TABLE_HEAD = b"system\tmcd\twer\tasv\tnaturalness\tsimilarity\n"
     _TABLE_HEAD + b"sys0\tseven\t20.0\t60.0\t3.0\t50.0\n",
     b"system\tmcd\tmcd\twer\tasv\n",
     _TABLE_HEAD + b"sys0\t7.0\t20.0\t60.0\t3.0\t50.0\t9.0\n",
+    b"# scores\n" + _TABLE_HEAD + b"A\t7.0\t20.0\t60.0\t3.0\t50.0\nB\t6.0\t10.0\t70.0\n"
+    + b"C\t5.0\t15.0\t80.0\t4.0\t70.0\n",
 ], ids=["not_utf8", "nan_mcd", "inf_wer", "nan_naturalness", "unknown_column",
-        "not_a_number", "repeated_column", "extra_cell"])
+        "not_a_number", "repeated_column", "extra_cell", "row_lacks_naturalness"])
 def test_correlate_bad_table_is_one_error_line(tmp_path, capsys, blob):
     table = tmp_path / "table.tsv"
     table.write_bytes(blob)

@@ -14,7 +14,7 @@ from recsynvc.config import (
     TrainingConfig,
     load_config,
 )
-from recsynvc.errors import ConfigError, ConfigTypeError, UnknownKeyError
+from recsynvc.errors import ConfigError
 
 
 def test_defaults():
@@ -58,7 +58,7 @@ def test_asv_threshold_is_not_a_key(tmp_path):
     # the ASV threshold is `evaluate --threshold` alone
     path = tmp_path / "run.ini"
     path.write_text("[evaluation]\nasv_threshold = 0.5\n")
-    with pytest.raises(UnknownKeyError, match="unknown key evaluation.asv_threshold"):
+    with pytest.raises(ConfigError, match="unknown key evaluation.asv_threshold"):
         load_config(path)
 
 
@@ -73,7 +73,7 @@ def test_mel_width_is_not_a_key(tmp_path):
     # the mel is 80-dim throughout; the width is no setting
     path = tmp_path / "run.ini"
     path.write_text("[audio]\nn_mels = 80\n")
-    with pytest.raises(UnknownKeyError, match="unknown key audio.n_mels; valid keys: fmax"):
+    with pytest.raises(ConfigError, match="unknown key audio.n_mels; valid keys: fmax"):
         load_config(path)
 
 
@@ -109,17 +109,17 @@ def test_missing_file():
 
 
 def test_model_validation():
-    with pytest.raises(ConfigTypeError):
+    with pytest.raises(ConfigError, match="unknown decoder type"):
         ModelConfig(type="transformer")
-    with pytest.raises(ConfigTypeError):
+    with pytest.raises(ConfigError, match="postnet_kernel must be odd"):
         ModelConfig(postnet_kernel=4)
-    with pytest.raises(ConfigTypeError):
+    with pytest.raises(ConfigError, match="ar_dropout"):
         ModelConfig(ar_dropout=1.0)
-    with pytest.raises(ConfigTypeError):
+    with pytest.raises(ConfigError, match="speaker conditioning"):
         ModelConfig(type="simple", speaker_conditioned=True)
-    with pytest.raises(ConfigTypeError):
+    with pytest.raises(ConfigError, match="model dimensions must be positive"):
         ModelConfig(postnet_kernel=-1)
-    with pytest.raises(ConfigTypeError):
+    with pytest.raises(ConfigError, match="prenet_dims"):
         ModelConfig(prenet_dims=())
 
 
@@ -127,12 +127,21 @@ def test_model_validation():
     "sample_rate = 0", "win_length = 0", "hop_length = 0",
     "fmin = -1", "fmin = 12000", "fmax = 0", "griffin_lim_iters = -1",
     "sample_rate = 12345", "fmax = inf",
+    # above the Nyquist frequency: 40 kHz at 24 kHz, and the default 12 kHz at 16 kHz
+    "fmax = 40000", "sample_rate = 16000",
 ])
 def test_audio_validation(tmp_path, line):
     path = tmp_path / "run.ini"
     path.write_text(f"[audio]\n{line}\n")
-    with pytest.raises(ConfigTypeError, match=line.split()[0]):
+    with pytest.raises(ConfigError, match=line.split()[0]):
         load_config(path)
+
+
+def test_fmax_above_nyquist_names_both_keys():
+    with pytest.raises(ConfigError, match=r"fmax must not exceed sample_rate / 2, "
+                                          r"got fmax 12000.0 at sample_rate 16000"):
+        AudioConfig(sample_rate=16000)
+    assert AudioConfig(sample_rate=16000, fmax=8000.0).fmax == 8000.0
 
 
 def test_audio_accepts_zero_griffin_lim_iterations(tmp_path):
@@ -153,7 +162,7 @@ def test_audio_accepts_zero_griffin_lim_iterations(tmp_path):
 def test_training_and_evaluation_validation(tmp_path, section, line):
     path = tmp_path / "run.ini"
     path.write_text(f"[{section}]\n{line}\n")
-    with pytest.raises(ConfigTypeError, match=line.split()[0]):
+    with pytest.raises(ConfigError, match=line.split()[0]):
         load_config(path)
 
 

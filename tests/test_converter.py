@@ -112,6 +112,7 @@ class TestConvert:
     (lambda meta: meta["audio"].pop("n_mels"), "audio"),
     (lambda meta: meta["audio"].update(n_mels=40), "audio.*n_mels"),
     (lambda meta: meta["audio"].update(sample_rate=12345), "audio.*sample_rate"),
+    (lambda meta: meta["audio"].update(fmax=40000.0), "audio.*fmax"),
     (lambda meta: meta.update(seed="x"), "seed"),
     (lambda meta: meta.pop("upstream"), "upstream"),
     (lambda meta: meta["upstream"].update(feature_dim=81), "upstream"),
@@ -121,7 +122,7 @@ class TestConvert:
     (lambda tensors: tensors.update({"stats.input_mean": np.zeros(3)}), "stats.input_mean"),
 ], ids=["unknown_key", "no_input_dim", "no_decoder", "no_audio", "str_hidden_dim",
         "null_prenet_dims", "list_decoder", "null_hop_length", "zero_hop_length",
-        "no_n_mels", "narrow_n_mels", "bad_sample_rate",
+        "no_n_mels", "narrow_n_mels", "bad_sample_rate", "bad_fmax",
         "str_seed", "no_upstream", "wide_upstream", "zero_frame_shift", "int_upstream_name",
         "no_target_std", "narrow_input_mean"])
 def test_load_model_rejects_malformed_meta(quick_checkpoint, corrupt, entry):

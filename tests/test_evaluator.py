@@ -13,7 +13,6 @@ from recsynvc.errors import (
     DimensionMismatchError,
     EmptyInputError,
     InsufficientRowsError,
-    MissingFieldError,
     VoiceConversionError,
 )
 from recsynvc.audioio import save_waveform
@@ -23,6 +22,7 @@ from recsynvc.benchmark import (
     correlation_matrix,
     read_metrics_table,
 )
+from recsynvc import evaluator
 from recsynvc.evaluator import (
     MCD_CONSTANT,
     asv_accept_rate,
@@ -198,6 +198,14 @@ def test_dtw_align_errors():
         dtw_align(np.empty((0, 3)), np.zeros((2, 3)))
     with pytest.raises(DimensionMismatchError):
         dtw_align(np.zeros((2, 3)), np.zeros((2, 4)))
+
+
+def test_dtw_align_refuses_a_grid_above_the_cap(monkeypatch):
+    monkeypatch.setattr(evaluator, "MAX_DTW_CELLS", 100)
+    assert len(dtw_align(np.zeros((10, 3)), np.zeros((10, 3)))) == 10
+    with pytest.raises(VoiceConversionError, match="cannot align 10 x 11 frames: "
+                                                   "DTW is capped at 100 cells"):
+        dtw_align(np.zeros((10, 3)), np.zeros((11, 3)))
 
 
 # --- mcd --------------------------------------------------------------------------
@@ -462,7 +470,7 @@ def test_correlation_matrix_errors():
     with pytest.raises(InsufficientRowsError):
         correlation_matrix(rows[:2])
     bare = MetricsRow("bare", mcd=7.0, wer=20.0, asv=60.0)
-    with pytest.raises(MissingFieldError):
+    with pytest.raises(CorrelationFileError, match="row 'bare' lacks a naturalness score"):
         correlation_matrix([bare, rows[0], rows[1]])
     flat = [MetricsRow(f"f{k}", mcd=7.0, wer=20.0 + k, asv=60.0 - k,
                        naturalness=3.0, similarity=50.0 + k)

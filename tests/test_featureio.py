@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from recsynvc.errors import (
-    BadMagicError,
-    FeatureFileError,
-    TruncatedFileError,
-    VersionMismatchError,
-)
+from recsynvc.errors import FeatureFileError
 from recsynvc.featureio import feature_path, read_features, write_features
 from recsynvc.types import FeatureSequence
 
@@ -52,7 +47,7 @@ def test_bad_magic(tmp_path):
     data = bytearray(path.read_bytes())
     data[:4] = b"NOPE"
     path.write_bytes(bytes(data))
-    with pytest.raises(BadMagicError):
+    with pytest.raises(FeatureFileError, match="bad magic"):
         read_features(path)
 
 
@@ -62,7 +57,7 @@ def test_bad_version(tmp_path):
     data = bytearray(path.read_bytes())
     data[4] = 99
     path.write_bytes(bytes(data))
-    with pytest.raises(VersionMismatchError):
+    with pytest.raises(FeatureFileError, match="unsupported version"):
         read_features(path)
 
 
@@ -71,7 +66,7 @@ def test_truncated_payload(tmp_path):
     write_features(path, _random_seq(np.random.default_rng(5)))
     data = path.read_bytes()
     path.write_bytes(data[: len(data) - 3])
-    with pytest.raises(TruncatedFileError):
+    with pytest.raises(FeatureFileError, match="truncated"):
         read_features(path)
 
 

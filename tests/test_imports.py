@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, keeps annotations that
 resolve, and defines no public function or class that only tests use; the
-package root imports nothing."""
+package root imports nothing; ``errors`` alone defines exception types, and the
+package raises each of them."""
 
 import ast
 import importlib
@@ -119,3 +120,31 @@ def test_feature_files_load_without_scipy():
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
         assert proc.stdout.splitlines() == ["[]", repr(expected)], modules
+
+
+def _exception_classes(module) -> list[str]:
+    return [name for name, obj in vars(module).items()
+            if inspect.isclass(obj) and obj.__module__ == module.__name__
+            and issubclass(obj, BaseException)]
+
+
+def test_every_error_type_is_raised():
+    """Each class in ``errors`` is raised or built by the package: a new cause at
+    an input boundary gets its own message, not its own class."""
+    made = set()
+    for path in MODULES:
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                made.add(node.func.id)
+            elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Name):
+                made.add(node.exc.id)
+    errors = importlib.import_module("recsynvc.errors")
+    assert sorted(set(_exception_classes(errors)) - made) == []
+
+
+def test_only_errors_defines_exception_types():
+    others = {path.stem: _exception_classes(importlib.import_module(f"recsynvc.{path.stem}"))
+              for path in MODULES if path.name != "errors.py"}
+    assert {stem: names for stem, names in others.items() if names} == {}

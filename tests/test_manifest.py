@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from recsynvc.errors import DuplicateUtteranceError, ManifestError, ManifestParseError
+from recsynvc.errors import ManifestError
 from recsynvc.manifest import load_manifest, write_manifest
 from recsynvc.types import DatasetManifest, UtteranceRecord
 
@@ -76,7 +76,7 @@ def test_field_of_wrong_type_names_field_and_line(tmp_path, field, value):
     good = {"utt_id": "u1", "speaker_id": "A", "wav_path": "u1.wav", "language": "en"}
     path = tmp_path / "data.jsonl"
     path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
-    with pytest.raises(ManifestParseError, match=rf"line 2: field '{field}'"):
+    with pytest.raises(ManifestError, match=rf"line 2: field '{field}'"):
         load_manifest(path)
 
 
@@ -84,5 +84,5 @@ def test_duplicate_utt_id_names_both_records(tmp_path):
     path = tmp_path / "data.tsv"
     write_manifest(path, _manifest())
     path.write_text(path.read_text() + path.read_text().splitlines()[0] + "\n")
-    with pytest.raises(DuplicateUtteranceError, match=r"'u1' in records 1 and 3"):
+    with pytest.raises(ManifestError, match=r"duplicate utt_id 'u1' in records 1 and 3"):
         load_manifest(path)

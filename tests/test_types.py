@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from recsynvc.errors import (
-    EmptyManifestError,
-    NonFiniteInputError,
-    SingleSpeakerError,
-    VoiceConversionError,
-)
+from recsynvc.errors import ManifestError, NonFiniteInputError, VoiceConversionError
 from recsynvc.types import (
     DatasetManifest,
     FeatureSequence,
@@ -136,19 +131,19 @@ class TestManifest:
 
     def test_duplicate_utt_id_rejected(self):
         recs = [self._record("u1", "A"), self._record("u1", "A")]
-        with pytest.raises(VoiceConversionError):
+        with pytest.raises(ManifestError, match="duplicate utt_id 'u1' in records 1 and 2"):
             DatasetManifest(records=tuple(recs), role="target_speaker")
 
     def test_target_speaker_role_constraints(self):
-        with pytest.raises(EmptyManifestError):
+        with pytest.raises(ManifestError, match="has no records"):
             DatasetManifest(records=(), role="target_speaker")
         recs = (self._record("u1", "A"), self._record("u2", "B"))
-        with pytest.raises(VoiceConversionError):
+        with pytest.raises(ManifestError, match="exactly one speaker"):
             DatasetManifest(records=recs, role="target_speaker")
 
     def test_multi_speaker_needs_two(self):
         recs = (self._record("u1", "A"), self._record("u2", "A"))
-        with pytest.raises(SingleSpeakerError):
+        with pytest.raises(ManifestError, match="needs >= 2 speakers"):
             DatasetManifest(records=recs, role="multi_speaker")
 
     def test_speakers_sorted(self):
