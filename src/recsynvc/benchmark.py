@@ -23,12 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CorrelationFileError,
-    DegenerateVarianceError,
-    InsufficientRowsError,
-    VoiceConversionError,
-)
+from .errors import CorrelationFileError, VoiceConversionError
 
 METRIC_LABELS = ("MCD", "WER", "ASV", "NAT", "SIM")
 
@@ -167,12 +162,13 @@ def published_correlations(path=None) -> dict[tuple[str, str], float]:
 def correlation_matrix(rows) -> np.ndarray:
     """The 5x5 Pearson correlation matrix of the score columns, in ``METRIC_LABELS`` order.
 
-    A row without a naturalness or similarity score raises
-    ``CorrelationFileError`` naming its system.
+    Fewer than 3 rows, a row without a naturalness or similarity score (named
+    by its system), or a column of zero variance (named by its label) raises
+    ``CorrelationFileError``.
     """
     rows = list(rows)
     if len(rows) < 3:
-        raise InsufficientRowsError(
+        raise CorrelationFileError(
             f"need at least 3 rows for a correlation matrix, got {len(rows)}"
         )
     for row in rows:
@@ -183,7 +179,7 @@ def correlation_matrix(rows) -> np.ndarray:
                         for r in rows]).T
     for label, column in zip(METRIC_LABELS, columns):
         if float(column.std()) == 0.0:
-            raise DegenerateVarianceError(f"column {label} has zero variance")
+            raise CorrelationFileError(f"column {label} has zero variance")
     return np.corrcoef(columns)
 
 

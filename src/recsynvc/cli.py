@@ -319,7 +319,7 @@ def cmd_correlate(args) -> int:
             name, subset, matrix, deviation = best_matching_subset(rows, published)
         else:
             matrix = correlation_matrix(rows)
-    except CorrelationFileError as exc:  # a row lacks a score; only a --table row can
+    except CorrelationFileError as exc:  # rows unfit to correlate; only a --table has them
         raise CorrelationFileError(f"{args.table}: {exc}") from None
     if published is not None:
         comparison = comparison_report(matrix, published)

@@ -89,14 +89,6 @@ class EmptyInputError(VoiceConversionError):
     pass
 
 
-class DegenerateVarianceError(VoiceConversionError):
-    pass
-
-
-class InsufficientRowsError(VoiceConversionError):
-    pass
-
-
 class TooShortInputError(VoiceConversionError):
     pass
 

@@ -186,55 +186,65 @@ def _postnet_channels(config: ModelConfig) -> list[int]:
 # Free-running, ``free_forward_batch`` steps the whole stack frame by frame
 # through ``_recurrent_step``.  All internals take content
 # (B, T, Din), optional prev (B, T, 80) and spk (B, E), run in float64 and
-# return batch-first outputs.  ``cache`` objects are consumed by
-# ``backward_teacher_batch``, which overwrites them, so each is used once.
+# return batch-first outputs.  A teacher-forced cache holds once each
+# activation its backward reads, and nothing else (``teacher_forward_batch``
+# lists them).  ``backward_teacher_batch`` uses it up: it pops each layer's
+# entry from the cache lists once that layer's backward has run, and
+# overwrites the gate activations with their gradients.
 
 
 def _prenet_forward(p, config, prev, rng):
     """Batched prenet over previous frames, (B, T, 80) or one step (B, 80)."""
-    masks, pre_acts, outs = [], [], []
+    below, positive, keep = [], [], []
     x = prev
     for i in range(len(config.prenet_dims)):
+        below.append(x)
         z = linear(x, p[f"prenet{i + 1}.w"], p[f"prenet{i + 1}.b"])
-        a = np.maximum(z, 0.0)
-        m = dropout_mask(rng, a.shape, config.ar_dropout)
-        x = a * m
-        pre_acts.append(z)
-        masks.append(m)
-        outs.append(x)
-    return x, (prev, pre_acts, masks, outs)
+        m = dropout_mask(rng, z.shape, config.ar_dropout)
+        x = np.maximum(z, 0.0) * m
+        positive.append(z > 0.0)
+        keep.append(m != 0.0)
+    return x, (below, positive, keep)
 
 
 def _prenet_backward(p, config, dout, cache, grads):
-    prev, pre_acts, masks, outs = cache
+    below, positive, keep = cache
+    # keep * scale has dropout_mask's values: survivors 1 / (1 - p), the rest 0
+    scale = 1.0 / (1.0 - config.ar_dropout)
     dx = dout
     for i in reversed(range(len(config.prenet_dims))):
-        da = dx * masks[i]
-        dz = da * (pre_acts[i] > 0.0)
-        below = prev if i == 0 else outs[i - 1]
-        dx = linear_backward(dz, below, p[f"prenet{i + 1}.w"], grads, f"prenet{i + 1}")
+        dz = dx * (keep.pop() * scale)
+        dz *= positive.pop()
+        dx = linear_backward(dz, below.pop(), p[f"prenet{i + 1}.w"], grads, f"prenet{i + 1}")
     return dx
 
 
 def _postnet_forward(p, config, y_before):
-    """Residual refinement: conv stack with tanh on all but the last layer."""
+    """Residual refinement: conv stack with tanh on all but the last layer.
+
+    The cache is each layer's padded input; from the second layer on, its
+    unpadded middle is the tanh output of the layer below.
+    """
     n_layers = config.postnet_layers
     x = y_before
     caches = []
     for i in range(1, n_layers + 1):
         y, xp = conv1d_same(x, p[f"postnet{i}.w"], p[f"postnet{i}.b"])
+        caches.append(xp)
         x = np.tanh(y) if i < n_layers else y
-        caches.append((xp, x if i < n_layers else None))
     return y_before + x, caches
 
 
 def _postnet_backward(p, config, d_residual, caches, grads):
-    n_layers = config.postnet_layers
+    pad = config.postnet_kernel // 2
+    t_len = d_residual.shape[1]
     dx = d_residual
-    for i in range(n_layers, 0, -1):
-        xp, act = caches[i - 1]
-        dy = dx if act is None else dx * (1.0 - act * act)
-        dx = conv1d_same_backward(dy, xp, p[f"postnet{i}.w"], grads, f"postnet{i}")
+    for i in range(config.postnet_layers, 0, -1):
+        xp = caches.pop()
+        dx = conv1d_same_backward(dx, xp, p[f"postnet{i}.w"], grads, f"postnet{i}")
+        if i > 1:  # through the tanh of the layer below, whose output xp pads
+            act = xp[:, pad:pad + t_len]
+            dx *= 1.0 - act * act
     return dx
 
 
@@ -271,7 +281,8 @@ def _layer_forward(p, name, x):
     wh_t = np.ascontiguousarray(p[f"{name}.wh"].T)
     hidden = wh_t.shape[1] // 4
     projected = name.startswith("lstmp")
-    gates = x.reshape(-1, d_in) @ p[f"{name}.wx"].T + p[f"{name}.b"]
+    gates = x.reshape(-1, d_in) @ p[f"{name}.wx"].T
+    gates += p[f"{name}.b"]
     gates = gates.reshape(t_len, batch, 4 * hidden)
     # out[t] and cell[t] hold the state entering step t: zero at t = 0
     out = np.zeros((t_len + 1, batch, wh_t.shape[0]))
@@ -326,19 +337,22 @@ def _recurrent_forward(p, layers, x_seq):
 
 
 def _recurrent_backward(p, layers, d_out, caches, grads):
-    """Backward of ``_recurrent_forward``; returns the input gradient (B, T, D)."""
+    """Backward of ``_recurrent_forward``; returns the input gradient (B, T, D).
+
+    Pops each layer's cache from ``caches`` as it goes, top layer first.
+    """
     d = d_out.transpose(1, 0, 2).copy()
-    for name, cache in zip(reversed(layers), reversed(caches)):
-        d = _layer_backward(p, name, d, cache, grads)
+    for name in reversed(layers):
+        d = _layer_backward(p, name, d, caches.pop(), grads)
     return d.transpose(1, 0, 2)
 
 
 def _context(params, content, spk):
-    """Feedback-free part of the stack input, and the ffn pre-activation if any."""
+    """Feedback-free part of the stack input, and where the ffn ReLU passes, if any."""
     p = params.tensors
     if params.config.type != "taco2_ar":
         ffn_pre = linear(content, p["ffn.w"], p["ffn.b"])
-        return np.maximum(ffn_pre, 0.0), ffn_pre
+        return np.maximum(ffn_pre, 0.0), ffn_pre > 0.0
     if not params.config.speaker_conditioned:
         return content, None
     spk_tiled = np.broadcast_to(spk[:, None, :], content.shape[:2] + spk.shape[1:])
@@ -367,11 +381,28 @@ def teacher_forward_batch(params: ModelParameters, content, prev, spk, dropout_s
     """Batched teacher-forced forward.
 
     Returns ``(main, before, cache)`` where ``before`` is the pre-postnet
-    prediction (None for models without a postnet).
+    prediction (None for models without a postnet).  ``cache`` is the tuple
+    ``(content, ffn_positive, input_cache, stack_caches, h_seq, post_caches)``:
+
+    * ``ffn_positive``: where the ffn pre-activation is positive (bool), for
+      ``simple`` and ``simple_ar``; None for ``taco2_ar``.
+    * ``input_cache``: for ``taco2_ar`` the prenet lists ``(below, positive,
+      keep)``, per layer its input, where its pre-activation is positive and
+      its dropout keep pattern (both bool); the last layer's output is not
+      kept, since the stack input holds it.  None for the other decoders.
+    * ``stack_caches``: per recurrent layer, bottom first, its input and its
+      gate activations, cell states, tanh(cell), unprojected and fed-back
+      outputs, in time-major (T, B, .) arrays.
+    * ``h_seq``: the top layer's (B, T, R) output, the input of ``out``.
+    * ``post_caches``: for ``taco2_ar`` the padded input of each postnet
+      layer, which also holds the tanh output of the layer below; else None.
+
+    ``backward_teacher_batch`` empties the lists, ``stack_caches``,
+    ``post_caches`` and those of ``input_cache``, as it goes.
     """
     p, config = params.tensors, params.config
     rng = np.random.default_rng(dropout_seed)
-    context, ffn_pre = _context(params, content, spk)
+    context, ffn_positive = _context(params, content, spk)
     x_seq, input_cache = _decoder_input(params, context, prev, rng)
     h_seq, stack_caches = _recurrent_forward(p, _layers(config), x_seq)
     y_before = linear(h_seq, p["out.w"], p["out.b"])
@@ -380,12 +411,16 @@ def teacher_forward_batch(params: ModelParameters, content, prev, spk, dropout_s
         before = y_before
     else:
         main, before, post_caches = y_before, None, None
-    return main, before, (content, ffn_pre, input_cache, stack_caches, h_seq, post_caches)
+    return main, before, (content, ffn_positive, input_cache, stack_caches, h_seq,
+                          post_caches)
 
 
 def backward_teacher_batch(params: ModelParameters, cache, d_main, d_before=None):
-    """Parameter gradients for a teacher-forced forward; uses up ``cache``."""
-    content, ffn_pre, input_cache, stack_caches, h_seq, post_caches = cache
+    """Parameter gradients for a teacher-forced forward.
+
+    Uses up ``cache``: its lists are empty when this returns.
+    """
+    content, ffn_positive, input_cache, stack_caches, h_seq, post_caches = cache
     p, config = params.tensors, params.config
     grads = {name: np.zeros_like(t) for name, t in p.items()}
     dy_before = d_main
@@ -400,7 +435,7 @@ def backward_teacher_batch(params: ModelParameters, cache, d_main, d_before=None
         pre_dim = config.prenet_dims[-1]
         _prenet_backward(p, config, dx_seq[:, :, :pre_dim], input_cache, grads)
     else:
-        dffn_pre = dx_seq[:, :, :config.hidden_dim] * (ffn_pre > 0.0)
+        dffn_pre = dx_seq[:, :, :config.hidden_dim] * ffn_positive
         linear_backward(dffn_pre, content, p["ffn.w"], grads, "ffn")
     return grads
 

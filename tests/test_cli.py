@@ -677,8 +677,12 @@ _TABLE_HEAD = b"system\tmcd\twer\tasv\tnaturalness\tsimilarity\n"
     _TABLE_HEAD + b"sys0\t7.0\t20.0\t60.0\t3.0\t50.0\t9.0\n",
     b"# scores\n" + _TABLE_HEAD + b"A\t7.0\t20.0\t60.0\t3.0\t50.0\nB\t6.0\t10.0\t70.0\n"
     + b"C\t5.0\t15.0\t80.0\t4.0\t70.0\n",
+    _TABLE_HEAD + b"sys0\t7.0\t20.0\t60.0\t3.0\t50.0\n",
+    _TABLE_HEAD + b"A\t7.0\t20.0\t60.0\t3.0\t50.0\nB\t7.0\t10.0\t70.0\t3.5\t60.0\n"
+    + b"C\t7.0\t15.0\t80.0\t4.0\t70.0\n",
 ], ids=["not_utf8", "nan_mcd", "inf_wer", "nan_naturalness", "unknown_column",
-        "not_a_number", "repeated_column", "extra_cell", "row_lacks_naturalness"])
+        "not_a_number", "repeated_column", "extra_cell", "row_lacks_naturalness",
+        "one_row", "constant_column"])
 def test_correlate_bad_table_is_one_error_line(tmp_path, capsys, blob):
     table = tmp_path / "table.tsv"
     table.write_bytes(blob)
@@ -686,6 +690,22 @@ def test_correlate_bad_table_is_one_error_line(tmp_path, capsys, blob):
     assert main(["correlate", "--table", str(table), "--out", str(tmp_path / "corr.json")]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(table) in lines[0]
+    assert not (tmp_path / "corr.json").exists()
+
+
+def test_correlate_too_small_published_subset_names_the_table(tmp_path, capsys):
+    """Without the two baselines, the table's self-supervised rows are too few."""
+    table = tmp_path / "table.tsv"
+    table.write_bytes(_TABLE_HEAD + b"mel\t7.0\t20.0\t60.0\t3.0\t50.0\n"
+                      + b"PPG (TIMIT)\t6.0\t10.0\t70.0\t3.5\t60.0\n"
+                      + b"A\t5.0\t15.0\t80.0\t4.0\t70.0\nB\t4.0\t12.0\t75.0\t4.2\t72.0\n")
+    published = tmp_path / "published.json"
+    published.write_text(json.dumps({"coefficients": {k: 0.5 for k in PUBLISHED}}))
+    capsys.readouterr()
+    assert main(["correlate", "--table", str(table), "--published", str(published),
+                 "--out", str(tmp_path / "corr.json")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {table}: need at least 3 rows")
     assert not (tmp_path / "corr.json").exists()
 
 

@@ -14,6 +14,7 @@ from recsynvc.errors import (
     MissingEmbeddingError,
 )
 from recsynvc.synthesizer import (
+    backward_teacher_batch,
     build_decoder,
     decoder_meta,
     forward_free_running,
@@ -267,3 +268,23 @@ class TestGradients:
             fd = (up - down) / (2.0 * eps)
             analytic = float(np.sum(grads[name] * v))
             assert analytic == pytest.approx(fd, rel=1e-6, abs=0.0), name
+
+    @pytest.mark.parametrize("type_", ["simple", "simple_ar", "taco2_ar"])
+    def test_backward_empties_the_cache_lists(self, type_):
+        rng = np.random.default_rng(3)
+        params = build_decoder(_config(type_), INPUT_DIM, seed=0)
+        content, target = _data(rng)
+        main, before, cache = teacher_forward_batch(
+            params, content[None], shift_frames_right(target)[None], None, 0)
+        _, ffn_positive, input_cache, stack_caches, _, post_caches = cache
+        assert len(stack_caches) == 2
+        if type_ == "taco2_ar":
+            assert all(len(part) == 2 for part in input_cache)
+            assert len(post_caches) == 2
+        else:
+            assert ffn_positive.dtype == bool
+        backward_teacher_batch(params, cache, np.ones_like(main),
+                               None if before is None else np.ones_like(before))
+        assert stack_caches == []
+        if type_ == "taco2_ar":
+            assert input_cache == ([], [], []) and post_caches == []

@@ -1,5 +1,6 @@
 """Training loop: loss math, optimization, checkpoints, and error paths."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -68,18 +69,24 @@ class TestNormalization:
 
 
 class TestLossGradients:
-    @pytest.mark.parametrize("type_,conditioned", [
-        ("simple", False),
-        ("taco2_ar", True),
+    # the last three are edge cases of the taco2_ar cache: one prenet layer
+    # (no layer output kept), one postnet layer (no tanh) and an all-ones
+    # dropout mask
+    @pytest.mark.parametrize("type_,conditioned,overrides", [
+        pytest.param("simple", False, {}, id="simple-False"),
+        pytest.param("taco2_ar", True, {}, id="taco2_ar-True"),
+        pytest.param("taco2_ar", False, {"prenet_dims": (8,)}, id="one_prenet_layer"),
+        pytest.param("taco2_ar", False, {"postnet_layers": 1}, id="one_postnet_layer"),
+        pytest.param("taco2_ar", False, {"ar_dropout": 0.0}, id="no_dropout"),
     ])
-    def test_gradients_match_fd_on_sampled_params(self, type_, conditioned):
+    def test_gradients_match_fd_on_sampled_params(self, type_, conditioned, overrides):
         rng = np.random.default_rng(0)
-        config = ModelConfig(
+        config = replace(ModelConfig(
             type=type_, hidden_dim=8, lstmp_proj_dim=8,
             prenet_dims=(8, 8), postnet_layers=2, postnet_channels=8,
             postnet_kernel=3, ar_dropout=0.5,
             speaker_conditioned=conditioned,
-            embedding_dim=4 if conditioned else 256)
+            embedding_dim=4 if conditioned else 256), **overrides)
         params = build_decoder(config, 6, seed=0)
         # jitter away from the zero-bias init: teacher forcing zero-pads the
         # first frame, and exact zeros park prenet units on the relu kink
@@ -117,6 +124,29 @@ class TestLossGradients:
             assert abs(fd - ana) / denom < 1e-3, (name, fd, ana)
             checked += 1
         assert checked >= 10
+
+    def test_step_memory_stays_below_the_bound(self):
+        """The cache holds each activation once and the backward frees it.
+
+        Measured with numpy 2.4: this step peaks at 10.3 MB.  A cache that
+        also keeps float64 dropout masks, the prenet pre-activations and last
+        output, and each postnet tanh output twice peaks at 13.5 MB.
+        """
+        config = ModelConfig(type="taco2_ar", hidden_dim=64, prenet_dims=(64, 64),
+                             postnet_channels=64)
+        params = build_decoder(config, 80, seed=0)
+        rng = np.random.default_rng(0)
+        b, t = 4, 120
+        content = rng.standard_normal((b, t, 80))
+        target = rng.standard_normal((b, t, 80))
+        mask = np.ones((b, t))
+        tracemalloc.start()
+        try:
+            loss_and_grads(params, content, target, mask, None, dropout_seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 11.5e6, peak
 
 
 class TestAdam:
