@@ -1,7 +1,7 @@
 """Waveform file I/O and sample-rate conversion.
 
 Files are 16-bit PCM RIFF.  Loading converts to mono float in [-1, 1] and
-resamples to the requested working rate with a polyphase filter.
+resamples to the working rate with a polyphase filter.
 """
 
 from __future__ import annotations
@@ -15,13 +15,9 @@ from scipy.io import wavfile
 from scipy.signal import resample_poly
 
 from .errors import VoiceConversionError, WavFileError
-from .types import ALLOWED_SAMPLE_RATES, Waveform
+from .types import Waveform
 
-_PCM_SCALES = {
-    np.dtype(np.int16): 2 ** 15,
-    np.dtype(np.int32): 2 ** 31,
-    np.dtype(np.uint8): None,  # handled separately (offset binary)
-}
+_PCM_SCALES = {np.dtype(np.int16): 2 ** 15, np.dtype(np.int32): 2 ** 31}
 
 
 def _to_float(data: np.ndarray) -> np.ndarray:
@@ -46,10 +42,12 @@ def resample_waveform(wave: Waveform, target_rate: int) -> Waveform:
     return Waveform(samples=out, sample_rate=target_rate)
 
 
-def load_waveform(path, target_rate: int | None = None) -> Waveform:
-    """Read a wav file as mono float samples, optionally resampled.
+def load_waveform(path, target_rate: int) -> Waveform:
+    """Read a wav file as mono float samples resampled to ``target_rate``.
 
-    A file that cannot be decoded raises ``WavFileError``.
+    Every defect of the file raises ``WavFileError`` naming it: bytes that
+    cannot be decoded, an unsupported rate or sample format, no samples, or
+    a sample that is not finite.
     """
     blob = Path(path).read_bytes()
     try:
@@ -57,17 +55,16 @@ def load_waveform(path, target_rate: int | None = None) -> Waveform:
         rate, data = wavfile.read(io.BytesIO(blob))
     except Exception as exc:  # scipy: ValueError, struct.error, ZeroDivisionError, ...
         raise WavFileError(f"{path}: cannot decode wav: {exc}") from None
-    if rate not in ALLOWED_SAMPLE_RATES:
-        raise VoiceConversionError(
-            f"{path}: sample rate {rate} not in {ALLOWED_SAMPLE_RATES}"
-        )
-    samples = _to_float(np.atleast_1d(data))
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
-    wave = Waveform(samples=np.clip(samples, -1.0, 1.0), sample_rate=int(rate))
-    if target_rate is not None:
-        wave = resample_waveform(wave, target_rate)
-    return wave
+    try:
+        samples = _to_float(np.atleast_1d(data))
+        if samples.ndim == 2:
+            samples = samples.mean(axis=1)
+        # a float wav may overshoot full scale; ±inf is left for Waveform to refuse
+        np.clip(samples, -1.0, 1.0, out=samples, where=np.isfinite(samples))
+        wave = Waveform(samples=samples, sample_rate=int(rate))
+    except VoiceConversionError as exc:
+        raise WavFileError(f"{path}: {exc}") from None
+    return resample_waveform(wave, target_rate)
 
 
 def save_waveform(path, wave: Waveform) -> None:

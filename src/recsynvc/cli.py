@@ -252,9 +252,12 @@ def cmd_evaluate(args) -> int:
             _note(f"warning: no reference wav for {record.utt_id}; "
                   "intrusive metrics skipped")
 
-        if args.asr is not None and record.transcript:
-            hyp = transcribe_adapter(conv_wav_path, args.asr)
-            row["wer"] = wer(normalize_text(record.transcript), hyp)
+        if args.asr is not None and record.transcript is not None:
+            ref_words = normalize_text(record.transcript)
+            if ref_words:
+                row["wer"] = wer(ref_words, transcribe_adapter(conv_wav_path, args.asr))
+            else:
+                _note(f"warning: transcript of {record.utt_id} has no words; WER skipped")
 
         if args.speaker_encoder is not None:
             conv_embeddings.append(speaker_encoder_adapter(

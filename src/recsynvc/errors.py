@@ -24,11 +24,12 @@ class ManifestError(VoiceConversionError):
 
 class FeatureFileError(VoiceConversionError):
     """A feature file or checkpoint has a bad magic or version, ends inside a
-    field, has trailing bytes, or holds text that is not UTF-8 JSON."""
+    field, has trailing bytes, holds text that is not UTF-8 JSON, or holds
+    frames or a frame shift that ``FeatureSequence`` refuses."""
 
 
 class WavFileError(VoiceConversionError):
-    """A wav file cannot be decoded."""
+    """A wav file cannot be decoded, or its rate, sample format or samples are refused."""
 
 
 class ConfigError(VoiceConversionError):

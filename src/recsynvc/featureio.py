@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import Reader, pack, write_atomic
+from .errors import FeatureFileError, VoiceConversionError
 from .types import FeatureSequence
 
 MAGIC = b"S3VC"
@@ -34,12 +35,15 @@ def write_features(path, seq: FeatureSequence) -> None:
 
 
 def read_features(path) -> FeatureSequence:
-    """Read a feature file; a corrupt one raises a ``FeatureFileError`` subclass."""
+    """Read a feature file; any defect raises ``FeatureFileError`` naming it."""
     r = Reader(path, MAGIC, VERSION)
     n_frames, dim, frame_shift_ms = r.unpack("IIf")
     frames = r.array("<f4", (n_frames, dim))
     r.finish()
-    return FeatureSequence(frames=frames, frame_shift_ms=frame_shift_ms)
+    try:
+        return FeatureSequence(frames=frames, frame_shift_ms=frame_shift_ms)
+    except VoiceConversionError as exc:
+        raise FeatureFileError(f"{path}: {exc}") from None
 
 
 def feature_path(feature_dir, utt_id) -> Path:

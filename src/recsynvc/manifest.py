@@ -1,7 +1,8 @@
 """Dataset manifests: one JSON object per line.
 
 Required keys per line, each a string: ``utt_id``, ``speaker_id``,
-``wav_path``, ``language``; ``transcript`` is a string, null or absent.
+``wav_path``; ``transcript`` is a string, null or absent.  Other keys are
+ignored.
 Output files are named after ``utt_id``, so it must be one file-name
 component.  Relative wav paths resolve against the manifest's own directory.
 A loaded manifest is only a list of records: the command that reads it
@@ -16,7 +17,7 @@ from pathlib import Path
 from .errors import ManifestError, VoiceConversionError
 from .types import DatasetManifest, UtteranceRecord
 
-_REQUIRED = ("utt_id", "speaker_id", "wav_path", "language")
+_REQUIRED = ("utt_id", "speaker_id", "wav_path")
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -51,10 +52,8 @@ def load_manifest(path) -> DatasetManifest:
             if not wav_path.is_absolute():
                 wav_path = base / wav_path
             try:
-                record = UtteranceRecord(
-                    utt_id=obj["utt_id"], speaker_id=obj["speaker_id"], wav_path=wav_path,
-                    transcript=transcript, language=obj["language"],
-                )
+                record = UtteranceRecord(utt_id=obj["utt_id"], speaker_id=obj["speaker_id"],
+                                         wav_path=wav_path, transcript=transcript)
             except VoiceConversionError as exc:
                 raise ManifestError(f"{where}: {exc}") from None
             records.append(record)
@@ -70,5 +69,4 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
                 "speaker_id": rec.speaker_id,
                 "wav_path": str(rec.wav_path),
                 "transcript": rec.transcript,
-                "language": rec.language,
             }, sort_keys=True) + "\n")

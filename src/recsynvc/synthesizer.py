@@ -333,7 +333,7 @@ def _recurrent_forward(p, layers, x_seq):
     for name in layers:
         x, cache = _layer_forward(p, name, x)
         caches.append(cache)
-    return np.ascontiguousarray(x.transpose(1, 0, 2)), caches
+    return x.transpose(1, 0, 2), caches
 
 
 def _recurrent_backward(p, layers, d_out, caches, grads):
@@ -393,7 +393,8 @@ def teacher_forward_batch(params: ModelParameters, content, prev, spk, dropout_s
     * ``stack_caches``: per recurrent layer, bottom first, its input and its
       gate activations, cell states, tanh(cell), unprojected and fed-back
       outputs, in time-major (T, B, .) arrays.
-    * ``h_seq``: the top layer's (B, T, R) output, the input of ``out``.
+    * ``h_seq``: the input of ``out``, a (B, T, R) view of the top layer's
+      output held in its ``stack_caches`` entry.
     * ``post_caches``: for ``taco2_ar`` the padded input of each postnet
       layer, which also holds the tanh output of the layer below; else None.
 

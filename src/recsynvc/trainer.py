@@ -36,14 +36,9 @@ from .errors import (
     NonFiniteInputError,
 )
 from .nnops import clip_grad_norm
-from .recognizer import (
-    UpstreamSpec,
-    extract_mel,
-    feature_path,
-    recognize,
-    resample_features,
-)
+from .recognizer import UpstreamSpec, extract_mel, recognize, resample_features
 from .audioio import load_waveform
+from .featureio import feature_path
 from .synthesizer import (
     ModelParameters,
     backward_teacher_batch,

@@ -174,7 +174,6 @@ class UtteranceRecord:
     speaker_id: str
     wav_path: Path
     transcript: str | None = None
-    language: str = "en"
 
     def __post_init__(self):
         if not self.utt_id:

@@ -24,6 +24,17 @@ def corrupt_variants(blob: bytes):
         yield f"bit {i} flipped", bytes(flipped)
 
 
+#: Wavs ``load_waveform`` refuses: name -> (rate, samples, a word of the error).
+BAD_WAVS = {
+    "nan": (24000, np.array([0.1, np.nan] * 1000), "non-finite"),
+    "inf": (24000, np.array([0.1, np.inf] * 1000), "non-finite"),
+    "minus_inf": (24000, np.array([0.1, -np.inf] * 1000, dtype=np.float32), "non-finite"),
+    "empty": (24000, np.zeros(0, dtype=np.int16), "non-empty"),
+    "int64": (24000, np.zeros(2000, dtype=np.int64), "sample format int64"),
+    "8k": (8000, np.zeros(2000, dtype=np.int16), "sample rate 8000"),
+}
+
+
 def sphere_embedding(key: str, dim: int = 16) -> SpeakerEmbedding:
     """Deterministic hash-to-sphere stub: any string to a unit vector."""
     digest = hashlib.sha256(key.encode("utf-8")).digest()

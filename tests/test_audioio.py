@@ -4,10 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
-from helpers import corrupt_variants
+from helpers import BAD_WAVS, corrupt_variants
 from recsynvc.audioio import load_waveform, resample_waveform, save_waveform
-from recsynvc.errors import VoiceConversionError
+from recsynvc.errors import VoiceConversionError, WavFileError
 from recsynvc.types import Waveform
 
 
@@ -20,7 +21,7 @@ def test_round_trip_within_pcm16_quantization(tmp_path):
     wave = _sine(440.0, 0.1, 24000)
     path = tmp_path / "a.wav"
     save_waveform(path, wave)
-    back = load_waveform(path)
+    back = load_waveform(path, target_rate=24000)
     assert back.sample_rate == 24000
     assert len(back) == len(wave)
     assert np.max(np.abs(back.samples - wave.samples)) < 2.0 / 32767
@@ -35,11 +36,13 @@ def test_load_resamples_when_asked(tmp_path):
     assert abs(len(back) - len(wave) // 2) <= 2
 
 
-def test_load_without_target_keeps_rate(tmp_path):
+def test_load_at_the_file_rate_keeps_samples(tmp_path):
     wave = _sine(100.0, 0.05, 16000)
     path = tmp_path / "a.wav"
     save_waveform(path, wave)
-    assert load_waveform(path).sample_rate == 16000
+    back = load_waveform(path, target_rate=16000)
+    assert back.sample_rate == 16000
+    assert np.max(np.abs(back.samples - wave.samples)) < 2.0 / 32767
 
 
 def test_resample_identity():
@@ -59,7 +62,7 @@ def test_resample_preserves_tone(tmp_path):
 
 def test_missing_file():
     with pytest.raises(Exception):
-        load_waveform("/nonexistent/a.wav")
+        load_waveform("/nonexistent/a.wav", target_rate=24000)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
@@ -83,3 +86,18 @@ def test_every_truncation_and_bit_flip_is_typed(tmp_path):
     assert escaped == []
     # a header may claim gigabytes; nothing may be allocated for them
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_WAVS))
+def test_every_defect_is_a_wav_file_error_naming_the_file(tmp_path, defect):
+    rate, data, message = BAD_WAVS[defect]
+    path = tmp_path / "bad.wav"
+    wavfile.write(path, rate, data)
+    with pytest.raises(WavFileError, match=rf"^{path}: .*{message}"):
+        load_waveform(path, target_rate=24000)
+
+
+def test_float_overshoot_is_clipped_to_full_scale(tmp_path):
+    path = tmp_path / "loud.wav"
+    wavfile.write(path, 24000, np.array([0.5, 1.5, -2.0]))
+    assert load_waveform(path, target_rate=24000).samples.tolist() == [0.5, 1.0, -1.0]

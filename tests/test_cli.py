@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from recsynvc.audioio import load_waveform, save_waveform
 from recsynvc import cli, config, evaluator
@@ -25,7 +26,7 @@ from recsynvc.manifest import load_manifest, write_manifest
 from recsynvc.synthetic import make_toy_corpus, make_utterance
 from recsynvc.types import DatasetManifest, FeatureSequence, UtteranceRecord
 
-from helpers import sphere_embedding, write_metrics_table
+from helpers import BAD_WAVS, sphere_embedding, write_metrics_table
 
 CLI_CONFIG = """\
 [model]
@@ -97,10 +98,10 @@ def test_extract_features_rejects_external_upstream(cli_corpus, tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("wav_path", 5), ("transcript", 5),
-    ("utt_id", {"x": 1}), ("speaker_id", ["a", "b"]), ("language", 7),
+    ("utt_id", {"x": 1}), ("speaker_id", ["a", "b"]),
 ])
 def test_extract_features_bad_field_type_is_one_error_line(tmp_path, capsys, field, value):
-    record = {"utt_id": "u", "speaker_id": "s", "wav_path": "u.wav", "language": "en"}
+    record = {"utt_id": "u", "speaker_id": "s", "wav_path": "u.wav"}
     manifest = tmp_path / "manifest.jsonl"
     manifest.write_text(json.dumps({**record, field: value}) + "\n")
     capsys.readouterr()
@@ -117,7 +118,7 @@ def test_extract_features_id_that_is_not_a_file_name_is_one_error_line(
         cli_corpus, tmp_path, capsys, utt_id):
     # output files are named after the id, so a path in it must not reach the file system
     utt_id = utt_id.replace("ABSOLUTE", str(tmp_path / "abs"))
-    record = {"utt_id": utt_id, "speaker_id": "s", "language": "en",
+    record = {"utt_id": utt_id, "speaker_id": "s",
               "wav_path": str(load_manifest(cli_corpus).records[0].wav_path)}
     manifest = tmp_path / "manifest.jsonl"
     manifest.write_text(json.dumps(record) + "\n")
@@ -160,6 +161,33 @@ def test_train_corrupt_wav_is_one_error_line(cli_config, tmp_path, capsys):
     assert rc == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and wav.name in lines[0]
+
+
+@pytest.mark.parametrize("defect", sorted(BAD_WAVS))
+def test_bad_wav_is_reported_once_naming_the_file(cli_checkpoint, cli_config, tmp_path,
+                                                  capsys, defect):
+    manifest = make_toy_corpus(tmp_path / "corpus", n_utterances=4, duration=0.4, seed=5)
+    record = load_manifest(manifest).records[0]
+    rate, samples, _ = BAD_WAVS[defect]
+    wavfile.write(record.wav_path, rate, samples)
+    one = tmp_path / "one.jsonl"
+    write_manifest(one, DatasetManifest((record,)))
+    conv_wav = tmp_path / "conv" / f"{record.utt_id}.wav"
+    conv_wav.parent.mkdir()
+    shutil.copyfile(record.wav_path, conv_wav)
+    capsys.readouterr()
+    assert main(["train", str(manifest), "--out-dir", str(tmp_path / "run"),
+                 "--config", str(cli_config)]) == 1
+    assert main(["evaluate", str(conv_wav.parent), str(one),
+                 "--out-dir", str(tmp_path / "scores")]) == 1
+    # convert goes on past a bad source and reports it on its one "failed:" line
+    assert main(["convert", str(cli_checkpoint), str(one),
+                 "--out-dir", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 4, lines
+    assert lines[0].startswith(f"error: {record.wav_path}: ")
+    assert lines[1].startswith(f"error: {conv_wav}: ")
+    assert lines[3].startswith(f"failed: {record.utt_id}: {record.wav_path}: ")
 
 
 @pytest.mark.parametrize("name, blob", [
@@ -310,7 +338,7 @@ def test_convert_uses_checkpoint_audio(cli_corpus, tmp_path):
                  "--out-dir", str(out_dir)]) == 0
     for record in load_manifest(cli_corpus).records:
         mel = read_features(out_dir / f"{record.utt_id}.mel.s3vc")
-        wave = load_waveform(out_dir / f"{record.utt_id}.wav")
+        wave = load_waveform(out_dir / f"{record.utt_id}.wav", target_rate=24000)
         assert mel.frame_shift_ms == 5.0
         assert len(wave) == len(mel) * 120
 
@@ -377,6 +405,31 @@ def test_bad_upstream_frame_shift_is_one_error_line(cli_checkpoint, cli_corpus, 
     assert len(lines) == 2 and all(line.startswith("error: ") and "frame_shift_ms" in line
                                    for line in lines), lines
     assert not (tmp_path / "run").exists() and not (tmp_path / "conv").exists()
+
+
+@pytest.mark.parametrize("defect", ["nan_frame", "no_frames", "zero_shift"])
+def test_bad_feature_file_is_one_error_line_naming_it(cli_corpus, cli_config, tmp_path,
+                                                     capsys, defect):
+    feature_dir = tmp_path / "ssl"
+    feature_dir.mkdir()
+    paths = [feature_dir / f"{r.utt_id}.s3vc" for r in load_manifest(cli_corpus).records]
+    for path in paths:
+        write_features(path, FeatureSequence(frames=np.zeros((20, 7)), frame_shift_ms=20.0))
+    bad = max(paths)  # read by recognize, after the first file has set the upstream
+    blob = bad.read_bytes()
+    if defect == "nan_frame":
+        blob = blob[:20] + struct.pack("<f", np.nan) + blob[24:]
+    elif defect == "no_frames":
+        blob = blob[:8] + struct.pack("<I", 0) + blob[12:20]
+    else:
+        blob = blob[:16] + struct.pack("<f", 0.0) + blob[20:]
+    bad.write_bytes(blob)
+    capsys.readouterr()
+    assert main(["train", str(cli_corpus), "--out-dir", str(tmp_path / "run"),
+                 "--config", str(cli_config), "--upstream", "ssl_stub",
+                 "--feature-dir", str(feature_dir)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), lines
 
 
 def test_convert_help_has_no_upstream_flags(capsys):
@@ -571,6 +624,36 @@ def test_evaluate_pair_above_the_dtw_cap_is_one_error_line(eval_setup, tmp_path,
     assert rc == 1 and len(lines) == 1
     assert re.fullmatch(r"error: cannot align (\d+) x \1 frames: DTW is capped at 100 cells",
                         lines[0])
+
+
+@pytest.mark.parametrize("transcript", ["?!", ""])
+def test_evaluate_transcript_without_words_skips_only_its_wer(eval_setup, tmp_path, capsys,
+                                                             monkeypatch, stub_asr, transcript):
+    manifest_path, conv_dir = eval_setup
+    scored = load_manifest(manifest_path).records[0]
+    manifest = tmp_path / "m.jsonl"
+    write_manifest(manifest, DatasetManifest(
+        (scored, dataclasses.replace(scored, utt_id="u1", transcript=transcript))))
+    shutil.copyfile(conv_dir / "u0.wav", conv_dir / "u1.wav")
+    transcribed = []
+    transcribe = cli.transcribe_adapter
+
+    def counted(wav_path, command):
+        transcribed.append(Path(wav_path).name)
+        return transcribe(wav_path, command)
+    monkeypatch.setattr(cli, "transcribe_adapter", counted)
+    capsys.readouterr()
+    out_dir = tmp_path / "scores"
+    assert main(["evaluate", str(conv_dir), str(manifest), "--out-dir", str(out_dir),
+                 "--asr", stub_asr]) == 0
+    assert transcribed == ["u0.wav"]
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == 1 and "u1" in warnings[0]
+    report = (out_dir / "report.tsv").read_text().splitlines()
+    assert report[1:] == ["u0\t0.0000\t0.00", "u1\t0.0000\tnan"]
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["n_utterances"] == 2 and summary["wer"] == 0.0
 
 
 def test_evaluate_without_converted_wavs(eval_setup, tmp_path):

@@ -424,5 +424,5 @@ def test_save_then_vocode_native_survives_round_trip(audio, toy_corpus,
     wave = vocode_native(mel, audio)
     path = tmp_path / "out.wav"
     save_waveform(path, wave)
-    back = load_waveform(path)
+    back = load_waveform(path, target_rate=audio.sample_rate)
     assert len(back) == len(wave)

@@ -1,5 +1,7 @@
 """Binary feature container: exact round-trips and corruption handling."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,27 @@ def test_trailing_garbage_rejected(tmp_path):
 def test_feature_path_layout(tmp_path):
     assert feature_path(tmp_path, "SPK1_007").name == "SPK1_007.s3vc"
     assert feature_path(tmp_path, "SPK1_007").parent == tmp_path
+
+
+def _header_and_payload(path):
+    write_features(path, FeatureSequence(frames=np.zeros((3, 2)), frame_shift_ms=10.0))
+    blob = path.read_bytes()
+    return blob[:20], blob[20:]  # magic, version, frame count, width, shift | frames
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("nan_frame", "non-finite"), ("no_frames", "T, D >= 1"),
+    ("zero_shift", "frame_shift_ms"), ("negative_shift", "frame_shift_ms"),
+])
+def test_frame_and_shift_defects_name_the_file(tmp_path, defect, message):
+    path = tmp_path / "f.s3vc"
+    header, payload = _header_and_payload(path)
+    if defect == "nan_frame":
+        payload = struct.pack("<f", np.nan) + payload[4:]
+    elif defect == "no_frames":
+        header, payload = header[:8] + struct.pack("<I", 0) + header[12:], b""
+    else:
+        header = header[:16] + struct.pack("<f", 0.0 if defect == "zero_shift" else -10.0)
+    path.write_bytes(header + payload)
+    with pytest.raises(FeatureFileError, match=rf"^{path}: .*{message}"):
+        read_features(path)

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, keeps annotations that
-resolve, and defines no public function or class that only tests use; the
+"""Every module of the package uses each name it imports, imports each name from
+the module that defines it, keeps annotations that resolve, and defines no
+public function or class that only tests use; the
 package root imports nothing; ``errors`` alone defines exception types, and the
 package raises each of them."""
 
@@ -43,6 +44,39 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text("utf-8")) == []
+
+
+def _top_level_names(source: str) -> set[str]:
+    """Names a module binds itself at its top level: functions, classes, assignments."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def _borrowed_imports(source: str, defined) -> list[str]:
+    """``from .mod import name`` lines whose ``name`` is not in ``defined(mod)``."""
+    return [f"line {node.lineno}: {alias.name} from .{node.module}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names if alias.name not in defined(node.module)]
+
+
+def test_scan_finds_a_name_imported_through_another_module():
+    defined = {"a": {"f"}, "b": {"g"}}.__getitem__
+    source = "from .a import f\nfrom .b import f, g\n"
+    assert _borrowed_imports(source, defined) == ["line 2: f from .b"]
+
+
+def test_each_name_is_imported_from_its_defining_module():
+    defined = {p.stem: _top_level_names(p.read_text("utf-8")) for p in MODULES}.__getitem__
+    borrowed = {path.name: _borrowed_imports(path.read_text("utf-8"), defined)
+                for path in MODULES}
+    assert {name: lines for name, lines in borrowed.items() if lines} == {}
 
 
 def _defined(module):

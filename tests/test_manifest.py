@@ -64,7 +64,7 @@ def test_relative_wav_paths_resolve_against_manifest_dir(tmp_path):
 
 def test_missing_required_field(tmp_path):
     path = tmp_path / "data.tsv"
-    path.write_text('{"utt_id": "u1", "wav_path": "u1.wav", "language": "en"}\n')
+    path.write_text('{"utt_id": "u1", "wav_path": "u1.wav"}\n')
     with pytest.raises(ManifestError, match="speaker_id"):
         load_manifest(path)
 
@@ -73,7 +73,7 @@ def test_missing_required_field(tmp_path):
     ("wav_path", 5), ("wav_path", ["u1.wav"]), ("transcript", 5), ("transcript", {}),
 ])
 def test_field_of_wrong_type_names_field_and_line(tmp_path, field, value):
-    good = {"utt_id": "u1", "speaker_id": "A", "wav_path": "u1.wav", "language": "en"}
+    good = {"utt_id": "u1", "speaker_id": "A", "wav_path": "u1.wav"}
     path = tmp_path / "data.jsonl"
     path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
     with pytest.raises(ManifestError, match=rf"line 2: field '{field}'"):
@@ -86,3 +86,18 @@ def test_duplicate_utt_id_names_both_records(tmp_path):
     path.write_text(path.read_text() + path.read_text().splitlines()[0] + "\n")
     with pytest.raises(ManifestError, match=r"duplicate utt_id 'u1' in records 1 and 3"):
         load_manifest(path)
+
+
+def test_extra_keys_are_ignored(tmp_path):
+    # older manifests carry a "language" key, which nothing reads
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps({"utt_id": "u1", "speaker_id": "A", "wav_path": "u1.wav",
+                                "language": 7, "note": {"x": 1}}) + "\n")
+    assert load_manifest(path).records[0].utt_id == "u1"
+
+
+def test_written_lines_hold_only_the_record_fields(tmp_path):
+    path = tmp_path / "data.jsonl"
+    write_manifest(path, _manifest())
+    assert sorted(json.loads(path.read_text().splitlines()[0])) == [
+        "speaker_id", "transcript", "utt_id", "wav_path"]

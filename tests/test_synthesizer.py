@@ -270,6 +270,20 @@ class TestGradients:
             assert analytic == pytest.approx(fd, rel=1e-6, abs=0.0), name
 
     @pytest.mark.parametrize("type_", ["simple", "simple_ar", "taco2_ar"])
+    def test_top_output_is_held_once(self, type_):
+        rng = np.random.default_rng(4)
+        params = build_decoder(_config(type_), INPUT_DIM, seed=0)
+        # a batch of two, since a one-utterance transpose is contiguous anyway
+        (c1, t1), (c2, t2) = _data(rng), _data(rng)
+        content, prev = np.stack([c1, c2]), np.stack([shift_frames_right(t1),
+                                                      shift_frames_right(t2)])
+        _, _, cache = teacher_forward_batch(params, content, prev, None, 0)
+        stack_caches, h_seq = cache[3], cache[4]
+        top_out = stack_caches[-1][-1]  # (T + 1, B, R), the zero state first
+        assert np.shares_memory(h_seq, top_out)
+        assert np.array_equal(h_seq, top_out[1:].transpose(1, 0, 2))
+
+    @pytest.mark.parametrize("type_", ["simple", "simple_ar", "taco2_ar"])
     def test_backward_empties_the_cache_lists(self, type_):
         rng = np.random.default_rng(3)
         params = build_decoder(_config(type_), INPUT_DIM, seed=0)

@@ -88,6 +88,6 @@ def test_speakers_sound_different():
 def test_wavs_survive_audio_round_trip(tmp_path):
     path = make_toy_corpus(tmp_path / "d", n_utterances=1, duration=0.4)
     record = load_manifest(path).records[0]
-    wave = load_waveform(record.wav_path)
+    wave = load_waveform(record.wav_path, target_rate=24000)
     assert wave.sample_rate == 24000
     assert wave.samples.shape == (9600,)
