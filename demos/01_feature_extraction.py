@@ -36,7 +36,7 @@ print(f"analysis: {audio.sample_rate} Hz, win {audio.win_length}, "
 feat_dir = work / "features"
 feat_dir.mkdir()
 for record in manifest:
-    wave = load_waveform(record.wav_path, target_rate=audio.sample_rate)
+    wave = load_waveform(record.wav_path, audio)
     mel = extract_mel(wave, audio)
 
     # one frame per hop once a full window fits; values live on a log scale
@@ -53,7 +53,7 @@ for record in manifest:
 # the container stores float32 frames plus the frame shift; reads are exact
 first = manifest.records[0]
 seq = read_features(feature_path(feat_dir, first.utt_id))
-mel = extract_mel(load_waveform(first.wav_path, target_rate=24000), audio)
+mel = extract_mel(load_waveform(first.wav_path, audio), audio)
 print(f"round trip: shape {seq.frames.shape}, shift {seq.frame_shift_ms} ms, "
       f"max reload error "
       f"{np.max(np.abs(seq.frames - mel.frames.astype(np.float32))):.1e}")

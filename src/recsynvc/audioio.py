@@ -1,7 +1,8 @@
 """Waveform file I/O and sample-rate conversion.
 
-Files are 16-bit PCM RIFF.  Loading converts to mono float in [-1, 1] and
-resamples to the working rate with a polyphase filter.
+Files are 16-bit PCM RIFF.  Loading converts to mono float in [-1, 1],
+resamples to the working rate with a polyphase filter and requires one
+analysis window of samples.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 from scipy.io import wavfile
 from scipy.signal import resample_poly
 
+from .config import AudioConfig
 from .errors import VoiceConversionError, WavFileError
 from .types import Waveform
 
@@ -42,12 +44,13 @@ def resample_waveform(wave: Waveform, target_rate: int) -> Waveform:
     return Waveform(samples=out, sample_rate=target_rate)
 
 
-def load_waveform(path, target_rate: int) -> Waveform:
-    """Read a wav file as mono float samples resampled to ``target_rate``.
+def load_waveform(path, audio: AudioConfig) -> Waveform:
+    """Read a wav file as mono float samples resampled to ``audio.sample_rate``.
 
     Every defect of the file raises ``WavFileError`` naming it: bytes that
-    cannot be decoded, an unsupported rate or sample format, no samples, or
-    a sample that is not finite.
+    cannot be decoded, an unsupported rate or sample format, a sample that
+    is not finite, or fewer samples after resampling than one analysis
+    window (``audio.win_length``).
     """
     blob = Path(path).read_bytes()
     try:
@@ -64,7 +67,11 @@ def load_waveform(path, target_rate: int) -> Waveform:
         wave = Waveform(samples=samples, sample_rate=int(rate))
     except VoiceConversionError as exc:
         raise WavFileError(f"{path}: {exc}") from None
-    return resample_waveform(wave, target_rate)
+    wave = resample_waveform(wave, audio.sample_rate)
+    if len(wave) < audio.win_length:
+        raise WavFileError(f"{path}: need at least {audio.win_length} samples for one "
+                           f"analysis window, got {len(wave)}")
+    return wave
 
 
 def save_waveform(path, wave: Waveform) -> None:

@@ -37,7 +37,7 @@ from .converter import (
     speaker_encoder_adapter,
     vocode,
 )
-from .errors import CorrelationFileError, MissingEmbeddingError, VoiceConversionError
+from .errors import ConfigError, CorrelationFileError, FeatureFileError, VoiceConversionError
 from .evaluator import (
     asv_accept_rate,
     mcd,
@@ -90,8 +90,7 @@ def cmd_extract_features(args) -> int:
         if path.exists() and not args.force:
             continue
         try:
-            wave = load_waveform(record.wav_path,
-                                 target_rate=config.audio.sample_rate)
+            wave = load_waveform(record.wav_path, config.audio)
             mel = extract_mel(wave, config.audio)
             write_features(path, mel.as_features())
             written += 1
@@ -121,9 +120,7 @@ def _a2a_encoder(args):
                 cache_dir=args.embeddings_cache, utt_id=record.utt_id,
             )
         return encoder
-    raise MissingEmbeddingError(
-        "a2a training needs --embeddings-dir or --speaker-encoder"
-    )
+    raise VoiceConversionError("a2a training needs --embeddings-dir or --speaker-encoder")
 
 
 def cmd_train(args) -> int:
@@ -160,13 +157,13 @@ def _target_embedding(args, model: ModelConfig):
         emb_dir = Path(args.target_embeddings)
         files = sorted(emb_dir.glob("*.s3vc"))
         if not files:
-            raise MissingEmbeddingError(f"no .s3vc embeddings under {emb_dir}")
+            raise FeatureFileError(f"no .s3vc embeddings under {emb_dir}")
         return average_embedding(
             [read_embedding(f, expected_dim=expected) for f in files]
         )
     if args.target_embedding is not None:
         return read_embedding(args.target_embedding, expected_dim=expected)
-    raise MissingEmbeddingError(
+    raise VoiceConversionError(
         "this checkpoint is speaker-conditioned; pass --target-embeddings DIR "
         "or --target-embedding FILE"
     )
@@ -181,7 +178,10 @@ def cmd_convert(args) -> int:
     # a bad vocoder, checkpoint or --feature-dir is one error, not one per utterance
     _vocoder_command(args.vocoder)
     checkpoint = load_checkpoint(args.checkpoint)
-    model = load_model(checkpoint)
+    try:
+        model = load_model(checkpoint)
+    except ConfigError as exc:  # the model reads a Checkpoint, which does not know its path
+        raise ConfigError(f"{args.checkpoint}: {exc}") from None
     model.upstream_spec(args.feature_dir)
     manifest = load_manifest(args.source_manifest)
     embedding = _target_embedding(args, model.params.config)
@@ -222,6 +222,8 @@ def cmd_evaluate(args) -> int:
                 "read only with --speaker-encoder")
     elif args.threshold is None:
         return _fail("ASV with --speaker-encoder needs --threshold")
+    elif not -1.0 <= args.threshold <= 1.0:  # false for nan too
+        return _fail(f"--threshold must be a finite number in [-1, 1], got {args.threshold}")
     config = _load_config(args)
     manifest = load_manifest(args.reference_manifest)
     converted_dir = Path(args.converted_dir)
@@ -239,11 +241,11 @@ def cmd_evaluate(args) -> int:
             _note(f"warning: no converted wav for {record.utt_id}, skipping")
             continue
         row = rows[record.utt_id] = {}
-        conv_wave = load_waveform(conv_wav_path, target_rate=audio.sample_rate)
+        conv_wave = load_waveform(conv_wav_path, audio)
 
         ref_wave = None
         if record.wav_path.exists():
-            ref_wave = load_waveform(record.wav_path, target_rate=audio.sample_rate)
+            ref_wave = load_waveform(record.wav_path, audio)
             row["mcd"] = mcd(
                 mel_cepstra(ref_wave, config.evaluation.mcd_order, audio),
                 mel_cepstra(conv_wave, config.evaluation.mcd_order, audio),

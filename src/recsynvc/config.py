@@ -15,7 +15,7 @@ import difflib
 import math
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError, InvalidConfigError
+from .errors import ConfigError
 from .types import ALLOWED_SAMPLE_RATES, N_MELS
 
 DECODER_TYPES = ("simple", "simple_ar", "taco2_ar")
@@ -108,6 +108,8 @@ class TrainingConfig:
         if not 0.0 <= self.grad_clip < math.inf:  # 0 turns clipping off
             raise ConfigError(
                 f"grad_clip must be finite and non-negative, got {self.grad_clip}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,8 @@ class EvalConfig:
     def __post_init__(self):
         if not 1 <= self.mcd_order < N_MELS:  # cepstra c_1..c_order of an 80-bin mel
             raise ConfigError(f"mcd_order must lie in 1..{N_MELS - 1}, got {self.mcd_order}")
+        if self.dropout_seed < 0:
+            raise ConfigError(f"dropout_seed must be non-negative, got {self.dropout_seed}")
 
 
 @dataclass(frozen=True)
@@ -167,24 +171,24 @@ def config_from_json(cls, obj, entry: str, **extra: str):
     ``obj`` must hold exactly the fields of ``cls`` plus the keys of ``extra``,
     which maps further keys to field types; the caller reads those itself.  A
     value must have its field's JSON type (a list for a tuple).  Anything else,
-    or a value ``cls`` rejects, raises ``InvalidConfigError`` naming ``entry``.
+    or a value ``cls`` rejects, raises ``ConfigError`` naming ``entry``.
     """
     if not isinstance(obj, dict):
-        raise InvalidConfigError(f"{entry}: expected a JSON object, got {obj!r}")
+        raise ConfigError(f"{entry}: expected a JSON object, got {obj!r}")
     types = {**{f.name: f.type for f in fields(cls)}, **extra}
     unknown, missing = obj.keys() - types.keys(), types.keys() - obj.keys()
     if unknown or missing:
-        raise InvalidConfigError(f"{entry}: unknown keys {sorted(unknown)}, "
-                                 f"missing keys {sorted(missing)}")
+        raise ConfigError(f"{entry}: unknown keys {sorted(unknown)}, "
+                          f"missing keys {sorted(missing)}")
     for key, value in obj.items():
         if not _FIELD_TYPES[types[key]][1](value):
-            raise InvalidConfigError(f"{entry} {key!r}: {value!r} is not {types[key]}")
+            raise ConfigError(f"{entry} {key!r}: {value!r} is not {types[key]}")
     kwargs = {k: tuple(v) if isinstance(v, list) else v
               for k, v in obj.items() if k not in extra}
     try:
         return cls(**kwargs)
     except ConfigError as exc:
-        raise InvalidConfigError(f"{entry}: {exc}") from None
+        raise ConfigError(f"{entry}: {exc}") from None
 
 
 def _suggest(name, candidates):

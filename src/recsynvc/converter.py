@@ -33,14 +33,7 @@ from .audioio import load_waveform, save_waveform
 from .checkpoint import Checkpoint, load_checkpoint
 from .config import AudioConfig, config_from_json
 from .dsp import griffin_lim, mel_filterbank
-from .errors import (
-    AdapterError,
-    DimensionMismatchError,
-    EmptyInputError,
-    InvalidConfigError,
-    VoiceConversionError,
-    ZeroMeanVectorError,
-)
+from .errors import AdapterError, ConfigError, FeatureFileError, VoiceConversionError
 from .featureio import read_features, write_features, feature_path
 from .recognizer import UpstreamSpec, recognize, resample_features
 from .synthesizer import (
@@ -119,7 +112,7 @@ def load_model(checkpoint) -> TrainedModel:
     """Read the model from a checkpoint or its path; inverse of ``model_checkpoint``.
 
     A missing meta entry or ``stats.*`` tensor, or one of the wrong type or
-    width, raises ``InvalidConfigError`` naming it; ``ModelParameters`` checks
+    width, raises ``ConfigError`` naming it; ``ModelParameters`` checks
     the decoder tensors.  The returned tensors are the checkpoint's own arrays.
     """
     if not isinstance(checkpoint, Checkpoint):
@@ -129,18 +122,18 @@ def load_model(checkpoint) -> TrainedModel:
     audio = config_from_json(AudioConfig, meta.get("audio"), "checkpoint audio meta",
                              n_mels="int")
     if meta["audio"]["n_mels"] != N_MELS:
-        raise InvalidConfigError(f"checkpoint audio meta 'n_mels': "
-                                 f"{meta['audio']['n_mels']!r} is not {N_MELS}")
+        raise ConfigError(f"checkpoint audio meta 'n_mels': "
+                          f"{meta['audio']['n_mels']!r} is not {N_MELS}")
     seed = meta.get("seed")
     if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InvalidConfigError(f"checkpoint meta 'seed': {seed!r} is not an integer")
+        raise ConfigError(f"checkpoint meta 'seed': {seed!r} is not an integer")
     upstream = meta.get("upstream")
     if not (isinstance(upstream, dict)
             and upstream.keys() == {"name", "feature_dim", "frame_shift_ms"}
             and isinstance(upstream["name"], str) and upstream["feature_dim"] == input_dim
             and type(upstream["frame_shift_ms"]) in (int, float)
             and upstream["frame_shift_ms"] > 0):
-        raise InvalidConfigError(
+        raise ConfigError(
             f"checkpoint meta 'upstream': {upstream!r} is not an object with a "
             f"string name, feature_dim {input_dim} and a positive frame_shift_ms")
     stats = {}
@@ -149,8 +142,8 @@ def load_model(checkpoint) -> TrainedModel:
         stats[name] = tensors.pop(_STATS_PREFIX + name, None)
         shape = getattr(stats[name], "shape", None)
         if shape != (width,):
-            raise InvalidConfigError(f"checkpoint tensor '{_STATS_PREFIX}{name}' has "
-                                     f"shape {shape}, expected ({width},)")
+            raise ConfigError(f"checkpoint tensor '{_STATS_PREFIX}{name}' has "
+                              f"shape {shape}, expected ({width},)")
     params = ModelParameters(config=config, input_dim=input_dim, tensors=tensors,
                              seed=seed)
     return TrainedModel(params=params, stats=stats, audio=audio,
@@ -183,7 +176,7 @@ def average_embedding(embeddings) -> SpeakerEmbedding:
     """Mean of unit embeddings, re-normalized to the unit sphere."""
     embeddings = list(embeddings)
     if not embeddings:
-        raise EmptyInputError("cannot average an empty list of embeddings")
+        raise VoiceConversionError("cannot average an empty list of embeddings")
     vectors = []
     dim = None
     for e in embeddings:
@@ -191,16 +184,12 @@ def average_embedding(embeddings) -> SpeakerEmbedding:
         if dim is None:
             dim = vec.size
         elif vec.size != dim:
-            raise DimensionMismatchError(
-                f"embedding dims disagree: {dim} vs {vec.size}"
-            )
+            raise VoiceConversionError(f"embedding dims disagree: {dim} vs {vec.size}")
         vectors.append(vec)
     mean = np.mean(vectors, axis=0)
     norm = float(np.linalg.norm(mean))
     if norm < 1e-8:
-        raise ZeroMeanVectorError(
-            "embeddings average to (near) zero; cannot renormalize"
-        )
+        raise VoiceConversionError("embeddings average to (near) zero; cannot renormalize")
     return SpeakerEmbedding(mean / norm)
 
 
@@ -289,7 +278,7 @@ def vocode_external(mel: MelSpectrogram, command, audio: AudioConfig) -> Wavefor
         _, stderr = run_adapter(command, [mel_path, wav_path])
         return _adapter_output(
             "vocoder", wav_path, stderr,
-            lambda path: load_waveform(path, target_rate=audio.sample_rate))
+            lambda path: load_waveform(path, audio))
 
 
 def _adapter_output(adapter: str, path: Path, stderr: str, read):
@@ -359,7 +348,10 @@ def speaker_encoder_adapter(wave_or_path, command, cache_dir=None,
         out_path = tmp / "embedding.s3vc"
         _, stderr = run_adapter(command, [wav_path, out_path])
         seq = _adapter_output("speaker encoder", out_path, stderr, read_features)
-        embedding = _embedding_from(seq, f"speaker encoder output for {wav_path}")
+        try:
+            embedding = _embedding_from(seq)
+        except VoiceConversionError as exc:
+            raise AdapterError(f"speaker encoder output for {wav_path}: {exc}", stderr) from None
         if cache_dir is not None and utt_id is not None:
             Path(cache_dir).mkdir(parents=True, exist_ok=True)
             write_features(feature_path(cache_dir, utt_id), seq)
@@ -367,18 +359,23 @@ def speaker_encoder_adapter(wave_or_path, command, cache_dir=None,
 
 
 def read_embedding(path, expected_dim=None) -> SpeakerEmbedding:
-    return _embedding_from(read_features(path), path, expected_dim)
+    """The embedding in the feature file at ``path``.
+
+    A file that is not one non-zero row, or whose width is not
+    ``expected_dim`` when that is given, raises ``FeatureFileError`` naming it.
+    """
+    seq = read_features(path)
+    try:
+        return _embedding_from(seq, expected_dim)
+    except VoiceConversionError as exc:
+        raise FeatureFileError(f"{path}: {exc}") from None
 
 
-def _embedding_from(seq: FeatureSequence, source, expected_dim=None) -> SpeakerEmbedding:
-    """The one-row embedding in ``seq``; errors name ``source``, a path or a description."""
+def _embedding_from(seq: FeatureSequence, expected_dim=None) -> SpeakerEmbedding:
+    """The one-row embedding in ``seq``, normalized to unit length."""
     if len(seq) != 1:
-        raise DimensionMismatchError(
-            f"{source}: expected a single embedding row, got {len(seq)} frames"
-        )
+        raise VoiceConversionError(f"expected a single embedding row, got {len(seq)} frames")
     vec = np.asarray(seq.frames[0], dtype=np.float64)
     if expected_dim is not None and vec.size != expected_dim:
-        raise DimensionMismatchError(
-            f"{source}: embedding dim {vec.size} != expected {expected_dim}"
-        )
+        raise VoiceConversionError(f"embedding dim {vec.size} != expected {expected_dim}")
     return SpeakerEmbedding.from_raw(vec)

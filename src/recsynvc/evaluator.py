@@ -16,7 +16,7 @@ import scipy.fft
 
 from .config import AudioConfig
 from .converter import run_adapter
-from .errors import DimensionMismatchError, EmptyInputError, VoiceConversionError
+from .errors import VoiceConversionError
 from .recognizer import extract_mel
 from .types import FeatureSequence, SpeakerEmbedding, Waveform
 
@@ -58,11 +58,9 @@ def dtw_align(a, b) -> list[tuple[int, int]]:
     """
     fa, fb = _frames_of(a), _frames_of(b)
     if fa.size == 0 or fb.size == 0:
-        raise EmptyInputError("cannot align empty sequences")
+        raise VoiceConversionError("cannot align empty sequences")
     if fa.shape[1] != fb.shape[1]:
-        raise DimensionMismatchError(
-            f"sequence dims disagree: {fa.shape[1]} vs {fb.shape[1]}"
-        )
+        raise VoiceConversionError(f"sequence dims disagree: {fa.shape[1]} vs {fb.shape[1]}")
     ta, tb = fa.shape[0], fb.shape[0]
     if ta * tb > MAX_DTW_CELLS:
         raise VoiceConversionError(f"cannot align {ta} x {tb} frames: DTW is capped at "
@@ -147,7 +145,7 @@ def wer(ref_tokens, hyp_tokens) -> float:
     ref = list(ref_tokens)
     hyp = list(hyp_tokens)
     if not ref:
-        raise EmptyInputError("reference token list is empty")
+        raise VoiceConversionError("reference token list is empty")
     n, m = len(ref), len(hyp)
     prev = list(range(m + 1))
     for i in range(1, n + 1):
@@ -166,20 +164,20 @@ def transcribe_adapter(wav_path, command) -> list[str]:
 
 
 def cosine_similarity(a: SpeakerEmbedding, b: SpeakerEmbedding) -> float:
-    """Cosine of two embeddings; ``DimensionMismatchError`` when their widths differ."""
+    """Cosine of two embeddings; ``VoiceConversionError`` when their widths differ."""
     va, vb = a.vector, b.vector
     if va.size != vb.size:
-        raise DimensionMismatchError(f"embedding dims disagree: {va.size} vs {vb.size}")
+        raise VoiceConversionError(f"embedding dims disagree: {va.size} vs {vb.size}")
     denom = float(np.linalg.norm(va) * np.linalg.norm(vb))
     return float(np.dot(va, vb) / denom)
 
 
 def _unit_rows(embeddings) -> np.ndarray:
-    """Embeddings stacked as unit-length rows; ``DimensionMismatchError`` on mixed widths."""
+    """Embeddings stacked as unit-length rows; ``VoiceConversionError`` on mixed widths."""
     vectors = [e.vector for e in embeddings]
     widths = list(dict.fromkeys(v.size for v in vectors))
     if len(widths) > 1:
-        raise DimensionMismatchError(f"embedding dims disagree: {widths[0]} vs {widths[1]}")
+        raise VoiceConversionError(f"embedding dims disagree: {widths[0]} vs {widths[1]}")
     rows = np.array(vectors, dtype=np.float64)
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
@@ -188,7 +186,7 @@ def asv_accept_rate(trials, threshold: float) -> float:
     """Percent of (converted, target) pairs with cosine similarity >= threshold."""
     trials = list(trials)
     if not trials:
-        raise EmptyInputError("no verification trials")
+        raise VoiceConversionError("no verification trials")
     unit = _unit_rows(e for pair in trials for e in pair)
     scores = (unit[0::2] * unit[1::2]).sum(axis=1)
     return float(100.0 * np.count_nonzero(scores >= threshold) / len(trials))
@@ -202,11 +200,11 @@ def calibrate_asv_threshold(embeddings_by_speaker) -> float:
     """
     speakers = sorted(embeddings_by_speaker)
     if len(speakers) < 2:
-        raise EmptyInputError("threshold calibration needs >= 2 speakers")
+        raise VoiceConversionError("threshold calibration needs >= 2 speakers")
     groups = [list(embeddings_by_speaker[spk]) for spk in speakers]
     embeddings = [e for group in groups for e in group]
     if not embeddings:
-        raise EmptyInputError("threshold calibration needs embeddings")
+        raise VoiceConversionError("threshold calibration needs embeddings")
     unit = _unit_rows(embeddings)
     speaker = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
     i, j = np.triu_indices(len(embeddings), k=1)
@@ -220,7 +218,7 @@ def eer_threshold(genuine_scores, impostor_scores) -> float:
     genuine = np.asarray(sorted(genuine_scores), dtype=np.float64)
     impostor = np.asarray(sorted(impostor_scores), dtype=np.float64)
     if genuine.size == 0 or impostor.size == 0:
-        raise EmptyInputError("need both genuine and impostor scores")
+        raise VoiceConversionError("need both genuine and impostor scores")
     candidates = np.unique(np.concatenate([genuine, impostor]))
     frr = np.searchsorted(genuine, candidates, "left") / genuine.size
     far = (impostor.size - np.searchsorted(impostor, candidates, "left")) / impostor.size

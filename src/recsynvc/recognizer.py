@@ -17,14 +17,7 @@ import numpy as np
 
 from . import dsp
 from .config import AudioConfig
-from .errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    InvalidConfigError,
-    MissingFeatureError,
-    TooShortInputError,
-    VoiceConversionError,
-)
+from .errors import ConfigError, FeatureFileError, VoiceConversionError
 from .featureio import FEATURE_SUFFIX, feature_path, read_features
 from .types import (
     MEL_FLOOR,
@@ -51,7 +44,7 @@ class UpstreamSpec:
     wavs, so it takes no feature directory.  Every other name is external and
     read from ``feature_dir``.  A spec breaking these rules, or with a
     non-positive width, or a frame shift outside (0, ``MAX_FRAME_SHIFT_MS``],
-    raises ``InvalidConfigError``.
+    raises ``ConfigError``.
     """
 
     name: str
@@ -62,12 +55,12 @@ class UpstreamSpec:
     def __post_init__(self):
         _check_source(self.name, self.feature_dir)
         if self.feature_dim < 1:
-            raise InvalidConfigError("feature_dim must be positive")
+            raise ConfigError("feature_dim must be positive")
         if not 0.0 < self.frame_shift_ms <= MAX_FRAME_SHIFT_MS:
-            raise InvalidConfigError(f"upstream frame_shift_ms must lie in "
-                                     f"(0, {MAX_FRAME_SHIFT_MS:g}], got {self.frame_shift_ms}")
+            raise ConfigError(f"upstream frame_shift_ms must lie in "
+                              f"(0, {MAX_FRAME_SHIFT_MS:g}], got {self.frame_shift_ms}")
         if self.native and self.feature_dim != N_MELS:
-            raise InvalidConfigError(
+            raise ConfigError(
                 f"the native {MEL_UPSTREAM!r} upstream is {N_MELS}-dim, got {self.feature_dim}"
             )
         if self.feature_dir is not None:
@@ -80,12 +73,12 @@ class UpstreamSpec:
 
 def _check_source(name, feature_dir) -> None:
     if name == MEL_UPSTREAM and feature_dir is not None:
-        raise InvalidConfigError(
+        raise ConfigError(
             f"the native {MEL_UPSTREAM!r} upstream is computed from the wavs and "
             f"takes no feature directory, got {feature_dir}"
         )
     if name != MEL_UPSTREAM and feature_dir is None:
-        raise InvalidConfigError(
+        raise ConfigError(
             f"external upstream {name!r} needs a feature directory (--feature-dir)"
         )
 
@@ -100,14 +93,12 @@ def external_upstream(name, feature_dir) -> UpstreamSpec:
 
     Its width and frame shift are those of the directory's first ``.s3vc``
     file, sorted by name; ``recognize`` checks every other file against them.
-    A directory without one raises ``EmptyInputError`` naming it.
+    A directory without one raises ``FeatureFileError`` naming it.
     """
     _check_source(name, feature_dir)
     first = min(Path(feature_dir).glob(f"*{FEATURE_SUFFIX}"), default=None)
     if first is None:
-        raise EmptyInputError(
-            f"no {FEATURE_SUFFIX} files in feature directory {feature_dir}"
-        )
+        raise FeatureFileError(f"no {FEATURE_SUFFIX} files in feature directory {feature_dir}")
     seq = read_features(first)
     return UpstreamSpec(name, seq.dim, seq.frame_shift_ms, feature_dir)
 
@@ -117,17 +108,14 @@ def extract_mel(wave: Waveform, audio: AudioConfig) -> MelSpectrogram:
 
     Frames follow the left-aligned analysis (T = floor((N - win)/hop) + 1);
     mel energies come from the magnitude STFT through a triangular filterbank
-    and are clamped at the floor before the natural log.
+    and are clamped at the floor before the natural log.  A waveform shorter
+    than one window yields no frame, which ``MelSpectrogram`` refuses;
+    ``load_waveform`` already refuses such a file, naming it.
     """
     if wave.sample_rate != audio.sample_rate:
         raise VoiceConversionError(
             f"waveform rate {wave.sample_rate} != working rate {audio.sample_rate}; "
             "resample on ingestion"
-        )
-    if len(wave) < audio.win_length:
-        raise TooShortInputError(
-            f"need at least {audio.win_length} samples for one analysis window, "
-            f"got {len(wave)}"
         )
     spectra = np.abs(dsp.stft(wave.samples, audio.win_length, audio.hop_length))
     fb = dsp.mel_filterbank(
@@ -150,19 +138,19 @@ def recognize(record: UtteranceRecord, spec: UpstreamSpec,
         # imported here, so each call looks it up on ``audioio`` and a
         # wrapper installed there sees it
         from .audioio import load_waveform
-        wave = load_waveform(record.wav_path, target_rate=audio.sample_rate)
+        wave = load_waveform(record.wav_path, audio)
         return extract_mel(wave, audio).as_features()
     path = feature_path(spec.feature_dir, record.utt_id)
     if not path.exists():
-        raise MissingFeatureError(record.utt_id, detail=str(path))
+        raise FeatureFileError(f"missing features for: {record.utt_id} ({path})")
     seq = read_features(path)
     if abs(seq.frame_shift_ms - spec.frame_shift_ms) > 1e-6:
-        raise DimensionMismatchError(
+        raise FeatureFileError(
             f"{record.utt_id}: feature file frame shift {seq.frame_shift_ms} ms "
             f"!= upstream contract {spec.frame_shift_ms} ms"
         )
     if seq.dim != spec.feature_dim:
-        raise DimensionMismatchError(
+        raise FeatureFileError(
             f"{record.utt_id}: feature dim {seq.dim} != upstream contract {spec.feature_dim}"
         )
     return seq

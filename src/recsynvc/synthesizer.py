@@ -27,12 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .config import ModelConfig, config_from_json
-from .errors import (
-    DimensionMismatchError,
-    ExtraEmbeddingError,
-    InvalidConfigError,
-    MissingEmbeddingError,
-)
+from .errors import ConfigError, VoiceConversionError
 from .nnops import (
     conv1d_same,
     conv1d_same_backward,
@@ -61,7 +56,7 @@ def decoder_from_meta(meta) -> tuple[ModelConfig, int]:
     """Inverse of ``decoder_meta``.
 
     A missing or unknown key, or a value of the wrong type, raises
-    ``InvalidConfigError`` naming the entry.
+    ``ConfigError`` naming the entry.
     """
     config = config_from_json(ModelConfig, meta, "checkpoint decoder meta",
                               input_dim="int")
@@ -83,22 +78,22 @@ class ModelParameters:
 
     def __post_init__(self):
         if self.input_dim < 1:
-            raise InvalidConfigError(f"input_dim must be >= 1, got {self.input_dim}")
+            raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         expected = parameter_shapes(self.config, self.input_dim)
         if self.tensors.keys() != expected.keys():
             missing = sorted(expected.keys() - self.tensors.keys())
             extra = sorted(self.tensors.keys() - expected.keys())
-            raise InvalidConfigError(
+            raise ConfigError(
                 f"decoder tensors do not fit the {self.config.type} config: "
                 f"missing {missing}, unexpected {extra}"
             )
         for name, tensor in self.tensors.items():
             if tensor.shape != expected[name]:
-                raise InvalidConfigError(
+                raise ConfigError(
                     f"tensor {name!r} has shape {tensor.shape}, expected {expected[name]}"
                 )
             if not np.all(np.isfinite(tensor)):
-                raise InvalidConfigError(f"tensor {name!r} contains non-finite values")
+                raise ConfigError(f"tensor {name!r} contains non-finite values")
 
 
 def parameter_shapes(config: ModelConfig, input_dim: int) -> dict[str, tuple[int, ...]]:
@@ -469,9 +464,9 @@ def free_forward_batch(params: ModelParameters, content, spk, dropout_seed):
 def _content_frames(content, input_dim):
     frames = np.asarray(content, dtype=np.float64)
     if frames.ndim != 2:
-        raise DimensionMismatchError(f"content must be T x D, got shape {frames.shape}")
+        raise VoiceConversionError(f"content must be T x D, got shape {frames.shape}")
     if frames.shape[1] != input_dim:
-        raise DimensionMismatchError(
+        raise VoiceConversionError(
             f"content dim {frames.shape[1]} != decoder input_dim {input_dim}"
         )
     return frames
@@ -480,16 +475,15 @@ def _content_frames(content, input_dim):
 def _check_embedding(config, embedding: SpeakerEmbedding | None):
     if config.speaker_conditioned:
         if embedding is None:
-            raise MissingEmbeddingError("speaker-conditioned decoder needs an embedding")
+            raise VoiceConversionError("speaker-conditioned decoder needs an embedding")
         if embedding.dim != config.embedding_dim:
-            raise DimensionMismatchError(
+            raise VoiceConversionError(
                 f"embedding dim {embedding.dim} != configured {config.embedding_dim}"
             )
         return embedding.vector.reshape(1, -1)
     if embedding is not None:
-        raise ExtraEmbeddingError(
-            "embedding supplied to a decoder that is not speaker-conditioned"
-        )
+        raise VoiceConversionError(
+            "embedding supplied to a decoder that is not speaker-conditioned")
     return None
 
 

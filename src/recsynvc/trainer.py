@@ -28,13 +28,7 @@ import numpy as np
 from .checkpoint import CHECKPOINT_SUFFIX, save_checkpoint
 from .config import Config
 from .converter import TrainedModel, model_checkpoint, normalize
-from .errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    ManifestError,
-    MissingFeatureError,
-    NonFiniteInputError,
-)
+from .errors import FeatureFileError, ManifestError, VoiceConversionError
 from .nnops import clip_grad_norm
 from .recognizer import UpstreamSpec, extract_mel, recognize, resample_features
 from .audioio import load_waveform
@@ -71,17 +65,17 @@ def compute_loss(pred, target, mask) -> float:
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
-        raise DimensionMismatchError(
+        raise VoiceConversionError(
             f"pred shape {pred.shape} != target shape {target.shape}"
         )
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != pred.shape[:-1]:
-        raise DimensionMismatchError(
+        raise VoiceConversionError(
             f"mask shape {mask.shape} does not cover frames {pred.shape[:-1]}"
         )
     n_valid = mask.sum()
     if n_valid == 0:
-        raise EmptyInputError("mask excludes every frame")
+        raise VoiceConversionError("mask excludes every frame")
     total = np.abs(pred - target) * mask[..., None]
     return float(total.sum() / (n_valid * pred.shape[-1]))
 
@@ -153,7 +147,8 @@ def _check_features_present(manifest: DatasetManifest, spec: UpstreamSpec):
         if not feature_path(spec.feature_dir, r.utt_id).exists()
     ]
     if missing:
-        raise MissingFeatureError(missing, f"feature dir {spec.feature_dir}")
+        raise FeatureFileError(f"missing features for: {', '.join(missing)} "
+                               f"(feature dir {spec.feature_dir})")
 
 
 def _prepare_examples(manifest, spec, config, encoder=None):
@@ -161,7 +156,7 @@ def _prepare_examples(manifest, spec, config, encoder=None):
     audio = config.audio
     raw = []
     for record in manifest:
-        wave = load_waveform(record.wav_path, target_rate=audio.sample_rate)
+        wave = load_waveform(record.wav_path, audio)
         mel = extract_mel(wave, audio)
         # the native upstream's content is the target mel itself
         content = mel.as_features() if spec.native else recognize(record, spec, audio)
@@ -171,7 +166,7 @@ def _prepare_examples(manifest, spec, config, encoder=None):
         if encoder is not None:
             emb = encoder(record).vector
             if emb.size != config.model.embedding_dim:
-                raise DimensionMismatchError(
+                raise VoiceConversionError(
                     f"{record.utt_id}: embedding dim {emb.size} != configured "
                     f"{config.model.embedding_dim}"
                 )
@@ -270,7 +265,7 @@ def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir
                 dropout_seed=[training.seed, step],
             )
             if not np.isfinite(loss):
-                raise NonFiniteInputError(f"loss diverged at step {step}: {loss}")
+                raise VoiceConversionError(f"loss diverged at step {step}: {loss}")
             clip_grad_norm(grads, training.grad_clip)
             optimizer.step(params.tensors, grads)
             loss_history.append(loss)

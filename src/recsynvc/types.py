@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ManifestError, NonFiniteInputError, VoiceConversionError
+from .errors import ManifestError, VoiceConversionError
 
 #: Sample rates accepted for ingested audio.  Everything is resampled to the
 #: configured working rate right after loading.
@@ -54,7 +54,7 @@ def _set_frames(seq, dtype, what: str) -> None:
             f"{what} frames must be a T x D matrix with T, D >= 1, got shape {frames.shape}"
         )
     if not np.all(np.isfinite(frames)):
-        raise NonFiniteInputError(f"{what} frames contain non-finite values")
+        raise VoiceConversionError(f"{what} frames contain non-finite values")
     if not 0.0 < shift < np.inf:
         raise VoiceConversionError(f"frame_shift_ms must be positive and finite, got {shift}")
     object.__setattr__(seq, "frames", _readonly(frames))
@@ -73,7 +73,7 @@ class Waveform:
         if samples.ndim != 1 or samples.size == 0:
             raise VoiceConversionError("waveform must be a non-empty 1-D array")
         if not np.all(np.isfinite(samples)):
-            raise NonFiniteInputError("waveform contains non-finite samples")
+            raise VoiceConversionError("waveform contains non-finite samples")
         if np.max(np.abs(samples)) > 1.0 + 1e-6:
             raise VoiceConversionError("waveform samples exceed [-1, 1]")
         if self.sample_rate not in ALLOWED_SAMPLE_RATES:
@@ -145,7 +145,7 @@ class SpeakerEmbedding:
         if vec.ndim != 1 or vec.size == 0:
             raise VoiceConversionError("embedding must be a non-empty 1-D vector")
         if not np.all(np.isfinite(vec)):
-            raise NonFiniteInputError("embedding contains non-finite values")
+            raise VoiceConversionError("embedding contains non-finite values")
         norm = float(np.linalg.norm(vec))
         if abs(norm - 1.0) > 1e-6:
             raise VoiceConversionError(

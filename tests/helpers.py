@@ -32,6 +32,10 @@ BAD_WAVS = {
     "empty": (24000, np.zeros(0, dtype=np.int16), "non-empty"),
     "int64": (24000, np.zeros(2000, dtype=np.int64), "sample format int64"),
     "8k": (8000, np.zeros(2000, dtype=np.int16), "sample rate 8000"),
+    "short": (24000, np.zeros(100, dtype=np.int16),
+              "need at least 1024 samples for one analysis window, got 100"),
+    "short_at_24k": (48000, np.zeros(2000, dtype=np.int16),
+                     "need at least 1024 samples for one analysis window, got 1000"),
 }
 
 

@@ -195,7 +195,7 @@ def test_criterion_4_toy_a2o(toy_corpus, audio, tmp_path, capsys):
     spec = mel_upstream(audio)
     manifest = toy_corpus["manifest"]
     held_in = manifest.records[0]
-    ref_wave = load_waveform(held_in.wav_path, target_rate=audio.sample_rate)
+    ref_wave = load_waveform(held_in.wav_path, audio)
     ref_cepstra = _mel_to_cepstra(extract_mel(ref_wave, audio))
 
     summaries = []

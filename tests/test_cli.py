@@ -19,6 +19,7 @@ from scipy.io import wavfile
 from recsynvc.audioio import load_waveform, save_waveform
 from recsynvc import cli, config, evaluator
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from recsynvc.config import AudioConfig
 from recsynvc.cli import main
 from recsynvc.benchmark import MetricsRow
 from recsynvc.featureio import read_features, write_features
@@ -180,14 +181,17 @@ def test_bad_wav_is_reported_once_naming_the_file(cli_checkpoint, cli_config, tm
                  "--config", str(cli_config)]) == 1
     assert main(["evaluate", str(conv_wav.parent), str(one),
                  "--out-dir", str(tmp_path / "scores")]) == 1
-    # convert goes on past a bad source and reports it on its one "failed:" line
+    # convert and extract-features go on past a bad source and report it on one
+    # "failed:" line each
     assert main(["convert", str(cli_checkpoint), str(one),
                  "--out-dir", str(tmp_path / "out")]) == 1
+    assert main(["extract-features", str(one), "--out-dir", str(tmp_path / "feats")]) == 1
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 4, lines
+    assert len(lines) == 6, lines
     assert lines[0].startswith(f"error: {record.wav_path}: ")
     assert lines[1].startswith(f"error: {conv_wav}: ")
     assert lines[3].startswith(f"failed: {record.utt_id}: {record.wav_path}: ")
+    assert lines[5].startswith(f"failed: {record.utt_id}: {record.wav_path}: ")
 
 
 @pytest.mark.parametrize("name, blob", [
@@ -338,7 +342,7 @@ def test_convert_uses_checkpoint_audio(cli_corpus, tmp_path):
                  "--out-dir", str(out_dir)]) == 0
     for record in load_manifest(cli_corpus).records:
         mel = read_features(out_dir / f"{record.utt_id}.mel.s3vc")
-        wave = load_waveform(out_dir / f"{record.utt_id}.wav", target_rate=24000)
+        wave = load_waveform(out_dir / f"{record.utt_id}.wav", AudioConfig())
         assert mel.frame_shift_ms == 5.0
         assert len(wave) == len(mel) * 120
 
@@ -479,7 +483,7 @@ def test_convert_malformed_checkpoint_is_one_error_line(cli_checkpoint, cli_corp
     rc = main(["convert", str(path), str(cli_corpus), "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and entry in lines[0]
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ") and entry in lines[0]
 
 
 def test_convert_unknown_vocoder(cli_checkpoint, cli_corpus, tmp_path, capsys):
@@ -591,6 +595,20 @@ def test_evaluate_asv_without_threshold_names_the_flag(
     assert rc == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "--threshold" in lines[0]
+    assert not (tmp_path / "scores").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1.5", "-1.01"])
+def test_evaluate_threshold_outside_the_cosine_range_is_one_error(
+        eval_setup, tmp_path, stub_speaker_encoder, capsys, value):
+    manifest_path, conv_dir = eval_setup
+    capsys.readouterr()
+    rc = main(["evaluate", str(conv_dir), str(manifest_path),
+               "--out-dir", str(tmp_path / "scores"),
+               "--speaker-encoder", stub_speaker_encoder, f"--threshold={value}"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --threshold must be a finite number in [-1, 1], got {float(value)}"]
     assert not (tmp_path / "scores").exists()
 
 

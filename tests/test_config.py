@@ -157,7 +157,8 @@ def test_audio_accepts_zero_griffin_lim_iterations(tmp_path):
     ("training", "learning_rate = inf"), ("training", "grad_clip = -1"),
     ("training", "grad_clip = nan"), ("evaluation", "mcd_order = 0"),
     ("evaluation", "mcd_order = -3"), ("evaluation", "mcd_order = 80"),
-    ("evaluation", "mcd_order = 200"),
+    ("evaluation", "mcd_order = 200"), ("training", "seed = -1"),
+    ("evaluation", "dropout_seed = -3"),
 ])
 def test_training_and_evaluation_validation(tmp_path, section, line):
     path = tmp_path / "run.ini"
@@ -169,9 +170,11 @@ def test_training_and_evaluation_validation(tmp_path, section, line):
 def test_range_ends_are_accepted(tmp_path):
     # grad_clip = 0 turns clipping off; c_1..c_79 are the cepstra of an 80-bin mel
     path = tmp_path / "run.ini"
-    path.write_text("[training]\nsteps = 1\ngrad_clip = 0\n[evaluation]\nmcd_order = 79\n")
+    path.write_text("[training]\nsteps = 1\ngrad_clip = 0\nseed = 0\n"
+                    "[evaluation]\nmcd_order = 79\ndropout_seed = 0\n")
     config = load_config(path)
     assert (config.training.steps, config.training.grad_clip) == (1, 0.0)
+    assert (config.training.seed, config.evaluation.dropout_seed) == (0, 0)
     path.write_text("[evaluation]\nmcd_order = 1\n")
     assert load_config(path).evaluation.mcd_order == 1
 

@@ -32,15 +32,7 @@ from recsynvc.converter import (
     vocode_external,
     vocode_native,
 )
-from recsynvc.errors import (
-    AdapterError,
-    DimensionMismatchError,
-    EmptyInputError,
-    ExtraEmbeddingError,
-    InvalidConfigError,
-    VoiceConversionError,
-    ZeroMeanVectorError,
-)
+from recsynvc.errors import AdapterError, ConfigError, FeatureFileError, VoiceConversionError
 from recsynvc.featureio import feature_path, write_features
 from recsynvc.recognizer import mel_upstream, recognize, resample_features
 from recsynvc.synthesizer import build_decoder, decoder_meta, forward_free_running
@@ -49,7 +41,7 @@ from recsynvc.types import FeatureSequence, MelSpectrogram, Waveform, LOG_MEL_FL
 
 def _source_wave(toy_corpus):
     record = toy_corpus["manifest"].records[0]
-    return load_waveform(record.wav_path, target_rate=24000)
+    return load_waveform(record.wav_path, AudioConfig())
 
 
 class TestConvert:
@@ -83,7 +75,8 @@ class TestConvert:
         record = toy_corpus["manifest"].records[0]
         ckpt = load_checkpoint(quick_checkpoint["path"])
         emb = sphere_embedding("nope", dim=16)
-        with pytest.raises(ExtraEmbeddingError):
+        with pytest.raises(VoiceConversionError, match="^embedding supplied to a decoder "
+                                                      "that is not speaker-conditioned$"):
             convert(record, ckpt, s=emb)
 
     def test_upstream_dim_must_match_checkpoint(self, toy_corpus,
@@ -95,7 +88,8 @@ class TestConvert:
         record = toy_corpus["manifest"].records[0]
         write_features(feature_path(tmp_path, record.utt_id),
                        FeatureSequence(np.zeros((5, 7), np.float32), 10.0))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(FeatureFileError,
+                           match=f"^{record.utt_id}: feature dim 7 != upstream contract 80$"):
             convert(record, Checkpoint(meta=meta, tensors=ckpt.tensors), tmp_path)
 
 
@@ -129,7 +123,7 @@ def test_load_model_rejects_malformed_meta(quick_checkpoint, corrupt, entry):
     ckpt = load_checkpoint(quick_checkpoint["path"])
     meta, tensors = copy.deepcopy(ckpt.meta), dict(ckpt.tensors)
     corrupt(tensors if entry.startswith("stats.") else meta)
-    with pytest.raises(InvalidConfigError, match=entry):
+    with pytest.raises(ConfigError, match=entry):
         load_model(Checkpoint(meta=meta, tensors=tensors))
 
 
@@ -213,11 +207,11 @@ class TestAverageEmbedding:
                                    atol=1e-12)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(VoiceConversionError, match="cannot average an empty list"):
             average_embedding([])
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(VoiceConversionError, match="embedding dims disagree: 8 vs 16"):
             average_embedding([sphere_embedding("a", dim=8),
                                sphere_embedding("b", dim=16)])
 
@@ -226,7 +220,7 @@ class TestAverageEmbedding:
         from recsynvc.types import SpeakerEmbedding
 
         opposite = SpeakerEmbedding(vector=-e.vector)
-        with pytest.raises(ZeroMeanVectorError):
+        with pytest.raises(VoiceConversionError, match="average to \\(near\\) zero"):
             average_embedding([e, opposite])
 
 
@@ -348,6 +342,23 @@ class TestSpeakerEncoderAdapter:
         with pytest.raises(AdapterError):
             speaker_encoder_adapter(record.wav_path, failing_adapter)
 
+    def test_output_of_two_rows_is_an_adapter_error_with_stderr(self, tmp_path):
+        script = tmp_path / "two_rows.py"
+        script.write_text(
+            "import sys\n"
+            "import numpy as np\n"
+            "from recsynvc.featureio import write_features\n"
+            "from recsynvc.types import FeatureSequence\n"
+            "print('two speakers heard', file=sys.stderr)\n"
+            "write_features(sys.argv[2], FeatureSequence(np.ones((2, 4), np.float32), 10.0))\n"
+        )
+        command = shlex.join([sys.executable, str(script)])
+        with pytest.raises(AdapterError, match="^speaker encoder output for in.wav: expected "
+                                               "a single embedding row, got 2 frames") as err:
+            speaker_encoder_adapter("in.wav", command, cache_dir=tmp_path / "cache", utt_id="u")
+        assert "two speakers heard" in err.value.stderr
+        assert not (tmp_path / "cache").exists()
+
 
 def _sh_adapter(tmp_path, body):
     script = tmp_path / "adapter.sh"
@@ -404,14 +415,22 @@ class TestReadEmbedding:
         path = tmp_path / "e.s3vc"
         write_features(path, FeatureSequence(frames=np.ones((2, 3), dtype=np.float32),
                                              frame_shift_ms=10.0))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(FeatureFileError,
+                           match=f"^{path}: expected a single embedding row, got 2 frames$"):
+            read_embedding(path)
+
+    def test_zero_row_rejected(self, tmp_path):
+        path = tmp_path / "e.s3vc"
+        write_features(path, FeatureSequence(frames=np.zeros((1, 3), dtype=np.float32),
+                                             frame_shift_ms=10.0))
+        with pytest.raises(FeatureFileError, match=f"^{path}: cannot normalize a zero"):
             read_embedding(path)
 
     def test_expected_dim(self, tmp_path):
         path = tmp_path / "e.s3vc"
         write_features(path, FeatureSequence(frames=np.ones((1, 3), dtype=np.float32),
                                              frame_shift_ms=10.0))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(FeatureFileError, match=f"^{path}: embedding dim 3 != expected 4$"):
             read_embedding(path, expected_dim=4)
 
 
@@ -424,5 +443,5 @@ def test_save_then_vocode_native_survives_round_trip(audio, toy_corpus,
     wave = vocode_native(mel, audio)
     path = tmp_path / "out.wav"
     save_waveform(path, wave)
-    back = load_waveform(path, target_rate=audio.sample_rate)
+    back = load_waveform(path, audio)
     assert len(back) == len(wave)

@@ -9,8 +9,6 @@ import pytest
 from recsynvc.errors import (
     AdapterError,
     CorrelationFileError,
-    DimensionMismatchError,
-    EmptyInputError,
     VoiceConversionError,
 )
 from recsynvc.audioio import save_waveform
@@ -192,9 +190,9 @@ def test_dtw_align_matches_double_loop_reference(ta, tb, rounded):
 
 
 def test_dtw_align_errors():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(VoiceConversionError, match="^cannot align empty sequences$"):
         dtw_align(np.empty((0, 3)), np.zeros((2, 3)))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(VoiceConversionError, match="^sequence dims disagree: 3 vs 4$"):
         dtw_align(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
@@ -225,9 +223,9 @@ def test_mcd_constant_value():
 
 
 def test_mcd_errors():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(VoiceConversionError, match="^cannot align empty sequences$"):
         mcd(np.empty((0, 24)), np.zeros((2, 24)))
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(VoiceConversionError, match="^sequence dims disagree: 24 vs 23$"):
         mcd(np.zeros((2, 24)), np.zeros((2, 23)))
 
 
@@ -250,7 +248,7 @@ def test_wer_examples():
 
 
 def test_wer_empty_reference():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(VoiceConversionError, match="^reference token list is empty$"):
         wer([], ["A"])
 
 
@@ -296,7 +294,7 @@ def test_asv_accept_rate():
     assert asv_accept_rate(trials, 0.5) == 50.0
     assert asv_accept_rate(trials, 0.1) == 100.0
     assert asv_accept_rate(trials, 0.95) == 0.0
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(VoiceConversionError, match="^no verification trials$"):
         asv_accept_rate([], 0.5)
 
 
@@ -307,7 +305,7 @@ def test_asv_accept_rate_matches_per_pair_cosines():
         assert np.min(np.abs(scores - threshold)) > 1e-12
         expected = 100.0 * int(np.count_nonzero(scores >= threshold)) / len(trials)
         assert asv_accept_rate(trials, threshold) == expected
-    with pytest.raises(DimensionMismatchError, match="16 vs 8"):
+    with pytest.raises(VoiceConversionError, match="embedding dims disagree: 16 vs 8"):
         asv_accept_rate([(trials[0][0], sphere_embedding("narrow", dim=8))], 0.5)
 
 
@@ -347,7 +345,7 @@ def test_eer_threshold_matches_candidate_loop():
 
 
 def test_eer_threshold_empty():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(VoiceConversionError, match="^need both genuine and impostor scores$"):
         eer_threshold([], [0.5])
 
 
@@ -375,13 +373,13 @@ def test_calibrate_asv_threshold():
 def test_calibrate_asv_threshold_rejects_mixed_widths():
     table = {"a": [sphere_embedding("a1", dim=8), sphere_embedding("a2", dim=8)],
              "b": [sphere_embedding("b1", dim=16)]}
-    with pytest.raises(DimensionMismatchError, match="8 vs 16"):
+    with pytest.raises(VoiceConversionError, match="embedding dims disagree: 8 vs 16"):
         calibrate_asv_threshold(table)
 
 
 def test_calibrate_asv_threshold_needs_two_speakers():
     emb = SpeakerEmbedding.from_raw(np.ones(4))
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(VoiceConversionError, match="needs >= 2 speakers"):
         calibrate_asv_threshold({"only": [emb, emb]})
 
 

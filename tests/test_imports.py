@@ -1,13 +1,14 @@
 """Every module of the package uses each name it imports, imports each name from
 the module that defines it, keeps annotations that resolve, and defines no
 public function or class that only tests use; the
-package root imports nothing; ``errors`` alone defines exception types, and the
-package raises each of them."""
+package root imports nothing; ``errors`` alone defines exception types, its
+docstring names each of them, and the package raises each of them."""
 
 import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -176,6 +177,13 @@ def test_every_error_type_is_raised():
                 made.add(node.exc.id)
     errors = importlib.import_module("recsynvc.errors")
     assert sorted(set(_exception_classes(errors)) - made) == []
+
+
+def test_errors_docstring_names_exactly_its_classes():
+    """The rule in ``errors``' docstring lists every type the module defines, and no other."""
+    errors = importlib.import_module("recsynvc.errors")
+    named = set(re.findall(r"``(\w+Error)``", errors.__doc__))
+    assert sorted(named) == sorted(_exception_classes(errors))
 
 
 def test_only_errors_defines_exception_types():

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from recsynvc.config import AudioConfig
-from recsynvc.errors import (
-    DimensionMismatchError,
-    EmptyInputError,
-    InvalidConfigError,
-    MissingFeatureError,
-)
+from recsynvc.errors import ConfigError, FeatureFileError
 from recsynvc.featureio import feature_path, write_features
 from recsynvc.recognizer import (
     MAX_FRAME_SHIFT_MS,
@@ -67,24 +62,24 @@ class TestUpstreams:
 
     def test_native_upstream_must_be_80_dim(self):
         # training takes native content straight from the target mel
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(ConfigError, match="upstream is 80-dim, got 40"):
             UpstreamSpec(name="mel", feature_dim=40, frame_shift_ms=10.0)
 
     def test_native_upstream_is_the_name_mel(self, tmp_path, audio):
         assert mel_upstream(audio).native
         assert not UpstreamSpec("ssl_stub", 80, 10.0, tmp_path).native
         # mel is computed from the wavs: no feature directory, external or not
-        with pytest.raises(InvalidConfigError, match="no feature directory"):
+        with pytest.raises(ConfigError, match="no feature directory"):
             UpstreamSpec("mel", 80, 10.0, tmp_path)
         _write(tmp_path, "u1", np.zeros((4, 80)), 10.0)
-        with pytest.raises(InvalidConfigError, match="no feature directory"):
+        with pytest.raises(ConfigError, match="no feature directory"):
             external_upstream("mel", tmp_path)
-        with pytest.raises(InvalidConfigError, match="--feature-dir"):
+        with pytest.raises(ConfigError, match="--feature-dir"):
             UpstreamSpec("ssl_stub", 7, 20.0)
 
     @pytest.mark.parametrize("shift", [0.0, 1000.5, 1e30, np.inf, np.nan])
     def test_frame_shift_outside_the_range_is_rejected(self, tmp_path, shift):
-        with pytest.raises(InvalidConfigError, match="frame_shift_ms"):
+        with pytest.raises(ConfigError, match="frame_shift_ms"):
             UpstreamSpec("ssl_stub", 7, shift, tmp_path)
         assert UpstreamSpec("ssl_stub", 7, MAX_FRAME_SHIFT_MS, tmp_path).frame_shift_ms == 1000.0
 
@@ -128,14 +123,16 @@ class TestUpstreams:
     def test_external_upstream_needs_a_feature_file(self, tmp_path, make):
         feature_dir = tmp_path / "feats"
         make(feature_dir)
-        with pytest.raises(EmptyInputError, match=str(feature_dir)):
+        with pytest.raises(FeatureFileError,
+                           match=f"^no .s3vc files in feature directory {feature_dir}$"):
             external_upstream("ssl_stub", feature_dir)
 
     def test_external_upstream_missing_file(self, audio, tmp_path):
         _write(tmp_path, "u1", np.zeros((4, 7)), 20.0)
         spec = external_upstream("ssl_stub", tmp_path)
         record = UtteranceRecord(utt_id="u9", speaker_id="A", wav_path="u9.wav")
-        with pytest.raises(MissingFeatureError):
+        path = feature_path(tmp_path, "u9")
+        with pytest.raises(FeatureFileError, match=f"^missing features for: u9 \\({path}\\)$"):
             recognize(record, spec, audio)
 
     def test_external_upstream_dim_mismatch(self, audio, tmp_path):
@@ -146,7 +143,8 @@ class TestUpstreams:
         spec = external_upstream("ssl_stub", tmp_path)
         for utt_id in ("u2", "u3"):
             record = UtteranceRecord(utt_id=utt_id, speaker_id="A", wav_path="x.wav")
-            with pytest.raises(DimensionMismatchError, match=utt_id):
+            with pytest.raises(FeatureFileError,
+                               match=f"^{utt_id}: feature (dim|file frame shift)"):
                 recognize(record, spec, audio)
 
 

@@ -8,11 +8,7 @@ import pytest
 from recsynvc.checkpoint import Checkpoint, save_checkpoint
 from recsynvc.config import AudioConfig, ModelConfig
 from recsynvc.converter import load_model
-from recsynvc.errors import (
-    DimensionMismatchError,
-    ExtraEmbeddingError,
-    MissingEmbeddingError,
-)
+from recsynvc.errors import VoiceConversionError
 from recsynvc.synthesizer import (
     backward_teacher_batch,
     build_decoder,
@@ -180,7 +176,8 @@ class TestForward:
         rng = np.random.default_rng(4)
         params = build_decoder(_config("simple"), INPUT_DIM, seed=0)
         content, _ = _data(rng, input_dim=13)
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(VoiceConversionError,
+                           match=f"^content dim 13 != decoder input_dim {INPUT_DIM}$"):
             forward_free_running(params, content, None, dropout_seed=0)
 
     def test_embedding_requirements(self):
@@ -190,13 +187,13 @@ class TestForward:
             seed=0)
         content, _ = _data(rng)
         emb = SpeakerEmbedding.from_raw(rng.standard_normal(4))
-        with pytest.raises(MissingEmbeddingError):
+        with pytest.raises(VoiceConversionError, match="decoder needs an embedding"):
             forward_free_running(conditioned, content, None, dropout_seed=0)
         out = forward_free_running(conditioned, content, emb, dropout_seed=0)
         assert out.shape == (11, 80)
 
         plain = build_decoder(_config("taco2_ar"), INPUT_DIM, seed=0)
-        with pytest.raises(ExtraEmbeddingError):
+        with pytest.raises(VoiceConversionError, match="not speaker-conditioned"):
             forward_free_running(plain, content, emb, dropout_seed=0)
 
     def test_embedding_dim_checked(self):
@@ -206,7 +203,7 @@ class TestForward:
             seed=0)
         content, _ = _data(rng)
         wrong = SpeakerEmbedding.from_raw(rng.standard_normal(5))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(VoiceConversionError, match="^embedding dim 5 != configured 4$"):
             forward_free_running(conditioned, content, wrong, dropout_seed=0)
 
     def test_embedding_changes_output(self):

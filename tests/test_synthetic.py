@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 
 from recsynvc.audioio import load_waveform
+from recsynvc.config import AudioConfig
 from recsynvc.manifest import load_manifest
 from recsynvc.synthetic import (
     make_toy_corpus,
@@ -88,6 +89,6 @@ def test_speakers_sound_different():
 def test_wavs_survive_audio_round_trip(tmp_path):
     path = make_toy_corpus(tmp_path / "d", n_utterances=1, duration=0.4)
     record = load_manifest(path).records[0]
-    wave = load_waveform(record.wav_path, target_rate=24000)
+    wave = load_waveform(record.wav_path, AudioConfig())
     assert wave.sample_rate == 24000
     assert wave.samples.shape == (9600,)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from recsynvc.errors import ManifestError, NonFiniteInputError, VoiceConversionError
+from recsynvc.errors import ManifestError, VoiceConversionError
 from recsynvc.types import (
     DatasetManifest,
     FeatureSequence,
@@ -34,7 +34,7 @@ class TestWaveform:
             Waveform(samples=np.zeros((4, 2)), sample_rate=24000)
 
     def test_rejects_nan_and_overrange(self):
-        with pytest.raises(NonFiniteInputError):
+        with pytest.raises(VoiceConversionError, match="^waveform contains non-finite samples$"):
             Waveform(samples=np.array([0.0, np.nan]), sample_rate=24000)
         with pytest.raises(VoiceConversionError):
             Waveform(samples=np.array([0.0, 1.5]), sample_rate=24000)
@@ -65,7 +65,7 @@ class TestFeatureSequence:
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(VoiceConversionError):
             FeatureSequence(frames=np.zeros((0, 4)), frame_shift_ms=10.0)
-        with pytest.raises(NonFiniteInputError):
+        with pytest.raises(VoiceConversionError, match="^feature frames contain non-finite"):
             FeatureSequence(frames=np.array([[np.inf]]), frame_shift_ms=10.0)
         with pytest.raises(VoiceConversionError):
             FeatureSequence(frames=np.zeros((1, 1)), frame_shift_ms=0.0)
@@ -91,7 +91,7 @@ class TestMelSpectrogram:
     def test_rejects_empty_nonfinite_and_infinite_shift(self):
         with pytest.raises(VoiceConversionError):
             MelSpectrogram(frames=np.zeros((0, N_MELS)), frame_shift_ms=10.0)
-        with pytest.raises(NonFiniteInputError):
+        with pytest.raises(VoiceConversionError, match="^mel frames contain non-finite"):
             MelSpectrogram(frames=np.full((2, N_MELS), np.nan), frame_shift_ms=10.0)
         with pytest.raises(VoiceConversionError, match="frame_shift_ms"):
             MelSpectrogram(frames=np.zeros((2, N_MELS)), frame_shift_ms=np.inf)
