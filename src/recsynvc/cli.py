@@ -29,13 +29,13 @@ from .benchmark import (
 from .checkpoint import load_checkpoint
 from .config import Config, ModelConfig, load_config
 from .converter import (
-    _vocoder_command,
     average_embedding,
     convert,
     load_model,
     read_embedding,
     speaker_encoder_adapter,
     vocode,
+    vocoder_command,
 )
 from .errors import ConfigError, CorrelationFileError, FeatureFileError, VoiceConversionError
 from .evaluator import (
@@ -176,7 +176,7 @@ def cmd_convert(args) -> int:
     if args.jobs < 1:
         return _fail(f"--jobs must be at least 1, got {args.jobs}")
     # a bad vocoder, checkpoint or --feature-dir is one error, not one per utterance
-    _vocoder_command(args.vocoder)
+    vocoder_command(args.vocoder)
     checkpoint = load_checkpoint(args.checkpoint)
     try:
         model = load_model(checkpoint)
@@ -280,7 +280,8 @@ def cmd_evaluate(args) -> int:
     asv = None
     if conv_embeddings:
         if args.target_embedding is not None:
-            target = read_embedding(args.target_embedding)
+            target = read_embedding(args.target_embedding,
+                                    expected_dim=conv_embeddings[0].dim)
         elif target_embeddings:
             target = average_embedding(target_embeddings)
         else:

@@ -295,7 +295,7 @@ def _adapter_output(adapter: str, path: Path, stderr: str, read):
         raise AdapterError(f"{adapter} output unreadable: {exc}", stderr) from None
 
 
-def _vocoder_command(vocoder: str) -> str | None:
+def vocoder_command(vocoder: str) -> str | None:
     """The command of an ``"external:<command>"`` selector, None for ``"native"``.
 
     Any other selector, or an empty or unparsable command, raises ``AdapterError``.
@@ -311,7 +311,7 @@ def _vocoder_command(vocoder: str) -> str | None:
 
 def vocode(mel: MelSpectrogram, audio: AudioConfig, vocoder: str = "native") -> Waveform:
     """Dispatch on a vocoder selector: "native" or "external:<command>"."""
-    command = _vocoder_command(vocoder)
+    command = vocoder_command(vocoder)
     if command is None:
         return vocode_native(mel, audio)
     return vocode_external(mel, command, audio)

@@ -411,9 +411,11 @@ def teacher_forward_batch(params: ModelParameters, content, prev, spk, dropout_s
                           post_caches)
 
 
-def backward_teacher_batch(params: ModelParameters, cache, d_main, d_before=None):
+def backward_teacher_batch(params: ModelParameters, cache, d_main, d_before):
     """Parameter gradients for a teacher-forced forward.
 
+    ``d_main`` and ``d_before`` are the loss gradients in the forward's two
+    outputs; ``d_before`` is None exactly when the model has no postnet.
     Uses up ``cache``: its lists are empty when this returns.
     """
     content, ffn_positive, input_cache, stack_caches, h_seq, post_caches = cache
@@ -422,9 +424,7 @@ def backward_teacher_batch(params: ModelParameters, cache, d_main, d_before=None
     dy_before = d_main
     if config.type == "taco2_ar":
         # main branch: identity + postnet residual; aux branch hits y_before directly
-        dy_before = d_main + _postnet_backward(p, config, d_main, post_caches, grads)
-        if d_before is not None:
-            dy_before = dy_before + d_before
+        dy_before = d_main + _postnet_backward(p, config, d_main, post_caches, grads) + d_before
     dh_seq = linear_backward(dy_before, h_seq, p["out.w"], grads, "out")
     dx_seq = _recurrent_backward(p, _layers(config), dh_seq, stack_caches, grads)
     if config.type == "taco2_ar":

@@ -56,34 +56,18 @@ class TrainRun:
     checkpoint_path: Path
 
 
-def compute_loss(pred, target, mask) -> float:
-    """Masked mean absolute error over valid frames.
+def masked_l1(pred, target, mask):
+    """Masked mean absolute error and its gradient in ``pred``.
 
     ``mask`` holds 1.0 for real frames and 0.0 for batch padding; it covers
-    the frame axes (everything except the feature dimension).
+    the frame axes (everything except the feature dimension).  Returns
+    ``(loss, d_pred)``: the mean of ``|pred - target|`` over the unmasked
+    frames and every feature bin, and its subgradient, zero on masked frames.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise VoiceConversionError(
-            f"pred shape {pred.shape} != target shape {target.shape}"
-        )
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != pred.shape[:-1]:
-        raise VoiceConversionError(
-            f"mask shape {mask.shape} does not cover frames {pred.shape[:-1]}"
-        )
-    n_valid = mask.sum()
-    if n_valid == 0:
-        raise VoiceConversionError("mask excludes every frame")
-    total = np.abs(pred - target) * mask[..., None]
-    return float(total.sum() / (n_valid * pred.shape[-1]))
-
-
-def _loss_gradient(pred, target, mask):
-    """d(compute_loss)/d(pred) for the masked mean absolute error."""
-    n_valid = mask.sum() * pred.shape[-1]
-    return np.sign(pred - target) * mask[..., None] / n_valid
+    diff = pred - target
+    n = mask.sum() * pred.shape[-1]
+    loss = float((np.abs(diff) * mask[..., None]).sum() / n)
+    return loss, np.sign(diff) * mask[..., None] / n
 
 
 def loss_and_grads(params: ModelParameters, content, target, mask, spk,
@@ -96,12 +80,11 @@ def loss_and_grads(params: ModelParameters, content, target, mask, spk,
     """
     prev = shift_frames_right(target)
     main, before, cache = teacher_forward_batch(params, content, prev, spk, dropout_seed)
-    loss = compute_loss(main, target, mask)
-    d_main = _loss_gradient(main, target, mask)
+    loss, d_main = masked_l1(main, target, mask)
     d_before = None
     if before is not None:
-        loss += compute_loss(before, target, mask)
-        d_before = _loss_gradient(before, target, mask)
+        loss_before, d_before = masked_l1(before, target, mask)
+        loss += loss_before
     grads = backward_teacher_batch(params, cache, d_main, d_before)
     return loss, grads
 

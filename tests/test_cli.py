@@ -627,8 +627,7 @@ def test_evaluate_target_embedding_of_another_width_is_one_error(
                "--target-embedding", str(narrow), "--threshold", "0.5"])
     assert rc == 1
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert "16 vs 8" in lines[0]
+    assert lines == [f"error: {narrow}: embedding dim 8 != expected 16"]
 
 
 def test_evaluate_pair_above_the_dtw_cap_is_one_error_line(eval_setup, tmp_path, capsys,

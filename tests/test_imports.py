@@ -1,8 +1,8 @@
 """Every module of the package uses each name it imports, imports each name from
-the module that defines it, keeps annotations that resolve, and defines no
-public function or class that only tests use; the
-package root imports nothing; ``errors`` alone defines exception types, its
-docstring names each of them, and the package raises each of them."""
+the module that defines it and no name private to that module, keeps
+annotations that resolve, and defines no public function or class that only
+tests use; the package root imports nothing; ``errors`` alone defines exception
+types, its docstring names each of them, and the package raises each of them."""
 
 import ast
 import importlib
@@ -78,6 +78,24 @@ def test_each_name_is_imported_from_its_defining_module():
     borrowed = {path.name: _borrowed_imports(path.read_text("utf-8"), defined)
                 for path in MODULES}
     assert {name: lines for name, lines in borrowed.items() if lines} == {}
+
+
+def _private_imports(source: str) -> list[str]:
+    """``from .mod import _name`` lines: a name private to ``mod`` used outside it."""
+    return [f"line {node.lineno}: {alias.name} from .{node.module or ''}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_scan_finds_a_private_import():
+    source = "from .a import f\nfrom .b import _g, h\nfrom . import _c\n"
+    assert _private_imports(source) == ["line 2: _g from .b", "line 3: _c from ."]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    private = {path.name: _private_imports(path.read_text("utf-8")) for path in MODULES}
+    assert {name: lines for name, lines in private.items() if lines} == {}
 
 
 def _defined(module):

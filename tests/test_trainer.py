@@ -18,36 +18,46 @@ from recsynvc.recognizer import external_upstream, mel_upstream
 from recsynvc.synthesizer import build_decoder
 from recsynvc.trainer import (
     AdamOptimizer,
-    compute_loss,
     loss_and_grads,
+    masked_l1,
     train,
 )
 from recsynvc.types import DatasetManifest, FeatureSequence
 
 
-class TestComputeLoss:
+class TestMaskedL1:
     def test_plain_mean_absolute_error(self):
         pred = np.zeros((2, 3, 4))
         target = np.full((2, 3, 4), 2.0)
-        assert compute_loss(pred, target, np.ones((2, 3))) == pytest.approx(2.0)
+        loss, _ = masked_l1(pred, target, np.ones((2, 3)))
+        assert loss == pytest.approx(2.0)
 
     def test_mask_excludes_padding(self):
         pred = np.zeros((1, 3, 2))
         target = np.stack([[[1.0, 1.0], [1.0, 1.0], [9.0, 9.0]]])
         mask = np.array([[1.0, 1.0, 0.0]])
-        assert compute_loss(pred, target, mask) == pytest.approx(1.0)
+        loss, _ = masked_l1(pred, target, mask)
+        assert loss == pytest.approx(1.0)
 
-    def test_shape_mismatch(self):
-        with pytest.raises(VoiceConversionError, match="pred shape"):
-            compute_loss(np.zeros((1, 2, 3)), np.zeros((1, 2, 4)), np.ones((1, 2)))
-        with pytest.raises(VoiceConversionError, match="mask shape"):
-            compute_loss(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)),
-                         np.zeros((1, 3)))
-
-    def test_empty_mask(self):
-        with pytest.raises(VoiceConversionError, match="^mask excludes every frame$"):
-            compute_loss(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)),
-                         np.zeros((1, 2)))
+    def test_gradient_matches_central_differences(self):
+        rng = np.random.default_rng(0)
+        pred = rng.standard_normal((2, 4, 3))
+        target = rng.standard_normal((2, 4, 3))
+        mask = np.ones((2, 4))
+        mask[1, 2:] = 0.0
+        _, d_pred = masked_l1(pred, target, mask)
+        eps = 1e-6  # far below every |pred - target|, so no step crosses the kink
+        assert np.abs(pred - target).min() > 10 * eps
+        fd = np.zeros_like(pred)
+        for idx in np.ndindex(pred.shape):
+            hi, lo = pred.copy(), pred.copy()
+            hi[idx] += eps
+            lo[idx] -= eps
+            fd[idx] = (masked_l1(hi, target, mask)[0]
+                       - masked_l1(lo, target, mask)[0]) / (2 * eps)
+        np.testing.assert_allclose(d_pred, fd, rtol=1e-6, atol=1e-9)
+        assert np.all(d_pred[1, 2:] == 0.0)
+        assert np.all(d_pred[mask == 1.0] != 0.0)
 
 
 class TestNormalization:

@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Run the toy pipeline for every decoder setup and print its output digests.
+
+Usage: python3 tools/output_digests.py OUT_DIR
+
+For `simple`, `simple_ar`, `taco2_ar` (any-to-one) and speaker-conditioned
+`taco2_ar` (any-to-any), this writes a small synthetic corpus, then runs the
+CLI's `train`, `convert` and `evaluate` (with stub ASR and speaker-encoder
+commands) under OUT_DIR. It prints one `sha256  path` line, sorted by path,
+for every `.s3ck`, `.mel.s3vc`, `.wav`, `report.tsv` and `summary.json` there.
+Run it on two checkouts and diff the printed lines to show that a change
+keeps every output bit for bit. BLAS runs on one thread, because the bits
+depend on the thread count.
+"""
+
+import hashlib
+import os
+import shlex
+import sys
+from pathlib import Path
+
+# BLAS threads are pinned before numpy loads
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from recsynvc import cli  # noqa: E402
+from recsynvc.synthetic import make_toy_corpus  # noqa: E402
+
+# (name, decoder type, any-to-any)
+SETUPS = (
+    ("simple", "simple", False),
+    ("simple_ar", "simple_ar", False),
+    ("taco2_ar", "taco2_ar", False),
+    ("a2a_taco2_ar", "taco2_ar", True),
+)
+EMBEDDING_DIM = 16
+DIGESTED = (".s3ck", ".mel.s3vc", ".wav", "report.tsv", "summary.json")
+
+# stub adapters: a fixed transcript, and a hash of the wav's name to a unit vector
+ASR_STUB = 'print("PA KO")\n'
+ENCODER_STUB = f"""\
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, {str(SRC)!r})
+import numpy as np
+from recsynvc.featureio import write_features
+from recsynvc.types import FeatureSequence
+
+digest = hashlib.sha256(Path(sys.argv[1]).stem.encode()).digest()
+rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+vec = rng.standard_normal({EMBEDDING_DIM})
+write_features(sys.argv[2], FeatureSequence(frames=vec[None, :] / np.linalg.norm(vec),
+                                            frame_shift_ms=10.0))
+"""
+
+
+def _config(decoder_type: str) -> str:
+    return f"""\
+[model]
+type = {decoder_type}
+hidden_dim = 32
+lstmp_proj_dim = 32
+prenet_dims = 16,16
+postnet_layers = 2
+postnet_channels = 16
+embedding_dim = {EMBEDDING_DIM}
+
+[training]
+learning_rate = 0.003
+batch_size = 4
+steps = 6
+checkpoint_interval = 3
+log_interval = 100
+
+[audio]
+griffin_lim_iters = 4
+"""
+
+
+def _command(path: Path, body: str) -> str:
+    path.write_text(body, encoding="utf-8")
+    return shlex.join([sys.executable, str(path)])
+
+
+def _run(argv) -> None:
+    if cli.main([str(a) for a in argv]) != 0:
+        raise SystemExit(f"failed: recsynvc {' '.join(map(str, argv))}")
+
+
+def run_pipeline(out: Path) -> None:
+    asr = _command(out / "asr_stub.py", ASR_STUB)
+    encoder = _command(out / "encoder_stub.py", ENCODER_STUB)
+    single = make_toy_corpus(out / "corpus_a2o", n_utterances=6, n_speakers=1,
+                             duration=0.4, seed=0)
+    multi = make_toy_corpus(out / "corpus_a2a", n_utterances=6, n_speakers=3,
+                            duration=0.4, seed=1)
+    source = make_toy_corpus(out / "corpus_source", n_utterances=2, n_speakers=2,
+                             duration=0.4, seed=2)
+    for name, decoder_type, a2a in SETUPS:
+        run = out / name
+        run.mkdir()
+        config = run / "config.ini"
+        config.write_text(_config(decoder_type), encoding="utf-8")
+        if a2a:
+            _run(["train", multi, "--mode", "a2a", "--out-dir", run / "train",
+                  "--config", config, "--speaker-encoder", encoder,
+                  "--embeddings-cache", run / "embeddings"])
+            target = ["--target-embedding", run / "embeddings" / "SPK1_000.s3vc"]
+        else:
+            _run(["train", single, "--out-dir", run / "train", "--config", config])
+            target = []
+        _run(["convert", run / "train" / "final.s3ck", source,
+              "--out-dir", run / "converted", "--config", config, *target])
+        _run(["evaluate", run / "converted", source, "--out-dir", run / "scores",
+              "--config", config, "--asr", asr, "--speaker-encoder", encoder,
+              "--threshold", "0.5", *target])
+
+
+def main(argv) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=False)
+    run_pipeline(out)
+    for path in sorted(out.rglob("*")):
+        if path.is_file() and path.name.endswith(DIGESTED):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(out)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
