@@ -40,13 +40,14 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    parts = [pack_text(json.dumps(ckpt.meta, sort_keys=True, separators=(",", ":"))),
+    parts = [MAGIC, pack("I", VERSION),
+             pack_text(json.dumps(ckpt.meta, sort_keys=True, separators=(",", ":"))),
              pack("I", len(ckpt.tensors))]
     for name in sorted(ckpt.tensors):
         tensor = np.ascontiguousarray(ckpt.tensors[name], dtype="<f8")
         dims = (tensor.ndim, *tensor.shape)
         parts += [pack_text(name), pack(f"{len(dims)}I", *dims), tensor.tobytes()]
-    write_atomic(path, MAGIC, VERSION, parts)
+    write_atomic(path, parts)
 
 
 def load_checkpoint(path) -> Checkpoint:

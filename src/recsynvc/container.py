@@ -1,11 +1,12 @@
 """Bounds-checked reading and atomic writing shared by the binary formats.
 
-Feature files (``featureio``) and checkpoints (``checkpoint``) are both
-little-endian containers that open with a four-byte magic and a u32 version.
-``Reader`` walks a whole file's bytes: each size read from the file is
-compared with the bytes left before anything is allocated, text is decoded as
-UTF-8 and JSON, and bytes left after the last field are rejected.  Every such
-failure raises a ``FeatureFileError`` naming the file.
+Feature files (``featureio``), checkpoints (``checkpoint``) and wavs
+(``audioio``) are little-endian files that open with a four-byte magic; the
+first two follow it with a u32 version.  ``Reader`` walks a whole file's
+bytes: each size read from the file is compared with the bytes left before
+anything is allocated, text is decoded as UTF-8 and JSON, and bytes left after
+the last field are rejected.  Every such failure raises the format's error
+type (``FeatureFileError`` unless the caller names another) naming the file.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ def pack_text(text: str) -> bytes:
     return pack("I", len(blob)) + blob
 
 
-def write_atomic(path, magic: bytes, version: int, parts) -> None:
-    """Write magic, version and the byte strings ``parts`` to ``path``.
+def write_atomic(path, parts) -> None:
+    """Write the byte strings ``parts`` to ``path``.
 
     The bytes go to a temp file beside ``path``, which is then renamed over
     it, so readers never see a partly written file.
@@ -41,31 +42,32 @@ def write_atomic(path, magic: bytes, version: int, parts) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        fh.write(magic + pack("I", version))
         fh.writelines(parts)
     os.replace(tmp, path)
 
 
 class Reader:
-    """Cursor over the bytes of one container file, past its magic and version."""
+    """Cursor over the bytes of one file, past its magic and, if given, its u32 version.
 
-    def __init__(self, path, magic: bytes, version: int):
+    ``error`` is the type raised for every defect, with a message naming the file.
+    """
+
+    def __init__(self, path, magic: bytes, version: int | None = None,
+                 error: type[Exception] = FeatureFileError):
         self.path = path
+        self.error = error
         self.data = memoryview(Path(path).read_bytes())
         self.pos = 0
         found = bytes(self.take(len(magic)))
         if found != magic:
-            raise FeatureFileError(f"{path}: bad magic {found!r}, expected {magic!r}")
-        found = self.u32()
-        if found != version:
-            raise FeatureFileError(
-                f"{path}: unsupported version {found}, expected {version}"
-            )
+            raise error(f"{path}: bad magic {found!r}, expected {magic!r}")
+        if version is not None and (found := self.u32()) != version:
+            raise error(f"{path}: unsupported version {found}, expected {version}")
 
     def take(self, n: int) -> memoryview:
         left = len(self.data) - self.pos
         if n > left:
-            raise FeatureFileError(
+            raise self.error(
                 f"{self.path}: truncated: {n} bytes needed at offset {self.pos}, "
                 f"{left} left"
             )
@@ -85,14 +87,14 @@ class Reader:
         try:
             return str(raw, "utf-8")
         except UnicodeDecodeError as exc:
-            raise FeatureFileError(f"{self.path}: text is not UTF-8: {exc}") from None
+            raise self.error(f"{self.path}: text is not UTF-8: {exc}") from None
 
     def json(self):
         """A ``text`` field holding one JSON value."""
         try:
             return json.loads(self.text())
         except ValueError as exc:  # JSONDecodeError, or a number too long to parse
-            raise FeatureFileError(f"{self.path}: invalid JSON: {exc}") from None
+            raise self.error(f"{self.path}: invalid JSON: {exc}") from None
 
     def array(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
         """A row-major array viewed in place: read-only, and possibly unaligned."""
@@ -101,10 +103,10 @@ class Reader:
         try:
             return flat.reshape(shape)
         except ValueError as exc:  # an empty shape whose other dims overflow
-            raise FeatureFileError(f"{self.path}: bad shape {shape}: {exc}") from None
+            raise self.error(f"{self.path}: bad shape {shape}: {exc}") from None
 
     def finish(self) -> None:
         if self.pos != len(self.data):
-            raise FeatureFileError(
+            raise self.error(
                 f"{self.path}: {len(self.data) - self.pos} trailing bytes after the last field"
             )

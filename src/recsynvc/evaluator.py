@@ -10,9 +10,9 @@ favor of (1,1) then (1,0) so paths are unique and reproducible.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 
 from .config import AudioConfig
 from .converter import run_adapter
@@ -31,15 +31,31 @@ MAX_DTW_CELLS = 25_000_000
 
 # --- cepstra ----------------------------------------------------------------------
 
-def mel_cepstra(wave: Waveform, order: int, audio: AudioConfig) -> FeatureSequence:
-    """Per-frame cepstra c_1..c_order of the log-mel spectrogram.
+@lru_cache(maxsize=16)
+def _dct_basis(n: int) -> np.ndarray:
+    """Rows 1..n-1 of the orthonormal DCT-II matrix of size n, shape (n - 1, n).
 
-    The DC term c_0 is dropped, so a constant spectrum (silence at the log
-    floor) yields all-zero rows.
+    Built once per size; the cached array is read-only.
     """
-    mel = extract_mel(wave, audio)
-    cepstra = scipy.fft.dct(mel.frames, type=2, norm="ortho", axis=1)
-    return FeatureSequence(cepstra[:, 1:order + 1].astype(np.float32), audio.frame_shift_ms)
+    k = np.arange(1, n)[:, None]
+    basis = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
+    basis.flags.writeable = False
+    return basis
+
+
+def mel_cepstra(wave: Waveform, order: int, audio: AudioConfig) -> FeatureSequence:
+    """Per-frame cepstra c_1..c_order of the log-mel spectrogram, as float32.
+
+    They are the orthonormal DCT-II of each log-mel frame, taken as one
+    product with a cached basis.  The DC term c_0 is left out.  A constant
+    added to a frame moves only c_0, so each frame's first bin is subtracted
+    first; a constant spectrum (silence at the log floor) then yields exactly
+    zero rows.
+    """
+    frames = extract_mel(wave, audio).frames
+    frames = frames - frames[:, :1]
+    cepstra = frames @ _dct_basis(frames.shape[1]).T
+    return FeatureSequence(cepstra[:, :order].astype(np.float32), audio.frame_shift_ms)
 
 
 def _frames_of(x) -> np.ndarray:

@@ -31,7 +31,7 @@ def write_features(path, seq: FeatureSequence) -> None:
     """Serialize ``seq`` to ``path`` atomically (write temp, then rename)."""
     frames = np.ascontiguousarray(seq.frames, dtype="<f4")
     header = pack("IIf", *frames.shape, seq.frame_shift_ms)
-    write_atomic(path, MAGIC, VERSION, [header, frames.tobytes()])
+    write_atomic(path, [MAGIC, pack("I", VERSION), header, frames.tobytes()])
 
 
 def read_features(path) -> FeatureSequence:

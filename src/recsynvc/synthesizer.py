@@ -411,8 +411,23 @@ def teacher_forward_batch(params: ModelParameters, content, prev, spk, dropout_s
                           post_caches)
 
 
+class _Gradients(dict):
+    """Gradient accumulators by parameter name, each zeros from its first use.
+
+    The backward then holds only the gradients of the layers it has reached.
+    """
+
+    def __init__(self, tensors):
+        super().__init__()
+        self.tensors = tensors
+
+    def __missing__(self, name):
+        grad = self[name] = np.zeros_like(self.tensors[name])
+        return grad
+
+
 def backward_teacher_batch(params: ModelParameters, cache, d_main, d_before):
-    """Parameter gradients for a teacher-forced forward.
+    """Parameter gradients for a teacher-forced forward, in parameter order.
 
     ``d_main`` and ``d_before`` are the loss gradients in the forward's two
     outputs; ``d_before`` is None exactly when the model has no postnet.
@@ -420,7 +435,7 @@ def backward_teacher_batch(params: ModelParameters, cache, d_main, d_before):
     """
     content, ffn_positive, input_cache, stack_caches, h_seq, post_caches = cache
     p, config = params.tensors, params.config
-    grads = {name: np.zeros_like(t) for name, t in p.items()}
+    grads = _Gradients(p)
     dy_before = d_main
     if config.type == "taco2_ar":
         # main branch: identity + postnet residual; aux branch hits y_before directly
@@ -433,7 +448,8 @@ def backward_teacher_batch(params: ModelParameters, cache, d_main, d_before):
     else:
         dffn_pre = dx_seq[:, :, :config.hidden_dim] * ffn_positive
         linear_backward(dffn_pre, content, p["ffn.w"], grads, "ffn")
-    return grads
+    # clip_grad_norm sums in dict order, so the order is part of the bits
+    return {name: grads[name] for name in p}
 
 
 def free_forward_batch(params: ModelParameters, content, spk, dropout_seed):

@@ -5,6 +5,7 @@ import shlex
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from recsynvc.errors import (
     AdapterError,
@@ -32,6 +33,7 @@ from recsynvc.evaluator import (
     transcribe_adapter,
     wer,
 )
+from recsynvc.recognizer import extract_mel
 from recsynvc.types import SpeakerEmbedding, Waveform
 
 from helpers import path_cost, pearson, sphere_embedding, write_metrics_table
@@ -77,6 +79,15 @@ def test_mel_cepstra_gain_invariant(audio):
 def test_mel_cepstra_silence_is_zero(audio):
     ceps = mel_cepstra(Waveform(np.zeros(7200), 24000), 24, audio)
     assert np.all(ceps.frames == 0.0)
+
+
+def test_mel_cepstra_match_scipy_dct(audio):
+    """The basis product is scipy's orthonormal DCT-II to within a float32 step."""
+    wave = _noise_wave()
+    frames = extract_mel(wave, audio).frames
+    reference = scipy.fft.dct(frames, type=2, norm="ortho", axis=1)[:, 1:25]
+    ceps = mel_cepstra(wave, 24, audio).frames
+    np.testing.assert_allclose(ceps, reference.astype(np.float32), rtol=0, atol=4e-6)
 
 
 def test_mel_cepstra_order_truncates(audio):

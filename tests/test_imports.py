@@ -159,11 +159,15 @@ def test_package_root_imports_nothing():
 
 def test_feature_files_load_without_scipy():
     """Adapters that only read or write ``.s3vc`` files, and the correlation study,
-    start without loading scipy or any pipeline module."""
+    start without loading scipy or any pipeline module; the CLI loads every module
+    but the synthetic corpus, and no scipy either (``audioio`` imports it to
+    resample)."""
     loads = {"recsynvc.featureio, recsynvc.types":
              ["recsynvc", "recsynvc.container", "recsynvc.errors", "recsynvc.featureio",
               "recsynvc.types"],
-             "recsynvc.benchmark": ["recsynvc", "recsynvc.benchmark", "recsynvc.errors"]}
+             "recsynvc.benchmark": ["recsynvc", "recsynvc.benchmark", "recsynvc.errors"],
+             "recsynvc.cli": ["recsynvc"] + [f"recsynvc.{path.stem}" for path in MODULES
+                                             if path.stem != "synthetic"]}
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     for modules, expected in loads.items():

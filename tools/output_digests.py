@@ -6,13 +6,20 @@ Usage: python3 tools/output_digests.py OUT_DIR
 For `simple`, `simple_ar`, `taco2_ar` (any-to-one) and speaker-conditioned
 `taco2_ar` (any-to-any), this writes a small synthetic corpus, then runs the
 CLI's `train`, `convert` and `evaluate` (with stub ASR and speaker-encoder
-commands) under OUT_DIR. It prints one `sha256  path` line, sorted by path,
-for every `.s3ck`, `.mel.s3vc`, `.wav`, `report.tsv` and `summary.json` there.
-Run it on two checkouts and diff the printed lines to show that a change
-keeps every output bit for bit. BLAS runs on one thread, because the bits
-depend on the thread count.
+commands) under OUT_DIR. It prints one `sha256  path` line, sorted by path
+relative to OUT_DIR, for every `.s3ck`, `.mel.s3vc`, `.wav`, `report.tsv` and
+`summary.json` there. Run it on two checkouts and diff the printed lines to
+show that a change keeps every output bit for bit. BLAS runs on one thread,
+because the bits depend on the thread count.
+
+The bits also depend on the numpy version, the OpenBLAS version and the CPU
+kernel OpenBLAS picks, so the digests follow three `# key: value` lines that
+name them (`numpy`, `blas` with its version, `openblas_core`).
+`output_digests.txt` beside this script holds the recorded output, and
+`tests/test_output_digests.py` reruns the script and compares.
 """
 
+import ctypes
 import hashlib
 import os
 import shlex
@@ -121,6 +128,33 @@ def run_pipeline(out: Path) -> None:
               "--threshold", "0.5", *target])
 
 
+def _openblas_core() -> str:
+    """The kernel set OpenBLAS picked at load time, or "unknown"."""
+    maps = Path("/proc/self/maps")
+    if not maps.exists():
+        return "unknown"
+    libs = {line.split()[-1] for line in maps.read_text().splitlines()
+            if "openblas" in line.rsplit("/", 1)[-1]}
+    for lib in sorted(libs):
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename"):
+            corename = getattr(ctypes.CDLL(lib), symbol, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
+def platform_key() -> dict[str, str]:
+    """The library versions and BLAS kernel that the digests depend on."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+            "openblas_core": _openblas_core()}
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -128,6 +162,8 @@ def main(argv) -> int:
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=False)
     run_pipeline(out)
+    for key, value in platform_key().items():
+        print(f"# {key}: {value}")
     for path in sorted(out.rglob("*")):
         if path.is_file() and path.name.endswith(DIGESTED):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
