@@ -46,8 +46,7 @@ config = Config(
     audio=AudioConfig(),
     model=ModelConfig(type="taco2_ar", hidden_dim=64, lstmp_proj_dim=64,
                       prenet_dims=(32, 32), postnet_layers=3,
-                      postnet_channels=32, speaker_conditioned=True,
-                      embedding_dim=16),
+                      postnet_channels=32, embedding_dim=16),
     training=TrainingConfig(learning_rate=3e-3, batch_size=4, steps=100,
                             checkpoint_interval=100, log_interval=25, seed=0),
 )

@@ -34,19 +34,16 @@ _BASELINE_SYSTEMS = ("mel", "PPG (TIMIT)")
 
 @dataclass(frozen=True)
 class MetricsRow:
-    """One system's scores; subjective columns are optional."""
+    """One system's objective and subjective scores."""
 
     system: str
     mcd: float
     wer: float
     asv: float
-    naturalness: float | None = None
-    similarity: float | None = None
+    naturalness: float
+    similarity: float
 
     def __post_init__(self):
-        for key in ("mcd", "wer", "asv"):
-            if getattr(self, key) is None:
-                raise VoiceConversionError(f"metrics row {self.system!r} lacks {key}")
         # false for nan; the strict upper bound rejects inf
         if not (0.0 <= self.mcd < math.inf and 0.0 <= self.wer < math.inf):
             raise VoiceConversionError(
@@ -54,11 +51,11 @@ class MetricsRow:
             )
         if not 0.0 <= self.asv <= 100.0:
             raise VoiceConversionError(f"asv must be a percentage, got {self.asv}")
-        if self.naturalness is not None and not 1.0 <= self.naturalness <= 5.0:
+        if not 1.0 <= self.naturalness <= 5.0:
             raise VoiceConversionError(
                 f"naturalness must be a 1..5 score, got {self.naturalness}"
             )
-        if self.similarity is not None and not 0.0 <= self.similarity <= 100.0:
+        if not 0.0 <= self.similarity <= 100.0:
             raise VoiceConversionError(
                 f"similarity must be a percentage, got {self.similarity}"
             )
@@ -72,12 +69,11 @@ _TABLE_COLUMNS = ("system", "mcd", "wer", "asv", "naturalness", "similarity")
 def read_metrics_table(path) -> list[MetricsRow]:
     """Read a tab-separated metrics table; blank and # lines are skipped.
 
-    The first other line names the columns, each one of ``_TABLE_COLUMNS``;
-    an empty cell, ``-``, ``na`` or ``NA`` leaves a score out, and a row may
-    stop short of the last columns.  Text that is not UTF-8, an unknown or
-    repeated column, a row with more cells than columns or without a system,
-    a cell that is not a number and a score out of range raise
-    ``CorrelationFileError`` naming the file and the line.
+    The first other line names the columns: each of ``_TABLE_COLUMNS``
+    once, in any order.  Every row has a cell in every column.  Text that is
+    not UTF-8, an unknown, repeated or missing column, a row with another
+    number of cells, a score cell that is not a number and a score out of
+    range raise ``CorrelationFileError`` naming the file and the line.
     """
     try:
         text = Path(path).read_text("utf-8")
@@ -95,17 +91,17 @@ def read_metrics_table(path) -> list[MetricsRow]:
             for name in header:
                 if name not in _TABLE_COLUMNS or header.count(name) > 1:
                     raise CorrelationFileError(f"{where}: unknown or repeated column {name!r}")
+            if missing := [name for name in _TABLE_COLUMNS if name not in header]:
+                raise CorrelationFileError(f"{where}: missing columns {missing}")
             continue
-        if len(parts) > len(header):
+        if len(parts) != len(header):
             raise CorrelationFileError(f"{where}: {len(parts)} cells for {len(header)} columns")
         values = dict(zip(header, (p.strip() for p in parts)))
-        if "system" not in values:
-            raise CorrelationFileError(f"{where}: no 'system' cell")
         scores = {}
         for key in _TABLE_COLUMNS[1:]:
-            raw = values.get(key, "")
+            raw = values[key]
             try:
-                scores[key] = None if raw in ("", "-", "na", "NA") else float(raw)
+                scores[key] = float(raw)
             except ValueError:
                 raise CorrelationFileError(
                     f"{where}: column {key!r} value {raw!r} is not a number"
@@ -162,19 +158,14 @@ def published_correlations(path=None) -> dict[tuple[str, str], float]:
 def correlation_matrix(rows) -> np.ndarray:
     """The 5x5 Pearson correlation matrix of the score columns, in ``METRIC_LABELS`` order.
 
-    Fewer than 3 rows, a row without a naturalness or similarity score (named
-    by its system), or a column of zero variance (named by its label) raises
-    ``CorrelationFileError``.
+    Fewer than 3 rows, or a column of zero variance (named by its label),
+    raises ``CorrelationFileError``.
     """
     rows = list(rows)
     if len(rows) < 3:
         raise CorrelationFileError(
             f"need at least 3 rows for a correlation matrix, got {len(rows)}"
         )
-    for row in rows:
-        for key in ("naturalness", "similarity"):
-            if getattr(row, key) is None:
-                raise CorrelationFileError(f"metrics row {row.system!r} lacks a {key} score")
     columns = np.array([[r.mcd, r.wer, r.asv, r.naturalness, r.similarity]
                         for r in rows]).T
     for label, column in zip(METRIC_LABELS, columns):

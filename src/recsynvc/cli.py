@@ -27,7 +27,8 @@ from .benchmark import (
     read_metrics_table,
 )
 from .checkpoint import load_checkpoint
-from .config import Config, ModelConfig, load_config
+from .config import Config, load_config
+from .container import write_atomic
 from .converter import (
     average_embedding,
     convert,
@@ -76,6 +77,10 @@ def _load_config(args) -> Config:
     return load_config(args.config) if args.config else Config()
 
 
+def _write_json(path, obj) -> None:
+    write_atomic(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")])
+
+
 # --- extract-features ---------------------------------------------------------
 
 def cmd_extract_features(args) -> int:
@@ -106,12 +111,13 @@ def cmd_extract_features(args) -> int:
 
 # --- train ---------------------------------------------------------------------
 
-def _a2a_encoder(args):
+def _a2a_encoder(args, embedding_dim: int):
     if args.embeddings_dir is not None:
         table_dir = Path(args.embeddings_dir)
 
         def encoder(record):
-            return read_embedding(feature_path(table_dir, record.utt_id))
+            return read_embedding(feature_path(table_dir, record.utt_id),
+                                  expected_dim=embedding_dim)
         return encoder
     if args.speaker_encoder is not None:
         def encoder(record):
@@ -139,7 +145,8 @@ def cmd_train(args) -> int:
     else:
         spec = external_upstream(args.upstream, args.feature_dir)
     run = train(manifest, spec, config, args.out_dir,
-                _a2a_encoder(args) if a2a else None, log_file=args.log_file)
+                _a2a_encoder(args, config.model.embedding_dim) if a2a else None,
+                log_file=args.log_file)
     _note(f"final checkpoint: {run.checkpoint_path} "
           f"(step {config.training.steps}, loss {run.loss_history[-1]:.6f})")
     return 0
@@ -147,12 +154,12 @@ def cmd_train(args) -> int:
 
 # --- convert ---------------------------------------------------------------------
 
-def _target_embedding(args, model: ModelConfig):
-    if not model.speaker_conditioned:
+def _target_embedding(args, params):
+    if not params.speaker_conditioned:
         _reject(_given(args, "target_embeddings", "target_embedding"),
                 "this checkpoint is not speaker-conditioned")
         return None
-    expected = model.embedding_dim
+    expected = params.config.embedding_dim
     if args.target_embeddings is not None:
         emb_dir = Path(args.target_embeddings)
         files = sorted(emb_dir.glob("*.s3vc"))
@@ -184,7 +191,7 @@ def cmd_convert(args) -> int:
         raise ConfigError(f"{args.checkpoint}: {exc}") from None
     model.upstream_spec(args.feature_dir)
     manifest = load_manifest(args.source_manifest)
-    embedding = _target_embedding(args, model.params.config)
+    embedding = _target_embedding(args, model.params)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -292,20 +299,18 @@ def cmd_evaluate(args) -> int:
         values = [row[metric] for row in rows.values() if metric in row]
         return round(float(np.mean(values)), 4) if values else None
 
-    with open(out_dir / "report.tsv", "w", encoding="utf-8") as fh:
-        fh.write("utt_id\tmcd\twer\n")
-        for utt, row in rows.items():
-            fh.write(f"{utt}\t{row.get('mcd', float('nan')):.4f}"
-                     f"\t{row.get('wer', float('nan')):.2f}\n")
+    report = ["utt_id\tmcd\twer\n"]
+    for utt, row in rows.items():
+        report.append(f"{utt}\t{row.get('mcd', float('nan')):.4f}"
+                      f"\t{row.get('wer', float('nan')):.2f}\n")
+    write_atomic(out_dir / "report.tsv", [line.encode("utf-8") for line in report])
     summary = {
         "n_utterances": len(rows),
         "mcd": mean("mcd"),
         "wer": mean("wer"),
         "asv": round(asv, 4) if asv is not None else None,
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "summary.json", summary)
     _note(f"summary: {json.dumps(summary, sort_keys=True)}")
     return 0
 
@@ -349,9 +354,7 @@ def cmd_correlate(args) -> int:
     if comparison is not None:
         payload["comparison"] = comparison
         payload["max_deviation"] = round(deviation, 6)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out, payload)
     return 0
 
 

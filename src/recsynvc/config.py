@@ -54,7 +54,12 @@ class AudioConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Decoder hyperparameters; ``input_dim`` is supplied by the upstream."""
+    """Decoder hyperparameters.
+
+    The content width and whether the decoder is speaker-conditioned are
+    facts of the training inputs, so ``ModelParameters`` holds them instead.
+    ``embedding_dim`` is read only by a speaker-conditioned decoder.
+    """
 
     type: str = "taco2_ar"
     hidden_dim: int = 256
@@ -64,7 +69,6 @@ class ModelConfig:
     postnet_channels: int = 256
     postnet_kernel: int = 5
     ar_dropout: float = 0.5
-    speaker_conditioned: bool = False
     embedding_dim: int = 256
 
     def __post_init__(self):
@@ -82,10 +86,6 @@ class ModelConfig:
             raise ConfigError("postnet_kernel must be odd")
         if not 0.0 <= self.ar_dropout < 1.0:
             raise ConfigError("ar_dropout must lie in [0, 1)")
-        if self.speaker_conditioned and self.type != "taco2_ar":
-            raise ConfigError(
-                "speaker conditioning is only available for the taco2_ar decoder"
-            )
 
 
 @dataclass(frozen=True)
@@ -140,15 +140,6 @@ _SECTIONS = {
 }
 
 
-def _parse_bool(raw):
-    low = raw.lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -158,7 +149,7 @@ def _is_int(value) -> bool:
 _FIELD_TYPES = {
     "int": (int, _is_int),
     "float": (float, lambda v: isinstance(v, float) or _is_int(v)),
-    "bool": (_parse_bool, lambda v: isinstance(v, bool)),
+    "bool": (None, lambda v: isinstance(v, bool)),  # checkpoint meta only: no INI key
     "str": (str, lambda v: isinstance(v, str)),
     "tuple[int, ...]": (lambda raw: tuple(int(part) for part in raw.split(",")) if raw else (),
                         lambda v: isinstance(v, list) and all(map(_is_int, v))),

@@ -31,17 +31,12 @@ import numpy as np
 
 from .audioio import load_waveform, save_waveform
 from .checkpoint import Checkpoint, load_checkpoint
-from .config import AudioConfig, config_from_json
+from .config import AudioConfig, ModelConfig, config_from_json
 from .dsp import griffin_lim, mel_filterbank
 from .errors import AdapterError, ConfigError, FeatureFileError, VoiceConversionError
 from .featureio import read_features, write_features, feature_path
 from .recognizer import UpstreamSpec, recognize, resample_features
-from .synthesizer import (
-    ModelParameters,
-    decoder_from_meta,
-    decoder_meta,
-    forward_free_running,
-)
+from .synthesizer import ModelParameters, forward_free_running
 from .types import (
     LOG_MEL_FLOOR,
     N_MELS,
@@ -91,11 +86,17 @@ class TrainedModel:
 
 def model_checkpoint(model: TrainedModel, mode: str, step: int,
                      target_speaker: str | None) -> Checkpoint:
-    """Inverse of ``load_model``; ``mode``, ``step`` and ``target_speaker`` record the run."""
+    """Inverse of ``load_model``; ``mode``, ``step`` and ``target_speaker`` record the run.
+
+    The ``"decoder"`` entry is every ``ModelConfig`` field plus ``input_dim``
+    and ``speaker_conditioned``.
+    """
     params = model.params
     meta = {
         "format": "recsynvc-checkpoint",
-        "decoder": decoder_meta(params.config, params.input_dim),
+        "decoder": {**asdict(params.config), "prenet_dims": list(params.config.prenet_dims),
+                    "input_dim": params.input_dim,
+                    "speaker_conditioned": params.speaker_conditioned},
         "upstream": {"name": model.upstream, "feature_dim": params.input_dim,
                      "frame_shift_ms": model.upstream_shift_ms},
         "audio": {**asdict(model.audio), "n_mels": N_MELS},
@@ -118,7 +119,10 @@ def load_model(checkpoint) -> TrainedModel:
     if not isinstance(checkpoint, Checkpoint):
         checkpoint = load_checkpoint(checkpoint)
     meta, tensors = checkpoint.meta, dict(checkpoint.tensors)
-    config, input_dim = decoder_from_meta(meta.get("decoder"))
+    decoder = meta.get("decoder")
+    config = config_from_json(ModelConfig, decoder, "checkpoint decoder meta",
+                              input_dim="int", speaker_conditioned="bool")
+    input_dim = decoder["input_dim"]
     audio = config_from_json(AudioConfig, meta.get("audio"), "checkpoint audio meta",
                              n_mels="int")
     if meta["audio"]["n_mels"] != N_MELS:
@@ -144,8 +148,9 @@ def load_model(checkpoint) -> TrainedModel:
         if shape != (width,):
             raise ConfigError(f"checkpoint tensor '{_STATS_PREFIX}{name}' has "
                               f"shape {shape}, expected ({width},)")
-    params = ModelParameters(config=config, input_dim=input_dim, tensors=tensors,
-                             seed=seed)
+    params = ModelParameters(config=config, input_dim=input_dim,
+                             speaker_conditioned=decoder["speaker_conditioned"],
+                             tensors=tensors, seed=seed)
     return TrainedModel(params=params, stats=stats, audio=audio,
                         upstream=upstream["name"],
                         upstream_shift_ms=float(upstream["frame_shift_ms"]))

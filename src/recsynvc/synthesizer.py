@@ -22,11 +22,11 @@ previous output (pre-postnet for ``taco2_ar``).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig, config_from_json
+from .config import ModelConfig
 from .errors import ConfigError, VoiceConversionError
 from .nnops import (
     conv1d_same,
@@ -45,41 +45,30 @@ from .nnops import (
 from .types import N_MELS, SpeakerEmbedding
 
 
-def decoder_meta(config: ModelConfig, input_dim: int) -> dict:
-    """The checkpoint's ``"decoder"`` entry: the model config plus ``input_dim``."""
-    meta = {"input_dim": int(input_dim), **asdict(config)}
-    meta["prenet_dims"] = list(config.prenet_dims)
-    return meta
-
-
-def decoder_from_meta(meta) -> tuple[ModelConfig, int]:
-    """Inverse of ``decoder_meta``.
-
-    A missing or unknown key, or a value of the wrong type, raises
-    ``ConfigError`` naming the entry.
-    """
-    config = config_from_json(ModelConfig, meta, "checkpoint decoder meta",
-                              input_dim="int")
-    return config, meta["input_dim"]
-
-
 @dataclass(frozen=True)
 class ModelParameters:
     """Named weight tensors, the architecture they belong to, and their seed.
 
-    ``input_dim`` is the content feature width, fixed by the upstream.  The
+    ``input_dim`` (the content feature width, fixed by the upstream) and
+    ``speaker_conditioned`` (A2A: the decoder reads a speaker embedding) are
+    facts of the training inputs.  Only ``taco2_ar`` can be conditioned.  The
     tensor names and shapes must be those ``parameter_shapes`` lists.
     """
 
     config: ModelConfig
     input_dim: int
+    speaker_conditioned: bool
     tensors: dict[str, np.ndarray]
     seed: int
 
     def __post_init__(self):
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
-        expected = parameter_shapes(self.config, self.input_dim)
+        if self.speaker_conditioned and self.config.type != "taco2_ar":
+            raise ConfigError(
+                "speaker conditioning is only available for the taco2_ar decoder"
+            )
+        expected = parameter_shapes(self.config, self.input_dim, self.speaker_conditioned)
         if self.tensors.keys() != expected.keys():
             missing = sorted(expected.keys() - self.tensors.keys())
             extra = sorted(self.tensors.keys() - expected.keys())
@@ -96,7 +85,8 @@ class ModelParameters:
                 raise ConfigError(f"tensor {name!r} contains non-finite values")
 
 
-def parameter_shapes(config: ModelConfig, input_dim: int) -> dict[str, tuple[int, ...]]:
+def parameter_shapes(config: ModelConfig, input_dim: int,
+                     speaker_conditioned: bool) -> dict[str, tuple[int, ...]]:
     """Name and shape of every decoder tensor, in the order ``build_decoder`` draws them.
 
     A recurrent layer ``name`` has ``name.wx`` (4H, input), ``name.wh`` (4H,
@@ -126,7 +116,7 @@ def parameter_shapes(config: ModelConfig, input_dim: int) -> dict[str, tuple[int
             shapes[f"prenet{i + 1}.w"] = (widths[i + 1], widths[i])
             shapes[f"prenet{i + 1}.b"] = (widths[i + 1],)
         dec_in = config.prenet_dims[-1] + input_dim
-        if config.speaker_conditioned:
+        if speaker_conditioned:
             dec_in += config.embedding_dim
         recurrent("lstm1", dec_in, hidden)
         recurrent("lstm2", hidden, hidden)
@@ -141,7 +131,8 @@ def parameter_shapes(config: ModelConfig, input_dim: int) -> dict[str, tuple[int
     return shapes
 
 
-def build_decoder(config: ModelConfig, input_dim: int, seed: int) -> ModelParameters:
+def build_decoder(config: ModelConfig, input_dim: int, speaker_conditioned: bool,
+                  seed: int) -> ModelParameters:
     """Deterministically initialize all weights for ``config``.
 
     Weights are Glorot-uniform with fans ``prod(shape[1:])`` and
@@ -151,7 +142,7 @@ def build_decoder(config: ModelConfig, input_dim: int, seed: int) -> ModelParame
     rng = np.random.default_rng(seed)
     hidden = config.hidden_dim
     p: dict[str, np.ndarray] = {}
-    for name, shape in parameter_shapes(config, input_dim).items():
+    for name, shape in parameter_shapes(config, input_dim, speaker_conditioned).items():
         prefix, kind = name.rsplit(".", 1)
         if kind == "b":
             p[name] = np.zeros(shape)
@@ -160,7 +151,8 @@ def build_decoder(config: ModelConfig, input_dim: int, seed: int) -> ModelParame
         else:
             p[name] = glorot(rng, shape, math.prod(shape[1:]),
                              shape[0] * math.prod(shape[2:]))
-    return ModelParameters(config=config, input_dim=int(input_dim), tensors=p,
+    return ModelParameters(config=config, input_dim=int(input_dim),
+                           speaker_conditioned=speaker_conditioned, tensors=p,
                            seed=int(seed))
 
 
@@ -348,7 +340,7 @@ def _context(params, content, spk):
     if params.config.type != "taco2_ar":
         ffn_pre = linear(content, p["ffn.w"], p["ffn.b"])
         return np.maximum(ffn_pre, 0.0), ffn_pre > 0.0
-    if not params.config.speaker_conditioned:
+    if not params.speaker_conditioned:
         return content, None
     spk_tiled = np.broadcast_to(spk[:, None, :], content.shape[:2] + spk.shape[1:])
     return np.concatenate([content, spk_tiled], axis=2), None
@@ -477,24 +469,13 @@ def free_forward_batch(params: ModelParameters, content, spk, dropout_seed):
 
 # --- public single-utterance API ------------------------------------------------
 
-def _content_frames(content, input_dim):
-    frames = np.asarray(content, dtype=np.float64)
-    if frames.ndim != 2:
-        raise VoiceConversionError(f"content must be T x D, got shape {frames.shape}")
-    if frames.shape[1] != input_dim:
-        raise VoiceConversionError(
-            f"content dim {frames.shape[1]} != decoder input_dim {input_dim}"
-        )
-    return frames
-
-
-def _check_embedding(config, embedding: SpeakerEmbedding | None):
-    if config.speaker_conditioned:
+def _check_embedding(params, embedding: SpeakerEmbedding | None):
+    if params.speaker_conditioned:
         if embedding is None:
             raise VoiceConversionError("speaker-conditioned decoder needs an embedding")
-        if embedding.dim != config.embedding_dim:
+        if embedding.dim != params.config.embedding_dim:
             raise VoiceConversionError(
-                f"embedding dim {embedding.dim} != configured {config.embedding_dim}"
+                f"embedding dim {embedding.dim} != configured {params.config.embedding_dim}"
             )
         return embedding.vector.reshape(1, -1)
     if embedding is not None:
@@ -513,7 +494,6 @@ def shift_frames_right(target_frames: np.ndarray) -> np.ndarray:
 def forward_free_running(params: ModelParameters, content,
                          embedding: SpeakerEmbedding | None,
                          dropout_seed: int) -> np.ndarray:
-    """Generate (T, 80) mel frames from content alone; length equals len(content)."""
-    frames = _content_frames(content, params.input_dim)
-    spk = _check_embedding(params.config, embedding)
-    return free_forward_batch(params, frames[None], spk, dropout_seed)[0]
+    """Generate (T, 80) mel frames from (T, ``input_dim``) content, one per content frame."""
+    spk = _check_embedding(params, embedding)
+    return free_forward_batch(params, content[None], spk, dropout_seed)[0]

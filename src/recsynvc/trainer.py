@@ -20,7 +20,7 @@ from __future__ import annotations
 import sys
 import time
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -193,11 +193,11 @@ def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir
     """Train a decoder on ``manifest``; ``encoder`` decides the setting.
 
     Without an encoder this is A2O: the manifest holds exactly one speaker, the
-    target, and the config must not be speaker-conditioned.  With an encoder,
-    which maps a record to its SpeakerEmbedding, this is A2A: the manifest
-    holds at least two speakers, the config is made speaker-conditioned, and
-    each utterance is conditioned on the embedding of its own waveform, so the
-    model learns to copy the voice described by the embedding.
+    target.  With an encoder, which maps a record to its SpeakerEmbedding, this
+    is A2A: the manifest holds at least two speakers, the decoder (which must
+    be ``taco2_ar``) is speaker-conditioned, and each utterance is conditioned
+    on the embedding of its own waveform, so the model learns to copy the
+    voice described by the embedding.
     """
     if len(manifest) == 0:
         raise ManifestError("cannot train on an empty manifest")
@@ -207,25 +207,23 @@ def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir
             raise ManifestError(
                 f"single-target training needs exactly one speaker, manifest has {n_speakers}"
             )
-        if config.model.speaker_conditioned:
-            raise ManifestError("single-target training cannot use speaker conditioning")
         mode, target_speaker = "a2o", manifest.speakers[0]
     else:
         if n_speakers < 2:
             raise ManifestError(
                 f"any-to-any training needs >= 2 speakers, manifest has {n_speakers}"
             )
-        config = replace(config, model=replace(config.model, speaker_conditioned=True))
         mode, target_speaker = "a2a", None
+    training = config.training
+    params = build_decoder(config.model, spec.feature_dim, encoder is not None,
+                           seed=training.seed)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    training = config.training
 
     _check_features_present(manifest, spec)
     examples, stats = _prepare_examples(manifest, spec, config, encoder=encoder)
 
-    params = build_decoder(config.model, spec.feature_dim, seed=training.seed)
     # the optimizer updates params.tensors in place, so each write sees the current weights
     model = TrainedModel(params=params, stats=stats, audio=config.audio,
                          upstream=spec.name, upstream_shift_ms=spec.frame_shift_ms)

@@ -68,14 +68,11 @@ def pearson(xs, ys) -> float:
 
 
 def write_metrics_table(path, rows) -> None:
-    """Inverse of ``benchmark.read_metrics_table``; ``-`` marks a missing score."""
+    """Inverse of ``benchmark.read_metrics_table``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(_TABLE_COLUMNS) + "\n")
         for r in rows:
-            cells = [r.system]
-            for key in _TABLE_COLUMNS[1:]:
-                value = getattr(r, key)
-                cells.append("-" if value is None else f"{value:.6g}")
+            cells = [r.system] + [f"{getattr(r, key):.6g}" for key in _TABLE_COLUMNS[1:]]
             fh.write("\t".join(cells) + "\n")
 
 
@@ -92,7 +89,7 @@ def toy_config(decoder_type: str, **overrides) -> Config:
     model_kw = dict(TOY_MODEL)
     train_kw = dict(TOY_TRAINING)
     for key, value in overrides.items():
-        if key in model_kw or key in ("type", "speaker_conditioned", "embedding_dim"):
+        if key in model_kw or key in ("type", "embedding_dim"):
             model_kw[key] = value
         else:
             train_kw[key] = value

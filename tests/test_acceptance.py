@@ -18,11 +18,11 @@ from recsynvc.audioio import load_waveform
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from recsynvc.cli import main
 from recsynvc.config import ModelConfig
-from recsynvc.converter import average_embedding, convert, vocode
+from recsynvc.converter import average_embedding, convert, load_model, vocode
 from recsynvc.evaluator import MCD_CONSTANT, dtw_align, mcd, wer
 from recsynvc.featureio import read_features, write_features
 from recsynvc.recognizer import extract_mel, mel_upstream
-from recsynvc.synthesizer import build_decoder, decoder_from_meta
+from recsynvc.synthesizer import build_decoder
 from recsynvc.trainer import loss_and_grads, train
 from recsynvc.types import FeatureSequence, SpeakerEmbedding
 
@@ -182,8 +182,9 @@ def _mel_to_cepstra(mel, order=24):
 
 def _untrained_twin(trained: Checkpoint) -> Checkpoint:
     """Same architecture and stats, freshly initialized weights."""
-    cfg, input_dim = decoder_from_meta(trained.meta["decoder"])
-    fresh = build_decoder(cfg, input_dim, seed=12345)
+    params = load_model(trained).params
+    fresh = build_decoder(params.config, params.input_dim, params.speaker_conditioned,
+                          seed=12345)
     tensors = dict(fresh.tensors)
     for key, value in trained.tensors.items():
         if key.startswith("stats."):
@@ -237,7 +238,7 @@ def test_criterion_5_toy_a2a(toy_corpus_multi, audio, tmp_path, capsys):
     def encoder(record):
         return sphere_embedding(record.speaker_id)
 
-    config = toy_config("taco2_ar", speaker_conditioned=True, embedding_dim=16,
+    config = toy_config("taco2_ar", embedding_dim=16,
                         hidden_dim=64, lstmp_proj_dim=64, prenet_dims=(32, 32),
                         postnet_layers=3, postnet_channels=32, steps=120)
     run = train(manifest, spec, config, tmp_path / "a2a", encoder)
@@ -287,10 +288,9 @@ def test_criterion_6_gradient_check(capsys):
         cfg = ModelConfig(
             type=decoder_type, hidden_dim=8, lstmp_proj_dim=8,
             prenet_dims=(8, 8), postnet_layers=3, postnet_channels=8,
-            postnet_kernel=5, ar_dropout=0.5,
-            speaker_conditioned=conditioned, embedding_dim=4,
+            postnet_kernel=5, ar_dropout=0.5, embedding_dim=4,
         )
-        params = build_decoder(cfg, 6, seed=61)
+        params = build_decoder(cfg, 6, conditioned, seed=61)
         # move off the exact ReLU kinks that zero initialization creates
         for arr in params.tensors.values():
             arr += 0.01 * rng.standard_normal(arr.shape)

@@ -290,7 +290,7 @@ steps = 1
     (0, "a2o", "empty manifest"),
     (2, "a2o", "exactly one speaker, manifest has 2"),
     (1, "a2a", "needs >= 2 speakers, manifest has 1"),
-    (2, "a2a", "SPK1_000: embedding dim 8 != configured 16"),
+    (2, "a2a", "emb/SPK1_000.s3vc: embedding dim 8 != expected 16"),
 ], ids=["empty", "a2o_two_speakers", "a2a_one_speaker", "a2a_embedding_width"])
 def test_train_on_a_corpus_of_the_wrong_kind_is_one_error_line(tmp_path, capsys,
                                                                n_speakers, mode, reason):
@@ -499,6 +499,24 @@ def test_convert_unknown_vocoder(cli_checkpoint, cli_corpus, tmp_path, capsys):
         assert not out_dir.exists(), vocoder
 
 
+def test_convert_conditioned_simple_checkpoint_is_one_error_line(cli_checkpoint, cli_corpus,
+                                                                  tmp_path, capsys):
+    # only taco2_ar reads a speaker embedding; the CLI checkpoint is a simple decoder
+    ckpt = load_checkpoint(cli_checkpoint)
+    meta = copy.deepcopy(ckpt.meta)
+    assert meta["decoder"]["type"] == "simple"
+    meta["decoder"]["speaker_conditioned"] = True
+    bad_ckpt = tmp_path / "bad.s3ck"
+    save_checkpoint(bad_ckpt, Checkpoint(meta=meta, tensors=dict(ckpt.tensors)))
+    capsys.readouterr()
+    assert main(["convert", str(bad_ckpt), str(cli_corpus),
+                 "--out-dir", str(tmp_path / "conv")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: {bad_ckpt}: speaker conditioning is only available "
+                     "for the taco2_ar decoder"]
+    assert not (tmp_path / "conv").exists()
+
+
 def test_convert_missing_checkpoint(cli_corpus, tmp_path):
     rc = main(["convert", str(tmp_path / "nope.s3ck"), str(cli_corpus),
                "--out-dir", str(tmp_path / "out")])
@@ -547,6 +565,22 @@ def test_evaluate_mcd_only(eval_setup, tmp_path):
     report = (out_dir / "report.tsv").read_text().splitlines()
     assert report[0] == "utt_id\tmcd\twer"
     assert report[1].startswith("u0\t0.0000")
+
+
+def test_evaluate_rerun_replaces_its_outputs_atomically(eval_setup, tmp_path):
+    manifest_path, conv_dir = eval_setup
+    out_dir = tmp_path / "scores"
+    out_dir.mkdir()
+    (out_dir / "summary.json").write_text("stale")
+    (out_dir / "report.tsv").write_text("stale")
+    argv = ["evaluate", str(conv_dir), str(manifest_path), "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    first = {name: (out_dir / name).read_bytes() for name in ("summary.json", "report.tsv")}
+    assert json.loads(first["summary.json"])["n_utterances"] == 1
+    assert first["report.tsv"].startswith(b"utt_id\tmcd\twer\n")
+    assert main(argv) == 0
+    assert {name: (out_dir / name).read_bytes() for name in first} == first
+    assert sorted(p.name for p in out_dir.iterdir()) == ["report.tsv", "summary.json"]
 
 
 def test_evaluate_with_asr_and_asv(eval_setup, tmp_path, stub_asr,

@@ -77,6 +77,14 @@ def test_mel_width_is_not_a_key(tmp_path):
         load_config(path)
 
 
+def test_speaker_conditioning_is_not_a_key(tmp_path):
+    # train conditions the decoder exactly when it is given embeddings (A2A)
+    path = tmp_path / "run.ini"
+    path.write_text("[model]\nspeaker_conditioned = true\n")
+    with pytest.raises(ConfigError, match="unknown key model.speaker_conditioned"):
+        load_config(path)
+
+
 def test_unknown_section(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[optimizer]\nlr = 0.1\n")
@@ -115,8 +123,6 @@ def test_model_validation():
         ModelConfig(postnet_kernel=4)
     with pytest.raises(ConfigError, match="ar_dropout"):
         ModelConfig(ar_dropout=1.0)
-    with pytest.raises(ConfigError, match="speaker conditioning"):
-        ModelConfig(type="simple", speaker_conditioned=True)
     with pytest.raises(ConfigError, match="model dimensions must be positive"):
         ModelConfig(postnet_kernel=-1)
     with pytest.raises(ConfigError, match="prenet_dims"):

@@ -6,7 +6,6 @@ import shlex
 import shutil
 import sys
 import time
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from recsynvc import converter
 from recsynvc.config import AudioConfig, ModelConfig
 from recsynvc.converter import (
+    TrainedModel,
     _mel_pseudo_inverse,
     average_embedding,
     convert,
@@ -35,7 +35,7 @@ from recsynvc.converter import (
 from recsynvc.errors import AdapterError, ConfigError, FeatureFileError, VoiceConversionError
 from recsynvc.featureio import feature_path, write_features
 from recsynvc.recognizer import mel_upstream, recognize, resample_features
-from recsynvc.synthesizer import build_decoder, decoder_meta, forward_free_running
+from recsynvc.synthesizer import build_decoder, forward_free_running
 from recsynvc.types import FeatureSequence, MelSpectrogram, Waveform, LOG_MEL_FLOOR
 
 
@@ -96,6 +96,10 @@ class TestConvert:
 @pytest.mark.parametrize("corrupt, entry", [
     (lambda meta: meta["decoder"].update(bogus=1), "bogus"),
     (lambda meta: meta["decoder"].pop("input_dim"), "input_dim"),
+    (lambda meta: meta["decoder"].pop("speaker_conditioned"), "speaker_conditioned"),
+    (lambda meta: meta["decoder"].update(speaker_conditioned=1), "speaker_conditioned"),
+    (lambda meta: meta["decoder"].update(speaker_conditioned=True),
+     "speaker conditioning is only available for the taco2_ar decoder"),
     (lambda meta: meta.pop("decoder"), "decoder"),
     (lambda meta: meta.pop("audio"), "audio"),
     (lambda meta: meta["decoder"].update(hidden_dim="x"), "hidden_dim"),
@@ -114,7 +118,8 @@ class TestConvert:
     (lambda meta: meta["upstream"].update(name=3), "upstream"),
     (lambda tensors: tensors.pop("stats.target_std"), "stats.target_std"),
     (lambda tensors: tensors.update({"stats.input_mean": np.zeros(3)}), "stats.input_mean"),
-], ids=["unknown_key", "no_input_dim", "no_decoder", "no_audio", "str_hidden_dim",
+], ids=["unknown_key", "no_input_dim", "no_speaker_conditioned",
+        "int_speaker_conditioned", "conditioned_simple", "no_decoder", "no_audio", "str_hidden_dim",
         "null_prenet_dims", "list_decoder", "null_hop_length", "zero_hop_length",
         "no_n_mels", "narrow_n_mels", "bad_sample_rate", "bad_fmax",
         "str_seed", "no_upstream", "wide_upstream", "zero_frame_shift", "int_upstream_name",
@@ -130,15 +135,14 @@ def test_load_model_rejects_malformed_meta(quick_checkpoint, corrupt, entry):
 def _tiny_checkpoint_headers(path):
     """Write a tiny ``simple`` model checkpoint; return its tensor header bytes."""
     params = build_decoder(ModelConfig(type="simple", hidden_dim=2, lstmp_proj_dim=2),
-                           3, seed=0)
-    stats = {f"stats.{side}_{kind}": np.ones(width)
+                           3, False, seed=0)
+    stats = {f"{side}_{kind}": np.ones(width)
              for side, width in (("input", 3), ("target", 80))
              for kind in ("mean", "std")}
-    meta = {"decoder": decoder_meta(params.config, 3),
-            "audio": {**asdict(AudioConfig()), "n_mels": 80},
-            "seed": 0, "upstream": {"name": "ssl", "feature_dim": 3, "frame_shift_ms": 20.0}}
-    tensors = {**params.tensors, **stats}
-    save_checkpoint(path, Checkpoint(meta=meta, tensors=tensors))
+    ckpt = model_checkpoint(TrainedModel(params, stats, AudioConfig(), "ssl", 20.0),
+                            "a2o", 0, "T")
+    tensors = ckpt.tensors
+    save_checkpoint(path, ckpt)
     # layout: magic, version, meta length and text, count, then per tensor
     # (name length, name, ndim, dims) followed by the float64 payload
     offset = 12 + int.from_bytes(path.read_bytes()[8:12], "little") + 4

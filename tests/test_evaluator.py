@@ -1,6 +1,7 @@
 """Metric suite: cepstra, DTW, MCD, WER and ASV, plus the correlation study's
 metrics rows, tables and matrix."""
 
+import re
 import shlex
 
 import numpy as np
@@ -416,27 +417,21 @@ def test_pearson_exact():
 
 
 def test_metrics_row_validation():
-    row = MetricsRow("sys", mcd=7.0, wer=20.0, asv=60.0,
-                     naturalness=3.5, similarity=70.0)
+    scores = dict(mcd=7.0, wer=20.0, asv=60.0, naturalness=3.5, similarity=70.0)
+    row = MetricsRow("sys", **scores)
     assert row.naturalness == 3.5
-    with pytest.raises(VoiceConversionError):
-        MetricsRow("sys", mcd=-1.0, wer=20.0, asv=60.0)
-    with pytest.raises(VoiceConversionError):
-        MetricsRow("sys", mcd=7.0, wer=20.0, asv=120.0)
-    with pytest.raises(VoiceConversionError):
-        MetricsRow("sys", mcd=7.0, wer=20.0, asv=60.0, naturalness=0.5)
-    with pytest.raises(VoiceConversionError):
-        MetricsRow("sys", mcd=7.0, wer=20.0, asv=60.0, similarity=150.0)
-    with pytest.raises(VoiceConversionError):
-        MetricsRow("sys", mcd=None, wer=20.0, asv=60.0)
+    for key, bad in (("mcd", -1.0), ("asv", 120.0), ("naturalness", 0.5),
+                     ("similarity", 150.0)):
+        with pytest.raises(VoiceConversionError):
+            MetricsRow("sys", **{**scores, key: bad})
     for bad in (float("nan"), float("inf")):
         with pytest.raises(VoiceConversionError, match="finite"):
-            MetricsRow("sys", mcd=bad, wer=20.0, asv=60.0)
+            MetricsRow("sys", **{**scores, "mcd": bad})
         with pytest.raises(VoiceConversionError, match="finite"):
-            MetricsRow("sys", mcd=7.0, wer=bad, asv=60.0)
+            MetricsRow("sys", **{**scores, "wer": bad})
         for key in ("asv", "naturalness", "similarity"):
             with pytest.raises(VoiceConversionError):
-                MetricsRow("sys", **{"mcd": 7.0, "wer": 20.0, "asv": 60.0, key: bad})
+                MetricsRow("sys", **{**scores, key: bad})
 
 
 def _demo_rows():
@@ -476,9 +471,6 @@ def test_correlation_matrix_errors():
     rows = _demo_rows()
     with pytest.raises(CorrelationFileError, match="need at least 3 rows .* got 2"):
         correlation_matrix(rows[:2])
-    bare = MetricsRow("bare", mcd=7.0, wer=20.0, asv=60.0)
-    with pytest.raises(CorrelationFileError, match="row 'bare' lacks a naturalness score"):
-        correlation_matrix([bare, rows[0], rows[1]])
     flat = [MetricsRow(f"f{k}", mcd=7.0, wer=20.0 + k, asv=60.0 - k,
                        naturalness=3.0, similarity=50.0 + k)
             for k in range(3)]
@@ -489,16 +481,29 @@ def test_correlation_matrix_errors():
 # --- table io ----------------------------------------------------------------------
 
 def test_metrics_table_round_trip(tmp_path):
-    rows = _demo_rows()[:3] + [MetricsRow("partial", mcd=8.0, wer=30.0, asv=55.0)]
+    rows = _demo_rows()[:4]
     path = tmp_path / "metrics.tsv"
     write_metrics_table(path, rows)
     back = read_metrics_table(path)
     assert [r.system for r in back] == [r.system for r in rows]
     for orig, loaded in zip(rows, back):
-        for key in ("mcd", "wer", "asv"):
+        for key in ("mcd", "wer", "asv", "naturalness", "similarity"):
             assert abs(getattr(orig, key) - getattr(loaded, key)) < 1e-4
-    assert back[-1].naturalness is None
-    assert back[-1].similarity is None
+
+
+@pytest.mark.parametrize("row, error", [
+    ("partial\t8.0\t30.0\t55.0\t-\t-", "column 'naturalness' value '-' is not a number"),
+    ("partial\t8.0\t30.0\t55.0\tna\t40.0", "column 'naturalness' value 'na' is not a number"),
+    ("partial\t8.0\t30.0\t55.0\t3.0\t", "column 'similarity' value '' is not a number"),
+    ("partial\t8.0\t30.0\t55.0", "4 cells for 6 columns"),
+], ids=["dash", "na", "empty", "short"])
+def test_metrics_table_partial_row_names_the_line(tmp_path, row, error):
+    path = tmp_path / "metrics.tsv"
+    write_metrics_table(path, _demo_rows()[:3])
+    path.write_text(path.read_text() + row + "\n")
+    with pytest.raises(CorrelationFileError,
+                       match=f"^{re.escape(str(path))}: line 5: {re.escape(error)}$"):
+        read_metrics_table(path)
 
 
 def test_metrics_table_comments_and_blanks(tmp_path):
@@ -506,15 +511,22 @@ def test_metrics_table_comments_and_blanks(tmp_path):
     path.write_text(
         "# a comment\n"
         "\n"
-        "system\tmcd\twer\tasv\n"
-        "sys0\t7.0\t20.0\t60.0\n"
+        "similarity\tsystem\tmcd\twer\tasv\tnaturalness\n"
+        "70.0\tsys0\t7.0\t20.0\t60.0\t3.5\n"
         "\n"
         "# trailing note\n"
     )
     rows = read_metrics_table(path)
-    assert len(rows) == 1
-    assert rows[0].system == "sys0"
-    assert rows[0].naturalness is None
+    assert rows == [MetricsRow("sys0", mcd=7.0, wer=20.0, asv=60.0, naturalness=3.5,
+                               similarity=70.0)]
+
+
+def test_metrics_table_missing_column(tmp_path):
+    path = tmp_path / "metrics.tsv"
+    path.write_text("system\tmcd\twer\tasv\nsys0\t7.0\t20.0\t60.0\n")
+    with pytest.raises(CorrelationFileError,
+                       match=r"line 1: missing columns \['naturalness', 'similarity'\]"):
+        read_metrics_table(path)
 
 
 def test_metrics_table_unknown_column(tmp_path):
@@ -526,7 +538,8 @@ def test_metrics_table_unknown_column(tmp_path):
 
 def test_metrics_table_bad_number(tmp_path):
     path = tmp_path / "metrics.tsv"
-    path.write_text("system\tmcd\twer\tasv\nsys0\tseven\t20.0\t60.0\n")
+    path.write_text("system\tmcd\twer\tasv\tnaturalness\tsimilarity\n"
+                    "sys0\tseven\t20.0\t60.0\t3.0\t50.0\n")
     with pytest.raises(CorrelationFileError,
                        match="line 2: column 'mcd' value 'seven' is not a number"):
         read_metrics_table(path)

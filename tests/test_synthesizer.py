@@ -1,18 +1,15 @@
 """Decoder construction, forward passes, and inference contracts."""
 
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
-from recsynvc.checkpoint import Checkpoint, save_checkpoint
+from recsynvc.checkpoint import save_checkpoint
 from recsynvc.config import AudioConfig, ModelConfig
-from recsynvc.converter import load_model
-from recsynvc.errors import VoiceConversionError
+from recsynvc.converter import TrainedModel, load_model, model_checkpoint
+from recsynvc.errors import ConfigError, VoiceConversionError
 from recsynvc.synthesizer import (
     backward_teacher_batch,
     build_decoder,
-    decoder_meta,
     forward_free_running,
     free_forward_batch,
     shift_frames_right,
@@ -35,15 +32,12 @@ def _config(type_, **kw):
 
 def _through_checkpoint(params, tmp_path):
     """Write ``params`` as a checkpoint file and load it back as parameters."""
-    meta = {"decoder": decoder_meta(params.config, params.input_dim),
-            "audio": {**asdict(AudioConfig()), "n_mels": 80}, "seed": params.seed,
-            "upstream": {"name": "ssl", "feature_dim": params.input_dim,
-                         "frame_shift_ms": 20.0}}
     widths = {"input": params.input_dim, "target": 80}
-    stats = {f"stats.{side}_{kind}": np.ones(width)
+    stats = {f"{side}_{kind}": np.ones(width)
              for side, width in widths.items() for kind in ("mean", "std")}
+    model = TrainedModel(params, stats, AudioConfig(), "ssl", 20.0)
     path = tmp_path / "model.s3ck"
-    save_checkpoint(path, Checkpoint(meta=meta, tensors={**params.tensors, **stats}))
+    save_checkpoint(path, model_checkpoint(model, "a2o", 0, None))
     return load_model(path).params
 
 
@@ -55,16 +49,18 @@ def _data(rng, t=11, input_dim=12):
 
 class TestDecoderMeta:
     def test_dict_round_trip(self, tmp_path):
-        config = _config("taco2_ar", speaker_conditioned=True, embedding_dim=4)
-        again = _through_checkpoint(build_decoder(config, INPUT_DIM, seed=0), tmp_path)
+        config = _config("taco2_ar", embedding_dim=4)
+        again = _through_checkpoint(build_decoder(config, INPUT_DIM, True, seed=0), tmp_path)
         assert again.config == config
         assert again.input_dim == INPUT_DIM
+        assert again.speaker_conditioned is True
         assert isinstance(again.config.prenet_dims, tuple)
 
     def test_from_model_config(self, tmp_path):
         model = ModelConfig(type="simple", hidden_dim=32, lstmp_proj_dim=24)
-        params = _through_checkpoint(build_decoder(model, 7, seed=0), tmp_path)
+        params = _through_checkpoint(build_decoder(model, 7, False, seed=0), tmp_path)
         assert params.input_dim == 7
+        assert params.speaker_conditioned is False
         assert params.config == model
         assert params.config.hidden_dim == 32
         assert params.config.lstmp_proj_dim == 24
@@ -74,33 +70,35 @@ class TestDecoderMeta:
             _config("bogus")
         with pytest.raises(Exception):
             _config("taco2_ar", postnet_kernel=4)
-        with pytest.raises(Exception):
-            _config("simple", speaker_conditioned=True)
+        for type_ in ("simple", "simple_ar"):
+            with pytest.raises(ConfigError, match="^speaker conditioning is only available "
+                                                  "for the taco2_ar decoder$"):
+                build_decoder(_config(type_), INPUT_DIM, True, seed=0)
 
 
 class TestBuildDecoder:
     @pytest.mark.parametrize("type_", ["simple", "simple_ar", "taco2_ar"])
     def test_build_produces_finite_tensors(self, type_):
-        params = build_decoder(_config(type_), INPUT_DIM, seed=0)
+        params = build_decoder(_config(type_), INPUT_DIM, False, seed=0)
         for name, tensor in params.tensors.items():
             assert np.all(np.isfinite(tensor)), name
 
     def test_seed_changes_weights(self):
-        a = build_decoder(_config("simple"), INPUT_DIM, seed=0)
-        b = build_decoder(_config("simple"), INPUT_DIM, seed=1)
+        a = build_decoder(_config("simple"), INPUT_DIM, False, seed=0)
+        b = build_decoder(_config("simple"), INPUT_DIM, False, seed=1)
         assert any(not np.array_equal(a.tensors[k], b.tensors[k])
                    for k in a.tensors)
 
     def test_same_seed_reproduces(self):
-        a = build_decoder(_config("taco2_ar"), INPUT_DIM, seed=3)
-        b = build_decoder(_config("taco2_ar"), INPUT_DIM, seed=3)
+        a = build_decoder(_config("taco2_ar"), INPUT_DIM, False, seed=3)
+        b = build_decoder(_config("taco2_ar"), INPUT_DIM, False, seed=3)
         assert a.tensors.keys() == b.tensors.keys()
         for k in a.tensors:
             assert np.array_equal(a.tensors[k], b.tensors[k])
 
     def test_ar_feedback_widens_first_recurrent_input(self):
-        plain = build_decoder(_config("simple"), INPUT_DIM, seed=0)
-        ar = build_decoder(_config("simple_ar"), INPUT_DIM, seed=0)
+        plain = build_decoder(_config("simple"), INPUT_DIM, False, seed=0)
+        ar = build_decoder(_config("simple_ar"), INPUT_DIM, False, seed=0)
         # the AR variant feeds the previous output frame into the first LSTMP
         assert (ar.tensors["lstmp1.wx"].shape[1]
                 == plain.tensors["lstmp1.wx"].shape[1] + 80)
@@ -116,7 +114,7 @@ class TestForward:
     @pytest.mark.parametrize("type_", ["simple", "simple_ar", "taco2_ar"])
     def test_teacher_output_shape(self, type_):
         rng = np.random.default_rng(0)
-        params = build_decoder(_config(type_), INPUT_DIM, seed=0)
+        params = build_decoder(_config(type_), INPUT_DIM, False, seed=0)
         content, target = _data(rng)
         out = teacher_forward_batch(params, content[None],
                                     shift_frames_right(target)[None], None, 0)[0]
@@ -126,7 +124,7 @@ class TestForward:
     @pytest.mark.parametrize("type_", ["simple", "simple_ar", "taco2_ar"])
     def test_free_running_shape(self, type_):
         rng = np.random.default_rng(0)
-        params = build_decoder(_config(type_), INPUT_DIM, seed=0)
+        params = build_decoder(_config(type_), INPUT_DIM, False, seed=0)
         content, _ = _data(rng)
         out = forward_free_running(params, content, None, dropout_seed=0)
         assert out.shape == (11, 80)
@@ -135,7 +133,7 @@ class TestForward:
     def test_simple_free_running_ignores_feedback(self):
         # without an AR path, free-running equals the teacher-forced pass
         rng = np.random.default_rng(1)
-        params = build_decoder(_config("simple"), INPUT_DIM, seed=0)
+        params = build_decoder(_config("simple"), INPUT_DIM, False, seed=0)
         content, target = _data(rng)
         teacher = teacher_forward_batch(params, content[None],
                                         shift_frames_right(target)[None], None, 0)[0][0]
@@ -149,8 +147,9 @@ class TestForward:
         # each teacher pass fixes one more fed-back frame, so after T passes
         # the teacher input is exactly what free-running feeds back
         rng = np.random.default_rng(8)
-        extra = dict(speaker_conditioned=True, embedding_dim=4) if conditioned else {}
-        params = build_decoder(_config(type_, ar_dropout=0.0, **extra), INPUT_DIM, seed=0)
+        extra = dict(embedding_dim=4) if conditioned else {}
+        params = build_decoder(_config(type_, ar_dropout=0.0, **extra), INPUT_DIM,
+                               conditioned, seed=0)
         batch, t_len = 2, 7
         content = rng.standard_normal((batch, t_len, INPUT_DIM))
         spk = rng.standard_normal((batch, 4)) if conditioned else None
@@ -164,7 +163,7 @@ class TestForward:
 
     def test_ar_dropout_seed_controls_inference(self):
         rng = np.random.default_rng(2)
-        params = build_decoder(_config("taco2_ar"), INPUT_DIM, seed=0)
+        params = build_decoder(_config("taco2_ar"), INPUT_DIM, False, seed=0)
         content, _ = _data(rng)
         a = forward_free_running(params, content, None, dropout_seed=5)
         b = forward_free_running(params, content, None, dropout_seed=5)
@@ -172,19 +171,10 @@ class TestForward:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)  # dropout stays live at inference
 
-    def test_content_dim_mismatch(self):
-        rng = np.random.default_rng(4)
-        params = build_decoder(_config("simple"), INPUT_DIM, seed=0)
-        content, _ = _data(rng, input_dim=13)
-        with pytest.raises(VoiceConversionError,
-                           match=f"^content dim 13 != decoder input_dim {INPUT_DIM}$"):
-            forward_free_running(params, content, None, dropout_seed=0)
-
     def test_embedding_requirements(self):
         rng = np.random.default_rng(5)
-        conditioned = build_decoder(
-            _config("taco2_ar", speaker_conditioned=True, embedding_dim=4), INPUT_DIM,
-            seed=0)
+        conditioned = build_decoder(_config("taco2_ar", embedding_dim=4), INPUT_DIM, True,
+                                    seed=0)
         content, _ = _data(rng)
         emb = SpeakerEmbedding.from_raw(rng.standard_normal(4))
         with pytest.raises(VoiceConversionError, match="decoder needs an embedding"):
@@ -192,15 +182,14 @@ class TestForward:
         out = forward_free_running(conditioned, content, emb, dropout_seed=0)
         assert out.shape == (11, 80)
 
-        plain = build_decoder(_config("taco2_ar"), INPUT_DIM, seed=0)
+        plain = build_decoder(_config("taco2_ar"), INPUT_DIM, False, seed=0)
         with pytest.raises(VoiceConversionError, match="not speaker-conditioned"):
             forward_free_running(plain, content, emb, dropout_seed=0)
 
     def test_embedding_dim_checked(self):
         rng = np.random.default_rng(6)
-        conditioned = build_decoder(
-            _config("taco2_ar", speaker_conditioned=True, embedding_dim=4), INPUT_DIM,
-            seed=0)
+        conditioned = build_decoder(_config("taco2_ar", embedding_dim=4), INPUT_DIM, True,
+                                    seed=0)
         content, _ = _data(rng)
         wrong = SpeakerEmbedding.from_raw(rng.standard_normal(5))
         with pytest.raises(VoiceConversionError, match="^embedding dim 5 != configured 4$"):
@@ -208,9 +197,8 @@ class TestForward:
 
     def test_embedding_changes_output(self):
         rng = np.random.default_rng(7)
-        conditioned = build_decoder(
-            _config("taco2_ar", speaker_conditioned=True, embedding_dim=4), INPUT_DIM,
-            seed=0)
+        conditioned = build_decoder(_config("taco2_ar", embedding_dim=4), INPUT_DIM, True,
+                                    seed=0)
         content, _ = _data(rng)
         e1 = SpeakerEmbedding.from_raw(rng.standard_normal(4))
         e2 = SpeakerEmbedding.from_raw(rng.standard_normal(4))
@@ -232,10 +220,10 @@ class TestGradients:
         # one random unit direction per tensor: the central difference of the
         # loss along it must match <grad, v>, so no tensor goes unchecked
         rng = np.random.default_rng(9)
-        extra = dict(speaker_conditioned=True, embedding_dim=4) if conditioned else {}
+        extra = dict(embedding_dim=4) if conditioned else {}
         params = build_decoder(_config(type_, hidden_dim=8, lstmp_proj_dim=6,
                                        postnet_layers=3, postnet_kernel=kernel, **extra),
-                               INPUT_DIM, seed=0)
+                               INPUT_DIM, conditioned, seed=0)
         # off the zero-bias init, so no ReLU unit sits on its kink, and large
         # enough that no tensor's derivative drowns in rounding
         for tensor in params.tensors.values():
@@ -269,7 +257,7 @@ class TestGradients:
     @pytest.mark.parametrize("type_", ["simple", "simple_ar", "taco2_ar"])
     def test_top_output_is_held_once(self, type_):
         rng = np.random.default_rng(4)
-        params = build_decoder(_config(type_), INPUT_DIM, seed=0)
+        params = build_decoder(_config(type_), INPUT_DIM, False, seed=0)
         # a batch of two, since a one-utterance transpose is contiguous anyway
         (c1, t1), (c2, t2) = _data(rng), _data(rng)
         content, prev = np.stack([c1, c2]), np.stack([shift_frames_right(t1),
@@ -283,7 +271,7 @@ class TestGradients:
     @pytest.mark.parametrize("type_", ["simple", "simple_ar", "taco2_ar"])
     def test_backward_empties_the_cache_lists(self, type_):
         rng = np.random.default_rng(3)
-        params = build_decoder(_config(type_), INPUT_DIM, seed=0)
+        params = build_decoder(_config(type_), INPUT_DIM, False, seed=0)
         content, target = _data(rng)
         main, before, cache = teacher_forward_batch(
             params, content[None], shift_frames_right(target)[None], None, 0)

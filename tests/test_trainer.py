@@ -12,7 +12,7 @@ from helpers import sphere_embedding, toy_config
 from recsynvc.checkpoint import load_checkpoint
 from recsynvc.config import ModelConfig
 from recsynvc.converter import denormalize, normalize
-from recsynvc.errors import FeatureFileError, ManifestError, VoiceConversionError
+from recsynvc.errors import ConfigError, FeatureFileError, ManifestError, VoiceConversionError
 from recsynvc.featureio import feature_path, write_features
 from recsynvc.recognizer import external_upstream, mel_upstream
 from recsynvc.synthesizer import build_decoder
@@ -91,9 +91,8 @@ class TestLossGradients:
             type=type_, hidden_dim=8, lstmp_proj_dim=8,
             prenet_dims=(8, 8), postnet_layers=2, postnet_channels=8,
             postnet_kernel=3, ar_dropout=0.5,
-            speaker_conditioned=conditioned,
             embedding_dim=4 if conditioned else 256), **overrides)
-        params = build_decoder(config, 6, seed=0)
+        params = build_decoder(config, 6, conditioned, seed=0)
         # jitter away from the zero-bias init: teacher forcing zero-pads the
         # first frame, and exact zeros park prenet units on the relu kink
         # where central differences disagree with any one-sided subgradient
@@ -140,7 +139,7 @@ class TestLossGradients:
         """
         config = ModelConfig(type="taco2_ar", hidden_dim=64, prenet_dims=(64, 64),
                              postnet_channels=64)
-        params = build_decoder(config, 80, seed=0)
+        params = build_decoder(config, 80, False, seed=0)
         rng = np.random.default_rng(0)
         b, t = 4, 120
         content = rng.standard_normal((b, t, 80))
@@ -220,12 +219,6 @@ class TestTrainA2O:
             train(toy_corpus_multi["manifest"], spec, config,
                   tmp_path / "r2")
 
-    def test_rejects_conditioned_config(self, toy_corpus, tmp_path):
-        config = toy_config("taco2_ar", speaker_conditioned=True, steps=1)
-        with pytest.raises(ManifestError):
-            train(toy_corpus["manifest"], mel_upstream(config.audio),
-                  config, tmp_path / "run")
-
     def test_missing_external_features_fail_fast(self, toy_corpus, tmp_path):
         config = toy_config("simple", steps=1)
         first, *rest = [r.utt_id for r in toy_corpus["manifest"].records]
@@ -279,6 +272,17 @@ class TestTrainA2A:
             train(toy_corpus_multi["manifest"], mel_upstream(config.audio),
                   config, tmp_path / "run",
                   encoder=lambda rec: sphere_embedding(rec.utt_id, dim=8))
+
+    @pytest.mark.parametrize("type_", ["simple", "simple_ar"])
+    def test_rejects_a_decoder_without_conditioning_before_any_work(
+            self, toy_corpus_multi, tmp_path, type_):
+        config = toy_config(type_, steps=1)
+        encoded = []
+        with pytest.raises(ConfigError, match="^speaker conditioning is only available "
+                                              "for the taco2_ar decoder$"):
+            train(toy_corpus_multi["manifest"], mel_upstream(config.audio),
+                  config, tmp_path / "run", encoder=encoded.append)
+        assert encoded == [] and not (tmp_path / "run").exists()
 
     def test_rejects_single_speaker(self, toy_corpus, tmp_path):
         config = toy_config("taco2_ar", embedding_dim=16, steps=1)
