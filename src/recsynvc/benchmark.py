@@ -70,16 +70,19 @@ def read_metrics_table(path) -> list[MetricsRow]:
     """Read a tab-separated metrics table; blank and # lines are skipped.
 
     The first other line names the columns: each of ``_TABLE_COLUMNS``
-    once, in any order.  Every row has a cell in every column.  Text that is
-    not UTF-8, an unknown, repeated or missing column, a row with another
-    number of cells, a score cell that is not a number and a score out of
-    range raise ``CorrelationFileError`` naming the file and the line.
+    once, in any order.  Every row has a cell in every column and names a
+    system no other row names.  Text that is not UTF-8, an unknown, repeated
+    or missing column, a row with another number of cells, an empty
+    ``system`` cell, a repeated system (also naming the line of its first
+    row), a score cell that is not a number and a score out of range raise
+    ``CorrelationFileError`` naming the file and the line.
     """
     try:
         text = Path(path).read_text("utf-8")
     except UnicodeDecodeError as exc:
         raise CorrelationFileError(f"{path}: not UTF-8 text ({exc})") from None
     rows = []
+    first_line: dict[str, int] = {}  # system name -> line of its row
     header: list[str] | None = None
     for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -97,6 +100,13 @@ def read_metrics_table(path) -> list[MetricsRow]:
         if len(parts) != len(header):
             raise CorrelationFileError(f"{where}: {len(parts)} cells for {len(header)} columns")
         values = dict(zip(header, (p.strip() for p in parts)))
+        system = values["system"]
+        if not system:
+            raise CorrelationFileError(f"{where}: empty system name")
+        if system in first_line:
+            raise CorrelationFileError(
+                f"{where}: system {system!r} already named on line {first_line[system]}")
+        first_line[system] = line_no
         scores = {}
         for key in _TABLE_COLUMNS[1:]:
             raw = values[key]
@@ -107,7 +117,7 @@ def read_metrics_table(path) -> list[MetricsRow]:
                     f"{where}: column {key!r} value {raw!r} is not a number"
                 ) from None
         try:
-            rows.append(MetricsRow(values["system"], **scores))
+            rows.append(MetricsRow(system, **scores))
         except VoiceConversionError as exc:
             raise CorrelationFileError(f"{where}: {exc}") from None
     return rows

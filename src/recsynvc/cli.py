@@ -53,11 +53,6 @@ from .recognizer import MEL_UPSTREAM, extract_mel, external_upstream, mel_upstre
 from .trainer import train
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 1
-
-
 def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -81,6 +76,26 @@ def _write_json(path, obj) -> None:
     write_atomic(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")])
 
 
+def _run_each(records, one, jobs: int, summary) -> int:
+    """Run ``one`` on every record, ``jobs`` at a time on threads; the exit status.
+
+    A record whose run raises does not stop the others.  ``summary(done,
+    total)`` gives the note printed first, then each failure gets one
+    ``failed: <utt_id>: <error>`` line, in manifest order.
+    """
+    records = list(records)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        futures = [(r.utt_id, pool.submit(one, r)) for r in records]
+    failures = []
+    for utt_id, future in futures:
+        try:
+            future.result()
+        except Exception as exc:
+            failures.append(f"failed: {utt_id}: {exc}")
+    _note("\n".join([summary(len(records) - len(failures), len(records)), *failures]))
+    return 1 if failures else 0
+
+
 # --- extract-features ---------------------------------------------------------
 
 def cmd_extract_features(args) -> int:
@@ -88,25 +103,13 @@ def cmd_extract_features(args) -> int:
     manifest = load_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    failures = []
-    written = 0
-    for record in manifest:
-        path = feature_path(out_dir, record.utt_id)
-        if path.exists() and not args.force:
-            continue
-        try:
-            wave = load_waveform(record.wav_path, config.audio)
-            mel = extract_mel(wave, config.audio)
-            write_features(path, mel.as_features())
-            written += 1
-        except Exception as exc:
-            failures.append((record.utt_id, exc))
-    _note(f"extracted {written} feature file(s) into {out_dir}")
-    if failures:
-        for utt_id, exc in failures:
-            _note(f"failed: {utt_id}: {exc}")
-        return 1
-    return 0
+
+    def one(record):
+        mel = extract_mel(load_waveform(record.wav_path, config.audio), config.audio)
+        write_features(feature_path(out_dir, record.utt_id), mel.as_features())
+
+    return _run_each(manifest, one, 1,
+                     lambda done, _: f"extracted {done} feature file(s) into {out_dir}")
 
 
 # --- train ---------------------------------------------------------------------
@@ -181,7 +184,7 @@ def cmd_convert(args) -> int:
         _reject(targets, "pass one, not both")
     config = _load_config(args)
     if args.jobs < 1:
-        return _fail(f"--jobs must be at least 1, got {args.jobs}")
+        raise VoiceConversionError(f"--jobs must be at least 1, got {args.jobs}")
     # a bad vocoder, checkpoint or --feature-dir is one error, not one per utterance
     vocoder_command(args.vocoder)
     checkpoint = load_checkpoint(args.checkpoint)
@@ -201,24 +204,9 @@ def cmd_convert(args) -> int:
         write_features(out_dir / f"{record.utt_id}.mel.s3vc", mel.as_features())
         wave = vocode(mel, model.audio, vocoder=args.vocoder)
         save_waveform(out_dir / f"{record.utt_id}.wav", wave)
-        return record.utt_id
 
-    failures = []
-    records = list(manifest)
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = [(r.utt_id, pool.submit(one, r)) for r in records]
-        for utt_id, future in futures:
-            try:
-                future.result()
-            except Exception as exc:
-                failures.append((utt_id, exc))
-    _note(f"converted {len(records) - len(failures)} / {len(records)} "
-          f"utterance(s) into {out_dir}")
-    if failures:
-        for utt_id, exc in failures:
-            _note(f"failed: {utt_id}: {exc}")
-        return 1
-    return 0
+    return _run_each(manifest, one, args.jobs, lambda done, total:
+                     f"converted {done} / {total} utterance(s) into {out_dir}")
 
 
 # --- evaluate ---------------------------------------------------------------------
@@ -228,12 +216,26 @@ def cmd_evaluate(args) -> int:
         _reject(_given(args, "target_embedding", "threshold", "embeddings_cache"),
                 "read only with --speaker-encoder")
     elif args.threshold is None:
-        return _fail("ASV with --speaker-encoder needs --threshold")
+        raise VoiceConversionError("ASV with --speaker-encoder needs --threshold")
     elif not -1.0 <= args.threshold <= 1.0:  # false for nan too
-        return _fail(f"--threshold must be a finite number in [-1, 1], got {args.threshold}")
+        raise VoiceConversionError(
+            f"--threshold must be a finite number in [-1, 1], got {args.threshold}")
     config = _load_config(args)
     manifest = load_manifest(args.reference_manifest)
     converted_dir = Path(args.converted_dir)
+    scored = []  # (record, its converted wav)
+    for record in manifest:
+        conv_wav_path = converted_dir / f"{record.utt_id}.wav"
+        if conv_wav_path.exists():
+            scored.append((record, conv_wav_path))
+        else:
+            _note(f"warning: no converted wav for {record.utt_id}, skipping")
+    # fail before any wav is read or any adapter started
+    if not scored:
+        raise VoiceConversionError("no converted utterances found to evaluate")
+    if (args.speaker_encoder is not None and args.target_embedding is None
+            and not any(record.wav_path.exists() for record, _ in scored)):
+        raise VoiceConversionError("ASV needs reference wavs or --target-embedding")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     audio = config.audio
@@ -242,11 +244,7 @@ def cmd_evaluate(args) -> int:
     conv_embeddings = []
     target_embeddings = []
 
-    for record in manifest:
-        conv_wav_path = converted_dir / f"{record.utt_id}.wav"
-        if not conv_wav_path.exists():
-            _note(f"warning: no converted wav for {record.utt_id}, skipping")
-            continue
+    for record, conv_wav_path in scored:
         row = rows[record.utt_id] = {}
         conv_wave = load_waveform(conv_wav_path, audio)
 
@@ -281,18 +279,10 @@ def cmd_evaluate(args) -> int:
                     utt_id=f"{record.utt_id}.reference",
                 ))
 
-    if not rows:
-        return _fail("no converted utterances found to evaluate")
-
     asv = None
     if conv_embeddings:
-        if args.target_embedding is not None:
-            target = read_embedding(args.target_embedding,
-                                    expected_dim=conv_embeddings[0].dim)
-        elif target_embeddings:
-            target = average_embedding(target_embeddings)
-        else:
-            return _fail("ASV needs reference wavs or --target-embedding")
+        target = (average_embedding(target_embeddings) if args.target_embedding is None
+                  else read_embedding(args.target_embedding, expected_dim=conv_embeddings[0].dim))
         asv = asv_accept_rate([(e, target) for e in conv_embeddings], args.threshold)
 
     def mean(metric):
@@ -372,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", type=Path)
     p.add_argument("--out-dir", type=Path, required=True)
     p.add_argument("--config", type=Path, default=None)
-    p.add_argument("--force", action="store_true",
-                   help="rewrite feature files that already exist")
     p.set_defaults(func=cmd_extract_features)
 
     p = sub.add_parser("train", help="train a decoder")
@@ -441,10 +429,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except VoiceConversionError as exc:
-        return _fail(str(exc))
-    except OSError as exc:
-        return _fail(str(exc))
+    except (VoiceConversionError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

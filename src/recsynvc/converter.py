@@ -84,12 +84,12 @@ class TrainedModel:
                             feature_dir)
 
 
-def model_checkpoint(model: TrainedModel, mode: str, step: int,
-                     target_speaker: str | None) -> Checkpoint:
-    """Inverse of ``load_model``; ``mode``, ``step`` and ``target_speaker`` record the run.
+def model_checkpoint(model: TrainedModel, step: int, target_speaker: str | None) -> Checkpoint:
+    """Inverse of ``load_model``; ``step`` and ``target_speaker`` record the run.
 
     The ``"decoder"`` entry is every ``ModelConfig`` field plus ``input_dim``
-    and ``speaker_conditioned``.
+    and ``speaker_conditioned``; ``"mode"`` is ``"a2a"`` for a
+    speaker-conditioned model and ``"a2o"`` otherwise.
     """
     params = model.params
     meta = {
@@ -100,7 +100,7 @@ def model_checkpoint(model: TrainedModel, mode: str, step: int,
         "upstream": {"name": model.upstream, "feature_dim": params.input_dim,
                      "frame_shift_ms": model.upstream_shift_ms},
         "audio": {**asdict(model.audio), "n_mels": N_MELS},
-        "mode": mode,
+        "mode": "a2a" if params.speaker_conditioned else "a2o",
         "step": step,
         "seed": params.seed,
         "target_speaker": target_speaker,

@@ -207,13 +207,13 @@ def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir
             raise ManifestError(
                 f"single-target training needs exactly one speaker, manifest has {n_speakers}"
             )
-        mode, target_speaker = "a2o", manifest.speakers[0]
+        target_speaker = manifest.speakers[0]
     else:
         if n_speakers < 2:
             raise ManifestError(
                 f"any-to-any training needs >= 2 speakers, manifest has {n_speakers}"
             )
-        mode, target_speaker = "a2a", None
+        target_speaker = None
     training = config.training
     params = build_decoder(config.model, spec.feature_dim, encoder is not None,
                            seed=training.seed)
@@ -257,12 +257,11 @@ def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir
                     print(line, file=log_fh, flush=True)
             if step % training.checkpoint_interval == 0:
                 save_checkpoint(out_dir / f"checkpoint_{step:06d}{CHECKPOINT_SUFFIX}",
-                                model_checkpoint(model, mode, step, target_speaker))
+                                model_checkpoint(model, step, target_speaker))
     finally:
         if log_fh is not None:
             log_fh.close()
 
     final_path = out_dir / f"final{CHECKPOINT_SUFFIX}"
-    save_checkpoint(final_path, model_checkpoint(model, mode, training.steps,
-                                                 target_speaker))
+    save_checkpoint(final_path, model_checkpoint(model, training.steps, target_speaker))
     return TrainRun(loss_history=loss_history, checkpoint_path=final_path)

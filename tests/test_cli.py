@@ -8,8 +8,10 @@ import importlib
 import inspect
 import json
 import re
+import shlex
 import shutil
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -80,13 +82,19 @@ def test_extract_features(cli_corpus, tmp_path):
     assert seq.frames.shape[1] == 80
     assert sorted(out_dir.iterdir()) == files
 
-    # a second run skips existing outputs, --force rewrites them
-    before = [p.stat().st_mtime_ns for p in files]
-    assert main(["extract-features", str(cli_corpus), "--out-dir", str(out_dir)]) == 0
-    assert [p.stat().st_mtime_ns for p in files] == before
+    assert {read_features(f).frame_shift_ms for f in files} == {10.0}
+
+    # a rerun with other audio settings rewrites every file
+    config = tmp_path / "hop480.ini"
+    config.write_text("[audio]\nhop_length = 480\n")
+    before = [read_features(f).frames.shape[0] for f in files]
     assert main(["extract-features", str(cli_corpus), "--out-dir", str(out_dir),
-                 "--force"]) == 0
-    assert [p.stat().st_mtime_ns for p in files] != before
+                 "--config", str(config)]) == 0
+    assert sorted(out_dir.iterdir()) == files
+    for path, n_frames in zip(files, before):
+        seq = read_features(path)
+        assert seq.frame_shift_ms == 20.0
+        assert seq.frames.shape[0] < n_frames
 
 
 def test_extract_features_rejects_external_upstream(cli_corpus, tmp_path):
@@ -707,13 +715,38 @@ def test_evaluate_transcript_without_words_skips_only_its_wer(eval_setup, tmp_pa
     assert summary["n_utterances"] == 2 and summary["wer"] == 0.0
 
 
-def test_evaluate_without_converted_wavs(eval_setup, tmp_path):
+def test_evaluate_without_converted_wavs(eval_setup, tmp_path, capsys):
     manifest_path, _ = eval_setup
     empty = tmp_path / "empty"
     empty.mkdir()
+    capsys.readouterr()
     rc = main(["evaluate", str(empty), str(manifest_path),
                "--out-dir", str(tmp_path / "scores")])
     assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: no converted wav for u0, skipping",
+        "error: no converted utterances found to evaluate"]
+    assert not (tmp_path / "scores").exists()
+
+
+def test_evaluate_asv_without_any_target_fails_before_encoding(eval_setup, tmp_path,
+                                                               capsys):
+    # the only converted wav has no reference wav and no --target-embedding is given
+    manifest_path, conv_dir = eval_setup
+    load_manifest(manifest_path).records[0].wav_path.unlink()
+    spawns = tmp_path / "spawns.txt"
+    script = tmp_path / "counting_encoder.py"
+    script.write_text(f"open({str(spawns)!r}, 'a').write('spawn\\n')\n")
+    capsys.readouterr()
+    rc = main(["evaluate", str(conv_dir), str(manifest_path),
+               "--out-dir", str(tmp_path / "scores"),
+               "--speaker-encoder", shlex.join([sys.executable, str(script)]),
+               "--threshold", "0.5"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: ASV needs reference wavs or --target-embedding"]
+    assert not spawns.exists()
+    assert not (tmp_path / "scores").exists()
 
 
 # --- correlate ------------------------------------------------------------------

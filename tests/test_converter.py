@@ -139,8 +139,7 @@ def _tiny_checkpoint_headers(path):
     stats = {f"{side}_{kind}": np.ones(width)
              for side, width in (("input", 3), ("target", 80))
              for kind in ("mean", "std")}
-    ckpt = model_checkpoint(TrainedModel(params, stats, AudioConfig(), "ssl", 20.0),
-                            "a2o", 0, "T")
+    ckpt = model_checkpoint(TrainedModel(params, stats, AudioConfig(), "ssl", 20.0), 0, "T")
     tensors = ckpt.tensors
     save_checkpoint(path, ckpt)
     # layout: magic, version, meta length and text, count, then per tensor
@@ -178,8 +177,7 @@ def test_every_tensor_header_bit_flip_is_typed(tmp_path):
 def test_model_checkpoint_inverts_load_model(quick_checkpoint):
     ckpt = load_checkpoint(quick_checkpoint["path"])
     meta = ckpt.meta
-    again = model_checkpoint(load_model(ckpt), meta["mode"], meta["step"],
-                             meta["target_speaker"])
+    again = model_checkpoint(load_model(ckpt), meta["step"], meta["target_speaker"])
     assert again.meta == meta
     assert again.tensors.keys() == ckpt.tensors.keys()
     assert all(again.tensors[name] is tensor for name, tensor in ckpt.tensors.items())

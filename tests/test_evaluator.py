@@ -1,6 +1,7 @@
 """Metric suite: cepstra, DTW, MCD, WER and ASV, plus the correlation study's
 metrics rows, tables and matrix."""
 
+import dataclasses
 import re
 import shlex
 
@@ -503,6 +504,22 @@ def test_metrics_table_partial_row_names_the_line(tmp_path, row, error):
     path.write_text(path.read_text() + row + "\n")
     with pytest.raises(CorrelationFileError,
                        match=f"^{re.escape(str(path))}: line 5: {re.escape(error)}$"):
+        read_metrics_table(path)
+
+
+@pytest.mark.parametrize("names, error", [
+    (["", "A", "B"], "line 2: empty system name"),
+    (["A", " ", "B"], "line 3: empty system name"),
+    (["A", "B", "A"], "line 4: system 'A' already named on line 2"),
+    (["mel", "B", " mel"], "line 4: system 'mel' already named on line 2"),
+], ids=["empty", "blank", "repeated", "repeated_after_strip"])
+def test_metrics_table_rows_name_distinct_systems(tmp_path, names, error):
+    path = tmp_path / "metrics.tsv"
+    rows = _demo_rows()[:3]
+    write_metrics_table(path, [dataclasses.replace(r, system=name)
+                               for r, name in zip(rows, names)])
+    with pytest.raises(CorrelationFileError,
+                       match=f"^{re.escape(str(path))}: {re.escape(error)}$"):
         read_metrics_table(path)
 
 

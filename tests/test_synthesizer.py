@@ -37,7 +37,7 @@ def _through_checkpoint(params, tmp_path):
              for side, width in widths.items() for kind in ("mean", "std")}
     model = TrainedModel(params, stats, AudioConfig(), "ssl", 20.0)
     path = tmp_path / "model.s3ck"
-    save_checkpoint(path, model_checkpoint(model, "a2o", 0, None))
+    save_checkpoint(path, model_checkpoint(model, 0, None))
     return load_model(path).params
 
 

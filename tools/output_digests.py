@@ -3,14 +3,16 @@
 
 Usage: python3 tools/output_digests.py OUT_DIR
 
-For `simple`, `simple_ar`, `taco2_ar` (any-to-one) and speaker-conditioned
-`taco2_ar` (any-to-any), this writes a small synthetic corpus, then runs the
-CLI's `train`, `convert` and `evaluate` (with stub ASR and speaker-encoder
-commands) under OUT_DIR. It prints one `sha256  path` line, sorted by path
-relative to OUT_DIR, for every `.s3ck`, `.mel.s3vc`, `.wav`, `report.tsv` and
-`summary.json` there. Run it on two checkouts and diff the printed lines to
-show that a change keeps every output bit for bit. BLAS runs on one thread,
-because the bits depend on the thread count.
+This writes small synthetic corpora under OUT_DIR and runs the CLI's
+`extract-features` on the any-to-one corpus. Then, for `simple`, `simple_ar`,
+`taco2_ar` (any-to-one) and speaker-conditioned `taco2_ar` (any-to-any), it
+runs `train`, `convert` and `evaluate` (with stub ASR and speaker-encoder
+commands). It prints one `sha256  path` line, sorted by path relative to
+OUT_DIR, for every `.s3ck`, `.mel.s3vc`, `.wav`, `report.tsv` and
+`summary.json` there and every feature file that `extract-features` wrote.
+Run it on two checkouts and diff the printed lines to show that a change
+keeps every output bit for bit. BLAS runs on one thread, because the bits
+depend on the thread count.
 
 The bits also depend on the numpy version, the OpenBLAS version and the CPU
 kernel OpenBLAS picks, so the digests follow three `# key: value` lines that
@@ -45,6 +47,7 @@ SETUPS = (
 )
 EMBEDDING_DIM = 16
 DIGESTED = (".s3ck", ".mel.s3vc", ".wav", "report.tsv", "summary.json")
+FEATURES = "features_a2o"  # extract-features output, every file digested
 
 # stub adapters: a fixed transcript, and a hash of the wav's name to a unit vector
 ASR_STUB = 'print("PA KO")\n'
@@ -108,6 +111,7 @@ def run_pipeline(out: Path) -> None:
                             duration=0.4, seed=1)
     source = make_toy_corpus(out / "corpus_source", n_utterances=2, n_speakers=2,
                              duration=0.4, seed=2)
+    _run(["extract-features", single, "--out-dir", out / FEATURES])
     for name, decoder_type, a2a in SETUPS:
         run = out / name
         run.mkdir()
@@ -165,7 +169,7 @@ def main(argv) -> int:
     for key, value in platform_key().items():
         print(f"# {key}: {value}")
     for path in sorted(out.rglob("*")):
-        if path.is_file() and path.name.endswith(DIGESTED):
+        if path.is_file() and (path.name.endswith(DIGESTED) or path.parent.name == FEATURES):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(out)}")
     return 0
