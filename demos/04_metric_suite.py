@@ -73,9 +73,9 @@ threshold = calibrate_asv_threshold({"A": speaker_a, "B": speaker_b})
 print(f"\ncalibrated EER threshold: {threshold:.3f}")
 
 target = speaker_a[0]
-trials = [(emb, target) for emb in speaker_a[1:] + speaker_b]
-rate = asv_accept_rate(trials, threshold)
-sims = sorted(cosine_similarity(e, target) for e, _ in trials)
+trials = speaker_a[1:] + speaker_b
+rate = asv_accept_rate(trials, target, threshold)
+sims = sorted(cosine_similarity(e, target) for e in trials)
 print(f"accept rate vs speaker A target: {rate:.0f}% of 9 trials "
       f"(4 within-speaker, 5 cross-speaker; "
       f"cosines {sims[0]:.2f}..{sims[-1]:.2f})")

@@ -283,7 +283,7 @@ def cmd_evaluate(args) -> int:
     if conv_embeddings:
         target = (average_embedding(target_embeddings) if args.target_embedding is None
                   else read_embedding(args.target_embedding, expected_dim=conv_embeddings[0].dim))
-        asv = asv_accept_rate([(e, target) for e in conv_embeddings], args.threshold)
+        asv = asv_accept_rate(conv_embeddings, target, args.threshold)
 
     def mean(metric):
         values = [row[metric] for row in rows.values() if metric in row]

@@ -35,7 +35,7 @@ from .config import AudioConfig, ModelConfig, config_from_json
 from .dsp import griffin_lim, mel_filterbank
 from .errors import AdapterError, ConfigError, FeatureFileError, VoiceConversionError
 from .featureio import read_features, write_features, feature_path
-from .recognizer import UpstreamSpec, recognize, resample_features
+from .recognizer import UpstreamSpec, check_upstream, recognize
 from .synthesizer import ModelParameters, forward_free_running
 from .types import (
     LOG_MEL_FLOOR,
@@ -45,6 +45,7 @@ from .types import (
     SpeakerEmbedding,
     UtteranceRecord,
     Waveform,
+    embedding_rows,
 )
 
 STD_FLOOR = 1e-8
@@ -113,8 +114,9 @@ def load_model(checkpoint) -> TrainedModel:
     """Read the model from a checkpoint or its path; inverse of ``model_checkpoint``.
 
     A missing meta entry or ``stats.*`` tensor, or one of the wrong type or
-    width, raises ``ConfigError`` naming it; ``ModelParameters`` checks
-    the decoder tensors.  The returned tensors are the checkpoint's own arrays.
+    width, raises ``ConfigError`` naming it, and so does an ``upstream`` entry
+    that breaks ``UpstreamSpec``'s rules; ``ModelParameters`` checks the
+    decoder tensors.  The returned tensors are the checkpoint's own arrays.
     """
     if not isinstance(checkpoint, Checkpoint):
         checkpoint = load_checkpoint(checkpoint)
@@ -135,11 +137,14 @@ def load_model(checkpoint) -> TrainedModel:
     if not (isinstance(upstream, dict)
             and upstream.keys() == {"name", "feature_dim", "frame_shift_ms"}
             and isinstance(upstream["name"], str) and upstream["feature_dim"] == input_dim
-            and type(upstream["frame_shift_ms"]) in (int, float)
-            and upstream["frame_shift_ms"] > 0):
+            and type(upstream["frame_shift_ms"]) in (int, float)):
         raise ConfigError(
             f"checkpoint meta 'upstream': {upstream!r} is not an object with a "
-            f"string name, feature_dim {input_dim} and a positive frame_shift_ms")
+            f"string name, feature_dim {input_dim} and a numeric frame_shift_ms")
+    try:
+        check_upstream(upstream["name"], input_dim, upstream["frame_shift_ms"])
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint meta 'upstream': {exc}") from None
     stats = {}
     for name, width in (("input_mean", input_dim), ("input_std", input_dim),
                         ("target_mean", N_MELS), ("target_std", N_MELS)):
@@ -169,7 +174,6 @@ def convert(record: UtteranceRecord, checkpoint, feature_dir=None,
     model = load_model(checkpoint)
     audio, stats = model.audio, model.stats
     content = recognize(record, model.upstream_spec(feature_dir), audio)
-    content = resample_features(content, audio.frame_shift_ms)
     frames = normalize(content.frames, stats["input_mean"], stats["input_std"])
     out = forward_free_running(model.params, frames, embedding=s,
                                dropout_seed=dropout_seed)
@@ -178,24 +182,14 @@ def convert(record: UtteranceRecord, checkpoint, feature_dir=None,
 
 
 def average_embedding(embeddings) -> SpeakerEmbedding:
-    """Mean of unit embeddings, re-normalized to the unit sphere."""
-    embeddings = list(embeddings)
-    if not embeddings:
+    """Mean of embeddings (or plain vectors), re-normalized to the unit sphere."""
+    rows = embedding_rows(embeddings)
+    if not len(rows):
         raise VoiceConversionError("cannot average an empty list of embeddings")
-    vectors = []
-    dim = None
-    for e in embeddings:
-        vec = e.vector if isinstance(e, SpeakerEmbedding) else np.asarray(e, dtype=np.float64)
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise VoiceConversionError(f"embedding dims disagree: {dim} vs {vec.size}")
-        vectors.append(vec)
-    mean = np.mean(vectors, axis=0)
-    norm = float(np.linalg.norm(mean))
-    if norm < 1e-8:
+    mean = rows.mean(axis=0)
+    if np.linalg.norm(mean) < 1e-8:
         raise VoiceConversionError("embeddings average to (near) zero; cannot renormalize")
-    return SpeakerEmbedding(mean / norm)
+    return SpeakerEmbedding.from_raw(mean)
 
 
 # --- vocoding -------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .config import AudioConfig
 from .converter import run_adapter
 from .errors import VoiceConversionError
 from .recognizer import extract_mel
-from .types import FeatureSequence, SpeakerEmbedding, Waveform
+from .types import FeatureSequence, SpeakerEmbedding, Waveform, embedding_rows
 
 # (10 / ln 10) * sqrt(2): converts the mean cepstral L2 distance to decibels
 MCD_CONSTANT = (10.0 / np.log(10.0)) * np.sqrt(2.0)
@@ -180,39 +180,25 @@ def transcribe_adapter(wav_path, command) -> list[str]:
 
 
 def cosine_similarity(a: SpeakerEmbedding, b: SpeakerEmbedding) -> float:
-    """Cosine of two embeddings; ``VoiceConversionError`` when their widths differ."""
-    va, vb = a.vector, b.vector
-    if va.size != vb.size:
-        raise VoiceConversionError(f"embedding dims disagree: {va.size} vs {vb.size}")
-    denom = float(np.linalg.norm(va) * np.linalg.norm(vb))
-    return float(np.dot(va, vb) / denom)
+    """Cosine of two unit embeddings, their dot product; ``embedding_rows`` checks widths."""
+    va, vb = embedding_rows([a, b])
+    return float(va @ vb)
 
 
-def _unit_rows(embeddings) -> np.ndarray:
-    """Embeddings stacked as unit-length rows; ``VoiceConversionError`` on mixed widths."""
-    vectors = [e.vector for e in embeddings]
-    widths = list(dict.fromkeys(v.size for v in vectors))
-    if len(widths) > 1:
-        raise VoiceConversionError(f"embedding dims disagree: {widths[0]} vs {widths[1]}")
-    rows = np.array(vectors, dtype=np.float64)
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
-
-
-def asv_accept_rate(trials, threshold: float) -> float:
-    """Percent of (converted, target) pairs with cosine similarity >= threshold."""
-    trials = list(trials)
-    if not trials:
+def asv_accept_rate(converted, target: SpeakerEmbedding, threshold: float) -> float:
+    """Percent of converted embeddings whose cosine with ``target`` is >= threshold."""
+    rows = embedding_rows([*converted, target])
+    scores = rows[:-1] @ rows[-1]
+    if not scores.size:
         raise VoiceConversionError("no verification trials")
-    unit = _unit_rows(e for pair in trials for e in pair)
-    scores = (unit[0::2] * unit[1::2]).sum(axis=1)
-    return float(100.0 * np.count_nonzero(scores >= threshold) / len(trials))
+    return float(100.0 * np.count_nonzero(scores >= threshold) / len(scores))
 
 
 def calibrate_asv_threshold(embeddings_by_speaker) -> float:
     """EER threshold from a multi-speaker embedding table.
 
     Genuine scores are all within-speaker cosine pairs, impostor scores all
-    cross-speaker pairs, read off one Gram matrix of the unit-length rows.
+    cross-speaker pairs, read off one Gram matrix of the embeddings.
     """
     speakers = sorted(embeddings_by_speaker)
     if len(speakers) < 2:
@@ -221,10 +207,10 @@ def calibrate_asv_threshold(embeddings_by_speaker) -> float:
     embeddings = [e for group in groups for e in group]
     if not embeddings:
         raise VoiceConversionError("threshold calibration needs embeddings")
-    unit = _unit_rows(embeddings)
+    rows = embedding_rows(embeddings)
     speaker = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
     i, j = np.triu_indices(len(embeddings), k=1)
-    scores = (unit @ unit.T)[i, j]
+    scores = (rows @ rows.T)[i, j]
     same = speaker[i] == speaker[j]
     return eer_threshold(scores[same], scores[~same])
 

@@ -54,21 +54,24 @@ class UpstreamSpec:
 
     def __post_init__(self):
         _check_source(self.name, self.feature_dir)
-        if self.feature_dim < 1:
-            raise ConfigError("feature_dim must be positive")
-        if not 0.0 < self.frame_shift_ms <= MAX_FRAME_SHIFT_MS:
-            raise ConfigError(f"upstream frame_shift_ms must lie in "
-                              f"(0, {MAX_FRAME_SHIFT_MS:g}], got {self.frame_shift_ms}")
-        if self.native and self.feature_dim != N_MELS:
-            raise ConfigError(
-                f"the native {MEL_UPSTREAM!r} upstream is {N_MELS}-dim, got {self.feature_dim}"
-            )
+        check_upstream(self.name, self.feature_dim, self.frame_shift_ms)
         if self.feature_dir is not None:
             object.__setattr__(self, "feature_dir", Path(self.feature_dir))
 
     @property
     def native(self) -> bool:
         return self.name == MEL_UPSTREAM
+
+
+def check_upstream(name, feature_dim, frame_shift_ms) -> None:
+    """``UpstreamSpec``'s rules for a width and frame shift; ``ConfigError`` when broken."""
+    if feature_dim < 1:
+        raise ConfigError("feature_dim must be positive")
+    if not 0.0 < frame_shift_ms <= MAX_FRAME_SHIFT_MS:
+        raise ConfigError(f"upstream frame_shift_ms must lie in "
+                          f"(0, {MAX_FRAME_SHIFT_MS:g}], got {frame_shift_ms}")
+    if name == MEL_UPSTREAM and feature_dim != N_MELS:
+        raise ConfigError(f"the native {name!r} upstream is {N_MELS}-dim, got {feature_dim}")
 
 
 def _check_source(name, feature_dir) -> None:
@@ -132,7 +135,8 @@ def recognize(record: UtteranceRecord, spec: UpstreamSpec,
 
     Native upstream: the record's wav is loaded and the mel extractor runs
     in-process.  External upstream: the record's features are read from
-    ``spec.feature_dir``; values pass through untouched.
+    ``spec.feature_dir`` and resampled in time onto ``audio``'s frame shift,
+    the decoder's frame rate; rows that align exactly keep their values.
     """
     if spec.native:
         # imported here, so each call looks it up on ``audioio`` and a
@@ -153,7 +157,7 @@ def recognize(record: UtteranceRecord, spec: UpstreamSpec,
         raise FeatureFileError(
             f"{record.utt_id}: feature dim {seq.dim} != upstream contract {spec.feature_dim}"
         )
-    return seq
+    return resample_features(seq, audio.frame_shift_ms)
 
 
 def resample_features(seq: FeatureSequence, target_shift_ms: float) -> FeatureSequence:

@@ -9,10 +9,10 @@ exposure bias is the dropout kept on the autoregressive path.  Loss is a
 masked mean absolute error; models with a postnet are trained on the sum of
 the pre-postnet and post-postnet losses.
 
-Content features are resampled to the mel frame rate (10 ms at the default
-audio settings), standardized with corpus statistics, and the target mels
-are mean/variance normalized.  All four statistics vectors are stored in the
-checkpoint so conversion is self-contained.
+Content features arrive from ``recognize`` at the mel frame rate (10 ms at
+the default audio settings) and are standardized with corpus statistics; the
+target mels are mean/variance normalized.  All four statistics vectors are
+stored in the checkpoint so conversion is self-contained.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .config import Config
 from .converter import TrainedModel, model_checkpoint, normalize
 from .errors import FeatureFileError, ManifestError, VoiceConversionError
 from .nnops import clip_grad_norm
-from .recognizer import UpstreamSpec, extract_mel, recognize, resample_features
+from .recognizer import UpstreamSpec, extract_mel, recognize
 from .audioio import load_waveform
 from .featureio import feature_path
 from .synthesizer import (
@@ -143,7 +143,6 @@ def _prepare_examples(manifest, spec, config, encoder=None):
         mel = extract_mel(wave, audio)
         # the native upstream's content is the target mel itself
         content = mel.as_features() if spec.native else recognize(record, spec, audio)
-        content = resample_features(content, audio.frame_shift_ms)
         t_len = min(len(content), mel.frames.shape[0])
         emb = None
         if encoder is not None:

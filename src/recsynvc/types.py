@@ -168,6 +168,16 @@ class SpeakerEmbedding:
         return cls(vec / norm)
 
 
+def embedding_rows(embeddings) -> np.ndarray:
+    """Embeddings or plain vectors as float64 rows; ``VoiceConversionError`` on mixed widths."""
+    rows = [np.asarray(e.vector if isinstance(e, SpeakerEmbedding) else e, dtype=np.float64)
+            for e in embeddings]
+    widths = list(dict.fromkeys(row.size for row in rows))
+    if len(widths) > 1:
+        raise VoiceConversionError(f"embedding dims disagree: {widths[0]} vs {widths[1]}")
+    return np.array(rows)
+
+
 @dataclass(frozen=True)
 class UtteranceRecord:
     utt_id: str

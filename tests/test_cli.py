@@ -475,11 +475,14 @@ def test_convert_rejects_jobs_below_one(cli_checkpoint, cli_corpus, tmp_path, ca
     (lambda meta, tensors: meta["audio"].update(hop_length=None), "hop_length"),
     (lambda meta, tensors: meta.update(seed="x"), "seed"),
     (lambda meta, tensors: meta["upstream"].update(frame_shift_ms=-10.0), "upstream"),
+    (lambda meta, tensors: meta["upstream"].update(frame_shift_ms=5000.0),
+     "checkpoint meta 'upstream': upstream frame_shift_ms must lie in (0, 1000], got 5000.0"),
     (lambda meta, tensors: tensors.pop("stats.target_std"), "stats.target_std"),
     (lambda meta, tensors: tensors.update({"out.weight": tensors.pop("out.w")}), "out.w"),
     (lambda meta, tensors: tensors.update({"out.b": np.zeros(81)}), "out.b"),
 ], ids=["no_decoder", "list_decoder", "null_hop_length", "str_seed",
-        "negative_frame_shift", "no_target_std", "renamed_tensor", "reshaped_tensor"])
+        "negative_frame_shift", "long_frame_shift", "no_target_std", "renamed_tensor",
+        "reshaped_tensor"])
 def test_convert_malformed_checkpoint_is_one_error_line(cli_checkpoint, cli_corpus,
                                                         tmp_path, capsys, corrupt, entry):
     ckpt = load_checkpoint(cli_checkpoint)

@@ -34,7 +34,7 @@ from recsynvc.converter import (
 )
 from recsynvc.errors import AdapterError, ConfigError, FeatureFileError, VoiceConversionError
 from recsynvc.featureio import feature_path, write_features
-from recsynvc.recognizer import mel_upstream, recognize, resample_features
+from recsynvc.recognizer import mel_upstream, recognize
 from recsynvc.synthesizer import build_decoder, forward_free_running
 from recsynvc.types import FeatureSequence, MelSpectrogram, Waveform, LOG_MEL_FLOOR
 
@@ -53,8 +53,8 @@ class TestConvert:
 
     def test_equals_manually_chained_modules(self, toy_corpus,
                                              quick_checkpoint, audio):
-        # the one-call pipeline is exactly recognize -> resample -> normalize
-        # -> decode -> denormalize, with no hidden extras
+        # the one-call pipeline is exactly recognize -> normalize -> decode
+        # -> denormalize, with no hidden extras
         record = toy_corpus["manifest"].records[0]
         ckpt = load_checkpoint(quick_checkpoint["path"])
         spec = mel_upstream(audio)
@@ -62,8 +62,7 @@ class TestConvert:
 
         model = load_model(ckpt)
         params, stats, audio_cfg = model.params, model.stats, model.audio
-        content = resample_features(recognize(record, spec, audio_cfg),
-                                    audio_cfg.frame_shift_ms)
+        content = recognize(record, spec, audio_cfg)
         x = normalize(content.frames.astype(np.float64),
                       stats["input_mean"], stats["input_std"])
         y = forward_free_running(params, x, None, dropout_seed=3)
@@ -116,6 +115,11 @@ class TestConvert:
     (lambda meta: meta["upstream"].update(feature_dim=81), "upstream"),
     (lambda meta: meta["upstream"].update(frame_shift_ms=0.0), "upstream"),
     (lambda meta: meta["upstream"].update(name=3), "upstream"),
+    (lambda meta: meta["upstream"].update(frame_shift_ms=5000.0),
+     r"^checkpoint meta 'upstream': upstream frame_shift_ms must lie in \(0, 1000\], "
+     r"got 5000\.0$"),
+    (lambda meta: (meta["decoder"].update(input_dim=64), meta["upstream"].update(feature_dim=64)),
+     r"^checkpoint meta 'upstream': the native 'mel' upstream is 80-dim, got 64$"),
     (lambda tensors: tensors.pop("stats.target_std"), "stats.target_std"),
     (lambda tensors: tensors.update({"stats.input_mean": np.zeros(3)}), "stats.input_mean"),
 ], ids=["unknown_key", "no_input_dim", "no_speaker_conditioned",
@@ -123,6 +127,7 @@ class TestConvert:
         "null_prenet_dims", "list_decoder", "null_hop_length", "zero_hop_length",
         "no_n_mels", "narrow_n_mels", "bad_sample_rate", "bad_fmax",
         "str_seed", "no_upstream", "wide_upstream", "zero_frame_shift", "int_upstream_name",
+        "long_frame_shift", "narrow_mel_upstream",
         "no_target_std", "narrow_input_mean"])
 def test_load_model_rejects_malformed_meta(quick_checkpoint, corrupt, entry):
     ckpt = load_checkpoint(quick_checkpoint["path"])
@@ -208,14 +213,15 @@ class TestAverageEmbedding:
         np.testing.assert_allclose(average_embedding([e]).vector, e.vector,
                                    atol=1e-12)
 
+    def test_plain_vectors_are_averaged_as_given(self):
+        e1, e2 = sphere_embedding("a"), sphere_embedding("b")
+        mean = (3.0 * e1.vector + e2.vector) / 2.0
+        np.testing.assert_allclose(average_embedding([3.0 * e1.vector, e2.vector]).vector,
+                                   mean / np.linalg.norm(mean), atol=1e-12)
+
     def test_empty_rejected(self):
         with pytest.raises(VoiceConversionError, match="cannot average an empty list"):
             average_embedding([])
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(VoiceConversionError, match="embedding dims disagree: 8 vs 16"):
-            average_embedding([sphere_embedding("a", dim=8),
-                               sphere_embedding("b", dim=16)])
 
     def test_cancelling_vectors_rejected(self):
         e = sphere_embedding("x")

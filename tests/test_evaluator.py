@@ -22,6 +22,7 @@ from recsynvc.benchmark import (
     read_metrics_table,
 )
 from recsynvc import evaluator
+from recsynvc.converter import average_embedding
 from recsynvc.evaluator import (
     MCD_CONSTANT,
     asv_accept_rate,
@@ -303,23 +304,35 @@ def test_cosine_similarity_basics():
 
 def test_asv_accept_rate():
     ref = _unit(0.0)
-    trials = [(_unit(np.arccos(c)), ref) for c in (0.9, 0.4, 0.6, 0.2)]
-    assert asv_accept_rate(trials, 0.5) == 50.0
-    assert asv_accept_rate(trials, 0.1) == 100.0
-    assert asv_accept_rate(trials, 0.95) == 0.0
+    converted = [_unit(np.arccos(c)) for c in (0.9, 0.4, 0.6, 0.2)]
+    assert asv_accept_rate(converted, ref, 0.5) == 50.0
+    assert asv_accept_rate(converted, ref, 0.1) == 100.0
+    assert asv_accept_rate(converted, ref, 0.95) == 0.0
     with pytest.raises(VoiceConversionError, match="^no verification trials$"):
-        asv_accept_rate([], 0.5)
+        asv_accept_rate([], ref, 0.5)
 
 
 def test_asv_accept_rate_matches_per_pair_cosines():
-    trials = [(sphere_embedding(f"conv{k}"), sphere_embedding(f"tgt{k % 3}")) for k in range(40)]
-    scores = np.array([cosine_similarity(conv, tgt) for conv, tgt in trials])
-    for threshold in np.linspace(-0.5, 0.5, 21):
-        assert np.min(np.abs(scores - threshold)) > 1e-12
-        expected = 100.0 * int(np.count_nonzero(scores >= threshold)) / len(trials)
-        assert asv_accept_rate(trials, threshold) == expected
-    with pytest.raises(VoiceConversionError, match="embedding dims disagree: 16 vs 8"):
-        asv_accept_rate([(trials[0][0], sphere_embedding("narrow", dim=8))], 0.5)
+    converted = [sphere_embedding(f"conv{k}") for k in range(40)]
+    for target in (sphere_embedding(f"tgt{k}") for k in range(3)):
+        scores = np.array([cosine_similarity(conv, target) for conv in converted])
+        for threshold in np.linspace(-0.5, 0.5, 21):
+            assert np.min(np.abs(scores - threshold)) > 1e-12
+            expected = 100.0 * int(np.count_nonzero(scores >= threshold)) / len(converted)
+            assert asv_accept_rate(converted, target, threshold) == expected
+
+
+@pytest.mark.parametrize("call", [
+    lambda narrow, wide: average_embedding([narrow, wide]),
+    lambda narrow, wide: cosine_similarity(narrow, wide),
+    lambda narrow, wide: asv_accept_rate([narrow], wide, 0.5),
+    lambda narrow, wide: calibrate_asv_threshold({"a": [narrow, narrow], "b": [wide]}),
+], ids=["average_embedding", "cosine_similarity", "asv_accept_rate",
+        "calibrate_asv_threshold"])
+def test_one_width_rule(call):
+    narrow, wide = sphere_embedding("narrow", dim=8), sphere_embedding("wide", dim=16)
+    with pytest.raises(VoiceConversionError, match="^embedding dims disagree: 8 vs 16$"):
+        call(narrow, wide)
 
 
 def test_eer_threshold_separable():
@@ -381,13 +394,6 @@ def test_calibrate_asv_threshold():
     assert abs(threshold - eer_threshold(genuine, impostor)) < 1e-12
     # within-speaker pairs sit near 1; the threshold must separate the clusters
     assert max(impostor) < threshold <= min(genuine) + 1e-12
-
-
-def test_calibrate_asv_threshold_rejects_mixed_widths():
-    table = {"a": [sphere_embedding("a1", dim=8), sphere_embedding("a2", dim=8)],
-             "b": [sphere_embedding("b1", dim=16)]}
-    with pytest.raises(VoiceConversionError, match="embedding dims disagree: 8 vs 16"):
-        calibrate_asv_threshold(table)
 
 
 def test_calibrate_asv_threshold_needs_two_speakers():

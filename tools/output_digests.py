@@ -7,9 +7,12 @@ This writes small synthetic corpora under OUT_DIR and runs the CLI's
 `extract-features` on the any-to-one corpus. Then, for `simple`, `simple_ar`,
 `taco2_ar` (any-to-one) and speaker-conditioned `taco2_ar` (any-to-any), it
 runs `train`, `convert` and `evaluate` (with stub ASR and speaker-encoder
-commands). It prints one `sha256  path` line, sorted by path relative to
-OUT_DIR, for every `.s3ck`, `.mel.s3vc`, `.wav`, `report.tsv` and
-`summary.json` there and every feature file that `extract-features` wrote.
+commands). The any-to-any setup converts twice: toward one cached embedding
+(`--target-embedding FILE`) and toward the average of all of them
+(`--target-embeddings DIR`, into `converted_averaged`). It prints one
+`sha256  path` line, sorted by path relative to OUT_DIR, for every `.s3ck`,
+`.mel.s3vc`, `.wav`, `report.tsv` and `summary.json` there and every feature
+file that `extract-features` wrote.
 Run it on two checkouts and diff the printed lines to show that a change
 keeps every output bit for bit. BLAS runs on one thread, because the bits
 depend on the thread count.
@@ -127,6 +130,10 @@ def run_pipeline(out: Path) -> None:
             target = []
         _run(["convert", run / "train" / "final.s3ck", source,
               "--out-dir", run / "converted", "--config", config, *target])
+        if a2a:
+            _run(["convert", run / "train" / "final.s3ck", source,
+                  "--out-dir", run / "converted_averaged", "--config", config,
+                  "--target-embeddings", run / "embeddings"])
         _run(["evaluate", run / "converted", source, "--out-dir", run / "scores",
               "--config", config, "--asr", asr, "--speaker-encoder", encoder,
               "--threshold", "0.5", *target])
