@@ -15,6 +15,7 @@ import json
 import math
 import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -36,14 +37,18 @@ def pack_text(text: str) -> bytes:
 def write_atomic(path, parts) -> None:
     """Write the byte strings ``parts`` to ``path``.
 
-    The bytes go to a temp file beside ``path``, which is then renamed over
-    it, so readers never see a partly written file.
+    The bytes go to a temp file beside ``path``, named for this process and
+    thread, which is then renamed over it, so readers never see a partly
+    written file and concurrent writers of one path do not collide.
     """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.writelines(parts)
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only when the write failed
 
 
 class Reader:

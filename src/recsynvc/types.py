@@ -7,7 +7,7 @@ across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +25,6 @@ LOG_MEL_FLOOR = float(np.log(MEL_FLOOR))
 
 #: Number of mel bins used as the synthesis target.
 N_MELS = 80
-
-#: Manifest roles.
-ROLE_TARGET_SPEAKER = "target_speaker"
-ROLE_MULTI_SPEAKER = "multi_speaker"
-ROLE_SOURCE_EVAL = "source_eval"
-MANIFEST_ROLES = (ROLE_TARGET_SPEAKER, ROLE_MULTI_SPEAKER, ROLE_SOURCE_EVAL)
 
 
 def _readonly(a):
@@ -201,44 +195,24 @@ class UtteranceRecord:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """An ordered collection of utterance records with a declared role."""
+    """Utterance records with distinct ids; the command that reads a manifest
+    decides its speaker count (``trainer.train`` for A2O and A2A)."""
 
     records: tuple[UtteranceRecord, ...]
-    role: str = ROLE_SOURCE_EVAL
-    _speakers: tuple[str, ...] = field(init=False, repr=False)
+    role: str | None = None  # nothing reads it; goes with perfbench's ``role=`` (ROADMAP item 1)
 
     def __post_init__(self):
-        records = tuple(self.records)
-        if self.role not in MANIFEST_ROLES:
-            raise VoiceConversionError(
-                f"unknown manifest role {self.role!r}; expected one of {MANIFEST_ROLES}"
-            )
+        object.__setattr__(self, "records", tuple(self.records))
         seen = {}
-        for position, rec in enumerate(records, start=1):
+        for position, rec in enumerate(self.records, start=1):
             if rec.utt_id in seen:
                 raise ManifestError(f"duplicate utt_id {rec.utt_id!r} in records "
                                     f"{seen[rec.utt_id]} and {position}")
             seen[rec.utt_id] = position
-        speakers = tuple(sorted({rec.speaker_id for rec in records}))
-        if self.role == ROLE_TARGET_SPEAKER:
-            if not records:
-                raise ManifestError("target_speaker manifest has no records")
-            if len(speakers) != 1:
-                raise ManifestError(
-                    f"target_speaker manifest must contain exactly one speaker, "
-                    f"found {len(speakers)}"
-                )
-        elif self.role == ROLE_MULTI_SPEAKER:
-            if len(speakers) < 2:
-                raise ManifestError(
-                    f"multi_speaker manifest needs >= 2 speakers, found {len(speakers)}"
-                )
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "_speakers", speakers)
 
     @property
     def speakers(self) -> tuple[str, ...]:
-        return self._speakers
+        return tuple(sorted({rec.speaker_id for rec in self.records}))
 
     def __len__(self):
         return len(self.records)

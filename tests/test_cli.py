@@ -554,7 +554,6 @@ def eval_setup(tmp_path):
     write_manifest(manifest_path, DatasetManifest(
         (UtteranceRecord(utt_id="u0", speaker_id="SPK1", wav_path=wav_path,
                          transcript="PA KO"),),
-        role="source_eval",
     ))
     conv_dir = tmp_path / "conv"
     conv_dir.mkdir()

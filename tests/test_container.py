@@ -1,4 +1,7 @@
-"""Corrupt input files end as typed errors, whatever byte is damaged."""
+"""Corrupt input files end as typed errors, whatever byte is damaged, and
+concurrent atomic writes of one file do not collide."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from helpers import corrupt_variants, write_metrics_table
 from recsynvc.benchmark import MetricsRow, read_metrics_table
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from recsynvc.config import load_config
+from recsynvc.container import write_atomic
 from recsynvc.errors import VoiceConversionError
 from recsynvc.featureio import read_features, write_features
 from recsynvc.manifest import load_manifest, write_manifest
@@ -27,7 +31,7 @@ def _write_small_checkpoint(path):
 def _write_small_manifest(path):
     records = tuple(UtteranceRecord(utt_id=f"u{i}", speaker_id="A", wav_path=f"w/u{i}.wav",
                                     transcript="PA KO") for i in (1, 2))
-    write_manifest(path, DatasetManifest(records=records, role="target_speaker"))
+    write_manifest(path, DatasetManifest(records=records))
 
 
 def _write_small_ini(path):
@@ -60,3 +64,27 @@ def test_every_truncation_and_bit_flip_is_typed(tmp_path, write, load):
         except Exception as exc:
             escaped.append(f"{label}: {type(exc).__name__}: {exc}")
     assert escaped == []
+
+
+def test_concurrent_writers_of_one_path_do_not_collide(tmp_path):
+    path = tmp_path / "out.bin"
+    payloads = [bytes([65 + k]) * 65536 for k in range(2)]
+    start = threading.Barrier(len(payloads))
+    errors = []
+
+    def write_many(payload):
+        start.wait()
+        for _ in range(300):
+            try:
+                write_atomic(path, [payload[:4096], payload[4096:]])
+            except Exception as exc:
+                errors.append(f"{type(exc).__name__}: {exc}")
+
+    threads = [threading.Thread(target=write_many, args=(p,)) for p in payloads]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    assert path.read_bytes() in payloads
+    assert list(tmp_path.glob("*.tmp")) == []

@@ -57,7 +57,7 @@ def test_relative_wav_paths_resolve_against_manifest_dir(tmp_path):
     path = tmp_path / "data.tsv"
     records = (UtteranceRecord(utt_id="u1", speaker_id="A",
                                wav_path="wavs/u1.wav"),)
-    write_manifest(path, DatasetManifest(records=records, role="target_speaker"))
+    write_manifest(path, DatasetManifest(records=records))
     loaded = load_manifest(path)
     assert loaded.records[0].wav_path == tmp_path / "wavs" / "u1.wav"
 

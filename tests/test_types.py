@@ -132,24 +132,19 @@ class TestManifest:
     def test_duplicate_utt_id_rejected(self):
         recs = [self._record("u1", "A"), self._record("u1", "A")]
         with pytest.raises(ManifestError, match="duplicate utt_id 'u1' in records 1 and 2"):
-            DatasetManifest(records=tuple(recs), role="target_speaker")
+            DatasetManifest(records=tuple(recs))
 
-    def test_target_speaker_role_constraints(self):
-        with pytest.raises(ManifestError, match="has no records"):
-            DatasetManifest(records=(), role="target_speaker")
-        recs = (self._record("u1", "A"), self._record("u2", "B"))
-        with pytest.raises(ManifestError, match="exactly one speaker"):
-            DatasetManifest(records=recs, role="target_speaker")
-
-    def test_multi_speaker_needs_two(self):
-        recs = (self._record("u1", "A"), self._record("u2", "A"))
-        with pytest.raises(ManifestError, match="needs >= 2 speakers"):
-            DatasetManifest(records=recs, role="multi_speaker")
+    def test_applies_no_speaker_rule(self):
+        # the command that reads a manifest judges its speaker count; a role changes nothing
+        assert DatasetManifest(records=()).speakers == ()
+        one = (self._record("u1", "A"), self._record("u2", "A"))
+        assert DatasetManifest(records=one, role="multi_speaker").speakers == ("A",)
+        two = (self._record("u1", "B"), self._record("u2", "A"), self._record("u3", "B"))
+        assert DatasetManifest(records=two, role="target_speaker").speakers == ("A", "B")
 
     def test_speakers_sorted(self):
         recs = (self._record("u1", "B"), self._record("u2", "A"))
-        manifest = DatasetManifest(records=recs, role="multi_speaker")
-        assert manifest.speakers == ("A", "B")
+        assert DatasetManifest(records=recs).speakers == ("A", "B")
 
     def test_record_validation(self):
         with pytest.raises(VoiceConversionError):
