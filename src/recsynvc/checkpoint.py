@@ -40,13 +40,19 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Write ``ckpt`` atomically.
+
+    A contiguous little-endian float64 tensor is written from its own memory
+    through a ``memoryview``, so the write copies no tensor; any other is
+    converted once.
+    """
     parts = [MAGIC, pack("I", VERSION),
              pack_text(json.dumps(ckpt.meta, sort_keys=True, separators=(",", ":"))),
              pack("I", len(ckpt.tensors))]
     for name in sorted(ckpt.tensors):
         tensor = np.ascontiguousarray(ckpt.tensors[name], dtype="<f8")
         dims = (tensor.ndim, *tensor.shape)
-        parts += [pack_text(name), pack(f"{len(dims)}I", *dims), tensor.tobytes()]
+        parts += [pack_text(name), pack(f"{len(dims)}I", *dims), memoryview(tensor)]
     write_atomic(path, parts)
 
 

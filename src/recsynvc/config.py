@@ -20,6 +20,12 @@ from .types import ALLOWED_SAMPLE_RATES, N_MELS
 
 DECODER_TYPES = ("simple", "simple_ar", "taco2_ar")
 
+# Ceilings far above any setting the paper or this repository uses (batches of
+# 8, Griffin-Lim's 32 iterations), so that a mistyped value is refused at load
+# instead of building 10^8 batch indices or vocoding for days.
+MAX_BATCH_SIZE = 1024
+MAX_GRIFFIN_LIM_ITERS = 1000
+
 
 @dataclass(frozen=True)
 class AudioConfig:
@@ -44,8 +50,9 @@ class AudioConfig:
         if self.fmax > self.sample_rate / 2:  # mel filters above Nyquist would be empty
             raise ConfigError(f"fmax must not exceed sample_rate / 2, got fmax {self.fmax} "
                               f"at sample_rate {self.sample_rate}")
-        if self.griffin_lim_iters < 0:
-            raise ConfigError("griffin_lim_iters must be non-negative")
+        if not 0 <= self.griffin_lim_iters <= MAX_GRIFFIN_LIM_ITERS:
+            raise ConfigError(f"griffin_lim_iters must lie in 0..{MAX_GRIFFIN_LIM_ITERS}, "
+                              f"got {self.griffin_lim_iters}")
 
     @property
     def frame_shift_ms(self) -> float:
@@ -102,6 +109,9 @@ class TrainingConfig:
         for key in ("steps", "batch_size", "checkpoint_interval", "log_interval"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.batch_size > MAX_BATCH_SIZE:
+            raise ConfigError(f"batch_size must be at most {MAX_BATCH_SIZE}, "
+                              f"got {self.batch_size}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(
                 f"learning_rate must be finite and positive, got {self.learning_rate}")

@@ -35,7 +35,7 @@ def pack_text(text: str) -> bytes:
 
 
 def write_atomic(path, parts) -> None:
-    """Write the byte strings ``parts`` to ``path``.
+    """Write ``parts``, bytes-like objects such as ``bytes`` or a ``memoryview``, to ``path``.
 
     The bytes go to a temp file beside ``path``, named for this process and
     thread, which is then renamed over it, so readers never see a partly

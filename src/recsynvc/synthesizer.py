@@ -175,9 +175,11 @@ def _postnet_channels(config: ModelConfig) -> list[int]:
 # (B, T, Din), optional prev (B, T, 80) and spk (B, E), run in float64 and
 # return batch-first outputs.  A teacher-forced cache holds once each
 # activation its backward reads, and nothing else (``teacher_forward_batch``
-# lists them).  ``backward_teacher_batch`` uses it up: it pops each layer's
-# entry from the cache lists once that layer's backward has run, and
-# overwrites the gate activations with their gradients.
+# lists them); tanh of the cell state is not kept, since the backward
+# recomputes the same bits from the cell state for one (B, H) tanh per step.
+# ``backward_teacher_batch`` uses it up: it pops each layer's entry from the
+# cache lists once that layer's backward has run, and overwrites the gate
+# activations with their gradients.
 
 
 def _prenet_forward(p, config, prev, rng):
@@ -274,15 +276,14 @@ def _layer_forward(p, name, x):
     # out[t] and cell[t] hold the state entering step t: zero at t = 0
     out = np.zeros((t_len + 1, batch, wh_t.shape[0]))
     cell = np.zeros((t_len + 1, batch, hidden))
-    tanh_cell = np.empty((t_len, batch, hidden))
     h = np.empty((t_len, batch, hidden)) if projected else out[1:]
     for t in range(t_len):
         z = gates[t]
         z += out[t] @ wh_t
-        h[t], cell[t + 1], tanh_cell[t] = lstm_cell(z, cell[t])
+        h[t], cell[t + 1], _ = lstm_cell(z, cell[t])
         if projected:
             out[t + 1] = h[t] @ p[f"{name}.wp"].T
-    return out[1:], (x, gates, cell, tanh_cell, h, out)
+    return out[1:], (x, gates, cell, h, out)
 
 
 def _layer_backward(p, name, d_out, cache, grads):
@@ -292,7 +293,7 @@ def _layer_backward(p, name, d_out, cache, grads):
     step's gate gradients over its gate activations; the weight gradients and
     the input gradient are then one GEMM each over the T * B rows.
     """
-    x, gates, cell, tanh_cell, h, out = cache
+    x, gates, cell, h, out = cache
     t_len, batch, d_in = x.shape
     projected = name.startswith("lstmp")
     step_backward = lstmp_step_backward if projected else lstm_step_backward
@@ -301,7 +302,7 @@ def _layer_backward(p, name, d_out, cache, grads):
     for t in range(t_len - 1, -1, -1):
         d = d_out[t]
         d += d_rec
-        step_cache = (x[t], out[t], cell[t], gates[t], tanh_cell[t])
+        step_cache = (x[t], out[t], cell[t], gates[t], np.tanh(cell[t + 1]))
         if projected:
             step_cache = (step_cache, h[t])
         d_rec, d_cell = step_backward(p, name, d, d_cell, step_cache, gates[t])
@@ -378,8 +379,9 @@ def teacher_forward_batch(params: ModelParameters, content, prev, spk, dropout_s
       its dropout keep pattern (both bool); the last layer's output is not
       kept, since the stack input holds it.  None for the other decoders.
     * ``stack_caches``: per recurrent layer, bottom first, its input and its
-      gate activations, cell states, tanh(cell), unprojected and fed-back
-      outputs, in time-major (T, B, .) arrays.
+      gate activations, cell states, unprojected and fed-back outputs, in
+      time-major (T, B, .) arrays.  tanh(cell) is not kept: the backward
+      recomputes it one step at a time.
     * ``h_seq``: the input of ``out``, a (B, T, R) view of the top layer's
       output held in its ``stack_caches`` entry.
     * ``post_caches``: for ``taco2_ar`` the padded input of each postnet

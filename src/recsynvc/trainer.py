@@ -102,17 +102,36 @@ class AdamOptimizer:
         self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
 
     def step(self, tensors: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]):
+        """Apply one update to ``tensors`` in place.
+
+        Computes ``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g`` and
+        ``w -= (lr (m / c1)) / (sqrt(v / c2) + eps)`` in that operation order,
+        through two scratch buffers the size of the largest gradient that live
+        only for this call, so the update allocates nothing weight-sized.
+        """
         self.t += 1
         c1 = 1.0 - _BETA1 ** self.t
         c2 = 1.0 - _BETA2 ** self.t
+        size = max((g.size for g in grads.values()), default=0)
+        scratch_a, scratch_b = np.empty(size), np.empty(size)
         for name, g in grads.items():
             m = self.m[name]
             v = self.v[name]
+            a = scratch_a[:g.size].reshape(g.shape)
+            b = scratch_b[:g.size].reshape(g.shape)
             m *= _BETA1
-            m += (1.0 - _BETA1) * g
+            m += np.multiply(g, 1.0 - _BETA1, out=a)
             v *= _BETA2
-            v += (1.0 - _BETA2) * g * g
-            tensors[name] -= self.lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
+            np.multiply(g, 1.0 - _BETA2, out=a)
+            a *= g
+            v += a
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            a += _EPS
+            np.divide(m, c1, out=b)
+            b *= self.lr
+            b /= a
+            tensors[name] -= b
 
 
 @dataclass
@@ -248,6 +267,7 @@ def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir
                 raise VoiceConversionError(f"loss diverged at step {step}: {loss}")
             clip_grad_norm(grads, training.grad_clip)
             optimizer.step(params.tensors, grads)
+            del grads  # applied: the next step's forward and backward run without it
             loss_history.append(loss)
             if step % training.log_interval == 0 or step == 1:
                 line = f"{step}\t{loss:.6f}\t{time.perf_counter() - t0:.3f}"
@@ -261,6 +281,7 @@ def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir
         if log_fh is not None:
             log_fh.close()
 
+    del optimizer  # Adam's moments, twice the weights, are not saved
     final_path = out_dir / f"final{CHECKPOINT_SUFFIX}"
     save_checkpoint(final_path, model_checkpoint(model, training.steps, target_speaker))
     return TrainRun(loss_history=loss_history, checkpoint_path=final_path)

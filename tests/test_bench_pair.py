@@ -1,0 +1,115 @@
+"""``tools/bench_pair.py``: parsing perfbench's output, aggregation and verdicts."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pair.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pair", _PATH)
+bench_pair = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pair)
+
+END_TO_END = [
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+]
+
+
+def _stdout(workload, seed, setup_s, wall_s, peak, correct=True, failed=0):
+    """What ``perfbench/run.py --trace 0`` prints for one run."""
+    record = {"workload": workload, "seed": seed, "commit": "unknown", "nproc": 2}
+    result = {"correct": correct, "attempted": 10, "failed": failed,
+              "metrics": {"setup_s": {"value": setup_s, "unit": "s"},
+                          "wall_s": {"value": wall_s, "unit": "s"},
+                          "peak_rss_mb": {"value": peak, "unit": "MB"}}}
+    return "\n".join([f"workload {workload} (seed {seed}): why",
+                      "run_record " + json.dumps(record),
+                      f"  {'wall_s':<52} {wall_s:>14.6g} s",
+                      json.dumps(result)]) + "\n"
+
+
+def _runs(workload, side, rows):
+    """Parsed runs of one side: ``rows`` holds (seed, setup_s, wall_s, peak[, correct, failed])."""
+    runs = []
+    for seed, *values in rows:
+        result, _ = bench_pair.parse_run_output(_stdout(workload, seed, *values))
+        runs.append({"workload": workload, "seed": seed, "side": side, "result": result})
+    return runs
+
+
+def test_parse_reads_the_result_and_the_run_record():
+    result, record = bench_pair.parse_run_output(_stdout("train", 3, 1.0, 2.0, 240.0))
+    assert result["correct"] is True and result["metrics"]["wall_s"]["value"] == 2.0
+    assert record == {"workload": "train", "seed": 3, "commit": "unknown", "nproc": 2}
+
+
+@pytest.mark.parametrize("stdout", ["", "error: no recsynvc sources\n", "run_record {}\n[1, 2]\n"])
+def test_parse_of_a_run_without_a_result_line_is_none(stdout):
+    assert bench_pair.parse_run_output(stdout)[0] is None
+
+
+def test_medians_quartiles_ratio_and_verdicts():
+    # peak_rss_mb: 7 % lower on every seed; wall_s: the same spread on both
+    # sides; setup_s: 40 % slower, beyond its 25 % bound
+    runs = (_runs("convert_long", "parent", [(1, 2.0, 1.5, 146.0), (2, 2.0, 1.7, 145.8),
+                                             (3, 2.0, 1.6, 145.9)])
+            + _runs("convert_long", "change", [(1, 2.8, 1.6, 136.0), (2, 2.8, 1.5, 135.5),
+                                               (3, 2.8, 1.7, 136.4)]))
+    summary = bench_pair.summarize(runs, END_TO_END)["convert_long"]
+    assert summary["correct"] is True
+    assert summary["parent_failed_runs"] == summary["change_failed_runs"] == 0
+    assert summary["parent_error_rate"] == summary["change_error_rate"] == 0.0
+    peak = summary["metrics"]["peak_rss_mb"]
+    assert peak["parent"] == {"n": 3, "median": 145.9, "q1": pytest.approx(145.85),
+                              "q3": pytest.approx(145.95), "iqr": pytest.approx(0.1)}
+    assert peak["change"]["median"] == 136.0
+    assert peak["ratio"] == pytest.approx(136.0 / 145.9)
+    assert peak["bound"] == 0.1
+    assert peak["verdict"] == "better"
+    assert summary["metrics"]["wall_s"]["verdict"] == "within_bound"
+    assert summary["metrics"]["setup_s"]["verdict"] == "worse"
+
+
+def test_a_run_that_is_not_correct_makes_every_verdict_incorrect():
+    runs = (_runs("a2a_short", "parent", [(1, 2.0, 3.0, 157.0), (2, 2.0, 3.1, 157.1)])
+            + _runs("a2a_short", "change", [(1, 2.0, 3.0, 147.0, False, 2),
+                                            (2, 2.0, 3.1, 147.1)]))
+    summary = bench_pair.summarize(runs, END_TO_END)["a2a_short"]
+    assert summary["correct"] is False
+    assert (summary["parent_failed_runs"], summary["change_failed_runs"]) == (0, 1)
+    assert summary["change_error_rate"] == pytest.approx(2 / 20)
+    assert {m["verdict"] for m in summary["metrics"].values()} == {"incorrect"}
+
+
+def test_a_run_that_printed_no_result_is_a_failed_run():
+    runs = (_runs("train", "parent", [(1, 1.0, 2.0, 247.0)])
+            + [{"workload": "train", "seed": 1, "side": "change", "result": None}])
+    summary = bench_pair.summarize(runs, END_TO_END)["train"]
+    assert summary["correct"] is False and summary["change_failed_runs"] == 1
+    assert summary["change_error_rate"] is None
+    assert summary["metrics"]["wall_s"]["change"] is None
+    assert summary["metrics"]["wall_s"]["verdict"] == "incorrect"
+
+
+@pytest.mark.parametrize("parent, change, expected", [
+    # the parent's IQR (1.0 on a median of 2.0) exceeds the 25 % bound
+    ({1: 1.5, 2: 2.0, 3: 2.5, 4: 3.0}, {1: 2.0, 2: 2.1, 3: 2.2, 4: 2.3}, "unresolved"),
+    # ... unless every change run beats every parent run
+    ({1: 1.5, 2: 2.0, 3: 2.5, 4: 3.0}, {1: 1.0, 2: 1.1, 3: 1.2, 4: 1.4}, "better"),
+    # 20 % worse is inside a 25 % bound when the spread is narrow
+    ({1: 2.0, 2: 2.0, 3: 2.1}, {1: 2.4, 2: 2.4, 3: 2.4}, "within_bound"),
+    # a win on two of three pairs is not a gain
+    ({1: 2.0, 2: 2.0, 3: 2.0}, {1: 1.0, 2: 1.0, 3: 2.5}, "within_bound"),
+])
+def test_verdict_rules(parent, change, expected):
+    assert bench_pair.verdict(parent, change, "lower", 0.25, True) == expected
+
+
+def test_higher_is_better_flips_the_direction():
+    assert bench_pair.verdict({1: 10.0, 2: 10.0}, {1: 12.0, 2: 12.0}, "higher", 0.1,
+                              True) == "better"
+    assert bench_pair.verdict({1: 10.0, 2: 10.0}, {1: 8.0, 2: 8.0}, "higher", 0.1,
+                              True) == "worse"

@@ -1,6 +1,7 @@
 """Checkpoint container: exact round-trips and corruption handling."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,37 @@ def test_round_trip_exact(tmp_path):
         for k in ckpt.tensors:
             assert back.tensors[k].dtype == np.float64
             assert np.array_equal(back.tensors[k], np.asarray(ckpt.tensors[k]))
+
+
+def test_tensors_of_any_layout_round_trip(tmp_path):
+    # each is converted once on write: a transposed view, float32, big-endian
+    # and empty
+    rng = np.random.default_rng(8)
+    tensors = {"view": rng.standard_normal((3, 4)).T,
+               "f32": rng.standard_normal(5).astype(np.float32),
+               "big_endian": rng.standard_normal(4).astype(">f8"),
+               "empty": np.zeros((0, 3))}
+    path = tmp_path / "c.s3ck"
+    save_checkpoint(path, Checkpoint(meta={}, tensors=tensors))
+    back = load_checkpoint(path).tensors
+    for name, tensor in tensors.items():
+        assert back[name].shape == tensor.shape
+        assert np.array_equal(back[name], tensor.astype(np.float64)), name
+
+
+def test_save_copies_no_tensor(tmp_path):
+    tensors = {f"t{i}.w": np.full((256, 1024), float(i)) for i in range(5)}
+    nbytes = sum(t.nbytes for t in tensors.values())
+    assert nbytes >= 8e6
+    tracemalloc.start()
+    try:
+        save_checkpoint(tmp_path / "c.s3ck", Checkpoint(meta={"step": 1}, tensors=tensors))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * nbytes, peak
+    back = load_checkpoint(tmp_path / "c.s3ck").tensors
+    assert all(np.array_equal(back[k], tensors[k]) for k in tensors)
 
 
 def test_rewrite_is_byte_identical(tmp_path):

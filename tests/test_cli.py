@@ -21,7 +21,7 @@ from scipy.io import wavfile
 from recsynvc.audioio import load_waveform, save_waveform
 from recsynvc import cli, config, evaluator
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from recsynvc.config import AudioConfig
+from recsynvc.config import MAX_BATCH_SIZE, MAX_GRIFFIN_LIM_ITERS, AudioConfig
 from recsynvc.cli import main
 from recsynvc.benchmark import MetricsRow
 from recsynvc.featureio import read_features, write_features
@@ -221,7 +221,8 @@ def test_bad_text_input_is_one_error_line(cli_corpus, cli_config, tmp_path, caps
 
 @pytest.mark.parametrize("command, section, key, value", [
     ("train", "training", "steps", 0), ("evaluate", "evaluation", "mcd_order", 200),
-], ids=["train_steps", "evaluate_mcd_order"])
+    ("train", "training", "batch_size", MAX_BATCH_SIZE + 1),
+], ids=["train_steps", "evaluate_mcd_order", "train_batch_size_above_ceiling"])
 def test_out_of_range_config_is_one_error_line(cli_corpus, tmp_path, capsys, command,
                                                section, key, value):
     config = tmp_path / "bad.ini"
@@ -477,12 +478,14 @@ def test_convert_rejects_jobs_below_one(cli_checkpoint, cli_corpus, tmp_path, ca
     (lambda meta, tensors: meta["upstream"].update(frame_shift_ms=-10.0), "upstream"),
     (lambda meta, tensors: meta["upstream"].update(frame_shift_ms=5000.0),
      "checkpoint meta 'upstream': upstream frame_shift_ms must lie in (0, 1000], got 5000.0"),
+    (lambda meta, tensors: meta["audio"].update(griffin_lim_iters=MAX_GRIFFIN_LIM_ITERS + 1),
+     f"griffin_lim_iters must lie in 0..{MAX_GRIFFIN_LIM_ITERS}"),
     (lambda meta, tensors: tensors.pop("stats.target_std"), "stats.target_std"),
     (lambda meta, tensors: tensors.update({"out.weight": tensors.pop("out.w")}), "out.w"),
     (lambda meta, tensors: tensors.update({"out.b": np.zeros(81)}), "out.b"),
 ], ids=["no_decoder", "list_decoder", "null_hop_length", "str_seed",
-        "negative_frame_shift", "long_frame_shift", "no_target_std", "renamed_tensor",
-        "reshaped_tensor"])
+        "negative_frame_shift", "long_frame_shift", "griffin_lim_iters_above_ceiling",
+        "no_target_std", "renamed_tensor", "reshaped_tensor"])
 def test_convert_malformed_checkpoint_is_one_error_line(cli_checkpoint, cli_corpus,
                                                         tmp_path, capsys, corrupt, entry):
     ckpt = load_checkpoint(cli_checkpoint)

@@ -8,6 +8,8 @@ import pytest
 from recsynvc.config import (
     _FIELD_TYPES,
     _SECTIONS,
+    MAX_BATCH_SIZE,
+    MAX_GRIFFIN_LIM_ITERS,
     AudioConfig,
     Config,
     ModelConfig,
@@ -132,6 +134,7 @@ def test_model_validation():
 @pytest.mark.parametrize("line", [
     "sample_rate = 0", "win_length = 0", "hop_length = 0",
     "fmin = -1", "fmin = 12000", "fmax = 0", "griffin_lim_iters = -1",
+    f"griffin_lim_iters = {MAX_GRIFFIN_LIM_ITERS + 1}",
     "sample_rate = 12345", "fmax = inf",
     # above the Nyquist frequency: 40 kHz at 24 kHz, and the default 12 kHz at 16 kHz
     "fmax = 40000", "sample_rate = 16000",
@@ -158,6 +161,7 @@ def test_audio_accepts_zero_griffin_lim_iterations(tmp_path):
 
 @pytest.mark.parametrize("section, line", [
     ("training", "steps = 0"), ("training", "steps = -3"), ("training", "batch_size = 0"),
+    ("training", f"batch_size = {MAX_BATCH_SIZE + 1}"),
     ("training", "log_interval = 0"), ("training", "checkpoint_interval = 0"),
     ("training", "learning_rate = 0"), ("training", "learning_rate = nan"),
     ("training", "learning_rate = inf"), ("training", "grad_clip = -1"),
@@ -183,6 +187,15 @@ def test_range_ends_are_accepted(tmp_path):
     assert (config.training.seed, config.evaluation.dropout_seed) == (0, 0)
     path.write_text("[evaluation]\nmcd_order = 1\n")
     assert load_config(path).evaluation.mcd_order == 1
+
+
+def test_values_at_the_ceilings_load(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(f"[training]\nbatch_size = {MAX_BATCH_SIZE}\n"
+                    f"[audio]\ngriffin_lim_iters = {MAX_GRIFFIN_LIM_ITERS}\n")
+    config = load_config(path)
+    assert config.training.batch_size == MAX_BATCH_SIZE
+    assert config.audio.griffin_lim_iters == MAX_GRIFFIN_LIM_ITERS
 
 
 def test_sections_are_frozen():

@@ -15,7 +15,7 @@ from helpers import sphere_embedding
 from recsynvc.audioio import load_waveform, save_waveform
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from recsynvc import converter
-from recsynvc.config import AudioConfig, ModelConfig
+from recsynvc.config import MAX_GRIFFIN_LIM_ITERS, AudioConfig, ModelConfig
 from recsynvc.converter import (
     TrainedModel,
     _mel_pseudo_inverse,
@@ -135,6 +135,14 @@ def test_load_model_rejects_malformed_meta(quick_checkpoint, corrupt, entry):
     corrupt(tensors if entry.startswith("stats.") else meta)
     with pytest.raises(ConfigError, match=entry):
         load_model(Checkpoint(meta=meta, tensors=tensors))
+
+
+def test_load_model_accepts_griffin_lim_iters_at_the_ceiling(quick_checkpoint):
+    ckpt = load_checkpoint(quick_checkpoint["path"])
+    meta = copy.deepcopy(ckpt.meta)
+    meta["audio"]["griffin_lim_iters"] = MAX_GRIFFIN_LIM_ITERS
+    model = load_model(Checkpoint(meta=meta, tensors=dict(ckpt.tensors)))
+    assert model.audio.griffin_lim_iters == MAX_GRIFFIN_LIM_ITERS
 
 
 def _tiny_checkpoint_headers(path):

@@ -9,6 +9,7 @@ import pytest
 
 from helpers import sphere_embedding, toy_config
 
+from recsynvc import trainer
 from recsynvc.checkpoint import load_checkpoint
 from recsynvc.config import ModelConfig
 from recsynvc.converter import denormalize, normalize
@@ -133,9 +134,8 @@ class TestLossGradients:
     def test_step_memory_stays_below_the_bound(self):
         """The cache holds each activation once and the backward frees it.
 
-        Measured with numpy 2.4: this step peaks at 10.3 MB.  A cache that
-        also keeps float64 dropout masks, the prenet pre-activations and last
-        output, and each postnet tanh output twice peaks at 13.5 MB.
+        Measured with numpy 2.4: this step peaks at 8.2 MB, and at 8.7 MB
+        with a cache that also keeps tanh of each cell state.
         """
         config = ModelConfig(type="taco2_ar", hidden_dim=64, prenet_dims=(64, 64),
                              postnet_channels=64)
@@ -151,10 +151,52 @@ class TestLossGradients:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 11.5e6, peak
+        assert peak < 9.4e6, peak
+
+
+class _ReferenceAdam:
+    """Adam as it was written before the in-place update: the bit-for-bit oracle."""
+
+    def __init__(self, tensors, learning_rate):
+        self.lr = learning_rate
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
+        self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
+
+    def step(self, tensors, grads):
+        self.t += 1
+        c1 = 1.0 - 0.9 ** self.t
+        c2 = 1.0 - 0.999 ** self.t
+        for name, g in grads.items():
+            m = self.m[name]
+            v = self.v[name]
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            tensors[name] -= self.lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
 
 
 class TestAdam:
+    def test_equals_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        shapes = {"a.w": (7, 5), "a.b": (7,), "b.w": (3, 4, 5), "c.b": (1,), "empty": (0, 3)}
+        start = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        params = {k: v.copy() for k, v in start.items()}
+        ref_params = {k: v.copy() for k, v in start.items()}
+        opt = AdamOptimizer(params, learning_rate=3e-3)
+        ref = _ReferenceAdam(ref_params, learning_rate=3e-3)
+        for _ in range(3):
+            # gradients of mixed scale, so that eps and the moments both matter
+            grads = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-9, 2, size=s)
+                     for k, s in shapes.items()}
+            opt.step(params, grads)
+            ref.step(ref_params, grads)
+            for k in shapes:
+                assert params[k].tobytes() == ref_params[k].tobytes(), k
+                assert opt.m[k].tobytes() == ref.m[k].tobytes(), k
+                assert opt.v[k].tobytes() == ref.v[k].tobytes(), k
+
     def test_moves_against_gradient(self):
         params = {"w": np.array([1.0, -1.0])}
         opt = AdamOptimizer(params, learning_rate=0.1)
@@ -171,6 +213,30 @@ class TestAdam:
 
 
 class TestTrainA2O:
+    def test_later_steps_hold_no_more_than_the_first(self, toy_corpus, tmp_path,
+                                                     monkeypatch):
+        # a step's gradients die once Adam has applied them, so each step
+        # starts with what the first started with
+        config = toy_config("taco2_ar", steps=3, checkpoint_interval=2)
+        at_entry = []
+
+        def traced(*args, **kwargs):
+            at_entry.append(tracemalloc.get_traced_memory()[0])
+            return loss_and_grads(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "loss_and_grads", traced)
+        tracemalloc.start()
+        try:
+            train(toy_corpus["manifest"], mel_upstream(config.audio), config,
+                  tmp_path / "run")
+        finally:
+            tracemalloc.stop()
+        weights = load_checkpoint(tmp_path / "run" / "final.s3ck").tensors
+        grad_bytes = sum(t.nbytes for name, t in weights.items()
+                         if not name.startswith("stats."))
+        assert len(at_entry) == 3
+        assert max(at_entry[1:]) - at_entry[0] < 0.1 * grad_bytes, (at_entry, grad_bytes)
+
     def test_short_run_learns_and_checkpoints(self, toy_corpus, tmp_path):
         config = toy_config("simple", hidden_dim=32, lstmp_proj_dim=32,
                             steps=30, checkpoint_interval=10)
