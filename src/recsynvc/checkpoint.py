@@ -50,7 +50,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
              pack_text(json.dumps(ckpt.meta, sort_keys=True, separators=(",", ":"))),
              pack("I", len(ckpt.tensors))]
     for name in sorted(ckpt.tensors):
-        tensor = np.ascontiguousarray(ckpt.tensors[name], dtype="<f8")
+        tensor = np.require(ckpt.tensors[name], dtype="<f8", requirements="C")
         dims = (tensor.ndim, *tensor.shape)
         parts += [pack_text(name), pack(f"{len(dims)}I", *dims), memoryview(tensor)]
     write_atomic(path, parts)

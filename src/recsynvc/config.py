@@ -1,11 +1,11 @@
 """Configuration loading.
 
 Config files are INI-style text with four sections: ``[audio]``, ``[model]``,
-``[training]`` and ``[evaluation]``.  Every key has a documented default (the
-dataclass defaults below); unknown keys are rejected with a nearest-key
-suggestion, and values that fail to parse raise ``ConfigError``.  Loaded
-configurations are frozen dataclasses, so the same file always loads to an
-equal object.
+``[training]`` and ``[evaluation]``.  Every key has a documented default and
+each numeric key a range, both declared on its dataclass field below.  Unknown
+keys (with a nearest-key suggestion), unparsable values and values out of range
+raise ``ConfigError``.  Loaded configurations are frozen dataclasses, so the
+same file always loads to an equal object.
 """
 
 from __future__ import annotations
@@ -20,11 +20,33 @@ from .types import ALLOWED_SAMPLE_RATES, N_MELS
 
 DECODER_TYPES = ("simple", "simple_ar", "taco2_ar")
 
-# Ceilings far above any setting the paper or this repository uses (batches of
-# 8, Griffin-Lim's 32 iterations), so that a mistyped value is refused at load
-# instead of building 10^8 batch indices or vocoding for days.
+# Ceilings far above any setting the paper or this repository uses, so that a
+# mistyped value is refused at load instead of allocating terabytes or running
+# for days.  The largest sizes in use are Tacotron 2's (a 1024-wide LSTM, a
+# 5-layer postnet of kernel 5), 1024-dim upstreams, batches of 8 and 32
+# Griffin-Lim iterations.
 MAX_BATCH_SIZE = 1024
 MAX_GRIFFIN_LIM_ITERS = 1000
+MAX_WIDTH = 4096        # every layer and embedding width, and an upstream's feature_dim
+MAX_LAYERS = 64         # postnet layers, and prenet layers
+MAX_KERNEL = 63         # postnet kernel, in frames
+MAX_WINDOW = 16000      # win_length and hop_length in samples: one second at 16 kHz
+
+
+def _ranged(default, lo, hi=math.inf):
+    """A field whose value, or each entry of a tuple value, must lie in ``lo..hi``."""
+    return field(default=default, metadata={"range": (lo, hi)})
+
+
+def _check_ranges(section) -> None:
+    """Refuse a value outside its field's declared range, NaN and ±inf included."""
+    for f in fields(section):
+        if "range" in f.metadata:
+            lo, hi = f.metadata["range"]
+            value = getattr(section, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if not lo <= v <= hi or abs(v) == math.inf:
+                    raise ConfigError(f"{f.name} must lie in {lo}..{hi}, got {v}")
 
 
 @dataclass(frozen=True)
@@ -32,27 +54,22 @@ class AudioConfig:
     """Analysis parameters for the native mel extractor and vocoder."""
 
     sample_rate: int = 24000        # working rate; everything is resampled here
-    win_length: int = 1024          # analysis window / FFT size in samples
-    hop_length: int = 240           # 10 ms at 24 kHz
-    fmin: float = 0.0
-    fmax: float = 12000.0
-    griffin_lim_iters: int = 32
+    win_length: int = _ranged(1024, 1, MAX_WINDOW)  # analysis window / FFT size in samples
+    hop_length: int = _ranged(240, 1, MAX_WINDOW)   # 10 ms at 24 kHz
+    fmin: float = _ranged(0.0, 0, max(ALLOWED_SAMPLE_RATES) // 2)
+    fmax: float = _ranged(12000.0, 0, max(ALLOWED_SAMPLE_RATES) // 2)
+    griffin_lim_iters: int = _ranged(32, 0, MAX_GRIFFIN_LIM_ITERS)
 
     def __post_init__(self):
         if self.sample_rate not in ALLOWED_SAMPLE_RATES:
             raise ConfigError(f"sample_rate must be one of {ALLOWED_SAMPLE_RATES}, "
                               f"got {self.sample_rate}")
-        if min(self.win_length, self.hop_length) < 1:
-            raise ConfigError("win_length and hop_length must be positive")
-        if not 0.0 <= self.fmin < self.fmax < math.inf:
-            raise ConfigError("fmin and fmax must be finite with 0 <= fmin < fmax, "
-                              f"got {self.fmin} and {self.fmax}")
+        _check_ranges(self)
+        if self.fmin >= self.fmax:
+            raise ConfigError(f"fmin must be below fmax, got {self.fmin} and {self.fmax}")
         if self.fmax > self.sample_rate / 2:  # mel filters above Nyquist would be empty
             raise ConfigError(f"fmax must not exceed sample_rate / 2, got fmax {self.fmax} "
                               f"at sample_rate {self.sample_rate}")
-        if not 0 <= self.griffin_lim_iters <= MAX_GRIFFIN_LIM_ITERS:
-            raise ConfigError(f"griffin_lim_iters must lie in 0..{MAX_GRIFFIN_LIM_ITERS}, "
-                              f"got {self.griffin_lim_iters}")
 
     @property
     def frame_shift_ms(self) -> float:
@@ -69,69 +86,47 @@ class ModelConfig:
     """
 
     type: str = "taco2_ar"
-    hidden_dim: int = 256
-    lstmp_proj_dim: int = 256
-    prenet_dims: tuple[int, ...] = (256, 256)
-    postnet_layers: int = 5
-    postnet_channels: int = 256
-    postnet_kernel: int = 5
-    ar_dropout: float = 0.5
-    embedding_dim: int = 256
+    hidden_dim: int = _ranged(256, 1, MAX_WIDTH)
+    lstmp_proj_dim: int = _ranged(256, 1, MAX_WIDTH)
+    prenet_dims: tuple[int, ...] = _ranged((256, 256), 1, MAX_WIDTH)
+    postnet_layers: int = _ranged(5, 1, MAX_LAYERS)
+    postnet_channels: int = _ranged(256, 1, MAX_WIDTH)
+    postnet_kernel: int = _ranged(5, 1, MAX_KERNEL)
+    ar_dropout: float = _ranged(0.5, 0, math.nextafter(1.0, 0.0))  # below 1
+    embedding_dim: int = _ranged(256, 1, MAX_WIDTH)
 
     def __post_init__(self):
         if self.type not in DECODER_TYPES:
             raise ConfigError(
                 f"unknown decoder type {self.type!r}; expected one of {DECODER_TYPES}"
             )
-        if not self.prenet_dims:
-            raise ConfigError("prenet_dims must list at least one width")
-        if min(self.hidden_dim, self.lstmp_proj_dim, self.postnet_channels,
-               self.embedding_dim, *self.prenet_dims, self.postnet_layers,
-               self.postnet_kernel) < 1:
-            raise ConfigError("model dimensions must be positive")
+        _check_ranges(self)
+        if not 1 <= len(self.prenet_dims) <= MAX_LAYERS:
+            raise ConfigError(f"prenet_dims must list 1..{MAX_LAYERS} widths, "
+                              f"got {len(self.prenet_dims)}")
         if self.postnet_kernel % 2 == 0:
             raise ConfigError("postnet_kernel must be odd")
-        if not 0.0 <= self.ar_dropout < 1.0:
-            raise ConfigError("ar_dropout must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    learning_rate: float = 1e-4
-    batch_size: int = 8
-    grad_clip: float = 1.0          # global gradient-norm clip
-    steps: int = 500
-    checkpoint_interval: int = 100
-    log_interval: int = 10
-    seed: int = 0
+    learning_rate: float = _ranged(1e-4, math.nextafter(0.0, 1.0))  # above 0
+    batch_size: int = _ranged(8, 1, MAX_BATCH_SIZE)
+    grad_clip: float = _ranged(1.0, 0)  # global gradient-norm clip; 0 turns clipping off
+    steps: int = _ranged(500, 1)
+    checkpoint_interval: int = _ranged(100, 1)
+    log_interval: int = _ranged(10, 1)
+    seed: int = _ranged(0, 0)
 
-    def __post_init__(self):
-        for key in ("steps", "batch_size", "checkpoint_interval", "log_interval"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
-        if self.batch_size > MAX_BATCH_SIZE:
-            raise ConfigError(f"batch_size must be at most {MAX_BATCH_SIZE}, "
-                              f"got {self.batch_size}")
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ConfigError(
-                f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if not 0.0 <= self.grad_clip < math.inf:  # 0 turns clipping off
-            raise ConfigError(
-                f"grad_clip must be finite and non-negative, got {self.grad_clip}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+    __post_init__ = _check_ranges
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    mcd_order: int = 24
-    dropout_seed: int = 0                # conversion-time AR dropout stream
+    mcd_order: int = _ranged(24, 1, N_MELS - 1)  # cepstra c_1..c_order of an 80-bin mel
+    dropout_seed: int = _ranged(0, 0)            # conversion-time AR dropout stream
 
-    def __post_init__(self):
-        if not 1 <= self.mcd_order < N_MELS:  # cepstra c_1..c_order of an 80-bin mel
-            raise ConfigError(f"mcd_order must lie in 1..{N_MELS - 1}, got {self.mcd_order}")
-        if self.dropout_seed < 0:
-            raise ConfigError(f"dropout_seed must be non-negative, got {self.dropout_seed}")
+    __post_init__ = _check_ranges
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp
-from .config import AudioConfig
+from .config import MAX_WIDTH, AudioConfig
 from .errors import ConfigError, FeatureFileError, VoiceConversionError
 from .featureio import FEATURE_SUFFIX, feature_path, read_features
 from .types import (
@@ -42,9 +42,9 @@ class UpstreamSpec:
 
     The name ``mel`` is the native upstream: 80-dim and computed from the
     wavs, so it takes no feature directory.  Every other name is external and
-    read from ``feature_dir``.  A spec breaking these rules, or with a
-    non-positive width, or a frame shift outside (0, ``MAX_FRAME_SHIFT_MS``],
-    raises ``ConfigError``.
+    read from ``feature_dir``.  A spec breaking these rules, or with a width
+    outside 1..``config.MAX_WIDTH``, or a frame shift outside
+    (0, ``MAX_FRAME_SHIFT_MS``], raises ``ConfigError``.
     """
 
     name: str
@@ -65,8 +65,8 @@ class UpstreamSpec:
 
 def check_upstream(name, feature_dim, frame_shift_ms) -> None:
     """``UpstreamSpec``'s rules for a width and frame shift; ``ConfigError`` when broken."""
-    if feature_dim < 1:
-        raise ConfigError("feature_dim must be positive")
+    if not 1 <= feature_dim <= MAX_WIDTH:
+        raise ConfigError(f"feature_dim must lie in 1..{MAX_WIDTH}, got {feature_dim}")
     if not 0.0 < frame_shift_ms <= MAX_FRAME_SHIFT_MS:
         raise ConfigError(f"upstream frame_shift_ms must lie in "
                           f"(0, {MAX_FRAME_SHIFT_MS:g}], got {frame_shift_ms}")

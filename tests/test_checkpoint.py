@@ -47,12 +47,13 @@ def test_round_trip_exact(tmp_path):
 
 def test_tensors_of_any_layout_round_trip(tmp_path):
     # each is converted once on write: a transposed view, float32, big-endian
-    # and empty
+    # and empty; a 0-d tensor keeps its shape ()
     rng = np.random.default_rng(8)
     tensors = {"view": rng.standard_normal((3, 4)).T,
                "f32": rng.standard_normal(5).astype(np.float32),
                "big_endian": rng.standard_normal(4).astype(">f8"),
-               "empty": np.zeros((0, 3))}
+               "empty": np.zeros((0, 3)),
+               "scalar": np.array(2.5)}
     path = tmp_path / "c.s3ck"
     save_checkpoint(path, Checkpoint(meta={}, tensors=tensors))
     back = load_checkpoint(path).tensors

@@ -21,7 +21,15 @@ from scipy.io import wavfile
 from recsynvc.audioio import load_waveform, save_waveform
 from recsynvc import cli, config, evaluator
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from recsynvc.config import MAX_BATCH_SIZE, MAX_GRIFFIN_LIM_ITERS, AudioConfig
+from recsynvc.config import (
+    MAX_BATCH_SIZE,
+    MAX_GRIFFIN_LIM_ITERS,
+    MAX_KERNEL,
+    MAX_LAYERS,
+    MAX_WIDTH,
+    MAX_WINDOW,
+    AudioConfig,
+)
 from recsynvc.cli import main
 from recsynvc.benchmark import MetricsRow
 from recsynvc.featureio import read_features, write_features
@@ -222,7 +230,24 @@ def test_bad_text_input_is_one_error_line(cli_corpus, cli_config, tmp_path, caps
 @pytest.mark.parametrize("command, section, key, value", [
     ("train", "training", "steps", 0), ("evaluate", "evaluation", "mcd_order", 200),
     ("train", "training", "batch_size", MAX_BATCH_SIZE + 1),
-], ids=["train_steps", "evaluate_mcd_order", "train_batch_size_above_ceiling"])
+    ("train", "audio", "win_length", MAX_WINDOW + 1),
+    ("train", "audio", "hop_length", MAX_WINDOW + 1),
+    ("train", "model", "hidden_dim", MAX_WIDTH + 1),
+    ("train", "model", "lstmp_proj_dim", MAX_WIDTH + 1),
+    ("train", "model", "postnet_channels", MAX_WIDTH + 1),
+    ("train", "model", "embedding_dim", MAX_WIDTH + 1),
+    ("train", "model", "prenet_dims", f"16,{MAX_WIDTH + 1}"),
+    ("train", "model", "prenet_dims", ",".join(["16"] * (MAX_LAYERS + 1))),
+    ("train", "model", "postnet_layers", MAX_LAYERS + 1),
+    ("train", "model", "postnet_kernel", MAX_KERNEL + 2),  # the next odd kernel
+    ("train", "model", "hidden_dim", 99999999999999999999999),
+], ids=["train_steps", "evaluate_mcd_order", "train_batch_size_above_ceiling",
+        "train_win_length_above_ceiling", "train_hop_length_above_ceiling",
+        "train_hidden_dim_above_ceiling", "train_lstmp_proj_dim_above_ceiling",
+        "train_postnet_channels_above_ceiling", "train_embedding_dim_above_ceiling",
+        "train_prenet_width_above_ceiling", "train_prenet_count_above_ceiling",
+        "train_postnet_layers_above_ceiling", "train_postnet_kernel_above_ceiling",
+        "train_hidden_dim_of_23_digits"])
 def test_out_of_range_config_is_one_error_line(cli_corpus, tmp_path, capsys, command,
                                                section, key, value):
     config = tmp_path / "bad.ini"
@@ -420,6 +445,22 @@ def test_bad_upstream_frame_shift_is_one_error_line(cli_checkpoint, cli_corpus, 
     assert not (tmp_path / "run").exists() and not (tmp_path / "conv").exists()
 
 
+def test_train_on_too_wide_upstream_is_one_error_line(cli_corpus, cli_config, tmp_path,
+                                                       capsys):
+    # the first file sets the upstream width, and nothing is built for a width refused
+    feature_dir = tmp_path / "wide"
+    feature_dir.mkdir()
+    write_features(feature_dir / "a.s3vc",
+                   FeatureSequence(frames=np.zeros((2, MAX_WIDTH + 1)), frame_shift_ms=20.0))
+    capsys.readouterr()
+    assert main(["train", str(cli_corpus), "--out-dir", str(tmp_path / "run"),
+                 "--config", str(cli_config), "--upstream", "wide",
+                 "--feature-dir", str(feature_dir)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: feature_dim must lie in 1..{MAX_WIDTH}, got {MAX_WIDTH + 1}"]
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("defect", ["nan_frame", "no_frames", "zero_shift"])
 def test_bad_feature_file_is_one_error_line_naming_it(cli_corpus, cli_config, tmp_path,
                                                      capsys, defect):
@@ -480,11 +521,18 @@ def test_convert_rejects_jobs_below_one(cli_checkpoint, cli_corpus, tmp_path, ca
      "checkpoint meta 'upstream': upstream frame_shift_ms must lie in (0, 1000], got 5000.0"),
     (lambda meta, tensors: meta["audio"].update(griffin_lim_iters=MAX_GRIFFIN_LIM_ITERS + 1),
      f"griffin_lim_iters must lie in 0..{MAX_GRIFFIN_LIM_ITERS}"),
+    (lambda meta, tensors: meta["decoder"].update(hidden_dim=MAX_WIDTH + 1),
+     f"checkpoint decoder meta: hidden_dim must lie in 1..{MAX_WIDTH}, got {MAX_WIDTH + 1}"),
+    (lambda meta, tensors: (meta["decoder"].update(input_dim=MAX_WIDTH + 1),
+                            meta["upstream"].update(feature_dim=MAX_WIDTH + 1)),
+     f"checkpoint meta 'upstream': feature_dim must lie in 1..{MAX_WIDTH}, "
+     f"got {MAX_WIDTH + 1}"),
     (lambda meta, tensors: tensors.pop("stats.target_std"), "stats.target_std"),
     (lambda meta, tensors: tensors.update({"out.weight": tensors.pop("out.w")}), "out.w"),
     (lambda meta, tensors: tensors.update({"out.b": np.zeros(81)}), "out.b"),
 ], ids=["no_decoder", "list_decoder", "null_hop_length", "str_seed",
         "negative_frame_shift", "long_frame_shift", "griffin_lim_iters_above_ceiling",
+        "hidden_dim_above_ceiling", "feature_dim_above_ceiling",
         "no_target_std", "renamed_tensor", "reshaped_tensor"])
 def test_convert_malformed_checkpoint_is_one_error_line(cli_checkpoint, cli_corpus,
                                                         tmp_path, capsys, corrupt, entry):
@@ -933,6 +981,17 @@ def test_readme_names_only_real_options_and_keys():
     assert sorted(named_flags - flags) == []
     assert sorted(flags - named_flags - {"-h", "--help"}) == []
     assert sorted(named_keys - keys) == []
+
+    # the configuration table: one row per key, with its declared default and range
+    rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| ([^|]*?) *\| *([^|]*?) *\|", readme, re.M)
+    assert sorted((section, key) for section, key, _, _ in rows) == sorted(keys)
+    for section, key, default, span in rows:
+        f = next(f for f in dataclasses.fields(config._SECTIONS[section]) if f.name == key)
+        declared = (",".join(map(str, f.default)) if isinstance(f.default, tuple)
+                    else str(f.default))
+        assert default == declared, key
+        assert span == ("{}..{}".format(*f.metadata["range"]) if "range" in f.metadata
+                        else ""), key
 
     code = "\n".join(re.findall(r"```python\n(.*?)```", readme, re.S))
     imports = re.findall(r"^from recsynvc\.(\w+) import (.+)$", code, re.M)

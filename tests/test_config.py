@@ -10,6 +10,10 @@ from recsynvc.config import (
     _SECTIONS,
     MAX_BATCH_SIZE,
     MAX_GRIFFIN_LIM_ITERS,
+    MAX_KERNEL,
+    MAX_LAYERS,
+    MAX_WIDTH,
+    MAX_WINDOW,
     AudioConfig,
     Config,
     ModelConfig,
@@ -125,9 +129,11 @@ def test_model_validation():
         ModelConfig(postnet_kernel=4)
     with pytest.raises(ConfigError, match="ar_dropout"):
         ModelConfig(ar_dropout=1.0)
-    with pytest.raises(ConfigError, match="model dimensions must be positive"):
+    with pytest.raises(ConfigError, match=rf"^postnet_kernel must lie in 1..{MAX_KERNEL}, "
+                                          r"got -1$"):
         ModelConfig(postnet_kernel=-1)
-    with pytest.raises(ConfigError, match="prenet_dims"):
+    with pytest.raises(ConfigError, match=rf"^prenet_dims must list 1..{MAX_LAYERS} widths, "
+                                          r"got 0$"):
         ModelConfig(prenet_dims=())
 
 
@@ -135,7 +141,8 @@ def test_model_validation():
     "sample_rate = 0", "win_length = 0", "hop_length = 0",
     "fmin = -1", "fmin = 12000", "fmax = 0", "griffin_lim_iters = -1",
     f"griffin_lim_iters = {MAX_GRIFFIN_LIM_ITERS + 1}",
-    "sample_rate = 12345", "fmax = inf",
+    "sample_rate = 12345", "fmax = inf", "fmin = nan",
+    f"win_length = {MAX_WINDOW + 1}", f"hop_length = {MAX_WINDOW + 1}",
     # above the Nyquist frequency: 40 kHz at 24 kHz, and the default 12 kHz at 16 kHz
     "fmax = 40000", "sample_rate = 16000",
 ])
@@ -189,13 +196,28 @@ def test_range_ends_are_accepted(tmp_path):
     assert load_config(path).evaluation.mcd_order == 1
 
 
+CEILINGS = {
+    "training": {"batch_size": MAX_BATCH_SIZE},
+    "audio": {"griffin_lim_iters": MAX_GRIFFIN_LIM_ITERS, "win_length": MAX_WINDOW,
+              "hop_length": MAX_WINDOW},
+    "model": {"hidden_dim": MAX_WIDTH, "lstmp_proj_dim": MAX_WIDTH,
+              "postnet_channels": MAX_WIDTH, "embedding_dim": MAX_WIDTH,
+              "prenet_dims": (MAX_WIDTH,) * MAX_LAYERS, "postnet_layers": MAX_LAYERS,
+              "postnet_kernel": MAX_KERNEL},
+}
+
+
 def test_values_at_the_ceilings_load(tmp_path):
     path = tmp_path / "run.ini"
-    path.write_text(f"[training]\nbatch_size = {MAX_BATCH_SIZE}\n"
-                    f"[audio]\ngriffin_lim_iters = {MAX_GRIFFIN_LIM_ITERS}\n")
+    path.write_text("".join(
+        f"[{section}]\n" + "".join(
+            f"{key} = {','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+            for key, v in keys.items())
+        for section, keys in CEILINGS.items()))
     config = load_config(path)
-    assert config.training.batch_size == MAX_BATCH_SIZE
-    assert config.audio.griffin_lim_iters == MAX_GRIFFIN_LIM_ITERS
+    for section, keys in CEILINGS.items():
+        for key, value in keys.items():
+            assert getattr(getattr(config, section), key) == value, key
 
 
 def test_sections_are_frozen():
