@@ -192,7 +192,7 @@ def cmd_convert(args) -> int:
         model = load_model(checkpoint)
     except ConfigError as exc:  # the model reads a Checkpoint, which does not know its path
         raise ConfigError(f"{args.checkpoint}: {exc}") from None
-    model.upstream_spec(args.feature_dir)
+    model.upstream.at(args.feature_dir)
     manifest = load_manifest(args.source_manifest)
     embedding = _target_embedding(args, model.params)
     out_dir = Path(args.out_dir)

@@ -2,7 +2,7 @@
 
 Conversion is self-contained given a checkpoint: the ``TrainedModel`` in it
 holds the decoder weights, the normalization statistics, the audio settings
-and the upstream's name.  The source speaker's identity enters only through
+and the upstream.  The source speaker's identity enters only through
 the waveform itself.
 
 Vocoding has a native fallback (iterative phase reconstruction from the mel
@@ -35,7 +35,7 @@ from .config import AudioConfig, ModelConfig, config_from_json
 from .dsp import griffin_lim, mel_filterbank
 from .errors import AdapterError, ConfigError, FeatureFileError, VoiceConversionError
 from .featureio import read_features, write_features, feature_path
-from .recognizer import UpstreamSpec, check_upstream, recognize
+from .recognizer import Upstream, recognize
 from .synthesizer import ModelParameters, forward_free_running
 from .types import (
     LOG_MEL_FLOOR,
@@ -68,21 +68,15 @@ def denormalize(frames, mean, std):
 
 @dataclass(frozen=True)
 class TrainedModel:
-    """A decoder, its ``stats.*`` vectors, audio settings, and upstream name and frame shift.
+    """A decoder, its ``stats.*`` vectors, audio settings, and the upstream it reads.
 
-    The upstream's width is ``params.input_dim``.
+    The upstream's ``feature_dim`` is ``params.input_dim``.
     """
 
     params: ModelParameters
     stats: dict[str, np.ndarray]
     audio: AudioConfig
-    upstream: str
-    upstream_shift_ms: float
-
-    def upstream_spec(self, feature_dir=None) -> UpstreamSpec:
-        """The upstream this model reads; ``feature_dir`` is given exactly for an external one."""
-        return UpstreamSpec(self.upstream, self.params.input_dim, self.upstream_shift_ms,
-                            feature_dir)
+    upstream: Upstream
 
 
 def model_checkpoint(model: TrainedModel, step: int, target_speaker: str | None) -> Checkpoint:
@@ -98,8 +92,7 @@ def model_checkpoint(model: TrainedModel, step: int, target_speaker: str | None)
         "decoder": {**asdict(params.config), "prenet_dims": list(params.config.prenet_dims),
                     "input_dim": params.input_dim,
                     "speaker_conditioned": params.speaker_conditioned},
-        "upstream": {"name": model.upstream, "feature_dim": params.input_dim,
-                     "frame_shift_ms": model.upstream_shift_ms},
+        "upstream": asdict(model.upstream),
         "audio": {**asdict(model.audio), "n_mels": N_MELS},
         "mode": "a2a" if params.speaker_conditioned else "a2o",
         "step": step,
@@ -115,8 +108,8 @@ def load_model(checkpoint) -> TrainedModel:
 
     A missing meta entry or ``stats.*`` tensor, or one of the wrong type or
     width, raises ``ConfigError`` naming it, and so does an ``upstream`` entry
-    that breaks ``UpstreamSpec``'s rules; ``ModelParameters`` checks the
-    decoder tensors.  The returned tensors are the checkpoint's own arrays.
+    that breaks ``Upstream``'s rules; ``ModelParameters`` checks the decoder
+    tensors.  The returned tensors are the checkpoint's own arrays.
     """
     if not isinstance(checkpoint, Checkpoint):
         checkpoint = load_checkpoint(checkpoint)
@@ -133,18 +126,10 @@ def load_model(checkpoint) -> TrainedModel:
     seed = meta.get("seed")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError(f"checkpoint meta 'seed': {seed!r} is not an integer")
-    upstream = meta.get("upstream")
-    if not (isinstance(upstream, dict)
-            and upstream.keys() == {"name", "feature_dim", "frame_shift_ms"}
-            and isinstance(upstream["name"], str) and upstream["feature_dim"] == input_dim
-            and type(upstream["frame_shift_ms"]) in (int, float)):
-        raise ConfigError(
-            f"checkpoint meta 'upstream': {upstream!r} is not an object with a "
-            f"string name, feature_dim {input_dim} and a numeric frame_shift_ms")
-    try:
-        check_upstream(upstream["name"], input_dim, upstream["frame_shift_ms"])
-    except ConfigError as exc:
-        raise ConfigError(f"checkpoint meta 'upstream': {exc}") from None
+    upstream = config_from_json(Upstream, meta.get("upstream"), "checkpoint meta 'upstream'")
+    if upstream.feature_dim != input_dim:
+        raise ConfigError(f"checkpoint meta 'upstream': feature_dim {upstream.feature_dim} "
+                          f"!= decoder input_dim {input_dim}")
     stats = {}
     for name, width in (("input_mean", input_dim), ("input_std", input_dim),
                         ("target_mean", N_MELS), ("target_std", N_MELS)):
@@ -156,9 +141,7 @@ def load_model(checkpoint) -> TrainedModel:
     params = ModelParameters(config=config, input_dim=input_dim,
                              speaker_conditioned=decoder["speaker_conditioned"],
                              tensors=tensors, seed=seed)
-    return TrainedModel(params=params, stats=stats, audio=audio,
-                        upstream=upstream["name"],
-                        upstream_shift_ms=float(upstream["frame_shift_ms"]))
+    return TrainedModel(params=params, stats=stats, audio=audio, upstream=upstream)
 
 
 def convert(record: UtteranceRecord, checkpoint, feature_dir=None,
@@ -173,7 +156,7 @@ def convert(record: UtteranceRecord, checkpoint, feature_dir=None,
     """
     model = load_model(checkpoint)
     audio, stats = model.audio, model.stats
-    content = recognize(record, model.upstream_spec(feature_dir), audio)
+    content = recognize(record, model.upstream.at(feature_dir), audio)
     frames = normalize(content.frames, stats["input_mean"], stats["input_std"])
     out = forward_free_running(model.params, frames, embedding=s,
                                dropout_seed=dropout_seed)

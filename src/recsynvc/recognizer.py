@@ -37,41 +37,55 @@ MAX_FRAME_SHIFT_MS = 1000.0
 
 
 @dataclass(frozen=True)
-class UpstreamSpec:
+class Upstream:
     """Identity and frame geometry of one content representation.
 
-    The name ``mel`` is the native upstream: 80-dim and computed from the
-    wavs, so it takes no feature directory.  Every other name is external and
-    read from ``feature_dir``.  A spec breaking these rules, or with a width
-    outside 1..``config.MAX_WIDTH``, or a frame shift outside
-    (0, ``MAX_FRAME_SHIFT_MS``], raises ``ConfigError``.
+    The name ``mel`` is the native upstream, which is 80-dim; every other name
+    is external.  A width outside 1..``config.MAX_WIDTH``, a frame shift
+    outside (0, ``MAX_FRAME_SHIFT_MS``] or a ``mel`` of another width raises
+    ``ConfigError``.  The shift is stored as a float.
     """
 
     name: str
     feature_dim: int
     frame_shift_ms: float
-    feature_dir: Path | None = None
 
     def __post_init__(self):
-        _check_source(self.name, self.feature_dir)
-        check_upstream(self.name, self.feature_dim, self.frame_shift_ms)
-        if self.feature_dir is not None:
-            object.__setattr__(self, "feature_dir", Path(self.feature_dir))
+        if not 1 <= self.feature_dim <= MAX_WIDTH:
+            raise ConfigError(f"feature_dim must lie in 1..{MAX_WIDTH}, got {self.feature_dim}")
+        object.__setattr__(self, "frame_shift_ms", float(self.frame_shift_ms))
+        if not 0.0 < self.frame_shift_ms <= MAX_FRAME_SHIFT_MS:
+            raise ConfigError(f"upstream frame_shift_ms must lie in "
+                              f"(0, {MAX_FRAME_SHIFT_MS:g}], got {self.frame_shift_ms}")
+        if self.native and self.feature_dim != N_MELS:
+            raise ConfigError(f"the native {self.name!r} upstream is {N_MELS}-dim, "
+                              f"got {self.feature_dim}")
 
     @property
     def native(self) -> bool:
         return self.name == MEL_UPSTREAM
 
+    def at(self, feature_dir=None) -> UpstreamSpec:
+        """This upstream located: ``feature_dir`` is given exactly for an external one."""
+        return UpstreamSpec(self.name, self.feature_dim, self.frame_shift_ms, feature_dir)
 
-def check_upstream(name, feature_dim, frame_shift_ms) -> None:
-    """``UpstreamSpec``'s rules for a width and frame shift; ``ConfigError`` when broken."""
-    if not 1 <= feature_dim <= MAX_WIDTH:
-        raise ConfigError(f"feature_dim must lie in 1..{MAX_WIDTH}, got {feature_dim}")
-    if not 0.0 < frame_shift_ms <= MAX_FRAME_SHIFT_MS:
-        raise ConfigError(f"upstream frame_shift_ms must lie in "
-                          f"(0, {MAX_FRAME_SHIFT_MS:g}], got {frame_shift_ms}")
-    if name == MEL_UPSTREAM and feature_dim != N_MELS:
-        raise ConfigError(f"the native {name!r} upstream is {N_MELS}-dim, got {feature_dim}")
+
+@dataclass(frozen=True)
+class UpstreamSpec(Upstream):
+    """An ``Upstream`` and where its features come from.
+
+    The native upstream is computed from the wavs, so it takes no feature
+    directory; an external one is read from ``feature_dir``.  A spec breaking
+    these rules, or ``Upstream``'s, raises ``ConfigError``.
+    """
+
+    feature_dir: Path | None = None
+
+    def __post_init__(self):
+        _check_source(self.name, self.feature_dir)
+        super().__post_init__()
+        if self.feature_dir is not None:
+            object.__setattr__(self, "feature_dir", Path(self.feature_dir))
 
 
 def _check_source(name, feature_dir) -> None:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import MAX_WIDTH, ModelConfig
 from .errors import ConfigError, VoiceConversionError
 from .nnops import (
     conv1d_same,
@@ -62,12 +62,6 @@ class ModelParameters:
     seed: int
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
-        if self.speaker_conditioned and self.config.type != "taco2_ar":
-            raise ConfigError(
-                "speaker conditioning is only available for the taco2_ar decoder"
-            )
         expected = parameter_shapes(self.config, self.input_dim, self.speaker_conditioned)
         if self.tensors.keys() != expected.keys():
             missing = sorted(expected.keys() - self.tensors.keys())
@@ -91,7 +85,13 @@ def parameter_shapes(config: ModelConfig, input_dim: int,
 
     A recurrent layer ``name`` has ``name.wx`` (4H, input), ``name.wh`` (4H,
     recurrent input), ``name.b`` (4H,) and, for LSTMP, ``name.wp`` (proj, H).
+    An ``input_dim`` outside 1..``config.MAX_WIDTH``, or speaker conditioning
+    of a decoder other than ``taco2_ar``, raises ``ConfigError``.
     """
+    if not 1 <= input_dim <= MAX_WIDTH:
+        raise ConfigError(f"input_dim must lie in 1..{MAX_WIDTH}, got {input_dim}")
+    if speaker_conditioned and config.type != "taco2_ar":
+        raise ConfigError("speaker conditioning is only available for the taco2_ar decoder")
     hidden = config.hidden_dim
     shapes: dict[str, tuple[int, ...]] = {}
 

@@ -30,7 +30,7 @@ from .config import Config
 from .converter import TrainedModel, model_checkpoint, normalize
 from .errors import FeatureFileError, ManifestError, VoiceConversionError
 from .nnops import clip_grad_norm
-from .recognizer import UpstreamSpec, extract_mel, recognize
+from .recognizer import Upstream, UpstreamSpec, extract_mel, recognize
 from .audioio import load_waveform
 from .featureio import feature_path
 from .synthesizer import (
@@ -244,7 +244,7 @@ def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir
 
     # the optimizer updates params.tensors in place, so each write sees the current weights
     model = TrainedModel(params=params, stats=stats, audio=config.audio,
-                         upstream=spec.name, upstream_shift_ms=spec.frame_shift_ms)
+                         upstream=Upstream(spec.name, spec.feature_dim, spec.frame_shift_ms))
     optimizer = AdamOptimizer(params.tensors, learning_rate=training.learning_rate)
 
     rng = np.random.default_rng(training.seed)

@@ -52,21 +52,23 @@ def test_parse_of_a_run_without_a_result_line_is_none(stdout):
 
 
 def test_medians_quartiles_ratio_and_verdicts():
-    # peak_rss_mb: 7 % lower on every seed; wall_s: the same spread on both
-    # sides; setup_s: 40 % slower, beyond its 25 % bound
-    runs = (_runs("convert_long", "parent", [(1, 2.0, 1.5, 146.0), (2, 2.0, 1.7, 145.8),
-                                             (3, 2.0, 1.6, 145.9)])
-            + _runs("convert_long", "change", [(1, 2.8, 1.6, 136.0), (2, 2.8, 1.5, 135.5),
-                                               (3, 2.8, 1.7, 136.4)]))
+    # ten seeds. peak_rss_mb: 7 % lower on every seed; wall_s: the same spread
+    # on both sides; setup_s: 40 % slower, beyond its 25 % bound
+    seeds = range(1, 11)
+    runs = (_runs("convert_long", "parent",
+                  [(s, 2.0, 1.5 + 0.1 * (s % 3), 145.5 + 0.1 * s) for s in seeds])
+            + _runs("convert_long", "change",
+                    [(s, 2.8, 1.5 + 0.1 * ((s + 1) % 3), 135.5 + 0.1 * s) for s in seeds]))
     summary = bench_pair.summarize(runs, END_TO_END)["convert_long"]
     assert summary["correct"] is True
     assert summary["parent_failed_runs"] == summary["change_failed_runs"] == 0
     assert summary["parent_error_rate"] == summary["change_error_rate"] == 0.0
     peak = summary["metrics"]["peak_rss_mb"]
-    assert peak["parent"] == {"n": 3, "median": 145.9, "q1": pytest.approx(145.85),
-                              "q3": pytest.approx(145.95), "iqr": pytest.approx(0.1)}
-    assert peak["change"]["median"] == 136.0
-    assert peak["ratio"] == pytest.approx(136.0 / 145.9)
+    assert peak["parent"] == {"n": 10, "median": pytest.approx(146.05),
+                              "q1": pytest.approx(145.825), "q3": pytest.approx(146.275),
+                              "iqr": pytest.approx(0.45)}
+    assert peak["change"]["median"] == pytest.approx(136.05)
+    assert peak["ratio"] == pytest.approx(136.05 / 146.05)
     assert peak["bound"] == 0.1
     assert peak["verdict"] == "better"
     assert summary["metrics"]["wall_s"]["verdict"] == "within_bound"
@@ -98,7 +100,10 @@ def test_a_run_that_printed_no_result_is_a_failed_run():
     # the parent's IQR (1.0 on a median of 2.0) exceeds the 25 % bound
     ({1: 1.5, 2: 2.0, 3: 2.5, 4: 3.0}, {1: 2.0, 2: 2.1, 3: 2.2, 4: 2.3}, "unresolved"),
     # ... unless every change run beats every parent run
-    ({1: 1.5, 2: 2.0, 3: 2.5, 4: 3.0}, {1: 1.0, 2: 1.1, 3: 1.2, 4: 1.4}, "better"),
+    ({s: 1.0 + 0.2 * s for s in range(1, 11)}, {s: 1.0 + 0.01 * s for s in range(1, 11)},
+     "better"),
+    # winning every one of three pairs is too few pairs to show a gain
+    ({1: 2.0, 2: 2.0, 3: 2.0}, {1: 1.0, 2: 1.0, 3: 1.0}, "within_bound"),
     # 20 % worse is inside a 25 % bound when the spread is narrow
     ({1: 2.0, 2: 2.0, 3: 2.1}, {1: 2.4, 2: 2.4, 3: 2.4}, "within_bound"),
     # a win on two of three pairs is not a gain
@@ -109,7 +114,8 @@ def test_verdict_rules(parent, change, expected):
 
 
 def test_higher_is_better_flips_the_direction():
-    assert bench_pair.verdict({1: 10.0, 2: 10.0}, {1: 12.0, 2: 12.0}, "higher", 0.1,
-                              True) == "better"
+    seeds = range(1, 11)
+    assert bench_pair.verdict(dict.fromkeys(seeds, 10.0), dict.fromkeys(seeds, 12.0),
+                              "higher", 0.1, True) == "better"
     assert bench_pair.verdict({1: 10.0, 2: 10.0}, {1: 8.0, 2: 8.0}, "higher", 0.1,
                               True) == "worse"

@@ -34,7 +34,7 @@ from recsynvc.converter import (
 )
 from recsynvc.errors import AdapterError, ConfigError, FeatureFileError, VoiceConversionError
 from recsynvc.featureio import feature_path, write_features
-from recsynvc.recognizer import mel_upstream, recognize
+from recsynvc.recognizer import Upstream, mel_upstream, recognize
 from recsynvc.synthesizer import build_decoder, forward_free_running
 from recsynvc.types import FeatureSequence, MelSpectrogram, Waveform, LOG_MEL_FLOOR
 
@@ -120,6 +120,11 @@ class TestConvert:
      r"got 5000\.0$"),
     (lambda meta: (meta["decoder"].update(input_dim=64), meta["upstream"].update(feature_dim=64)),
      r"^checkpoint meta 'upstream': the native 'mel' upstream is 80-dim, got 64$"),
+    (lambda meta: meta["upstream"].update(bogus=1), r"'upstream': unknown keys \['bogus'\]"),
+    (lambda meta: meta["upstream"].update(feature_dim=True), "'upstream' 'feature_dim'"),
+    (lambda meta: meta["upstream"].update(frame_shift_ms="10"), "'upstream' 'frame_shift_ms'"),
+    (lambda meta: meta["upstream"].update(name="ssl", feature_dim=64),
+     r"^checkpoint meta 'upstream': feature_dim 64 != decoder input_dim 80$"),
     (lambda tensors: tensors.pop("stats.target_std"), "stats.target_std"),
     (lambda tensors: tensors.update({"stats.input_mean": np.zeros(3)}), "stats.input_mean"),
 ], ids=["unknown_key", "no_input_dim", "no_speaker_conditioned",
@@ -127,7 +132,8 @@ class TestConvert:
         "null_prenet_dims", "list_decoder", "null_hop_length", "zero_hop_length",
         "no_n_mels", "narrow_n_mels", "bad_sample_rate", "bad_fmax",
         "str_seed", "no_upstream", "wide_upstream", "zero_frame_shift", "int_upstream_name",
-        "long_frame_shift", "narrow_mel_upstream",
+        "long_frame_shift", "narrow_mel_upstream", "unknown_upstream_key", "bool_feature_dim",
+        "str_frame_shift", "upstream_narrower_than_decoder",
         "no_target_std", "narrow_input_mean"])
 def test_load_model_rejects_malformed_meta(quick_checkpoint, corrupt, entry):
     ckpt = load_checkpoint(quick_checkpoint["path"])
@@ -152,7 +158,8 @@ def _tiny_checkpoint_headers(path):
     stats = {f"{side}_{kind}": np.ones(width)
              for side, width in (("input", 3), ("target", 80))
              for kind in ("mean", "std")}
-    ckpt = model_checkpoint(TrainedModel(params, stats, AudioConfig(), "ssl", 20.0), 0, "T")
+    ckpt = model_checkpoint(TrainedModel(params, stats, AudioConfig(), Upstream("ssl", 3, 20.0)),
+                            0, "T")
     tensors = ckpt.tensors
     save_checkpoint(path, ckpt)
     # layout: magic, version, meta length and text, count, then per tensor

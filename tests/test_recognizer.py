@@ -8,6 +8,7 @@ from recsynvc.errors import ConfigError, FeatureFileError
 from recsynvc.featureio import feature_path, write_features
 from recsynvc.recognizer import (
     MAX_FRAME_SHIFT_MS,
+    Upstream,
     UpstreamSpec,
     extract_mel,
     external_upstream,
@@ -76,6 +77,17 @@ class TestUpstreams:
             external_upstream("mel", tmp_path)
         with pytest.raises(ConfigError, match="--feature-dir"):
             UpstreamSpec("ssl_stub", 7, 20.0)
+
+    def test_an_upstream_needs_no_directory_until_located(self, tmp_path):
+        hubert = Upstream("hubert", 768, 20)
+        assert type(hubert.frame_shift_ms) is float and hubert.frame_shift_ms == 20.0
+        spec = hubert.at(tmp_path)
+        assert isinstance(spec, UpstreamSpec) and spec.feature_dir == tmp_path
+        assert (spec.name, spec.feature_dim, spec.frame_shift_ms) == ("hubert", 768, 20.0)
+        with pytest.raises(ConfigError, match="--feature-dir"):
+            hubert.at()
+        with pytest.raises(ConfigError, match="no feature directory"):
+            Upstream("mel", 80, 10.0).at(tmp_path)
 
     @pytest.mark.parametrize("shift", [0.0, 1000.5, 1e30, np.inf, np.nan])
     def test_frame_shift_outside_the_range_is_rejected(self, tmp_path, shift):

@@ -1,12 +1,15 @@
 """Decoder construction, forward passes, and inference contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from recsynvc.checkpoint import save_checkpoint
-from recsynvc.config import AudioConfig, ModelConfig
+from recsynvc.config import MAX_WIDTH, AudioConfig, ModelConfig
 from recsynvc.converter import TrainedModel, load_model, model_checkpoint
 from recsynvc.errors import ConfigError, VoiceConversionError
+from recsynvc.recognizer import Upstream
 from recsynvc.synthesizer import (
     backward_teacher_batch,
     build_decoder,
@@ -35,7 +38,7 @@ def _through_checkpoint(params, tmp_path):
     widths = {"input": params.input_dim, "target": 80}
     stats = {f"{side}_{kind}": np.ones(width)
              for side, width in widths.items() for kind in ("mean", "std")}
-    model = TrainedModel(params, stats, AudioConfig(), "ssl", 20.0)
+    model = TrainedModel(params, stats, AudioConfig(), Upstream("ssl", params.input_dim, 20.0))
     path = tmp_path / "model.s3ck"
     save_checkpoint(path, model_checkpoint(model, 0, None))
     return load_model(path).params
@@ -74,6 +77,20 @@ class TestDecoderMeta:
             with pytest.raises(ConfigError, match="^speaker conditioning is only available "
                                                   "for the taco2_ar decoder$"):
                 build_decoder(_config(type_), INPUT_DIM, True, seed=0)
+
+    def test_a_refused_decoder_draws_no_weight(self):
+        for width in (0, MAX_WIDTH + 1):
+            with pytest.raises(ConfigError, match=f"^input_dim must lie in 1..{MAX_WIDTH}, "
+                                                  f"got {width}$"):
+                build_decoder(_config("simple"), width, False, seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="speaker conditioning"):
+                build_decoder(ModelConfig(type="simple"), 768, True, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestBuildDecoder:

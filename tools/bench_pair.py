@@ -20,8 +20,9 @@ verdict is one of:
 
 - `incorrect`: a run of either side failed, or reported a failed operation;
 - `worse`: the change's median is worse than the parent's by more than the bound;
-- `better`: the change is better in at least nine tenths of the seed pairs,
-  and its median by more than the IQR of the parent's runs;
+- `better`: at least `MIN_PAIRS_FOR_GAIN` (10) seed pairs were run, the
+  change is better in at least nine tenths of them, and its median by more
+  than the IQR of the parent's runs;
 - `unresolved`: the parent's IQR exceeds the bound (as a share of its median),
   and not every run of the change is better than every run of the parent;
 - `within_bound`: otherwise.
@@ -42,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKTREE = ROOT / ".perfbench_work" / "bench_pair_parent"
 SIDES = ("parent", "change")
+MIN_PAIRS_FOR_GAIN = 10  # fewer pairs than this cannot show a gain
 
 
 def parse_run_output(stdout: str) -> tuple[dict | None, dict | None]:
@@ -96,7 +98,8 @@ def verdict(parent: dict[int, float], change: dict[int, float], better: str,
         return "worse"
     pairs = parent.keys() & change.keys()
     wins = sum(sign * (parent[s] - change[s]) > 0 for s in pairs)
-    if pairs and wins >= 0.9 * len(pairs) and sign * (p["median"] - c["median"]) > p["iqr"]:
+    if (len(pairs) >= MIN_PAIRS_FOR_GAIN and wins >= 0.9 * len(pairs)
+            and sign * (p["median"] - c["median"]) > p["iqr"]):
         return "better"
     all_better = max(sign * v for v in change.values()) < min(sign * v for v in parent.values())
     if p["iqr"] > bound * abs(p["median"]) and not all_better:
