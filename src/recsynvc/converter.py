@@ -152,11 +152,17 @@ def convert(record: UtteranceRecord, checkpoint, feature_dir=None,
     A model trained on an external upstream reads the record's features from
     ``feature_dir``, which is given exactly then; their width and frame shift
     must be the checkpoint's.  ``s`` must be given exactly when the model is
-    speaker-conditioned.
+    speaker-conditioned.  A source of T content frames vocodes to T x hop
+    samples, so one with T x hop below one analysis window raises
+    ``VoiceConversionError``: no metric could read its wav.
     """
     model = load_model(checkpoint)
     audio, stats = model.audio, model.stats
     content = recognize(record, model.upstream.at(feature_dir), audio)
+    if (n_samples := len(content) * audio.hop_length) < audio.win_length:
+        raise VoiceConversionError(
+            f"{len(content)} content frame(s) vocode to {n_samples} samples, "
+            f"fewer than one {audio.win_length}-sample analysis window")
     frames = normalize(content.frames, stats["input_mean"], stats["input_std"])
     out = forward_free_running(model.params, frames, embedding=s,
                                dropout_seed=dropout_seed)

@@ -13,10 +13,13 @@ from functools import lru_cache
 import numpy as np
 
 
+@lru_cache(maxsize=16)
 def hann_window(win_length: int) -> np.ndarray:
-    """Periodic Hann window."""
+    """Periodic Hann window, built once per length; the cached array is read-only."""
     n = np.arange(win_length)
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / win_length)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * n / win_length)
+    window.flags.writeable = False
+    return window
 
 
 def frame_count(num_samples: int, win_length: int, hop_length: int) -> int:
@@ -28,9 +31,12 @@ def frame_count(num_samples: int, win_length: int, hop_length: int) -> int:
 
 def frame_signal(samples: np.ndarray, win_length: int, hop_length: int) -> np.ndarray:
     """Read-only strided view of a signal's overlapping frames, shape (T, win_length)."""
-    if samples.size < win_length:
+    n_frames = frame_count(samples.size, win_length, hop_length)
+    if not n_frames:
         return np.empty((0, win_length))
-    return np.lib.stride_tricks.sliding_window_view(samples, win_length)[::hop_length]
+    step = samples.strides[0]
+    return np.lib.stride_tricks.as_strided(samples, (n_frames, win_length),
+                                           (hop_length * step, step), writeable=False)
 
 
 def stft(samples: np.ndarray, win_length: int, hop_length: int) -> np.ndarray:
@@ -48,12 +54,28 @@ def istft(spectra: np.ndarray, win_length: int, hop_length: int, sums=None) -> n
     spectra = np.asarray(spectra)
     window = hann_window(win_length)
     wsum, nonzero = sums or _window_sums(spectra.shape[0], window, hop_length)
-    frames = np.fft.irfft(spectra, n=win_length, axis=1) * window[None, :]
-    out = np.zeros(wsum.size)
-    for t in range(frames.shape[0]):
-        out[t * hop_length:t * hop_length + win_length] += frames[t]
+    frames = np.fft.irfft(spectra, n=win_length, axis=1)
+    frames *= window
+    out = _overlap_add(frames, hop_length)
     np.divide(out, wsum, out=out, where=nonzero)
     return out
+
+
+def _overlap_add(frames, hop_length):
+    """Sum of the (T, win) frames placed hop samples apart, (T - 1) * hop + win samples.
+
+    Each frame is cut into hop-wide blocks, and block j of every frame lands in
+    output chunk t + j, so each pass over j adds one (T, hop) array.  Running
+    j from the last block to the first adds each sample's frames in
+    increasing t, as a frame-by-frame loop does, so the bits are the same.
+    """
+    n_frames, win_length = frames.shape
+    n_blocks = -(-win_length // hop_length)
+    out = np.zeros((n_frames + n_blocks - 1, hop_length))
+    for j in range(n_blocks - 1, -1, -1):
+        block = frames[:, j * hop_length:(j + 1) * hop_length]
+        out[j:j + n_frames, :block.shape[1]] += block
+    return out.reshape(-1)[:(n_frames - 1) * hop_length + win_length]
 
 
 def _window_sums(n_frames, window, hop_length):
@@ -61,11 +83,8 @@ def _window_sums(n_frames, window, hop_length):
 
     It depends only on the frame count, so Griffin-Lim builds it once per call.
     """
-    win_length = window.size
-    wsum = np.zeros((n_frames - 1) * hop_length + win_length)
-    wsq = window * window
-    for t in range(n_frames):
-        wsum[t * hop_length:t * hop_length + win_length] += wsq
+    wsq = np.broadcast_to(window * window, (n_frames, window.size))
+    wsum = _overlap_add(wsq, hop_length)
     return wsum, wsum > 1e-11
 
 
@@ -104,13 +123,15 @@ def griffin_lim(magnitudes: np.ndarray, win_length: int, hop_length: int,
     magnitudes = np.asarray(magnitudes, dtype=np.float64)
     sums = _window_sums(magnitudes.shape[0], hann_window(win_length), hop_length)
     signal = istft(magnitudes.astype(np.complex128), win_length, hop_length, sums)
-    phased = np.empty(magnitudes.shape, dtype=np.complex128)
     for _ in range(n_iters):
         spectra = stft(signal, win_length, hop_length)
         # magnitudes * spectra / |spectra|, in the bits of numpy's complex / real
         # division, which scales both parts by the reciprocal of the divisor
-        inv_abs = 1.0 / np.maximum(np.abs(spectra), 1e-12)
-        np.multiply(spectra.real * inv_abs, magnitudes, out=phased.real)
-        np.multiply(spectra.imag * inv_abs, magnitudes, out=phased.imag)
-        signal = istft(phased, win_length, hop_length, sums)
+        inv_abs = np.abs(spectra)
+        np.maximum(inv_abs, 1e-12, out=inv_abs)
+        np.divide(1.0, inv_abs, out=inv_abs)
+        for part in (spectra.real, spectra.imag):
+            part *= inv_abs
+            part *= magnitudes
+        signal = istft(spectra, win_length, hop_length, sums)
     return signal

@@ -17,10 +17,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def sigmoid(x):
-    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+def sigmoid(x, out=None):
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows.
+
+    ``out`` may be ``x`` itself.
+    """
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    numerator = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(numerator, e, out=out)
 
 
 def glorot(rng, shape, fan_in, fan_out):
@@ -63,9 +70,11 @@ def lstm_cell(z, c_prev):
     Overwrites ``z`` with the gate activations and returns (h, c, tanh(c)).
     """
     hidden = c_prev.shape[-1]
-    z[:, :2 * hidden] = sigmoid(z[:, :2 * hidden])
-    np.tanh(z[:, 2 * hidden:3 * hidden], out=z[:, 2 * hidden:3 * hidden])
-    z[:, 3 * hidden:] = sigmoid(z[:, 3 * hidden:])
+    # one sigmoid over the whole block, then the g block's tanh written back:
+    # elementwise, so the bits are those of the three blocks taken one by one
+    g = np.tanh(z[:, 2 * hidden:3 * hidden])
+    sigmoid(z, out=z)
+    z[:, 2 * hidden:3 * hidden] = g
     i, f, g, o = _gate_blocks(z, hidden)
     c = f * c_prev + i * g
     tc = np.tanh(c)
@@ -73,7 +82,12 @@ def lstm_cell(z, c_prev):
 
 
 def lstm_step(params, prefix, x, h_prev, c_prev):
-    """One plain LSTM step.  Returns (h, c, cache)."""
+    """One plain LSTM step.  Returns (h, c, cache).
+
+    ``params[prefix + ".b"]`` is the (4H,) bias, or a (B, 4H) block of gates
+    precomputed for this step, bias included, from input columns that ``x``
+    does not hold; ``params[prefix + ".wx"]`` then holds only ``x``'s columns.
+    """
     z = x @ params[prefix + ".wx"].T + h_prev @ params[prefix + ".wh"].T + params[prefix + ".b"]
     h, c, tc = lstm_cell(z, c_prev)
     return h, c, (x, h_prev, c_prev, z, tc)

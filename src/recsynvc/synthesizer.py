@@ -166,12 +166,17 @@ def _postnet_channels(config: ModelConfig) -> list[int]:
 # Every decoder is input -> two stacked recurrent layers -> linear(80), plus a
 # postnet for ``taco2_ar``.  The stack input joins a feedback-free context
 # (``_context``: ffn(content), or content and speaker embedding) with the
-# fed-back previous frame (``_decoder_input``: masked frame, or prenet).
+# fed-back previous frame (``_feedback``: masked frame, or prenet);
+# ``_input_columns`` says which columns of the first layer's ``wx`` read each.
 # Teacher-forced, ``_recurrent_forward`` and ``_recurrent_backward`` run the
 # stack one layer at a time over the whole sequence, in time-major (T, B, .)
 # arrays, so input projections and weight gradients are one GEMM per layer.
-# Free-running, ``free_forward_batch`` steps the whole stack frame by frame
-# through ``_recurrent_step``.  All internals take content
+# Free-running, ``free_forward_batch`` projects the context of every frame
+# onto the first layer's gates in one GEMM before the time loop, then steps
+# the whole stack frame by frame through ``_recurrent_step``, multiplying
+# only the fed-back columns per step.  Splitting the first layer's product
+# in two changes its rounding, so free-running and teacher-forced outputs
+# agree to rounding, not to the bit.  All internals take content
 # (B, T, Din), optional prev (B, T, 80) and spk (B, E), run in float64 and
 # return batch-first outputs.  A teacher-forced cache holds once each
 # activation its backward reads, and nothing else (``teacher_forward_batch``
@@ -347,22 +352,30 @@ def _context(params, content, spk):
     return np.concatenate([content, spk_tiled], axis=2), None
 
 
-def _decoder_input(params, context, prev, rng):
-    """Stack input and the prenet cache its backward needs (None without prenet).
+def _feedback(params, prev, rng):
+    """Fed-back part of the stack input, and the prenet cache (None without prenet).
 
-    ``context`` and ``prev`` are a whole sequence, (B, T, .), or one step,
-    (B, .).  ``simple`` takes the context alone; ``simple_ar`` appends the
-    dropout-masked previous frame; ``taco2_ar`` puts the prenet of the
-    previous frame in front.
+    ``prev`` is a whole sequence, (B, T, 80), or one step, (B, 80).
+    ``simple_ar`` feeds back the dropout-masked previous frame; ``taco2_ar``
+    the prenet of it.
     """
     config = params.config
-    if config.type == "simple":
-        return context, None
     if config.type == "simple_ar":
-        masked = prev * dropout_mask(rng, prev.shape, config.ar_dropout)
-        return np.concatenate([context, masked], axis=-1), None
-    pre_out, pre_cache = _prenet_forward(params.tensors, config, prev, rng)
-    return np.concatenate([pre_out, context], axis=-1), pre_cache
+        return prev * dropout_mask(rng, prev.shape, config.ar_dropout), None
+    return _prenet_forward(params.tensors, config, prev, rng)
+
+
+def _input_columns(params):
+    """(fed-back, context) column slices of the first recurrent layer's ``wx``.
+
+    ``simple_ar`` appends the fed-back frame to the context; ``taco2_ar``
+    puts the prenet output in front of it.
+    """
+    config = params.config
+    if config.type == "simple_ar":
+        return slice(config.hidden_dim, None), slice(0, config.hidden_dim)
+    split = config.prenet_dims[-1]
+    return slice(0, split), slice(split, None)
 
 
 def teacher_forward_batch(params: ModelParameters, content, prev, spk, dropout_seed):
@@ -393,7 +406,12 @@ def teacher_forward_batch(params: ModelParameters, content, prev, spk, dropout_s
     p, config = params.tensors, params.config
     rng = np.random.default_rng(dropout_seed)
     context, ffn_positive = _context(params, content, spk)
-    x_seq, input_cache = _decoder_input(params, context, prev, rng)
+    x_seq, input_cache = context, None
+    if config.type != "simple":
+        fed, input_cache = _feedback(params, prev, rng)
+        # in the column order of ``_input_columns``
+        parts = (context, fed) if config.type == "simple_ar" else (fed, context)
+        x_seq = np.concatenate(parts, axis=-1)
     h_seq, stack_caches = _recurrent_forward(p, _layers(config), x_seq)
     y_before = linear(h_seq, p["out.w"], p["out.b"])
     if config.type == "taco2_ar":
@@ -447,21 +465,36 @@ def backward_teacher_batch(params: ModelParameters, cache, d_main, d_before):
 
 
 def free_forward_batch(params: ModelParameters, content, spk, dropout_seed):
-    """Batched free-running forward: each step feeds back the previous output."""
+    """Batched free-running forward: each step feeds back the previous output.
+
+    The context's share of the first layer's gates, bias included, is one
+    GEMM over all frames before the time loop, a (B, T, 4H) block.  Each step
+    then goes through ``lstm_step``/``lstmp_step`` with a mapping in which the
+    first layer's ``wx`` holds only the fed-back columns and its ``b`` is that
+    step's (B, 4H) block of context gates.
+    """
     p, config = params.tensors, params.config
     if config.type == "simple":
         # no feedback path: free-running coincides with the teacher forward
         return teacher_forward_batch(params, content, None, spk, dropout_seed)[0]
     layers = _layers(config)
+    first = layers[0]
     batch, t_len, _ = content.shape
     rng = np.random.default_rng(dropout_seed)
     context, _ = _context(params, content, spk)
+    fed_cols, context_cols = _input_columns(params)
+    wx = p[f"{first}.wx"]
+    gates = context @ wx[:, context_cols].T
+    gates += p[f"{first}.b"]
+    step_p = dict(p)
+    step_p[f"{first}.wx"] = np.ascontiguousarray(wx[:, fed_cols])
     state = _zero_state(p, layers, batch)
     prev = np.zeros((batch, N_MELS))
     y_before = np.empty((batch, t_len, N_MELS))
     for t in range(t_len):
-        x, _ = _decoder_input(params, context[:, t], prev, rng)
-        h, state = _recurrent_step(p, layers, x, state)
+        fed, _ = _feedback(params, prev, rng)
+        step_p[f"{first}.b"] = gates[:, t]
+        h, state = _recurrent_step(step_p, layers, fed, state)
         prev = linear(h, p["out.w"], p["out.b"])
         y_before[:, t] = prev
     if config.type != "taco2_ar":

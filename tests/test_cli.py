@@ -35,7 +35,7 @@ from recsynvc.benchmark import MetricsRow
 from recsynvc.featureio import read_features, write_features
 from recsynvc.manifest import load_manifest, write_manifest
 from recsynvc.synthetic import make_toy_corpus, make_utterance
-from recsynvc.types import DatasetManifest, FeatureSequence, UtteranceRecord
+from recsynvc.types import DatasetManifest, FeatureSequence, UtteranceRecord, Waveform
 
 from helpers import BAD_WAVS, sphere_embedding, write_metrics_table
 
@@ -364,6 +364,31 @@ def test_convert_outputs(cli_checkpoint, cli_corpus, tmp_path):
         assert (out_dir / f"{record.utt_id}.wav").exists()
     mel = read_features(out_dir / f"{record.utt_id}.mel.s3vc")
     assert mel.frames.shape[1] == 80
+
+
+@pytest.mark.parametrize("n_samples", [1024, 1983])
+def test_convert_refuses_a_source_too_short_to_score(cli_checkpoint, cli_corpus, tmp_path,
+                                                      capsys, n_samples):
+    # 1-4 frames at the defaults vocode to T x 240 < 1024 samples, which no
+    # metric can read: convert fails that utterance alone, writing none of its files
+    full = load_manifest(cli_corpus).records[0]
+    wave = load_waveform(full.wav_path, AudioConfig())
+    short = dataclasses.replace(full, utt_id="short", wav_path=tmp_path / "short.wav")
+    save_waveform(short.wav_path, Waveform(wave.samples[:n_samples], wave.sample_rate))
+    manifest = tmp_path / "sources.jsonl"
+    write_manifest(manifest, DatasetManifest((short, full)))
+    out_dir = tmp_path / "conv"
+    capsys.readouterr()
+    assert main(["convert", str(cli_checkpoint), str(manifest),
+                 "--out-dir", str(out_dir)]) == 1
+    frames = (n_samples - 1024) // 240 + 1
+    assert capsys.readouterr().err.splitlines()[1:] == [
+        f"failed: short: {frames} content frame(s) vocode to {frames * 240} samples, "
+        "fewer than one 1024-sample analysis window"]
+    assert sorted(path.name for path in out_dir.iterdir()) == [
+        f"{full.utt_id}.mel.s3vc", f"{full.utt_id}.wav"]
+    assert main(["evaluate", str(out_dir), str(manifest),
+                 "--out-dir", str(tmp_path / "scores")]) == 0
 
 
 def test_convert_uses_checkpoint_audio(cli_corpus, tmp_path):

@@ -62,6 +62,14 @@ def test_hann_window_is_periodic():
                                atol=1e-12)
 
 
+def test_hann_window_is_cached_read_only():
+    win = dsp.hann_window(64)
+    assert dsp.hann_window(64) is win
+    assert dsp.hann_window(100) is not win
+    with pytest.raises(ValueError):
+        win[0] = 1.0
+
+
 def test_frame_count_no_centering():
     assert dsp.frame_count(1024, 1024, 240) == 1
     assert dsp.frame_count(1023, 1024, 240) == 0
@@ -163,6 +171,22 @@ def test_griffin_lim_matches_per_iteration_istft_reference(n_frames):
         assert np.array_equal(got, _reference_griffin_lim(mags, 1024, 240, n_iters)), n_iters
     spectra = rng.standard_normal((n_frames, 513)) + 1j * rng.standard_normal((n_frames, 513))
     assert np.array_equal(dsp.istft(spectra, 1024, 240), _reference_istft(spectra, 1024, 240))
+
+
+@pytest.mark.parametrize("win, hop", [(1024, 256), (512, 512), (64, 100), (100, 7)])
+@pytest.mark.parametrize("n_frames", [1, 2, 46])
+def test_istft_and_griffin_lim_match_the_references_bit_for_bit(win, hop, n_frames):
+    # overlap-add runs in hop-wide blocks: beside the default (1024, 240) of the
+    # test above, a partial last block (100, 7), no overlap (512, 512) and
+    # gaps between frames (64, 100)
+    rng = np.random.default_rng([win, hop, n_frames])
+    shape = (n_frames, win // 2 + 1)
+    spectra = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.array_equal(dsp.istft(spectra, win, hop), _reference_istft(spectra, win, hop))
+    mags = np.abs(spectra)
+    for n_iters in (0, 1, 8):
+        got = dsp.griffin_lim(mags, win, hop, n_iters=n_iters)
+        assert np.array_equal(got, _reference_griffin_lim(mags, win, hop, n_iters)), n_iters
 
 
 def test_griffin_lim_inverts_through_the_one_istft(monkeypatch):

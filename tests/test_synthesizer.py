@@ -9,6 +9,7 @@ from recsynvc.checkpoint import save_checkpoint
 from recsynvc.config import MAX_WIDTH, AudioConfig, ModelConfig
 from recsynvc.converter import TrainedModel, load_model, model_checkpoint
 from recsynvc.errors import ConfigError, VoiceConversionError
+from recsynvc.nnops import conv1d_same
 from recsynvc.recognizer import Upstream
 from recsynvc.synthesizer import (
     backward_teacher_batch,
@@ -177,6 +178,64 @@ class TestForward:
             fed_back = main if before is None else before
         free = free_forward_batch(params, content, spk, 0)
         np.testing.assert_allclose(main, free, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("type_, conditioned, input_dim", [
+        ("simple_ar", False, INPUT_DIM), ("taco2_ar", False, INPUT_DIM),
+        ("taco2_ar", True, INPUT_DIM), ("taco2_ar", False, 768),
+    ], ids=["simple_ar", "taco2_ar", "taco2_ar_speaker", "taco2_ar_768"])
+    def test_free_running_matches_a_full_input_step_loop(self, type_, conditioned, input_dim):
+        # free-running projects the feedback-free columns before its time loop;
+        # this loop joins the whole first-layer input and applies the full wx
+        rng = np.random.default_rng(9)
+        extra = dict(embedding_dim=4) if conditioned else {}
+        config = _config(type_, **extra)
+        params = build_decoder(config, input_dim, conditioned, seed=1)
+        p = params.tensors
+        batch, t_len = 2, 9
+        content = rng.standard_normal((batch, t_len, input_dim))
+        spk = rng.standard_normal((batch, 4)) if conditioned else None
+        free = free_forward_batch(params, content, spk, dropout_seed=3)
+        assert free.tobytes() == free_forward_batch(params, content, spk, 3).tobytes()
+
+        draws = np.random.default_rng(3)
+
+        def dropout(shape):
+            return (draws.random(shape) >= config.ar_dropout) / (1.0 - config.ar_dropout)
+
+        layers = ("lstm1", "lstm2") if type_ == "taco2_ar" else ("lstmp1", "lstmp2")
+        state = {name: (np.zeros((batch, p[f"{name}.wh"].shape[1])),
+                        np.zeros((batch, config.hidden_dim))) for name in layers}
+        prev = np.zeros((batch, 80))
+        before = np.empty((batch, t_len, 80))
+        for t in range(t_len):
+            if type_ == "simple_ar":
+                ffn = np.maximum(content[:, t] @ p["ffn.w"].T + p["ffn.b"], 0.0)
+                x = np.concatenate([ffn, prev * dropout(prev.shape)], axis=1)
+            else:
+                fed = prev
+                for i in (1, 2):
+                    z = fed @ p[f"prenet{i}.w"].T + p[f"prenet{i}.b"]
+                    fed = np.maximum(z, 0.0) * dropout(z.shape)
+                x = np.concatenate([fed, content[:, t]] + ([spk] if conditioned else []),
+                                   axis=1)
+            for name in layers:
+                h, c = state[name]
+                z = x @ p[f"{name}.wx"].T + h @ p[f"{name}.wh"].T + p[f"{name}.b"]
+                i, f, g, o = np.split(z, 4, axis=1)
+                c = 1 / (1 + np.exp(-f)) * c + 1 / (1 + np.exp(-i)) * np.tanh(g)
+                x = 1 / (1 + np.exp(-o)) * np.tanh(c)
+                if name.startswith("lstmp"):
+                    x = x @ p[f"{name}.wp"].T
+                state[name] = (x, c)
+            prev = before[:, t] = x @ p["out.w"].T + p["out.b"]
+        expected = before
+        if type_ == "taco2_ar":
+            y = before
+            for i in (1, 2):
+                y = conv1d_same(y, p[f"postnet{i}.w"], p[f"postnet{i}.b"])[0]
+                y = np.tanh(y) if i < 2 else y
+            expected = before + y
+        np.testing.assert_allclose(free, expected, rtol=0, atol=1e-12)
 
     def test_ar_dropout_seed_controls_inference(self):
         rng = np.random.default_rng(2)
