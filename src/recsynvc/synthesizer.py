@@ -187,14 +187,13 @@ def _postnet_channels(config: ModelConfig) -> list[int]:
 # activations with their gradients.
 
 
-def _prenet_forward(p, config, prev, rng):
+def _prenet_forward(p, config, prev, masks):
     """Batched prenet over previous frames, (B, T, 80) or one step (B, 80)."""
     below, positive, keep = [], [], []
     x = prev
-    for i in range(len(config.prenet_dims)):
+    for i, m in enumerate(masks):
         below.append(x)
         z = linear(x, p[f"prenet{i + 1}.w"], p[f"prenet{i + 1}.b"])
-        m = dropout_mask(rng, z.shape, config.ar_dropout)
         x = np.maximum(z, 0.0) * m
         positive.append(z > 0.0)
         keep.append(m != 0.0)
@@ -352,17 +351,31 @@ def _context(params, content, spk):
     return np.concatenate([content, spk_tiled], axis=2), None
 
 
-def _feedback(params, prev, rng):
+def dropout_masks(params: ModelParameters, frames: tuple[int, ...], rng) -> list:
+    """The feedback path's dropout masks, in the order they are drawn from ``rng``.
+
+    ``frames`` is the frame shape: (B, T) for whole sequences, (B,) for one step.
+    ``simple_ar`` has one mask over the previous frame, ``taco2_ar`` one per
+    prenet layer, ``simple`` none.
+    """
+    config = params.config
+    if config.type == "simple":
+        return []
+    widths = (N_MELS,) if config.type == "simple_ar" else config.prenet_dims
+    return [dropout_mask(rng, (*frames, width), config.ar_dropout) for width in widths]
+
+
+def _feedback(params, prev, masks):
     """Fed-back part of the stack input, and the prenet cache (None without prenet).
 
-    ``prev`` is a whole sequence, (B, T, 80), or one step, (B, 80).
-    ``simple_ar`` feeds back the dropout-masked previous frame; ``taco2_ar``
-    the prenet of it.
+    ``prev`` is a whole sequence, (B, T, 80), or one step, (B, 80), and
+    ``masks`` are ``dropout_masks`` for its frames.  ``simple_ar`` feeds back
+    the dropout-masked previous frame; ``taco2_ar`` the prenet of it.
     """
     config = params.config
     if config.type == "simple_ar":
-        return prev * dropout_mask(rng, prev.shape, config.ar_dropout), None
-    return _prenet_forward(params.tensors, config, prev, rng)
+        return prev * masks[0], None
+    return _prenet_forward(params.tensors, config, prev, masks)
 
 
 def _input_columns(params):
@@ -378,9 +391,12 @@ def _input_columns(params):
     return slice(0, split), slice(split, None)
 
 
-def teacher_forward_batch(params: ModelParameters, content, prev, spk, dropout_seed):
+def teacher_forward_batch(params: ModelParameters, content, prev, spk, dropout_seed,
+                          *, masks=None):
     """Batched teacher-forced forward.
 
+    The dropout masks are ``masks`` when given (``dropout_masks`` of these
+    frames), else drawn from a generator seeded with ``dropout_seed``.
     Returns ``(main, before, cache)`` where ``before`` is the pre-postnet
     prediction (None for models without a postnet).  ``cache`` is the tuple
     ``(content, ffn_positive, input_cache, stack_caches, h_seq, post_caches)``:
@@ -404,11 +420,12 @@ def teacher_forward_batch(params: ModelParameters, content, prev, spk, dropout_s
     ``post_caches`` and those of ``input_cache``, as it goes.
     """
     p, config = params.tensors, params.config
-    rng = np.random.default_rng(dropout_seed)
+    if masks is None:
+        masks = dropout_masks(params, content.shape[:2], np.random.default_rng(dropout_seed))
     context, ffn_positive = _context(params, content, spk)
     x_seq, input_cache = context, None
     if config.type != "simple":
-        fed, input_cache = _feedback(params, prev, rng)
+        fed, input_cache = _feedback(params, prev, masks)
         # in the column order of ``_input_columns``
         parts = (context, fed) if config.type == "simple_ar" else (fed, context)
         x_seq = np.concatenate(parts, axis=-1)
@@ -492,7 +509,7 @@ def free_forward_batch(params: ModelParameters, content, spk, dropout_seed):
     prev = np.zeros((batch, N_MELS))
     y_before = np.empty((batch, t_len, N_MELS))
     for t in range(t_len):
-        fed, _ = _feedback(params, prev, rng)
+        fed, _ = _feedback(params, prev, dropout_masks(params, (batch,), rng))
         step_p[f"{first}.b"] = gates[:, t]
         h, state = _recurrent_step(step_p, layers, fed, state)
         prev = linear(h, p["out.w"], p["out.b"])

@@ -17,14 +17,17 @@ stored in the checkpoint so conversion is self-contained.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from collections.abc import Callable, Mapping
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .checkpoint import CHECKPOINT_SUFFIX, save_checkpoint
 from .config import Config
 from .converter import TrainedModel, model_checkpoint, normalize
@@ -37,6 +40,7 @@ from .synthesizer import (
     ModelParameters,
     backward_teacher_batch,
     build_decoder,
+    dropout_masks,
     shift_frames_right,
     teacher_forward_batch,
 )
@@ -56,18 +60,21 @@ class TrainRun:
     checkpoint_path: Path
 
 
-def masked_l1(pred, target, mask):
+def masked_l1(pred, target, mask, count=None):
     """Masked mean absolute error and its gradient in ``pred``.
 
     ``mask`` holds 1.0 for real frames and 0.0 for batch padding; it covers
     the frame axes (everything except the feature dimension).  Returns
     ``(loss, d_pred)``: the mean of ``|pred - target|`` over the unmasked
     frames and every feature bin, and its subgradient, zero on masked frames.
+    The mean divides by ``count``, by default the unmasked frames times the
+    feature bins; rows of a larger batch pass that batch's count.
     """
     diff = pred - target
-    n = mask.sum() * pred.shape[-1]
-    loss = float((np.abs(diff) * mask[..., None]).sum() / n)
-    return loss, np.sign(diff) * mask[..., None] / n
+    if count is None:
+        count = mask.sum() * pred.shape[-1]
+    loss = float((np.abs(diff) * mask[..., None]).sum() / count)
+    return loss, np.sign(diff) * mask[..., None] / count
 
 
 def loss_and_grads(params: ModelParameters, content, target, mask, spk,
@@ -77,29 +84,78 @@ def loss_and_grads(params: ModelParameters, content, target, mask, spk,
     ``content`` is (B, T, Din), ``target`` (B, T, 80), ``mask`` (B, T);
     ``spk`` is (B, E) or None.  For the postnet model the loss is the sum of
     the pre- and post-postnet terms.
+
+    The batch runs as two fixed row shards, rows [0, ceil(B / 2)) and the
+    rest (one shard when B = 1), each with its own forward and backward.
+    The dropout masks are drawn for the whole batch and sliced, each shard's
+    loss gradient divides by the whole batch's frame count, the second
+    shard's gradients are added into the first's, and the loss is taken
+    over the joined outputs.  So the bits do not depend on whether the second
+    shard runs on a helper thread (when this process may use two CPUs) or
+    after the first.
     """
     prev = shift_frames_right(target)
-    main, before, cache = teacher_forward_batch(params, content, prev, spk, dropout_seed)
-    loss, d_main = masked_l1(main, target, mask)
-    d_before = None
+    masks = dropout_masks(params, target.shape[:2], np.random.default_rng(dropout_seed))
+    count = mask.sum() * target.shape[-1]
+    half = -(-len(target) // 2)
+    shards = [slice(0, half)] + ([slice(half, None)] if half < len(target) else [])
+
+    def shard(rows, row_masks):
+        main, before, cache = teacher_forward_batch(
+            params, content[rows], prev[rows], None if spk is None else spk[rows],
+            dropout_seed, masks=row_masks)
+        row_masks.clear()  # freed: the cache keeps the keep patterns the backward reads
+        d_main = masked_l1(main, target[rows], mask[rows], count)[1]
+        d_before = None
+        if before is not None:
+            d_before = masked_l1(before, target[rows], mask[rows], count)[1]
+        return main, before, backward_teacher_batch(params, cache, d_main, d_before)
+
+    jobs = [(rows, [m[rows] for m in masks]) for rows in shards]
+    del masks
+    (main, before, grads), *others = _run_shards(shard, jobs)
+    for other_main, other_before, other_grads in others:
+        for name, grad in grads.items():
+            grad += other_grads.pop(name)
+        main = np.concatenate([main, other_main])
+        if before is not None:
+            before = np.concatenate([before, other_before])
+    loss = masked_l1(main, target, mask)[0]
     if before is not None:
-        loss_before, d_before = masked_l1(before, target, mask)
-        loss += loss_before
-    grads = backward_teacher_batch(params, cache, d_main, d_before)
+        loss += masked_l1(before, target, mask)[0]
     return loss, grads
+
+
+def _run_shards(shard, jobs):
+    """``shard(*job)`` for each job, in order; the second on a helper thread given two CPUs.
+
+    Returns, or raises the error of the first job that failed, once every job
+    has stopped.
+    """
+    if len(jobs) == 1 or len(os.sched_getaffinity(0)) < 2:
+        return [shard(*job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        second = helper.submit(shard, *jobs[1])
+        first = shard(*jobs[0])
+        return [first, second.result()]
 
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 class AdamOptimizer:
-    """Adaptive-moment gradient descent with bias correction."""
+    """Adaptive-moment gradient descent with bias correction.
+
+    The moments ``m`` and ``v``, zeros shaped like ``tensors``, are created at
+    the first ``step``, so the forward and backward before it run without them.
+    """
 
     def __init__(self, tensors: Mapping[str, np.ndarray], learning_rate: float):
         self.lr = learning_rate
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
-        self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
+        self.tensors = tensors
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
 
     def step(self, tensors: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]):
         """Apply one update to ``tensors`` in place.
@@ -107,9 +163,13 @@ class AdamOptimizer:
         Computes ``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g`` and
         ``w -= (lr (m / c1)) / (sqrt(v / c2) + eps)`` in that operation order,
         through two scratch buffers the size of the largest gradient that live
-        only for this call, so the update allocates nothing weight-sized.
+        only for this call, so after the first update, which creates the
+        moments, an update allocates nothing weight-sized.
         """
         self.t += 1
+        if self.t == 1:
+            self.m = {k: np.zeros_like(v) for k, v in self.tensors.items()}
+            self.v = {k: np.zeros_like(v) for k, v in self.tensors.items()}
         c1 = 1.0 - _BETA1 ** self.t
         c2 = 1.0 - _BETA2 ** self.t
         size = max((g.size for g in grads.values()), default=0)
@@ -205,6 +265,7 @@ def _pad_batch(examples: list[_Example]):
     return content, target, mask, spk
 
 
+@one_blas_thread()  # the bits depend on the count, and the shards take the CPUs
 def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir,
           encoder: Callable[[UtteranceRecord], SpeakerEmbedding] | None = None,
           log_file=None) -> TrainRun:

@@ -75,6 +75,26 @@ def test_medians_quartiles_ratio_and_verdicts():
     assert summary["metrics"]["setup_s"]["verdict"] == "worse"
 
 
+def test_each_end_to_end_metric_reports_its_seed_pairs():
+    # wall_s: the change is 0.9x the parent in seeds 1-3 and 1.2x in seed 4, so
+    # it wins 3 of 4 pairs; seed 5 ran on the parent side only
+    parent = [(s, 1.0, 2.0, 100.0) for s in range(1, 6)]
+    change = [(s, 1.0, 1.8 if s < 4 else 2.4, 100.0) for s in range(1, 5)]
+    runs = _runs("train", "parent", parent) + _runs("train", "change", change)
+    metrics = bench_pair.summarize(runs, END_TO_END)["train"]["metrics"]
+    wall = metrics["wall_s"]
+    assert wall["pairs"] == 4 and wall["seeds_won"] == 3
+    assert wall["seed_ratios"] == pytest.approx({1: 0.9, 2: 0.9, 3: 0.9, 4: 1.2})
+    assert wall["median_seed_ratio"] == pytest.approx(0.9)
+    # equal values are no win; the verdict does not read these figures
+    assert metrics["peak_rss_mb"]["seeds_won"] == 0
+    assert metrics["peak_rss_mb"]["median_seed_ratio"] == 1.0
+    assert wall["verdict"] == bench_pair.verdict(
+        {s: 2.0 for s in range(1, 6)}, {s: v for s, _, v, _ in change}, "lower", 0.25, True)
+    # a higher-is-better metric wins where the change is higher
+    assert bench_pair.paired({1: 10.0, 2: 10.0}, {1: 12.0, 2: 9.0}, "higher")["seeds_won"] == 1
+
+
 def test_a_run_that_is_not_correct_makes_every_verdict_incorrect():
     runs = (_runs("a2a_short", "parent", [(1, 2.0, 3.0, 157.0), (2, 2.0, 3.1, 157.1)])
             + _runs("a2a_short", "change", [(1, 2.0, 3.0, 147.0, False, 2),

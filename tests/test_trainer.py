@@ -1,8 +1,14 @@
 """Training loop: loss math, optimization, checkpoints, and error paths."""
 
+import os
 import re
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,13 +16,20 @@ import pytest
 from helpers import sphere_embedding, toy_config
 
 from recsynvc import trainer
+from recsynvc.blas import openblas_functions
 from recsynvc.checkpoint import load_checkpoint
 from recsynvc.config import ModelConfig
 from recsynvc.converter import denormalize, normalize
 from recsynvc.errors import ConfigError, FeatureFileError, ManifestError, VoiceConversionError
 from recsynvc.featureio import feature_path, write_features
 from recsynvc.recognizer import external_upstream, mel_upstream
-from recsynvc.synthesizer import build_decoder
+from recsynvc.synthesizer import (
+    backward_teacher_batch,
+    build_decoder,
+    shift_frames_right,
+    teacher_forward_batch,
+)
+from recsynvc.synthetic import make_toy_corpus
 from recsynvc.trainer import (
     AdamOptimizer,
     loss_and_grads,
@@ -154,6 +167,95 @@ class TestLossGradients:
         assert peak < 9.4e6, peak
 
 
+def _cpus(monkeypatch, n):
+    """Make this process look as if it may run on ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _small_batch(type_, conditioned, b, seed=0):
+    config = ModelConfig(type=type_, hidden_dim=16, lstmp_proj_dim=12, prenet_dims=(8, 8),
+                         postnet_layers=2, postnet_channels=8, postnet_kernel=3,
+                         ar_dropout=0.5, embedding_dim=4 if conditioned else 256)
+    params = build_decoder(config, 6, conditioned, seed=seed)
+    rng = np.random.default_rng(seed)
+    t = 9
+    content = rng.standard_normal((b, t, 6))
+    target = rng.standard_normal((b, t, 80))
+    mask = np.ones((b, t))
+    mask[b - 1, t - 3:] = 0.0  # the last utterance is padded
+    spk = rng.standard_normal((b, 4)) if conditioned else None
+    return params, content, target, mask, spk
+
+
+class TestRowShards:
+    """``loss_and_grads`` runs a batch as two row shards; the oracle runs it whole."""
+
+    @staticmethod
+    def whole_batch(params, content, target, mask, spk, dropout_seed):
+        prev = shift_frames_right(target)
+        main, before, cache = teacher_forward_batch(params, content, prev, spk, dropout_seed)
+        loss, d_main = masked_l1(main, target, mask)
+        d_before = None
+        if before is not None:
+            loss_before, d_before = masked_l1(before, target, mask)
+            loss += loss_before
+        return loss, backward_teacher_batch(params, cache, d_main, d_before)
+
+    @pytest.mark.parametrize("b", [1, 3, 8])
+    @pytest.mark.parametrize("type_,conditioned", [
+        ("simple", False), ("simple_ar", False), ("taco2_ar", False), ("taco2_ar", True)])
+    def test_shards_match_the_whole_batch(self, monkeypatch, type_, conditioned, b):
+        _cpus(monkeypatch, 2)
+        params, content, target, mask, spk = _small_batch(type_, conditioned, b)
+        applied = {}  # each shard's dropout masks by its first row, as its forward gets them
+
+        def recording(params, rows, *args, masks, **kwargs):
+            first = next(i for i in range(b) if np.array_equal(content[i], rows[0]))
+            applied[first] = [m.copy() for m in masks]
+            return teacher_forward_batch(params, rows, *args, masks=masks, **kwargs)
+
+        monkeypatch.setattr(trainer, "teacher_forward_batch", recording)
+        loss, grads = loss_and_grads(params, content, target, mask, spk, dropout_seed=[5, 1])
+        ref_loss, ref_grads = self.whole_batch(params, content, target, mask, spk, [5, 1])
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert list(grads) == list(params.tensors)
+        for name, ref in ref_grads.items():
+            scale = max(np.abs(ref).max(), 1e-300)
+            assert np.abs(grads[name] - ref).max() <= 1e-12 * scale, name
+
+        assert sorted(applied) == ([0] if b == 1 else [0, -(-b // 2)])
+        # the whole batch's draws, in the order and shapes of one whole-batch forward
+        draws = np.random.default_rng([5, 1])
+        widths = {"simple": (), "simple_ar": (80,), "taco2_ar": (8, 8)}[type_]
+        for layer, width in enumerate(widths):
+            kept = draws.random((*mask.shape, width)) >= 0.5
+            shard_kept = np.concatenate([applied[i][layer] for i in sorted(applied)]) != 0.0
+            assert shard_kept.tobytes() == kept.tobytes(), layer
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_an_error_in_either_shard_ends_the_step_after_both_stop(self, monkeypatch,
+                                                                    failing):
+        _cpus(monkeypatch, 2)
+        params, content, target, mask, spk = _small_batch("simple_ar", False, 3)
+        finished = []
+
+        def backward(params, cache, d_main, d_before):
+            shard = 0 if len(d_main) == 2 else 1  # B = 3: rows [0, 2) and [2, 3)
+            if shard == failing:
+                raise RuntimeError(f"shard {shard} failed")
+            time.sleep(0.1)  # still running when the other shard raises
+            grads = backward_teacher_batch(params, cache, d_main, d_before)
+            finished.append(shard)
+            return grads
+
+        monkeypatch.setattr(trainer, "backward_teacher_batch", backward)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^shard {failing} failed$"):
+            loss_and_grads(params, content, target, mask, spk, dropout_seed=0)
+        assert finished == [1 - failing]
+        assert threading.active_count() == threads
+
+
 class _ReferenceAdam:
     """Adam as it was written before the in-place update: the bit-for-bit oracle."""
 
@@ -215,8 +317,10 @@ class TestAdam:
 class TestTrainA2O:
     def test_later_steps_hold_no_more_than_the_first(self, toy_corpus, tmp_path,
                                                      monkeypatch):
-        # a step's gradients die once Adam has applied them, so each step
-        # starts with what the first started with
+        # Adam's moments, twice the weights, appear at the first update, and a
+        # step's gradients die once Adam has applied them: the second step
+        # starts with two gradient sizes more than the first, the third with
+        # what the second started with
         config = toy_config("taco2_ar", steps=3, checkpoint_interval=2)
         at_entry = []
 
@@ -235,7 +339,9 @@ class TestTrainA2O:
         grad_bytes = sum(t.nbytes for name, t in weights.items()
                          if not name.startswith("stats."))
         assert len(at_entry) == 3
-        assert max(at_entry[1:]) - at_entry[0] < 0.1 * grad_bytes, (at_entry, grad_bytes)
+        first, second, third = at_entry
+        assert abs(second - first - 2 * grad_bytes) < 0.1 * grad_bytes, (at_entry, grad_bytes)
+        assert third - second < 0.1 * grad_bytes, (at_entry, grad_bytes)
 
     def test_short_run_learns_and_checkpoints(self, toy_corpus, tmp_path):
         config = toy_config("simple", hidden_dim=32, lstmp_proj_dim=32,
@@ -356,6 +462,83 @@ class TestTrainA2A:
             train(toy_corpus["manifest"], mel_upstream(config.audio),
                   config, tmp_path / "run",
                   encoder=lambda rec: sphere_embedding(rec.utt_id))
+
+
+def test_one_cpu_and_two_write_the_same_checkpoint(toy_corpus, tmp_path, monkeypatch):
+    config = toy_config("taco2_ar", hidden_dim=24, lstmp_proj_dim=24, batch_size=5,
+                        steps=3, checkpoint_interval=3)
+    spec = mel_upstream(config.audio)
+    threads = []
+
+    def recording(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return teacher_forward_batch(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "teacher_forward_batch", recording)
+    written = []
+    for n in (1, 2):
+        _cpus(monkeypatch, n)
+        threads.clear()
+        run = train(toy_corpus["manifest"], spec, config, tmp_path / f"cpus{n}")
+        written.append(run.checkpoint_path.read_bytes())
+        # two shards per step, the second on a helper thread given two CPUs
+        assert len(threads) == 6
+        assert {t is threading.main_thread() for t in threads} == ({True} if n == 1
+                                                                   else {True, False})
+    assert written[0] == written[1]
+
+
+_BLAS_CHILD = """\
+import contextlib, sys
+sys.path[:0] = sys.argv[1:3]
+from recsynvc import blas
+if sys.argv[5] == "unpinned":
+    blas.one_blas_thread = contextlib.contextmanager(lambda: (yield))
+from helpers import toy_config
+from recsynvc import trainer
+from recsynvc.manifest import load_manifest
+from recsynvc.recognizer import mel_upstream
+
+def threads():
+    return [get() for (get,) in blas.openblas_functions("get_num_threads")]
+
+during = []
+def recording(*args, **kwargs):
+    during.append(threads())
+    return loss_and_grads(*args, **kwargs)
+
+loss_and_grads = trainer.loss_and_grads
+trainer.loss_and_grads = recording
+config = toy_config("taco2_ar", batch_size=4, steps=2, checkpoint_interval=2)
+run = trainer.train(load_manifest(sys.argv[3]), mel_upstream(config.audio), config, sys.argv[4])
+print(during, threads())
+"""
+
+
+def test_training_runs_blas_on_one_thread_and_restores_the_count(tmp_path):
+    if not openblas_functions("get_num_threads") or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs numpy on OpenBLAS and two CPUs")
+    # at this size, training on two BLAS threads writes other bytes than on one
+    manifest = make_toy_corpus(tmp_path / "corpus", n_utterances=4, n_speakers=1,
+                               duration=0.4, seed=0)
+    tests = Path(__file__).resolve().parent
+    src = tests.parent / "src"
+
+    def child(blas_threads, mode):
+        out = tmp_path / f"{mode}{blas_threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads)}
+        proc = subprocess.run([sys.executable, "-c", _BLAS_CHILD, str(src), str(tests),
+                               str(manifest), str(out), mode],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip(), (out / "final.s3ck").read_bytes()
+
+    report, pinned = child(2, "pinned")
+    assert report == "[[1], [1]] [2]"
+    assert child(1, "pinned") == ("[[1], [1]] [1]", pinned)
+    report, unpinned = child(2, "unpinned")
+    assert report == "[[2], [2]] [2]"
+    assert unpinned != pinned
 
 
 def test_determinism_same_seed_same_bytes(toy_corpus, tmp_path):

@@ -15,8 +15,11 @@ also when a run fails or the tool is interrupted.
 `correct`, `attempted` and `failed`, and its run record); per workload and
 metric, each side's median, quartiles and IQR and the change/parent ratio of
 the medians; and each end-to-end metric's verdict against its bound in
-`BENCHMARK.json`, together with the seeds, both commit ids and nproc. A
-verdict is one of:
+`BENCHMARK.json`, together with the seeds, both commit ids and nproc.
+Each end-to-end metric also gets the seeds run on both sides, each seed's
+change/parent ratio (`seed_ratios`), their median (`median_seed_ratio`) and
+the number of seeds in which the change was better (`seeds_won`). These
+inform the reader and do not enter the verdict. A verdict is one of:
 
 - `incorrect`: a run of either side failed, or reported a failed operation;
 - `worse`: the change's median is worse than the parent's by more than the bound;
@@ -26,6 +29,10 @@ verdict is one of:
 - `unresolved`: the parent's IQR exceeds the bound (as a share of its median),
   and not every run of the change is better than every run of the parent;
 - `within_bound`: otherwise.
+
+On a shared 2-vCPU VM the spread of a metric lies between processes more than
+between the passes of one process, so more seeds narrow a verdict where a
+longer `--seconds` does not.
 """
 
 from __future__ import annotations
@@ -97,7 +104,7 @@ def verdict(parent: dict[int, float], change: dict[int, float], better: str,
     if sign * (c["median"] - p["median"]) > bound * abs(p["median"]):
         return "worse"
     pairs = parent.keys() & change.keys()
-    wins = sum(sign * (parent[s] - change[s]) > 0 for s in pairs)
+    wins = _wins(parent, change, sign)
     if (len(pairs) >= MIN_PAIRS_FOR_GAIN and wins >= 0.9 * len(pairs)
             and sign * (p["median"] - c["median"]) > p["iqr"]):
         return "better"
@@ -107,13 +114,27 @@ def verdict(parent: dict[int, float], change: dict[int, float], better: str,
     return "within_bound"
 
 
+def _wins(parent: dict[int, float], change: dict[int, float], sign: float) -> int:
+    """Seeds run on both sides in which the change was better."""
+    return sum(sign * (parent[s] - change[s]) > 0 for s in parent.keys() & change.keys())
+
+
+def paired(parent: dict[int, float], change: dict[int, float], better: str) -> dict:
+    """Seed by seed: the pairs, each change/parent ratio, their median, and the change's wins."""
+    pairs = sorted(parent.keys() & change.keys())
+    ratios = {s: change[s] / parent[s] for s in pairs if parent[s]}
+    return {"pairs": len(pairs), "seed_ratios": ratios,
+            "median_seed_ratio": statistics.median(ratios.values()) if ratios else None,
+            "seeds_won": _wins(parent, change, 1.0 if better == "lower" else -1.0)}
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload: correctness, failure shares, and per metric each side's spread.
 
     ``runs`` holds ``{"workload", "seed", "side", "result"}`` entries, where
     ``result`` is a run's parsed result line or None; ``end_to_end`` is the
     ``end_to_end`` list of ``BENCHMARK.json``.  Each end-to-end metric also
-    gets its bound and verdict.
+    gets its bound and verdict, and the seed-by-seed figures of ``paired``.
     """
     bounds = {m["name"]: m for m in end_to_end}
     summary = {}
@@ -139,6 +160,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                 row["bound"] = bounds[name]["bound"]
                 row["verdict"] = verdict(values["parent"], values["change"],
                                          bounds[name]["better"], bounds[name]["bound"], correct)
+                row.update(paired(values["parent"], values["change"], bounds[name]["better"]))
             entry["metrics"][name] = row
         summary[workload] = entry
     return summary

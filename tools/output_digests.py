@@ -32,7 +32,6 @@ name them (`numpy`, `blas` with its version, `openblas_core`).
 `tests/test_output_digests.py` reruns the script and compares.
 """
 
-import ctypes
 import hashlib
 import os
 import shlex
@@ -49,6 +48,7 @@ sys.path.insert(0, str(SRC))
 import numpy as np  # noqa: E402
 
 from recsynvc import cli  # noqa: E402
+from recsynvc.blas import openblas_functions  # noqa: E402
 from recsynvc.featureio import read_features, write_features  # noqa: E402
 from recsynvc.synthetic import make_toy_corpus  # noqa: E402
 from recsynvc.types import N_MELS, FeatureSequence  # noqa: E402
@@ -201,18 +201,8 @@ def run_pipeline(out: Path) -> None:
 
 def _openblas_core() -> str:
     """The kernel set OpenBLAS picked at load time, or "unknown"."""
-    maps = Path("/proc/self/maps")
-    if not maps.exists():
-        return "unknown"
-    libs = {line.split()[-1] for line in maps.read_text().splitlines()
-            if "openblas" in line.rsplit("/", 1)[-1]}
-    for lib in sorted(libs):
-        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
-                       "openblas_get_corename"):
-            corename = getattr(ctypes.CDLL(lib), symbol, None)
-            if corename is not None:
-                corename.argtypes, corename.restype = [], ctypes.c_char_p
-                return corename().decode()
+    for (corename,) in openblas_functions("get_corename"):
+        return corename().decode()
     return "unknown"
 
 
