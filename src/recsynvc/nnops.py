@@ -3,10 +3,10 @@
 Everything runs in float64 on batch-first arrays.  Each forward returns the
 activations the matching backward needs; backwards return input gradients and
 accumulate parameter gradients into a dict keyed like the parameter store.
-The LSTM step backwards are the exception: they carry the gradient one step
-back through the recurrence and leave the gate gradients in a buffer, from
-which ``lstm_weight_backward`` forms the input and weight gradients of a whole
-sequence at once.
+The LSTM steps are the exception: they return only their state, and the step
+backwards read caches their caller builds, carry the gradient one step back
+and leave the gate gradients in a buffer, from which the caller forms the
+input and ``lstm_weight_backward`` the weight gradients of a whole sequence.
 
 Conventions: a linear layer stores ``w`` with shape (out, in) and computes
 ``x @ w.T + b``.  LSTM gate blocks are ordered i, f, g, o along the 4H axis.
@@ -67,7 +67,7 @@ def _gate_blocks(z, hidden):
 def lstm_cell(z, c_prev):
     """Gates and cell update of one LSTM step from its pre-activations (B, 4H).
 
-    Overwrites ``z`` with the gate activations and returns (h, c, tanh(c)).
+    Overwrites ``z`` with the gate activations and returns (h, c).
     """
     hidden = c_prev.shape[-1]
     # one sigmoid over the whole block, then the g block's tanh written back:
@@ -77,30 +77,28 @@ def lstm_cell(z, c_prev):
     z[:, 2 * hidden:3 * hidden] = g
     i, f, g, o = _gate_blocks(z, hidden)
     c = f * c_prev + i * g
-    tc = np.tanh(c)
-    return o * tc, c, tc
+    return o * np.tanh(c), c
 
 
 def lstm_step(params, prefix, x, h_prev, c_prev):
-    """One plain LSTM step.  Returns (h, c, cache).
+    """One plain LSTM step.  Returns (h, c).
 
     ``params[prefix + ".b"]`` is the (4H,) bias, or a (B, 4H) block of gates
     precomputed for this step, bias included, from input columns that ``x``
     does not hold; ``params[prefix + ".wx"]`` then holds only ``x``'s columns.
     """
     z = x @ params[prefix + ".wx"].T + h_prev @ params[prefix + ".wh"].T + params[prefix + ".b"]
-    h, c, tc = lstm_cell(z, c_prev)
-    return h, c, (x, h_prev, c_prev, z, tc)
+    return lstm_cell(z, c_prev)
 
 
 def lstm_step_backward(params, prefix, dh, dc, cache, dz):
     """Backward of one LSTM step through its gates and recurrent weights.
 
     ``dh`` is the total gradient flowing into h_t, ``dc`` the accumulator
-    arriving from step t+1.  Writes the gradient of the gate pre-activations
-    into ``dz`` (B, 4H), which may be the cache's own gate block, and returns
-    (dh_prev, dc_prev).  The input and weight gradients are linear in dz:
-    ``lstm_weight_backward`` forms them.
+    arriving from step t+1, ``cache`` (x, h_prev, c_prev, gate activations,
+    tanh(c)).  Writes the gradient of the gate pre-activations into ``dz``
+    (B, 4H), which may be the cache's gate block, and returns (dh_prev,
+    dc_prev).  The input and weight gradients are linear in dz.
     """
     _, _, c_prev, gates, tc = cache
     i, f, g, o = _gate_blocks(gates, tc.shape[-1])
@@ -119,8 +117,8 @@ def lstm_step_backward(params, prefix, dh, dc, cache, dz):
     return dz @ params[prefix + ".wh"], dc_prev
 
 
-def lstm_weight_backward(params, prefix, dz, x, h_prev, grads):
-    """Input gradient of an LSTM; accumulates its ``wx``, ``wh`` and ``b`` gradients.
+def lstm_weight_backward(dz, x, h_prev, grads, prefix):
+    """Accumulates the ``wx``, ``wh`` and ``b`` gradients of an LSTM.
 
     ``dz``, ``x`` and ``h_prev`` hold the gate gradients, inputs and recurrent
     inputs as rows: one step's batch, or every step of a sequence stacked.
@@ -128,21 +126,19 @@ def lstm_weight_backward(params, prefix, dz, x, h_prev, grads):
     grads[prefix + ".wx"] += dz.T @ x
     grads[prefix + ".wh"] += dz.T @ h_prev
     grads[prefix + ".b"] += dz.sum(axis=0)
-    return dz @ params[prefix + ".wx"]
 
 
 def lstmp_step(params, prefix, x, r_prev, c_prev):
-    """LSTM with output projection: recurrence runs on the projected state r."""
-    h, c, cache = lstm_step(params, prefix, x, r_prev, c_prev)
-    r = h @ params[prefix + ".wp"].T
-    return r, c, (cache, h)
+    """LSTM with output projection, recurrent on the projected state r; returns (r, c)."""
+    h, c = lstm_step(params, prefix, x, r_prev, c_prev)
+    return h @ params[prefix + ".wp"].T, c
 
 
 def lstmp_step_backward(params, prefix, dr, dc, cache, dz):
     """Backward of one LSTMP step; returns (dr_prev, dc_prev).
 
-    As ``lstm_step_backward``; the ``wp`` gradient, dr.T @ h, is also left to
-    the caller.
+    As ``lstm_step_backward``, with ``cache`` (LSTM step cache, h); the
+    ``wp`` gradient, dr.T @ h, is also left to the caller.
     """
     inner_cache, _ = cache
     dh = dr @ params[prefix + ".wp"]

@@ -13,10 +13,11 @@ Three designs are available, in increasing capacity:
   always equals input length, one output frame per content frame.
 
 Autoregressive-path dropout stays active at generation time as well as during
-training; passing the same ``dropout_seed`` therefore makes any forward fully
-deterministic.  Teacher-forced forwards consume the ground-truth frame t-1
-(a zero vector at t = 0); free-running forwards feed back the model's own
-previous output (pre-postnet for ``taco2_ar``).
+training: teacher-forced forwards apply the ``dropout_masks`` they are given,
+free-running ones draw them from ``dropout_seed``.  Teacher-forced forwards
+consume the ground-truth frame t-1 (a zero vector at t = 0); free-running
+forwards feed back the model's own previous output (pre-postnet for
+``taco2_ar``).
 """
 
 from __future__ import annotations
@@ -180,14 +181,15 @@ def _postnet_channels(config: ModelConfig) -> list[int]:
 # (B, T, Din), optional prev (B, T, 80) and spk (B, E), run in float64 and
 # return batch-first outputs.  A teacher-forced cache holds once each
 # activation its backward reads, and nothing else (``teacher_forward_batch``
-# lists them); tanh of the cell state is not kept, since the backward
-# recomputes the same bits from the cell state for one (B, H) tanh per step.
+# lists them); the backward builds each step's cache from it, recomputing
+# tanh of the cell state for one (B, H) tanh per step.
 # ``backward_teacher_batch`` uses it up: it pops each layer's entry from the
 # cache lists once that layer's backward has run, and overwrites the gate
-# activations with their gradients.
+# activations with their gradients.  It forms an input gradient only where a
+# lower layer reads it: the prenet or ffn columns of the first layer's input.
 
 
-def _prenet_forward(p, config, prev, masks):
+def _prenet_forward(p, prev, masks):
     """Batched prenet over previous frames, (B, T, 80) or one step (B, 80)."""
     below, positive, keep = [], [], []
     x = prev
@@ -257,7 +259,7 @@ def _recurrent_step(p, layers, x, state):
     new_state = []
     for name, (h, c) in zip(layers, state):
         step = lstmp_step if name.startswith("lstmp") else lstm_step
-        x, c, _ = step(p, name, x, h, c)
+        x, c = step(p, name, x, h, c)
         new_state.append((x, c))
     return x, new_state
 
@@ -284,21 +286,22 @@ def _layer_forward(p, name, x):
     for t in range(t_len):
         z = gates[t]
         z += out[t] @ wh_t
-        h[t], cell[t + 1], _ = lstm_cell(z, cell[t])
+        h[t], cell[t + 1] = lstm_cell(z, cell[t])
         if projected:
             out[t + 1] = h[t] @ p[f"{name}.wp"].T
     return out[1:], (x, gates, cell, h, out)
 
 
-def _layer_backward(p, name, d_out, cache, grads):
-    """Backward of ``_layer_forward``; returns the (T, B, D) input gradient.
+def _layer_backward(p, name, d_out, cache, grads, d_in):
+    """Backward of ``_layer_forward``; returns the (T, B, d_in) gradient of the
+    input's leading ``d_in`` columns, of every column when ``d_in`` is None.
 
     The time loop adds the recurrent gradient into ``d_out`` and writes each
     step's gate gradients over its gate activations; the weight gradients and
     the input gradient are then one GEMM each over the T * B rows.
     """
     x, gates, cell, h, out = cache
-    t_len, batch, d_in = x.shape
+    t_len, batch, _ = x.shape
     projected = name.startswith("lstmp")
     step_backward = lstmp_step_backward if projected else lstm_step_backward
     d_rec = np.zeros((batch, out.shape[2]))
@@ -313,9 +316,9 @@ def _layer_backward(p, name, d_out, cache, grads):
     rows = t_len * batch
     if projected:
         grads[f"{name}.wp"] += d_out.reshape(rows, -1).T @ h.reshape(rows, -1)
-    dx = lstm_weight_backward(p, name, gates.reshape(rows, -1), x.reshape(rows, d_in),
-                              out[:-1].reshape(rows, -1), grads)
-    return dx.reshape(t_len, batch, d_in)
+    dz = gates.reshape(rows, -1)
+    lstm_weight_backward(dz, x.reshape(rows, -1), out[:-1].reshape(rows, -1), grads, name)
+    return (dz @ p[f"{name}.wx"][:, :d_in]).reshape(t_len, batch, -1)
 
 
 def _recurrent_forward(p, layers, x_seq):
@@ -328,14 +331,15 @@ def _recurrent_forward(p, layers, x_seq):
     return x.transpose(1, 0, 2), caches
 
 
-def _recurrent_backward(p, layers, d_out, caches, grads):
-    """Backward of ``_recurrent_forward``; returns the input gradient (B, T, D).
+def _recurrent_backward(p, layers, d_out, caches, grads, d_in):
+    """Backward of ``_recurrent_forward``; returns the (B, T, d_in) gradient of the
+    stack input's leading ``d_in`` columns, the only ones a layer below reads.
 
     Pops each layer's cache from ``caches`` as it goes, top layer first.
     """
     d = d_out.transpose(1, 0, 2).copy()
     for name in reversed(layers):
-        d = _layer_backward(p, name, d, caches.pop(), grads)
+        d = _layer_backward(p, name, d, caches.pop(), grads, d_in if name == layers[0] else None)
     return d.transpose(1, 0, 2)
 
 
@@ -375,7 +379,7 @@ def _feedback(params, prev, masks):
     config = params.config
     if config.type == "simple_ar":
         return prev * masks[0], None
-    return _prenet_forward(params.tensors, config, prev, masks)
+    return _prenet_forward(params.tensors, prev, masks)
 
 
 def _input_columns(params):
@@ -391,12 +395,11 @@ def _input_columns(params):
     return slice(0, split), slice(split, None)
 
 
-def teacher_forward_batch(params: ModelParameters, content, prev, spk, dropout_seed,
-                          *, masks=None):
+def teacher_forward_batch(params: ModelParameters, content, prev, spk, masks):
     """Batched teacher-forced forward.
 
-    The dropout masks are ``masks`` when given (``dropout_masks`` of these
-    frames), else drawn from a generator seeded with ``dropout_seed``.
+    ``masks`` are the ``dropout_masks`` of these (B, T) frames, the forward's
+    only source of dropout; ``prev`` and ``masks`` are unread for ``simple``.
     Returns ``(main, before, cache)`` where ``before`` is the pre-postnet
     prediction (None for models without a postnet).  ``cache`` is the tuple
     ``(content, ffn_positive, input_cache, stack_caches, h_seq, post_caches)``:
@@ -420,8 +423,6 @@ def teacher_forward_batch(params: ModelParameters, content, prev, spk, dropout_s
     ``post_caches`` and those of ``input_cache``, as it goes.
     """
     p, config = params.tensors, params.config
-    if masks is None:
-        masks = dropout_masks(params, content.shape[:2], np.random.default_rng(dropout_seed))
     context, ffn_positive = _context(params, content, spk)
     x_seq, input_cache = context, None
     if config.type != "simple":
@@ -470,13 +471,12 @@ def backward_teacher_batch(params: ModelParameters, cache, d_main, d_before):
         # main branch: identity + postnet residual; aux branch hits y_before directly
         dy_before = d_main + _postnet_backward(p, config, d_main, post_caches, grads) + d_before
     dh_seq = linear_backward(dy_before, h_seq, p["out.w"], grads, "out")
-    dx_seq = _recurrent_backward(p, _layers(config), dh_seq, stack_caches, grads)
+    lower = config.prenet_dims[-1] if config.type == "taco2_ar" else config.hidden_dim
+    dx_seq = _recurrent_backward(p, _layers(config), dh_seq, stack_caches, grads, lower)
     if config.type == "taco2_ar":
-        pre_dim = config.prenet_dims[-1]
-        _prenet_backward(p, config, dx_seq[:, :, :pre_dim], input_cache, grads)
+        _prenet_backward(p, config, dx_seq, input_cache, grads)
     else:
-        dffn_pre = dx_seq[:, :, :config.hidden_dim] * ffn_positive
-        linear_backward(dffn_pre, content, p["ffn.w"], grads, "ffn")
+        linear_backward(dx_seq * ffn_positive, content, p["ffn.w"], grads, "ffn")
     # clip_grad_norm sums in dict order, so the order is part of the bits
     return {name: grads[name] for name in p}
 
@@ -493,7 +493,7 @@ def free_forward_batch(params: ModelParameters, content, spk, dropout_seed):
     p, config = params.tensors, params.config
     if config.type == "simple":
         # no feedback path: free-running coincides with the teacher forward
-        return teacher_forward_batch(params, content, None, spk, dropout_seed)[0]
+        return teacher_forward_batch(params, content, None, spk, [])[0]
     layers = _layers(config)
     first = layers[0]
     batch, t_len, _ = content.shape

@@ -102,8 +102,7 @@ def loss_and_grads(params: ModelParameters, content, target, mask, spk,
 
     def shard(rows, row_masks):
         main, before, cache = teacher_forward_batch(
-            params, content[rows], prev[rows], None if spk is None else spk[rows],
-            dropout_seed, masks=row_masks)
+            params, content[rows], prev[rows], None if spk is None else spk[rows], row_masks)
         row_masks.clear()  # freed: the cache keeps the keep patterns the backward reads
         d_main = masked_l1(main, target[rows], mask[rows], count)[1]
         d_before = None
@@ -146,8 +145,9 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator 
 class AdamOptimizer:
     """Adaptive-moment gradient descent with bias correction.
 
-    The moments ``m`` and ``v``, zeros shaped like ``tensors``, are created at
-    the first ``step``, so the forward and backward before it run without them.
+    ``step`` updates ``tensors`` in place.  The moments ``m`` and ``v``, zeros
+    like ``tensors``, are created at the first ``step``, so the forward and
+    backward before it run without them.
     """
 
     def __init__(self, tensors: Mapping[str, np.ndarray], learning_rate: float):
@@ -157,8 +157,8 @@ class AdamOptimizer:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
-    def step(self, tensors: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]):
-        """Apply one update to ``tensors`` in place.
+    def step(self, grads: Mapping[str, np.ndarray]):
+        """Apply one update to the tensors in place.
 
         Computes ``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g`` and
         ``w -= (lr (m / c1)) / (sqrt(v / c2) + eps)`` in that operation order,
@@ -191,7 +191,7 @@ class AdamOptimizer:
             np.divide(m, c1, out=b)
             b *= self.lr
             b /= a
-            tensors[name] -= b
+            self.tensors[name] -= b
 
 
 @dataclass
@@ -297,11 +297,10 @@ def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir
     params = build_decoder(config.model, spec.feature_dim, encoder is not None,
                            seed=training.seed)
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     _check_features_present(manifest, spec)
     examples, stats = _prepare_examples(manifest, spec, config, encoder=encoder)
+    out_dir = Path(out_dir)  # made once the examples are ready, so a bad input leaves none
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     # the optimizer updates params.tensors in place, so each write sees the current weights
     model = TrainedModel(params=params, stats=stats, audio=config.audio,
@@ -312,8 +311,7 @@ def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir
     order: list[int] = []
     loss_history: list[float] = []
     t0 = time.perf_counter()
-    log_fh = open(log_file, "w") if log_file is not None else None
-    try:
+    with open(log_file or os.devnull, "w") as log_fh:
         for step in range(1, training.steps + 1):
             while len(order) < training.batch_size:
                 order.extend(rng.permutation(len(examples)).tolist())
@@ -327,20 +325,16 @@ def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir
             if not np.isfinite(loss):
                 raise VoiceConversionError(f"loss diverged at step {step}: {loss}")
             clip_grad_norm(grads, training.grad_clip)
-            optimizer.step(params.tensors, grads)
+            optimizer.step(grads)
             del grads  # applied: the next step's forward and backward run without it
             loss_history.append(loss)
             if step % training.log_interval == 0 or step == 1:
                 line = f"{step}\t{loss:.6f}\t{time.perf_counter() - t0:.3f}"
                 print(line, file=sys.stderr)
-                if log_fh is not None:
-                    print(line, file=log_fh, flush=True)
+                print(line, file=log_fh, flush=True)
             if step % training.checkpoint_interval == 0:
                 save_checkpoint(out_dir / f"checkpoint_{step:06d}{CHECKPOINT_SUFFIX}",
                                 model_checkpoint(model, step, target_speaker))
-    finally:
-        if log_fh is not None:
-            log_fh.close()
 
     del optimizer  # Adam's moments, twice the weights, are not saved
     final_path = out_dir / f"final{CHECKPOINT_SUFFIX}"

@@ -178,6 +178,7 @@ def test_train_corrupt_wav_is_one_error_line(cli_config, tmp_path, capsys):
     assert rc == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and wav.name in lines[0]
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("defect", sorted(BAD_WAVS))
@@ -352,6 +353,7 @@ def test_train_on_a_corpus_of_the_wrong_kind_is_one_error_line(tmp_path, capsys,
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and reason in lines[0]
     assert not list((tmp_path / "run").glob("*.s3ck"))
+    assert not (tmp_path / "run").exists()
 
 
 def test_convert_outputs(cli_checkpoint, cli_corpus, tmp_path):
@@ -509,6 +511,7 @@ def test_bad_feature_file_is_one_error_line_naming_it(cli_corpus, cli_config, tm
                  "--feature-dir", str(feature_dir)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: "), lines
+    assert not (tmp_path / "run").exists()
 
 
 def test_convert_help_has_no_upstream_flags(capsys):

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, imports each name from
 the module that defines it and no name private to that module, keeps
 annotations that resolve, and defines no public function or class that only
-tests use; the package root imports nothing; ``errors`` alone defines exception
+tests use; every function reads each of its parameters whose name does not
+start with ``_``; the package root imports nothing; ``errors`` alone defines exception
 types, its docstring names each of them, and the package raises each of them."""
 
 import ast
@@ -96,6 +97,35 @@ def test_scan_finds_a_private_import():
 def test_no_module_imports_a_private_name_of_another():
     private = {path.name: _private_imports(path.read_text("utf-8")) for path in MODULES}
     assert {name: lines for name, lines in private.items() if lines} == {}
+
+
+def _unread_parameters(source: str) -> list[str]:
+    """Parameters, not named ``_...``, that their function (or lambda) never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in [*args.posonlyargs, *args.args, args.vararg,
+                                  *args.kwonlyargs, args.kwarg] if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [f"line {node.lineno}: {getattr(node, 'name', 'lambda')}({name})"
+                   for name in params if name not in read and not name.startswith("_")]
+    return unread
+
+
+def test_scan_finds_an_unread_parameter():
+    source = ("def f(a, b, *args, c, _d, **kw):\n    b = a\n    return kw\n"
+              "g = lambda x, y: x\n")
+    assert _unread_parameters(source) == ["line 1: f(b)", "line 1: f(args)", "line 1: f(c)",
+                                          "line 4: lambda(y)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_parameter_is_read(path):
+    assert _unread_parameters(path.read_text("utf-8")) == []
 
 
 def _defined(module):

@@ -171,16 +171,21 @@ def test_lstmp_step_backward_matches_fd():
     c0 = rng.standard_normal((2, 4)) * 0.1
 
     def loss():
-        r, c, _ = nnops.lstmp_step(params, "l", x, r0, c0)
+        r, c = nnops.lstmp_step(params, "l", x, r0, c0)
         return 0.5 * np.sum(r ** 2) + 0.5 * np.sum(c ** 2)
 
-    r, c, cache = nnops.lstmp_step(params, "l", x, r0, c0)
+    r, c = nnops.lstmp_step(params, "l", x, r0, c0)
+    # the step cache as the layer backward builds it from the stored sequence
+    gates = x @ params["l.wx"].T + r0 @ params["l.wh"].T + params["l.b"]
+    h, _ = nnops.lstm_cell(gates, c0)
+    cache = ((x, r0, c0, gates, np.tanh(c)), h)
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     dz = np.empty((2, 16))
     dr0, dc0 = nnops.lstmp_step_backward(params, "l", r, c, cache, dz)
     # the step backward leaves the wp, wx, wh, b and input gradients to the caller
-    grads["l.wp"] += r.T @ cache[1]
-    dx = nnops.lstm_weight_backward(params, "l", dz, x, r0, grads)
+    grads["l.wp"] += r.T @ h
+    nnops.lstm_weight_backward(dz, x, r0, grads, "l")
+    dx = dz @ params["l.wx"]
     np.testing.assert_allclose(dx, _fd_grad(loss, x), atol=1e-6)
     np.testing.assert_allclose(dr0, _fd_grad(loss, r0), atol=1e-6)
     np.testing.assert_allclose(dc0, _fd_grad(loss, c0), atol=1e-6)

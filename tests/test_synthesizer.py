@@ -14,6 +14,7 @@ from recsynvc.recognizer import Upstream
 from recsynvc.synthesizer import (
     backward_teacher_batch,
     build_decoder,
+    dropout_masks,
     forward_free_running,
     free_forward_batch,
     shift_frames_right,
@@ -134,8 +135,9 @@ class TestForward:
         rng = np.random.default_rng(0)
         params = build_decoder(_config(type_), INPUT_DIM, False, seed=0)
         content, target = _data(rng)
+        masks = dropout_masks(params, (1, 11), np.random.default_rng(0))
         out = teacher_forward_batch(params, content[None],
-                                    shift_frames_right(target)[None], None, 0)[0]
+                                    shift_frames_right(target)[None], None, masks)[0]
         assert out.shape == (1, 11, 80)
         assert np.all(np.isfinite(out))
 
@@ -153,8 +155,9 @@ class TestForward:
         rng = np.random.default_rng(1)
         params = build_decoder(_config("simple"), INPUT_DIM, False, seed=0)
         content, target = _data(rng)
+        masks = dropout_masks(params, (1, 11), np.random.default_rng(0))
         teacher = teacher_forward_batch(params, content[None],
-                                        shift_frames_right(target)[None], None, 0)[0][0]
+                                        shift_frames_right(target)[None], None, masks)[0][0]
         free = forward_free_running(params, content, None, dropout_seed=0)
         np.testing.assert_allclose(free, teacher, atol=1e-12)
 
@@ -174,7 +177,8 @@ class TestForward:
         fed_back = np.zeros((batch, t_len, 80))
         for _ in range(t_len):
             main, before, _ = teacher_forward_batch(
-                params, content, shift_frames_right(fed_back), spk, 0)
+                params, content, shift_frames_right(fed_back), spk,
+                dropout_masks(params, (batch, t_len), np.random.default_rng(0)))
             fed_back = main if before is None else before
         free = free_forward_batch(params, content, spk, 0)
         np.testing.assert_allclose(main, free, rtol=0, atol=1e-12)
@@ -338,7 +342,8 @@ class TestGradients:
         (c1, t1), (c2, t2) = _data(rng), _data(rng)
         content, prev = np.stack([c1, c2]), np.stack([shift_frames_right(t1),
                                                       shift_frames_right(t2)])
-        _, _, cache = teacher_forward_batch(params, content, prev, None, 0)
+        masks = dropout_masks(params, prev.shape[:2], np.random.default_rng(0))
+        _, _, cache = teacher_forward_batch(params, content, prev, None, masks)
         stack_caches, h_seq = cache[3], cache[4]
         top_out = stack_caches[-1][-1]  # (T + 1, B, R), the zero state first
         assert np.shares_memory(h_seq, top_out)
@@ -350,7 +355,8 @@ class TestGradients:
         params = build_decoder(_config(type_), INPUT_DIM, False, seed=0)
         content, target = _data(rng)
         main, before, cache = teacher_forward_batch(
-            params, content[None], shift_frames_right(target)[None], None, 0)
+            params, content[None], shift_frames_right(target)[None], None,
+            dropout_masks(params, (1, 11), np.random.default_rng(0)))
         _, ffn_positive, input_cache, stack_caches, _, post_caches = cache
         assert len(stack_caches) == 2
         if type_ == "taco2_ar":

@@ -26,6 +26,7 @@ from recsynvc.recognizer import external_upstream, mel_upstream
 from recsynvc.synthesizer import (
     backward_teacher_batch,
     build_decoder,
+    dropout_masks,
     shift_frames_right,
     teacher_forward_batch,
 )
@@ -193,7 +194,8 @@ class TestRowShards:
     @staticmethod
     def whole_batch(params, content, target, mask, spk, dropout_seed):
         prev = shift_frames_right(target)
-        main, before, cache = teacher_forward_batch(params, content, prev, spk, dropout_seed)
+        masks = dropout_masks(params, target.shape[:2], np.random.default_rng(dropout_seed))
+        main, before, cache = teacher_forward_batch(params, content, prev, spk, masks)
         loss, d_main = masked_l1(main, target, mask)
         d_before = None
         if before is not None:
@@ -209,10 +211,10 @@ class TestRowShards:
         params, content, target, mask, spk = _small_batch(type_, conditioned, b)
         applied = {}  # each shard's dropout masks by its first row, as its forward gets them
 
-        def recording(params, rows, *args, masks, **kwargs):
+        def recording(params, rows, prev, spk, masks):
             first = next(i for i in range(b) if np.array_equal(content[i], rows[0]))
             applied[first] = [m.copy() for m in masks]
-            return teacher_forward_batch(params, rows, *args, masks=masks, **kwargs)
+            return teacher_forward_batch(params, rows, prev, spk, masks)
 
         monkeypatch.setattr(trainer, "teacher_forward_batch", recording)
         loss, grads = loss_and_grads(params, content, target, mask, spk, dropout_seed=[5, 1])
@@ -292,7 +294,7 @@ class TestAdam:
             # gradients of mixed scale, so that eps and the moments both matter
             grads = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-9, 2, size=s)
                      for k, s in shapes.items()}
-            opt.step(params, grads)
+            opt.step(grads)
             ref.step(ref_params, grads)
             for k in shapes:
                 assert params[k].tobytes() == ref_params[k].tobytes(), k
@@ -302,7 +304,7 @@ class TestAdam:
     def test_moves_against_gradient(self):
         params = {"w": np.array([1.0, -1.0])}
         opt = AdamOptimizer(params, learning_rate=0.1)
-        opt.step(params, {"w": np.array([1.0, -1.0])})
+        opt.step({"w": np.array([1.0, -1.0])})
         assert params["w"][0] < 1.0
         assert params["w"][1] > -1.0
 
@@ -310,7 +312,7 @@ class TestAdam:
         params = {"w": np.array([5.0])}
         opt = AdamOptimizer(params, learning_rate=0.2)
         for _ in range(200):
-            opt.step(params, {"w": 2.0 * params["w"]})
+            opt.step({"w": 2.0 * params["w"]})
         assert abs(params["w"][0]) < 1e-2
 
 
