@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import AudioConfig
 from .container import Reader, pack, write_atomic
-from .errors import VoiceConversionError, WavFileError
+from .errors import VoiceConversionError, WavFileError, naming
 from .types import Waveform
 
 _PCM, _FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
@@ -31,15 +31,15 @@ def _read_format(r: Reader) -> tuple[int, int, int, int]:
     """(format tag, channels, rate, bytes per sample) of a ``fmt `` chunk."""
     size = r.u32()
     if size < 16:
-        raise WavFileError(f"{r.path}: fmt chunk of {size} bytes, need at least 16")
+        raise VoiceConversionError(f"fmt chunk of {size} bytes, need at least 16")
     tag, channels, rate, byte_rate, block, _bits = r.unpack("HHIIHH")
     extension = bytes(r.take(size - 16 + size % 2))
     if tag == _EXTENSIBLE and size >= 40 and extension[12:24] == _GUID_TAIL:
         tag = int.from_bytes(extension[8:12], "little")
     if channels == 0 or block == 0 or block % channels:
-        raise WavFileError(f"{r.path}: {channels} channel(s) in a {block}-byte frame")
+        raise VoiceConversionError(f"{channels} channel(s) in a {block}-byte frame")
     if tag == _PCM and byte_rate != rate * block:
-        raise WavFileError(f"{r.path}: byte rate {byte_rate} is not {rate} Hz x {block} bytes")
+        raise VoiceConversionError(f"byte rate {byte_rate} is not {rate} Hz x {block} bytes")
     return tag, channels, rate, block // channels
 
 
@@ -48,14 +48,14 @@ def _decode(r: Reader, tag: int, channels: int, width: int) -> np.ndarray:
     size = r.u32()
     frame = width * channels
     if size % frame:
-        raise WavFileError(f"{r.path}: data chunk of {size} bytes is not whole "
-                           f"{frame}-byte frames")
+        raise VoiceConversionError(f"data chunk of {size} bytes is not whole "
+                                   f"{frame}-byte frames")
     shape = (size // frame, channels)
     if tag == _FLOAT and width in (4, 8):
         return r.array(f"<f{width}", shape).astype(np.float64)
     if tag != _PCM:
-        raise WavFileError(f"{r.path}: unsupported wav format: tag {tag:#06x} "
-                           f"with {8 * width}-bit samples")
+        raise VoiceConversionError(f"unsupported wav format: tag {tag:#06x} "
+                                   f"with {8 * width}-bit samples")
     if width == 1:  # 8-bit PCM is unsigned
         return (r.array("u1", shape).astype(np.float64) - 128.0) / 128.0
     if width == 2:
@@ -67,7 +67,7 @@ def _decode(r: Reader, tag: int, channels: int, width: int) -> np.ndarray:
     elif width == 4:
         data = r.array("<i4", shape)
     else:
-        raise WavFileError(f"{r.path}: unsupported wav sample format int{8 * width}")
+        raise VoiceConversionError(f"unsupported wav sample format int{8 * width}")
     return data.astype(np.float64) / 2 ** 31
 
 
@@ -77,10 +77,10 @@ def _read_wav(path) -> tuple[int, np.ndarray]:
     Chunks before ``data`` other than ``fmt `` are skipped with their pad
     byte; bytes after the ``data`` chunk are ignored.
     """
-    r = Reader(path, b"RIFF", error=WavFileError)
+    r = Reader(path, b"RIFF")
     r.u32()  # the RIFF size; each chunk below is checked against the bytes left
     if bytes(form := r.take(4)) != b"WAVE":
-        raise WavFileError(f"{path}: RIFF form {bytes(form)!r} is not WAVE")
+        raise VoiceConversionError(f"RIFF form {bytes(form)!r} is not WAVE")
     fmt = None
     while (chunk := bytes(r.take(4))) != b"data":
         if chunk == b"fmt ":
@@ -89,7 +89,7 @@ def _read_wav(path) -> tuple[int, np.ndarray]:
             size = r.u32()
             r.take(size + size % 2)
     if fmt is None:
-        raise WavFileError(f"{path}: no fmt chunk before the data chunk")
+        raise VoiceConversionError("no fmt chunk before the data chunk")
     tag, channels, rate, width = fmt
     return rate, _decode(r, tag, channels, width)
 
@@ -115,18 +115,16 @@ def load_waveform(path, audio: AudioConfig) -> Waveform:
     unsupported rate or sample format, a sample that is not finite, or fewer
     samples after resampling than one analysis window (``audio.win_length``).
     """
-    rate, data = _read_wav(path)
-    samples = data[:, 0] if data.shape[1] == 1 else data.mean(axis=1)
-    # a float wav may overshoot full scale; ±inf is left for Waveform to refuse
-    np.clip(samples, -1.0, 1.0, out=samples, where=np.isfinite(samples))
-    try:
-        wave = Waveform(samples=samples, sample_rate=rate)
-    except VoiceConversionError as exc:
-        raise WavFileError(f"{path}: {exc}") from None
-    wave = resample_waveform(wave, audio.sample_rate)
-    if len(wave) < audio.win_length:
-        raise WavFileError(f"{path}: need at least {audio.win_length} samples for one "
-                           f"analysis window, got {len(wave)}")
+    with naming(path, WavFileError):
+        rate, data = _read_wav(path)
+        samples = data[:, 0] if data.shape[1] == 1 else data.mean(axis=1)
+        # a float wav may overshoot full scale; ±inf is left for Waveform to refuse
+        np.clip(samples, -1.0, 1.0, out=samples, where=np.isfinite(samples))
+        wave = resample_waveform(Waveform(samples=samples, sample_rate=rate),
+                                 audio.sample_rate)
+        if len(wave) < audio.win_length:
+            raise VoiceConversionError(f"need at least {audio.win_length} samples for one "
+                                       f"analysis window, got {len(wave)}")
     return wave
 
 

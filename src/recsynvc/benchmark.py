@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorrelationFileError, VoiceConversionError
+from .errors import CorrelationFileError, VoiceConversionError, naming
 
 METRIC_LABELS = ("MCD", "WER", "ASV", "NAT", "SIM")
 
@@ -77,50 +77,47 @@ def read_metrics_table(path) -> list[MetricsRow]:
     row), a score cell that is not a number and a score out of range raise
     ``CorrelationFileError`` naming the file and the line.
     """
-    try:
-        text = Path(path).read_text("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorrelationFileError(f"{path}: not UTF-8 text ({exc})") from None
-    rows = []
-    first_line: dict[str, int] = {}  # system name -> line of its row
-    header: list[str] | None = None
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        where = f"{path}: line {line_no}"
-        parts = line.split("\t")
-        if header is None:
-            header = [p.strip().lower() for p in parts]
-            for name in header:
-                if name not in _TABLE_COLUMNS or header.count(name) > 1:
-                    raise CorrelationFileError(f"{where}: unknown or repeated column {name!r}")
-            if missing := [name for name in _TABLE_COLUMNS if name not in header]:
-                raise CorrelationFileError(f"{where}: missing columns {missing}")
-            continue
-        if len(parts) != len(header):
-            raise CorrelationFileError(f"{where}: {len(parts)} cells for {len(header)} columns")
-        values = dict(zip(header, (p.strip() for p in parts)))
-        system = values["system"]
-        if not system:
-            raise CorrelationFileError(f"{where}: empty system name")
-        if system in first_line:
-            raise CorrelationFileError(
-                f"{where}: system {system!r} already named on line {first_line[system]}")
-        first_line[system] = line_no
-        scores = {}
-        for key in _TABLE_COLUMNS[1:]:
-            raw = values[key]
-            try:
-                scores[key] = float(raw)
-            except ValueError:
-                raise CorrelationFileError(
-                    f"{where}: column {key!r} value {raw!r} is not a number"
-                ) from None
+    with naming(path, CorrelationFileError):
         try:
-            rows.append(MetricsRow(system, **scores))
-        except VoiceConversionError as exc:
-            raise CorrelationFileError(f"{where}: {exc}") from None
-    return rows
+            text = Path(path).read_text("utf-8")
+        except UnicodeDecodeError as exc:
+            raise VoiceConversionError(f"not UTF-8 text ({exc})") from None
+        rows = []
+        first_line: dict[str, int] = {}  # system name -> line of its row
+        header: list[str] | None = None
+        for line_no, line in enumerate(text.split("\n"), start=1):
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            with naming(f"line {line_no}", VoiceConversionError):
+                parts = line.split("\t")
+                if header is None:
+                    header = [p.strip().lower() for p in parts]
+                    for name in header:
+                        if name not in _TABLE_COLUMNS or header.count(name) > 1:
+                            raise VoiceConversionError(f"unknown or repeated column {name!r}")
+                    if missing := [name for name in _TABLE_COLUMNS if name not in header]:
+                        raise VoiceConversionError(f"missing columns {missing}")
+                    continue
+                if len(parts) != len(header):
+                    raise VoiceConversionError(f"{len(parts)} cells for {len(header)} columns")
+                values = dict(zip(header, (p.strip() for p in parts)))
+                system = values["system"]
+                if not system:
+                    raise VoiceConversionError("empty system name")
+                if system in first_line:
+                    raise VoiceConversionError(
+                        f"system {system!r} already named on line {first_line[system]}")
+                first_line[system] = line_no
+                scores = {}
+                for key in _TABLE_COLUMNS[1:]:
+                    raw = values[key]
+                    try:
+                        scores[key] = float(raw)
+                    except ValueError:
+                        raise VoiceConversionError(
+                            f"column {key!r} value {raw!r} is not a number") from None
+                rows.append(MetricsRow(system, **scores))
+        return rows
 
 
 def _data_file(name: str):
@@ -142,24 +139,23 @@ def published_correlations(path=None) -> dict[tuple[str, str], float]:
     raises ``CorrelationFileError`` naming it.
     """
     source = _data_file("published_correlations.json") if path is None else Path(path)
-    try:
-        raw = json.loads(source.read_text("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorrelationFileError(f"{source}: not UTF-8 JSON ({exc})") from None
-    coefficients = raw.get("coefficients") if isinstance(raw, dict) else None
-    if not isinstance(coefficients, dict):
-        raise CorrelationFileError(f"{source}: no 'coefficients' object")
-    pairs = {f"{a}:{b}": (a, b) for a, b in PAIR_ORDER}
-    if coefficients.keys() != pairs.keys():
-        raise CorrelationFileError(f"{source}: 'coefficients' keys {', '.join(coefficients)} "
-                                   f"are not {', '.join(pairs)}")
-    for key, value in coefficients.items():
-        # json reads NaN and Infinity as floats; the range test is false for both
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not -1.0 <= value <= 1.0):
-            raise CorrelationFileError(
-                f"{source}: {key!r} value {value!r} is not a number in [-1, 1]"
-            )
+    with naming(source, CorrelationFileError):
+        try:
+            raw = json.loads(source.read_text("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise VoiceConversionError(f"not UTF-8 JSON ({exc})") from None
+        coefficients = raw.get("coefficients") if isinstance(raw, dict) else None
+        if not isinstance(coefficients, dict):
+            raise VoiceConversionError("no 'coefficients' object")
+        pairs = {f"{a}:{b}": (a, b) for a, b in PAIR_ORDER}
+        if coefficients.keys() != pairs.keys():
+            raise VoiceConversionError(f"'coefficients' keys {', '.join(coefficients)} "
+                                       f"are not {', '.join(pairs)}")
+        for key, value in coefficients.items():
+            # json reads NaN and Infinity as floats; the range test is false for both
+            if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                    or not -1.0 <= value <= 1.0):
+                raise VoiceConversionError(f"{key!r} value {value!r} is not a number in [-1, 1]")
     return {pairs[key]: float(value) for key, value in coefficients.items()}
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .container import Reader, pack, pack_text, write_atomic
-from .errors import FeatureFileError
+from .errors import FeatureFileError, VoiceConversionError, naming
 
 MAGIC = b"S3CK"
 VERSION = 1
@@ -57,20 +57,21 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a corrupt one raises a ``FeatureFileError`` subclass.
+    """Read a checkpoint; a corrupt one raises ``FeatureFileError`` naming it.
 
     Each tensor is an aligned float64 copy of the file's bytes, made
     read-only so that models built from it can share it without copying.
     """
-    r = Reader(path, MAGIC, VERSION)
-    meta = r.json()
-    if not isinstance(meta, dict):
-        raise FeatureFileError(f"{path}: checkpoint meta is not a JSON object")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(r.u32()):
-        name = r.text()
-        tensor = r.array("<f8", r.unpack(f"{r.u32()}I")).astype(np.float64)
-        tensor.flags.writeable = False
-        tensors[name] = tensor
-    r.finish()
+    with naming(path, FeatureFileError):
+        r = Reader(path, MAGIC, VERSION)
+        meta = r.json()
+        if not isinstance(meta, dict):
+            raise VoiceConversionError("checkpoint meta is not a JSON object")
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(r.u32()):
+            name = r.text()
+            tensor = r.array("<f8", r.unpack(f"{r.u32()}I")).astype(np.float64)
+            tensor.flags.writeable = False
+            tensors[name] = tensor
+        r.finish()
     return Checkpoint(meta=meta, tensors=tensors)

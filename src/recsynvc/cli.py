@@ -38,7 +38,8 @@ from .converter import (
     vocode,
     vocoder_command,
 )
-from .errors import ConfigError, CorrelationFileError, FeatureFileError, VoiceConversionError
+from .errors import (ConfigError, CorrelationFileError, FeatureFileError, VoiceConversionError,
+                     naming)
 from .evaluator import (
     asv_accept_rate,
     mcd,
@@ -188,10 +189,9 @@ def cmd_convert(args) -> int:
     # a bad vocoder, checkpoint or --feature-dir is one error, not one per utterance
     vocoder_command(args.vocoder)
     checkpoint = load_checkpoint(args.checkpoint)
-    try:
+    # the model reads a Checkpoint, which does not know its path
+    with naming(args.checkpoint, ConfigError, ConfigError):
         model = load_model(checkpoint)
-    except ConfigError as exc:  # the model reads a Checkpoint, which does not know its path
-        raise ConfigError(f"{args.checkpoint}: {exc}") from None
     model.upstream.at(args.feature_dir)
     manifest = load_manifest(args.source_manifest)
     embedding = _target_embedding(args, model.params)
@@ -315,13 +315,12 @@ def cmd_correlate(args) -> int:
         rows = load_benchmark_rows()
         published = published_correlations(args.published)
 
-    try:
+    # rows unfit to correlate; only a --table has them
+    with naming(args.table, CorrelationFileError, CorrelationFileError):
         if published is not None:
             name, subset, matrix, deviation = best_matching_subset(rows, published)
         else:
             matrix = correlation_matrix(rows)
-    except CorrelationFileError as exc:  # rows unfit to correlate; only a --table has them
-        raise CorrelationFileError(f"{args.table}: {exc}") from None
     if published is not None:
         comparison = comparison_report(matrix, published)
         _note(f"best row subset: {name} ({len(subset)} rows), "

@@ -15,7 +15,7 @@ import difflib
 import math
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, VoiceConversionError, naming
 from .types import ALLOWED_SAMPLE_RATES, N_MELS
 
 DECODER_TYPES = ("simple", "simple_ar", "taco2_ar")
@@ -181,10 +181,8 @@ def config_from_json(cls, obj, entry: str, **extra: str):
             raise ConfigError(f"{entry} {key!r}: {value!r} is not {types[key]}")
     kwargs = {k: tuple(v) if isinstance(v, list) else v
               for k, v in obj.items() if k not in extra}
-    try:
+    with naming(entry, ConfigError):
         return cls(**kwargs)
-    except ConfigError as exc:
-        raise ConfigError(f"{entry}: {exc}") from None
 
 
 def _suggest(name, candidates):
@@ -197,36 +195,32 @@ def _suggest(name, candidates):
 def load_config(path) -> Config:
     """Load a configuration file, falling back to defaults for absent keys.
 
-    Raises ``FileNotFoundError`` for a missing file, and ``ConfigError`` when
-    the file is not UTF-8 INI text (naming the file), names a key or section
-    that does not exist, or holds a value that does not parse as its declared
-    type or lies out of range.
+    Raises ``FileNotFoundError`` for a missing file, and ``ConfigError`` naming
+    the file when it is not UTF-8 INI text, names a key or section that does
+    not exist, or holds a value that does not parse as its declared type or
+    lies out of range.
     """
     parser = configparser.ConfigParser(interpolation=None)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with naming(path, ConfigError), open(path, "r", encoding="utf-8") as fh:
+        try:
             parser.read_file(fh)
-    except (configparser.Error, UnicodeDecodeError) as exc:  # one line, not configparser's several
-        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from None
-
-    kwargs = {}
-    for section in parser.sections():
-        if section not in _SECTIONS:
-            raise ConfigError(
-                f"unknown section [{section}]" + _suggest(section, list(_SECTIONS))
-            )
-        cls = _SECTIONS[section]
-        known = {f.name: f for f in fields(cls)}
-        overrides = {}
-        for key, raw in parser.items(section):
-            if key not in known:
-                raise ConfigError(
-                    f"unknown key {section}.{key}" + _suggest(key, list(known))
-                )
-            parse = _FIELD_TYPES[known[key].type][0]
-            try:
-                overrides[key] = parse(raw.strip())
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"key '{section}.{key}': {exc}") from None
-        kwargs[section] = cls(**overrides)
-    return Config(**kwargs)
+        except (configparser.Error, UnicodeDecodeError) as exc:  # one line, not several
+            raise VoiceConversionError(" ".join(str(exc).split())) from None
+        kwargs = {}
+        for section in parser.sections():
+            if section not in _SECTIONS:
+                raise VoiceConversionError(
+                    f"unknown section [{section}]" + _suggest(section, list(_SECTIONS)))
+            cls = _SECTIONS[section]
+            known = {f.name: f for f in fields(cls)}
+            overrides = {}
+            for key, raw in parser.items(section):
+                if key not in known:
+                    raise VoiceConversionError(
+                        f"unknown key {section}.{key}" + _suggest(key, list(known)))
+                parse = _FIELD_TYPES[known[key].type][0]
+                with naming(f"key '{section}.{key}'", VoiceConversionError,
+                            (TypeError, ValueError)):
+                    overrides[key] = parse(raw.strip())
+            kwargs[section] = cls(**overrides)
+        return Config(**kwargs)

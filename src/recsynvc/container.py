@@ -5,8 +5,9 @@ Feature files (``featureio``), checkpoints (``checkpoint``) and wavs
 first two follow it with a u32 version.  ``Reader`` walks a whole file's
 bytes: each size read from the file is compared with the bytes left before
 anything is allocated, text is decoded as UTF-8 and JSON, and bytes left after
-the last field are rejected.  Every such failure raises the format's error
-type (``FeatureFileError`` unless the caller names another) naming the file.
+the last field are rejected.  ``Reader`` raises each such failure as the bare
+cause, a ``VoiceConversionError``; the format's reader, which opened the file,
+names it through ``errors.naming``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FeatureFileError
+from .errors import VoiceConversionError, naming
 
 
 def pack(fmt: str, *values) -> bytes:
@@ -52,30 +53,22 @@ def write_atomic(path, parts) -> None:
 
 
 class Reader:
-    """Cursor over the bytes of one file, past its magic and, if given, its u32 version.
+    """Cursor over the bytes of one file, past its magic and, if given, its u32 version."""
 
-    ``error`` is the type raised for every defect, with a message naming the file.
-    """
-
-    def __init__(self, path, magic: bytes, version: int | None = None,
-                 error: type[Exception] = FeatureFileError):
-        self.path = path
-        self.error = error
+    def __init__(self, path, magic: bytes, version: int | None = None):
         self.data = memoryview(Path(path).read_bytes())
         self.pos = 0
         found = bytes(self.take(len(magic)))
         if found != magic:
-            raise error(f"{path}: bad magic {found!r}, expected {magic!r}")
+            raise VoiceConversionError(f"bad magic {found!r}, expected {magic!r}")
         if version is not None and (found := self.u32()) != version:
-            raise error(f"{path}: unsupported version {found}, expected {version}")
+            raise VoiceConversionError(f"unsupported version {found}, expected {version}")
 
     def take(self, n: int) -> memoryview:
         left = len(self.data) - self.pos
         if n > left:
-            raise self.error(
-                f"{self.path}: truncated: {n} bytes needed at offset {self.pos}, "
-                f"{left} left"
-            )
+            raise VoiceConversionError(
+                f"truncated: {n} bytes needed at offset {self.pos}, {left} left")
         self.pos += n
         return self.data[self.pos - n:self.pos]
 
@@ -89,29 +82,24 @@ class Reader:
 
     def text(self) -> str:
         raw = self.take(self.u32())
-        try:
+        with naming("text is not UTF-8", VoiceConversionError, UnicodeDecodeError):
             return str(raw, "utf-8")
-        except UnicodeDecodeError as exc:
-            raise self.error(f"{self.path}: text is not UTF-8: {exc}") from None
 
     def json(self):
         """A ``text`` field holding one JSON value."""
-        try:
+        # JSONDecodeError, or a number too long to parse
+        with naming("invalid JSON", VoiceConversionError, ValueError):
             return json.loads(self.text())
-        except ValueError as exc:  # JSONDecodeError, or a number too long to parse
-            raise self.error(f"{self.path}: invalid JSON: {exc}") from None
 
     def array(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
         """A row-major array viewed in place: read-only, and possibly unaligned."""
         dtype = np.dtype(dtype)
         flat = np.frombuffer(self.take(math.prod(shape) * dtype.itemsize), dtype=dtype)
-        try:
+        # an empty shape whose other dims overflow
+        with naming(f"bad shape {shape}", VoiceConversionError, ValueError):
             return flat.reshape(shape)
-        except ValueError as exc:  # an empty shape whose other dims overflow
-            raise self.error(f"{self.path}: bad shape {shape}: {exc}") from None
 
     def finish(self) -> None:
         if self.pos != len(self.data):
-            raise self.error(
-                f"{self.path}: {len(self.data) - self.pos} trailing bytes after the last field"
-            )
+            raise VoiceConversionError(
+                f"{len(self.data) - self.pos} trailing bytes after the last field")

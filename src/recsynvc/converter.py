@@ -33,7 +33,7 @@ from .audioio import load_waveform, save_waveform
 from .checkpoint import Checkpoint, load_checkpoint
 from .config import AudioConfig, ModelConfig, config_from_json
 from .dsp import griffin_lim, mel_filterbank
-from .errors import AdapterError, ConfigError, FeatureFileError, VoiceConversionError
+from .errors import AdapterError, ConfigError, FeatureFileError, VoiceConversionError, naming
 from .featureio import read_features, write_features, feature_path
 from .recognizer import Upstream, recognize
 from .synthesizer import ModelParameters, forward_free_running
@@ -213,10 +213,8 @@ def _mel_pseudo_inverse(sample_rate, win_length, fmin, fmax) -> np.ndarray:
 
 def _argv(command: str) -> list[str]:
     """Split a shell-style adapter command; an empty or unparsable one raises ``AdapterError``."""
-    try:
+    with naming(f"cannot parse adapter command {command!r}", AdapterError, ValueError):
         argv = shlex.split(command)
-    except ValueError as exc:
-        raise AdapterError(f"cannot parse adapter command {command!r}: {exc}") from None
     if not argv:
         raise AdapterError("empty adapter command")
     return argv
@@ -277,10 +275,9 @@ def _adapter_output(adapter: str, path: Path, stderr: str, read):
     """
     if not path.exists():
         raise AdapterError(f"{adapter} wrote no output file", stderr)
-    try:
+    with naming(f"{adapter} output unreadable", AdapterError, (VoiceConversionError, OSError),
+                stderr):
         return read(path)
-    except (VoiceConversionError, OSError) as exc:
-        raise AdapterError(f"{adapter} output unreadable: {exc}", stderr) from None
 
 
 def vocoder_command(vocoder: str) -> str | None:
@@ -336,10 +333,9 @@ def speaker_encoder_adapter(wave_or_path, command, cache_dir=None,
         out_path = tmp / "embedding.s3vc"
         _, stderr = run_adapter(command, [wav_path, out_path])
         seq = _adapter_output("speaker encoder", out_path, stderr, read_features)
-        try:
+        with naming(f"speaker encoder output for {wav_path}", AdapterError,
+                    VoiceConversionError, stderr):
             embedding = _embedding_from(seq)
-        except VoiceConversionError as exc:
-            raise AdapterError(f"speaker encoder output for {wav_path}: {exc}", stderr) from None
         if cache_dir is not None and utt_id is not None:
             Path(cache_dir).mkdir(parents=True, exist_ok=True)
             write_features(feature_path(cache_dir, utt_id), seq)
@@ -353,10 +349,8 @@ def read_embedding(path, expected_dim=None) -> SpeakerEmbedding:
     ``expected_dim`` when that is given, raises ``FeatureFileError`` naming it.
     """
     seq = read_features(path)
-    try:
+    with naming(path, FeatureFileError):
         return _embedding_from(seq, expected_dim)
-    except VoiceConversionError as exc:
-        raise FeatureFileError(f"{path}: {exc}") from None
 
 
 def _embedding_from(seq: FeatureSequence, expected_dim=None) -> SpeakerEmbedding:

@@ -6,13 +6,17 @@ containers (feature files, embeddings and checkpoints) and directories of
 them, ``WavFileError`` for wavs, ``ConfigError`` for INI files, config values
 and the config meta of a checkpoint, ``AdapterError`` for external processes
 and their output, and ``CorrelationFileError`` for metrics tables and
-coefficient files.  A failure while reading a named input raises that
-boundary's type with a message naming the input; any other failure raises
-``VoiceConversionError`` itself.  The message tells one cause from another,
+coefficient files.  The function that opens an input names it once: it runs
+its reading under ``naming``, which re-raises a failure as that boundary's
+type with the input's name in front.  Code below it raises the bare cause,
+usually ``VoiceConversionError`` itself, which is also what any failure
+outside a named input raises.  The message tells one cause from another,
 since no caller tells causes apart by type: a new cause gets a new message,
 not a new class.  Every type derives from ``VoiceConversionError``, which the
 command line reports as one line.
 """
+
+from contextlib import contextmanager
 
 
 class VoiceConversionError(Exception):
@@ -52,3 +56,16 @@ class AdapterError(VoiceConversionError):
 
 class CorrelationFileError(VoiceConversionError):
     """A metrics table or a published-correlations file is malformed."""
+
+
+@contextmanager
+def naming(where, error, catch=VoiceConversionError, *details):
+    """Re-raise a ``catch`` from the block as ``error(f"{where}: {exc}", *details)``.
+
+    ``where`` names the input (a path, a line) or the step that failed; the
+    cause is dropped from the chain, since its message is already in the text.
+    """
+    try:
+        yield
+    except catch as exc:
+        raise error(f"{where}: {exc}", *details) from None

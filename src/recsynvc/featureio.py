@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .container import Reader, pack, write_atomic
-from .errors import FeatureFileError, VoiceConversionError
+from .errors import FeatureFileError, naming
 from .types import FeatureSequence
 
 MAGIC = b"S3VC"
@@ -36,14 +36,12 @@ def write_features(path, seq: FeatureSequence) -> None:
 
 def read_features(path) -> FeatureSequence:
     """Read a feature file; any defect raises ``FeatureFileError`` naming it."""
-    r = Reader(path, MAGIC, VERSION)
-    n_frames, dim, frame_shift_ms = r.unpack("IIf")
-    frames = r.array("<f4", (n_frames, dim))
-    r.finish()
-    try:
+    with naming(path, FeatureFileError):
+        r = Reader(path, MAGIC, VERSION)
+        n_frames, dim, frame_shift_ms = r.unpack("IIf")
+        frames = r.array("<f4", (n_frames, dim))
+        r.finish()
         return FeatureSequence(frames=frames, frame_shift_ms=frame_shift_ms)
-    except VoiceConversionError as exc:
-        raise FeatureFileError(f"{path}: {exc}") from None
 
 
 def feature_path(feature_dir, utt_id) -> Path:

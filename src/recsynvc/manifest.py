@@ -14,50 +14,45 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import ManifestError, VoiceConversionError
+from .errors import ManifestError, VoiceConversionError, naming
 from .types import DatasetManifest, UtteranceRecord
 
 _REQUIRED = ("utt_id", "speaker_id", "wav_path")
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Read and validate a JSON-lines manifest."""
+    """Read and validate a JSON-lines manifest; a defect raises ``ManifestError``
+    naming the file and, for a defect of one line, the line."""
     path = Path(path)
-    base = path.parent
     records = []
-    with open(path, "rb") as fh:
+    with naming(path, ManifestError), open(path, "rb") as fh:
         for line_number, raw in enumerate(fh, start=1):
-            where = f"line {line_number}"
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise ManifestError(f"{where}: {path} is not UTF-8 ({exc.reason})") from None
-            if not line:
-                continue
-            try:
+            with naming(f"line {line_number}", VoiceConversionError,
+                        (VoiceConversionError, json.JSONDecodeError)):
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    raise VoiceConversionError(f"not UTF-8 ({exc.reason})") from None
+                if not line:
+                    continue
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ManifestError(f"{where}: {exc}") from None
-            if not isinstance(obj, dict):
-                raise ManifestError(f"{where}: expected a JSON object")
-            for key in _REQUIRED:
-                if key not in obj or obj[key] is None:
-                    raise ManifestError(f"{where}: missing required field {key!r}")
-                if not isinstance(obj[key], str):
-                    raise ManifestError(f"{where}: field {key!r} must be a string")
-            transcript = obj.get("transcript")
-            if transcript is not None and not isinstance(transcript, str):
-                raise ManifestError(f"{where}: field 'transcript' must be a string or null")
-            wav_path = Path(obj["wav_path"])
-            if not wav_path.is_absolute():
-                wav_path = base / wav_path
-            try:
-                record = UtteranceRecord(utt_id=obj["utt_id"], speaker_id=obj["speaker_id"],
-                                         wav_path=wav_path, transcript=transcript)
-            except VoiceConversionError as exc:
-                raise ManifestError(f"{where}: {exc}") from None
-            records.append(record)
-    return DatasetManifest(records=tuple(records))
+                if not isinstance(obj, dict):
+                    raise VoiceConversionError("expected a JSON object")
+                for key in _REQUIRED:
+                    if key not in obj or obj[key] is None:
+                        raise VoiceConversionError(f"missing required field {key!r}")
+                    if not isinstance(obj[key], str):
+                        raise VoiceConversionError(f"field {key!r} must be a string")
+                transcript = obj.get("transcript")
+                if transcript is not None and not isinstance(transcript, str):
+                    raise VoiceConversionError("field 'transcript' must be a string or null")
+                wav_path = Path(obj["wav_path"])
+                if not wav_path.is_absolute():
+                    wav_path = path.parent / wav_path
+                records.append(UtteranceRecord(
+                    utt_id=obj["utt_id"], speaker_id=obj["speaker_id"],
+                    wav_path=wav_path, transcript=transcript))
+        return DatasetManifest(records=tuple(records))
 
 
 def write_manifest(path, manifest: DatasetManifest) -> None:

@@ -6,7 +6,7 @@ accumulate parameter gradients into a dict keyed like the parameter store.
 The LSTM steps are the exception: they return only their state, and the step
 backwards read caches their caller builds, carry the gradient one step back
 and leave the gate gradients in a buffer, from which the caller forms the
-input and ``lstm_weight_backward`` the weight gradients of a whole sequence.
+input and weight gradients of a whole sequence.
 
 Conventions: a linear layer stores ``w`` with shape (out, in) and computes
 ``x @ w.T + b``.  LSTM gate blocks are ordered i, f, g, o along the 4H axis.
@@ -115,17 +115,6 @@ def lstm_step_backward(params, prefix, dh, dc, cache, dz):
         out=dz,
     )
     return dz @ params[prefix + ".wh"], dc_prev
-
-
-def lstm_weight_backward(dz, x, h_prev, grads, prefix):
-    """Accumulates the ``wx``, ``wh`` and ``b`` gradients of an LSTM.
-
-    ``dz``, ``x`` and ``h_prev`` hold the gate gradients, inputs and recurrent
-    inputs as rows: one step's batch, or every step of a sequence stacked.
-    """
-    grads[prefix + ".wx"] += dz.T @ x
-    grads[prefix + ".wh"] += dz.T @ h_prev
-    grads[prefix + ".b"] += dz.sum(axis=0)
 
 
 def lstmp_step(params, prefix, x, r_prev, c_prev):

@@ -39,7 +39,6 @@ from .nnops import (
     lstm_cell,
     lstm_step,
     lstm_step_backward,
-    lstm_weight_backward,
     lstmp_step,
     lstmp_step_backward,
 )
@@ -317,7 +316,9 @@ def _layer_backward(p, name, d_out, cache, grads, d_in):
     if projected:
         grads[f"{name}.wp"] += d_out.reshape(rows, -1).T @ h.reshape(rows, -1)
     dz = gates.reshape(rows, -1)
-    lstm_weight_backward(dz, x.reshape(rows, -1), out[:-1].reshape(rows, -1), grads, name)
+    grads[f"{name}.wx"] += dz.T @ x.reshape(rows, -1)
+    grads[f"{name}.wh"] += dz.T @ out[:-1].reshape(rows, -1)
+    grads[f"{name}.b"] += dz.sum(axis=0)
     return (dz @ p[f"{name}.wx"][:, :d_in]).reshape(t_len, batch, -1)
 
 

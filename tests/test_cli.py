@@ -126,7 +126,7 @@ def test_extract_features_bad_field_type_is_one_error_line(tmp_path, capsys, fie
     assert rc == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "line 1" in lines[0] and field in lines[0]
+    assert "line 1" in lines[0] and field in lines[0] and str(manifest) in lines[0]
 
 
 @pytest.mark.parametrize("utt_id", ["../escaped", "ABSOLUTE", "a/b", "a\0b", ".", ".."],
@@ -144,7 +144,7 @@ def test_extract_features_id_that_is_not_a_file_name_is_one_error_line(
     assert rc == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "line 1" in lines[0] and "utt_id" in lines[0]
+    assert "line 1" in lines[0] and "utt_id" in lines[0] and str(manifest) in lines[0]
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["manifest.jsonl"]
 
 
@@ -260,6 +260,7 @@ def test_out_of_range_config_is_one_error_line(cli_corpus, tmp_path, capsys, com
     assert rc == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and key in lines[0]
+    assert str(config) in lines[0]
     assert not (tmp_path / "out").exists()
 
 

@@ -3,7 +3,9 @@ the module that defines it and no name private to that module, keeps
 annotations that resolve, and defines no public function or class that only
 tests use; every function reads each of its parameters whose name does not
 start with ``_``; the package root imports nothing; ``errors`` alone defines exception
-types, its docstring names each of them, and the package raises each of them."""
+types, its docstring names each of them, and the package raises each of them; and no
+handler outside ``errors`` re-raises its exception's text behind a prefix, which
+``errors.naming`` does."""
 
 import ast
 import importlib
@@ -216,8 +218,9 @@ def _exception_classes(module) -> list[str]:
 
 
 def test_every_error_type_is_raised():
-    """Each class in ``errors`` is raised or built by the package: a new cause at
-    an input boundary gets its own message, not its own class."""
+    """Each class in ``errors`` is raised or built by the package, or passed to
+    ``naming`` to build: a new cause at an input boundary gets its own message,
+    not its own class."""
     made = set()
     for path in MODULES:
         if path.name == "errors.py":
@@ -225,6 +228,8 @@ def test_every_error_type_is_raised():
         for node in ast.walk(ast.parse(path.read_text("utf-8"))):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 made.add(node.func.id)
+                if node.func.id == "naming" and isinstance(node.args[1], ast.Name):
+                    made.add(node.args[1].id)
             elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Name):
                 made.add(node.exc.id)
     errors = importlib.import_module("recsynvc.errors")
@@ -242,3 +247,41 @@ def test_only_errors_defines_exception_types():
     others = {path.stem: _exception_classes(importlib.import_module(f"recsynvc.{path.stem}"))
               for path in MODULES if path.name != "errors.py"}
     assert {stem: names for stem, names in others.items() if names} == {}
+
+
+def _prefixed_reraises(source: str) -> list[str]:
+    """``except ... as exc`` handlers that raise ``from None`` a message ending in
+    ``: {exc}``: the re-raise that ``errors.naming`` owns."""
+    found = []
+    for handler in ast.walk(ast.parse(source)):
+        if not isinstance(handler, ast.ExceptHandler) or handler.name is None:
+            continue
+        for node in ast.walk(handler):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.cause, ast.Constant) and node.cause.value is None
+                    and node.exc.args and isinstance(node.exc.args[0], ast.JoinedStr)):
+                continue
+            *head, last = node.exc.args[0].values
+            if (isinstance(last, ast.FormattedValue) and isinstance(last.value, ast.Name)
+                    and last.value.id == handler.name and head
+                    and isinstance(head[-1], ast.Constant) and head[-1].value.endswith(": ")):
+                found.append(f"line {node.lineno}")
+    return found
+
+
+def test_scan_finds_a_prefixed_reraise():
+    source = ("try:\n    f()\nexcept ValueError as exc:\n"
+              "    raise E(f'{p}: {exc}') from None\n"
+              "try:\n    f()\nexcept ValueError as exc:\n"
+              "    raise E(f'{p}: {exc}') from exc\n"
+              "try:\n    f()\nexcept ValueError as exc:\n"
+              "    raise E(f'{p} ({exc})') from None\n"
+              "try:\n    f()\nexcept ValueError as err:\n"
+              "    raise E(f'bad: {err}', s) from None\n")
+    assert _prefixed_reraises(source) == ["line 4", "line 16"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"],
+                         ids=[p.name for p in MODULES if p.name != "errors.py"])
+def test_no_hand_written_prefixed_reraise(path):
+    assert _prefixed_reraises(path.read_text("utf-8")) == []
