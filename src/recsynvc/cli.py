@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -26,6 +27,7 @@ from .benchmark import (
     published_correlations,
     read_metrics_table,
 )
+from .blas import one_blas_thread
 from .checkpoint import load_checkpoint
 from .config import Config, load_config
 from .container import write_atomic
@@ -80,17 +82,33 @@ def _write_json(path, obj) -> None:
 def _run_each(records, one, jobs: int, summary) -> int:
     """Run ``one`` on every record, ``jobs`` at a time on threads; the exit status.
 
-    A record whose run raises does not stop the others.  ``summary(done,
+    ``one(record)`` may return its record's second stage, a callable of no
+    arguments.  With two CPUs that stage runs on a second pool of ``jobs``
+    threads as soon as the first ends, so the next record's first stage does
+    not wait for it; with one CPU it runs right after, on the same thread.  A
+    record whose stages raise does not stop the others.  ``summary(done,
     total)`` gives the note printed first, then each failure gets one
     ``failed: <utt_id>: <error>`` line, in manifest order.
     """
     records = list(records)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [(r.utt_id, pool.submit(one, r)) for r in records]
+    pipelined = len(os.sched_getaffinity(0)) >= 2
+
+    def stages(record):  # the second stage's future when it went to the second pool
+        then = one(record)
+        if then is not None and pipelined:
+            return second.submit(then)
+        if then is not None:
+            then()
+
+    # the first pool shuts down, its submissions to the second done, before the second
+    with ThreadPoolExecutor(max_workers=jobs) as second, \
+            ThreadPoolExecutor(max_workers=jobs) as first:
+        futures = [(r.utt_id, first.submit(stages, r)) for r in records]
     failures = []
     for utt_id, future in futures:
         try:
-            future.result()
+            if (later := future.result()) is not None:
+                later.result()
         except Exception as exc:
             failures.append(f"failed: {utt_id}: {exc}")
     _note("\n".join([summary(len(records) - len(failures), len(records)), *failures]))
@@ -202,8 +220,8 @@ def cmd_convert(args) -> int:
         mel = convert(record, checkpoint, args.feature_dir, s=embedding,
                       dropout_seed=config.evaluation.dropout_seed)
         write_features(out_dir / f"{record.utt_id}.mel.s3vc", mel.as_features())
-        wave = vocode(mel, model.audio, vocoder=args.vocoder)
-        save_waveform(out_dir / f"{record.utt_id}.wav", wave)
+        return lambda: save_waveform(out_dir / f"{record.utt_id}.wav",
+                                     vocode(mel, model.audio, vocoder=args.vocoder))
 
     return _run_each(manifest, one, args.jobs, lambda done, total:
                      f"converted {done} / {total} utterance(s) into {out_dir}")
@@ -427,7 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # the bits depend on the count, and the program's own threads take the CPUs
+        with one_blas_thread():
+            return args.func(args)
     except (VoiceConversionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -192,6 +192,20 @@ def _suggest(name, candidates):
     return f"; valid keys: {', '.join(sorted(candidates))}"
 
 
+def _syntax_error(exc: configparser.Error | UnicodeDecodeError) -> str:
+    """Why an INI file did not parse, by line, without configparser's copy of its path."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: no section header before {exc.line!r}"
+    if isinstance(exc, configparser.ParsingError):
+        return "; ".join(f"line {n}: cannot parse {text}" for n, text in exc.errors)
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return (f"line {exc.lineno}: option {exc.option!r} in section {exc.section!r} "
+                "already exists")
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: section {exc.section!r} already exists"
+    return " ".join(str(exc).split())  # one line, not several
+
+
 def load_config(path) -> Config:
     """Load a configuration file, falling back to defaults for absent keys.
 
@@ -204,8 +218,8 @@ def load_config(path) -> Config:
     with naming(path, ConfigError), open(path, "r", encoding="utf-8") as fh:
         try:
             parser.read_file(fh)
-        except (configparser.Error, UnicodeDecodeError) as exc:  # one line, not several
-            raise VoiceConversionError(" ".join(str(exc).split())) from None
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise VoiceConversionError(_syntax_error(exc)) from None
         kwargs = {}
         for section in parser.sections():
             if section not in _SECTIONS:

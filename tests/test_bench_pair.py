@@ -18,8 +18,9 @@ END_TO_END = [
 ]
 
 
-def _stdout(workload, seed, setup_s, wall_s, peak, correct=True, failed=0):
-    """What ``perfbench/run.py --trace 0`` prints for one run."""
+def _stdout(workload, seed, setup_s, wall_s, peak, correct=True, failed=0, stages=()):
+    """What ``perfbench/run.py --trace 0`` prints for one run; ``stages`` holds
+    (name, value, unit) rows."""
     record = {"workload": workload, "seed": seed, "commit": "unknown", "nproc": 2}
     result = {"correct": correct, "attempted": 10, "failed": failed,
               "metrics": {"setup_s": {"value": setup_s, "unit": "s"},
@@ -28,6 +29,8 @@ def _stdout(workload, seed, setup_s, wall_s, peak, correct=True, failed=0):
     return "\n".join([f"workload {workload} (seed {seed}): why",
                       "run_record " + json.dumps(record),
                       f"  {'wall_s':<52} {wall_s:>14.6g} s",
+                      *(f"  {name:<52} {value:>14.6g} {unit}" for name, value, unit in stages),
+                      f"  {'error_rate':<52} {failed / 10:>14.6g} failed/attempted",
                       json.dumps(result)]) + "\n"
 
 
@@ -49,6 +52,40 @@ def test_parse_reads_the_result_and_the_run_record():
 @pytest.mark.parametrize("stdout", ["", "error: no recsynvc sources\n", "run_record {}\n[1, 2]\n"])
 def test_parse_of_a_run_without_a_result_line_is_none(stdout):
     assert bench_pair.parse_run_output(stdout)[0] is None
+
+
+def test_parse_keeps_the_stage_lines_only():
+    stdout = _stdout("train", 1, 1.0, 2.0, 240.0, stages=[
+        ("train_frames_per_s.taco2_ar", 1234.5678, "frames/s"),
+        ("train_frames_per_s.simple_ar", 2e3, "frames/s")])
+    assert bench_pair.parse_stage_lines(stdout) == {
+        "train_frames_per_s.taco2_ar": pytest.approx(1234.57),
+        "train_frames_per_s.simple_ar": 2000.0}
+    assert bench_pair.parse_stage_lines("") == {}
+
+
+def test_stage_metrics_get_medians_and_a_ratio_but_no_verdict():
+    runs = []
+    for side, values in (("parent", [2.0, 2.4, 2.2]), ("change", [3.3, 2.9, 3.6])):
+        for seed, value in enumerate(values, 1):
+            stdout = _stdout("a2a_short", seed, 0.3, 2.0, 150.0, stages=[
+                ("convert_audio_s_per_s", value, "s/s"), ("score_utts_per_s", 40.0, "utts/s")])
+            runs.append({"workload": "a2a_short", "seed": seed, "side": side,
+                         "result": bench_pair.parse_run_output(stdout)[0],
+                         "stages": bench_pair.parse_stage_lines(stdout)})
+    runs += _runs("train", "parent", [(1, 1.0, 2.0, 240.0)])  # a run without stage lines
+    summary = bench_pair.summarize(runs, END_TO_END)
+    stages = summary["a2a_short"]["stages"]
+    assert list(stages) == ["convert_audio_s_per_s", "score_utts_per_s"]
+    audio = stages["convert_audio_s_per_s"]
+    assert audio["parent"] == {"n": 3, "median": 2.2, "q1": pytest.approx(2.1),
+                               "q3": pytest.approx(2.3), "iqr": pytest.approx(0.2)}
+    assert audio["change"]["median"] == 3.3
+    assert audio["ratio"] == pytest.approx(1.5)
+    assert stages["score_utts_per_s"]["ratio"] == 1.0
+    assert not any("verdict" in row for row in stages.values())
+    assert summary["train"]["stages"] == {}
+    assert "convert_audio_s_per_s" not in summary["a2a_short"]["metrics"]
 
 
 def test_medians_quartiles_ratio_and_verdicts():

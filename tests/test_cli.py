@@ -7,11 +7,14 @@ import dataclasses
 import importlib
 import inspect
 import json
+import os
 import re
 import shlex
 import shutil
 import struct
+import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from scipy.io import wavfile
 
 from recsynvc.audioio import load_waveform, save_waveform
 from recsynvc import cli, config, evaluator
+from recsynvc.blas import openblas_functions
 from recsynvc.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from recsynvc.config import (
     MAX_BATCH_SIZE,
@@ -32,6 +36,7 @@ from recsynvc.config import (
 )
 from recsynvc.cli import main
 from recsynvc.benchmark import MetricsRow
+from recsynvc.errors import VoiceConversionError
 from recsynvc.featureio import read_features, write_features
 from recsynvc.manifest import load_manifest, write_manifest
 from recsynvc.synthetic import make_toy_corpus, make_utterance
@@ -531,6 +536,132 @@ def test_convert_jobs_match_serial(cli_checkpoint, cli_corpus, tmp_path):
                  "--out-dir", str(threaded), "--jobs", "3"]) == 0
     for path in sorted(serial.iterdir()):
         assert path.read_bytes() == (threaded / path.name).read_bytes()
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_convert_vocodes_while_the_next_utterance_decodes(cli_checkpoint, cli_corpus,
+                                                          tmp_path, monkeypatch):
+    # --jobs 1 on two CPUs: the first vocode waits for the second decode to start,
+    # which a single stage would reach only after its timeout
+    _cpus(monkeypatch, 2)
+    second = load_manifest(cli_corpus).records[1].utt_id
+    second_decoding, waited = threading.Event(), []
+    convert, vocode = cli.convert, cli.vocode
+
+    def decoding(record, *args, **kwargs):
+        if record.utt_id == second:
+            second_decoding.set()
+        return convert(record, *args, **kwargs)
+
+    def vocoding(*args, **kwargs):
+        if not waited:
+            waited.append(second_decoding.wait(timeout=10))
+        return vocode(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "convert", decoding)
+    monkeypatch.setattr(cli, "vocode", vocoding)
+    assert main(["convert", str(cli_checkpoint), str(cli_corpus),
+                 "--out-dir", str(tmp_path / "conv"), "--jobs", "1"]) == 0
+    assert waited == [True]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_convert_failure_in_either_stage_is_one_line_in_manifest_order(
+        cli_checkpoint, cli_corpus, tmp_path, capsys, monkeypatch, cpus):
+    # the second record fails to vocode, the third to decode; the others are written
+    _cpus(monkeypatch, cpus)
+    ids = [r.utt_id for r in load_manifest(cli_corpus).records]
+    mels = {}  # id of a decoded mel -> (its utt_id, the mel, kept so no id is reused)
+    convert, vocode = cli.convert, cli.vocode
+
+    def decoding(record, *args, **kwargs):
+        if record.utt_id == ids[2]:
+            raise VoiceConversionError("decode broke")
+        mel = convert(record, *args, **kwargs)
+        mels[id(mel)] = record.utt_id, mel
+        return mel
+
+    def vocoding(mel, *args, **kwargs):
+        if mels[id(mel)][0] == ids[1]:
+            raise VoiceConversionError("vocode broke")
+        return vocode(mel, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "convert", decoding)
+    monkeypatch.setattr(cli, "vocode", vocoding)
+    out_dir = tmp_path / "conv"
+    capsys.readouterr()
+    assert main(["convert", str(cli_checkpoint), str(cli_corpus),
+                 "--out-dir", str(out_dir), "--jobs", "2"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"converted 2 / 4 utterance(s) into {out_dir}",
+        f"failed: {ids[1]}: vocode broke", f"failed: {ids[2]}: decode broke"]
+    assert sorted(path.name for path in out_dir.iterdir()) == sorted(
+        [f"{ids[0]}.mel.s3vc", f"{ids[0]}.wav", f"{ids[1]}.mel.s3vc",
+         f"{ids[3]}.mel.s3vc", f"{ids[3]}.wav"])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_convert_vocodes_on_a_second_thread_only_given_two_cpus(
+        cli_checkpoint, cli_corpus, tmp_path, monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    decoded_on, vocoded_on = {}, {}  # id of a decoded mel -> thread
+    mels = []  # kept alive, so that no two mels share an id
+    convert, vocode = cli.convert, cli.vocode
+
+    def decoding(*args, **kwargs):
+        mels.append(mel := convert(*args, **kwargs))
+        decoded_on[id(mel)] = threading.get_ident()
+        return mel
+
+    def vocoding(mel, *args, **kwargs):
+        vocoded_on[id(mel)] = threading.get_ident()
+        return vocode(mel, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "convert", decoding)
+    monkeypatch.setattr(cli, "vocode", vocoding)
+    assert main(["convert", str(cli_checkpoint), str(cli_corpus),
+                 "--out-dir", str(tmp_path / "conv")]) == 0
+    assert len(decoded_on) == 4 and vocoded_on.keys() == decoded_on.keys()
+    assert {vocoded_on[k] == decoded_on[k] for k in decoded_on} == {cpus == 1}
+
+
+_CONVERT_CHILD = """\
+import hashlib, sys
+from recsynvc import cli, recognizer
+
+def hashing(*args, **kwargs):  # the float64 mel, before any rounding to a file
+    mel = extract_mel(*args, **kwargs)
+    print(hashlib.sha256(mel.frames.tobytes()).hexdigest())
+    return mel
+
+extract_mel, recognizer.extract_mel = recognizer.extract_mel, hashing
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_convert_bytes_do_not_depend_on_the_blas_thread_count(cli_checkpoint, tmp_path):
+    if not openblas_functions("get_num_threads"):
+        pytest.skip("needs numpy on OpenBLAS")
+    # the mel of a 3 s source is one whose bits change with OpenBLAS's thread count
+    manifest = make_toy_corpus(tmp_path / "corpus", n_utterances=1, duration=3.0, seed=7)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    written = []
+    for threads in (1, 2):
+        out_dir = tmp_path / f"blas{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-c", _CONVERT_CHILD, "convert", str(cli_checkpoint),
+             str(manifest), "--out-dir", str(out_dir)],
+            env={**env, "OPENBLAS_NUM_THREADS": str(threads)},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        written.append((proc.stdout, {p.name: p.read_bytes() for p in out_dir.iterdir()}))
+    assert len(written[0][1]) == 2
+    assert written[0] == written[1]
 
 
 def test_convert_rejects_jobs_below_one(cli_checkpoint, cli_corpus, tmp_path, capsys):

@@ -114,8 +114,13 @@ CASES = [
     ("ini-out-of-range", b"[model]\nhidden_dim = 0\n", load_config, ConfigError,
      "{path}: hidden_dim must lie in 1..4096, got 0"),
     ("ini-no-section", b"hidden_dim = 3\n", load_config, ConfigError,
-     "{path}: File contains no section headers. file: '{path}', line: 1 "
-     "'hidden_dim = 3\\n'"),
+     "{path}: line 1: no section header before 'hidden_dim = 3\\n'"),
+    ("ini-duplicate-section", b"[model]\n[model]\n", load_config, ConfigError,
+     "{path}: line 2: section 'model' already exists"),
+    ("ini-duplicate-option", b"[model]\nhidden_dim = 3\nhidden_dim = 4\n", load_config,
+     ConfigError, "{path}: line 3: option 'hidden_dim' in section 'model' already exists"),
+    ("ini-unparsable-line", b"[model]\nhidden_dim\n", load_config, ConfigError,
+     "{path}: line 2: cannot parse 'hidden_dim\\n'"),
     ("tsv-not-utf8", b"\xff", read_metrics_table, CorrelationFileError,
      "{path}: not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 0: "
      "invalid start byte)"),

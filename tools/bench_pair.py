@@ -18,8 +18,11 @@ the medians; and each end-to-end metric's verdict against its bound in
 `BENCHMARK.json`, together with the seeds, both commit ids and nproc.
 Each end-to-end metric also gets the seeds run on both sides, each seed's
 change/parent ratio (`seed_ratios`), their median (`median_seed_ratio`) and
-the number of seeds in which the change was better (`seeds_won`). These
-inform the reader and do not enter the verdict. A verdict is one of:
+the number of seeds in which the change was better (`seeds_won`). The stage
+metrics each run prints (`train_frames_per_s.*`, `convert_audio_s_per_s`,
+`score_utts_per_s`; higher is faster) get each side's median, quartiles and
+IQR and the change/parent ratio of the medians, under `stages`. These inform
+the reader and do not enter the verdict. A verdict is one of:
 
 - `incorrect`: a run of either side failed, or reported a failed operation;
 - `worse`: the change's median is worse than the parent's by more than the bound;
@@ -50,6 +53,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKTREE = ROOT / ".perfbench_work" / "bench_pair_parent"
 SIDES = ("parent", "change")
+STAGES = ("train_frames_per_s.", "convert_audio_s_per_s", "score_utts_per_s")  # name prefixes
 MIN_PAIRS_FOR_GAIN = 10  # fewer pairs than this cannot show a gain
 
 
@@ -75,6 +79,18 @@ def parse_run_output(stdout: str) -> tuple[dict | None, dict | None]:
     return (result if isinstance(result, dict) else None), record
 
 
+def parse_stage_lines(stdout: str) -> dict[str, float]:
+    """Stage metric -> value, from the ``  <name> <value> <unit>`` lines of one run."""
+    stages = {}
+    for fields in map(str.split, stdout.splitlines()):
+        if len(fields) == 3 and fields[0].startswith(STAGES):
+            try:
+                stages[fields[0]] = float(fields[1])
+            except ValueError:
+                pass
+    return stages
+
+
 def _run_ok(run: dict) -> bool:
     result = run.get("result")
     return bool(result) and result.get("correct") is True and result.get("failed") == 0
@@ -92,6 +108,14 @@ def _spread(values: list[float]) -> dict:
     else:
         q1 = median = q3 = values[0]
     return {"n": len(values), "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def _sides(values: dict[str, list[float]]) -> dict:
+    """Each side's spread of ``values`` (None for a side without any), and their ratio."""
+    row = {side: _spread(values[side]) if values[side] else None for side in SIDES}
+    if row["parent"] and row["change"] and row["parent"]["median"]:
+        row["ratio"] = row["change"]["median"] / row["parent"]["median"]
+    return row
 
 
 def verdict(parent: dict[int, float], change: dict[int, float], better: str,
@@ -135,6 +159,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     ``result`` is a run's parsed result line or None; ``end_to_end`` is the
     ``end_to_end`` list of ``BENCHMARK.json``.  Each end-to-end metric also
     gets its bound and verdict, and the seed-by-seed figures of ``paired``.
+    The stage metrics of runs that hold ``"stages"`` get their spreads only.
     """
     bounds = {m["name"]: m for m in end_to_end}
     summary = {}
@@ -152,16 +177,19 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                               for name in r["result"].get("metrics", {}))
         for name in names:
             values = {side: _values(mine[side], name) for side in SIDES}
-            row = {side: _spread(list(values[side].values())) if values[side] else None
-                   for side in SIDES}
-            if row["parent"] and row["change"] and row["parent"]["median"]:
-                row["ratio"] = row["change"]["median"] / row["parent"]["median"]
+            row = _sides({side: list(values[side].values()) for side in SIDES})
             if name in bounds:
                 row["bound"] = bounds[name]["bound"]
                 row["verdict"] = verdict(values["parent"], values["change"],
                                          bounds[name]["better"], bounds[name]["bound"], correct)
                 row.update(paired(values["parent"], values["change"], bounds[name]["better"]))
             entry["metrics"][name] = row
+        stages = dict.fromkeys(name for side in SIDES for r in mine[side]
+                               for name in r.get("stages", {}))
+        entry["stages"] = {name: _sides({side: [r["stages"][name] for r in mine[side]
+                                                if name in r.get("stages", {})]
+                                         for side in SIDES})
+                           for name in stages}
         summary[workload] = entry
     return summary
 
@@ -187,7 +215,8 @@ def _run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     except subprocess.TimeoutExpired:
         return {"exit": "timeout", "result": None, "record": None}
     result, record = parse_run_output(proc.stdout)
-    run = {"exit": proc.returncode, "result": result, "record": record}
+    run = {"exit": proc.returncode, "result": result, "record": record,
+           "stages": parse_stage_lines(proc.stdout)}
     if proc.returncode != 0 or result is None:
         run["stderr_tail"] = proc.stderr[-2000:]
     return run
