@@ -56,6 +56,9 @@ from .recognizer import MEL_UPSTREAM, extract_mel, external_upstream, mel_upstre
 from .trainer import train
 
 
+MAX_JOBS = 64  # --jobs ceiling, in threads per CPU; far above the two CPUs used
+
+
 def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -80,35 +83,22 @@ def _write_json(path, obj) -> None:
 
 
 def _run_each(records, one, jobs: int, summary) -> int:
-    """Run ``one`` on every record, ``jobs`` at a time on threads; the exit status.
+    """Run ``one`` on every record, ``jobs`` threads per CPU on at most two; the exit status.
 
-    ``one(record)`` may return its record's second stage, a callable of no
-    arguments.  With two CPUs that stage runs on a second pool of ``jobs``
-    threads as soon as the first ends, so the next record's first stage does
-    not wait for it; with one CPU it runs right after, on the same thread.  A
-    record whose stages raise does not stop the others.  ``summary(done,
-    total)`` gives the note printed first, then each failure gets one
-    ``failed: <utt_id>: <error>`` line, in manifest order.
+    Each thread runs one record's ``one(record)`` from start to end, so each
+    record is computed by one thread alone.  A record that raises does not
+    stop the others.  ``summary(done, total)`` gives the note printed first,
+    then each failure gets one ``failed: <utt_id>: <error>`` line, in
+    manifest order.
     """
     records = list(records)
-    pipelined = len(os.sched_getaffinity(0)) >= 2
-
-    def stages(record):  # the second stage's future when it went to the second pool
-        then = one(record)
-        if then is not None and pipelined:
-            return second.submit(then)
-        if then is not None:
-            then()
-
-    # the first pool shuts down, its submissions to the second done, before the second
-    with ThreadPoolExecutor(max_workers=jobs) as second, \
-            ThreadPoolExecutor(max_workers=jobs) as first:
-        futures = [(r.utt_id, first.submit(stages, r)) for r in records]
+    threads = jobs * min(2, len(os.sched_getaffinity(0)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [(r.utt_id, pool.submit(one, r)) for r in records]
     failures = []
     for utt_id, future in futures:
         try:
-            if (later := future.result()) is not None:
-                later.result()
+            future.result()
         except Exception as exc:
             failures.append(f"failed: {utt_id}: {exc}")
     _note("\n".join([summary(len(records) - len(failures), len(records)), *failures]))
@@ -204,6 +194,8 @@ def cmd_convert(args) -> int:
     config = _load_config(args)
     if args.jobs < 1:
         raise VoiceConversionError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs > MAX_JOBS:
+        raise VoiceConversionError(f"--jobs must be at most {MAX_JOBS}, got {args.jobs}")
     # a bad vocoder, checkpoint or --feature-dir is one error, not one per utterance
     vocoder_command(args.vocoder)
     checkpoint = load_checkpoint(args.checkpoint)
@@ -220,8 +212,8 @@ def cmd_convert(args) -> int:
         mel = convert(record, checkpoint, args.feature_dir, s=embedding,
                       dropout_seed=config.evaluation.dropout_seed)
         write_features(out_dir / f"{record.utt_id}.mel.s3vc", mel.as_features())
-        return lambda: save_waveform(out_dir / f"{record.utt_id}.wav",
-                                     vocode(mel, model.audio, vocoder=args.vocoder))
+        save_waveform(out_dir / f"{record.utt_id}.wav",
+                      vocode(mel, model.audio, vocoder=args.vocoder))
 
     return _run_each(manifest, one, args.jobs, lambda done, total:
                      f"converted {done} / {total} utterance(s) into {out_dir}")
@@ -408,7 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="INI file; convert reads only [evaluation] dropout_seed")
     p.add_argument("--vocoder", default="native",
                    help="'native' or 'external:<command>'")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="utterances converted at once per CPU, on at most two CPUs "
+                        f"(1 to {MAX_JOBS}); each is decoded and vocoded on one thread, "
+                        "so the bytes written do not depend on --jobs, the CPU count "
+                        "or OPENBLAS_NUM_THREADS")
     p.add_argument("--target-embeddings", type=Path, default=None,
                    help="directory of target-speaker embeddings to average")
     p.add_argument("--target-embedding", type=Path, default=None,

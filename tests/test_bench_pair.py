@@ -170,6 +170,13 @@ def test_verdict_rules(parent, change, expected):
     assert bench_pair.verdict(parent, change, "lower", 0.25, True) == expected
 
 
+def test_the_default_seeds_can_show_a_gain():
+    seeds = bench_pair.build_parser().parse_args(["HEAD", "--pr", "1"]).seeds
+    assert seeds == list(range(1, bench_pair.MIN_PAIRS_FOR_GAIN + 1))
+    assert bench_pair.verdict(dict.fromkeys(seeds, 2.0), dict.fromkeys(seeds, 1.0),
+                              "lower", 0.25, True) == "better"
+
+
 def test_higher_is_better_flips_the_direction():
     seeds = range(1, 11)
     assert bench_pair.verdict(dict.fromkeys(seeds, 10.0), dict.fromkeys(seeds, 12.0),

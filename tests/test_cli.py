@@ -110,6 +110,27 @@ def test_extract_features(cli_corpus, tmp_path):
         assert seq.frames.shape[0] < n_frames
 
 
+def test_extract_features_bytes_and_notes_do_not_depend_on_the_cpu_count(
+        cli_corpus, tmp_path, capsys, monkeypatch):
+    # the second record's wav is missing, so the notes hold one failed: line too
+    records = list(load_manifest(cli_corpus).records)
+    records[1] = dataclasses.replace(records[1], wav_path=tmp_path / "missing.wav")
+    manifest = tmp_path / "manifest.jsonl"
+    write_manifest(manifest, DatasetManifest(tuple(records)))
+    out_dir = tmp_path / "feats"
+    written = []
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        shutil.rmtree(out_dir, ignore_errors=True)
+        capsys.readouterr()
+        assert main(["extract-features", str(manifest), "--out-dir", str(out_dir)]) == 1
+        written.append((capsys.readouterr().err,
+                        {p.name: p.read_bytes() for p in out_dir.iterdir()}))
+    assert len(written[0][1]) == 3
+    assert written[0][0].splitlines()[1].startswith(f"failed: {records[1].utt_id}: ")
+    assert written[0] == written[1]
+
+
 def test_extract_features_rejects_external_upstream(cli_corpus, tmp_path):
     # it computes the native mel only, so it has no upstream flags
     for flags in (["--upstream", "hubert"], ["--feature-dir", str(tmp_path)]):
@@ -604,28 +625,39 @@ def test_convert_failure_in_either_stage_is_one_line_in_manifest_order(
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_convert_vocodes_on_a_second_thread_only_given_two_cpus(
+def test_convert_runs_each_utterance_on_one_thread_and_two_at_once_given_two_cpus(
         cli_checkpoint, cli_corpus, tmp_path, monkeypatch, cpus):
+    # --jobs 1 on two CPUs: the first decode waits for the second to start, which
+    # one thread for every decode would reach only after its timeout
     _cpus(monkeypatch, cpus)
-    decoded_on, vocoded_on = {}, {}  # id of a decoded mel -> thread
-    mels = []  # kept alive, so that no two mels share an id
+    ids = [r.utt_id for r in load_manifest(cli_corpus).records]
+    second_decoding, waited = threading.Event(), []
+    decoded_on, vocoded_on = {}, {}  # utt_id -> thread
+    mels = {}  # id of a decoded mel -> (its utt_id, the mel, kept so no id is reused)
     convert, vocode = cli.convert, cli.vocode
 
-    def decoding(*args, **kwargs):
-        mels.append(mel := convert(*args, **kwargs))
-        decoded_on[id(mel)] = threading.get_ident()
+    def decoding(record, *args, **kwargs):
+        decoded_on[record.utt_id] = threading.get_ident()
+        if record.utt_id == ids[1]:
+            second_decoding.set()
+        if record.utt_id == ids[0] and cpus == 2:
+            waited.append(second_decoding.wait(timeout=10))
+        mel = convert(record, *args, **kwargs)
+        mels[id(mel)] = record.utt_id, mel
         return mel
 
     def vocoding(mel, *args, **kwargs):
-        vocoded_on[id(mel)] = threading.get_ident()
+        vocoded_on[mels[id(mel)][0]] = threading.get_ident()
         return vocode(mel, *args, **kwargs)
 
     monkeypatch.setattr(cli, "convert", decoding)
     monkeypatch.setattr(cli, "vocode", vocoding)
     assert main(["convert", str(cli_checkpoint), str(cli_corpus),
-                 "--out-dir", str(tmp_path / "conv")]) == 0
-    assert len(decoded_on) == 4 and vocoded_on.keys() == decoded_on.keys()
-    assert {vocoded_on[k] == decoded_on[k] for k in decoded_on} == {cpus == 1}
+                 "--out-dir", str(tmp_path / "conv"), "--jobs", "1"]) == 0
+    assert waited == ([True] if cpus == 2 else [])
+    assert sorted(decoded_on) == sorted(ids) and vocoded_on == decoded_on
+    if cpus == 1:
+        assert len(set(decoded_on.values())) == 1
 
 
 _CONVERT_CHILD = """\
@@ -669,6 +701,17 @@ def test_convert_rejects_jobs_below_one(cli_checkpoint, cli_corpus, tmp_path, ca
                "--out-dir", str(tmp_path), "--jobs", "0"])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == ["error: --jobs must be at least 1, got 0"]
+
+
+def test_convert_rejects_jobs_above_the_ceiling_before_reading_the_manifest(
+        cli_checkpoint, tmp_path, capsys):
+    jobs = cli.MAX_JOBS + 1
+    rc = main(["convert", str(cli_checkpoint), str(tmp_path / "nope.jsonl"),
+               "--out-dir", str(tmp_path / "out"), "--jobs", str(jobs)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --jobs must be at most {cli.MAX_JOBS}, got {jobs}"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("corrupt, entry", [

@@ -2,7 +2,7 @@
 """Benchmark this checkout against a parent commit with the unedited perfbench.
 
 Usage: python3 tools/bench_pair.py PARENT_REV --pr N
-           [--workloads train,convert_long,a2a_short] [--seeds 1,2,3] [--seconds 27]
+           [--workloads train,convert_long,a2a_short] [--seeds 1,2,...,10] [--seconds 27]
 
 The parent is checked out with `git worktree add` under `.perfbench_work/`;
 the change is this checkout's working tree. For each workload and seed, each
@@ -32,6 +32,8 @@ the reader and do not enter the verdict. A verdict is one of:
 - `unresolved`: the parent's IQR exceeds the bound (as a share of its median),
   and not every run of the change is better than every run of the parent;
 - `within_bound`: otherwise.
+
+The default seeds are 1 to `MIN_PAIRS_FOR_GAIN`, the fewest that can show a gain.
 
 On a shared 2-vCPU VM the spread of a metric lies between processes more than
 between the passes of one process, so more seeds narrow a verdict where a
@@ -222,16 +224,20 @@ def _run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return run
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_rev")
     parser.add_argument("--pr", type=int, required=True, help="names the output BENCH_<N>.json")
     parser.add_argument("--workloads", type=lambda text: text.split(","),
                         default="train,convert_long,a2a_short")
     parser.add_argument("--seeds", type=lambda text: [int(s) for s in text.split(",")],
-                        default="1,2,3")
+                        default=list(range(1, MIN_PAIRS_FOR_GAIN + 1)))
     parser.add_argument("--seconds", type=float, default=27.0)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     workloads, seeds = args.workloads, args.seeds
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
 
