@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +25,7 @@ from .benchmark import (
     published_correlations,
     read_metrics_table,
 )
-from .blas import one_blas_thread
+from .blas import one_blas_thread, run_threads
 from .checkpoint import load_checkpoint
 from .config import Config, load_config
 from .container import write_atomic
@@ -83,24 +81,16 @@ def _write_json(path, obj) -> None:
 
 
 def _run_each(records, one, jobs: int, summary) -> int:
-    """Run ``one`` on every record, ``jobs`` threads per CPU on at most two; the exit status.
+    """Run ``one`` on every record, ``jobs`` threads per CPU (``run_threads``); the exit status.
 
-    Each thread runs one record's ``one(record)`` from start to end, so each
-    record is computed by one thread alone.  A record that raises does not
-    stop the others.  ``summary(done, total)`` gives the note printed first,
-    then each failure gets one ``failed: <utt_id>: <error>`` line, in
-    manifest order.
+    One thread computes each record.  ``summary(done, total)`` gives the note
+    printed first, then each failure gets one ``failed: <utt_id>: <error>``
+    line, in manifest order.
     """
     records = list(records)
-    threads = jobs * min(2, len(os.sched_getaffinity(0)))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [(r.utt_id, pool.submit(one, r)) for r in records]
-    failures = []
-    for utt_id, future in futures:
-        try:
-            future.result()
-        except Exception as exc:
-            failures.append(f"failed: {utt_id}: {exc}")
+    futures = run_threads(one, records, jobs)
+    failures = [f"failed: {record.utt_id}: {future.exception()}"
+                for record, future in zip(records, futures) if future.exception() is not None]
     _note("\n".join([summary(len(records) - len(failures), len(records)), *failures]))
     return 1 if failures else 0
 
@@ -402,9 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'native' or 'external:<command>'")
     p.add_argument("--jobs", type=int, default=1,
                    help="utterances converted at once per CPU, on at most two CPUs "
-                        f"(1 to {MAX_JOBS}); each is decoded and vocoded on one thread, "
-                        "so the bytes written do not depend on --jobs, the CPU count "
-                        "or OPENBLAS_NUM_THREADS")
+                        f"(1 to {MAX_JOBS}); the bytes written do not depend on it "
+                        "(README, 'Bytes and CPUs')")
     p.add_argument("--target-embeddings", type=Path, default=None,
                    help="directory of target-speaker embeddings to average")
     p.add_argument("--target-embedding", type=Path, default=None,

@@ -213,31 +213,36 @@ def _prenet_backward(p, config, dout, cache, grads):
     return dx
 
 
-def _postnet_forward(p, config, y_before):
+def _postnet_forward(p, config, y_before, frame_mask):
     """Residual refinement: conv stack with tanh on all but the last layer.
 
+    ``y_before`` is zero past each row's length, and so is each tanh output,
+    by ``frame_mask``: every layer reads zeros past a row's end, as at B = 1.
     The cache is each layer's padded input; from the second layer on, its
-    unpadded middle is the tanh output of the layer below.
+    unpadded middle is the masked tanh output of the layer below.
     """
     n_layers = config.postnet_layers
     x = y_before
     caches = []
     for i in range(1, n_layers + 1):
-        y, xp = conv1d_same(x, p[f"postnet{i}.w"], p[f"postnet{i}.b"])
+        x, xp = conv1d_same(x, p[f"postnet{i}.w"], p[f"postnet{i}.b"])
         caches.append(xp)
-        x = np.tanh(y) if i < n_layers else y
+        if i < n_layers:
+            np.tanh(x, out=x)
+            x *= frame_mask[..., None]
     return y_before + x, caches
 
 
-def _postnet_backward(p, config, d_residual, caches, grads):
+def _postnet_backward(p, config, d_residual, caches, grads, frame_mask):
     pad = config.postnet_kernel // 2
     t_len = d_residual.shape[1]
     dx = d_residual
     for i in range(config.postnet_layers, 0, -1):
         xp = caches.pop()
         dx = conv1d_same_backward(dx, xp, p[f"postnet{i}.w"], grads, f"postnet{i}")
-        if i > 1:  # through the tanh of the layer below, whose output xp pads
+        if i > 1:  # through the mask and the tanh of the layer below, whose output xp pads
             act = xp[:, pad:pad + t_len]
+            dx *= frame_mask[..., None]
             dx *= 1.0 - act * act
     return dx
 
@@ -396,14 +401,19 @@ def _input_columns(params):
     return slice(0, split), slice(split, None)
 
 
-def teacher_forward_batch(params: ModelParameters, content, prev, spk, masks):
+def teacher_forward_batch(params: ModelParameters, content, prev, spk, masks, frame_mask):
     """Batched teacher-forced forward.
 
     ``masks`` are the ``dropout_masks`` of these (B, T) frames, the forward's
     only source of dropout; ``prev`` and ``masks`` are unread for ``simple``.
+    ``frame_mask`` (B, T) holds 1.0 for each row's frames and 0.0 for its
+    padding.  The pre-postnet outputs are zeroed on the padding, so the
+    postnet reads zeros past a row's end, as it does at B = 1, and a row's
+    outputs do not depend on how long the other rows of its batch are.
     Returns ``(main, before, cache)`` where ``before`` is the pre-postnet
     prediction (None for models without a postnet).  ``cache`` is the tuple
-    ``(content, ffn_positive, input_cache, stack_caches, h_seq, post_caches)``:
+    ``(content, ffn_positive, input_cache, stack_caches, h_seq, post_caches,
+    frame_mask)``:
 
     * ``ffn_positive``: where the ffn pre-activation is positive (bool), for
       ``simple`` and ``simple_ar``; None for ``taco2_ar``.
@@ -419,6 +429,7 @@ def teacher_forward_batch(params: ModelParameters, content, prev, spk, masks):
       output held in its ``stack_caches`` entry.
     * ``post_caches``: for ``taco2_ar`` the padded input of each postnet
       layer, which also holds the tanh output of the layer below; else None.
+    * ``frame_mask``: the argument, which the backward applies too.
 
     ``backward_teacher_batch`` empties the lists, ``stack_caches``,
     ``post_caches`` and those of ``input_cache``, as it goes.
@@ -433,13 +444,14 @@ def teacher_forward_batch(params: ModelParameters, content, prev, spk, masks):
         x_seq = np.concatenate(parts, axis=-1)
     h_seq, stack_caches = _recurrent_forward(p, _layers(config), x_seq)
     y_before = linear(h_seq, p["out.w"], p["out.b"])
+    y_before *= frame_mask[..., None]
     if config.type == "taco2_ar":
-        main, post_caches = _postnet_forward(p, config, y_before)
+        main, post_caches = _postnet_forward(p, config, y_before, frame_mask)
         before = y_before
     else:
         main, before, post_caches = y_before, None, None
     return main, before, (content, ffn_positive, input_cache, stack_caches, h_seq,
-                          post_caches)
+                          post_caches, frame_mask)
 
 
 class _Gradients(dict):
@@ -464,13 +476,15 @@ def backward_teacher_batch(params: ModelParameters, cache, d_main, d_before):
     outputs; ``d_before`` is None exactly when the model has no postnet.
     Uses up ``cache``: its lists are empty when this returns.
     """
-    content, ffn_positive, input_cache, stack_caches, h_seq, post_caches = cache
+    content, ffn_positive, input_cache, stack_caches, h_seq, post_caches, frame_mask = cache
     p, config = params.tensors, params.config
     grads = _Gradients(p)
     dy_before = d_main
     if config.type == "taco2_ar":
         # main branch: identity + postnet residual; aux branch hits y_before directly
-        dy_before = d_main + _postnet_backward(p, config, d_main, post_caches, grads) + d_before
+        dy_before = d_main + _postnet_backward(p, config, d_main, post_caches, grads,
+                                                   frame_mask) + d_before
+    dy_before = dy_before * frame_mask[..., None]  # the forward zeroed the padding
     dh_seq = linear_backward(dy_before, h_seq, p["out.w"], grads, "out")
     lower = config.prenet_dims[-1] if config.type == "taco2_ar" else config.hidden_dim
     dx_seq = _recurrent_backward(p, _layers(config), dh_seq, stack_caches, grads, lower)
@@ -494,7 +508,8 @@ def free_forward_batch(params: ModelParameters, content, spk, dropout_seed):
     p, config = params.tensors, params.config
     if config.type == "simple":
         # no feedback path: free-running coincides with the teacher forward
-        return teacher_forward_batch(params, content, None, spk, [])[0]
+        return teacher_forward_batch(params, content, None, spk, [],
+                                     np.ones(content.shape[:2]))[0]
     layers = _layers(config)
     first = layers[0]
     batch, t_len, _ = content.shape
@@ -517,7 +532,7 @@ def free_forward_batch(params: ModelParameters, content, spk, dropout_seed):
         y_before[:, t] = prev
     if config.type != "taco2_ar":
         return y_before
-    return _postnet_forward(p, config, y_before)[0]
+    return _postnet_forward(p, config, y_before, np.ones((batch, t_len)))[0]
 
 
 # --- public single-utterance API ------------------------------------------------

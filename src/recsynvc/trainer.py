@@ -21,13 +21,12 @@ import os
 import sys
 import time
 from collections.abc import Callable, Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .blas import one_blas_thread
+from .blas import one_blas_thread, run_threads
 from .checkpoint import CHECKPOINT_SUFFIX, save_checkpoint
 from .config import Config
 from .converter import TrainedModel, model_checkpoint, normalize
@@ -90,9 +89,8 @@ def loss_and_grads(params: ModelParameters, content, target, mask, spk,
     The dropout masks are drawn for the whole batch and sliced, each shard's
     loss gradient divides by the whole batch's frame count, the second
     shard's gradients are added into the first's, and the loss is taken
-    over the joined outputs.  So the bits do not depend on whether the second
-    shard runs on a helper thread (when this process may use two CPUs) or
-    after the first.
+    over the joined outputs.  So the bits do not depend on whether
+    ``run_threads`` runs the shards at once or one after the other.
     """
     prev = shift_frames_right(target)
     masks = dropout_masks(params, target.shape[:2], np.random.default_rng(dropout_seed))
@@ -100,9 +98,11 @@ def loss_and_grads(params: ModelParameters, content, target, mask, spk,
     half = -(-len(target) // 2)
     shards = [slice(0, half)] + ([slice(half, None)] if half < len(target) else [])
 
-    def shard(rows, row_masks):
+    def shard(job):
+        rows, row_masks = job
         main, before, cache = teacher_forward_batch(
-            params, content[rows], prev[rows], None if spk is None else spk[rows], row_masks)
+            params, content[rows], prev[rows], None if spk is None else spk[rows], row_masks,
+            mask[rows])
         row_masks.clear()  # freed: the cache keeps the keep patterns the backward reads
         d_main = masked_l1(main, target[rows], mask[rows], count)[1]
         d_before = None
@@ -112,7 +112,7 @@ def loss_and_grads(params: ModelParameters, content, target, mask, spk,
 
     jobs = [(rows, [m[rows] for m in masks]) for rows in shards]
     del masks
-    (main, before, grads), *others = _run_shards(shard, jobs)
+    (main, before, grads), *others = [f.result() for f in run_threads(shard, jobs)]
     for other_main, other_before, other_grads in others:
         for name, grad in grads.items():
             grad += other_grads.pop(name)
@@ -123,20 +123,6 @@ def loss_and_grads(params: ModelParameters, content, target, mask, spk,
     if before is not None:
         loss += masked_l1(before, target, mask)[0]
     return loss, grads
-
-
-def _run_shards(shard, jobs):
-    """``shard(*job)`` for each job, in order; the second on a helper thread given two CPUs.
-
-    Returns, or raises the error of the first job that failed, once every job
-    has stopped.
-    """
-    if len(jobs) == 1 or len(os.sched_getaffinity(0)) < 2:
-        return [shard(*job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        second = helper.submit(shard, *jobs[1])
-        first = shard(*jobs[0])
-        return [first, second.result()]
 
 
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
@@ -299,8 +285,6 @@ def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir
 
     _check_features_present(manifest, spec)
     examples, stats = _prepare_examples(manifest, spec, config, encoder=encoder)
-    out_dir = Path(out_dir)  # made once the examples are ready, so a bad input leaves none
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     # the optimizer updates params.tensors in place, so each write sees the current weights
     model = TrainedModel(params=params, stats=stats, audio=config.audio,
@@ -312,6 +296,9 @@ def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir
     loss_history: list[float] = []
     t0 = time.perf_counter()
     with open(log_file or os.devnull, "w") as log_fh:
+        # made once the examples and the log are ready, so a bad input or log path leaves none
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         for step in range(1, training.steps + 1):
             while len(order) < training.batch_size:
                 order.extend(rng.permutation(len(examples)).tolist())

@@ -207,6 +207,18 @@ def test_train_corrupt_wav_is_one_error_line(cli_config, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_log_file_in_a_missing_directory_leaves_no_run_directory(
+        cli_corpus, cli_config, tmp_path, capsys):
+    log = tmp_path / "missing" / "train.tsv"
+    capsys.readouterr()
+    rc = main(["train", str(cli_corpus), "--out-dir", str(tmp_path / "run"),
+               "--config", str(cli_config), "--log-file", str(log)])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(log) in lines[0]
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("defect", sorted(BAD_WAVS))
 def test_bad_wav_is_reported_once_naming_the_file(cli_checkpoint, cli_config, tmp_path,
                                                   capsys, defect):

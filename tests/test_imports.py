@@ -3,9 +3,10 @@ the module that defines it and no name private to that module, keeps
 annotations that resolve, and defines no public function or class that only
 tests use; every function reads each of its parameters whose name does not
 start with ``_``; the package root imports nothing; ``errors`` alone defines exception
-types, its docstring names each of them, and the package raises each of them; and no
+types, its docstring names each of them, and the package raises each of them; no
 handler outside ``errors`` re-raises its exception's text behind a prefix, which
-``errors.naming`` does."""
+``errors.naming`` does; and no module outside ``blas`` starts threads or counts
+CPUs, which ``blas.run_threads`` does."""
 
 import ast
 import importlib
@@ -285,3 +286,37 @@ def test_scan_finds_a_prefixed_reraise():
                          ids=[p.name for p in MODULES if p.name != "errors.py"])
 def test_no_hand_written_prefixed_reraise(path):
     assert _prefixed_reraises(path.read_text("utf-8")) == []
+
+
+_THREAD_STARTERS = {"ThreadPoolExecutor", "threading.Thread", "sched_getaffinity"}
+
+
+def _thread_starters(source: str) -> list[str]:
+    """Names by which a module starts threads or counts its CPUs."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr, ast.unparse(node)]
+        elif isinstance(node, ast.ImportFrom):
+            names = [n for a in node.names for n in (a.name, f"{node.module}.{a.name}")]
+        else:
+            continue
+        found.update((node.lineno, name) for name in names if name in _THREAD_STARTERS)
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_scan_finds_a_thread_starter():
+    source = ("import os, threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+              "n = len(os.sched_getaffinity(0))\nt = threading.Thread(target=f)\n"
+              "from threading import Lock, Thread\nlock = threading.Lock()\n")
+    assert _thread_starters(source) == ["line 2: ThreadPoolExecutor",
+                                        "line 3: sched_getaffinity",
+                                        "line 4: threading.Thread", "line 5: threading.Thread"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "blas.py"],
+                         ids=[p.name for p in MODULES if p.name != "blas.py"])
+def test_only_blas_starts_threads(path):
+    assert _thread_starters(path.read_text("utf-8")) == []

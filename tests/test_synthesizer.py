@@ -137,7 +137,8 @@ class TestForward:
         content, target = _data(rng)
         masks = dropout_masks(params, (1, 11), np.random.default_rng(0))
         out = teacher_forward_batch(params, content[None],
-                                    shift_frames_right(target)[None], None, masks)[0]
+                                    shift_frames_right(target)[None], None, masks,
+                                    np.ones((1, 11)))[0]
         assert out.shape == (1, 11, 80)
         assert np.all(np.isfinite(out))
 
@@ -157,7 +158,8 @@ class TestForward:
         content, target = _data(rng)
         masks = dropout_masks(params, (1, 11), np.random.default_rng(0))
         teacher = teacher_forward_batch(params, content[None],
-                                        shift_frames_right(target)[None], None, masks)[0][0]
+                                        shift_frames_right(target)[None], None, masks,
+                                        np.ones((1, 11)))[0][0]
         free = forward_free_running(params, content, None, dropout_seed=0)
         np.testing.assert_allclose(free, teacher, atol=1e-12)
 
@@ -178,7 +180,8 @@ class TestForward:
         for _ in range(t_len):
             main, before, _ = teacher_forward_batch(
                 params, content, shift_frames_right(fed_back), spk,
-                dropout_masks(params, (batch, t_len), np.random.default_rng(0)))
+                dropout_masks(params, (batch, t_len), np.random.default_rng(0)),
+                np.ones((batch, t_len)))
             fed_back = main if before is None else before
         free = free_forward_batch(params, content, spk, 0)
         np.testing.assert_allclose(main, free, rtol=0, atol=1e-12)
@@ -343,7 +346,8 @@ class TestGradients:
         content, prev = np.stack([c1, c2]), np.stack([shift_frames_right(t1),
                                                       shift_frames_right(t2)])
         masks = dropout_masks(params, prev.shape[:2], np.random.default_rng(0))
-        _, _, cache = teacher_forward_batch(params, content, prev, None, masks)
+        _, _, cache = teacher_forward_batch(params, content, prev, None, masks,
+                                            np.ones(prev.shape[:2]))
         stack_caches, h_seq = cache[3], cache[4]
         top_out = stack_caches[-1][-1]  # (T + 1, B, R), the zero state first
         assert np.shares_memory(h_seq, top_out)
@@ -356,8 +360,8 @@ class TestGradients:
         content, target = _data(rng)
         main, before, cache = teacher_forward_batch(
             params, content[None], shift_frames_right(target)[None], None,
-            dropout_masks(params, (1, 11), np.random.default_rng(0)))
-        _, ffn_positive, input_cache, stack_caches, _, post_caches = cache
+            dropout_masks(params, (1, 11), np.random.default_rng(0)), np.ones((1, 11)))
+        _, ffn_positive, input_cache, stack_caches, _, post_caches, _ = cache
         assert len(stack_caches) == 2
         if type_ == "taco2_ar":
             assert all(len(part) == 2 for part in input_cache)

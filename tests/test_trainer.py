@@ -195,7 +195,7 @@ class TestRowShards:
     def whole_batch(params, content, target, mask, spk, dropout_seed):
         prev = shift_frames_right(target)
         masks = dropout_masks(params, target.shape[:2], np.random.default_rng(dropout_seed))
-        main, before, cache = teacher_forward_batch(params, content, prev, spk, masks)
+        main, before, cache = teacher_forward_batch(params, content, prev, spk, masks, mask)
         loss, d_main = masked_l1(main, target, mask)
         d_before = None
         if before is not None:
@@ -211,10 +211,10 @@ class TestRowShards:
         params, content, target, mask, spk = _small_batch(type_, conditioned, b)
         applied = {}  # each shard's dropout masks by its first row, as its forward gets them
 
-        def recording(params, rows, prev, spk, masks):
+        def recording(params, rows, prev, spk, masks, frame_mask):
             first = next(i for i in range(b) if np.array_equal(content[i], rows[0]))
             applied[first] = [m.copy() for m in masks]
-            return teacher_forward_batch(params, rows, prev, spk, masks)
+            return teacher_forward_batch(params, rows, prev, spk, masks, frame_mask)
 
         monkeypatch.setattr(trainer, "teacher_forward_batch", recording)
         loss, grads = loss_and_grads(params, content, target, mask, spk, dropout_seed=[5, 1])
@@ -256,6 +256,26 @@ class TestRowShards:
             loss_and_grads(params, content, target, mask, spk, dropout_seed=0)
         assert finished == [1 - failing]
         assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("type_,conditioned", [
+    ("simple", False), ("simple_ar", False), ("taco2_ar", False), ("taco2_ar", True)])
+def test_a_rows_loss_and_gradients_do_not_depend_on_its_padding(monkeypatch, type_,
+                                                                conditioned):
+    # one row of 6 frames, alone and padded to 9 with frames that are not zero
+    params, content, target, mask, spk = _small_batch(type_, conditioned, 1)
+    own = mask.sum(dtype=int)
+    full = dropout_masks(params, mask.shape, np.random.default_rng(0))
+    # the same dropout draws on the row's frames, whatever its padded length
+    monkeypatch.setattr(trainer, "dropout_masks",
+                        lambda params, frames, rng: [m[:, :frames[1]] for m in full])
+    loss, grads = loss_and_grads(params, content, target, mask, spk, dropout_seed=0)
+    ref_loss, ref_grads = loss_and_grads(params, content[:, :own], target[:, :own],
+                                         mask[:, :own], spk, dropout_seed=0)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    for name, ref in ref_grads.items():
+        scale = max(np.abs(ref).max(), 1e-300)
+        assert np.abs(grads[name] - ref).max() <= 1e-12 * scale, name
 
 
 class _ReferenceAdam:
@@ -483,10 +503,9 @@ def test_one_cpu_and_two_write_the_same_checkpoint(toy_corpus, tmp_path, monkeyp
         threads.clear()
         run = train(toy_corpus["manifest"], spec, config, tmp_path / f"cpus{n}")
         written.append(run.checkpoint_path.read_bytes())
-        # two shards per step, the second on a helper thread given two CPUs
+        # two shards per step: on one thread given one CPU, on two given two
         assert len(threads) == 6
-        assert {t is threading.main_thread() for t in threads} == ({True} if n == 1
-                                                                   else {True, False})
+        assert [len({threads[i], threads[i + 1]}) for i in (0, 2, 4)] == [n] * 3
     assert written[0] == written[1]
 
 
