@@ -71,7 +71,9 @@ def run_threads(fn: Callable, items: Iterable, per_cpu: int = 1) -> list[Future]
     The calling thread is one of them, so the memory it freed before serves
     its share of the calls, and each takes the next item until none is left.
     Returns the futures in item order once every call has ended: a call that
-    raises stops no other, and its future holds the error.
+    raises stops no other, and its future holds the error.  An interrupt in the
+    calling thread (``KeyboardInterrupt``) starts no further call and is
+    raised once the calls already running have ended.
     """
     threads = per_cpu * min(2, len(os.sched_getaffinity(0)))
     pending = deque((item, Future()) for item in items)
@@ -89,7 +91,10 @@ def run_threads(fn: Callable, items: Iterable, per_cpu: int = 1) -> list[Future]
     helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
     for helper in helpers:
         helper.start()
-    work()
-    for helper in helpers:
-        helper.join()
+    try:
+        work()
+    finally:  # on an interrupt, each helper ends after its current call
+        pending.clear()
+        for helper in helpers:
+            helper.join()
     return futures

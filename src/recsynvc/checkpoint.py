@@ -59,8 +59,9 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a corrupt one raises ``FeatureFileError`` naming it.
 
-    Each tensor is an aligned float64 copy of the file's bytes, made
-    read-only so that models built from it can share it without copying.
+    Every tensor must be named once and hold only finite values.  Each is an
+    aligned float64 copy of the file's bytes, made read-only so that models
+    built from it can share it without copying.
     """
     with naming(path, FeatureFileError):
         r = Reader(path, MAGIC, VERSION)
@@ -70,7 +71,11 @@ def load_checkpoint(path) -> Checkpoint:
         tensors: dict[str, np.ndarray] = {}
         for _ in range(r.u32()):
             name = r.text()
+            if name in tensors:
+                raise VoiceConversionError(f"tensor {name!r} appears twice")
             tensor = r.array("<f8", r.unpack(f"{r.u32()}I")).astype(np.float64)
+            if not np.isfinite(tensor).all():
+                raise VoiceConversionError(f"tensor {name!r} contains non-finite values")
             tensor.flags.writeable = False
             tensors[name] = tensor
         r.finish()

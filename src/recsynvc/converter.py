@@ -36,7 +36,7 @@ from .dsp import griffin_lim, mel_filterbank
 from .errors import AdapterError, ConfigError, FeatureFileError, VoiceConversionError, naming
 from .featureio import read_features, write_features, feature_path
 from .recognizer import Upstream, recognize
-from .synthesizer import ModelParameters, forward_free_running
+from .synthesizer import ModelParameters, forward_free_running, parameter_shapes
 from .types import (
     LOG_MEL_FLOOR,
     N_MELS,
@@ -106,10 +106,11 @@ def model_checkpoint(model: TrainedModel, step: int, target_speaker: str | None)
 def load_model(checkpoint) -> TrainedModel:
     """Read the model from a checkpoint or its path; inverse of ``model_checkpoint``.
 
-    A missing meta entry or ``stats.*`` tensor, or one of the wrong type or
-    width, raises ``ConfigError`` naming it, and so does an ``upstream`` entry
-    that breaks ``Upstream``'s rules; ``ModelParameters`` checks the decoder
-    tensors.  The returned tensors are the checkpoint's own arrays.
+    A missing or wrongly typed meta entry, an ``upstream`` entry that breaks
+    ``Upstream``'s rules, and a missing, unexpected or wrongly shaped tensor
+    raise ``ConfigError`` naming it.  One map, ``parameter_shapes`` plus the
+    ``stats.*`` vectors, gives every tensor's name and shape; the values are
+    ``load_checkpoint``'s to check.  The returned tensors are the checkpoint's own.
     """
     if not isinstance(checkpoint, Checkpoint):
         checkpoint = load_checkpoint(checkpoint)
@@ -130,17 +131,22 @@ def load_model(checkpoint) -> TrainedModel:
     if upstream.feature_dim != input_dim:
         raise ConfigError(f"checkpoint meta 'upstream': feature_dim {upstream.feature_dim} "
                           f"!= decoder input_dim {input_dim}")
-    stats = {}
-    for name, width in (("input_mean", input_dim), ("input_std", input_dim),
-                        ("target_mean", N_MELS), ("target_std", N_MELS)):
-        stats[name] = tensors.pop(_STATS_PREFIX + name, None)
-        shape = getattr(stats[name], "shape", None)
-        if shape != (width,):
-            raise ConfigError(f"checkpoint tensor '{_STATS_PREFIX}{name}' has "
-                              f"shape {shape}, expected ({width},)")
+    conditioned = decoder["speaker_conditioned"]
+    stats_widths = dict(input_mean=input_dim, input_std=input_dim, target_mean=N_MELS,
+                        target_std=N_MELS)
+    expected = {**parameter_shapes(config, input_dim, conditioned),
+                **{_STATS_PREFIX + name: (width,) for name, width in stats_widths.items()}}
+    if tensors.keys() != expected.keys():
+        raise ConfigError(f"checkpoint tensors do not fit the {config.type} config: "
+                          f"missing {sorted(expected.keys() - tensors.keys())}, "
+                          f"unexpected {sorted(tensors.keys() - expected.keys())}")
+    for name, shape in expected.items():
+        if tensors[name].shape != shape:
+            raise ConfigError(f"checkpoint tensor {name!r} has shape {tensors[name].shape}, "
+                              f"expected {shape}")
+    stats = {name: tensors.pop(_STATS_PREFIX + name) for name in stats_widths}
     params = ModelParameters(config=config, input_dim=input_dim,
-                             speaker_conditioned=decoder["speaker_conditioned"],
-                             tensors=tensors, seed=seed)
+                             speaker_conditioned=conditioned, tensors=tensors, seed=seed)
     return TrainedModel(params=params, stats=stats, audio=audio, upstream=upstream)
 
 

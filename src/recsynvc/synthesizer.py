@@ -52,7 +52,8 @@ class ModelParameters:
     ``input_dim`` (the content feature width, fixed by the upstream) and
     ``speaker_conditioned`` (A2A: the decoder reads a speaker embedding) are
     facts of the training inputs.  Only ``taco2_ar`` can be conditioned.  The
-    tensor names and shapes must be those ``parameter_shapes`` lists.
+    tensor names and shapes are those ``parameter_shapes`` lists, as its
+    builders, ``build_decoder`` and ``converter.load_model``, ensure.
     """
 
     config: ModelConfig
@@ -60,23 +61,6 @@ class ModelParameters:
     speaker_conditioned: bool
     tensors: dict[str, np.ndarray]
     seed: int
-
-    def __post_init__(self):
-        expected = parameter_shapes(self.config, self.input_dim, self.speaker_conditioned)
-        if self.tensors.keys() != expected.keys():
-            missing = sorted(expected.keys() - self.tensors.keys())
-            extra = sorted(self.tensors.keys() - expected.keys())
-            raise ConfigError(
-                f"decoder tensors do not fit the {self.config.type} config: "
-                f"missing {missing}, unexpected {extra}"
-            )
-        for name, tensor in self.tensors.items():
-            if tensor.shape != expected[name]:
-                raise ConfigError(
-                    f"tensor {name!r} has shape {tensor.shape}, expected {expected[name]}"
-                )
-            if not np.all(np.isfinite(tensor)):
-                raise ConfigError(f"tensor {name!r} contains non-finite values")
 
 
 def parameter_shapes(config: ModelConfig, input_dim: int,

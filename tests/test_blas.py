@@ -86,3 +86,20 @@ def test_one_cpu_runs_one_item_at_a_time_on_the_caller(monkeypatch):
 def test_at_most_two_cpus_are_counted(monkeypatch):
     _cpus(monkeypatch, 8)
     assert _most_at_once(6) <= 2
+
+
+def test_an_interrupt_in_the_caller_stops_the_helpers(monkeypatch):
+    _cpus(monkeypatch, 2)
+    caller, started = threading.current_thread(), []
+
+    def fn(item):
+        started.append(item)
+        if threading.current_thread() is caller:
+            raise KeyboardInterrupt
+        time.sleep(0.1)  # still running when the caller is interrupted
+
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        run_threads(fn, range(10))
+    assert threading.active_count() == threads
+    assert len(started) <= 2

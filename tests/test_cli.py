@@ -745,10 +745,14 @@ def test_convert_rejects_jobs_above_the_ceiling_before_reading_the_manifest(
     (lambda meta, tensors: tensors.pop("stats.target_std"), "stats.target_std"),
     (lambda meta, tensors: tensors.update({"out.weight": tensors.pop("out.w")}), "out.w"),
     (lambda meta, tensors: tensors.update({"out.b": np.zeros(81)}), "out.b"),
+    # one line naming the checkpoint, not one "failed:" line per utterance
+    (lambda meta, tensors: tensors.update(
+        {"stats.target_std": np.where(np.arange(80) == 3, np.nan, tensors["stats.target_std"])}),
+     "tensor 'stats.target_std' contains non-finite values"),
 ], ids=["no_decoder", "list_decoder", "null_hop_length", "str_seed",
         "negative_frame_shift", "long_frame_shift", "griffin_lim_iters_above_ceiling",
         "hidden_dim_above_ceiling", "feature_dim_above_ceiling",
-        "no_target_std", "renamed_tensor", "reshaped_tensor"])
+        "no_target_std", "renamed_tensor", "reshaped_tensor", "nan_target_std"])
 def test_convert_malformed_checkpoint_is_one_error_line(cli_checkpoint, cli_corpus,
                                                         tmp_path, capsys, corrupt, entry):
     ckpt = load_checkpoint(cli_checkpoint)
@@ -761,6 +765,7 @@ def test_convert_malformed_checkpoint_is_one_error_line(cli_checkpoint, cli_corp
     assert rc == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ") and entry in lines[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_convert_unknown_vocoder(cli_checkpoint, cli_corpus, tmp_path, capsys):

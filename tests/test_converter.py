@@ -1,6 +1,7 @@
 """Conversion pipeline, embedding pooling, vocoders, and external adapters."""
 
 import copy
+import inspect
 import os
 import shlex
 import shutil
@@ -127,6 +128,13 @@ class TestConvert:
      r"^checkpoint meta 'upstream': feature_dim 64 != decoder input_dim 80$"),
     (lambda tensors: tensors.pop("stats.target_std"), "stats.target_std"),
     (lambda tensors: tensors.update({"stats.input_mean": np.zeros(3)}), "stats.input_mean"),
+    (lambda tensors: tensors.pop("lstmp2.wp"),
+     r"^checkpoint tensors do not fit the simple config: missing \['lstmp2\.wp'\], "
+     r"unexpected \[\]$"),
+    (lambda tensors: tensors.update({"postnet1.w": np.zeros((80, 80, 5))}),
+     r"missing \[\], unexpected \['postnet1\.w'\]$"),
+    (lambda tensors: tensors.update({"out.w": np.zeros((80, 31))}),
+     r"^checkpoint tensor 'out\.w' has shape \(80, 31\), expected \(80, 32\)$"),
 ], ids=["unknown_key", "no_input_dim", "no_speaker_conditioned",
         "int_speaker_conditioned", "conditioned_simple", "no_decoder", "no_audio", "str_hidden_dim",
         "null_prenet_dims", "list_decoder", "null_hop_length", "zero_hop_length",
@@ -134,11 +142,12 @@ class TestConvert:
         "str_seed", "no_upstream", "wide_upstream", "zero_frame_shift", "int_upstream_name",
         "long_frame_shift", "narrow_mel_upstream", "unknown_upstream_key", "bool_feature_dim",
         "str_frame_shift", "upstream_narrower_than_decoder",
-        "no_target_std", "narrow_input_mean"])
+        "no_target_std", "narrow_input_mean", "no_decoder_tensor", "unexpected_tensor",
+        "narrow_decoder_tensor"])
 def test_load_model_rejects_malformed_meta(quick_checkpoint, corrupt, entry):
     ckpt = load_checkpoint(quick_checkpoint["path"])
     meta, tensors = copy.deepcopy(ckpt.meta), dict(ckpt.tensors)
-    corrupt(tensors if entry.startswith("stats.") else meta)
+    corrupt(tensors if "tensors" in inspect.signature(corrupt).parameters else meta)
     with pytest.raises(ConfigError, match=entry):
         load_model(Checkpoint(meta=meta, tensors=tensors))
 

@@ -24,9 +24,9 @@ def _s3vc(rows, dim=2, magic=b"S3VC", version=1, value=0.5):
     return head + struct.pack(f"<{rows * dim}f", *[value] * (rows * dim))
 
 
-def _s3ck(meta: bytes, *names: bytes):
+def _s3ck(meta: bytes, *names: bytes, value=0.0):
     tensors = b"".join(struct.pack("<I", len(n)) + n + struct.pack("<II", 1, 1)
-                       + struct.pack("<d", 0.0) for n in names)
+                       + struct.pack("<d", value) for n in names)
     return (b"S3CK" + struct.pack("<II", 1, len(meta)) + meta
             + struct.pack("<I", len(names)) + tensors)
 
@@ -87,6 +87,13 @@ CASES = [
     ("s3ck-name-not-utf8", _s3ck(b"{}", b"\xff"), load_checkpoint, FeatureFileError,
      "{path}: text is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
      "invalid start byte"),
+    ("s3ck-non-finite-stats", _s3ck(b"{}", b"stats.target_std", value=float("nan")),
+     load_checkpoint, FeatureFileError,
+     "{path}: tensor 'stats.target_std' contains non-finite values"),
+    ("s3ck-non-finite-decoder", _s3ck(b"{}", b"lstm1.wh", value=float("inf")),
+     load_checkpoint, FeatureFileError, "{path}: tensor 'lstm1.wh' contains non-finite values"),
+    ("s3ck-repeated-name", _s3ck(b"{}", b"w", b"w"), load_checkpoint, FeatureFileError,
+     "{path}: tensor 'w' appears twice"),
     ("embedding-two-rows", _s3vc(2), read_embedding, FeatureFileError,
      "{path}: expected a single embedding row, got 2 frames"),
     ("adapter-command-unparsable", b"", _adapter_command, AdapterError,
