@@ -178,6 +178,11 @@ def _target_embedding(args, params):
     )
 
 
+def _is_own_wav(path: Path, record) -> bool:
+    """Whether ``path`` is ``record``'s own wav; ``samefile`` also sees symlinks and hard links."""
+    return path.exists() and record.wav_path.exists() and path.samefile(record.wav_path)
+
+
 def cmd_convert(args) -> int:
     if len(targets := _given(args, "target_embeddings", "target_embedding")) == 2:
         _reject(targets, "pass one, not both")
@@ -196,6 +201,10 @@ def cmd_convert(args) -> int:
     manifest = load_manifest(args.source_manifest)
     embedding = _target_embedding(args, model.params)
     out_dir = Path(args.out_dir)
+    for record in manifest:
+        if _is_own_wav(wav := out_dir / f"{record.utt_id}.wav", record):
+            raise VoiceConversionError(
+                f"{record.utt_id}: converting into {wav} would overwrite its source wav")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def one(record):
@@ -226,6 +235,9 @@ def cmd_evaluate(args) -> int:
     scored = []  # (record, its converted wav)
     for record in manifest:
         conv_wav_path = converted_dir / f"{record.utt_id}.wav"
+        if _is_own_wav(conv_wav_path, record):
+            raise VoiceConversionError(
+                f"{record.utt_id}: the converted wav {conv_wav_path} is its reference wav")
         if conv_wav_path.exists():
             scored.append((record, conv_wav_path))
         else:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .container import write_atomic
 from .errors import ManifestError, VoiceConversionError, naming
 from .types import DatasetManifest, UtteranceRecord
 
@@ -56,12 +57,10 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def write_manifest(path, manifest: DatasetManifest) -> None:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in manifest.records:
-            fh.write(json.dumps({
-                "utt_id": rec.utt_id,
-                "speaker_id": rec.speaker_id,
-                "wav_path": str(rec.wav_path),
-                "transcript": rec.transcript,
-            }, sort_keys=True) + "\n")
+    """Write ``manifest`` as JSON lines through the atomic writer."""
+    write_atomic(path, [(json.dumps({
+        "utt_id": rec.utt_id,
+        "speaker_id": rec.speaker_id,
+        "wav_path": str(rec.wav_path),
+        "transcript": rec.transcript,
+    }, sort_keys=True) + "\n").encode("utf-8") for rec in manifest.records])

@@ -168,12 +168,10 @@ def conv1d_same_backward(dy, xp, w, grads, prefix):
     dyp = dyp.reshape(rows, cout)
     xf = xp.reshape(rows, cin)
     dxp = np.zeros((rows, cin))
-    tap = np.empty((rows, cin))  # each tap's input-gradient product, one buffer for all
     dw = grads[prefix + ".w"]
     for j in range(kernel):
         dw[:, :, j] += dyp[:rows - j].T @ xf[j:]
-        dxp[j:] += np.matmul(dyp[:rows - j], np.ascontiguousarray(w[:, :, j]),
-                             out=tap[:rows - j])
+        dxp[j:] += dyp[:rows - j] @ np.ascontiguousarray(w[:, :, j])
     grads[prefix + ".b"] += dy.sum(axis=(0, 1))
     return dxp.reshape(xp.shape)[:, pad:pad + t_len, :]
 

@@ -148,9 +148,7 @@ class AdamOptimizer:
 
         Computes ``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g`` and
         ``w -= (lr (m / c1)) / (sqrt(v / c2) + eps)`` in that operation order,
-        through two scratch buffers the size of the largest gradient that live
-        only for this call, so after the first update, which creates the
-        moments, an update allocates nothing weight-sized.
+        one tensor at a time, so its temporaries are the size of one gradient.
         """
         self.t += 1
         if self.t == 1:
@@ -158,26 +156,18 @@ class AdamOptimizer:
             self.v = {k: np.zeros_like(v) for k, v in self.tensors.items()}
         c1 = 1.0 - _BETA1 ** self.t
         c2 = 1.0 - _BETA2 ** self.t
-        size = max((g.size for g in grads.values()), default=0)
-        scratch_a, scratch_b = np.empty(size), np.empty(size)
         for name, g in grads.items():
             m = self.m[name]
             v = self.v[name]
-            a = scratch_a[:g.size].reshape(g.shape)
-            b = scratch_b[:g.size].reshape(g.shape)
             m *= _BETA1
-            m += np.multiply(g, 1.0 - _BETA1, out=a)
+            m += g * (1.0 - _BETA1)
             v *= _BETA2
-            np.multiply(g, 1.0 - _BETA2, out=a)
-            a *= g
-            v += a
-            np.divide(v, c2, out=a)
-            np.sqrt(a, out=a)
-            a += _EPS
-            np.divide(m, c1, out=b)
-            b *= self.lr
-            b /= a
-            self.tensors[name] -= b
+            v += g * (1.0 - _BETA2) * g
+            # the denominator first: as NumPy reuses temporaries in place, two
+            # gradient-sized arrays are then alive at once, not three
+            denominator = np.sqrt(v / c2)
+            denominator += _EPS
+            self.tensors[name] -= self.lr * (m / c1) / denominator
 
 
 @dataclass

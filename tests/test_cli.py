@@ -805,6 +805,68 @@ def test_convert_missing_checkpoint(cli_corpus, tmp_path):
     assert rc == 1
 
 
+@pytest.fixture(scope="module")
+def a2a_checkpoint(tmp_path_factory):
+    """A speaker-conditioned checkpoint, trained for one step."""
+    root = tmp_path_factory.mktemp("a2a_train")
+    manifest = make_toy_corpus(root / "corpus", n_utterances=4, n_speakers=2,
+                               duration=0.4, seed=6)
+    config = root / "a2a.ini"
+    config.write_text(A2A_CONFIG)
+    emb_dir = root / "emb"
+    emb_dir.mkdir()
+    for record in load_manifest(manifest):
+        write_features(emb_dir / f"{record.utt_id}.s3vc", FeatureSequence(
+            frames=sphere_embedding(record.utt_id, dim=16).vector[None, :],
+            frame_shift_ms=10.0))
+    assert main(["train", str(manifest), "--mode", "a2a", "--out-dir", str(root / "run"),
+                 "--config", str(config), "--embeddings-dir", str(emb_dir)]) == 0
+    return root / "run" / "final.s3ck"
+
+
+def test_convert_conditioned_checkpoint_needs_a_target(a2a_checkpoint, cli_corpus, tmp_path,
+                                                       capsys):
+    capsys.readouterr()
+    assert main(["convert", str(a2a_checkpoint), str(cli_corpus),
+                 "--out-dir", str(tmp_path / "conv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: this checkpoint is speaker-conditioned; pass --target-embeddings DIR "
+        "or --target-embedding FILE"]
+    assert not (tmp_path / "conv").exists()
+
+
+def test_convert_target_embeddings_in_a_directory_without_any(a2a_checkpoint, cli_corpus,
+                                                              tmp_path, capsys):
+    empty = tmp_path / "emb"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("no embeddings here")
+    capsys.readouterr()
+    assert main(["convert", str(a2a_checkpoint), str(cli_corpus),
+                 "--out-dir", str(tmp_path / "conv"), "--target-embeddings", str(empty)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: no .s3vc embeddings under {empty}"]
+    assert not (tmp_path / "conv").exists()
+
+
+@pytest.mark.parametrize("linked", [False, True], ids=["same_directory", "symlinked"])
+def test_convert_refuses_to_overwrite_its_sources(cli_checkpoint, tmp_path, capsys, linked):
+    manifest = make_toy_corpus(tmp_path / "corpus", n_utterances=2, duration=0.4, seed=5)
+    wav_dir = tmp_path / "corpus" / "wav"
+    out_dir = wav_dir
+    if linked:
+        out_dir = tmp_path / "out"
+        out_dir.symlink_to(wav_dir, target_is_directory=True)
+    sources = {p.name: p.read_bytes() for p in wav_dir.iterdir()}
+    first = load_manifest(manifest).records[0].utt_id
+    capsys.readouterr()
+    assert main(["convert", str(cli_checkpoint), str(manifest),
+                 "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {first}: converting into {out_dir / f'{first}.wav'} "
+        "would overwrite its source wav"]
+    assert {p.name: p.read_bytes() for p in wav_dir.iterdir()} == sources
+
+
 def test_missing_manifest(tmp_path):
     rc = main(["extract-features", str(tmp_path / "nope.jsonl"),
                "--out-dir", str(tmp_path / "out")])
@@ -986,6 +1048,44 @@ def test_evaluate_transcript_without_words_skips_only_its_wer(eval_setup, tmp_pa
     assert report[1:] == ["u0\t0.0000\t0.00", "u1\t0.0000\tnan"]
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["n_utterances"] == 2 and summary["wer"] == 0.0
+
+
+def test_evaluate_refuses_a_converted_wav_that_is_its_reference(eval_setup, tmp_path,
+                                                                capsys):
+    manifest_path, _ = eval_setup
+    reference = load_manifest(manifest_path).records[0].wav_path
+    capsys.readouterr()
+    assert main(["evaluate", str(reference.parent), str(manifest_path),
+                 "--out-dir", str(tmp_path / "scores")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: u0: the converted wav {reference} is its reference wav"]
+    assert not (tmp_path / "scores").exists()
+
+
+def test_evaluate_without_a_reference_wav_leaves_out_only_its_mcd(eval_setup, tmp_path,
+                                                                  capsys):
+    manifest_path, conv_dir = eval_setup
+    scored = load_manifest(manifest_path).records[0]
+    manifest = tmp_path / "m.jsonl"
+    # u1's converted wav is another utterance, so its MCD is not 0
+    other, _ = make_utterance([9, 1], 0, duration=0.4)
+    save_waveform(conv_dir / "u1.wav", other)
+    shutil.copyfile(conv_dir / "u0.wav", conv_dir / "u2.wav")
+    write_manifest(manifest, DatasetManifest((
+        scored, dataclasses.replace(scored, utt_id="u1"),
+        dataclasses.replace(scored, utt_id="u2", wav_path=tmp_path / "missing.wav"))))
+    capsys.readouterr()
+    out_dir = tmp_path / "scores"
+    assert main(["evaluate", str(conv_dir), str(manifest), "--out-dir", str(out_dir)]) == 0
+    assert [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("warning:")] == [
+        "warning: no reference wav for u2; intrusive metrics skipped"]
+    rows = [line.split("\t") for line in (out_dir / "report.tsv").read_text().splitlines()]
+    assert [row[0] for row in rows[1:]] == ["u0", "u1", "u2"]
+    assert rows[1][1] == "0.0000" and float(rows[2][1]) > 0 and rows[3][1] == "nan"
+    summary = json.loads((out_dir / "summary.json").read_text())
+    assert summary["n_utterances"] == 3
+    assert summary["mcd"] == pytest.approx(float(rows[2][1]) / 2, abs=1e-4)
 
 
 def test_evaluate_without_converted_wavs(eval_setup, tmp_path, capsys):

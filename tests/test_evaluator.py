@@ -402,6 +402,12 @@ def test_calibrate_asv_threshold_needs_two_speakers():
         calibrate_asv_threshold({"only": [emb, emb]})
 
 
+def test_calibrate_asv_threshold_needs_embeddings():
+    with pytest.raises(VoiceConversionError,
+                       match="^threshold calibration needs embeddings$"):
+        calibrate_asv_threshold({"a": [], "b": []})
+
+
 # --- correlation -------------------------------------------------------------------
 
 def _table(**columns):

@@ -5,8 +5,9 @@ tests use; every function reads each of its parameters whose name does not
 start with ``_``; the package root imports nothing; ``errors`` alone defines exception
 types, its docstring names each of them, and the package raises each of them; no
 handler outside ``errors`` re-raises its exception's text behind a prefix, which
-``errors.naming`` does; and no module outside ``blas`` starts threads or counts
-CPUs, which ``blas.run_threads`` does."""
+``errors.naming`` does; no module outside ``blas`` starts threads or counts
+CPUs, which ``blas.run_threads`` does; and only ``container.write_atomic`` and
+the training log write files."""
 
 import ast
 import importlib
@@ -320,3 +321,55 @@ def test_scan_finds_a_thread_starter():
                          ids=[p.name for p in MODULES if p.name != "blas.py"])
 def test_only_blas_starts_threads(path):
     assert _thread_starters(path.read_text("utf-8")) == []
+
+
+# (module, function) pairs that may write a file: the one atomic writer, and
+# ``train``'s ``--log-file``, whose lines go out as the steps run
+_FILE_WRITERS = {("container.py", "write_atomic"), ("trainer.py", "train")}
+
+
+def _file_writes(source: str) -> list[tuple[str, str]]:
+    """``(function, "line N: call")`` of each call that writes a file: ``open``
+    with a writing (or a computed) mode, ``Path.write_text`` and ``Path.write_bytes``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                # the mode is ``open``'s second argument and ``Path.open``'s first
+                position = 1 if isinstance(func, ast.Name) else 0
+                modes = [k.value for k in child.keywords if k.arg == "mode"]
+                modes += child.args[position:position + 1]
+                writes = name in ("write_text", "write_bytes") or name == "open" and any(
+                    not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+                    or set(m.value) & set("wax+") for m in modes)
+                if writes:
+                    found.append((function, f"line {child.lineno}: {name}"))
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_finds_a_file_write():
+    source = ("def f(p):\n    open(p).read()\n    open(p, 'rb')\n    open(p, 'w')\n"
+              "    p.write_text('x')\n"
+              "def g(p, mode):\n    p.open('a')\n    open(p, mode=mode)\n"
+              "    p.write_bytes(b'')\n    p.open()\n    open(p, mode='r+')\n"
+              "open(p, 'x')\n")
+    assert _file_writes(source) == [
+        ("f", "line 4: open"), ("f", "line 5: write_text"), ("g", "line 7: open"),
+        ("g", "line 8: open"), ("g", "line 9: write_bytes"), ("g", "line 11: open"),
+        ("<module>", "line 12: open")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_the_atomic_writer_and_the_training_log_write_files(path):
+    writes = _file_writes(path.read_text("utf-8"))
+    assert [(function, call) for function, call in writes
+            if (path.name, function) not in _FILE_WRITERS] == []

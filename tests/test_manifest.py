@@ -101,3 +101,23 @@ def test_written_lines_hold_only_the_record_fields(tmp_path):
     write_manifest(path, _manifest())
     assert sorted(json.loads(path.read_text().splitlines()[0])) == [
         "speaker_id", "transcript", "utt_id", "wav_path"]
+
+
+def test_a_write_that_fails_midway_leaves_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "data.jsonl"
+    write_manifest(path, DatasetManifest(records=_manifest().records[::-1]))
+    before = path.read_bytes()
+    dumps = json.dumps
+    calls = []
+
+    def failing_on_the_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("interrupted")
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", failing_on_the_second)
+    with pytest.raises(RuntimeError, match="^interrupted$"):
+        write_manifest(path, _manifest())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl"]
