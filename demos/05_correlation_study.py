@@ -10,9 +10,10 @@ scored on MCD, WER, ASV accept rate, naturalness, and similarity.
 
 from recsynvc.benchmark import (
     METRIC_LABELS,
-    best_matching_subset,
     comparison_report,
+    correlation_matrix,
     load_benchmark_rows,
+    max_deviation,
     published_correlations,
 )
 
@@ -24,14 +25,14 @@ for row in rows[:4]:
           f"sim={row.similarity:.1f}")
 print("  ...")
 
-# the published analysis did not state which baseline rows entered the
-# correlation, so every plausible subset is tried and the best fit reported
-name, subset, matrix, deviation = best_matching_subset()
-print(f"\nbest-fitting row subset: {name!r} ({len(subset)} rows), "
-      f"max |computed - published| = {deviation:.4f}")
+# every row enters the correlation, the mel and PPG baselines included
+matrix = correlation_matrix(rows)
+published = published_correlations()
+print(f"\nall {len(rows)} rows: "
+      f"max |computed - published| = {max_deviation(matrix, published):.4f}")
 
 print(f"\n{'pair':<10} {'computed':>9} {'published':>10} {'gap':>7}")
-for entry in comparison_report(matrix, published_correlations()):
+for entry in comparison_report(matrix, published):
     print(f"{entry['pair']:<10} {entry['computed']:>+9.3f} "
           f"{entry['published']:>+10.3f} {entry['deviation']:>7.4f}")
 

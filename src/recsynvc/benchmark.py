@@ -2,11 +2,9 @@
 bundled published benchmark data.
 
 The package ships a transcription of the published VCC2020 intra-lingual
-A2O results (Taco2-AR decoder, one row per upstream) plus the published
-pairwise correlation coefficients.  Because the published description of the
-correlation analysis leaves open whether the mel and PPG baselines were
-included, ``best_matching_subset`` evaluates every plausible row subset and
-picks the one that fits all ten published coefficients best.
+A2O results (Taco2-AR decoder, one row per upstream, the mel and PPG
+baselines included) plus the published pairwise correlation coefficients.
+All 16 rows reproduce the ten published coefficients to within 0.0125.
 
 The study needs only numpy: importing this module loads no other part of the
 pipeline.
@@ -28,8 +26,6 @@ from .errors import CorrelationFileError, VoiceConversionError, naming
 METRIC_LABELS = ("MCD", "WER", "ASV", "NAT", "SIM")
 
 PAIR_ORDER = tuple(itertools.combinations(METRIC_LABELS, 2))
-
-_BASELINE_SYSTEMS = ("mel", "PPG (TIMIT)")
 
 
 @dataclass(frozen=True)
@@ -188,35 +184,9 @@ def _pairs(matrix, published):
         yield pair, ours, published[pair], abs(ours - published[pair])
 
 
-def best_matching_subset(rows=None, published=None):
-    """Pick the row subset whose correlations best match the published set.
-
-    The candidates are every row, every row but the mel baseline, every row
-    but the PPG baseline, and the self-supervised rows alone; a baseline
-    missing from ``rows`` drops the candidate that keeps it.  They are searched
-    in that order so ties resolve deterministically.  Returns
-    ``(name, rows, matrix, max_deviation)``.
-    """
-    if rows is None:
-        rows = load_benchmark_rows()
-    if published is None:
-        published = published_correlations()
-    rows = list(rows)
-    systems = {r.system for r in rows}
-    mel, ppg = _BASELINE_SYSTEMS
-    candidates = {"all": rows}
-    if ppg in systems:
-        candidates["s3r+ppg"] = [r for r in rows if r.system != mel]
-    if mel in systems:
-        candidates["s3r+mel"] = [r for r in rows if r.system != ppg]
-    candidates["s3r_only"] = [r for r in rows if r.system not in _BASELINE_SYSTEMS]
-    best = None
-    for name, subset in candidates.items():
-        matrix = correlation_matrix(subset)
-        gap = max(g for *_, g in _pairs(matrix, published))
-        if best is None or gap < best[3]:
-            best = (name, subset, matrix, gap)
-    return best
+def max_deviation(matrix, published) -> float:
+    """The largest |computed - published| over the pairs of ``PAIR_ORDER``."""
+    return max(gap for *_, gap in _pairs(matrix, published))
 
 
 def comparison_report(matrix, published) -> list[dict]:

@@ -18,10 +18,10 @@ import numpy as np
 from .audioio import load_waveform, save_waveform
 from .benchmark import (
     METRIC_LABELS,
-    best_matching_subset,
     comparison_report,
     correlation_matrix,
     load_benchmark_rows,
+    max_deviation,
     published_correlations,
     read_metrics_table,
 )
@@ -329,32 +329,24 @@ def cmd_correlate(args) -> int:
 
     # rows unfit to correlate; only a --table has them
     with naming(args.table, CorrelationFileError, CorrelationFileError):
-        if published is not None:
-            name, subset, matrix, deviation = best_matching_subset(rows, published)
-        else:
-            matrix = correlation_matrix(rows)
-    if published is not None:
-        comparison = comparison_report(matrix, published)
-        _note(f"best row subset: {name} ({len(subset)} rows), "
-              f"max |deviation| = {deviation:.4f}")
-        for row in comparison:
-            _note(f"  {row['pair']:<9} computed {row['computed']:+.3f}   "
-                  f"published {row['published']:+.3f}   "
-                  f"gap {row['deviation']:.4f}")
-    else:
-        name, deviation, comparison = "all", None, None
-        _note(f"computed a {len(METRIC_LABELS)}x{len(METRIC_LABELS)} "
-              f"correlation matrix over {len(rows)} rows")
-
+        matrix = correlation_matrix(rows)
+    _note(f"computed a {len(METRIC_LABELS)}x{len(METRIC_LABELS)} "
+          f"correlation matrix over {len(rows)} rows")
     payload = {
         "labels": list(METRIC_LABELS),
         "matrix": [[round(v, 6) for v in row] for row in matrix.tolist()],
-        "subset": name,
+        "subset": "all",
         "n_rows": len(rows),
     }
-    if comparison is not None:
-        payload["comparison"] = comparison
+    if published is not None:
+        deviation = max_deviation(matrix, published)
+        payload["comparison"] = comparison_report(matrix, published)
         payload["max_deviation"] = round(deviation, 6)
+        _note(f"max |deviation| = {deviation:.4f}")
+        for row in payload["comparison"]:
+            _note(f"  {row['pair']:<9} computed {row['computed']:+.3f}   "
+                  f"published {row['published']:+.3f}   "
+                  f"gap {row['deviation']:.4f}")
     _write_json(args.out, payload)
     return 0
 

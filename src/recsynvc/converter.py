@@ -15,12 +15,14 @@ vocoders.  External tools are one process per call:
   file; results are cached per utt_id with atomic write-then-rename.
 
 Every adapter process, the evaluator's ASR included, is spawned by
-``run_adapter`` and killed when it runs past ``ADAPTER_TIMEOUT_S``.
+``run_adapter``, killed when it runs past ``ADAPTER_TIMEOUT_S`` and killed
+when it writes more than its output ceiling to any one file.
 """
 
 from __future__ import annotations
 
 import shlex
+import signal
 import subprocess
 import tempfile
 from dataclasses import asdict, dataclass
@@ -56,6 +58,18 @@ _STATS_PREFIX = "stats."
 #: ten minutes leaves room for a slow machine while a hung adapter still ends
 #: the run with an error instead of blocking it for good.
 ADAPTER_TIMEOUT_S = 600.0
+
+#: Bytes an adapter may write to any one file: its stdout (a transcript), its
+#: stderr, or an embedding.  Each fits in far less; an adapter that floods its
+#: output is killed at this size instead of filling memory or the disk.
+ADAPTER_OUTPUT_BYTES = 16 << 20
+
+#: Bytes per second of audio that a vocoder's wav may add to that ceiling:
+#: 192 kHz stereo 64-bit float, more than any wav a vocoder writes.
+_WAV_BYTES_PER_S = 192_000 * 2 * 8
+
+#: Bytes of an adapter's stderr read back for its error messages.
+_STDERR_PREFIX_BYTES = 1 << 16
 
 
 def normalize(frames, mean, std):
@@ -226,31 +240,52 @@ def _argv(command: str) -> list[str]:
     return argv
 
 
-def run_adapter(command: str, args) -> tuple[str, str]:
+def run_adapter(command: str, args, max_bytes: int | None = None) -> tuple[str, str]:
     """Run one external adapter process and return its ``(stdout, stderr)``.
 
     ``command`` is a shell-style string; ``args`` (paths, usually) are
-    appended to it.  Both streams are decoded as UTF-8.  Raises
-    ``AdapterError`` when the command is empty, unparsable or cannot be
-    started, runs longer than ``ADAPTER_TIMEOUT_S`` (the process is killed),
-    exits with a nonzero status, or prints stdout that is not UTF-8.
+    appended to it.  Its stdout and stderr go to temporary files, and ``sh``
+    limits each file it writes to ``max_bytes`` (``ADAPTER_OUTPUT_BYTES`` when
+    None) before it execs the command; a larger write kills it with
+    ``SIGXFSZ``.  Both streams are decoded as UTF-8, stderr only its first
+    ``_STDERR_PREFIX_BYTES``.  Raises ``AdapterError`` when the command is empty,
+    unparsable or cannot be started, runs longer than ``ADAPTER_TIMEOUT_S``
+    (the process is killed), is killed by the file-size limit, exits with a
+    nonzero status, or prints stdout that is not UTF-8.
     """
     argv = _argv(command)
     name = f"adapter {shlex.join(argv)!r}"
+    ceiling = ADAPTER_OUTPUT_BYTES if max_bytes is None else max_bytes
+    # POSIX ulimit -f counts 512-byte blocks (bash outside POSIX mode counts 1024).
+    # The command writes stdout to the file passed in as fd 0 and reads /dev/null.
+    # Its fd 3 holds run()'s stdout pipe open until it exits, so run() sees the
+    # exit as the pipe's end instead of polling for it (about 3 ms a spawn).
+    limited = ["/bin/sh", "-c",
+               f'ulimit -f {-(-ceiling // 512)}; exec "$@" 3>&1 >&0 </dev/null', "sh"]
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        try:
+            # looked up on the module at each call, so a wrapper installed there sees it
+            returncode = subprocess.run(limited + argv + [str(a) for a in args], stdin=out,
+                                        stdout=subprocess.PIPE, stderr=err,
+                                        timeout=ADAPTER_TIMEOUT_S).returncode
+        except OSError as exc:
+            raise AdapterError(f"cannot start {name}: {exc}") from exc
+        except subprocess.TimeoutExpired:
+            returncode = None
+        err.seek(0)
+        stderr = err.read(_STDERR_PREFIX_BYTES).decode("utf-8", errors="replace")
+        if returncode is None:
+            raise AdapterError(f"{name} was killed after the {ADAPTER_TIMEOUT_S:g} s limit",
+                               stderr)
+        if returncode == -signal.SIGXFSZ:
+            raise AdapterError(f"{name} was killed for writing more than its "
+                               f"{ceiling}-byte output ceiling to one file", stderr)
+        if returncode != 0:
+            raise AdapterError(f"{name} exited with status {returncode}", stderr)
+        out.seek(0)
+        stdout = out.read()
     try:
-        # looked up on the module at each call, so a wrapper installed there sees it
-        proc = subprocess.run(argv + [str(a) for a in args], capture_output=True,
-                              timeout=ADAPTER_TIMEOUT_S)
-    except OSError as exc:
-        raise AdapterError(f"cannot start {name}: {exc}") from exc
-    except subprocess.TimeoutExpired as exc:
-        raise AdapterError(f"{name} was killed after the {ADAPTER_TIMEOUT_S:g} s limit",
-                           (exc.stderr or b"").decode("utf-8", errors="replace")) from None
-    stderr = proc.stderr.decode("utf-8", errors="replace")
-    if proc.returncode != 0:
-        raise AdapterError(f"{name} exited with status {proc.returncode}", stderr)
-    try:
-        return proc.stdout.decode("utf-8"), stderr
+        return stdout.decode("utf-8"), stderr
     except UnicodeDecodeError as exc:
         raise AdapterError(f"{name} printed non-UTF-8 output: {exc}", stderr) from exc
 
@@ -267,7 +302,9 @@ def vocode_external(mel: MelSpectrogram, command, audio: AudioConfig) -> Wavefor
         mel_path = Path(tmp) / "input.s3vc"
         wav_path = Path(tmp) / "output.wav"
         write_features(mel_path, seq)
-        _, stderr = run_adapter(command, [mel_path, wav_path])
+        seconds = len(mel) * audio.frame_shift_ms / 1000.0
+        _, stderr = run_adapter(command, [mel_path, wav_path],
+                                ADAPTER_OUTPUT_BYTES + int(seconds * _WAV_BYTES_PER_S))
         return _adapter_output(
             "vocoder", wav_path, stderr,
             lambda path: load_waveform(path, audio))

@@ -66,6 +66,15 @@ def test_resample_preserves_tone(tmp_path):
     assert abs(peak_hz - 440.0) < 10.0
 
 
+def test_resampling_overshoot_is_scaled_back_to_full_scale():
+    # a full-scale square wave rings past 1 when upsampled (peak 1.268 before scaling)
+    t = np.arange(1600) / 16000
+    square = Waveform(samples=np.sign(np.sin(2 * np.pi * 440.0 * t + 0.1)), sample_rate=16000)
+    up = resample_waveform(square, 24000)
+    assert np.max(np.abs(up.samples)) == 1.0
+    assert abs(len(up) - 2400) <= 1
+
+
 def test_missing_file():
     with pytest.raises(Exception):
         load_waveform("/nonexistent/a.wav", AudioConfig())

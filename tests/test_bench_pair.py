@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -183,3 +185,20 @@ def test_higher_is_better_flips_the_direction():
                               "higher", 0.1, True) == "better"
     assert bench_pair.verdict({1: 10.0, 2: 10.0}, {1: 8.0, 2: 8.0}, "higher", 0.1,
                               True) == "worse"
+
+
+def _git(*args):
+    return subprocess.run(["git", *args], cwd=_PATH.parents[1], capture_output=True,
+                          text=True)
+
+
+def test_the_parent_is_exported_without_a_worktree(tmp_path):
+    top = _git("rev-parse", "--show-toplevel").stdout.strip() if shutil.which("git") else ""
+    if not top or Path(top).resolve() != _PATH.parents[1]:
+        pytest.skip("needs a git checkout of this tree")
+    worktrees = _git("worktree", "list", "--porcelain").stdout
+    bench_pair.export_tree("HEAD", tmp_path)
+    assert (tmp_path / "perfbench" / "run.py").is_file()
+    assert (tmp_path / "src" / "recsynvc" / "cli.py").is_file()
+    assert not (tmp_path / ".git").exists()
+    assert _git("worktree", "list", "--porcelain").stdout == worktrees

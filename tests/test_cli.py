@@ -1122,6 +1122,32 @@ def test_evaluate_asv_without_any_target_fails_before_encoding(eval_setup, tmp_p
     assert not (tmp_path / "scores").exists()
 
 
+_LIMITED_CHILD = """\
+import resource, sys
+limit = int(sys.argv.pop(1))
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from recsynvc.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_evaluate_with_a_flooding_asr_is_one_error_line(eval_setup, tmp_path):
+    """An ASR adapter that prints without end is killed at its output ceiling;
+    without one, ``evaluate`` buffered the flood until a ``MemoryError``."""
+    manifest_path, conv_dir = eval_setup
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CHILD, str(1_500_000 * 1024), "evaluate",
+         str(conv_dir), str(manifest_path), "--out-dir", str(tmp_path / "scores"),
+         "--asr", "yes"], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "'yes'" in lines[0]
+    assert "output ceiling" in lines[0]
+
+
 # --- correlate ------------------------------------------------------------------
 
 def test_correlate_bundled(tmp_path):
@@ -1132,7 +1158,7 @@ def test_correlate_bundled(tmp_path):
     assert payload["labels"] == ["MCD", "WER", "ASV", "NAT", "SIM"]
     assert len(payload["matrix"]) == 5
     assert payload["n_rows"] == 16
-    assert payload["subset"] in {"all", "s3r+ppg", "s3r+mel", "s3r_only"}
+    assert payload["subset"] == "all"
     assert payload["max_deviation"] <= 0.02
     assert len(payload["comparison"]) == 10
     for entry in payload["comparison"]:
@@ -1233,20 +1259,24 @@ def test_correlate_bad_table_is_one_error_line(tmp_path, capsys, blob):
     assert not (tmp_path / "corr.json").exists()
 
 
-def test_correlate_too_small_published_subset_names_the_table(tmp_path, capsys):
-    """Without the two baselines, the table's self-supervised rows are too few."""
+def test_correlate_published_keeps_every_row_of_a_table(tmp_path, capsys):
+    """Rows named like the bundled baselines are correlated like any other row."""
     table = tmp_path / "table.tsv"
     table.write_bytes(_TABLE_HEAD + b"mel\t7.0\t20.0\t60.0\t3.0\t50.0\n"
                       + b"PPG (TIMIT)\t6.0\t10.0\t70.0\t3.5\t60.0\n"
                       + b"A\t5.0\t15.0\t80.0\t4.0\t70.0\nB\t4.0\t12.0\t75.0\t4.2\t72.0\n")
     published = tmp_path / "published.json"
     published.write_text(json.dumps({"coefficients": {k: 0.5 for k in PUBLISHED}}))
+    out = tmp_path / "corr.json"
     capsys.readouterr()
     assert main(["correlate", "--table", str(table), "--published", str(published),
-                 "--out", str(tmp_path / "corr.json")]) == 1
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["n_rows"], payload["subset"], len(payload["comparison"])) == (4, "all", 10)
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {table}: need at least 3 rows")
-    assert not (tmp_path / "corr.json").exists()
+    assert lines[0] == "computed a 5x5 correlation matrix over 4 rows"
+    assert lines[1] == f"max |deviation| = {payload['max_deviation']:.4f}"
+    assert len(lines) == 12
 
 
 # --- parser ---------------------------------------------------------------------

@@ -429,6 +429,21 @@ def test_hung_adapter_is_killed_at_the_limit(tmp_path, monkeypatch):
     assert time.perf_counter() - start < 10.0
 
 
+def test_flooding_adapter_is_killed_at_the_output_ceiling(monkeypatch):
+    monkeypatch.setattr(converter, "ADAPTER_OUTPUT_BYTES", 1 << 20)
+    start = time.perf_counter()
+    with pytest.raises(AdapterError, match=r"adapter 'yes' .+1048576-byte output ceiling"):
+        run_adapter("yes", [])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_output_up_to_the_ceiling_is_read_back(tmp_path):
+    # sh's ulimit -f counts blocks of 512 (or 1024) bytes, so a block's worth passes
+    command = _sh_adapter(tmp_path, "head -c 4096 /dev/zero | tr '\\0' x\n")
+    stdout, _ = run_adapter(command, [], 4096)
+    assert stdout == "x" * 4096
+
+
 class TestReadEmbedding:
     def test_reads_single_row(self, tmp_path):
         vec = np.array([[0.6, 0.8]], dtype=np.float32)

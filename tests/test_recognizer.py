@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from recsynvc.config import AudioConfig
-from recsynvc.errors import ConfigError, FeatureFileError
+from recsynvc.errors import ConfigError, FeatureFileError, VoiceConversionError
 from recsynvc.featureio import feature_path, write_features
 from recsynvc.recognizer import (
     MAX_FRAME_SHIFT_MS,
@@ -52,6 +52,11 @@ class TestExtractMel:
         mel = extract_mel(_tone(), audio)
         hot = np.argmax(mel.frames, axis=1)
         assert np.all(hot < 20)
+
+    def test_a_waveform_at_another_rate_is_refused(self, audio):
+        with pytest.raises(VoiceConversionError,
+                           match="waveform rate 16000 != working rate 24000; resample"):
+            extract_mel(_tone(rate=16000), audio)
 
 
 class TestUpstreams:
@@ -190,3 +195,9 @@ class TestResampleFeatures:
                               frame_shift_ms=12.5)
         out = resample_features(seq, 10.0)
         np.testing.assert_allclose(out.frames, 3.25, atol=1e-6)
+
+    @pytest.mark.parametrize("shift", [0.0, -10.0, float("nan")])
+    def test_a_non_positive_shift_is_refused(self, shift):
+        seq = FeatureSequence(frames=np.zeros((4, 3), dtype=np.float32), frame_shift_ms=10.0)
+        with pytest.raises(VoiceConversionError, match="target_shift_ms must be positive"):
+            resample_features(seq, shift)

@@ -124,6 +124,16 @@ class TestSpeakerEmbedding:
         with pytest.raises(VoiceConversionError):
             SpeakerEmbedding.from_raw(np.zeros(8))
 
+    @pytest.mark.parametrize("vector", [np.array([[1.0, 0.0]]), np.zeros(0)],
+                             ids=["two_dimensional", "empty"])
+    def test_requires_a_non_empty_vector(self, vector):
+        with pytest.raises(VoiceConversionError, match="non-empty 1-D vector"):
+            SpeakerEmbedding(vector=vector)
+
+    def test_rejects_nan(self):
+        with pytest.raises(VoiceConversionError, match="non-finite"):
+            SpeakerEmbedding(vector=np.array([1.0, np.nan]))
+
 
 class TestManifest:
     def _record(self, utt, spk):

@@ -4,12 +4,14 @@
 Usage: python3 tools/bench_pair.py PARENT_REV --pr N
            [--workloads train,convert_long,a2a_short] [--seeds 1,2,...,10] [--seconds 27]
 
-The parent is checked out with `git worktree add` under `.perfbench_work/`;
-the change is this checkout's working tree. For each workload and seed, each
-side runs `python3 perfbench/run.py --workload W --seed S --seconds X
---trace 0` once, in a process of its own, and the side that runs first
-alternates from one pair to the next. The worktree is removed at the end,
-also when a run fails or the tool is interrupted.
+The parent's committed files are exported with `git archive` into a
+temporary directory under `.perfbench_work/`, which is removed at the end,
+also when a run fails or the tool is stopped with Ctrl-C (not on SIGTERM);
+no worktree is added and nothing is written under `.git`. The change is this
+checkout's working tree. For each workload and seed, each side runs
+`python3 perfbench/run.py --workload W --seed S --seconds X --trace 0` once,
+in a process of its own, and the side that runs first alternates from one
+pair to the next.
 
 `BENCH_<N>.json` at the root of the checkout holds every run (its metrics,
 `correct`, `attempted` and `failed`, and its run record); per workload and
@@ -46,14 +48,13 @@ import argparse
 import itertools
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKTREE = ROOT / ".perfbench_work" / "bench_pair_parent"
 SIDES = ("parent", "change")
 STAGES = ("train_frames_per_s.", "convert_audio_s_per_s", "score_utts_per_s")  # name prefixes
 MIN_PAIRS_FOR_GAIN = 10  # fewer pairs than this cannot show a gain
@@ -201,11 +202,11 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def _remove_worktree() -> None:
-    subprocess.run(["git", "worktree", "remove", "--force", str(WORKTREE)], cwd=ROOT,
-                   capture_output=True)
-    shutil.rmtree(WORKTREE, ignore_errors=True)
-    subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+def export_tree(commit: str, dest: Path) -> None:
+    """Write the committed files of ``commit`` into ``dest``, without a ``.git``."""
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
 def _run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -245,10 +246,12 @@ def main(argv=None) -> int:
     head = _git("rev-parse", "HEAD")
     dirty = bool(_git("status", "--porcelain"))
     runs = []
-    _remove_worktree()  # a worktree left by an interrupted run
-    try:
-        _git("worktree", "add", "--detach", str(WORKTREE), parent)
-        trees = {"parent": WORKTREE, "change": ROOT}
+    # beside perfbench's own work directories, so both sides write on one file system
+    (ROOT / ".perfbench_work").mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix="bench_pair_parent_",
+                                     dir=ROOT / ".perfbench_work") as exported:
+        export_tree(parent, Path(exported))
+        trees = {"parent": Path(exported), "change": ROOT}
         for pair, (workload, seed) in enumerate(itertools.product(workloads, seeds)):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
@@ -257,8 +260,6 @@ def main(argv=None) -> int:
                              "first": side == order[0], **run})
                 print(f"{workload} seed {seed} {side}: {json.dumps(run['result'])}",
                       file=sys.stderr, flush=True)
-    finally:
-        _remove_worktree()
 
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps({
