@@ -39,9 +39,10 @@ config = Config(
 
 # the content upstream here is the package's own log-mel extractor; any
 # externally computed feature directory can stand in via
-# external_upstream(name, feature_dir), which reads the width and frame shift
-# from the feature files; with no speaker encoder, train() is any-to-one and
-# the corpus must hold exactly one speaker
+# train(manifest, external_upstream(name, feature_dir), config, out_dir,
+# feature_dir=feature_dir), where external_upstream reads the width and frame
+# shift from the feature files; with no speaker encoder, train() is any-to-one
+# and the corpus must hold exactly one speaker
 run = train(manifest, mel_upstream(config.audio), config, work / "run")
 print(f"loss: step 1 {run.loss_history[0]:.4f} -> "
       f"step {config.training.steps} {run.loss_history[-1]:.4f} "

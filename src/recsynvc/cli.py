@@ -38,8 +38,8 @@ from .converter import (
     vocode,
     vocoder_command,
 )
-from .errors import (ConfigError, CorrelationFileError, FeatureFileError, VoiceConversionError,
-                     naming)
+from .errors import (AdapterError, ConfigError, CorrelationFileError, FeatureFileError,
+                     VoiceConversionError, naming)
 from .evaluator import (
     asv_accept_rate,
     mcd,
@@ -50,7 +50,8 @@ from .evaluator import (
 )
 from .featureio import feature_path, write_features
 from .manifest import load_manifest
-from .recognizer import MEL_UPSTREAM, extract_mel, external_upstream, mel_upstream
+from .recognizer import (MEL_UPSTREAM, check_feature_dir, extract_mel, external_upstream,
+                         mel_upstream)
 from .trainer import train
 
 
@@ -123,10 +124,11 @@ def _a2a_encoder(args, embedding_dim: int):
         return encoder
     if args.speaker_encoder is not None:
         def encoder(record):
-            return speaker_encoder_adapter(
-                record.wav_path, args.speaker_encoder,
-                cache_dir=args.embeddings_cache, utt_id=record.utt_id,
-            )
+            with naming(record.utt_id, AdapterError, AdapterError):
+                return speaker_encoder_adapter(
+                    record.wav_path, args.speaker_encoder,
+                    cache_dir=args.embeddings_cache, utt_id=record.utt_id,
+                )
         return encoder
     raise VoiceConversionError("a2a training needs --embeddings-dir or --speaker-encoder")
 
@@ -142,13 +144,11 @@ def cmd_train(args) -> int:
         _reject(_given(args, "embeddings_cache"), "read only with --speaker-encoder")
     config = _load_config(args)
     manifest = load_manifest(args.manifest)
-    if args.upstream == MEL_UPSTREAM and args.feature_dir is None:
-        spec = mel_upstream(config.audio)
-    else:
-        spec = external_upstream(args.upstream, args.feature_dir)
-    run = train(manifest, spec, config, args.out_dir,
+    upstream = (mel_upstream(config.audio) if args.upstream == MEL_UPSTREAM
+                else external_upstream(args.upstream, args.feature_dir))
+    run = train(manifest, upstream, config, args.out_dir,
                 _a2a_encoder(args, config.model.embedding_dim) if a2a else None,
-                log_file=args.log_file)
+                log_file=args.log_file, feature_dir=args.feature_dir)
     _note(f"final checkpoint: {run.checkpoint_path} "
           f"(step {config.training.steps}, loss {run.loss_history[-1]:.6f})")
     return 0
@@ -197,7 +197,7 @@ def cmd_convert(args) -> int:
     # the model reads a Checkpoint, which does not know its path
     with naming(args.checkpoint, ConfigError, ConfigError):
         model = load_model(checkpoint)
-    model.upstream.at(args.feature_dir)
+    check_feature_dir(model.upstream.name, args.feature_dir)
     manifest = load_manifest(args.source_manifest)
     embedding = _target_embedding(args, model.params)
     out_dir = Path(args.out_dir)
@@ -271,25 +271,26 @@ def cmd_evaluate(args) -> int:
             _note(f"warning: no reference wav for {record.utt_id}; "
                   "intrusive metrics skipped")
 
-        if args.asr is not None and record.transcript is not None:
-            ref_words = normalize_text(record.transcript)
-            if ref_words:
-                row["wer"] = wer(ref_words, transcribe_adapter(conv_wav_path, args.asr))
-            else:
-                _note(f"warning: transcript of {record.utt_id} has no words; WER skipped")
+        with naming(record.utt_id, AdapterError, AdapterError):
+            if args.asr is not None and record.transcript is not None:
+                ref_words = normalize_text(record.transcript)
+                if ref_words:
+                    row["wer"] = wer(ref_words, transcribe_adapter(conv_wav_path, args.asr))
+                else:
+                    _note(f"warning: transcript of {record.utt_id} has no words; WER skipped")
 
-        if args.speaker_encoder is not None:
-            conv_embeddings.append(speaker_encoder_adapter(
-                conv_wav_path, args.speaker_encoder,
-                cache_dir=args.embeddings_cache,
-                utt_id=f"{record.utt_id}.converted",
-            ))
-            if ref_wave is not None:
-                target_embeddings.append(speaker_encoder_adapter(
-                    record.wav_path, args.speaker_encoder,
+            if args.speaker_encoder is not None:
+                conv_embeddings.append(speaker_encoder_adapter(
+                    conv_wav_path, args.speaker_encoder,
                     cache_dir=args.embeddings_cache,
-                    utt_id=f"{record.utt_id}.reference",
+                    utt_id=f"{record.utt_id}.converted",
                 ))
+                if ref_wave is not None:
+                    target_embeddings.append(speaker_encoder_adapter(
+                        record.wav_path, args.speaker_encoder,
+                        cache_dir=args.embeddings_cache,
+                        utt_id=f"{record.utt_id}.reference",
+                    ))
 
     asv = None
     if conv_embeddings:

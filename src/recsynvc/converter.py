@@ -178,7 +178,7 @@ def convert(record: UtteranceRecord, checkpoint, feature_dir=None,
     """
     model = load_model(checkpoint)
     audio, stats = model.audio, model.stats
-    content = recognize(record, model.upstream.at(feature_dir), audio)
+    content = recognize(record, model.upstream, audio, feature_dir)
     if (n_samples := len(content) * audio.hop_length) < audio.win_length:
         raise VoiceConversionError(
             f"{len(content)} content frame(s) vocode to {n_samples} samples, "

@@ -5,7 +5,8 @@ The only native extractor is the 80-bin log-mel spectrogram.  Every other
 upstream (self-supervised models, posteriorgrams, ...) is produced by an
 external toolchain and ingested from per-utterance feature files, whose
 headers give the upstream's width and frame shift; this module never runs such
-models in-process.
+models in-process.  The directory of an external upstream's files is an
+argument of each function that reads it, judged by ``check_feature_dir``.
 """
 
 from __future__ import annotations
@@ -65,30 +66,10 @@ class Upstream:
     def native(self) -> bool:
         return self.name == MEL_UPSTREAM
 
-    def at(self, feature_dir=None) -> UpstreamSpec:
-        """This upstream located: ``feature_dir`` is given exactly for an external one."""
-        return UpstreamSpec(self.name, self.feature_dim, self.frame_shift_ms, feature_dir)
 
-
-@dataclass(frozen=True)
-class UpstreamSpec(Upstream):
-    """An ``Upstream`` and where its features come from.
-
-    The native upstream is computed from the wavs, so it takes no feature
-    directory; an external one is read from ``feature_dir``.  A spec breaking
-    these rules, or ``Upstream``'s, raises ``ConfigError``.
-    """
-
-    feature_dir: Path | None = None
-
-    def __post_init__(self):
-        _check_source(self.name, self.feature_dir)
-        super().__post_init__()
-        if self.feature_dir is not None:
-            object.__setattr__(self, "feature_dir", Path(self.feature_dir))
-
-
-def _check_source(name, feature_dir) -> None:
+def check_feature_dir(name, feature_dir) -> None:
+    """``mel`` takes no feature directory and an external upstream needs one
+    (``ConfigError``); a given path that is no directory is a ``FeatureFileError``."""
     if name == MEL_UPSTREAM and feature_dir is not None:
         raise ConfigError(
             f"the native {MEL_UPSTREAM!r} upstream is computed from the wavs and "
@@ -98,26 +79,28 @@ def _check_source(name, feature_dir) -> None:
         raise ConfigError(
             f"external upstream {name!r} needs a feature directory (--feature-dir)"
         )
+    if feature_dir is not None and not Path(feature_dir).is_dir():
+        raise FeatureFileError(f"no {FEATURE_SUFFIX} files in feature directory {feature_dir}")
 
 
-def mel_upstream(audio: AudioConfig) -> UpstreamSpec:
+def mel_upstream(audio: AudioConfig) -> Upstream:
     """The native mel upstream at an audio configuration's frame shift."""
-    return UpstreamSpec(MEL_UPSTREAM, N_MELS, audio.frame_shift_ms)
+    return Upstream(MEL_UPSTREAM, N_MELS, audio.frame_shift_ms)
 
 
-def external_upstream(name, feature_dir) -> UpstreamSpec:
+def external_upstream(name, feature_dir) -> Upstream:
     """An external upstream read from ``feature_dir``.
 
     Its width and frame shift are those of the directory's first ``.s3vc``
     file, sorted by name; ``recognize`` checks every other file against them.
     A directory without one raises ``FeatureFileError`` naming it.
     """
-    _check_source(name, feature_dir)
+    check_feature_dir(name, feature_dir)
     first = min(Path(feature_dir).glob(f"*{FEATURE_SUFFIX}"), default=None)
     if first is None:
         raise FeatureFileError(f"no {FEATURE_SUFFIX} files in feature directory {feature_dir}")
     seq = read_features(first)
-    return UpstreamSpec(name, seq.dim, seq.frame_shift_ms, feature_dir)
+    return Upstream(name, seq.dim, seq.frame_shift_ms)
 
 
 def extract_mel(wave: Waveform, audio: AudioConfig) -> MelSpectrogram:
@@ -143,33 +126,35 @@ def extract_mel(wave: Waveform, audio: AudioConfig) -> MelSpectrogram:
     return MelSpectrogram(frames=frames, frame_shift_ms=audio.frame_shift_ms)
 
 
-def recognize(record: UtteranceRecord, spec: UpstreamSpec,
-              audio: AudioConfig) -> FeatureSequence:
+def recognize(record: UtteranceRecord, upstream: Upstream, audio: AudioConfig,
+              feature_dir=None) -> FeatureSequence:
     """Produce the content representation of one utterance.
 
     Native upstream: the record's wav is loaded and the mel extractor runs
-    in-process.  External upstream: the record's features are read from
-    ``spec.feature_dir`` and resampled in time onto ``audio``'s frame shift,
-    the decoder's frame rate; rows that align exactly keep their values.
+    in-process, and ``feature_dir`` is not given.  External upstream: the
+    record's features are read from ``feature_dir`` and resampled in time onto
+    ``audio``'s frame shift, the decoder's frame rate; rows that align exactly
+    keep their values.  ``check_feature_dir`` judges ``feature_dir``.
     """
-    if spec.native:
+    check_feature_dir(upstream.name, feature_dir)
+    if upstream.native:
         # imported here, so each call looks it up on ``audioio`` and a
         # wrapper installed there sees it
         from .audioio import load_waveform
         wave = load_waveform(record.wav_path, audio)
         return extract_mel(wave, audio).as_features()
-    path = feature_path(spec.feature_dir, record.utt_id)
+    path = feature_path(feature_dir, record.utt_id)
     if not path.exists():
         raise FeatureFileError(f"missing features for: {record.utt_id} ({path})")
     seq = read_features(path)
-    if abs(seq.frame_shift_ms - spec.frame_shift_ms) > 1e-6:
+    if abs(seq.frame_shift_ms - upstream.frame_shift_ms) > 1e-6:
         raise FeatureFileError(
             f"{record.utt_id}: feature file frame shift {seq.frame_shift_ms} ms "
-            f"!= upstream contract {spec.frame_shift_ms} ms"
+            f"!= upstream contract {upstream.frame_shift_ms} ms"
         )
-    if seq.dim != spec.feature_dim:
+    if seq.dim != upstream.feature_dim:
         raise FeatureFileError(
-            f"{record.utt_id}: feature dim {seq.dim} != upstream contract {spec.feature_dim}"
+            f"{record.utt_id}: feature dim {seq.dim} != upstream contract {upstream.feature_dim}"
         )
     return resample_features(seq, audio.frame_shift_ms)
 

@@ -32,7 +32,7 @@ from .config import Config
 from .converter import TrainedModel, model_checkpoint, normalize
 from .errors import FeatureFileError, ManifestError, VoiceConversionError
 from .nnops import clip_grad_norm
-from .recognizer import Upstream, UpstreamSpec, extract_mel, recognize
+from .recognizer import Upstream, check_feature_dir, extract_mel, recognize
 from .audioio import load_waveform
 from .featureio import feature_path
 from .synthesizer import (
@@ -177,19 +177,19 @@ class _Example:
     embedding: np.ndarray | None = None  # (E,) float64
 
 
-def _check_features_present(manifest: DatasetManifest, spec: UpstreamSpec):
-    if spec.native:
+def _check_features_present(manifest: DatasetManifest, upstream: Upstream, feature_dir):
+    if upstream.native:
         return
     missing = [
         r.utt_id for r in manifest
-        if not feature_path(spec.feature_dir, r.utt_id).exists()
+        if not feature_path(feature_dir, r.utt_id).exists()
     ]
     if missing:
         raise FeatureFileError(f"missing features for: {', '.join(missing)} "
-                               f"(feature dir {spec.feature_dir})")
+                               f"(feature dir {feature_dir})")
 
 
-def _prepare_examples(manifest, spec, config, encoder=None):
+def _prepare_examples(manifest, upstream, feature_dir, config, encoder):
     """Load, align, and normalize all training pairs; returns examples + stats."""
     audio = config.audio
     raw = []
@@ -197,7 +197,8 @@ def _prepare_examples(manifest, spec, config, encoder=None):
         wave = load_waveform(record.wav_path, audio)
         mel = extract_mel(wave, audio)
         # the native upstream's content is the target mel itself
-        content = mel.as_features() if spec.native else recognize(record, spec, audio)
+        content = (mel.as_features() if upstream.native
+                   else recognize(record, upstream, audio, feature_dir))
         t_len = min(len(content), mel.frames.shape[0])
         emb = None
         if encoder is not None:
@@ -242,10 +243,13 @@ def _pad_batch(examples: list[_Example]):
 
 
 @one_blas_thread()  # the bits depend on the count, and the shards take the CPUs
-def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir,
+def train(manifest: DatasetManifest, upstream: Upstream, config: Config, out_dir,
           encoder: Callable[[UtteranceRecord], SpeakerEmbedding] | None = None,
-          log_file=None) -> TrainRun:
-    """Train a decoder on ``manifest``; ``encoder`` decides the setting.
+          log_file=None, feature_dir=None) -> TrainRun:
+    """Train a decoder on ``manifest`` into ``out_dir``; ``encoder`` decides the setting.
+
+    An external ``upstream`` is read from ``feature_dir``, given exactly then
+    (``check_feature_dir``); ``log_file`` gets one line per logged step.
 
     Without an encoder this is A2O: the manifest holds exactly one speaker, the
     target.  With an encoder, which maps a record to its SpeakerEmbedding, this
@@ -254,6 +258,7 @@ def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir
     on the embedding of its own waveform, so the model learns to copy the
     voice described by the embedding.
     """
+    check_feature_dir(upstream.name, feature_dir)
     if len(manifest) == 0:
         raise ManifestError("cannot train on an empty manifest")
     n_speakers = len(manifest.speakers)
@@ -270,15 +275,14 @@ def train(manifest: DatasetManifest, spec: UpstreamSpec, config: Config, out_dir
             )
         target_speaker = None
     training = config.training
-    params = build_decoder(config.model, spec.feature_dim, encoder is not None,
+    params = build_decoder(config.model, upstream.feature_dim, encoder is not None,
                            seed=training.seed)
 
-    _check_features_present(manifest, spec)
-    examples, stats = _prepare_examples(manifest, spec, config, encoder=encoder)
+    _check_features_present(manifest, upstream, feature_dir)
+    examples, stats = _prepare_examples(manifest, upstream, feature_dir, config, encoder)
 
     # the optimizer updates params.tensors in place, so each write sees the current weights
-    model = TrainedModel(params=params, stats=stats, audio=config.audio,
-                         upstream=Upstream(spec.name, spec.feature_dim, spec.frame_shift_ms))
+    model = TrainedModel(params=params, stats=stats, audio=config.audio, upstream=upstream)
     optimizer = AdamOptimizer(params.tensors, learning_rate=training.learning_rate)
 
     rng = np.random.default_rng(training.seed)

@@ -33,13 +33,17 @@ from recsynvc.config import (
     MAX_WIDTH,
     MAX_WINDOW,
     AudioConfig,
+    load_config,
 )
 from recsynvc.cli import main
 from recsynvc.benchmark import MetricsRow
-from recsynvc.errors import VoiceConversionError
+from recsynvc.converter import convert
+from recsynvc.errors import ConfigError, VoiceConversionError
 from recsynvc.featureio import read_features, write_features
 from recsynvc.manifest import load_manifest, write_manifest
+from recsynvc.recognizer import external_upstream
 from recsynvc.synthetic import make_toy_corpus, make_utterance
+from recsynvc.trainer import train
 from recsynvc.types import DatasetManifest, FeatureSequence, UtteranceRecord, Waveform
 
 from helpers import BAD_WAVS, sphere_embedding, write_metrics_table
@@ -360,6 +364,20 @@ steps = 1
 """
 
 
+def test_train_a2a_speaker_encoder_error_names_the_utterance(tmp_path, capsys):
+    manifest = make_toy_corpus(tmp_path / "multi", n_utterances=4,
+                               n_speakers=2, duration=0.4, seed=6)
+    first = load_manifest(manifest).records[0].utt_id
+    config = tmp_path / "a2a.ini"
+    config.write_text(A2A_CONFIG)
+    capsys.readouterr()
+    assert main(["train", str(manifest), "--mode", "a2a", "--out-dir", str(tmp_path / "run"),
+                 "--config", str(config), "--speaker-encoder", "false"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {first}: adapter 'false' exited with status 1"]
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("n_speakers, mode, reason", [
     (0, "a2o", "empty manifest"),
     (2, "a2o", "exactly one speaker, manifest has 2"),
@@ -467,6 +485,32 @@ def test_convert_external_upstream_needs_only_feature_dir(cli_corpus, cli_config
     assert main(convert_argv) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "--feature-dir" in lines[0]
+    # a directory that is not there is one error too, before --out-dir is made
+    absent = tmp_path / "absent"
+    assert main(["convert", str(tmp_path / "run" / "final.s3ck"), str(cli_corpus),
+                 "--out-dir", str(tmp_path / "conv2"), "--feature-dir", str(absent)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: no .s3vc files in feature directory {absent}"]
+    assert not (tmp_path / "conv2").exists()
+
+
+def test_library_and_cli_train_an_external_upstream_alike(cli_corpus, cli_config, tmp_path):
+    feature_dir = tmp_path / "ssl"
+    feature_dir.mkdir()
+    rng = np.random.default_rng(0)
+    for record in load_manifest(cli_corpus).records:
+        write_features(feature_dir / f"{record.utt_id}.s3vc", FeatureSequence(
+            frames=rng.standard_normal((20, 7)).astype(np.float32), frame_shift_ms=20.0))
+    assert main(["train", str(cli_corpus), "--out-dir", str(tmp_path / "cli"),
+                 "--config", str(cli_config), "--upstream", "ssl_stub",
+                 "--feature-dir", str(feature_dir)]) == 0
+    run = train(load_manifest(cli_corpus), external_upstream("ssl_stub", feature_dir),
+                load_config(cli_config), tmp_path / "lib", feature_dir=feature_dir)
+    assert run.checkpoint_path.read_bytes() == (tmp_path / "cli" / "final.s3ck").read_bytes()
+    # a library caller of convert gets the command line's rule
+    record = load_manifest(cli_corpus).records[0]
+    with pytest.raises(ConfigError, match="'ssl_stub' needs a feature directory"):
+        convert(record, load_checkpoint(run.checkpoint_path))
 
 
 def test_mel_upstream_with_a_feature_dir_is_one_error_line(cli_checkpoint, cli_corpus,
@@ -1129,6 +1173,15 @@ resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 from recsynvc.cli import main
 sys.exit(main(sys.argv[1:]))
 """
+
+
+def test_evaluate_adapter_error_names_the_utterance(eval_setup, tmp_path, capsys):
+    manifest_path, conv_dir = eval_setup
+    capsys.readouterr()
+    assert main(["evaluate", str(conv_dir), str(manifest_path),
+                 "--out-dir", str(tmp_path / "scores"), "--asr", "false"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: u0: adapter 'false' exited with status 1"]
 
 
 def test_evaluate_with_a_flooding_asr_is_one_error_line(eval_setup, tmp_path):

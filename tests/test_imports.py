@@ -6,16 +6,19 @@ start with ``_``; the package root imports nothing; ``errors`` alone defines exc
 types, its docstring names each of them, and the package raises each of them; no
 handler outside ``errors`` re-raises its exception's text behind a prefix, which
 ``errors.naming`` does; no module outside ``blas`` starts threads or counts
-CPUs, which ``blas.run_threads`` does; and only ``container.write_atomic`` and
-the training log write files."""
+CPUs, which ``blas.run_threads`` does; only ``container.write_atomic`` and
+the training log write files; and no class subclasses a dataclass, so a concept
+keeps one type."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
 import re
 import subprocess
 import sys
+import types
 import typing
 from pathlib import Path
 
@@ -249,6 +252,27 @@ def test_only_errors_defines_exception_types():
     others = {path.stem: _exception_classes(importlib.import_module(f"recsynvc.{path.stem}"))
               for path in MODULES if path.name != "errors.py"}
     assert {stem: names for stem, names in others.items() if names} == {}
+
+
+def _dataclass_subclasses(module) -> list[str]:
+    """Classes of ``module`` with a dataclass among their bases, as ``Class(Base)``."""
+    return [f"{name}({base.__name__})" for name, obj in vars(module).items()
+            if inspect.isclass(obj) and obj.__module__ == module.__name__
+            for base in obj.__mro__[1:] if dataclasses.is_dataclass(base)]
+
+
+def test_scan_finds_a_dataclass_subclass():
+    module = types.ModuleType("snippet")
+    exec("from dataclasses import dataclass\n"
+         "@dataclass\nclass A:\n    x: int\n"
+         "@dataclass\nclass B(A):\n    y: int = 0\n"
+         "class C:\n    pass\n", vars(module))
+    assert _dataclass_subclasses(module) == ["B(A)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_class_subclasses_a_dataclass(path):
+    assert _dataclass_subclasses(importlib.import_module(f"recsynvc.{path.stem}")) == []
 
 
 def _prefixed_reraises(source: str) -> list[str]:

@@ -1,5 +1,7 @@
 """Content extraction: mel upstream, external features, frame-rate resampling."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from recsynvc.featureio import feature_path, write_features
 from recsynvc.recognizer import (
     MAX_FRAME_SHIFT_MS,
     Upstream,
-    UpstreamSpec,
+    check_feature_dir,
     extract_mel,
     external_upstream,
     mel_upstream,
@@ -61,44 +63,46 @@ class TestExtractMel:
 
 class TestUpstreams:
     def test_mel_upstream_spec(self, audio):
-        spec = mel_upstream(audio)
-        assert spec.name == "mel"
-        assert spec.feature_dim == 80
-        assert spec.frame_shift_ms == pytest.approx(10.0)
+        upstream = mel_upstream(audio)
+        assert upstream.name == "mel"
+        assert upstream.feature_dim == 80
+        assert upstream.frame_shift_ms == pytest.approx(10.0)
 
     def test_native_upstream_must_be_80_dim(self):
         # training takes native content straight from the target mel
         with pytest.raises(ConfigError, match="upstream is 80-dim, got 40"):
-            UpstreamSpec(name="mel", feature_dim=40, frame_shift_ms=10.0)
+            Upstream(name="mel", feature_dim=40, frame_shift_ms=10.0)
 
     def test_native_upstream_is_the_name_mel(self, tmp_path, audio):
         assert mel_upstream(audio).native
-        assert not UpstreamSpec("ssl_stub", 80, 10.0, tmp_path).native
+        assert not Upstream("ssl_stub", 80, 10.0).native
         # mel is computed from the wavs: no feature directory, external or not
         with pytest.raises(ConfigError, match="no feature directory"):
-            UpstreamSpec("mel", 80, 10.0, tmp_path)
+            check_feature_dir("mel", tmp_path)
         _write(tmp_path, "u1", np.zeros((4, 80)), 10.0)
         with pytest.raises(ConfigError, match="no feature directory"):
             external_upstream("mel", tmp_path)
         with pytest.raises(ConfigError, match="--feature-dir"):
-            UpstreamSpec("ssl_stub", 7, 20.0)
+            check_feature_dir("ssl_stub", None)
+        check_feature_dir("mel", None)
+        check_feature_dir("ssl_stub", tmp_path)
 
-    def test_an_upstream_needs_no_directory_until_located(self, tmp_path):
+    def test_an_upstream_needs_no_directory_until_located(self, audio, tmp_path):
+        # the type holds no directory; each reader is given one and checks it
         hubert = Upstream("hubert", 768, 20)
         assert type(hubert.frame_shift_ms) is float and hubert.frame_shift_ms == 20.0
-        spec = hubert.at(tmp_path)
-        assert isinstance(spec, UpstreamSpec) and spec.feature_dir == tmp_path
-        assert (spec.name, spec.feature_dim, spec.frame_shift_ms) == ("hubert", 768, 20.0)
+        assert [f.name for f in fields(Upstream)] == ["name", "feature_dim", "frame_shift_ms"]
+        record = UtteranceRecord(utt_id="u1", speaker_id="A", wav_path="u1.wav")
         with pytest.raises(ConfigError, match="--feature-dir"):
-            hubert.at()
+            recognize(record, hubert, audio)
         with pytest.raises(ConfigError, match="no feature directory"):
-            Upstream("mel", 80, 10.0).at(tmp_path)
+            recognize(record, Upstream("mel", 80, 10.0), audio, tmp_path)
 
     @pytest.mark.parametrize("shift", [0.0, 1000.5, 1e30, np.inf, np.nan])
-    def test_frame_shift_outside_the_range_is_rejected(self, tmp_path, shift):
+    def test_frame_shift_outside_the_range_is_rejected(self, shift):
         with pytest.raises(ConfigError, match="frame_shift_ms"):
-            UpstreamSpec("ssl_stub", 7, shift, tmp_path)
-        assert UpstreamSpec("ssl_stub", 7, MAX_FRAME_SHIFT_MS, tmp_path).frame_shift_ms == 1000.0
+            Upstream("ssl_stub", 7, shift)
+        assert Upstream("ssl_stub", 7, MAX_FRAME_SHIFT_MS).frame_shift_ms == 1000.0
 
     def test_mel_recognize_reads_the_record_wav(self, audio, tmp_path):
         from recsynvc.audioio import save_waveform
@@ -122,9 +126,9 @@ class TestUpstreams:
     def test_external_upstream_reads_feature_dir(self, audio, tmp_path):
         frames = np.random.default_rng(0).standard_normal((12, 7)).astype(np.float32)
         _write(tmp_path, "u1", frames, 20.0)
-        spec = external_upstream("ssl_stub", tmp_path)
+        upstream = external_upstream("ssl_stub", tmp_path)
         record = UtteranceRecord(utt_id="u1", speaker_id="A", wav_path="u1.wav")
-        seq = recognize(record, spec, audio)
+        seq = recognize(record, upstream, audio, tmp_path)
         # 20 ms files arrive at the decoder's 10 ms; every other row is a file row
         assert (len(seq), seq.frame_shift_ms) == (24, audio.frame_shift_ms)
         assert np.array_equal(seq.frames[::2], frames)
@@ -133,12 +137,11 @@ class TestUpstreams:
         _write(tmp_path, "b", np.zeros((3, 5)), 10.0)
         _write(tmp_path, "a", np.zeros((4, 7)), 20.0)
         (tmp_path / "index.tsv").write_text("not a feature file\n")
-        spec = external_upstream("ssl_stub", tmp_path)
-        assert (spec.name, spec.feature_dim, spec.frame_shift_ms) == ("ssl_stub", 7, 20.0)
-        assert spec.feature_dir == tmp_path
+        assert external_upstream("ssl_stub", tmp_path) == Upstream("ssl_stub", 7, 20.0)
 
-    @pytest.mark.parametrize("make", [lambda d: d.mkdir(), lambda d: None],
-                             ids=["empty", "absent"])
+    @pytest.mark.parametrize("make", [lambda d: d.mkdir(), lambda d: None,
+                                      lambda d: d.write_text("x")],
+                             ids=["empty", "absent", "file"])
     def test_external_upstream_needs_a_feature_file(self, tmp_path, make):
         feature_dir = tmp_path / "feats"
         make(feature_dir)
@@ -148,23 +151,23 @@ class TestUpstreams:
 
     def test_external_upstream_missing_file(self, audio, tmp_path):
         _write(tmp_path, "u1", np.zeros((4, 7)), 20.0)
-        spec = external_upstream("ssl_stub", tmp_path)
+        upstream = external_upstream("ssl_stub", tmp_path)
         record = UtteranceRecord(utt_id="u9", speaker_id="A", wav_path="u9.wav")
         path = feature_path(tmp_path, "u9")
         with pytest.raises(FeatureFileError, match=f"^missing features for: u9 \\({path}\\)$"):
-            recognize(record, spec, audio)
+            recognize(record, upstream, audio, tmp_path)
 
     def test_external_upstream_dim_mismatch(self, audio, tmp_path):
-        # the spec comes from u1; a later file of another width or shift is rejected
+        # the upstream comes from u1; a later file of another width or shift is rejected
         _write(tmp_path, "u1", np.zeros((4, 7)), 20.0)
         _write(tmp_path, "u2", np.zeros((4, 5)), 20.0)
         _write(tmp_path, "u3", np.zeros((4, 7)), 10.0)
-        spec = external_upstream("ssl_stub", tmp_path)
+        upstream = external_upstream("ssl_stub", tmp_path)
         for utt_id in ("u2", "u3"):
             record = UtteranceRecord(utt_id=utt_id, speaker_id="A", wav_path="x.wav")
             with pytest.raises(FeatureFileError,
                                match=f"^{utt_id}: feature (dim|file frame shift)"):
-                recognize(record, spec, audio)
+                recognize(record, upstream, audio, tmp_path)
 
 
 def _write(feature_dir, utt_id, frames, frame_shift_ms):

@@ -22,7 +22,7 @@ from recsynvc.config import ModelConfig
 from recsynvc.converter import denormalize, normalize
 from recsynvc.errors import ConfigError, FeatureFileError, ManifestError, VoiceConversionError
 from recsynvc.featureio import feature_path, write_features
-from recsynvc.recognizer import external_upstream, mel_upstream
+from recsynvc.recognizer import Upstream, external_upstream, mel_upstream
 from recsynvc.synthesizer import (
     backward_teacher_batch,
     build_decoder,
@@ -453,12 +453,26 @@ class TestTrainA2O:
         (tmp_path / "feats").mkdir()
         write_features(feature_path(tmp_path / "feats", first), FeatureSequence(
             frames=np.zeros((20, 7), dtype=np.float32), frame_shift_ms=20.0))
-        spec = external_upstream("ssl_stub", tmp_path / "feats")
+        upstream = external_upstream("ssl_stub", tmp_path / "feats")
         assert len(rest) == 19
         missing = re.escape(f"missing features for: {', '.join(rest)} "
                             f"(feature dir {tmp_path / 'feats'})")
         with pytest.raises(FeatureFileError, match=f"^{missing}$"):
-            train(toy_corpus["manifest"], spec, config, tmp_path / "run")
+            train(toy_corpus["manifest"], upstream, config, tmp_path / "run",
+                  feature_dir=tmp_path / "feats")
+
+    def test_the_feature_dir_is_given_exactly_for_an_external_upstream(self, toy_corpus,
+                                                                       tmp_path):
+        # training reads mel content from the target wavs, so a directory given
+        # with it would be ignored: it is refused before anything is made
+        config = toy_config("simple", steps=1)
+        with pytest.raises(ConfigError, match="'mel' upstream .* takes no feature directory"):
+            train(toy_corpus["manifest"], mel_upstream(config.audio), config,
+                  tmp_path / "run", feature_dir=tmp_path)
+        with pytest.raises(ConfigError, match="'ssl_stub' needs a feature directory"):
+            train(toy_corpus["manifest"], Upstream("ssl_stub", 7, 20.0), config,
+                  tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("speakers", [("A",), ("A", "B")], ids=["a2o", "a2a"])
